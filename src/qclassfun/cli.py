@@ -37,6 +37,14 @@ def _fraction_flag(raw: str, flag: str) -> Fraction:
         raise UsageError(f"{flag} expects a rational like 1/3 or 0.25, got {raw!r}") from exc
 
 
+def _tol_flag(raw) -> Fraction:
+    """A --tol value: a positive rational such as 1e-6 or 1/1000."""
+    tol = _fraction_flag(str(raw), "--tol")
+    if tol <= 0:
+        raise UsageError(f"--tol must be positive, got {raw!r}")
+    return tol
+
+
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--bits", type=int, default=None,
                      help=f"working precision in bits (default 128, or ${ENV_BITS})")
@@ -142,14 +150,18 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 def _resolve_bits(args: argparse.Namespace) -> int:
     if args.bits is not None:
-        return int(args.bits)
-    env = os.environ.get(ENV_BITS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"${ENV_BITS} must be an integer, got {env!r}") from exc
-    return intervals.DEFAULT_BITS
+        raw, source = args.bits, "--bits"
+    elif os.environ.get(ENV_BITS) is not None:
+        raw, source = os.environ[ENV_BITS], f"${ENV_BITS}"
+    else:
+        return intervals.DEFAULT_BITS
+    try:
+        bits = int(raw) if isinstance(raw, (int, str)) and not isinstance(raw, bool) else 0
+    except ValueError:
+        bits = 0
+    if not 1 <= bits <= criteria.MAX_BITS:
+        raise UsageError(f"{source} must be an integer in 1..{criteria.MAX_BITS}, got {raw!r}")
+    return bits
 
 
 def _resolve_max_terms(args: argparse.Namespace) -> int:
@@ -180,6 +192,8 @@ def _build_family(args: argparse.Namespace) -> tuple[FusionFamily, dict]:
         else:
             if qq is not None:
                 raise UsageError("so3 families take --dimq (quantum dimension), not --qq")
+            if args.N < 3:
+                raise UsageError(f"so3 families need --N >= 3, got {args.N}")
             if dimq is not None:
                 inputs["dimq"] = dimq
                 fam = fusion.so3_ladder(args.N, dim_q_fund=_fraction_flag(dimq, "--dimq"))
@@ -220,7 +234,7 @@ def _series_payload(result: criteria.SeriesResult, digits: int) -> dict:
 
 
 def cmd_dims(args: argparse.Namespace) -> report.Report:
-    bits = _resolve_bits(args)
+    bits = args.bits
     digits = intervals.decimal_digits(bits)
     family, inputs = _build_family(args)
     rows = []
@@ -245,7 +259,7 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_series(args: argparse.Namespace) -> report.Report:
-    bits = _resolve_bits(args)
+    bits = args.bits
     digits = intervals.decimal_digits(bits)
     max_terms = _resolve_max_terms(args)
     family, inputs = _build_family(args)
@@ -253,7 +267,7 @@ def cmd_series(args: argparse.Namespace) -> report.Report:
     n_max = args.n_max if args.n_max is not None else 50
     inputs.update({"tol": tol, "n_max": n_max})
     verdict = criteria.masa_verdict(
-        family, tol=tol, n_max=n_max, bits=bits, max_terms=max_terms)
+        family, tol=_tol_flag(tol), n_max=n_max, bits=bits, max_terms=max_terms)
     results: dict = {
         "series": _series_payload(verdict.series, digits),
         "quasi_split": verdict.quasi_split.value,
@@ -269,14 +283,15 @@ def cmd_series(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_threshold(args: argparse.Namespace) -> report.Report:
-    bits = _resolve_bits(args)
+    bits = args.bits
     digits = intervals.decimal_digits(bits)
     tol = args.tol if args.tol is not None else DEFAULT_TOL["threshold"]
     inputs = {"which": args.which, "tol": tol}
+    tol_value = _tol_flag(tol)
     if args.which == "dim2":
-        enclosure = criteria.threshold_dim2(tol, bits=bits)
+        enclosure = criteria.threshold_dim2(tol_value, bits=bits)
     elif args.which == "remark":
-        enclosure = criteria.threshold_remark(tol, bits=bits)
+        enclosure = criteria.threshold_remark(tol_value, bits=bits)
     else:
         enclosure = criteria.threshold_ratio_dimge3(bits=bits)
     with intervals.precision(bits):
@@ -316,14 +331,13 @@ def cmd_moments(args: argparse.Namespace) -> report.Report:
             "oracle": oracle,
             "match": multiplicity == oracle,
         })
-    bits = _resolve_bits(args)
     return report.Report("moments", inputs,
                          {"table": rows, "oracle": oracle_name},
-                         {"bits": bits})
+                         {"bits": args.bits})
 
 
 def cmd_spectral(args: argparse.Namespace) -> report.Report:
-    bits = _resolve_bits(args)
+    bits = args.bits
     digits = intervals.decimal_digits(bits)
     if args.rho_ladder is None or args.q is None:
         raise UsageError("spectral requires --rho-ladder and --q")
@@ -366,8 +380,7 @@ def cmd_jacobi(args: argparse.Namespace) -> report.Report:
     if size >= 4:
         lam = cmath.exp(1j * phase_angle)
         results["interior_residual"] = repr(spectral.suq2_relation_residuals(size, q, lam))
-    bits = _resolve_bits(args)
-    return report.Report("jacobi", inputs, results, {"bits": bits})
+    return report.Report("jacobi", inputs, results, {"bits": args.bits})
 
 
 def cmd_bicrossed(args: argparse.Namespace) -> report.Report:
@@ -416,14 +429,12 @@ def cmd_bicrossed(args: argparse.Namespace) -> report.Report:
             "injective": factor.injective,
         },
     }
-    bits = _resolve_bits(args)
-    return report.Report("bicrossed", inputs, results, {"bits": bits})
+    return report.Report("bicrossed", inputs, results, {"bits": args.bits})
 
 
 def cmd_report(args: argparse.Namespace) -> report.Report:
-    bits = _resolve_bits(args)
-    grid = acceptance.run_all(bits=bits)
-    return report.Report("report", {}, grid, {"bits": bits})
+    grid = acceptance.run_all(bits=args.bits)
+    return report.Report("report", {}, grid, {"bits": args.bits})
 
 
 HANDLERS = {
@@ -446,6 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _apply_config(args)
+        args.bits = _resolve_bits(args)
         result = HANDLERS[args.command](args)
         fmt = args.format or "json"
         if fmt == "csv":

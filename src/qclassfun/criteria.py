@@ -20,7 +20,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import mpmath
 from mpmath import iv
 
 from . import fusion, intervals
@@ -61,28 +60,46 @@ class SeriesResult:
 
     When `verdict` is CONVERGES, the true sum lies in ``partial_sum +
     tail_bound`` where `tail_bound` encloses the omitted tail from below by 0.
+    `bits_used` is the working precision the enclosures were computed at.
     """
 
     verdict: Verdict
     partial_sum: Interval | None = None
     tail_bound: Interval | None = None
     terms_used: int = 0
+    bits_used: int | None = None
 
     def sum_enclosure(self) -> Interval:
-        """Enclosure of the full series value (CONVERGES only)."""
+        """Enclosure of the full series value (CONVERGES only), built at
+        `bits_used`."""
         if self.verdict is not Verdict.CONVERGES:
             raise DomainError(f"series did not converge: {self.verdict.value}")
         assert self.partial_sum is not None and self.tail_bound is not None
-        total = self.partial_sum + self.tail_bound
-        return intervals.from_endpoints(
-            intervals.lower(self.partial_sum), intervals.upper(total)
-        )
+        with intervals.precision(self.bits_used):
+            total = self.partial_sum + self.tail_bound
+            return intervals.from_endpoints(
+                intervals.lower(self.partial_sum), intervals.upper(total)
+            )
 
 
-def _tol_mpf(tol) -> mpmath.mpf:
-    if isinstance(tol, Fraction):
-        return mpmath.mpf(tol.numerator) / mpmath.mpf(tol.denominator)
-    return mpmath.mpf(tol)
+def _resolve_bits(bits: int | None) -> int:
+    """Working precision: the default for None, else a value in 1..MAX_BITS."""
+    if bits is None:
+        return intervals.DEFAULT_BITS
+    if not 1 <= bits <= MAX_BITS:
+        raise DomainError(f"bits must lie in 1..{MAX_BITS}, got {bits}")
+    return bits
+
+
+def _tol_fraction(tol) -> Fraction:
+    """`tol` as an exact positive rational; floats are read by their repr."""
+    try:
+        value = Fraction(tol) if isinstance(tol, (int, Fraction)) else Fraction(str(tol))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"tolerance must be a positive rational, got {tol!r}") from exc
+    if value <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +133,11 @@ def decay_constant(a1: IntervalLike, sup_c: int) -> Interval:
     return 1 + (a - 1) / sup_c
 
 
-def _family_ratios(family: FusionFamily) -> Callable[[int], Fraction]:
-    def a_n(n: int) -> Fraction:
-        return Fraction(fusion.dim(n, family, "quantum")) / fusion.dim(
-            n, family, "classical"
-        )
-
-    return a_n
-
-
 def _iter_family_ratios(family: FusionFamily):
     """Yield A_n = dim_q(n)/dim(n) for n = 0, 1, 2, ... incrementally.
 
-    Runs both dimension recursions in place so a long summation costs one
-    rational step per term instead of a fresh recursion per label.
+    Runs both dimension recursions in place so a long scan costs one
+    rational step per label instead of a fresh recursion per label.
     """
     three_term = family.kind is fusion.FamilyKind.SO3_LADDER
     d1_c = Fraction(family.dim_c_fund)
@@ -147,21 +155,21 @@ def _iter_family_ratios(family: FusionFamily):
         prev, curr = curr, step
 
 
-def _family_decay_exact(family: FusionFamily) -> Fraction:
-    a1 = _family_ratios(family)(1)
-    if a1 <= 1:
-        raise KacTypeError("Kac-type family has no decay rate")
-    return 1 + (a1 - 1) / LADDER_SUP_C
-
-
 def verify_decay(family: FusionFamily, n_max: int) -> bool:
-    """Exact check that ``A_(n+1) >= c A_n`` for ``1 <= n < n_max``."""
+    """Exact check of the paper's decay lemma: ``A_(n+1) >= c A_n`` for
+    ``1 <= n < n_max``, with ``c = 1 + (A_1 - 1)/sup_c``.
+
+    This is the exact reproduction of the lemma; the certified sums below
+    use the sharper majorant of the deformed-integer closed form instead.
+    """
     if not family.is_ladder:
         raise FamilyError("decay verification applies to ladder families")
-    c = _family_decay_exact(family)
     ratios = _iter_family_ratios(family)
     next(ratios)  # A_0
     previous = next(ratios)  # A_1
+    if previous <= 1:
+        raise KacTypeError("Kac-type family has no decay rate")
+    c = 1 + (previous - 1) / LADDER_SUP_C
     for _ in range(1, n_max):
         current = next(ratios)
         if current < c * previous:
@@ -174,17 +182,109 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
 # certified series
 
 
+def _is_exact_one(x: Interval) -> bool:
+    return intervals.lower(x) == 1 and intervals.upper(x) == 1
+
+
+def _deformed_ratio_sum(
+    roots: Callable[[], tuple[Interval, Interval]],
+    step: int,
+    first: int,
+    tol,
+    bits: int | None,
+    max_terms: int,
+) -> SeriesResult:
+    """Certified ``sum sqrt([m]_x / [m]_y)`` over ``m = first, first+step, ...``.
+
+    ``roots()`` encloses ``0 < y < x <= 1`` at the working precision, and
+    ``[m]_t = t^(1-m) (1 - t^(2m)) / (1 - t^2)`` is the deformed integer
+    (``m`` itself when ``x`` is exactly 1).  With ``z = sqrt(y/x)`` the term
+    is ``z^(m-1) sqrt(a_m (1 - y^2) / (1 - y^(2m)))``, where
+    ``a_m = (1 - x^(2m)) / (1 - x^2)`` (``m`` at ``x = 1``).  The powers
+    ``x^(2m)``, ``y^(2m)`` and ``z^(m-1)`` are carried from term to term
+    by one multiplication each, so a term costs O(1) interval operations.
+
+    Each term with ``m >= 2`` is at most ``C z^(m-1)``, where
+    ``C = ((1 - x^2)(1 + y^2))^(-1/2)``, because ``1 - x^(2m) <= 1`` and
+    ``(1 - y^2)/(1 - y^(2m)) <= 1/(1 + y^2)``; at ``x = 1`` it is at most
+    ``m z^(m-1)``.  With ``w = z^step`` the tail after term ``m`` is then
+    at most ``C z^(m-1) w/(1-w)``, or ``z^(m-1) (m w/(1-w) + step w/(1-w)^2)``
+    at ``x = 1``, and summation stops once that majorant is at most `tol`.
+    A term certainly above its own majorant is a bug and raises.
+
+    Up to `max_terms` terms are summed at each precision, starting at
+    `bits` and doubling up to MAX_BITS while a budget-exhausted majorant
+    still reaches down to `tol`.
+    """
+    tol = _tol_fraction(tol)
+    start = _resolve_bits(bits)
+    doublings = [start << k for k in range(MAX_BITS.bit_length()) if start << k <= MAX_BITS]
+    partial = None
+    for bits in doublings:
+        with intervals.precision(bits):
+            x, y = roots()
+            unit = _is_exact_one(x)
+            z = intervals.isqrt(y if unit else y / x)
+            w = z**step
+            if not (intervals.upper(w) < 1 and intervals.upper(y) < 1
+                    and (unit or intervals.upper(x) < 1)):
+                continue  # y and x are not separated at this precision
+            x2, y2 = x * x, y * y
+            x_step, y_step = x2**step, y2**step
+            xm, ym, zm = x2**first, y2**first, z ** (first - 1)
+            one_minus_y2 = 1 - y2
+            geometric = w / (1 - w)
+            if unit:
+                poly = step * geometric / (1 - w)
+            else:
+                inv_one_minus_x2 = 1 / (1 - x2)
+                scale = 1 / intervals.isqrt((1 - x2) * (1 + y2))
+                tail_factor = scale * geometric
+            partial = intervals.make(0)
+            m = first
+            for terms in range(1, max_terms + 1):
+                a_m = m if unit else (1 - xm) * inv_one_minus_x2
+                term = zm * intervals.isqrt(a_m * one_minus_y2 / (1 - ym))
+                if intervals.lower(term) > intervals.upper(zm * (m if unit else scale)):
+                    raise AssertionError(f"term {m} exceeds its majorant; kernel bug")
+                partial += term
+                majorant = zm * (m * geometric + poly if unit else tail_factor)
+                hi = intervals.exact_endpoints(majorant)[1]
+                if hi is not None and hi <= tol:
+                    tail = intervals.from_endpoints(0, intervals.upper(majorant))
+                    return SeriesResult(Verdict.CONVERGES, partial, tail, terms, bits)
+                m += step
+                xm *= x_step
+                ym *= y_step
+                zm *= w
+            lo = intervals.exact_endpoints(majorant)[0]
+            if lo is not None and lo > tol:
+                break  # the tail genuinely exceeds tol; more bits cannot help
+    return SeriesResult(Verdict.UNDETERMINED, partial, None,
+                        0 if partial is None else max_terms, bits)
+
+
 def quasi_split_sum_ladder(
     family: FusionFamily,
     tol,
     bits: int | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """Certified sum of sqrt(dim(n)/dim_q(n)) over all ladder labels.
+    """Certified sum of sqrt(dim(n)/dim_q(n)) over all ladder labels n >= 0.
 
-    The tail after N computed terms is dominated by the geometric series
-    obtained from ``A_n >= c^(n-1) A_1``; summation stops once that majorant
-    drops below `tol`.  Kac families diverge (the general term is 1).
+    Ladder dimensions are deformed integers: ``dim(n) = [n+1]_t`` for
+    two-term fusion, with ``t + 1/t`` the fundamental dimension, and
+    ``dim(n) = [2n+1]_r`` for three-term (so3) fusion, with
+    ``r^2 + r^-2`` the fundamental dimension minus 1.  The series is
+    therefore summed by :func:`_deformed_ratio_sum` over ``m = n+1``
+    (resp. ``m = 2n+1``) with ``x`` the classical root and ``y`` the
+    quantum one; ``x = 1`` exactly at N = 2 (resp. N = 3), where the
+    majorant is polynomial-geometric.  Summation stops once the majorant
+    ``(y/x)^((m-1)/2) / sqrt((1 - x^2)(1 + y^2))`` summed over the tail
+    drops below `tol`; it decays at a strictly faster geometric rate than
+    the paper's ``c = 1 + (A_1 - 1)`` bound, which :func:`verify_decay`
+    still checks exactly.  `terms_used` counts label 0, and the budget is
+    ``max_terms + 1`` labels.  Kac families diverge (the general term is 1).
     """
     if not family.is_ladder:
         raise FamilyError("ladder summation applies to ladder families")
@@ -192,38 +292,15 @@ def quasi_split_sum_ladder(
         raise DomainError(f"need a positive term budget, got {max_terms}")
     if family.is_kac:
         return SeriesResult(Verdict.DIVERGES)
-    c = _family_decay_exact(family)
-    tol_value = _tol_mpf(tol)
-    bits = bits or intervals.DEFAULT_BITS
-    while bits <= MAX_BITS:
-        with intervals.precision(bits):
-            y = intervals.isqrt(intervals.make(1 / c))  # c^(-1/2) < 1
-            ratios = _iter_family_ratios(family)
-            next(ratios)  # A_0 = 1
-            inv_sqrt_a1 = None
-            partial = intervals.make(1)  # n = 0 term
-            previous = Fraction(1)
-            for n in range(1, max_terms + 1):
-                current = next(ratios)
-                if n == 1:
-                    inv_sqrt_a1 = intervals.isqrt(intervals.make(1 / current))
-                # Exact sanity check of the certified decay step.
-                elif current < c * previous:
-                    raise AssertionError("decay step violated; recursion bug")
-                previous = current
-                partial += intervals.isqrt(intervals.make(1 / current))
-                majorant = inv_sqrt_a1 * y**n / (1 - y)
-                if intervals.upper(majorant) <= tol_value:
-                    tail = intervals.from_endpoints(0, intervals.upper(majorant))
-                    return SeriesResult(Verdict.CONVERGES, partial, tail, n + 1)
-            if intervals.lower(majorant) > tol_value:
-                break  # the tail genuinely exceeds tol; more bits cannot help
-        bits *= 2
-    return SeriesResult(Verdict.UNDETERMINED, partial, None, max_terms + 1)
+    so3 = family.kind is fusion.FamilyKind.SO3_LADDER
+    shift = 1 if so3 else 0
 
+    def roots() -> tuple[Interval, Interval]:
+        x = solve_fundamental_q(family.dim_c_fund - shift)
+        y = solve_fundamental_q(intervals.make(family.dim_q_fund - shift))
+        return (intervals.isqrt(x), intervals.isqrt(y)) if so3 else (x, y)
 
-def _is_exact_one(x: Interval) -> bool:
-    return intervals.lower(x) == 1 and intervals.upper(x) == 1
+    return _deformed_ratio_sum(roots, 1 + shift, 1, tol, bits, max_terms + 1)
 
 
 def block_sum_S(
@@ -235,11 +312,16 @@ def block_sum_S(
 ) -> SeriesResult:
     """Certified sum over one family of alternating blocks.
 
-    Term n is ``sqrt(d_c(n) / d_q(n))`` where ``d(n)`` is the order-(n+1)
-    deformed integer at `q_c` (classical; exactly ``n + 1`` at ``q_c = 1``)
-    and at `q_q` (quantum).  The tail is bounded by a geometric majorant in
-    ``sqrt(q_q/q_c)``.  Exactly equal deformation parameters mean Kac type,
-    where every term is 1 and the sum diverges.
+    Term n >= 1 is ``sqrt(d_c(n) / d_q(n))`` where ``d(n)`` is the
+    order-(n+1) deformed integer at `q_c` (classical; exactly ``n + 1`` at
+    ``q_c = 1``) and at `q_q` (quantum): the sum of
+    :func:`_deformed_ratio_sum` with ``x = q_c``, ``y = q_q`` from
+    ``m = 2``.  The tail is bounded by the geometric majorant
+    ``sqrt(q_q/q_c)^m / ((1 - sqrt(q_q/q_c)) sqrt((1 - q_c^2)(1 + q_q^2)))``
+    after term ``m``, or by its polynomial-geometric form
+    ``sqrt(q_q)^m ((m+1) - m sqrt(q_q)) / (1 - sqrt(q_q))^2`` at
+    ``q_c = 1``.  Exactly equal deformation parameters mean Kac type, where
+    every term is 1 and the sum diverges.
     """
     if max_terms < 1:
         raise DomainError(f"need a positive term budget, got {max_terms}")
@@ -247,46 +329,24 @@ def block_sum_S(
     if isinstance(q_c, exact_kinds) and isinstance(q_q, exact_kinds):
         if Fraction(q_c) == Fraction(q_q):
             return SeriesResult(Verdict.DIVERGES)
-    tol_value = _tol_mpf(tol)
-    bits = bits or intervals.DEFAULT_BITS
-    while bits <= MAX_BITS:
-        with intervals.precision(bits):
-            qc = intervals.make(q_c)
-            qq = intervals.make(q_q)
-            if intervals.lower(qq) <= 0 or intervals.upper(qc) > 1:
-                raise DomainError(f"need 0 < q_q <= q_c <= 1, got {qq}, {qc}")
-            if intervals.identical(qc, qq) and intervals.width(qc) == 0:
-                return SeriesResult(Verdict.DIVERGES)
-            if not intervals.certainly_lt(qq, qc):
-                raise DomainError(
-                    f"cannot separate q_q={qq} from q_c={qc}; pass exact values"
-                )
-            dim2_case = _is_exact_one(qc)
-            if not dim2_case and intervals.upper(qc) >= 1:
-                raise DomainError(f"q_c must be exactly 1 or certified below 1, got {qc}")
+    with intervals.precision(_resolve_bits(bits)):
+        qc = intervals.make(q_c)
+        qq = intervals.make(q_q)
+        if intervals.lower(qq) <= 0 or intervals.upper(qc) > 1:
+            raise DomainError(f"need 0 < q_q <= q_c <= 1, got {qq}, {qc}")
+        if intervals.identical(qc, qq) and intervals.width(qc) == 0:
+            return SeriesResult(Verdict.DIVERGES)
+        if not intervals.certainly_lt(qq, qc):
+            raise DomainError(
+                f"cannot separate q_q={qq} from q_c={qc}; pass exact values"
+            )
+        if not _is_exact_one(qc) and intervals.upper(qc) >= 1:
+            raise DomainError(f"q_c must be exactly 1 or certified below 1, got {qc}")
 
-            if dim2_case:
-                x = intervals.isqrt(qq)
-            else:
-                x = intervals.isqrt(qq / qc)
-                majorant_scale = 1 / intervals.isqrt((1 - qc * qc) * (1 + qq * qq))
-            partial = intervals.make(0)
-            for n in range(1, max_terms + 1):
-                top = q_number(n + 1).evaluate(qc)
-                bottom = q_number(n + 1).evaluate(qq)
-                partial += intervals.isqrt(top / bottom)
-                if dim2_case:
-                    # sum_(m>n) sqrt(m+1) x^m <= x^(n+1)((n+2)-(n+1)x)/(1-x)^2
-                    majorant = x ** (n + 1) * ((n + 2) - (n + 1) * x) / (1 - x) ** 2
-                else:
-                    majorant = majorant_scale * x ** (n + 1) / (1 - x)
-                if intervals.upper(majorant) <= tol_value:
-                    tail = intervals.from_endpoints(0, intervals.upper(majorant))
-                    return SeriesResult(Verdict.CONVERGES, partial, tail, n)
-            if intervals.lower(majorant) > tol_value:
-                break  # the tail genuinely exceeds tol; more bits cannot help
-        bits *= 2
-    return SeriesResult(Verdict.UNDETERMINED, partial, None, max_terms)
+    def roots() -> tuple[Interval, Interval]:
+        return intervals.make(q_c), intervals.make(q_q)
+
+    return _deformed_ratio_sum(roots, 1, 2, tol, bits, max_terms)
 
 
 def total_sum_free(block_sum: Interval | SeriesResult) -> SeriesResult:
@@ -294,22 +354,27 @@ def total_sum_free(block_sum: Interval | SeriesResult) -> SeriesResult:
 
     Chained blocks contribute geometrically, so the total is
     ``1 + 2 S / (1 - S)`` when ``S < 1`` is certified and diverges when
-    ``S >= 1``.  A block enclosure straddling 1 stays undetermined.
+    ``S >= 1``.  A block enclosure straddling 1 stays undetermined.  The
+    total is computed at the block sum's precision (the current one for a
+    bare enclosure).
     """
     if isinstance(block_sum, SeriesResult):
         if block_sum.verdict is Verdict.DIVERGES:
             return SeriesResult(Verdict.DIVERGES)
         if block_sum.verdict is Verdict.UNDETERMINED:
             return SeriesResult(Verdict.UNDETERMINED)
+        bits = block_sum.bits_used
         s = block_sum.sum_enclosure()
     else:
+        bits = iv.prec
         s = intervals.make(block_sum)
     if intervals.lower(s) < 0:
         raise DomainError(f"block sum must be nonnegative, got {s}")
     if intervals.upper(s) < 1:
-        total = 1 + 2 * s / (1 - s)
+        with intervals.precision(bits):
+            total = 1 + 2 * s / (1 - s)
         return SeriesResult(
-            Verdict.CONVERGES, total, intervals.make(0), 0
+            Verdict.CONVERGES, total, intervals.make(0), 0, bits
         )
     if intervals.lower(s) >= 1:
         return SeriesResult(Verdict.DIVERGES)
@@ -328,7 +393,7 @@ def bound_S_dim2(q: IntervalLike, bits: int | None = None) -> Interval:
 
     monotone increasing on (0, 1).
     """
-    with intervals.precision(bits or intervals.DEFAULT_BITS):
+    with intervals.precision(_resolve_bits(bits)):
         point = intervals.make(q)
         if intervals.lower(point) <= 0 or intervals.upper(point) >= 1:
             raise DomainError(f"q must lie strictly inside (0, 1), got {point}")
@@ -351,7 +416,7 @@ def bound_S_dimge3(
     is exactly the ratio threshold reported by
     :func:`threshold_ratio_dimge3`.
     """
-    with intervals.precision(bits or intervals.DEFAULT_BITS):
+    with intervals.precision(_resolve_bits(bits)):
         qc = intervals.make(q_c)
         qq = intervals.make(q_q)
         if intervals.lower(qq) <= 0 or intervals.upper(qc) >= 1:
@@ -385,9 +450,7 @@ def _bisect_unit_crossing(
     `f` must be increasing; this is certified on a coarse grid first.
     Midpoint sign evaluations that straddle 1 trigger precision escalation.
     """
-    tol_fraction = Fraction(str(tol)) if not isinstance(tol, (int, Fraction)) else Fraction(tol)
-    if tol_fraction <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    tol_fraction = _tol_fraction(tol)
     span = hi - lo
     grid = [lo + span * k / (grid_points - 1) for k in range(grid_points)]
     with intervals.precision(bits):
@@ -413,12 +476,13 @@ def _bisect_unit_crossing(
                 raise BudgetError(
                     f"sign of f({mid}) undecided at {MAX_BITS} bits"
                 )
-    return intervals.from_endpoints(lo, hi)
+    with intervals.precision(bits):
+        return intervals.from_endpoints(lo, hi)
 
 
 def threshold_dim2(tol, bits: int | None = None) -> Interval:
     """Certified unit crossing of :func:`bound_S_dim2` (near 0.0861)."""
-    bits = bits or intervals.DEFAULT_BITS
+    bits = _resolve_bits(bits)
 
     def f(x: Interval) -> Interval:
         return bound_S_dim2(x, bits=iv.prec)
@@ -429,7 +493,7 @@ def threshold_dim2(tol, bits: int | None = None) -> Interval:
 def threshold_ratio_dimge3(bits: int | None = None) -> Interval:
     """Closed-form ratio threshold ``(1 + sqrt((3 sqrt(5) + 5)/10))^(-2)``,
     with decimal expansion starting 0.2306."""
-    with intervals.precision(bits or intervals.DEFAULT_BITS):
+    with intervals.precision(_resolve_bits(bits)):
         u = intervals.isqrt((3 * intervals.isqrt(intervals.make(5)) + 5) / 10)
         return (1 + u) ** (-2)
 
@@ -446,7 +510,7 @@ def threshold_remark(tol, bits: int | None = None) -> Interval:
     The left side is a two-term lower bound for the dimension-2 block sum,
     so above this root that sum certainly exceeds 1.
     """
-    bits = bits or intervals.DEFAULT_BITS
+    bits = _resolve_bits(bits)
     return _bisect_unit_crossing(
         _remark_two_term, Fraction(1, 100), Fraction(1, 2), tol, bits
     )
@@ -508,9 +572,9 @@ def masa_verdict(
             if family.dim_c_fund == 2:
                 q_c = 1
             else:
-                with intervals.precision(bits or intervals.DEFAULT_BITS):
+                with intervals.precision(_resolve_bits(bits)):
                     q_c = solve_fundamental_q(family.dim_c_fund)
-            with intervals.precision(bits or intervals.DEFAULT_BITS):
+            with intervals.precision(_resolve_bits(bits)):
                 q_q = solve_fundamental_q(intervals.make(family.dim_q_fund))
             block = block_sum_S(q_c, q_q, tol, bits=bits, max_terms=max_terms)
         series = total_sum_free(block)

@@ -104,7 +104,13 @@ def su2_ladder(dim_fund: int, dim_q_fund=None, q=None) -> FusionFamily:
 
 
 def so3_ladder(dim_fund: int, dim_q_fund=None) -> FusionFamily:
-    """Ladder family with three-term fusion (quantum automorphism type)."""
+    """Ladder family with three-term fusion (quantum automorphism type).
+
+    Needs ``dim_fund >= 3``: below that the classical dimensions of the
+    recursion go 1, 2, 1, -1, ... and define no family.
+    """
+    if dim_fund < 3:
+        raise DomainError(f"so3 ladders need fundamental dimension >= 3, got {dim_fund}")
     return FusionFamily(FamilyKind.SO3_LADDER, dim_fund, _dim_q_from_args(dim_fund, dim_q_fund, None))
 
 

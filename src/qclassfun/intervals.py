@@ -62,13 +62,18 @@ def from_endpoints(lo: IntervalLike, hi: IntervalLike) -> Interval:
 
 
 def lower(x: Interval) -> mpmath.mpf:
-    """Lower endpoint as an ``mpf`` (rounded down)."""
-    return mpmath.mpf(x._mpi_[0])
+    """Lower endpoint as an exact ``mpf`` (no rounding to mpmath's precision)."""
+    return mpmath.mp.make_mpf(x._mpi_[0])
 
 
 def upper(x: Interval) -> mpmath.mpf:
-    """Upper endpoint as an ``mpf`` (rounded up)."""
-    return mpmath.mpf(x._mpi_[1])
+    """Upper endpoint as an exact ``mpf`` (no rounding to mpmath's precision)."""
+    return mpmath.mp.make_mpf(x._mpi_[1])
+
+
+def exact_endpoints(x: Interval) -> tuple[Fraction | None, Fraction | None]:
+    """Endpoints of `x` as exact rationals; None for an infinite endpoint."""
+    return _endpoint_fraction(x._mpi_[0]), _endpoint_fraction(x._mpi_[1])
 
 
 def width(x: Interval) -> mpmath.mpf:
@@ -78,8 +83,7 @@ def width(x: Interval) -> mpmath.mpf:
 
 def width_fraction(x: Interval) -> Fraction | None:
     """Exact diameter of `x` as a rational; None for unbounded intervals."""
-    lo = _endpoint_fraction(x._mpi_[0])
-    hi = _endpoint_fraction(x._mpi_[1])
+    lo, hi = exact_endpoints(x)
     if lo is None or hi is None:
         return None
     return hi - lo
@@ -99,8 +103,12 @@ def contains(x: Interval, value: IntervalLike) -> bool:
     """Certify that the enclosure of `value` lies inside `x`.
 
     A ``True`` answer proves containment of the true value; ``False`` only
-    means containment could not be certified.
+    means containment could not be certified.  Ints and fractions are
+    compared exactly with the endpoints.
     """
+    if isinstance(value, (int, Fraction)):
+        lo, hi = exact_endpoints(x)
+        return (lo is None or lo <= value) and (hi is None or value <= hi)
     v = make(value)
     return lower(x) <= lower(v) and upper(v) <= upper(x)
 

@@ -140,8 +140,9 @@ def q_number(n: int) -> LaurentScalar:
 def solve_fundamental_q(d: IntervalLike) -> Interval:
     """Certified root in (0, 1] of ``x + 1/x = d`` for ``d >= 2``.
 
-    Uses the closed form ``(d - sqrt(d^2 - 4))/2``, which encloses the root
-    in one outward-rounded step; ``d = 2`` gives exactly 1.
+    Uses the closed form ``2/(d + sqrt(d^2 - 4))``, which encloses the root
+    in one outward-rounded step without the cancellation of
+    ``(d - sqrt(d^2 - 4))/2`` at large d; ``d = 2`` gives exactly 1.
     """
     value = intervals.make(d)
     if intervals.lower(value) < 2:
@@ -151,4 +152,4 @@ def solve_fundamental_q(d: IntervalLike) -> Interval:
     # zero when d encloses 2; clip, the true discriminant is >= 0.
     if intervals.lower(discriminant) < 0:
         discriminant = intervals.from_endpoints(0, intervals.upper(discriminant))
-    return (value - intervals.isqrt(discriminant)) / 2
+    return 2 / (value + intervals.isqrt(discriminant))

@@ -39,6 +39,44 @@ def test_usage_error_unknown_flag(capsys):
     assert code == 2
 
 
+SERIES = ("series", "--family", "o-plus", "--N", "3", "--qq", "0.2")
+DIMS = ("dims", "--family", "o-plus", "--N", "3", "--qq", "0.2")
+
+
+@pytest.mark.parametrize("argv, env_bits, config", [
+    (SERIES + ("--tol", "abc"), None, None),
+    (SERIES + ("--tol", "nan"), None, None),
+    (SERIES + ("--tol", "0"), None, None),
+    (SERIES + ("--tol=-1e-6",), None, None),
+    (("threshold", "--which", "dim2", "--tol", "0"), None, None),
+    (("threshold", "--which", "remark", "--tol", "inf"), None, None),
+    (DIMS + ("--bits", "-5"), None, None),
+    (DIMS + ("--bits", "0"), None, None),
+    (SERIES + ("--bits", "2048"), None, None),
+    (DIMS, "-3", None),
+    (DIMS, "0", None),
+    (("threshold", "--which", "ratio3"), "2048", None),
+    (DIMS, None, {"bits": "abc"}),
+    (SERIES, None, {"tol": "abc"}),
+    (("series", "--family", "so3", "--N", "2", "--dimq", "5/2"), None, None),
+    (("series", "--family", "so3", "--N", "2"), None, None),
+])
+def test_invalid_tol_bits_and_family_are_usage_errors(
+        capsys, monkeypatch, tmp_path, argv, env_bits, config):
+    if env_bits is None:
+        monkeypatch.delenv("QCLASSFUN_BITS", raising=False)
+    else:
+        monkeypatch.setenv("QCLASSFUN_BITS", env_bits)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ("--config", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_domain_error_exits_3(capsys):
     # quantum dimension 2 below classical dimension 3 defines no family
     code, _, err = run_cli(capsys, "dims", "--family", "o-plus", "--N", "3", "--qq", "1")

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qclassfun import criteria, fusion, intervals
@@ -122,6 +123,135 @@ def test_quasi_split_sum_rejects_free_family():
         quasi_split_sum_ladder(free_unitary(2), TOL)
 
 
+def test_ladder_majorant_below_the_papers_at_the_stopping_index():
+    families = [
+        su2_ladder(2, q=Fraction(1, 4)), su2_ladder(2, q=Fraction(3, 4)),
+        su2_ladder(3, q=Fraction(1, 5)), su2_ladder(5, q=Fraction(1, 10)),
+        so3_ladder(3, dim_q_fund=5), so3_ladder(4, dim_q_fund=5),
+    ]
+    for family in families:
+        result = quasi_split_sum_ladder(family, TOL)
+        assert result.verdict is Verdict.CONVERGES
+        n = result.terms_used - 1
+        # the paper's lemma A_(k+1) >= c A_k, exactly, up to the stopping label
+        assert verify_decay(family, n)
+        a1 = 1 / ratio_exact(1, family)
+        with mpmath.workdps(50):
+            y = 1 / mpmath.sqrt(mpmath.mpf(a1.numerator) / a1.denominator)
+            paper = y * y**n / (1 - y)
+        assert intervals.upper(result.tail_bound) <= paper
+
+
+def test_oplus_dim2_ladder_is_one_plus_the_block_sum():
+    for qq in (Fraction(1, 20), Fraction(1, 2), Fraction(4, 5)):
+        ladder = quasi_split_sum_ladder(su2_ladder(2, q=qq), TOL).sum_enclosure()
+        block = block_sum_S(1, qq, TOL).sum_enclosure()
+        assert intervals.overlaps(ladder, 1 + block)
+
+
+def test_ladder_near_unit_deformation_converges_within_budget():
+    result = quasi_split_sum_ladder(su2_ladder(2, q=Fraction(99, 100)), TOL)
+    assert result.verdict is Verdict.CONVERGES
+    assert result.terms_used <= criteria.DEFAULT_MAX_TERMS
+    assert intervals.width_at_most(result.tail_bound, TOL)
+
+
+def test_ladder_and_block_at_tiny_deformation_converge():
+    q = Fraction(1, 10**25)
+    for family in (su2_ladder(2, q=q), so3_ladder(3, dim_q_fund=1 + q + 1 / q)):
+        assert quasi_split_sum_ladder(family, TOL).verdict is Verdict.CONVERGES
+    assert masa_verdict(free_unitary(2, q=q)).verdict_text == VERDICT_RELATIVE_COMMUTANT
+
+
+def test_ladder_near_kac_stays_undetermined():
+    result = quasi_split_sum_ladder(su2_ladder(3, dim_q_fund=Fraction(3001, 1000)), TOL)
+    assert result.verdict is Verdict.UNDETERMINED
+    assert result.terms_used == criteria.DEFAULT_MAX_TERMS + 1
+
+
+@pytest.mark.parametrize("bits", [-5, 0, criteria.MAX_BITS + 1, 2048])
+def test_series_reject_bits_outside_range(bits):
+    with pytest.raises(DomainError):
+        quasi_split_sum_ladder(su2_ladder(3, q=Fraction(1, 5)), TOL, bits=bits)
+    with pytest.raises(DomainError):
+        block_sum_S(1, Fraction(1, 20), TOL, bits=bits)
+
+
+@pytest.mark.parametrize("tol", [0, -1, "abc", "nan", Fraction(-1, 10**6)])
+def test_series_reject_invalid_tolerance(tol):
+    with pytest.raises(DomainError):
+        quasi_split_sum_ladder(su2_ladder(3, q=Fraction(1, 5)), tol)
+    with pytest.raises(DomainError):
+        block_sum_S(1, Fraction(1, 20), tol)
+
+
+# ---------------------------------------------------------------------------
+# the shared series kernel against a closed-form oracle
+
+KERNEL_TOL = Fraction(1, 10**10)
+KERNEL_GRID = [Fraction(k, 100) for k in range(5, 100, 10)]  # 0.05 .. 0.95
+
+
+def _mp(value: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(value.numerator) / value.denominator
+
+
+def _root(d) -> mpmath.mpf:
+    """Root in (0, 1] of t + 1/t = d."""
+    d = mpmath.mpf(d)
+    return 2 / (d + mpmath.sqrt(d * d - 4))
+
+
+def _deformed_integer(m: int, t: mpmath.mpf) -> mpmath.mpf:
+    return mpmath.mpf(m) if t == 1 else (t**-m - t**m) / (1 / t - t)
+
+
+def _deformed_ratio_oracle(x, y, step: int, first: int) -> mpmath.mpf:
+    """sum sqrt([m]_x / [m]_y) over m = first, first + step, ... until a
+    term drops below 1e-45."""
+    total = mpmath.mpf(0)
+    m = first
+    while True:
+        term = mpmath.sqrt(_deformed_integer(m, x) / _deformed_integer(m, y))
+        total += term
+        if term < mpmath.mpf("1e-45"):
+            return total
+        m += step
+
+
+def _kernel_case(kind: str, below_one: bool, qq: Fraction):
+    """The certified result and the oracle's (x, y, step, first).
+
+    `below_one` picks a classical root below 1; otherwise it is exactly 1
+    (o-plus N=2, so3 N=3, u-plus dimension 2)."""
+    s = qq * Fraction(38, 100) if below_one else qq  # below the root of 3
+    if kind == "o-plus":
+        n = 3 if below_one else 2
+        result = quasi_split_sum_ladder(su2_ladder(n, q=s), KERNEL_TOL)
+        return result, (_root(n), _mp(s), 1, 1)
+    if kind == "so3":
+        n = 4 if below_one else 3
+        result = quasi_split_sum_ladder(so3_ladder(n, dim_q_fund=1 + s + 1 / s), KERNEL_TOL)
+        return result, (mpmath.sqrt(_root(n - 1)), mpmath.sqrt(_mp(s)), 2, 1)
+    with intervals.precision(128):
+        q_c = solve_fundamental_q(3) if below_one else 1
+    result = block_sum_S(q_c, s, KERNEL_TOL)
+    return result, (_root(3) if below_one else mpmath.mpf(1), _mp(s), 1, 2)
+
+
+@pytest.mark.parametrize("below_one", [False, True])
+@pytest.mark.parametrize("kind", ["o-plus", "so3", "u-plus"])
+def test_kernel_encloses_closed_form_oracle(kind, below_one):
+    for qq in KERNEL_GRID:
+        with mpmath.workdps(50):
+            result, oracle_args = _kernel_case(kind, below_one, qq)
+            oracle = _deformed_ratio_oracle(*oracle_args)
+        assert result.verdict is Verdict.CONVERGES, (kind, qq)
+        assert intervals.width_at_most(result.tail_bound, KERNEL_TOL)
+        enclosure = result.sum_enclosure()
+        assert intervals.lower(enclosure) <= oracle <= intervals.upper(enclosure), (kind, qq)
+
+
 # ---------------------------------------------------------------------------
 # block sums
 
@@ -136,6 +266,21 @@ def test_block_sum_above_one_matches_remark():
     result = block_sum_S(1, Fraction(22, 100), TOL)
     assert result.verdict is Verdict.CONVERGES
     assert intervals.lower(result.sum_enclosure()) > 1
+
+
+@pytest.mark.parametrize("q_q, terms", [
+    (Fraction(1, 20), 11), (Fraction(1, 5), 21), (Fraction(8029, 10000), 194),
+])
+def test_block_sum_terms_used_frozen(q_q, terms):
+    # counts of the per-term Laurent summation this kernel replaced
+    assert block_sum_S(1, q_q, TOL).terms_used == terms
+
+
+def test_block_sum_enclosure_keeps_partial_lower_endpoint():
+    # sum_enclosure() works at the series' own precision, not mpmath's ambient 53 bits
+    result = block_sum_S(1, Fraction(1, 20), "1e-8")
+    assert (intervals.exact_endpoints(result.sum_enclosure())[0]
+            == intervals.exact_endpoints(result.partial_sum)[0])
 
 
 def test_block_sum_kac_diverges():
@@ -274,6 +419,12 @@ def test_remark_two_term_bound_brackets():
 
         assert intervals.lower(two_term(Fraction(1, 4))) > 1
         assert intervals.upper(two_term(Fraction(1, 10))) < 1
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10**18), Fraction(3, 10**20)])
+@pytest.mark.parametrize("threshold", [threshold_dim2, threshold_remark])
+def test_threshold_below_double_precision(threshold, tol):
+    assert intervals.width_at_most(threshold(tol), tol)
 
 
 def test_threshold_ordering():

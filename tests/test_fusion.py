@@ -40,6 +40,14 @@ def test_family_requires_dominating_quantum_dimension():
         so3_ladder(4, dim_q_fund=Fraction(7, 2))
 
 
+def test_so3_ladder_needs_fundamental_dimension_three():
+    # at dimension 2 the recursion gives classical dimensions 1, 2, 1, -1, ...
+    for dim_q in (None, Fraction(5, 2), 3):
+        with pytest.raises(DomainError):
+            so3_ladder(2, dim_q_fund=dim_q)
+    assert so3_ladder(3).is_kac
+
+
 def test_family_rejects_floats():
     with pytest.raises(TypeError):
         su2_ladder(2, q=0.3)

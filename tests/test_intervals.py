@@ -33,6 +33,16 @@ def test_make_encloses_decimal_strings():
         assert intervals.width_fraction(x) > 0  # 0.3 is not binary-exact
 
 
+def test_endpoints_are_exact_beyond_double_precision():
+    with intervals.precision(128):
+        third = intervals.make(Fraction(1, 3))
+        assert intervals.lower(third) < intervals.upper(third)
+        assert intervals.contains(third, Fraction(1, 3))
+        # 1e-30 away: inside one double's rounding, far outside 128 bits
+        assert not intervals.contains(third, Fraction(1, 3) + Fraction(1, 10**30))
+        assert not intervals.contains(third, Fraction(1, 3) - Fraction(1, 10**30))
+
+
 def test_from_endpoints_and_width():
     with intervals.precision(64):
         x = intervals.from_endpoints(Fraction(1, 4), Fraction(3, 4))

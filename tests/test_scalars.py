@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qclassfun import intervals
@@ -76,6 +76,7 @@ def test_eval_rejects_zero_enclosure_with_negative_exponents():
 
 
 @given(coeff_maps, rational_q)
+@example({0: 1, 4: 1}, Fraction(500671, 23704600))  # needs exact containment
 def test_eval_encloses_exact_rational_value(coeffs, q):
     p = LaurentScalar(coeffs)
     with intervals.precision(96):
@@ -123,6 +124,16 @@ def test_solve_fundamental_q_inverts(d):
         assert intervals.upper(q) <= 1
         assert intervals.lower(q) > 0
         assert intervals.contains(q + 1 / q, d)
+
+
+def test_solve_fundamental_q_tiny_root_keeps_its_sign():
+    # d = q + 1/q with q = 1e-25: d - sqrt(d^2 - 4) would cancel to an
+    # enclosure of zero at 128 bits
+    q = Fraction(1, 10**25)
+    with intervals.precision(128):
+        root = solve_fundamental_q(q + 1 / q)
+        assert intervals.lower(root) > 0
+        assert intervals.contains(root, q)
 
 
 def test_solve_fundamental_q_domain():
