@@ -1,0 +1,68 @@
+"""Golden corpus: the stdout of the README CLI examples, byte for byte.
+
+Each case below names a file under ``tests/golden/`` holding the exact
+stdout of ``qclassfun <argv>`` with ``QCLASSFUN_BITS`` unset.  An output
+that changes on purpose is regenerated with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and the diff is explained in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from qclassfun.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "dims_oplus": ["dims", "--family", "o-plus", "--N", "3", "--qq", "0.2", "--max", "10"],
+    "dims_uplus_csv": ["dims", "--family", "u-plus", "--dim", "2", "--qq", "0.1",
+                       "--word-len", "4", "--format", "csv"],
+    "dims_so3": ["dims", "--family", "so3", "--N", "4", "--dimq", "5", "--max", "6"],
+    "series_oplus": ["series", "--family", "o-plus", "--N", "3", "--qq", "0.2"],
+    "series_uplus": ["series", "--family", "u-plus", "--dim", "2", "--qq", "0.22"],
+    "threshold_dim2": ["threshold", "--which", "dim2", "--tol", "1e-4"],
+    "threshold_ratio3": ["threshold", "--which", "ratio3"],
+    "threshold_remark": ["threshold", "--which", "remark", "--tol", "1e-4"],
+    "moments_so3": ["moments", "--family", "so3", "--N", "4", "--k-max", "8"],
+    "spectral": ["spectral", "--rho-ladder", "1", "--q", "0.5", "--b", "-0.25"],
+    "jacobi": ["jacobi", "--M", "8", "--q", "0.5"],
+    "bicrossed": ["bicrossed", "--q", "1/2", "--mode", "irrational",
+                  "--t", "0,1", "--t", "5/3,2"],
+    "report": ["report"],
+}
+
+
+def _stdout(argv: list[str]) -> tuple[int, str]:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(list(argv))
+    return code, buffer.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, monkeypatch):
+    monkeypatch.delenv("QCLASSFUN_BITS", raising=False)
+    code, out = _stdout(CASES[name])
+    assert code == 0
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert out == expected
+
+
+if __name__ == "__main__":
+    os.environ.pop("QCLASSFUN_BITS", None)
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, out = _stdout(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
