@@ -3,7 +3,9 @@
 Each criterion function returns a deterministic payload with a ``passed``
 flag and the checked values; wall-clock budgets enter only as booleans so
 that reports stay byte-identical across runs.  The same functions drive the
-acceptance test module.
+acceptance test module.  Every criterion takes the working precision
+``bits``; the exact ones (dimensions, words, moments, bicrossed tables) and
+the fixed-precision matrix checks do not read it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def _enclosure_str(x, digits=25) -> list[str]:
     return list(intervals.to_decimal_pair(x, digits))
 
 
-def criterion_1_threshold_dim2(bits: int = 128) -> dict:
+def criterion_1_threshold_dim2(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Dimension-2 threshold encloses 0.0861 at width 1e-3 within 5 s."""
     start = time.perf_counter()
     enclosure = criteria.threshold_dim2(Fraction(1, 1000), bits=bits)
@@ -47,7 +49,7 @@ def criterion_1_threshold_dim2(bits: int = 128) -> dict:
     }
 
 
-def criterion_2_threshold_ratio(bits: int = 128) -> dict:
+def criterion_2_threshold_ratio(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Ratio threshold is 0.2306 +- 1e-4 and drives the bound to exactly 1."""
     with intervals.precision(bits):
         ratio = criteria.threshold_ratio_dimge3(bits=bits)
@@ -72,7 +74,7 @@ def criterion_2_threshold_ratio(bits: int = 128) -> dict:
     }
 
 
-def criterion_3_threshold_remark(bits: int = 128) -> dict:
+def criterion_3_threshold_remark(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Remark threshold encloses 0.2134; block sums certify S>1 / S<1."""
     start = time.perf_counter()
     enclosure = criteria.threshold_remark(Fraction(1, 1000), bits=bits)
@@ -109,7 +111,7 @@ def criterion_3_threshold_remark(bits: int = 128) -> dict:
     }
 
 
-def criterion_4_modular_norms(bits: int = 128) -> dict:
+def criterion_4_modular_norms(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Twisted norms: 1 at b=0 and dim/dim_q at b=-1/4, widths <= 1e-20."""
     width_cap = Fraction(1, 10**20)
     failures = []
@@ -179,7 +181,7 @@ def _additivity_free(family: fusion.FusionFamily, max_len: int) -> list:
     return failures
 
 
-def criterion_5_dimension_additivity() -> dict:
+def criterion_5_dimension_additivity(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Exact dimension additivity across tensor decompositions."""
     ladder_failures = []
     for family in (
@@ -205,7 +207,7 @@ def criterion_5_dimension_additivity() -> dict:
     }
 
 
-def criterion_6_word_calculus() -> dict:
+def criterion_6_word_calculus(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Block-product word dimensions agree with the tensor recursion."""
 
     def recursive_dim(word: str, d1: Fraction, memo: dict[str, Fraction]) -> Fraction:
@@ -244,30 +246,29 @@ def criterion_6_word_calculus() -> dict:
     }
 
 
-def ladder_grid() -> list[tuple[str, fusion.FusionFamily]]:
-    """The non-Kac ladder grid; combinations whose quantum dimension would
-    fall below the classical one do not define families and are skipped."""
-    families = []
+def ladder_grid() -> tuple[list[tuple[str, fusion.FusionFamily]], list[str]]:
+    """The non-Kac ladder grid, and the names of the combinations skipped
+    because their quantum dimension would fall below the classical one, so
+    that they define no family."""
+    families, skipped = [], []
     for n in (2, 3, 4, 5):
         for q_str in ("0.1", "0.2", "0.3"):
             q = Fraction(q_str)
+            name = f"o-plus N={n} qq={q_str}"
             if q + 1 / q >= n:
-                families.append((f"o-plus N={n} qq={q_str}", fusion.su2_ladder(n, q=q)))
+                families.append((name, fusion.su2_ladder(n, q=q)))
+            else:
+                skipped.append(name)
     for dim_q in (5, 10):
         families.append((f"so3 N=4 dimq={dim_q}", fusion.so3_ladder(4, dim_q_fund=dim_q)))
-    return families
+    return families, skipped
 
 
-def criterion_7_decay_and_quasi_split(bits: int = 128) -> dict:
+def criterion_7_decay_and_quasi_split(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Certified decay to n=50 and convergent sums with tails <= 1e-6."""
     failures = []
-    skipped = []
-    for n in (2, 3, 4, 5):
-        for q_str in ("0.1", "0.2", "0.3"):
-            q = Fraction(q_str)
-            if q + 1 / q < n:
-                skipped.append(f"o-plus N={n} qq={q_str}")
-    for name, family in ladder_grid():
+    families, skipped = ladder_grid()
+    for name, family in families:
         decay_ok = criteria.verify_decay(family, 50)
         series = criteria.quasi_split_sum_ladder(
             family, Fraction(1, 10**6), bits=bits)
@@ -287,7 +288,7 @@ def criterion_7_decay_and_quasi_split(bits: int = 128) -> dict:
     }
 
 
-def criterion_8_moment_oracles() -> dict:
+def criterion_8_moment_oracles(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Invariant multiplicities match the independent enumerators."""
     failures = []
     su2 = fusion.su2_ladder(2)
@@ -321,7 +322,7 @@ def criterion_8_moment_oracles() -> dict:
     }
 
 
-def criterion_9_operator_model() -> dict:
+def criterion_9_operator_model(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Krylov rank, commutant dimension and interior relation residuals."""
     start = time.perf_counter()
     failures = []
@@ -344,7 +345,7 @@ def criterion_9_operator_model() -> dict:
     }
 
 
-def criterion_10_bicrossed_table() -> dict:
+def criterion_10_bicrossed_table(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Truth-table laws for scaling times, plus the anchored example rows."""
     rng = random.Random(RANDOM_SEED)
 
@@ -407,7 +408,7 @@ def criterion_10_bicrossed_table() -> dict:
     }
 
 
-def criterion_11_kac_degeneration(bits: int = 128) -> dict:
+def criterion_11_kac_degeneration(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Kac families: unit ratios, divergent series, full Kac part,
     no verdict."""
     failures = []
@@ -456,14 +457,9 @@ CRITERIA = (
 )
 
 
-def run_all(bits: int = 128) -> dict:
+def run_all(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Run every criterion; aggregate payload for the ``report`` command."""
-    results = []
-    for check in CRITERIA:
-        if "bits" in check.__code__.co_varnames[: check.__code__.co_argcount]:
-            results.append(check(bits=bits))
-        else:
-            results.append(check())
+    results = [check(bits=bits) for check in CRITERIA]
     return {
         "criteria": results,
         "all_passed": all(entry["passed"] for entry in results),

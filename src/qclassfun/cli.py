@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import acceptance, bicrossed, criteria, fusion, intervals, noncrossing, report, spectral
 from .errors import BudgetError, DomainError
@@ -24,6 +25,14 @@ from .fusion import FusionFamily
 ENV_BITS = "QCLASSFUN_BITS"
 DEFAULT_TOL = {"threshold": "1e-4", "series": "1e-6"}
 TABULAR_COMMANDS = ("dims", "moments")
+
+#: --family value -> (constructor, flag giving the classical fundamental
+#: dimension, whether --qq applies).
+FAMILIES = {
+    "o-plus": (fusion.su2_ladder, "N", True),
+    "so3": (fusion.so3_ladder, "N", False),
+    "u-plus": (fusion.free_unitary, "dim", True),
+}
 
 
 class UsageError(Exception):
@@ -45,11 +54,22 @@ def _tol_flag(raw) -> Fraction:
     return tol
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _count(minimum: int) -> Callable[[str], int]:
+    """Type of a count flag: an integer of at least `minimum`."""
+    def count(raw: str) -> int:
+        value = int(raw)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
+def _bits_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--bits", type=int, default=None,
                      help=f"working precision in bits (default 128, or ${ENV_BITS})")
-    sub.add_argument("--max-terms", type=int, default=None,
-                     help="series term budget (default 10000)")
+
+
+def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["json", "csv"], default=None,
                      help="output format (csv for tabular commands only)")
     sub.add_argument("--config", default=None,
@@ -57,7 +77,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=["o-plus", "so3", "u-plus"], default=None)
+    sub.add_argument("--family", choices=list(FAMILIES), default=None)
     sub.add_argument("--N", type=int, default=None, dest="N",
                      help="classical dimension of the fundamental (ladder families)")
     sub.add_argument("--dim", type=int, default=None,
@@ -78,25 +98,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     dims = sub.add_parser("dims", help="Dimension and ratio table for a family")
     _family_flags(dims)
-    dims.add_argument("--max", type=int, default=None, help="largest ladder label")
-    dims.add_argument("--word-len", type=int, default=None, help="largest word length (u-plus)")
+    dims.add_argument("--max", type=_count(0), default=None, help="largest ladder label")
+    dims.add_argument("--word-len", type=_count(1), default=None, help="largest word length (u-plus)")
+    _bits_flag(dims)
     _common_flags(dims)
 
     series = sub.add_parser("series", help="Certified summability run with verdict")
     _family_flags(series)
     series.add_argument("--tol", default=None, help="tail tolerance (default 1e-6)")
-    series.add_argument("--n-max", type=int, default=None,
+    series.add_argument("--n-max", type=_count(0), default=None,
                         help="label range scanned for trivial intertwiners (default 50)")
+    series.add_argument("--max-terms", type=_count(1), default=None,
+                        help="series term budget (default 10000)")
+    _bits_flag(series)
     _common_flags(series)
 
     threshold = sub.add_parser("threshold", help="Certified threshold constants")
     threshold.add_argument("--which", choices=["dim2", "ratio3", "remark"], required=True)
     threshold.add_argument("--tol", default=None, help="enclosure width (default 1e-4)")
+    _bits_flag(threshold)
     _common_flags(threshold)
 
     moments = sub.add_parser("moments", help="Invariant multiplicities vs combinatorial oracles")
     _family_flags(moments)
-    moments.add_argument("--k-max", type=int, default=None)
+    moments.add_argument("--k-max", type=_count(0), default=None)
     _common_flags(moments)
 
     spectral_cmd = sub.add_parser("spectral", help="Modular-twisted character norms")
@@ -107,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="imaginary part of the modular parameter (default 0)")
     spectral_cmd.add_argument("--t", default=None,
                               help="real time: also emit the unit-circle coefficients")
+    _bits_flag(spectral_cmd)
     _common_flags(spectral_cmd)
 
     jacobi = sub.add_parser("jacobi", help="Finite weighted-shift model checks")
@@ -125,14 +151,22 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(bi)
 
     rep = sub.add_parser("report", help="Run the full verification grid")
+    _bits_flag(rep)
     _common_flags(rep)
 
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str],
+                  args: argparse.Namespace) -> argparse.Namespace:
+    """Parse `argv` again with the values of the config file as leading flags.
+
+    Each config value is read as the text of its flag, so it passes the same
+    type and choice checks as the flag; a list gives one flag per item, and
+    only a repeatable flag takes one.  Flags given explicitly win.
+    """
+    if not args.config:
+        return args
     try:
         with open(args.config, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -140,12 +174,26 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    tokens: list[str] = []
+    listed: list[str] = []
     for key, value in data.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if getattr(args, attr) is not None or value is None:
+            continue
+        items = value if isinstance(value, list) else [value]
+        if isinstance(value, list):
+            listed.append(key)
+        tokens += [f"--{attr.replace('_', '-')}={item}" for item in items]
+    try:
+        merged = parser.parse_args([args.command, *tokens, *argv[1:]])
+    except SystemExit as exc:
+        raise UsageError(f"invalid value in config {args.config}") from exc
+    for key in listed:
+        if not isinstance(getattr(merged, key.replace("-", "_")), list):
+            raise UsageError(f"config key {key!r} takes one value, got a list")
+    return merged
 
 
 def _resolve_bits(args: argparse.Namespace) -> int:
@@ -156,7 +204,7 @@ def _resolve_bits(args: argparse.Namespace) -> int:
     else:
         return intervals.DEFAULT_BITS
     try:
-        bits = int(raw) if isinstance(raw, (int, str)) and not isinstance(raw, bool) else 0
+        bits = int(raw)
     except ValueError:
         bits = 0
     if not 1 <= bits <= criteria.MAX_BITS:
@@ -164,54 +212,27 @@ def _resolve_bits(args: argparse.Namespace) -> int:
     return bits
 
 
-def _resolve_max_terms(args: argparse.Namespace) -> int:
-    return int(args.max_terms) if args.max_terms is not None else criteria.DEFAULT_MAX_TERMS
-
-
 def _build_family(args: argparse.Namespace) -> tuple[FusionFamily, dict]:
     if args.family is None:
         raise UsageError("--family is required")
-    qq = args.qq
-    dimq = args.dimq
-    if qq is not None and dimq is not None:
+    if args.qq is not None and args.dimq is not None:
         raise UsageError("give either --qq or --dimq, not both")
-    inputs: dict = {"family": args.family}
-    if args.family in ("o-plus", "so3"):
-        if args.N is None:
-            raise UsageError(f"--N is required for --family {args.family}")
-        inputs["N"] = args.N
-        if args.family == "o-plus":
-            if qq is not None:
-                inputs["qq"] = qq
-                fam = fusion.su2_ladder(args.N, q=_fraction_flag(qq, "--qq"))
-            elif dimq is not None:
-                inputs["dimq"] = dimq
-                fam = fusion.su2_ladder(args.N, dim_q_fund=_fraction_flag(dimq, "--dimq"))
-            else:
-                fam = fusion.su2_ladder(args.N)
-        else:
-            if qq is not None:
-                raise UsageError("so3 families take --dimq (quantum dimension), not --qq")
-            if args.N < 3:
-                raise UsageError(f"so3 families need --N >= 3, got {args.N}")
-            if dimq is not None:
-                inputs["dimq"] = dimq
-                fam = fusion.so3_ladder(args.N, dim_q_fund=_fraction_flag(dimq, "--dimq"))
-            else:
-                fam = fusion.so3_ladder(args.N)
-        return fam, inputs
-    if args.dim is None:
-        raise UsageError("--dim is required for --family u-plus")
-    inputs["dim"] = args.dim
-    if qq is not None:
-        inputs["qq"] = qq
-        fam = fusion.free_unitary(args.dim, q=_fraction_flag(qq, "--qq"))
-    elif dimq is not None:
-        inputs["dimq"] = dimq
-        fam = fusion.free_unitary(args.dim, dim_q_fund=_fraction_flag(dimq, "--dimq"))
-    else:
-        fam = fusion.free_unitary(args.dim)
-    return fam, inputs
+    build, size_flag, takes_qq = FAMILIES[args.family]
+    size = getattr(args, size_flag)
+    if size is None:
+        raise UsageError(f"--{size_flag} is required for --family {args.family}")
+    if args.qq is not None and not takes_qq:
+        raise UsageError(f"{args.family} families take --dimq (quantum dimension), not --qq")
+    if args.family == "so3" and size < 3:
+        raise UsageError(f"so3 families need --N >= 3, got {size}")
+    inputs: dict = {"family": args.family, size_flag: size}
+    if args.qq is not None:
+        inputs["qq"] = args.qq
+        return build(size, q=_fraction_flag(args.qq, "--qq")), inputs
+    if args.dimq is not None:
+        inputs["dimq"] = args.dimq
+        return build(size, dim_q_fund=_fraction_flag(args.dimq, "--dimq")), inputs
+    return build(size), inputs
 
 
 def _label_str(label) -> str:
@@ -252,7 +273,7 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
                 "label": _label_str(label),
                 "dim": fusion.dim(label, family, "classical"),
                 "dim_q": report.enclosure_payload(
-                    fusion.dim_interval(label, family, "quantum"), digits),
+                    intervals.make(fusion.dim(label, family, "quantum")), digits),
                 "ratio": report.enclosure_payload(criteria.ratio(label, family), digits),
             })
     return report.Report("dims", inputs, {"table": rows}, {"bits": bits, "digits": digits})
@@ -261,7 +282,7 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
 def cmd_series(args: argparse.Namespace) -> report.Report:
     bits = args.bits
     digits = intervals.decimal_digits(bits)
-    max_terms = _resolve_max_terms(args)
+    max_terms = args.max_terms if args.max_terms is not None else criteria.DEFAULT_MAX_TERMS
     family, inputs = _build_family(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL["series"]
     n_max = args.n_max if args.n_max is not None else 50
@@ -331,9 +352,7 @@ def cmd_moments(args: argparse.Namespace) -> report.Report:
             "oracle": oracle,
             "match": multiplicity == oracle,
         })
-    return report.Report("moments", inputs,
-                         {"table": rows, "oracle": oracle_name},
-                         {"bits": args.bits})
+    return report.Report("moments", inputs, {"table": rows, "oracle": oracle_name})
 
 
 def cmd_spectral(args: argparse.Namespace) -> report.Report:
@@ -380,7 +399,7 @@ def cmd_jacobi(args: argparse.Namespace) -> report.Report:
     if size >= 4:
         lam = cmath.exp(1j * phase_angle)
         results["interior_residual"] = repr(spectral.suq2_relation_residuals(size, q, lam))
-    return report.Report("jacobi", inputs, results, {"bits": args.bits})
+    return report.Report("jacobi", inputs, results)
 
 
 def cmd_bicrossed(args: argparse.Namespace) -> report.Report:
@@ -429,7 +448,7 @@ def cmd_bicrossed(args: argparse.Namespace) -> report.Report:
             "injective": factor.injective,
         },
     }
-    return report.Report("bicrossed", inputs, results, {"bits": args.bits})
+    return report.Report("bicrossed", inputs, results)
 
 
 def cmd_report(args: argparse.Namespace) -> report.Report:
@@ -451,13 +470,15 @@ HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _apply_config(args)
-        args.bits = _resolve_bits(args)
+        args = _apply_config(parser, argv, args)
+        if hasattr(args, "bits"):
+            args.bits = _resolve_bits(args)
         result = HANDLERS[args.command](args)
         fmt = args.format or "json"
         if fmt == "csv":

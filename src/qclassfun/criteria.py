@@ -50,7 +50,6 @@ class Verdict(Enum):
 
 class QuasiSplit(Enum):
     YES = "yes"
-    NO = "no"
     UNDETERMINED = "undetermined"
 
 
@@ -119,42 +118,6 @@ def ratio(label: Label, family: FusionFamily) -> Interval:
     return intervals.make(ratio_exact(label, family))
 
 
-def decay_constant(a1: IntervalLike, sup_c: int) -> Interval:
-    """The certified growth rate ``c = 1 + (a1 - 1)/sup_c > 1``.
-
-    `a1` is the quantum/classical ratio of the fundamental; values not
-    certified above 1 mean Kac type (or invalid data) and are rejected.
-    """
-    if sup_c < 1:
-        raise DomainError(f"sup_c must be a positive integer, got {sup_c}")
-    a = intervals.make(a1)
-    if intervals.lower(a) <= 1:
-        raise KacTypeError(f"need a1 > 1 certified, got {a}")
-    return 1 + (a - 1) / sup_c
-
-
-def _iter_family_ratios(family: FusionFamily):
-    """Yield A_n = dim_q(n)/dim(n) for n = 0, 1, 2, ... incrementally.
-
-    Runs both dimension recursions in place so a long scan costs one
-    rational step per label instead of a fresh recursion per label.
-    """
-    three_term = family.kind is fusion.FamilyKind.SO3_LADDER
-    d1_c = Fraction(family.dim_c_fund)
-    d1_q = family.dim_q_fund
-    prev = (Fraction(1), Fraction(1))
-    curr = (d1_c, d1_q)
-    yield Fraction(1)
-    while True:
-        yield curr[1] / curr[0]
-        if three_term:
-            step = (d1_c * curr[0] - curr[0] - prev[0],
-                    d1_q * curr[1] - curr[1] - prev[1])
-        else:
-            step = (d1_c * curr[0] - prev[0], d1_q * curr[1] - prev[1])
-        prev, curr = curr, step
-
-
 def verify_decay(family: FusionFamily, n_max: int) -> bool:
     """Exact check of the paper's decay lemma: ``A_(n+1) >= c A_n`` for
     ``1 <= n < n_max``, with ``c = 1 + (A_1 - 1)/sup_c``.
@@ -164,7 +127,9 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
     """
     if not family.is_ladder:
         raise FamilyError("decay verification applies to ladder families")
-    ratios = _iter_family_ratios(family)
+    classical = fusion.ladder_dims(family.kind, Fraction(family.dim_c_fund))
+    quantum = fusion.ladder_dims(family.kind, family.dim_q_fund)
+    ratios = (q / c for c, q in zip(classical, quantum))
     next(ratios)  # A_0
     previous = next(ratios)  # A_1
     if previous <= 1:
@@ -527,11 +492,9 @@ def kac_part(family: FusionFamily, n_max: int) -> list[int]:
     Non-Kac families yield exactly the trivial label."""
     if not family.is_ladder:
         raise FamilyError("kac_part applies to ladder families")
-    return [
-        n
-        for n in range(n_max + 1)
-        if fusion.dim(n, family, "quantum") == fusion.dim(n, family, "classical")
-    ]
+    classical = fusion.ladder_dims(family.kind, Fraction(family.dim_c_fund))
+    quantum = fusion.ladder_dims(family.kind, family.dim_q_fund)
+    return [n for n, c, q in zip(range(n_max + 1), classical, quantum) if c == q]
 
 
 @dataclass(frozen=True)
@@ -568,13 +531,8 @@ def masa_verdict(
         if family.is_kac:
             block = SeriesResult(Verdict.DIVERGES)
         else:
-            q_c: IntervalLike
-            if family.dim_c_fund == 2:
-                q_c = 1
-            else:
-                with intervals.precision(_resolve_bits(bits)):
-                    q_c = solve_fundamental_q(family.dim_c_fund)
             with intervals.precision(_resolve_bits(bits)):
+                q_c = 1 if family.dim_c_fund == 2 else solve_fundamental_q(family.dim_c_fund)
                 q_q = solve_fundamental_q(intervals.make(family.dim_q_fund))
             block = block_sum_S(q_c, q_q, tol, bits=bits, max_terms=max_terms)
         series = total_sum_free(block)

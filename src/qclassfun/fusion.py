@@ -261,26 +261,29 @@ def invariant_multiplicity(labels: Sequence[Label], family: FusionFamily) -> int
 # dimensions
 
 
+def ladder_dims(kind: FamilyKind, d1: Fraction) -> Iterator[Fraction]:
+    """Dimensions of the ladder labels 0, 1, 2, ... for fundamental dimension `d1`.
+
+    The fundamental fusion forces ``d1 d(n) = d(n-1) + d(n+1)`` for
+    two-term (su2) fusion and ``d1 d(n) = d(n-1) + d(n) + d(n+1)`` for
+    three-term (so3) fusion.  The two-term value ``d(n)`` is the deformed
+    integer of order n+1 at the root of ``x + 1/x = d1`` (n+1 itself when
+    d1 = 2).  This is the only place either recursion is written.
+    """
+    prev, curr = Fraction(1), d1
+    yield prev
+    while True:
+        yield curr
+        step = d1 * curr - prev
+        if kind is FamilyKind.SO3_LADDER:
+            step -= curr
+        prev, curr = curr, step
+
+
 @lru_cache(maxsize=None)
 def _ladder_value(kind: FamilyKind, d1: Fraction, n: int) -> Fraction:
-    """n-th term of the dimension recursion forced by the fundamental fusion."""
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return d1
-    prev2, prev1 = Fraction(1), d1
-    for _ in range(n - 1):
-        if kind is FamilyKind.SO3_LADDER:
-            prev2, prev1 = prev1, d1 * prev1 - prev1 - prev2
-        else:
-            prev2, prev1 = prev1, d1 * prev1 - prev2
-    return prev1
-
-
-def _chebyshev_value(d1: Fraction, n: int) -> Fraction:
-    """Two-term recursion value; equals the deformed integer of order n+1
-    evaluated at the root of ``x + 1/x = d1`` (and n+1 itself when d1 = 2)."""
-    return _ladder_value(FamilyKind.SU2_LADDER, d1, n)
+    """n-th term of :func:`ladder_dims`."""
+    return next(itertools.islice(ladder_dims(kind, d1), n, None))
 
 
 def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | Fraction:
@@ -301,16 +304,11 @@ def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | F
         value = Fraction(1)
         if label:
             for block in factorize(label):
-                value *= _chebyshev_value(d1, len(block))
+                value *= _ladder_value(FamilyKind.SU2_LADDER, d1, len(block))
     if which == "classical":
         assert value.denominator == 1
         return int(value)
     return value
-
-
-def dim_interval(label: Label, family: FusionFamily, which: str = "classical") -> Interval:
-    """The exact dimension wrapped as a rigorous enclosure."""
-    return intervals.make(Fraction(dim(label, family, which)))
 
 
 def rho_spectrum(n: int, q: IntervalLike) -> list[Interval]:

@@ -9,6 +9,12 @@ Constructors accept exact data only: ints, :class:`~fractions.Fraction`,
 decimal strings (converted outward) and existing intervals.  Floats are
 accepted as the exact binary rational they denote.
 
+Endpoints are read exactly (:func:`lower`, :func:`upper`,
+:func:`exact_endpoints`), and the comparisons (:func:`contains`,
+:func:`certainly_lt`, :func:`overlaps`) certify a relation between the
+enclosed true values.  No point inside an enclosure is offered as a result;
+:func:`to_decimal_mid` is a display convenience only.
+
 The precision knob is process-global (a property of the ``mpmath`` context),
 so concurrent callers requesting different precisions must serialize around
 :func:`precision`; results themselves are plain immutable values.
@@ -19,7 +25,7 @@ from __future__ import annotations
 import decimal
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 import mpmath
 from mpmath import iv
@@ -95,10 +101,6 @@ def width_at_most(x: Interval, bound: int | str | Fraction) -> bool:
     return w is not None and w <= Fraction(bound)
 
 
-def midpoint(x: Interval) -> mpmath.mpf:
-    return mpmath.mpf(x.mid._mpi_[0])
-
-
 def contains(x: Interval, value: IntervalLike) -> bool:
     """Certify that the enclosure of `value` lies inside `x`.
 
@@ -128,23 +130,9 @@ def certainly_gt(x: IntervalLike, y: IntervalLike) -> bool:
     return certainly_lt(y, x)
 
 
-def certainly_le(x: IntervalLike, y: IntervalLike) -> bool:
-    return upper(make(x)) <= lower(make(y))
-
-
 def identical(x: Interval, y: Interval) -> bool:
     """Endpoint-level equality of two intervals."""
     return x._mpi_ == y._mpi_
-
-
-def hull(values: Iterable[Interval]) -> Interval:
-    """Smallest interval containing every member of `values`."""
-    items = list(values)
-    if not items:
-        raise DomainError("hull of an empty collection")
-    lo = min(lower(v) for v in items)
-    hi = max(upper(v) for v in items)
-    return iv.mpf([lo, hi])
 
 
 def isqrt(x: Interval) -> Interval:
@@ -182,8 +170,7 @@ def to_decimal_pair(x: Interval, digits: int | None = None) -> tuple[str, str]:
     """Outward decimal endpoints: lower rounded down, upper rounded up."""
     if digits is None:
         digits = decimal_digits(iv.prec)
-    lo = _endpoint_fraction(x._mpi_[0])
-    hi = _endpoint_fraction(x._mpi_[1])
+    lo, hi = exact_endpoints(x)
     return (
         "-inf" if lo is None else _directed_decimal(lo, digits, decimal.ROUND_FLOOR),
         "inf" if hi is None else _directed_decimal(hi, digits, decimal.ROUND_CEILING),
@@ -194,8 +181,7 @@ def to_decimal_mid(x: Interval, digits: int | None = None) -> str:
     """Round-to-nearest decimal midpoint (convenience, not certified)."""
     if digits is None:
         digits = decimal_digits(iv.prec)
-    lo = _endpoint_fraction(x._mpi_[0])
-    hi = _endpoint_fraction(x._mpi_[1])
+    lo, hi = exact_endpoints(x)
     if lo is None or hi is None:
         return "nan"
     return _directed_decimal((lo + hi) / 2, digits, decimal.ROUND_HALF_EVEN)

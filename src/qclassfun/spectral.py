@@ -15,6 +15,7 @@ linear algebra, not intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -121,7 +122,7 @@ def build_jacobi(size: int, q: float) -> JacobiOperator:
         raise DomainError(f"need size >= 2, got {size}")
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    off = tuple(np.sqrt(1.0 - q ** (2 * (k + 1))) for k in range(size - 1))
+    off = tuple(math.sqrt(1.0 - q ** (2 * (k + 1))) for k in range(size - 1))
     return JacobiOperator(size, off)
 
 

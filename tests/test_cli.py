@@ -60,6 +60,20 @@ DIMS = ("dims", "--family", "o-plus", "--N", "3", "--qq", "0.2")
     (SERIES, None, {"tol": "abc"}),
     (("series", "--family", "so3", "--N", "2", "--dimq", "5/2"), None, None),
     (("series", "--family", "so3", "--N", "2"), None, None),
+    (DIMS + ("--max", "-3"), None, None),
+    (("dims", "--family", "u-plus", "--dim", "2", "--word-len", "0"), None, None),
+    (("moments", "--family", "o-plus", "--N", "2", "--k-max", "-2"), None, None),
+    (SERIES + ("--n-max", "-1"), None, None),
+    (SERIES + ("--max-terms", "0"), None, None),
+    (SERIES, None, {"max_terms": "x"}),
+    (DIMS, None, {"max": "x"}),
+    (("moments", "--family", "o-plus", "--N", "2"), None, {"k_max": 3.5}),
+    (DIMS, None, {"max": -3}),
+    (("dims", "--family", "o-plus", "--qq", "0.2"), None, {"N": True}),
+    (("dims", "--family", "o-plus", "--N", "3"), None, {"qq": ["0.1", "0.2"]}),
+    (("moments", "--family", "o-plus", "--N", "2", "--bits", "64"), None, None),
+    (DIMS + ("--max-terms", "5"), None, None),
+    (("jacobi", "--M", "8", "--q", "0.5"), None, {"bits": 64}),
 ])
 def test_invalid_tol_bits_and_family_are_usage_errors(
         capsys, monkeypatch, tmp_path, argv, env_bits, config):
@@ -226,6 +240,8 @@ def test_jacobi_report(capsys):
     assert results["krylov_rank"] == 8
     assert results["commutant_dim"] == 8
     assert float(results["interior_residual"]) <= 1e-12
+    off_diagonal = [float(entry) for entry in results["off_diagonal"]]
+    assert len(off_diagonal) == 7 and all(0 < entry < 1 for entry in off_diagonal)
 
 
 def test_bicrossed_report(capsys):
@@ -271,6 +287,16 @@ def test_config_supplies_defaults_flags_override(tmp_path, capsys):
     assert len(payload["results"]["table"]) == 4
     override = run_json(capsys, "dims", "--config", str(config), "--qq", "0.25")
     assert override["inputs"]["qq"] == "0.25"
+
+
+def test_config_list_feeds_a_repeatable_flag(tmp_path, capsys):
+    config = tmp_path / "times.json"
+    config.write_text(json.dumps({"t": ["0,1", "5/3,2"]}), encoding="utf-8")
+    from_config = run_json(capsys, "bicrossed", "--q", "1/2", "--mode", "irrational",
+                           "--config", str(config))
+    from_flags = run_json(capsys, "bicrossed", "--q", "1/2", "--mode", "irrational",
+                          "--t", "0,1", "--t", "5/3,2")
+    assert from_config == from_flags
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -14,7 +14,6 @@ from qclassfun.criteria import (
     block_sum_S,
     bound_S_dim2,
     bound_S_dimge3,
-    decay_constant,
     kac_part,
     masa_verdict,
     quasi_split_sum_ladder,
@@ -54,17 +53,6 @@ def test_ratio_examples():
 def test_ratio_never_exceeds_one():
     fam = so3_ladder(4, dim_q_fund=5)
     assert all(ratio_exact(n, fam) <= 1 for n in range(25))
-
-
-def test_decay_constant_examples():
-    assert intervals.contains(decay_constant(Fraction(5, 4), 1), Fraction(5, 4))
-    assert intervals.contains(decay_constant(2, 2), Fraction(3, 2))
-    near_kac = decay_constant(Fraction(101, 100), 1)
-    assert intervals.contains(near_kac, Fraction(101, 100))
-    with pytest.raises(KacTypeError):
-        decay_constant(1, 1)
-    with pytest.raises(DomainError):
-        decay_constant(2, 0)
 
 
 def test_verify_decay_examples():

@@ -62,16 +62,6 @@ def test_order_certification(a, b):
             assert b - a < Fraction(1, 10**15)
 
 
-def test_hull():
-    with intervals.precision(64):
-        xs = [intervals.make(v) for v in (1, 5, 3)]
-        h = intervals.hull(xs)
-        for v in (1, 3, 5):
-            assert intervals.contains(h, v)
-    with pytest.raises(DomainError):
-        intervals.hull([])
-
-
 def test_isqrt_and_inv_guards():
     with intervals.precision(64):
         with pytest.raises(DomainError):
