@@ -5,7 +5,7 @@ Every subcommand prints one :class:`~qclassfun.report.Report` to stdout
 stderr.  Identical invocations produce byte-identical output.
 
 Exit codes: 0 for computed answers (including Diverges/Undetermined, which
-are answers), 2 for usage errors, 3 for domain errors.
+are answers), 2 for usage errors, 3 for domain and budget errors.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .errors import BudgetError, DomainError
 from .fusion import FusionFamily
 
 ENV_BITS = "QCLASSFUN_BITS"
-DEFAULT_TOL = {"threshold": "1e-4", "series": "1e-6"}
-TABULAR_COMMANDS = ("dims", "moments")
 
 #: --family value -> (constructor, flag giving the classical fundamental
 #: dimension, whether --qq applies).
@@ -39,40 +37,67 @@ class UsageError(Exception):
     pass
 
 
-def _fraction_flag(raw: str, flag: str) -> Fraction:
+# ---------------------------------------------------------------------------
+# flag types: argparse checks every value once, so handlers convert safely
+
+
+def _rational(raw: str) -> str:
+    """Type of a rational flag; returns the text, which reports echo as given."""
     try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag} expects a rational like 1/3 or 0.25, got {raw!r}") from exc
+        Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expects a rational like 1/3 or 0.25, got {raw!r}") from None
+    return raw
 
 
-def _tol_flag(raw) -> Fraction:
-    """A --tol value: a positive rational such as 1e-6 or 1/1000."""
-    tol = _fraction_flag(str(raw), "--tol")
-    if tol <= 0:
-        raise UsageError(f"--tol must be positive, got {raw!r}")
-    return tol
+def _positive_rational(raw: str) -> str:
+    if Fraction(_rational(raw)) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
+    return raw
 
 
-def _count(minimum: int) -> Callable[[str], int]:
-    """Type of a count flag: an integer of at least `minimum`."""
+def _scaling_time(raw: str) -> bicrossed.ScalingTime:
+    """Type of `bicrossed --t`: 'r,s' meaning t = r*nu + s*pi/log|q|."""
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expects 'r,s', got {raw!r}")
+    return bicrossed.ScalingTime(*(Fraction(_rational(part)) for part in parts))
+
+
+def _count(minimum: int, maximum: int) -> Callable[[str], int]:
+    """Type of a count flag: an integer in minimum..maximum.  The maximum is
+    the flag's budget: larger values would run for more than a few seconds."""
     def count(raw: str) -> int:
         value = int(raw)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if not minimum <= value <= maximum:
+            raise argparse.ArgumentTypeError(f"must be in {minimum}..{maximum}, got {value}")
         return value
     return count
 
 
+def _config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise argparse.ArgumentTypeError("config file must hold a JSON object")
+    return data
+
+
+BITS = _count(1, criteria.MAX_BITS)
+
+
 def _bits_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--bits", type=int, default=None,
-                     help=f"working precision in bits (default 128, or ${ENV_BITS})")
+    sub.add_argument("--bits", type=BITS, default=None,
+                     help=f"precision in bits, 1..{criteria.MAX_BITS} (default ${ENV_BITS} or 128)")
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=["json", "csv"], default=None,
-                     help="output format (csv for tabular commands only)")
-    sub.add_argument("--config", default=None,
+def _common_flags(sub: argparse.ArgumentParser, formats=("json",)) -> None:
+    sub.add_argument("--format", choices=formats, default="json", help="output format")
+    sub.add_argument("--config", type=_config_file, default=None,
                      help="JSON file supplying flag defaults; explicit flags win")
 
 
@@ -82,10 +107,11 @@ def _family_flags(sub: argparse.ArgumentParser) -> None:
                      help="classical dimension of the fundamental (ladder families)")
     sub.add_argument("--dim", type=int, default=None,
                      help="classical dimension of the fundamental (u-plus)")
-    sub.add_argument("--qq", default=None,
-                     help="deformation parameter in (0,1]; dim_q = qq + 1/qq")
-    sub.add_argument("--dimq", default=None,
-                     help="quantum dimension of the fundamental, given directly")
+    deformation = sub.add_mutually_exclusive_group()
+    deformation.add_argument("--qq", type=_rational, default=None,
+                             help="deformation parameter in (0,1]; dim_q = qq + 1/qq")
+    deformation.add_argument("--dimq", type=_rational, default=None,
+                             help="quantum dimension of the fundamental, given directly")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,62 +124,67 @@ def build_parser() -> argparse.ArgumentParser:
 
     dims = sub.add_parser("dims", help="Dimension and ratio table for a family")
     _family_flags(dims)
-    dims.add_argument("--max", type=_count(0), default=None, help="largest ladder label")
-    dims.add_argument("--word-len", type=_count(1), default=None, help="largest word length (u-plus)")
+    dims.add_argument("--max", type=_count(0, 400), default=10, help="largest ladder label")
+    dims.add_argument("--word-len", type=_count(1, 12), default=4,
+                      help="largest word length (u-plus)")
     _bits_flag(dims)
-    _common_flags(dims)
+    _common_flags(dims, formats=("json", "csv"))
 
     series = sub.add_parser("series", help="Certified summability run with verdict")
     _family_flags(series)
-    series.add_argument("--tol", default=None, help="tail tolerance (default 1e-6)")
-    series.add_argument("--n-max", type=_count(0), default=None,
-                        help="label range scanned for trivial intertwiners (default 50)")
-    series.add_argument("--max-terms", type=_count(1), default=None,
-                        help="series term budget (default 10000)")
+    series.add_argument("--tol", type=_positive_rational, default="1e-6", help="tail tolerance")
+    series.add_argument("--n-max", type=_count(0, 1000), default=50,
+                        help="label range scanned for trivial intertwiners")
+    series.add_argument("--max-terms", type=_count(1, 50_000), default=criteria.DEFAULT_MAX_TERMS,
+                        help="series term budget")
     _bits_flag(series)
     _common_flags(series)
 
     threshold = sub.add_parser("threshold", help="Certified threshold constants")
     threshold.add_argument("--which", choices=["dim2", "ratio3", "remark"], required=True)
-    threshold.add_argument("--tol", default=None, help="enclosure width (default 1e-4)")
+    threshold.add_argument("--tol", type=_positive_rational, default="1e-4", help="enclosure width")
     _bits_flag(threshold)
     _common_flags(threshold)
 
     moments = sub.add_parser("moments", help="Invariant multiplicities vs combinatorial oracles")
     _family_flags(moments)
-    moments.add_argument("--k-max", type=_count(0), default=None)
-    _common_flags(moments)
+    moments.add_argument("--k-max", type=_count(0, 24), default=8)
+    _common_flags(moments, formats=("json", "csv"))
 
     spectral_cmd = sub.add_parser("spectral", help="Modular-twisted character norms")
-    spectral_cmd.add_argument("--rho-ladder", type=int, default=None,
+    spectral_cmd.add_argument("--rho-ladder", type=_count(0, 5000), default=None,
                               help="ladder index of the spectrum")
-    spectral_cmd.add_argument("--q", default=None, help="spectral parameter in (0,1]")
-    spectral_cmd.add_argument("--b", default=None,
-                              help="imaginary part of the modular parameter (default 0)")
-    spectral_cmd.add_argument("--t", default=None,
+    spectral_cmd.add_argument("--q", type=_rational, default=None,
+                              help="spectral parameter in (0,1]")
+    spectral_cmd.add_argument("--b", type=_rational, default="0",
+                              help="imaginary part of the modular parameter")
+    spectral_cmd.add_argument("--t", type=_rational, default=None,
                               help="real time: also emit the unit-circle coefficients")
     _bits_flag(spectral_cmd)
     _common_flags(spectral_cmd)
 
     jacobi = sub.add_parser("jacobi", help="Finite weighted-shift model checks")
-    jacobi.add_argument("--M", type=int, default=None, dest="M")
-    jacobi.add_argument("--q", default=None)
-    jacobi.add_argument("--phase", default=None, help="phase of the diagonal generator, radians")
+    jacobi.add_argument("--M", type=_count(2, spectral.MAX_COMMUTANT_SIZE), default=None, dest="M")
+    jacobi.add_argument("--q", type=_rational, default=None)
+    jacobi.add_argument("--phase", type=_rational, default="0",
+                        help="phase of the diagonal generator, radians")
     _common_flags(jacobi)
 
     bi = sub.add_parser("bicrossed", help="Scaling-time and classification arithmetic")
-    bi.add_argument("--q", default=None, help="deformation parameter, rational in (-1,1), nonzero")
+    bi.add_argument("--q", type=_rational, default=None,
+                    help="deformation parameter, rational in (-1,1), nonzero")
     bi.add_argument("--mode", choices=["rational", "irrational"], default=None)
-    bi.add_argument("--ratio", default=None,
+    bi.add_argument("--ratio", type=_rational, default=None,
                     help="declared rational value of nu*log|q|/pi (rational mode)")
-    bi.add_argument("--t", action="append", default=None,
-                    help="scaling time as 'r,s' meaning t = r*nu + s*pi/log|q| (repeatable)")
+    bi.add_argument("--t", type=_scaling_time, action="append", default=None,
+                    help="scaling time 'r,s': t = r*nu + s*pi/log|q| (repeatable; default 0,1)")
     _common_flags(bi)
 
     rep = sub.add_parser("report", help="Run the full verification grid")
     _bits_flag(rep)
     _common_flags(rep)
 
+    parser.commands = sub.choices  # subcommand -> its parser, for the flag defaults
     return parser
 
 
@@ -162,25 +193,20 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str],
     """Parse `argv` again with the values of the config file as leading flags.
 
     Each config value is read as the text of its flag, so it passes the same
-    type and choice checks as the flag; a list gives one flag per item, and
-    only a repeatable flag takes one.  Flags given explicitly win.
+    checks; a list gives one flag per item, for a repeatable flag only.
+    Explicit flags win: they come last, and the config value of a flag that
+    is already off its default is not read.
     """
     if not args.config:
         return args
-    try:
-        with open(args.config, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError("config file must hold a JSON object")
+    command = parser.commands[args.command]
     tokens: list[str] = []
     listed: list[str] = []
-    for key, value in data.items():
+    for key, value in args.config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, attr) is not None or value is None:
+        if getattr(args, attr) != command.get_default(attr) or value is None:
             continue
         items = value if isinstance(value, list) else [value]
         if isinstance(value, list):
@@ -189,34 +215,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str],
     try:
         merged = parser.parse_args([args.command, *tokens, *argv[1:]])
     except SystemExit as exc:
-        raise UsageError(f"invalid value in config {args.config}") from exc
+        raise UsageError("invalid value in the --config file") from exc
     for key in listed:
         if not isinstance(getattr(merged, key.replace("-", "_")), list):
             raise UsageError(f"config key {key!r} takes one value, got a list")
     return merged
 
 
-def _resolve_bits(args: argparse.Namespace) -> int:
-    if args.bits is not None:
-        raw, source = args.bits, "--bits"
-    elif os.environ.get(ENV_BITS) is not None:
-        raw, source = os.environ[ENV_BITS], f"${ENV_BITS}"
-    else:
-        return intervals.DEFAULT_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = 0
-    if not 1 <= bits <= criteria.MAX_BITS:
-        raise UsageError(f"{source} must be an integer in 1..{criteria.MAX_BITS}, got {raw!r}")
-    return bits
-
-
 def _build_family(args: argparse.Namespace) -> tuple[FusionFamily, dict]:
     if args.family is None:
         raise UsageError("--family is required")
-    if args.qq is not None and args.dimq is not None:
-        raise UsageError("give either --qq or --dimq, not both")
     build, size_flag, takes_qq = FAMILIES[args.family]
     size = getattr(args, size_flag)
     if size is None:
@@ -228,17 +236,11 @@ def _build_family(args: argparse.Namespace) -> tuple[FusionFamily, dict]:
     inputs: dict = {"family": args.family, size_flag: size}
     if args.qq is not None:
         inputs["qq"] = args.qq
-        return build(size, q=_fraction_flag(args.qq, "--qq")), inputs
+        return build(size, q=Fraction(args.qq)), inputs
     if args.dimq is not None:
         inputs["dimq"] = args.dimq
-        return build(size, dim_q_fund=_fraction_flag(args.dimq, "--dimq")), inputs
+        return build(size, dim_q_fund=Fraction(args.dimq)), inputs
     return build(size), inputs
-
-
-def _label_str(label) -> str:
-    if label == "":
-        return "e"
-    return str(label)
 
 
 def _series_payload(result: criteria.SeriesResult, digits: int) -> dict:
@@ -255,40 +257,33 @@ def _series_payload(result: criteria.SeriesResult, digits: int) -> dict:
 
 
 def cmd_dims(args: argparse.Namespace) -> report.Report:
-    bits = args.bits
-    digits = intervals.decimal_digits(bits)
+    digits = intervals.decimal_digits(args.bits)
     family, inputs = _build_family(args)
     rows = []
-    with intervals.precision(bits):
+    with intervals.precision(args.bits):
         if family.is_ladder:
-            n_max = args.max if args.max is not None else 10
-            inputs["max"] = n_max
-            labels = list(range(n_max + 1))
+            inputs["max"] = args.max
+            labels = list(range(args.max + 1))
         else:
-            word_len = args.word_len if args.word_len is not None else 4
-            inputs["word_len"] = word_len
-            labels = list(fusion.all_words(word_len, min_len=1))
+            inputs["word_len"] = args.word_len
+            labels = list(fusion.all_words(args.word_len, min_len=1))
         for label in labels:
             rows.append({
-                "label": _label_str(label),
+                "label": str(label) or "e",
                 "dim": fusion.dim(label, family, "classical"),
                 "dim_q": report.enclosure_payload(
                     intervals.make(fusion.dim(label, family, "quantum")), digits),
                 "ratio": report.enclosure_payload(criteria.ratio(label, family), digits),
             })
-    return report.Report("dims", inputs, {"table": rows}, {"bits": bits, "digits": digits})
+    return report.Report("dims", inputs, {"table": rows}, {"bits": args.bits, "digits": digits})
 
 
 def cmd_series(args: argparse.Namespace) -> report.Report:
-    bits = args.bits
-    digits = intervals.decimal_digits(bits)
-    max_terms = args.max_terms if args.max_terms is not None else criteria.DEFAULT_MAX_TERMS
+    digits = intervals.decimal_digits(args.bits)
     family, inputs = _build_family(args)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL["series"]
-    n_max = args.n_max if args.n_max is not None else 50
-    inputs.update({"tol": tol, "n_max": n_max})
-    verdict = criteria.masa_verdict(
-        family, tol=_tol_flag(tol), n_max=n_max, bits=bits, max_terms=max_terms)
+    inputs.update({"tol": args.tol, "n_max": args.n_max})
+    verdict = criteria.masa_verdict(family, tol=Fraction(args.tol), n_max=args.n_max,
+                                    bits=args.bits, max_terms=args.max_terms)
     results: dict = {
         "series": _series_payload(verdict.series, digits),
         "quasi_split": verdict.quasi_split.value,
@@ -298,43 +293,38 @@ def cmd_series(args: argparse.Namespace) -> report.Report:
     if verdict.block_sum is not None:
         results["block_sum"] = _series_payload(verdict.block_sum, digits)
     if family.is_ladder:
-        results["kac_part"] = criteria.kac_part(family, min(n_max, 20))
+        results["kac_part"] = criteria.kac_part(family, min(args.n_max, 20))
     return report.Report("series", inputs, results,
-                         {"bits": bits, "digits": digits, "max_terms": max_terms})
+                         {"bits": args.bits, "digits": digits, "max_terms": args.max_terms})
 
 
 def cmd_threshold(args: argparse.Namespace) -> report.Report:
-    bits = args.bits
-    digits = intervals.decimal_digits(bits)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL["threshold"]
-    inputs = {"which": args.which, "tol": tol}
-    tol_value = _tol_flag(tol)
+    digits = intervals.decimal_digits(args.bits)
+    inputs = {"which": args.which, "tol": args.tol}
     if args.which == "dim2":
-        enclosure = criteria.threshold_dim2(tol_value, bits=bits)
+        enclosure = criteria.threshold_dim2(Fraction(args.tol), bits=args.bits)
     elif args.which == "remark":
-        enclosure = criteria.threshold_remark(tol_value, bits=bits)
+        enclosure = criteria.threshold_remark(Fraction(args.tol), bits=args.bits)
     else:
-        enclosure = criteria.threshold_ratio_dimge3(bits=bits)
-    with intervals.precision(bits):
+        enclosure = criteria.threshold_ratio_dimge3(bits=args.bits)
+    with intervals.precision(args.bits):
         results = {
             "enclosure": report.enclosure_payload(enclosure, digits),
             "width": str(float(intervals.width(enclosure))),
         }
-    return report.Report("threshold", inputs, results, {"bits": bits, "digits": digits})
+    return report.Report("threshold", inputs, results, {"bits": args.bits, "digits": digits})
 
 
 def cmd_moments(args: argparse.Namespace) -> report.Report:
     family, inputs = _build_family(args)
-    k_max = args.k_max if args.k_max is not None else 8
-    inputs["k_max"] = k_max
+    inputs["k_max"] = args.k_max
     rows = []
-    for k in range(k_max + 1):
+    for k in range(args.k_max + 1):
         if family.is_ladder:
-            labels = [1] * k
-            word = None
+            labels, label = [1] * k, f"[1]*{k}"
         else:
             word = fusion.alternating_word(k)
-            labels = list(word)
+            labels, label = list(word), word or "e"
         multiplicity = fusion.invariant_multiplicity(labels, family)
         if family.kind is fusion.FamilyKind.SU2_LADDER:
             oracle = noncrossing.count_noncrossing_matchings(k)
@@ -347,7 +337,7 @@ def cmd_moments(args: argparse.Namespace) -> report.Report:
             oracle_name = "opposite-letter noncrossing matchings"
         rows.append({
             "k": k,
-            "label": _label_str(word) if word is not None else f"[1]*{k}",
+            "label": label,
             "multiplicity": multiplicity,
             "oracle": oracle,
             "match": multiplicity == oracle,
@@ -356,76 +346,59 @@ def cmd_moments(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_spectral(args: argparse.Namespace) -> report.Report:
-    bits = args.bits
-    digits = intervals.decimal_digits(bits)
+    digits = intervals.decimal_digits(args.bits)
     if args.rho_ladder is None or args.q is None:
         raise UsageError("spectral requires --rho-ladder and --q")
-    n = args.rho_ladder
-    q = _fraction_flag(args.q, "--q")
-    b = _fraction_flag(args.b, "--b") if args.b is not None else Fraction(0)
-    inputs = {"rho_ladder": n, "q": str(args.q), "b": str(b)}
-    with intervals.precision(bits):
-        rho = fusion.rho_spectrum(n, q)
+    b = Fraction(args.b)
+    inputs = {"rho_ladder": args.rho_ladder, "q": args.q, "b": str(b)}
+    with intervals.precision(args.bits):
+        rho = fusion.rho_spectrum(args.rho_ladder, Fraction(args.q))
         results: dict = {
             "norm_sq": report.enclosure_payload(spectral.modular_norm_sq(rho, b), digits),
             "trace_balanced": spectral.trace_balanced(rho),
             "rho": [report.enclosure_payload(lam, digits) for lam in rho],
         }
         if args.t is not None:
-            t = _fraction_flag(args.t, "--t")
-            inputs["t"] = str(args.t)
+            inputs["t"] = args.t
             results["eigencoefficients"] = [
                 {"re": report.enclosure_payload(re, digits),
                  "im": report.enclosure_payload(im, digits)}
-                for re, im in spectral.modular_eigencoefficients(rho, t)
+                for re, im in spectral.modular_eigencoefficients(rho, Fraction(args.t))
             ]
-    return report.Report("spectral", inputs, results, {"bits": bits, "digits": digits})
+    return report.Report("spectral", inputs, results, {"bits": args.bits, "digits": digits})
 
 
 def cmd_jacobi(args: argparse.Namespace) -> report.Report:
     if args.M is None or args.q is None:
         raise UsageError("jacobi requires --M and --q")
-    size = args.M
     q = float(Fraction(args.q))
-    phase_angle = float(Fraction(args.phase)) if args.phase is not None else 0.0
-    inputs = {"M": size, "q": str(args.q), "phase": str(args.phase or "0")}
-    op = spectral.build_jacobi(size, q)
+    inputs = {"M": args.M, "q": args.q, "phase": args.phase}
+    op = spectral.build_jacobi(args.M, q)
     results: dict = {
         "krylov_rank": spectral.krylov_rank(op),
         "commutant_dim": spectral.commutant_dim(op),
         "min_eigenvalue_gap": repr(spectral.min_eigenvalue_gap(op)),
         "off_diagonal": [repr(x) for x in op.off_diagonal],
     }
-    if size >= 4:
-        lam = cmath.exp(1j * phase_angle)
-        results["interior_residual"] = repr(spectral.suq2_relation_residuals(size, q, lam))
+    if args.M >= 4:
+        lam = cmath.exp(1j * float(Fraction(args.phase)))
+        results["interior_residual"] = repr(spectral.suq2_relation_residuals(args.M, q, lam))
     return report.Report("jacobi", inputs, results)
 
 
 def cmd_bicrossed(args: argparse.Namespace) -> report.Report:
     if args.q is None or args.mode is None:
         raise UsageError("bicrossed requires --q and --mode")
-    q = _fraction_flag(args.q, "--q")
-    if args.mode == "rational":
-        if args.ratio is None:
-            raise UsageError("rational mode requires --ratio")
-        mode = bicrossed.RatioRational(_fraction_flag(args.ratio, "--ratio"))
-    else:
-        if args.ratio is not None:
-            raise UsageError("--ratio only applies to rational mode")
-        mode = bicrossed.RatioIrrational()
-    params = bicrossed.BicrossedParams(q, mode)
-    times = []
-    for raw in args.t or ["0,1"]:
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise UsageError(f"--t expects 'r,s', got {raw!r}")
-        times.append(bicrossed.ScalingTime(
-            _fraction_flag(parts[0], "--t"), _fraction_flag(parts[1], "--t")))
-    inputs = {"q": str(args.q), "mode": args.mode,
-              "t": [f"{t.r},{t.s}" for t in times]}
-    if args.mode == "rational":
-        inputs["ratio"] = str(args.ratio)
+    rational = args.mode == "rational"
+    if rational != (args.ratio is not None):
+        raise UsageError("rational mode requires --ratio, and only rational mode takes it")
+    mode = (bicrossed.RatioRational(Fraction(args.ratio)) if rational
+            else bicrossed.RatioIrrational())
+    params = bicrossed.BicrossedParams(Fraction(args.q), mode)
+    times = args.t or [bicrossed.ScalingTime(0, 1)]
+    inputs = {"q": args.q, "mode": args.mode, "t": [f"{t.r},{t.s}" for t in times]}
+    if rational:
+        inputs["ratio"] = args.ratio
     center = bicrossed.center_description(params)
     factor = bicrossed.factor_report(params)
     rows = [{
@@ -477,13 +450,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         args = _apply_config(parser, argv, args)
-        if hasattr(args, "bits"):
-            args.bits = _resolve_bits(args)
+        if getattr(args, "bits", 0) is None:  # neither --bits nor the config gave one
+            raw = os.environ.get(ENV_BITS, str(intervals.DEFAULT_BITS))
+            try:
+                args.bits = BITS(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"${ENV_BITS} must be an integer in 1..{criteria.MAX_BITS}, "
+                                 f"got {raw!r}") from exc
         result = HANDLERS[args.command](args)
-        fmt = args.format or "json"
-        if fmt == "csv":
-            if args.command not in TABULAR_COMMANDS:
-                raise UsageError(f"--format csv applies to {TABULAR_COMMANDS} only")
+        if args.format == "csv":
             sys.stdout.write(report.table_to_csv(result.results["table"]))
         else:
             sys.stdout.write(result.to_json())

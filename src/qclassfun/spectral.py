@@ -27,7 +27,8 @@ from . import intervals
 from .errors import BudgetError, DomainError
 from .intervals import Interval, IntervalLike
 
-#: Relative singular-value cutoff used for all integer rank decisions.
+#: Relative cutoff used for all integer rank decisions: on singular values
+#: (commutant) and on Gram-Schmidt residuals against the matrix norm (Krylov).
 RANK_RTOL = 1e-8
 
 #: Largest matrix size accepted by the dense commutant solve.
@@ -126,23 +127,28 @@ def build_jacobi(size: int, q: float) -> JacobiOperator:
     return JacobiOperator(size, off)
 
 
-def _numeric_rank(matrix: np.ndarray) -> int:
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular.size == 0 or singular[0] == 0.0:
-        return 0
-    return int(np.sum(singular > RANK_RTOL * singular[0]))
+def matrix_krylov_rank(matrix: np.ndarray) -> int:
+    """Dimension of the Krylov space of e0 under T: each new vector ``T v`` is
+    orthogonalised twice against the basis so far (Gram-Schmidt), and the
+    rank is the first step whose residual falls to ``RANK_RTOL * ||T||``."""
+    size = matrix.shape[0]
+    cutoff = RANK_RTOL * np.linalg.norm(matrix, np.inf)
+    basis = np.zeros((size, size))
+    basis[0, 0] = 1.0
+    for k in range(1, size):
+        vec = matrix @ basis[:, k - 1]
+        for _ in range(2):
+            vec -= basis[:, :k] @ (basis[:, :k].T @ vec)
+        norm = np.linalg.norm(vec)
+        if norm <= cutoff:
+            return k
+        basis[:, k] = vec / norm
+    return size
 
 
 def krylov_rank(op: JacobiOperator) -> int:
-    """Rank of ``[e0, T e0, ..., T^(M-1) e0]``; M certifies cyclicity of e0."""
-    t = op.matrix()
-    vec = np.zeros(op.size)
-    vec[0] = 1.0
-    columns = [vec]
-    for _ in range(op.size - 1):
-        vec = t @ vec
-        columns.append(vec)
-    return _numeric_rank(np.column_stack(columns))
+    """Krylov rank of e0 under the compression; M certifies cyclicity of e0."""
+    return matrix_krylov_rank(op.matrix())
 
 
 def matrix_commutant_dim(matrix: np.ndarray) -> int:
@@ -154,7 +160,8 @@ def matrix_commutant_dim(matrix: np.ndarray) -> int:
         raise BudgetError(f"dense commutant solve capped at size {MAX_COMMUTANT_SIZE}")
     eye = np.eye(size)
     commutation = np.kron(matrix.T, eye) - np.kron(eye, matrix)
-    return size * size - _numeric_rank(commutation)
+    singular = np.linalg.svd(commutation, compute_uv=False)
+    return size * size - int(np.sum(singular > RANK_RTOL * singular[0]))
 
 
 def commutant_dim(op: JacobiOperator) -> int:

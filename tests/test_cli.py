@@ -1,10 +1,11 @@
 """CLI behavior: output schema, determinism, exit codes, formats."""
 
 import json
+import time
 
 import pytest
 
-from qclassfun.cli import main
+from qclassfun.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +75,9 @@ DIMS = ("dims", "--family", "o-plus", "--N", "3", "--qq", "0.2")
     (("moments", "--family", "o-plus", "--N", "2", "--bits", "64"), None, None),
     (DIMS + ("--max-terms", "5"), None, None),
     (("jacobi", "--M", "8", "--q", "0.5"), None, {"bits": 64}),
+    (("jacobi", "--M", "8", "--q", "abc"), None, None),
+    (("jacobi", "--M", "8", "--q", "0.5", "--phase", "nan"), None, None),
+    (("jacobi", "--M", "8", "--q", "1/0"), None, None),
 ])
 def test_invalid_tol_bits_and_family_are_usage_errors(
         capsys, monkeypatch, tmp_path, argv, env_bits, config):
@@ -89,6 +93,75 @@ def test_invalid_tol_bits_and_family_are_usage_errors(
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+
+
+# One case per flag budget: the smallest value above each range.
+@pytest.mark.parametrize("argv", [
+    DIMS + ("--max", "401"),
+    ("dims", "--family", "u-plus", "--dim", "2", "--qq", "0.2", "--word-len", "13"),
+    SERIES + ("--n-max", "1001"),
+    SERIES + ("--max-terms", "50001"),
+    ("moments", "--family", "o-plus", "--N", "2", "--k-max", "25"),
+    ("spectral", "--rho-ladder", "5001", "--q", "0.5"),
+    ("jacobi", "--M", "65", "--q", "0.5"),
+    ("jacobi", "--M", "1", "--q", "0.5"),
+    ("jacobi", "--M", "1500", "--q", "0.5"),
+])
+def test_values_above_a_flag_budget_are_usage_errors(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "must be in" in err
+
+
+# The largest values the README and the benchmark workloads use, at or
+# below each budget.
+@pytest.mark.parametrize("argv", [
+    DIMS + ("--max", "400"),
+    ("dims", "--family", "u-plus", "--dim", "2", "--word-len", "12"),
+    ("dims", "--family", "u-plus", "--dim", "2", "--word-len", "9"),
+    SERIES + ("--n-max", "1000", "--max-terms", "50000"),
+    SERIES + ("--max-terms", "1500"),
+    SERIES + ("--max-terms", "10000"),
+    ("moments", "--family", "u-plus", "--dim", "2", "--k-max", "24"),
+    ("spectral", "--rho-ladder", "5000", "--q", "0.5"),
+    ("jacobi", "--M", "64", "--q", "0.5"),
+    ("jacobi", "--M", "32", "--q", "0.3", "--phase", "3/7"),
+])
+def test_values_within_the_flag_budgets_parse(argv):
+    build_parser().parse_args(list(argv))
+
+
+def test_so3_moments_above_the_enumeration_budget_exit_3(capsys):
+    code, out, err = run_cli(capsys, "moments", "--family", "so3", "--N", "3",
+                             "--k-max", "11")
+    assert code == 3
+    assert out == ""
+    assert "capped" in err
+
+
+@pytest.mark.parametrize("flag, config, env, expected", [
+    (("--bits", "192"), {"bits": 64}, "96", 192),
+    ((), {"bits": 64}, "96", 64),
+    ((), None, "96", 96),
+    ((), None, None, 128),
+    ((), {"bits": 64}, "abc", 64),
+    (("--bits", "192"), None, "abc", 192),
+])
+def test_precision_precedence_flag_config_env_default(
+        capsys, monkeypatch, tmp_path, flag, config, env, expected):
+    if env is None:
+        monkeypatch.delenv("QCLASSFUN_BITS", raising=False)
+    else:
+        monkeypatch.setenv("QCLASSFUN_BITS", env)
+    argv = ("threshold", "--which", "ratio3") + flag
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ("--config", str(path))
+    assert run_json(capsys, *argv)["meta"]["bits"] == expected
 
 
 def test_domain_error_exits_3(capsys):

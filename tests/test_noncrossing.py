@@ -2,7 +2,9 @@
 
 import pytest
 
+from qclassfun.errors import BudgetError
 from qclassfun.noncrossing import (
+    MAX_PARTITION_POINTS,
     catalan,
     count_ab_matchings,
     count_noncrossing_matchings,
@@ -64,3 +66,9 @@ def test_nosingleton_noncrossing_counts():
     assert [count_nosingleton_noncrossing(n) for n in range(9)] == [
         1, 0, 1, 1, 3, 6, 15, 36, 91,
     ]
+
+
+def test_nosingleton_noncrossing_budget():
+    assert count_nosingleton_noncrossing(MAX_PARTITION_POINTS) == 603
+    with pytest.raises(BudgetError):
+        count_nosingleton_noncrossing(MAX_PARTITION_POINTS + 1)

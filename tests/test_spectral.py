@@ -16,6 +16,7 @@ from qclassfun.spectral import (
     commutant_dim,
     krylov_rank,
     matrix_commutant_dim,
+    matrix_krylov_rank,
     min_eigenvalue_gap,
     modular_eigencoefficients,
     modular_norm_sq,
@@ -152,6 +153,21 @@ def test_krylov_rank_small():
     assert krylov_rank(build_jacobi(2, 0.5)) == 2
     assert krylov_rank(build_jacobi(8, 0.5)) == 8
     assert krylov_rank(build_jacobi(12, 0.9)) == 12
+
+
+@pytest.mark.parametrize("size, q", [(32, 0.3), (32, 0.7), (64, 0.5), (16, 0.999)])
+def test_krylov_rank_full_where_the_monomial_basis_lost_it(size, q):
+    # the SVD rank of [e0, T e0, ...] gave 14, 16, 10 and 8 here
+    assert krylov_rank(build_jacobi(size, q)) == size
+
+
+def test_krylov_rank_non_cyclic_control():
+    # e0 only reaches its own 2x2 block
+    block = np.zeros((5, 5))
+    block[0, 1] = block[1, 0] = 1.0
+    block[2, 3] = block[3, 2] = 2.0
+    block[4, 4] = 3.0
+    assert matrix_krylov_rank(block) == 2
 
 
 def test_commutant_dim_small():
