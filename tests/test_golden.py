@@ -28,6 +28,10 @@ CASES = {
     "dims_uplus_csv": ["dims", "--family", "u-plus", "--dim", "2", "--qq", "0.1",
                        "--word-len", "4", "--format", "csv"],
     "dims_so3": ["dims", "--family", "so3", "--N", "4", "--dimq", "5", "--max", "6"],
+    # Labels past 10, where the exact dimensions come from a long recursion.
+    "dims_oplus_max60": ["dims", "--family", "o-plus", "--N", "4", "--qq", "15/97",
+                         "--max", "60"],
+    "dims_so3_max60": ["dims", "--family", "so3", "--N", "5", "--dimq", "71/10", "--max", "60"],
     "series_oplus": ["series", "--family", "o-plus", "--N", "3", "--qq", "0.2"],
     "series_uplus": ["series", "--family", "u-plus", "--dim", "2", "--qq", "0.22"],
     "threshold_dim2": ["threshold", "--which", "dim2", "--tol", "1e-4"],
