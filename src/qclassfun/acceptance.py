@@ -10,6 +10,7 @@ the fixed-precision matrix checks do not read it.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -140,14 +141,23 @@ def criterion_4_modular_norms(bits: int = intervals.DEFAULT_BITS) -> dict:
     }
 
 
+def _scaled_dims(family: fusion.FusionFamily, which: str, labels) -> tuple[int, dict]:
+    """Dimensions of `labels`, each read once through :func:`fusion.dim`, as
+    exact integer numerators over one common denominator ``scale``."""
+    dims = {label: Fraction(fusion.dim(label, family, which)) for label in labels}
+    scale = math.lcm(*(d.denominator for d in dims.values()))
+    return scale, {label: d.numerator * (scale // d.denominator) for label, d in dims.items()}
+
+
 def _additivity_ladder(family: fusion.FusionFamily, n_max: int, m_max: int) -> list:
     """Check d(1)^m d(n) = sum of multiplicities times dimensions, exactly."""
     failures = []
     for which in ("classical", "quantum"):
-        d1 = Fraction(fusion.dim(1, family, which))
+        scale, dims = _scaled_dims(family, which, range(n_max + m_max + 1))
+        d1 = Fraction(dims[1], scale)
         for n in range(n_max + 1):
             state = {n: 1}
-            expected = Fraction(fusion.dim(n, family, which))
+            expected = Fraction(dims[n], scale)
             for m in range(1, m_max + 1):
                 next_state: dict[int, int] = {}
                 for label, mult in state.items():
@@ -155,28 +165,24 @@ def _additivity_ladder(family: fusion.FusionFamily, n_max: int, m_max: int) -> l
                         next_state[part] = next_state.get(part, 0) + mult * pm
                 state = next_state
                 expected *= d1
-                total = sum(
-                    mult * Fraction(fusion.dim(label, family, which))
-                    for label, mult in state.items()
-                )
-                if total != expected:
+                total = sum(mult * dims[label] for label, mult in state.items())
+                if Fraction(total, scale) != expected:
                     failures.append({"which": which, "n": n, "m": m})
                     break
     return failures
 
 
 def _additivity_free(family: fusion.FusionFamily, max_len: int) -> list:
+    """Check d(x) d(y) = sum of multiplicities times dimensions, exactly."""
     failures = []
     words = list(fusion.all_words(max_len))
     for which in ("classical", "quantum"):
-        dims = {w: Fraction(fusion.dim(w, family, which)) for w in words}
+        scale, dims = _scaled_dims(family, which, fusion.all_words(2 * max_len))
         for x in words:
             for y in words:
-                total = sum(
-                    mult * Fraction(fusion.dim(product, family, which))
-                    for product, mult in fusion.tensor_free(x, y).items()
-                )
-                if total != dims[x] * dims[y]:
+                total = sum(mult * dims[product]
+                            for product, mult in fusion.tensor_free(x, y).items())
+                if total * scale != dims[x] * dims[y]:  # both sides times scale**2
                     failures.append({"which": which, "x": x or "e", "y": y or "e"})
     return failures
 

@@ -41,9 +41,25 @@ class UsageError(Exception):
 # flag types: argparse checks every value once, so handlers convert safely
 
 
+#: Budget of a rational flag: digits in all, an exponent e-n counting as n.
+#: The exact recursions grow with the size of the value.  On a 2-vCPU VM,
+#: 20 digits (1e-19) keep one call under 1 s at the default counts, and
+#: `dims --max 400`, `--word-len 12` and `series --n-max 1000` under 4 s.
+MAX_RATIONAL_DIGITS = 20
+
+
 def _rational(raw: str) -> str:
-    """Type of a rational flag; returns the text, which reports echo as given."""
+    """Type of a rational flag; returns the text, which reports echo as given.
+
+    The size is checked first: `Fraction` expands a decimal exponent into
+    an exact integer, whatever its size."""
+    mantissa, _, exponent = raw.lower().partition("e")
     try:
+        size = sum(ch.isdecimal() for ch in mantissa) + (abs(int(exponent)) if exponent else 0)
+        if size > MAX_RATIONAL_DIGITS:
+            raise argparse.ArgumentTypeError(
+                f"must be in 1..{MAX_RATIONAL_DIGITS} digits, an exponent e-n counting as n; "
+                f"got {size}")
         Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
@@ -268,12 +284,13 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
             inputs["word_len"] = args.word_len
             labels = list(fusion.all_words(args.word_len, min_len=1))
         for label in labels:
+            dim_c = fusion.dim(label, family, "classical")
+            dim_q = fusion.dim(label, family, "quantum")
             rows.append({
                 "label": str(label) or "e",
-                "dim": fusion.dim(label, family, "classical"),
-                "dim_q": report.enclosure_payload(
-                    intervals.make(fusion.dim(label, family, "quantum")), digits),
-                "ratio": report.enclosure_payload(criteria.ratio(label, family), digits),
+                "dim": dim_c,
+                "dim_q": report.enclosure_payload(intervals.make(dim_q), digits),
+                "ratio": report.enclosure_payload(intervals.make(Fraction(dim_c) / dim_q), digits),
             })
     return report.Report("dims", inputs, {"table": rows}, {"bits": args.bits, "digits": digits})
 
@@ -318,6 +335,8 @@ def cmd_threshold(args: argparse.Namespace) -> report.Report:
 def cmd_moments(args: argparse.Namespace) -> report.Report:
     family, inputs = _build_family(args)
     inputs["k_max"] = args.k_max
+    if family.kind is fusion.FamilyKind.SO3_LADDER:
+        noncrossing.check_partition_budget(args.k_max)
     rows = []
     for k in range(args.k_max + 1):
         if family.is_ladder:

@@ -280,10 +280,27 @@ def ladder_dims(kind: FamilyKind, d1: Fraction) -> Iterator[Fraction]:
         prev, curr = curr, step
 
 
-@lru_cache(maxsize=None)
+#: Most ladder dimensions :func:`_ladder_value` keeps, and most ``(kind, d1)``
+#: prefixes of :func:`ladder_dims` it extends; the least recently used go first.
+LADDER_CACHE_SIZE = 4096
+LADDER_PREFIXES = 32
+
+
+@lru_cache(maxsize=LADDER_PREFIXES)
+def _ladder_prefix(kind: FamilyKind, d1: Fraction) -> tuple[list[Fraction], Iterator[Fraction]]:
+    """The terms of :func:`ladder_dims` computed so far, and the generator
+    that extends them; shared by every caller, which appends in place."""
+    return [], ladder_dims(kind, d1)
+
+
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
 def _ladder_value(kind: FamilyKind, d1: Fraction, n: int) -> Fraction:
-    """n-th term of :func:`ladder_dims`."""
-    return next(itertools.islice(ladder_dims(kind, d1), n, None))
+    """n-th term of :func:`ladder_dims`, read from a stored prefix that is
+    extended only as far as `n`, so a table of labels 0..n costs n+1 steps."""
+    values, steps = _ladder_prefix(kind, d1)
+    while len(values) <= n:
+        values.append(next(steps))
+    return values[n]
 
 
 def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | Fraction:

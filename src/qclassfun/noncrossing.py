@@ -1,8 +1,10 @@
 """Independent combinatorial enumerators for character-moment checks.
 
-Everything here counts by direct enumeration over small ground sets.  These
-routines deliberately share no code with :mod:`qclassfun.fusion`: they are
-the second route of the moment cross-checks, so the two sides must stay
+Every count here enumerates directly, by first-point recursions that build
+noncrossing matchings or no-singleton noncrossing partitions only, so its
+cost grows with the number of those objects, not with all set partitions.
+These routines deliberately share no code with :mod:`qclassfun.fusion`: they
+are the second route of the moment cross-checks, so the two sides must stay
 independent.
 """
 
@@ -13,8 +15,9 @@ from typing import Iterator
 
 from .errors import BudgetError
 
-#: Budget of :func:`count_nosingleton_noncrossing`, which walks all Bell(n)
-#: set partitions: n = 10 takes under a second, each further point ~5x more.
+#: Budget of :func:`count_nosingleton_noncrossing`, which builds only the
+#: partitions it counts: 603 at n = 10 and under 3x more per further point.
+#: The cap also fixes where ``moments --family so3`` exits 3.
 MAX_PARTITION_POINTS = 10
 
 
@@ -73,40 +76,40 @@ def count_ab_matchings(word: str) -> int:
     )
 
 
-def iter_set_partitions(n: int) -> Iterator[list[list[int]]]:
-    """Yield all set partitions of ``0..n-1`` (restricted-growth order)."""
-    if n == 0:
-        yield []
-        return
+def check_partition_budget(n: int) -> None:
+    """Raise BudgetError if `n` points exceed MAX_PARTITION_POINTS."""
+    if n > MAX_PARTITION_POINTS:
+        raise BudgetError(f"set-partition enumeration capped at {MAX_PARTITION_POINTS} points, "
+                          f"got {n}")
 
-    def rec(i: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
-        if i == n:
-            yield [list(b) for b in blocks]
+
+def iter_nosingleton_noncrossing(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the noncrossing partitions of ``0..n-1`` with every block of size >= 2.
+
+    Picks the block of the first point, then recurses independently into the
+    gaps between its consecutive members and after its last one: a block that
+    crosses none of them lies inside one gap.  A gap of one point has no such
+    partition and ends its branch at once, so the work grows with the count.
+    """
+
+    def rec(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Partitions of the points lo..hi-1."""
+        if lo == hi:
+            yield ()
             return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
+        yield from grow((lo,), (), hi)
 
-    yield from rec(0, [])
+    def grow(block: tuple[int, ...], inner: tuple, hi: int) -> Iterator[tuple]:
+        """Close `block` or add a later member; `inner` partitions its gaps so far."""
+        last = block[-1]
+        if len(block) >= 2:
+            for rest in rec(last + 1, hi):
+                yield (block,) + inner + rest
+        for member in range(last + 1, hi):
+            for gap in rec(last + 1, member):
+                yield from grow(block + (member,), inner + gap, hi)
 
-
-def is_noncrossing(blocks: list[list[int]]) -> bool:
-    """No two blocks interleave as a < b < c < d with {a,c}, {b,d} split."""
-    for idx, b1 in enumerate(blocks):
-        for b2 in blocks[idx + 1:]:
-            for a in b1:
-                for c in b1:
-                    if a >= c:
-                        continue
-                    inside = [x for x in b2 if a < x < c]
-                    outside = [x for x in b2 if x < a or x > c]
-                    if inside and outside:
-                        return False
-    return True
+    yield from rec(0, n)
 
 
 def count_nosingleton_noncrossing(n: int) -> int:
@@ -115,11 +118,5 @@ def count_nosingleton_noncrossing(n: int) -> int:
     The sequence begins 1, 0, 1, 1, 3, 6, 15, 36, 91 for n = 0..8.  Raises
     BudgetError above MAX_PARTITION_POINTS points.
     """
-    if n > MAX_PARTITION_POINTS:
-        raise BudgetError(f"set-partition enumeration capped at {MAX_PARTITION_POINTS} points, "
-                          f"got {n}")
-    return sum(
-        1
-        for partition in iter_set_partitions(n)
-        if all(len(b) >= 2 for b in partition) and is_noncrossing(partition)
-    )
+    check_partition_budget(n)
+    return sum(1 for _ in iter_nosingleton_noncrossing(n))

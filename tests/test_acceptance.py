@@ -6,8 +6,10 @@ and asserted.
 """
 
 import json
+from collections import Counter
+from fractions import Fraction
 
-from qclassfun import acceptance
+from qclassfun import acceptance, fusion
 
 
 def _run(check):
@@ -38,6 +40,26 @@ def test_criterion_04_modular_norm_identities():
 
 def test_criterion_05_dimension_additivity():
     _run(acceptance.criterion_5_dimension_additivity)
+
+
+def test_criterion_05_reads_each_dimension_once_and_flags_a_wrong_one(monkeypatch):
+    reads = Counter()
+    exact = fusion.dim
+
+    def off_by_a_little(label, family, which="classical"):
+        reads[label, family, which] += 1
+        value = exact(label, family, which)
+        if which == "quantum" and label in (7, "ABBA"):
+            return value + Fraction(1, 10**9)
+        return value
+
+    monkeypatch.setattr(fusion, "dim", off_by_a_little)
+    outcome = acceptance.criterion_5_dimension_additivity()
+    assert max(reads.values()) == 1
+    assert not outcome["passed"]
+    failures = outcome["details"]["ladder_failures"] + outcome["details"]["free_failures"]
+    assert outcome["details"]["ladder_failures"] and outcome["details"]["free_failures"]
+    assert {failure["which"] for failure in failures} == {"quantum"}
 
 
 def test_criterion_06_word_calculus_oracle():

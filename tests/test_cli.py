@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from qclassfun import fusion
 from qclassfun.cli import build_parser, main
 
 
@@ -106,6 +107,14 @@ def test_invalid_tol_bits_and_family_are_usage_errors(
     ("jacobi", "--M", "65", "--q", "0.5"),
     ("jacobi", "--M", "1", "--q", "0.5"),
     ("jacobi", "--M", "1500", "--q", "0.5"),
+    # Rational flags: 21 digits, an exponent e-n counting as n digits.
+    ("dims", "--family", "o-plus", "--N", "3", "--qq", "1e-1000000", "--max", "2"),
+    ("dims", "--family", "o-plus", "--N", "3", "--qq", "1e-20"),
+    ("dims", "--family", "so3", "--N", "3", "--dimq", "123456789012345678901"),
+    SERIES[:-1] + ("1/12345678901234567890",),
+    ("threshold", "--which", "dim2", "--tol", "1e-100000"),
+    ("spectral", "--rho-ladder", "1", "--q", "0.5", "--b", "1e20"),
+    ("bicrossed", "--q", "1/2", "--mode", "irrational", "--t", "0,1e-20"),
 ])
 def test_values_above_a_flag_budget_are_usage_errors(capsys, argv):
     start = time.perf_counter()
@@ -129,6 +138,11 @@ def test_values_above_a_flag_budget_are_usage_errors(capsys, argv):
     ("spectral", "--rho-ladder", "5000", "--q", "0.5"),
     ("jacobi", "--M", "64", "--q", "0.5"),
     ("jacobi", "--M", "32", "--q", "0.3", "--phase", "3/7"),
+    ("dims", "--family", "o-plus", "--N", "3", "--qq", "1e-19"),
+    ("dims", "--family", "so3", "--N", "3", "--dimq", "12345678901234567890"),
+    SERIES[:-1] + ("1234567890/9876543210",),
+    ("threshold", "--which", "dim2", "--tol", "0.0000000000000000001"),
+    ("bicrossed", "--q", "1/2", "--mode", "irrational", "--t", "0,1e-19"),
 ])
 def test_values_within_the_flag_budgets_parse(argv):
     build_parser().parse_args(list(argv))
@@ -140,6 +154,19 @@ def test_so3_moments_above_the_enumeration_budget_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "capped" in err
+
+
+@pytest.mark.parametrize("k_max", ["11", "24"])
+def test_so3_moments_budget_is_checked_before_any_row(capsys, monkeypatch, k_max):
+    def unreachable(*args):
+        raise AssertionError("a row was computed before the budget check")
+
+    monkeypatch.setattr(fusion, "invariant_multiplicity", unreachable)
+    code, out, err = run_cli(capsys, "moments", "--family", "so3", "--N", "3",
+                             "--k-max", k_max)
+    assert code == 3
+    assert out == ""
+    assert f"set-partition enumeration capped at 10 points, got {k_max}" in err
 
 
 @pytest.mark.parametrize("flag, config, env, expected", [

@@ -1,5 +1,7 @@
 """Labels, tensor decompositions, dimensions and spectra."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qclassfun import fusion, intervals
+from qclassfun.cli import main
 from qclassfun.errors import DomainError, FamilyError
 from qclassfun.fusion import (
     all_words,
@@ -244,6 +247,83 @@ def test_dim_rejects_wrong_labels():
         dim(2, free_unitary(2))
     with pytest.raises(FamilyError):
         dim("XY", free_unitary(2))
+
+
+# ---------------------------------------------------------------------------
+# ladder dimension caches
+
+
+def _clear_ladder_caches():
+    fusion._ladder_value.cache_clear()
+    fusion._ladder_prefix.cache_clear()
+
+
+@pytest.fixture
+def fresh_ladder_caches():
+    _clear_ladder_caches()
+    yield
+    _clear_ladder_caches()
+
+
+def _reference(kind, d1, n):
+    return next(itertools.islice(fusion.ladder_dims(kind, d1), n, None))
+
+
+LADDER_KINDS = [fusion.FamilyKind.SU2_LADDER, fusion.FamilyKind.SO3_LADDER]
+LADDER_D1 = [Fraction(2), Fraction(3), Fraction(17, 4), Fraction(5), Fraction(71, 10)]
+LADDER_CALL = st.tuples(st.sampled_from(LADDER_KINDS), st.sampled_from(LADDER_D1),
+                        st.integers(0, 60))
+
+
+@given(st.lists(st.one_of(LADDER_CALL, st.just("evict prefixes")), max_size=30))
+def test_ladder_values_do_not_depend_on_the_call_order(calls):
+    # Labels going down, families interleaved, and prefixes dropped while
+    # values computed from them stay cached: every value is the recursion's term.
+    _clear_ladder_caches()
+    for call in calls:
+        if call == "evict prefixes":
+            fusion._ladder_prefix.cache_clear()
+            continue
+        assert fusion._ladder_value.__wrapped__(*call) == _reference(*call)
+        assert fusion._ladder_value(*call) == _reference(*call)
+    _clear_ladder_caches()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--family", "o-plus", "--N", "4", "--qq", "15/97", "--max", "400"],
+    ["dims", "--family", "so3", "--N", "5", "--dimq", "71/10", "--max", "400"],
+])
+def test_a_dims_table_advances_each_recursion_once_per_label(
+        argv, monkeypatch, capsys, fresh_ladder_caches):
+    steps = Counter()
+    recursion = fusion.ladder_dims
+
+    def counted(kind, d1):
+        for value in recursion(kind, d1):
+            steps[kind, d1] += 1
+            yield value
+
+    monkeypatch.setattr(fusion, "ladder_dims", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(steps) == 2  # classical and quantum
+    assert max(steps.values()) == 401
+
+
+def test_ladder_caches_stay_bounded(fresh_ladder_caches):
+    kind = fusion.FamilyKind.SU2_LADDER
+    assert fusion._ladder_value.cache_info().maxsize == fusion.LADDER_CACHE_SIZE
+    assert fusion._ladder_prefix.cache_info().maxsize == fusion.LADDER_PREFIXES
+    d1_values = [2 + Fraction(k, 10_007) for k in range(10_000)]
+    for d1 in d1_values:
+        fusion._ladder_value(kind, d1, 3)
+    assert fusion._ladder_value.cache_info().currsize <= fusion.LADDER_CACHE_SIZE
+    assert fusion._ladder_prefix.cache_info().currsize <= fusion.LADDER_PREFIXES
+    # The first values were evicted from both caches and come back correct.
+    for d1 in d1_values[:5] + d1_values[-5:]:
+        for n in (5, 2, 0):
+            assert fusion._ladder_value(kind, d1, n) == _reference(kind, d1, n)
+    assert d1_values[-1] ** 3 - 2 * d1_values[-1] == fusion._ladder_value(kind, d1_values[-1], 3)
 
 
 # ---------------------------------------------------------------------------

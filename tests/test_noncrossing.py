@@ -1,5 +1,7 @@
 """Combinatorial enumerators used as moment oracles."""
 
+from typing import Iterator
+
 import pytest
 
 from qclassfun.errors import BudgetError
@@ -9,10 +11,53 @@ from qclassfun.noncrossing import (
     count_ab_matchings,
     count_noncrossing_matchings,
     count_nosingleton_noncrossing,
-    is_noncrossing,
     iter_noncrossing_matchings,
-    iter_set_partitions,
+    iter_nosingleton_noncrossing,
 )
+
+
+# Brute-force oracle for the no-singleton enumerator: every set partition,
+# filtered by the definition of noncrossing.
+
+
+def iter_set_partitions(n: int) -> Iterator[list[list[int]]]:
+    """Yield all set partitions of ``0..n-1`` (restricted-growth order)."""
+    if n == 0:
+        yield []
+        return
+
+    def rec(i: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
+        if i == n:
+            yield [list(b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
+def is_noncrossing(blocks) -> bool:
+    """No two blocks interleave as a < b < c < d with {a,c}, {b,d} split."""
+    for idx, b1 in enumerate(blocks):
+        for b2 in blocks[idx + 1:]:
+            for a in b1:
+                for c in b1:
+                    if a >= c:
+                        continue
+                    inside = [x for x in b2 if a < x < c]
+                    outside = [x for x in b2 if x < a or x > c]
+                    if inside and outside:
+                        return False
+    return True
+
+
+def _canonical(partition) -> frozenset:
+    return frozenset(tuple(sorted(block)) for block in partition)
 
 
 def test_catalan_sequence():
@@ -60,6 +105,21 @@ def test_is_noncrossing():
     assert is_noncrossing([[0, 1], [2, 3]])
     assert is_noncrossing([[0, 3], [1, 2]])
     assert not is_noncrossing([[0, 2], [1, 3]])
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_nosingleton_enumerator_matches_the_brute_force_oracle(n):
+    oracle = {
+        _canonical(p) for p in iter_set_partitions(n)
+        if all(len(b) >= 2 for b in p) and is_noncrossing(p)
+    }
+    partitions = list(iter_nosingleton_noncrossing(n))
+    assert len(partitions) == len({_canonical(p) for p in partitions})  # distinct
+    assert {_canonical(p) for p in partitions} == oracle
+    for partition in partitions:
+        assert sorted(x for block in partition for x in block) == list(range(n))
+        assert all(len(block) >= 2 for block in partition)
+        assert is_noncrossing(partition)
 
 
 def test_nosingleton_noncrossing_counts():
