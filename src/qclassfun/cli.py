@@ -43,9 +43,9 @@ class UsageError(Exception):
 
 #: Budget of a rational flag: digits in all, an exponent e-n counting as n.
 #: The exact recursions grow with the size of the value.  On a 2-vCPU VM,
-#: 20 digits (1e-19) keep one call under 1 s at the default counts, and
-#: `dims --max 400`, `--word-len 12` and `series --n-max 1000` under 4 s.
-MAX_RATIONAL_DIGITS = 20
+#: 24 digits (1e-23) keep one call under 0.1 s at the default counts, and
+#: `dims --max 400`, `--word-len 12` and `series --n-max 1000` under 5 s.
+MAX_RATIONAL_DIGITS = 24
 
 
 def _rational(raw: str) -> str:

@@ -16,6 +16,7 @@ computed exactly: classical dimensions are ints, quantum dimensions are
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -286,10 +287,15 @@ LADDER_CACHE_SIZE = 4096
 LADDER_PREFIXES = 32
 
 
+#: Guards the shared prefixes: two threads must not advance one generator.
+_LADDER_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=LADDER_PREFIXES)
 def _ladder_prefix(kind: FamilyKind, d1: Fraction) -> tuple[list[Fraction], Iterator[Fraction]]:
     """The terms of :func:`ladder_dims` computed so far, and the generator
-    that extends them; shared by every caller, which appends in place."""
+    that extends them; shared by every caller, which appends in place
+    while holding ``_LADDER_LOCK``."""
     return [], ladder_dims(kind, d1)
 
 
@@ -297,10 +303,11 @@ def _ladder_prefix(kind: FamilyKind, d1: Fraction) -> tuple[list[Fraction], Iter
 def _ladder_value(kind: FamilyKind, d1: Fraction, n: int) -> Fraction:
     """n-th term of :func:`ladder_dims`, read from a stored prefix that is
     extended only as far as `n`, so a table of labels 0..n costs n+1 steps."""
-    values, steps = _ladder_prefix(kind, d1)
-    while len(values) <= n:
-        values.append(next(steps))
-    return values[n]
+    with _LADDER_LOCK:
+        values, steps = _ladder_prefix(kind, d1)
+        while len(values) <= n:
+            values.append(next(steps))
+        return values[n]
 
 
 def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | Fraction:

@@ -107,14 +107,15 @@ def test_invalid_tol_bits_and_family_are_usage_errors(
     ("jacobi", "--M", "65", "--q", "0.5"),
     ("jacobi", "--M", "1", "--q", "0.5"),
     ("jacobi", "--M", "1500", "--q", "0.5"),
-    # Rational flags: 21 digits, an exponent e-n counting as n digits.
+    # Rational flags: 25 digits, an exponent e-n counting as n digits.
     ("dims", "--family", "o-plus", "--N", "3", "--qq", "1e-1000000", "--max", "2"),
-    ("dims", "--family", "o-plus", "--N", "3", "--qq", "1e-20"),
-    ("dims", "--family", "so3", "--N", "3", "--dimq", "123456789012345678901"),
-    SERIES[:-1] + ("1/12345678901234567890",),
+    ("dims", "--family", "o-plus", "--N", "3", "--qq", "1e-24"),
+    ("dims", "--family", "so3", "--N", "3", "--dimq", "1234567890123456789012345"),
+    SERIES[:-1] + ("1/123456789012345678901234",),
     ("threshold", "--which", "dim2", "--tol", "1e-100000"),
-    ("spectral", "--rho-ladder", "1", "--q", "0.5", "--b", "1e20"),
-    ("bicrossed", "--q", "1/2", "--mode", "irrational", "--t", "0,1e-20"),
+    ("threshold", "--which", "remark", "--tol", "9e-24"),
+    ("spectral", "--rho-ladder", "1", "--q", "0.5", "--b", "1e24"),
+    ("bicrossed", "--q", "1/2", "--mode", "irrational", "--t", "0,1e-24"),
 ])
 def test_values_above_a_flag_budget_are_usage_errors(capsys, argv):
     start = time.perf_counter()
@@ -138,11 +139,13 @@ def test_values_above_a_flag_budget_are_usage_errors(capsys, argv):
     ("spectral", "--rho-ladder", "5000", "--q", "0.5"),
     ("jacobi", "--M", "64", "--q", "0.5"),
     ("jacobi", "--M", "32", "--q", "0.3", "--phase", "3/7"),
-    ("dims", "--family", "o-plus", "--N", "3", "--qq", "1e-19"),
-    ("dims", "--family", "so3", "--N", "3", "--dimq", "12345678901234567890"),
-    SERIES[:-1] + ("1234567890/9876543210",),
-    ("threshold", "--which", "dim2", "--tol", "0.0000000000000000001"),
-    ("bicrossed", "--q", "1/2", "--mode", "irrational", "--t", "0,1e-19"),
+    ("dims", "--family", "o-plus", "--N", "3", "--qq", "1e-23"),
+    ("dims", "--family", "so3", "--N", "3", "--dimq", "123456789012345678901234"),
+    SERIES[:-1] + ("123456789012/987654321098",),
+    ("threshold", "--which", "dim2", "--tol", "0.00000000000000000000001"),
+    ("threshold", "--which", "dim2", "--tol", "9e-20"),
+    ("threshold", "--which", "remark", "--tol", "9e-20"),
+    ("bicrossed", "--q", "1/2", "--mode", "irrational", "--t", "0,1e-23"),
 ])
 def test_values_within_the_flag_budgets_parse(argv):
     build_parser().parse_args(list(argv))

@@ -1,6 +1,8 @@
 """Labels, tensor decompositions, dimensions and spectra."""
 
 import itertools
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -308,6 +310,34 @@ def test_a_dims_table_advances_each_recursion_once_per_label(
     capsys.readouterr()
     assert len(steps) == 2  # classical and quantum
     assert max(steps.values()) == 401
+
+
+def test_ladder_values_are_right_when_threads_share_a_prefix(monkeypatch, fresh_ladder_caches):
+    kind, d1 = fusion.FamilyKind.SO3_LADDER, Fraction(71, 10)
+    errors = []
+    recursion = fusion.ladder_dims
+
+    def yielding(kind, d1):
+        for value in recursion(kind, d1):
+            time.sleep(0.0001)  # let another thread run inside the generator
+            yield value
+
+    monkeypatch.setattr(fusion, "ladder_dims", yielding)
+
+    def read(labels):
+        try:
+            for n in labels:
+                assert fusion._ladder_value.__wrapped__(kind, d1, n) == _reference(kind, d1, n)
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read, args=(range(start, 200, 4),)) for start in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert len(fusion._ladder_prefix(kind, d1)[0]) == 200
 
 
 def test_ladder_caches_stay_bounded(fresh_ladder_caches):
