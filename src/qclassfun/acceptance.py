@@ -335,16 +335,16 @@ def criterion_9_operator_model(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Krylov rank, commutant dimension and interior relation residuals."""
     start = time.perf_counter()
     failures = []
-    q_grid = [k / 10 for k in range(1, 10)]
+    q_grid = [Fraction(k, 10) for k in range(1, 10)]
     for size in (2, 4, 8, 16):
         for q in q_grid:
             op = spectral.build_jacobi(size, q)
             if spectral.krylov_rank(op) != size or spectral.commutant_dim(op) != size:
-                failures.append({"M": size, "q": q, "check": "rank"})
+                failures.append({"M": size, "q": str(q), "check": "rank"})
             if size >= 4:
                 residual = spectral.suq2_relation_residuals(size, q)
                 if residual > 1e-12:
-                    failures.append({"M": size, "q": q, "check": "residual"})
+                    failures.append({"M": size, "q": str(q), "check": "residual"})
     runtime_ok = time.perf_counter() - start < 30.0
     return {
         "id": 9,

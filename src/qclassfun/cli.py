@@ -11,8 +11,8 @@ are answers), 2 for usage errors, 3 for domain and budget errors.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -46,6 +46,13 @@ class UsageError(Exception):
 #: 24 digits (1e-23) keep one call under 0.1 s at the default counts, and
 #: `dims --max 400`, `--word-len 12` and `series --n-max 1000` under 5 s.
 MAX_RATIONAL_DIGITS = 24
+
+
+#: Budget of `spectral`: the bits of the largest power it forms, about
+#: ``|4b+1| n log2(1/q)``; printing such an exact endpoint costs time growing
+#: with the square of its bits.  On a 2-vCPU VM a power at the budget prints
+#: in 1.4-1.6 s, and 2.4 s with the 5001 eigenvalues of `--rho-ladder 5000`.
+MAX_POWER_BITS = 2**19
 
 
 def _rational(raw: str) -> str:
@@ -368,10 +375,16 @@ def cmd_spectral(args: argparse.Namespace) -> report.Report:
     digits = intervals.decimal_digits(args.bits)
     if args.rho_ladder is None or args.q is None:
         raise UsageError("spectral requires --rho-ladder and --q")
-    b = Fraction(args.b)
+    b, q = Fraction(args.b), Fraction(args.q)
+    if q > 0:  # otherwise rho_spectrum rejects it
+        power_bits = abs(4 * b + 1) * args.rho_ladder * abs(math.log2(q.denominator)
+                                                             - math.log2(q.numerator))
+        if power_bits > MAX_POWER_BITS:
+            raise BudgetError(f"|4b+1| n log2(1/q) = {float(power_bits):.3g} bits exceeds the "
+                              f"budget of {MAX_POWER_BITS}")
     inputs = {"rho_ladder": args.rho_ladder, "q": args.q, "b": str(b)}
     with intervals.precision(args.bits):
-        rho = fusion.rho_spectrum(args.rho_ladder, Fraction(args.q))
+        rho = fusion.rho_spectrum(args.rho_ladder, q)
         results: dict = {
             "norm_sq": report.enclosure_payload(spectral.modular_norm_sq(rho, b), digits),
             "trace_balanced": spectral.trace_balanced(rho),
@@ -390,7 +403,7 @@ def cmd_spectral(args: argparse.Namespace) -> report.Report:
 def cmd_jacobi(args: argparse.Namespace) -> report.Report:
     if args.M is None or args.q is None:
         raise UsageError("jacobi requires --M and --q")
-    q = float(Fraction(args.q))
+    q = Fraction(args.q)
     inputs = {"M": args.M, "q": args.q, "phase": args.phase}
     op = spectral.build_jacobi(args.M, q)
     results: dict = {
@@ -400,8 +413,8 @@ def cmd_jacobi(args: argparse.Namespace) -> report.Report:
         "off_diagonal": [repr(x) for x in op.off_diagonal],
     }
     if args.M >= 4:
-        lam = cmath.exp(1j * float(Fraction(args.phase)))
-        results["interior_residual"] = repr(spectral.suq2_relation_residuals(args.M, q, lam))
+        residual = spectral.suq2_relation_residuals(args.M, q, Fraction(args.phase))
+        results["interior_residual"] = repr(residual)
     return report.Report("jacobi", inputs, results)
 
 

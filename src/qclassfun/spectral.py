@@ -9,30 +9,36 @@ The finite model compresses the real part of the weighted shift
 ``a phi_k = sqrt(1 - q^(2k)) phi_(k-1)`` to the first M basis vectors.  Two
 finite shadows of maximal abelianness are checked: the first basis vector is
 cyclic (full Krylov rank) and the commutant of the compression is exactly the
-polynomials in it (dimension M).  Matrix work is plain fixed-precision
-linear algebra, not intervals.
+polynomials in it (dimension M).  The compression is held exactly, by its
+squared off-diagonals ``1 - q^(2k)``, and every answer is certified: the
+Krylov rank is read from the exact squares, a simple spectrum and a lower
+bound on the eigenvalue gap come from Sturm counts on outward-rounded float
+pivots (an exact integer count where those cannot decide), and the relation
+residuals are bounded in intervals.  No numpy is needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
 from mpmath import iv
 
 from . import intervals
 from .errors import BudgetError, DomainError
 from .intervals import Interval, IntervalLike
 
-#: Relative cutoff used for all integer rank decisions: on singular values
-#: (commutant) and on Gram-Schmidt residuals against the matrix norm (Krylov).
-RANK_RTOL = 1e-8
+#: Largest matrix size accepted by the Sturm-count model.  On a 2-vCPU VM
+#: `jacobi --M 768` takes at most 1.6 s of CPU over the q scanned, the
+#: slowest near ``q = 1 - 0.64/M``; 832 took 1.9 s and 896 took 2.2 s.
+MAX_COMMUTANT_SIZE = 768
 
-#: Largest matrix size accepted by the dense commutant solve.
-MAX_COMMUTANT_SIZE = 64
+#: The two brackets around the smallest eigenvalue spacing are narrowed to
+#: this fraction of it, so the printed gap is within twice it of the true gap.
+GAP_RTOL = 2.0**-30
 
 
 def trace_balanced(rho: Sequence[Interval]) -> bool:
@@ -91,123 +97,252 @@ def modular_eigencoefficients(
 
 @dataclass(frozen=True)
 class JacobiOperator:
-    """Symmetric tridiagonal compression with zero diagonal.
+    """Symmetric tridiagonal compression with zero diagonal, held exactly.
 
-    Entry k of `off_diagonal` is ``sqrt(1 - q^(2(k+1)))``; all entries are
-    strictly positive, which makes the spectrum simple and the first basis
-    vector cyclic.
+    Entry k of `squares` is the squared off-diagonal ``1 - q^(2(k+1))``, a
+    rational for rational q.  All entries are strictly positive, which makes
+    the spectrum simple and the first basis vector cyclic.
     """
 
     size: int
-    off_diagonal: tuple[float, ...]
+    squares: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.size < 2:
             raise DomainError(f"need size >= 2, got {self.size}")
-        if len(self.off_diagonal) != self.size - 1:
+        if len(self.squares) != self.size - 1:
             raise DomainError("off-diagonal length must be size - 1")
-        if any(entry <= 0 for entry in self.off_diagonal):
+        if any(entry <= 0 for entry in self.squares):
             raise DomainError("off-diagonal entries must be strictly positive")
 
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.size, self.size))
-        for k, entry in enumerate(self.off_diagonal):
-            m[k, k + 1] = entry
-            m[k + 1, k] = entry
-        return m
+    @property
+    def off_diagonal(self) -> tuple[float, ...]:
+        """The off-diagonal entries as floats, for display."""
+        return tuple(math.sqrt(entry) for entry in self.squares)
 
 
-def build_jacobi(size: int, q: float) -> JacobiOperator:
-    """Compression of the real part of the weighted shift to M basis vectors."""
+def build_jacobi(size: int, q: Fraction | int | float | str) -> JacobiOperator:
+    """Compression of the real part of the weighted shift to M basis vectors.
+
+    `q` is read exactly; a float as the binary rational it denotes.
+    """
     if size < 2:
         raise DomainError(f"need size >= 2, got {size}")
+    q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    off = tuple(math.sqrt(1.0 - q ** (2 * (k + 1))) for k in range(size - 1))
-    return JacobiOperator(size, off)
+    squares, power = [], Fraction(1)
+    for _ in range(size - 1):
+        power *= q * q
+        squares.append(1 - power)
+    return JacobiOperator(size, tuple(squares))
 
 
-def matrix_krylov_rank(matrix: np.ndarray) -> int:
-    """Dimension of the Krylov space of e0 under T: each new vector ``T v`` is
-    orthogonalised twice against the basis so far (Gram-Schmidt), and the
-    rank is the first step whose residual falls to ``RANK_RTOL * ||T||``."""
-    size = matrix.shape[0]
-    cutoff = RANK_RTOL * np.linalg.norm(matrix, np.inf)
-    basis = np.zeros((size, size))
-    basis[0, 0] = 1.0
-    for k in range(1, size):
-        vec = matrix @ basis[:, k - 1]
-        for _ in range(2):
-            vec -= basis[:, :k] @ (basis[:, :k].T @ vec)
-        norm = np.linalg.norm(vec)
-        if norm <= cutoff:
-            return k
-        basis[:, k] = vec / norm
-    return size
+def matrix_krylov_rank(squares: Sequence[Fraction]) -> int:
+    """Krylov rank of e0 under the zero-diagonal tridiagonal with squared
+    off-diagonals `squares`.
+
+    ``T^k e0`` reaches basis vector k with coefficient ``b_0 ... b_(k-1)`` and
+    none beyond it, so the Krylov space is spanned by the basis vectors up to
+    the first vanishing entry: the rank is its index plus one, or M.
+    """
+    return next((k + 1 for k, entry in enumerate(squares) if entry == 0), len(squares) + 1)
 
 
 def krylov_rank(op: JacobiOperator) -> int:
     """Krylov rank of e0 under the compression; M certifies cyclicity of e0."""
-    return matrix_krylov_rank(op.matrix())
+    return matrix_krylov_rank(op.squares)
 
 
-def matrix_commutant_dim(matrix: np.ndarray) -> int:
-    """Dimension of ``{X : XA = AX}`` via the Kronecker commutation map."""
-    size = matrix.shape[0]
-    if matrix.shape != (size, size):
-        raise DomainError("square matrix required")
+def _float_bounds(value: Fraction) -> tuple[float, float]:
+    """The floats nearest to `value` below and above it (equal for a float)."""
+    near = float(value)
+    exact = Fraction(near)
+    if exact < value:
+        return near, math.nextafter(near, math.inf)
+    if exact > value:
+        return math.nextafter(near, -math.inf), near
+    return near, near
+
+
+def _exact_count(squares: Sequence[Fraction], x: float) -> int:
+    """Number of eigenvalues below `x`, exactly.
+
+    It is the number of sign changes along the leading minors
+    ``r_k = det(T_k - x)``, which obey ``r_k = -x r_(k-1) - b_(k-1)^2 r_(k-2)``.
+    With ``x = a/s`` and ``b_k^2 = n_k/m_k`` the minors scaled by
+    ``s^(k+1) m_0 ... m_(k-1)`` are integers with the same signs:
+    ``R_k = -a m_(k-1) R_(k-1) - n_(k-1) m_(k-2) s^2 R_(k-2)``.  A vanishing
+    minor inside a block is skipped (its neighbours have opposite signs), and
+    the sequence restarts where a square vanishes and the matrix splits.
+    """
+    a, s = x.as_integer_ratio()
+    count, sign = 0, 1
+    before, last, m_before = 0, 1, 1
+    for entry in (0, *squares):
+        n, m = Fraction(entry).as_integer_ratio()
+        if n == 0:
+            last, sign = 1, 1
+        before, last, m_before = last, -a * m * last - n * m_before * s * s * before, m
+        if last:
+            count += (last < 0) != (sign < 0)
+            sign = last
+    return count
+
+
+def _count_below(bounds: Sequence[tuple[float, float]], x: float) -> int | None:
+    """Certified number of eigenvalues below `x`, or None.
+
+    By Sylvester's law of inertia it is the number of negative pivots
+    ``d_k = -x - b_(k-1)^2 / d_(k-1)`` of ``T - x = L D L^T`` (Barth, Martin
+    and Wilkinson 1967).  Each pivot is enclosed in floats rounded outward
+    from the enclosures `bounds` of the squares; None means an enclosure
+    holds 0, so its sign is not certified.
+    """
+    nextafter, inf, ninf = math.nextafter, math.inf, -math.inf
+    neg = -x
+    lo = hi = neg
+    count = 0
+    for square_lo, square_hi in bounds:
+        if lo > 0:
+            lo, hi = (nextafter(neg - nextafter(square_hi / lo, inf), ninf),
+                      nextafter(neg - nextafter(square_lo / hi, ninf), inf))
+        elif hi < 0:
+            count += 1
+            lo, hi = (nextafter(neg - nextafter(square_lo / lo, inf), ninf),
+                      nextafter(neg - nextafter(square_hi / hi, ninf), inf))
+        else:
+            return None
+    if lo > 0:
+        return count
+    if hi < 0:
+        return count + 1
+    return None
+
+
+@lru_cache(maxsize=8)
+def _isolate(squares: tuple[Fraction, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Certified brackets ``lows[i] <= lambda_i < highs[i]`` of the
+    eigenvalues in increasing order, with ``highs[i] <= lows[i + 1]``.
+
+    Bracket i ends with exactly i eigenvalues below ``lows[i]`` and i + 1
+    below ``highs[i]``, so it holds one eigenvalue and the spectrum is simple.
+    The two brackets around the smallest spacing are then narrowed to
+    ``GAP_RTOL`` times that spacing, or to float resolution.  Reaching float
+    resolution before a bracket holds one eigenvalue, as at a multiple
+    eigenvalue, raises :class:`BudgetError`.
+    """
+    size = len(squares) + 1
     if size > MAX_COMMUTANT_SIZE:
-        raise BudgetError(f"dense commutant solve capped at size {MAX_COMMUTANT_SIZE}")
-    eye = np.eye(size)
-    commutation = np.kron(matrix.T, eye) - np.kron(eye, matrix)
-    singular = np.linalg.svd(commutation, compute_uv=False)
-    return size * size - int(np.sum(singular > RANK_RTOL * singular[0]))
+        raise BudgetError(f"Sturm-count model capped at size {MAX_COMMUTANT_SIZE}")
+    bounds = [_float_bounds(Fraction(entry)) for entry in squares]
+    # Gershgorin: every |lambda| is at most 2 max b_k, below this power of two.
+    radius = math.ldexp(1.0, math.frexp(2 * math.sqrt(max(hi for _, hi in bounds)))[1] + 1)
+    lows, highs = [-radius] * size, [radius] * size
+    low_counts, high_counts = [0] * size, [size] * size
+
+    def split(i: int) -> bool:
+        # Bisect bracket i, or return False at float resolution; the count
+        # also tightens the brackets after it.  Where the float count is not
+        # certified at the midpoint (a leading minor vanishes near it), two
+        # other inner points are tried before the exact count.
+        lo, hi = lows[i], highs[i]
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            return False
+        for point in (mid, (5 * lo + 3 * hi) / 8, (3 * lo + 5 * hi) / 8):
+            count = _count_below(bounds, point) if lo < point < hi else None
+            if count is not None:
+                break
+        else:
+            point, count = mid, _exact_count(squares, mid)
+        for j in range(i, count):
+            if point < highs[j]:
+                highs[j], high_counts[j] = point, count
+        for j in range(max(i, count), size):
+            if point > lows[j]:
+                lows[j], low_counts[j] = point, count
+        return True
+
+    for i in range(size):
+        while low_counts[i] != i or high_counts[i] != i + 1:
+            if not split(i):
+                raise BudgetError("eigenvalue brackets reached float resolution: "
+                                  "the spectrum is not certified simple")
+    while True:
+        spacings = [low - high for low, high in zip(lows[1:], highs)]
+        spacing = min(spacings)
+        j = spacings.index(spacing)
+        wide = [k for k in (j, j + 1) if highs[k] - lows[k] > GAP_RTOL * spacing]
+        if not any([split(k) for k in wide]):
+            return tuple(lows), tuple(highs)
+
+
+def matrix_commutant_dim(size: int, squares: Sequence[Fraction]) -> int:
+    """Dimension of ``{X : XT = TX}`` for the zero-diagonal tridiagonal of
+    order `size` with squared off-diagonals `squares`.
+
+    For a symmetric matrix it is the sum of the squared multiplicities, which
+    is `size` exactly when the spectrum is simple.  That is certified by
+    :func:`_isolate`; a spectrum it cannot certify simple raises
+    :class:`BudgetError`, so a multiple eigenvalue is never reported as `size`.
+    """
+    if size < 2 or len(squares) != size - 1 or any(entry < 0 for entry in squares):
+        raise DomainError("need size >= 2 and size - 1 nonnegative squares")
+    _isolate(tuple(squares))
+    return size
 
 
 def commutant_dim(op: JacobiOperator) -> int:
     """Commutant dimension of the compression; M means simple spectrum
     and commutant = polynomials in the operator."""
-    return matrix_commutant_dim(op.matrix())
+    return matrix_commutant_dim(op.size, op.squares)
 
 
 def min_eigenvalue_gap(op: JacobiOperator) -> float:
-    """Smallest spacing between consecutive eigenvalues."""
-    eigenvalues = np.linalg.eigvalsh(op.matrix())
-    return float(np.min(np.diff(np.sort(eigenvalues))))
+    """Certified lower bound on the smallest spacing between consecutive
+    eigenvalues, within a relative ``2 * GAP_RTOL`` of it."""
+    lows, highs = _isolate(op.squares)
+    return min(_float_bounds(Fraction(lo) - Fraction(hi))[0] for lo, hi in zip(lows[1:], highs))
 
 
-def suq2_relation_residuals(size: int, q: float, phase: complex = 1.0) -> float:
-    """Largest interior residual of the deformed-unitary generator relations.
+def suq2_relation_residuals(size: int, q: Fraction | int | float | str,
+                            phase: IntervalLike = 0) -> float:
+    """Certified upper bound on the interior residuals of the deformed-unitary
+    generator relations.
 
-    Builds the truncated shift ``a`` and diagonal ``g`` with
-    ``a phi_k = sqrt(1 - q^(2k)) phi_(k-1)`` and ``g phi_k = phase q^k phi_k``
-    and evaluates
+    The truncated shift ``a phi_k = sqrt(1 - q^(2k)) phi_(k-1)`` and diagonal
+    ``g phi_k = e^(i phase) q^k phi_k`` (`q` and the angle `phase` read
+    exactly) enter
 
         a* a + g* g - 1,   a a* + q^2 g g* - 1,   g g* - g* g,
         a g - q g a,       a g* - q g* a
 
-    restricted to rows and columns 1..M-2.  Compression breaks the relations
-    only in the last row/column, so the interior maximum is at numerical zero.
+    restricted to rows and columns 1..M-2.  The first three are diagonal and
+    the last two hold only the superdiagonal, where ``a g* - q g* a`` is the
+    complex conjugate of ``a g - q g a``; so the O(M) entries are enclosed one
+    by one in intervals at the default 128 bits.  Compression breaks the relations only in
+    the last row and column, so every interior entry encloses 0.
     """
     if size < 4:
         raise DomainError(f"need size >= 4 to have an interior block, got {size}")
+    q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    if abs(abs(phase) - 1.0) > 1e-12:
-        raise DomainError(f"phase must have unit modulus, got {phase!r}")
-
-    a = np.zeros((size, size), dtype=complex)
-    for k in range(1, size):
-        a[k - 1, k] = np.sqrt(1.0 - q ** (2 * k))
-    g = np.diag([phase * q**k for k in range(size)])
-    eye = np.eye(size)
-
-    residuals = [
-        a.conj().T @ a + g.conj().T @ g - eye,
-        a @ a.conj().T + q**2 * (g @ g.conj().T) - eye,
-        g @ g.conj().T - g.conj().T @ g,
-        a @ g - q * (g @ a),
-        a @ g.conj().T - q * (g.conj().T @ a),
-    ]
-    interior = slice(1, size - 1)
-    return max(float(np.max(np.abs(r[interior, interior]))) for r in residuals)
+    with intervals.precision():
+        angle = intervals.make(phase)
+        unit = (iv.cos(angle), iv.sin(angle))
+        modulus_sq = unit[0] ** 2 + unit[1] ** 2
+        powers = [intervals.make(q) ** k for k in range(size)]
+        shift = [iv.sqrt(1 - power**2) for power in powers]
+        entries = []
+        for k in range(1, size - 1):
+            g_sq = modulus_sq * powers[k] ** 2
+            entries += [shift[k] ** 2 + g_sq - 1,
+                        shift[k + 1] ** 2 + powers[1] ** 2 * g_sq - 1,
+                        g_sq - modulus_sq * powers[k] ** 2]
+            if k >= 2:  # entry (k-1, k) of a g - q g a, real and imaginary parts
+                entries += [shift[k] * powers[k] * part - powers[1] * powers[k - 1] * shift[k] * part
+                            for part in unit]
+        bound = max(intervals.exact_endpoints(abs(entry))[1] for entry in entries)
+    return _float_bounds(bound)[1]

@@ -7,6 +7,7 @@ import pytest
 
 from qclassfun import fusion
 from qclassfun.cli import build_parser, main
+from qclassfun.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -104,7 +105,7 @@ def test_invalid_tol_bits_and_family_are_usage_errors(
     SERIES + ("--max-terms", "50001"),
     ("moments", "--family", "o-plus", "--N", "2", "--k-max", "25"),
     ("spectral", "--rho-ladder", "5001", "--q", "0.5"),
-    ("jacobi", "--M", "65", "--q", "0.5"),
+    ("jacobi", "--M", "769", "--q", "0.5"),
     ("jacobi", "--M", "1", "--q", "0.5"),
     ("jacobi", "--M", "1500", "--q", "0.5"),
     # Rational flags: 25 digits, an exponent e-n counting as n digits.
@@ -137,7 +138,7 @@ def test_values_above_a_flag_budget_are_usage_errors(capsys, argv):
     SERIES + ("--max-terms", "10000"),
     ("moments", "--family", "u-plus", "--dim", "2", "--k-max", "24"),
     ("spectral", "--rho-ladder", "5000", "--q", "0.5"),
-    ("jacobi", "--M", "64", "--q", "0.5"),
+    ("jacobi", "--M", "768", "--q", "0.5"),
     ("jacobi", "--M", "32", "--q", "0.3", "--phase", "3/7"),
     ("dims", "--family", "o-plus", "--N", "3", "--qq", "1e-23"),
     ("dims", "--family", "so3", "--N", "3", "--dimq", "123456789012345678901234"),
@@ -170,6 +171,41 @@ def test_so3_moments_budget_is_checked_before_any_row(capsys, monkeypatch, k_max
     assert code == 3
     assert out == ""
     assert f"set-partition enumeration capped at 10 points, got {k_max}" in err
+
+
+# Powers of about 2^(|4b+1| n log2(1/q)) that once ended in a MemoryError,
+# a hang, an OverflowError or a decimal.Overflow after 35 s.
+@pytest.mark.parametrize("argv", [
+    ("spectral", "--rho-ladder", "1", "--q", "1/2", "--b", "1e12"),
+    ("spectral", "--rho-ladder", "1", "--q", "1/2", "--b", "1e9"),
+    ("spectral", "--rho-ladder", "1", "--q", "1e-23", "--b", "1e23"),
+    ("spectral", "--rho-ladder", "1", "--q", "1/2", "--b", "1e6"),
+    ("spectral", "--rho-ladder", "1", "--q", "1/2", "--b=-131073"),
+    ("spectral", "--rho-ladder", "5000", "--q", "1/2", "--b", "26"),
+])
+def test_spectral_power_above_the_magnitude_budget_exit_3(capsys, monkeypatch, argv):
+    def unreachable(*args):
+        raise AssertionError("the spectrum was built before the budget check")
+
+    monkeypatch.setattr(fusion, "rho_spectrum", unreachable)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "exceeds the budget of 524288" in err and "Traceback" not in err
+
+
+def test_spectral_power_at_the_magnitude_budget_is_computed(capsys, monkeypatch):
+    def reached(*args):
+        raise DomainError("reached")
+
+    monkeypatch.setattr(fusion, "rho_spectrum", reached)
+    # |4b+1| = 524285 bits at n = 1, q = 1/2
+    code, _, err = run_cli(capsys, "spectral", "--rho-ladder", "1", "--q", "1/2",
+                           "--b", "131071")
+    assert code == 3
+    assert "reached" in err
 
 
 @pytest.mark.parametrize("flag, config, env, expected", [

@@ -46,7 +46,7 @@ VALUES = {
     "--k-max": (["0", "4", "6"], ["25", *BAD_COUNT]),
     "--rho-ladder": (["0", "2", "5"], ["5001", *BAD_COUNT]),
     "--b": (["-1/4", "0", "1/2"], BAD_RATIONAL),
-    "--M": (["2", "4", "12"], ["1", "65", "1500", *BAD_COUNT]),
+    "--M": (["2", "4", "12"], ["1", "769", "1500", *BAD_COUNT]),
     "--phase": (["0", "3/7", "-2"], BAD_RATIONAL),
     "--mode": (["rational", "irrational"], ["both"]),
     "--ratio": (["1/3", "2"], ["0", *BAD_RATIONAL]),

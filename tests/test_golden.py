@@ -7,13 +7,18 @@ that changes on purpose is regenerated with
     PYTHONPATH=src python tests/test_golden.py
 
 and the diff is explained in CHANGES.md.
+
+The same commands also run in a process where numpy cannot be imported:
+numpy is a test-only dependency.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +27,7 @@ import pytest
 from qclassfun.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 CASES = {
     "dims_oplus": ["dims", "--family", "o-plus", "--N", "3", "--qq", "0.2", "--max", "10"],
@@ -60,6 +66,46 @@ def test_golden_output(name, monkeypatch):
     assert code == 0
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert out == expected
+
+
+#: Runs the {name: argv} cases read from stdin with numpy unimportable and
+#: prints {name: [exit code, stdout]}.
+RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from qclassfun.cli import main
+results = {}
+for name, argv in json.load(sys.stdin).items():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    results[name] = [code, buffer.getvalue()]
+json.dump(results, sys.stdout)
+"""
+
+
+def _python(code: str, stdin: str = "") -> str:
+    env = dict(os.environ)
+    env.pop("QCLASSFUN_BITS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          text=True, env=env, timeout=300, check=True).stdout
+
+
+def test_golden_commands_run_without_numpy():
+    results = json.loads(_python(RUN_WITHOUT_NUMPY, json.dumps(CASES)))
+    for name in CASES:
+        code, out = results[name]
+        assert code == 0, name
+        assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+
+
+def test_cli_leaves_numpy_unimported():
+    out = _python("import sys, qclassfun.cli\n"
+                  "loaded = ['numpy' in sys.modules]\n"
+                  "qclassfun.cli.main(['jacobi', '--M', '8', '--q', '0.5'])\n"
+                  "print(loaded + ['numpy' in sys.modules])")
+    assert out.endswith("[False, False]\n")
 
 
 if __name__ == "__main__":

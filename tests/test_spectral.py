@@ -1,6 +1,5 @@
 """Modular character norms and the finite weighted-shift model."""
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -11,7 +10,11 @@ from mpmath import iv
 from qclassfun import fusion, intervals
 from qclassfun.errors import BudgetError, DomainError
 from qclassfun.spectral import (
+    MAX_COMMUTANT_SIZE,
     JacobiOperator,
+    _count_below,
+    _exact_count,
+    _float_bounds,
     build_jacobi,
     commutant_dim,
     krylov_rank,
@@ -26,6 +29,13 @@ from qclassfun.spectral import (
 
 GRID_Q = (0.1, 0.3, 0.5, 0.7, 0.9)
 GRID_M = (2, 4, 8, 16)
+
+#: Above this size the Kronecker SVD oracle (O(M^6), 44 s of CPU at M = 64)
+#: gives way to the multiplicities of the float eigenvalues.
+SVD_ORACLE_MAX_SIZE = 32
+
+#: Relative cutoff of the float oracles' rank and multiplicity decisions.
+RANK_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +132,66 @@ def test_eigencoefficients_unit_modulus():
 
 
 # ---------------------------------------------------------------------------
+# float oracles for the certified weighted-shift model
+
+
+def _matrix(squares) -> np.ndarray:
+    """The zero-diagonal symmetric tridiagonal with these squared off-diagonals."""
+    size = len(squares) + 1
+    matrix = np.zeros((size, size))
+    for k, entry in enumerate(squares):
+        matrix[k, k + 1] = matrix[k + 1, k] = math.sqrt(entry)
+    return matrix
+
+
+def oracle_krylov_rank(matrix: np.ndarray) -> int:
+    """Dimension of the Krylov space of e0 under T: each new vector ``T v`` is
+    orthogonalised twice against the basis so far (Gram-Schmidt), and the
+    rank is the first step whose residual falls to ``RANK_RTOL * ||T||``."""
+    size = matrix.shape[0]
+    cutoff = RANK_RTOL * np.linalg.norm(matrix, np.inf)
+    basis = np.zeros((size, size))
+    basis[0, 0] = 1.0
+    for k in range(1, size):
+        vec = matrix @ basis[:, k - 1]
+        for _ in range(2):
+            vec -= basis[:, :k] @ (basis[:, :k].T @ vec)
+        norm = np.linalg.norm(vec)
+        if norm <= cutoff:
+            return k
+        basis[:, k] = vec / norm
+    return size
+
+
+def oracle_commutant_dim(matrix: np.ndarray) -> int:
+    """Dimension of ``{X : XA = AX}``: the null space of the Kronecker
+    commutation map by SVD, or above ``SVD_ORACLE_MAX_SIZE`` the sum of the
+    squared multiplicities of the float eigenvalues."""
+    size = matrix.shape[0]
+    if size > SVD_ORACLE_MAX_SIZE:
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        cutoff = RANK_RTOL * np.max(np.abs(eigenvalues))
+        multiplicities = np.diff(np.flatnonzero(np.diff(eigenvalues, prepend=-np.inf,
+                                                        append=np.inf) > cutoff))
+        return int(np.sum(multiplicities**2))
+    eye = np.eye(size)
+    commutation = np.kron(matrix.T, eye) - np.kron(eye, matrix)
+    singular = np.linalg.svd(commutation, compute_uv=False)
+    return size * size - int(np.sum(singular > RANK_RTOL * singular[0]))
+
+
+def oracle_gap(matrix: np.ndarray) -> float:
+    return float(np.min(np.diff(np.linalg.eigvalsh(matrix))))
+
+
+# ---------------------------------------------------------------------------
 # weighted-shift compression
 
 
 def test_build_jacobi_entries():
     op = build_jacobi(2, 0.5)
     assert op.off_diagonal == (pytest.approx(math.sqrt(0.75)),)
+    assert op.squares == (Fraction(3, 4),)
     op3 = build_jacobi(3, 0.5)
     assert op3.off_diagonal == (
         pytest.approx(math.sqrt(0.75)),
@@ -149,6 +213,13 @@ def test_build_jacobi_domain():
         JacobiOperator(3, (0.5, 0.0))
 
 
+def test_build_jacobi_reads_q_exactly():
+    # float(q) is 1.0, but the rational q is below 1 and every square positive
+    op = build_jacobi(4, "0.99999999999999999999999")
+    assert all(0 < entry < Fraction(1, 10**21) for entry in op.squares)
+    assert commutant_dim(op) == 4 and min_eigenvalue_gap(op) > 0
+
+
 def test_krylov_rank_small():
     assert krylov_rank(build_jacobi(2, 0.5)) == 2
     assert krylov_rank(build_jacobi(8, 0.5)) == 8
@@ -162,12 +233,12 @@ def test_krylov_rank_full_where_the_monomial_basis_lost_it(size, q):
 
 
 def test_krylov_rank_non_cyclic_control():
-    # e0 only reaches its own 2x2 block
-    block = np.zeros((5, 5))
-    block[0, 1] = block[1, 0] = 1.0
-    block[2, 3] = block[3, 2] = 2.0
-    block[4, 4] = 3.0
-    assert matrix_krylov_rank(block) == 2
+    # a vanishing square b_k^2 confines e0 to the first k + 1 basis vectors
+    for squares in [(1, 0, 4, 9), (Fraction(1, 3), 2, 0), (0, 1), (2, 2, 2, 2, 0)]:
+        expected = squares.index(0) + 1
+        assert matrix_krylov_rank(squares) == expected
+        assert oracle_krylov_rank(_matrix(squares)) == expected
+    assert matrix_krylov_rank((1, 2, 3)) == 4
 
 
 def test_commutant_dim_small():
@@ -176,29 +247,97 @@ def test_commutant_dim_small():
 
 
 def test_rank_and_commutant_on_grid():
-    for size in GRID_M:
-        for q in GRID_Q:
-            op = build_jacobi(size, q)
-            assert krylov_rank(op) == size
-            assert commutant_dim(op) == size
-            assert min_eigenvalue_gap(op) > 1e-6
+    # the certified model against the float oracles, and the gap printed as
+    # a lower bound within 1e-6 of the float gap
+    grid = [(size, Fraction(q)) for size in GRID_M for q in GRID_Q]
+    for size, q in grid + [(64, Fraction(999, 1000)),
+                           (32, Fraction(123456789012, 123456789013))]:
+        op = build_jacobi(size, q)
+        matrix = _matrix(op.squares)
+        assert krylov_rank(op) == oracle_krylov_rank(matrix) == size
+        assert commutant_dim(op) == oracle_commutant_dim(matrix) == size
+        gap, expected = min_eigenvalue_gap(op), oracle_gap(matrix)
+        assert expected >= gap >= (1 - 1e-6) * expected
+        assert gap > 1e-6
+        if size >= 4:
+            assert suq2_relation_residuals(size, q, Fraction(3, 7)) <= 1e-12
 
 
 def test_commutant_negative_control():
-    # a repeated eigenvalue inflates the commutant beyond M
-    degenerate = np.diag([1.0, 1.0, 2.0, 3.0, 4.0])
-    assert matrix_commutant_dim(degenerate) == 5 + 2
+    # two identical decoupled blocks repeat every eigenvalue: the commutant
+    # has dimension 3 * 2^2 = 12, and the model must not report 6
+    squares = (Fraction(1, 2), 2, 0, Fraction(1, 2), 2)
+    assert oracle_commutant_dim(_matrix(squares)) == 12
+    with pytest.raises(BudgetError, match="not certified simple"):
+        matrix_commutant_dim(6, squares)
+    # split blocks with disjoint spectra are still certified simple
+    assert matrix_commutant_dim(4, (Fraction(1, 2), 0, 2)) == 4
+
+
+def test_commutant_domain():
+    for size, squares in [(1, ()), (3, (1,)), (3, (1, -1))]:
+        with pytest.raises(DomainError):
+            matrix_commutant_dim(size, squares)
 
 
 def test_commutant_budget():
+    size = MAX_COMMUTANT_SIZE + 1
+    with pytest.raises(BudgetError, match="capped"):
+        matrix_commutant_dim(size, (1,) * (size - 1))
     with pytest.raises(BudgetError):
-        matrix_commutant_dim(np.eye(65))
+        min_eigenvalue_gap(JacobiOperator(size, (Fraction(1, 2),) * (size - 1)))
+
+
+def test_float_bounds_bracket_the_value():
+    for value in (Fraction(3, 4), Fraction(1, 3), Fraction(2, 3), 1 - Fraction(1, 10**30),
+                  Fraction(10**400 + 1, 10**400)):
+        lo, hi = _float_bounds(value)
+        assert Fraction(lo) <= value <= Fraction(hi)
+        assert hi == lo or math.nextafter(lo, math.inf) == hi
+    assert _float_bounds(Fraction(3, 4)) == (0.75, 0.75)
+
+
+@pytest.mark.parametrize("squares", [
+    (Fraction(3, 4), Fraction(15, 16), Fraction(63, 64)),
+    (1, 1, 1, 1, 1, 1),
+    (Fraction(1, 2), 2, 0, 1, 3),
+    (Fraction(1, 2), 2, 0, Fraction(1, 2), 2),
+    (Fraction(1, 10**20), 1, Fraction(7, 3), Fraction(1, 10**20)),
+])
+def test_sturm_counts_match_the_eigenvalues(squares):
+    eigenvalues = np.linalg.eigvalsh(_matrix(squares))
+    bounds = [_float_bounds(Fraction(entry)) for entry in squares]
+    points = np.concatenate([eigenvalues[:-1] + np.diff(eigenvalues) / 3,
+                             [eigenvalues[0] - 1, eigenvalues[-1] + 1, 0.123, -0.77]])
+    for x in map(float, points):
+        if np.min(np.abs(eigenvalues - x)) < 1e-9:
+            continue
+        expected = int(np.sum(eigenvalues < x))
+        assert _exact_count(squares, x) == expected
+        assert _count_below(bounds, x) in (None, expected)
+
+
+def test_exact_count_at_vanishing_minors():
+    # at x = 0 the first pivot is 0 and the interval count gives up
+    assert _count_below([(1.0, 1.0), (1.0, 1.0)], 0.0) is None
+    # spectrum -sqrt(2), 0, sqrt(2): x = 0 is an eigenvalue, not below itself
+    assert _exact_count((1, 1), 0.0) == 1
+    # free shift of order 4 (spectrum +-0.618, +-1.618): the minor det(T_1 - 1) vanishes
+    assert _exact_count((1, 1, 1), 1.0) == 3
+    assert _exact_count((1, 1, 1), -1.0) == 1
+    # a vanishing square splits the matrix into two blocks of spectrum -1, 1,
+    # each counted on its own, also where x is an eigenvalue of the first
+    assert _exact_count((1, 0, 1), 0.0) == 2
+    assert _exact_count((1, 0, 1), 1.0) == 2
+    assert _exact_count((1, 0, 1), 1.5) == 4
 
 
 def test_relation_residuals_interior():
     assert suq2_relation_residuals(16, 0.5) <= 1e-12
-    lam = cmath.exp(0.37j)
-    assert suq2_relation_residuals(16, 0.5, lam) <= 1e-12
+    assert suq2_relation_residuals(16, Fraction(1, 2), Fraction(37, 100)) <= 1e-12
+    # the bound is a rounding width at 128 bits, whatever the ambient precision
+    with intervals.precision(32):
+        assert suq2_relation_residuals(16, Fraction(1, 2), Fraction(37, 100)) <= 1e-30
 
 
 def test_relation_residuals_boundary_is_large():
@@ -216,4 +355,6 @@ def test_relation_residuals_domain():
     with pytest.raises(DomainError):
         suq2_relation_residuals(3, 0.5)
     with pytest.raises(DomainError):
-        suq2_relation_residuals(8, 0.5, 2.0)
+        suq2_relation_residuals(8, 1)
+    with pytest.raises(DomainError):
+        suq2_relation_residuals(8, 0)
