@@ -44,6 +44,9 @@ CASES = {
     "threshold_ratio3": ["threshold", "--which", "ratio3"],
     "threshold_remark": ["threshold", "--which", "remark", "--tol", "1e-4"],
     "moments_so3": ["moments", "--family", "so3", "--N", "4", "--k-max", "8"],
+    # The largest inputs the moment oracles serve.
+    "moments_oplus_k24": ["moments", "--family", "o-plus", "--N", "2", "--k-max", "24"],
+    "moments_uplus_k24": ["moments", "--family", "u-plus", "--dim", "2", "--k-max", "24"],
     "spectral": ["spectral", "--rho-ladder", "1", "--q", "0.5", "--b", "-0.25"],
     "jacobi": ["jacobi", "--M", "8", "--q", "0.5"],
     "bicrossed": ["bicrossed", "--q", "1/2", "--mode", "irrational",
