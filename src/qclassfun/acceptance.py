@@ -298,7 +298,7 @@ def criterion_7_decay_and_quasi_split(bits: int = intervals.DEFAULT_BITS) -> dic
 
 
 def criterion_8_moment_oracles(bits: int = intervals.DEFAULT_BITS) -> dict:
-    """Invariant multiplicities match the independent enumerators."""
+    """Invariant multiplicities match the independent counts."""
     failures = []
     su2 = fusion.su2_ladder(2)
     for k in range(17):

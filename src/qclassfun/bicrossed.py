@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from . import fusion
 from .errors import DomainError
 from .fusion import exact_fraction
-from .intervals import Interval
 
 FACTOR_II_INFINITY = "injective factor of type II-infinity"
 NON_FACTOR = "non-factor; center isomorphic to bounded functions on the circle"
@@ -176,26 +174,3 @@ def iso_necessary(
     if ratio == 0:
         raise DomainError("nu ratio must be nonzero")
     return True
-
-
-@dataclass(frozen=True)
-class HIrrep:
-    """Irreducible label of the bicrossed product: a rational charge paired
-    with a ladder index; the intertwiner is inherited from the inner label."""
-
-    gamma: Fraction
-    inner: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", exact_fraction(self.gamma))
-        if self.inner < 0:
-            raise DomainError(f"inner label must be a nonnegative int, got {self.inner}")
-
-    def rho_spectrum(self, params: BicrossedParams) -> list[Interval]:
-        return fusion.rho_spectrum(self.inner, abs(params.q))
-
-    def rho_spectrum_exact(self, params: BicrossedParams) -> list[Fraction]:
-        return fusion.rho_spectrum_exact(self.inner, abs(params.q))
-
-    def character_label(self) -> str:
-        return f"u[{self.gamma}]*chi[{self.inner}]"

@@ -48,10 +48,11 @@ class UsageError(Exception):
 MAX_RATIONAL_DIGITS = 24
 
 
-#: Budget of `spectral`: the bits of the largest power it forms, about
-#: ``|4b+1| n log2(1/q)``; printing such an exact endpoint costs time growing
-#: with the square of its bits.  On a 2-vCPU VM a power at the budget prints
-#: in 1.4-1.6 s, and 2.4 s with the 5001 eigenvalues of `--rho-ladder 5000`.
+#: Budget of `spectral`: the root sum of squares of the bits of the exact
+#: endpoints it prints, the norm with a power of about ``|4b+1| n log2(1/q)``
+#: bits and the n+1 eigenvalues ``q^(n-2k)`` of ``|n-2k| log2(1/q)`` bits each.
+#: Printing an endpoint costs time growing with the square of its bits.  On a
+#: 2-vCPU VM a run at the budget takes 1.5-2.3 s of CPU.
 MAX_POWER_BITS = 2**19
 
 
@@ -342,8 +343,6 @@ def cmd_threshold(args: argparse.Namespace) -> report.Report:
 def cmd_moments(args: argparse.Namespace) -> report.Report:
     family, inputs = _build_family(args)
     inputs["k_max"] = args.k_max
-    if family.kind is fusion.FamilyKind.SO3_LADDER:
-        noncrossing.check_partition_budget(args.k_max)
     rows = []
     for k in range(args.k_max + 1):
         if family.is_ladder:
@@ -377,11 +376,12 @@ def cmd_spectral(args: argparse.Namespace) -> report.Report:
         raise UsageError("spectral requires --rho-ladder and --q")
     b, q = Fraction(args.b), Fraction(args.q)
     if q > 0:  # otherwise rho_spectrum rejects it
-        power_bits = abs(4 * b + 1) * args.rho_ladder * abs(math.log2(q.denominator)
-                                                             - math.log2(q.numerator))
-        if power_bits > MAX_POWER_BITS:
-            raise BudgetError(f"|4b+1| n log2(1/q) = {float(power_bits):.3g} bits exceeds the "
-                              f"budget of {MAX_POWER_BITS}")
+        n = args.rho_ladder
+        bits = abs(math.log2(q.denominator) - math.log2(q.numerator)) * math.hypot(
+            (4 * b + 1) * n, math.sqrt(n * (n + 1) * (n + 2) / 3))
+        if bits > MAX_POWER_BITS:
+            raise BudgetError(f"the printed exact endpoints have {bits:.3g} bits in root sum of "
+                              f"squares, which exceeds the budget of {MAX_POWER_BITS}")
     inputs = {"rho_ladder": args.rho_ladder, "q": args.q, "b": str(b)}
     with intervals.precision(args.bits):
         rho = fusion.rho_spectrum(args.rho_ladder, q)

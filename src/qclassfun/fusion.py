@@ -347,10 +347,3 @@ def rho_spectrum(n: int, q: IntervalLike) -> list[Interval]:
     if intervals.lower(point) <= 0 or intervals.upper(point) > 1:
         raise DomainError(f"spectral parameter must lie in (0, 1], got {point}")
     return [point ** (-n + 2 * k) for k in range(n + 1)]
-
-
-def rho_spectrum_exact(n: int, q: Fraction) -> list[Fraction]:
-    """Exact rational form of :func:`rho_spectrum` for rational q."""
-    if not (0 < q <= 1):
-        raise DomainError(f"spectral parameter must lie in (0, 1], got {q}")
-    return [q ** (-n + 2 * k) for k in range(n + 1)]

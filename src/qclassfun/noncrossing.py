@@ -1,24 +1,16 @@
-"""Independent combinatorial enumerators for character-moment checks.
+"""Independent combinatorial counts for character-moment checks.
 
-Every count here enumerates directly, by first-point recursions that build
-noncrossing matchings or no-singleton noncrossing partitions only, so its
-cost grows with the number of those objects, not with all set partitions.
-These routines deliberately share no code with :mod:`qclassfun.fusion`: they
-are the second route of the moment cross-checks, so the two sides must stay
-independent.
+Each count is a first-point recursion that counts noncrossing matchings or
+no-singleton noncrossing partitions without building them, so its cost is
+polynomial in the number of points.  These routines deliberately share no
+code with :mod:`qclassfun.fusion`: they are the second route of the moment
+cross-checks, so the two sides must stay independent.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
-
-from .errors import BudgetError
-
-#: Budget of :func:`count_nosingleton_noncrossing`, which builds only the
-#: partitions it counts: 603 at n = 10 and under 3x more per further point.
-#: The cap also fixes where ``moments --family so3`` exits 3.
-MAX_PARTITION_POINTS = 10
+from typing import Callable
 
 
 def catalan(k: int) -> int:
@@ -28,37 +20,27 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def iter_noncrossing_matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield all noncrossing perfect matchings of points ``0..n-1``.
+def _count_matchings(n: int, joins: Callable[[int, int], bool]) -> int:
+    """Noncrossing perfect matchings of points ``0..n-1`` whose every pair
+    ``(i, p)``, i < p, satisfies ``joins(i, p)``.
 
-    Pairs the first free point with a partner at odd distance so both sides
-    of the cut can be matched, then recurses on the two independent arcs.
+    ``c[i][j]`` counts those of the points ``i..j-1``: point i pairs with
+    some p, which leaves ``i+1..p-1`` and ``p+1..j-1`` to be matched on their
+    own.  Only spans of even length are filled; the empty span counts 1.
     """
     if n % 2 == 1:
-        return
-    if n == 0:
-        yield ()
-        return
-
-    def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for j in range(1, len(points), 2):
-            partner = points[j]
-            inner = points[1:j]
-            outer = points[j + 1:]
-            for m1 in rec(inner):
-                for m2 in rec(outer):
-                    yield ((first, partner),) + m1 + m2
-
-    yield from rec(tuple(range(n)))
+        return 0
+    c = [[1] * (n + 1) for _ in range(n + 1)]
+    for length in range(2, n + 1, 2):
+        for i in range(n - length + 1):
+            j = i + length
+            c[i][j] = sum(c[i + 1][p] * c[p + 1][j] for p in range(i + 1, j, 2) if joins(i, p))
+    return c[0][n]
 
 
 def count_noncrossing_matchings(n: int) -> int:
     """Number of noncrossing perfect matchings of n points (0 when n is odd)."""
-    return sum(1 for _ in iter_noncrossing_matchings(n))
+    return _count_matchings(n, lambda i, p: True)
 
 
 def count_ab_matchings(word: str) -> int:
@@ -69,54 +51,25 @@ def count_ab_matchings(word: str) -> int:
     """
     if any(letter not in "AB" for letter in word):
         raise ValueError(f"word must be over {{A, B}}, got {word!r}")
-    return sum(
-        1
-        for matching in iter_noncrossing_matchings(len(word))
-        if all(word[i] != word[j] for i, j in matching)
-    )
-
-
-def check_partition_budget(n: int) -> None:
-    """Raise BudgetError if `n` points exceed MAX_PARTITION_POINTS."""
-    if n > MAX_PARTITION_POINTS:
-        raise BudgetError(f"set-partition enumeration capped at {MAX_PARTITION_POINTS} points, "
-                          f"got {n}")
-
-
-def iter_nosingleton_noncrossing(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield the noncrossing partitions of ``0..n-1`` with every block of size >= 2.
-
-    Picks the block of the first point, then recurses independently into the
-    gaps between its consecutive members and after its last one: a block that
-    crosses none of them lies inside one gap.  A gap of one point has no such
-    partition and ends its branch at once, so the work grows with the count.
-    """
-
-    def rec(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """Partitions of the points lo..hi-1."""
-        if lo == hi:
-            yield ()
-            return
-        yield from grow((lo,), (), hi)
-
-    def grow(block: tuple[int, ...], inner: tuple, hi: int) -> Iterator[tuple]:
-        """Close `block` or add a later member; `inner` partitions its gaps so far."""
-        last = block[-1]
-        if len(block) >= 2:
-            for rest in rec(last + 1, hi):
-                yield (block,) + inner + rest
-        for member in range(last + 1, hi):
-            for gap in rec(last + 1, member):
-                yield from grow(block + (member,), inner + gap, hi)
-
-    yield from rec(0, n)
+    return _count_matchings(len(word), lambda i, p: word[i] != word[p])
 
 
 def count_nosingleton_noncrossing(n: int) -> int:
     """Noncrossing partitions of n points with every block of size >= 2.
 
-    The sequence begins 1, 0, 1, 1, 3, 6, 15, 36, 91 for n = 0..8.  Raises
-    BudgetError above MAX_PARTITION_POINTS points.
+    Chooses the block of the first point; the gaps between its consecutive
+    members and after its last one are then filled independently, since a
+    block crossing none of them lies inside one gap.  ``r[m]`` counts the
+    partitions of m points, and ``tail[m]`` the ways to finish a block that
+    already has two or more members and is followed by m points: close it and
+    partition them, or skip a gap of g points to a further member.
+
+    The sequence begins 1, 0, 1, 1, 3, 6, 15, 36, 91 for n = 0..8.
     """
-    check_partition_budget(n)
-    return sum(1 for _ in iter_nosingleton_noncrossing(n))
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    r, tail = [1], [1]
+    for m in range(1, n + 1):
+        r.append(sum(r[g] * tail[m - 2 - g] for g in range(m - 1)))
+        tail.append(r[m] + sum(r[g] * tail[m - 1 - g] for g in range(m)))
+    return r[n]

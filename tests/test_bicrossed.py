@@ -10,7 +10,6 @@ from qclassfun.bicrossed import (
     FACTOR_II_INFINITY,
     NON_FACTOR,
     BicrossedParams,
-    HIrrep,
     RatioIrrational,
     RatioRational,
     ScalingTime,
@@ -133,14 +132,3 @@ def test_iso_necessary_examples():
 def test_iso_necessary_reflexive_and_symmetric(p1, p2):
     assert iso_necessary(p1, p1) is True
     assert iso_necessary(p1, p2) == iso_necessary(p2, p1)
-
-
-def test_hirrep():
-    label = HIrrep(Fraction(3, 4), 2)
-    assert label.character_label() == "u[3/4]*chi[2]"
-    params = BicrossedParams(Fraction(-1, 2), RatioIrrational())
-    spectrum = label.rho_spectrum_exact(params)
-    assert spectrum == [Fraction(4), Fraction(1), Fraction(1, 4)]
-    assert sum(spectrum) == sum(1 / lam for lam in spectrum)
-    with pytest.raises(DomainError):
-        HIrrep(Fraction(1), -1)

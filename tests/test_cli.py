@@ -152,25 +152,24 @@ def test_values_within_the_flag_budgets_parse(argv):
     build_parser().parse_args(list(argv))
 
 
-def test_so3_moments_above_the_enumeration_budget_exit_3(capsys):
-    code, out, err = run_cli(capsys, "moments", "--family", "so3", "--N", "3",
-                             "--k-max", "11")
-    assert code == 3
-    assert out == ""
-    assert "capped" in err
+def riordan(n: int) -> int:
+    """Riordan numbers by their closed three-term recurrence, a route that
+    shares nothing with the first-block count of the moments oracle."""
+    r = [1, 0]
+    for m in range(2, n + 1):
+        r.append((m - 1) * (2 * r[m - 1] + 3 * r[m - 2]) // (m + 1))
+    return r[n]
 
 
+# so3 moments above 10 points, where the enumerating oracle once exited 3.
 @pytest.mark.parametrize("k_max", ["11", "24"])
-def test_so3_moments_budget_is_checked_before_any_row(capsys, monkeypatch, k_max):
-    def unreachable(*args):
-        raise AssertionError("a row was computed before the budget check")
-
-    monkeypatch.setattr(fusion, "invariant_multiplicity", unreachable)
-    code, out, err = run_cli(capsys, "moments", "--family", "so3", "--N", "3",
-                             "--k-max", k_max)
-    assert code == 3
-    assert out == ""
-    assert f"set-partition enumeration capped at 10 points, got {k_max}" in err
+def test_so3_moments_match_the_riordan_numbers(capsys, k_max):
+    payload = run_json(capsys, "moments", "--family", "so3", "--N", "3", "--k-max", k_max)
+    rows = payload["results"]["table"]
+    assert [row["k"] for row in rows] == list(range(int(k_max) + 1))
+    for row in rows:
+        assert row["match"] is True
+        assert row["multiplicity"] == row["oracle"] == riordan(row["k"])
 
 
 # Powers of about 2^(|4b+1| n log2(1/q)) that once ended in a MemoryError,
@@ -182,6 +181,11 @@ def test_so3_moments_budget_is_checked_before_any_row(capsys, monkeypatch, k_max
     ("spectral", "--rho-ladder", "1", "--q", "1/2", "--b", "1e6"),
     ("spectral", "--rho-ladder", "1", "--q", "1/2", "--b=-131073"),
     ("spectral", "--rho-ladder", "5000", "--q", "1/2", "--b", "26"),
+    # n+1 eigenvalues of up to n log2(1/q) bits: 39 s for the first.
+    ("spectral", "--rho-ladder", "1600", "--q", "1e-23"),
+    ("spectral", "--rho-ladder", "5000", "--q", "1e-23"),
+    ("spectral", "--rho-ladder", "5000", "--q", "1/10000"),
+    ("spectral", "--rho-ladder", "5000", "--q", "1/6"),
 ])
 def test_spectral_power_above_the_magnitude_budget_exit_3(capsys, monkeypatch, argv):
     def unreachable(*args):
@@ -204,6 +208,25 @@ def test_spectral_power_at_the_magnitude_budget_is_computed(capsys, monkeypatch)
     # |4b+1| = 524285 bits at n = 1, q = 1/2
     code, _, err = run_cli(capsys, "spectral", "--rho-ladder", "1", "--q", "1/2",
                            "--b", "131071")
+    assert code == 3
+    assert "reached" in err
+
+
+# The largest spectra of the README, the tests and the benchmark workloads,
+# and --q 1/5, the smallest unit fraction that --rho-ladder 5000 accepts.
+@pytest.mark.parametrize("argv", [
+    ("--rho-ladder", "5000", "--q", "0.5"),
+    ("--rho-ladder", "5000", "--q", "1/5"),
+    ("--rho-ladder", "5", "--q", "1/5", "--b=-1/2"),
+    ("--rho-ladder", "5", "--q", "1/5", "--b", "1/4", "--t", "1/3"),
+])
+def test_spectral_eigenvalues_within_the_magnitude_budget_are_computed(capsys, monkeypatch,
+                                                                       argv):
+    def reached(*args):
+        raise DomainError("reached")
+
+    monkeypatch.setattr(fusion, "rho_spectrum", reached)
+    code, _, err = run_cli(capsys, "spectral", *argv)
     assert code == 3
     assert "reached" in err
 

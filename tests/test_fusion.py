@@ -22,7 +22,6 @@ from qclassfun.fusion import (
     free_unitary,
     invariant_multiplicity,
     rho_spectrum,
-    rho_spectrum_exact,
     so3_ladder,
     su2_ladder,
     tensor_free,
@@ -364,19 +363,21 @@ def test_rho_spectrum_examples():
     with intervals.precision(128):
         trivial = rho_spectrum(0, Fraction(1, 2))
         assert len(trivial) == 1 and intervals.contains(trivial[0], 1)
-        assert rho_spectrum_exact(1, Fraction(1, 2)) == [Fraction(2), Fraction(1, 2)]
-        spectrum = rho_spectrum_exact(2, Fraction(1, 2))
-        assert spectrum == [Fraction(4), Fraction(1), Fraction(1, 4)]
-        assert sum(spectrum) == Fraction(21, 4)  # [3] at 1/2
+        for n, exact in ((1, [2, Fraction(1, 2)]), (2, [4, 1, Fraction(1, 4)])):
+            spectrum = rho_spectrum(n, Fraction(1, 2))
+            assert len(spectrum) == n + 1
+            assert all(intervals.contains(lam, value) for lam, value in zip(spectrum, exact))
+        assert intervals.contains(sum(spectrum, intervals.make(0)), Fraction(21, 4))  # [3] at 1/2
 
 
 def test_rho_spectrum_trace_balance_up_to_30():
     q = Fraction(2, 5)
     with intervals.precision(96):
         for n in range(31):
-            spectrum = rho_spectrum_exact(n, q)
+            spectrum = [q ** (-n + 2 * k) for k in range(n + 1)]
             assert sum(spectrum) == sum(1 / lam for lam in spectrum)
             enclosures = rho_spectrum(n, q)
+            assert all(intervals.contains(lam, value) for lam, value in zip(enclosures, spectrum))
             total = sum(enclosures, intervals.make(0))
             total_inv = sum((1 / lam for lam in enclosures), intervals.make(0))
             assert intervals.overlaps(total, total_inv)

@@ -1,19 +1,78 @@
-"""Combinatorial enumerators used as moment oracles."""
+"""Combinatorial counts used as moment oracles, against brute-force enumerators."""
 
+import ast
+import itertools
+import random
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 
-from qclassfun.errors import BudgetError
+import qclassfun.noncrossing
 from qclassfun.noncrossing import (
-    MAX_PARTITION_POINTS,
     catalan,
     count_ab_matchings,
     count_noncrossing_matchings,
     count_nosingleton_noncrossing,
-    iter_noncrossing_matchings,
-    iter_nosingleton_noncrossing,
 )
+
+#: Riordan numbers (OEIS A005043): no-singleton noncrossing partitions of n points.
+RIORDAN = [
+    1, 0, 1, 1, 3, 6, 15, 36, 91, 232, 603, 1585, 4213, 11298, 30537, 83097, 227475,
+    625992, 1730787, 4805595, 13393689, 37458330, 105089229, 295673994, 834086421,
+]
+
+
+# Enumerating oracles for the counts: each builds every object it counts.
+
+
+def iter_noncrossing_matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield all noncrossing perfect matchings of points ``0..n-1``.
+
+    Pairs the first free point with a partner at odd distance so both sides
+    of the cut can be matched, then recurses on the two independent arcs.
+    """
+    if n % 2 == 1:
+        return
+
+    def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+        if not points:
+            yield ()
+            return
+        first = points[0]
+        for j in range(1, len(points), 2):
+            for m1 in rec(points[1:j]):
+                for m2 in rec(points[j + 1:]):
+                    yield ((first, points[j]),) + m1 + m2
+
+    yield from rec(tuple(range(n)))
+
+
+def iter_nosingleton_noncrossing(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the noncrossing partitions of ``0..n-1`` with every block of size >= 2.
+
+    Picks the block of the first point, then recurses independently into the
+    gaps between its consecutive members and after its last one.
+    """
+
+    def rec(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Partitions of the points lo..hi-1."""
+        if lo == hi:
+            yield ()
+            return
+        yield from grow((lo,), (), hi)
+
+    def grow(block: tuple[int, ...], inner: tuple, hi: int) -> Iterator[tuple]:
+        """Close `block` or add a later member; `inner` partitions its gaps so far."""
+        last = block[-1]
+        if len(block) >= 2:
+            for rest in rec(last + 1, hi):
+                yield (block,) + inner + rest
+        for member in range(last + 1, hi):
+            for gap in rec(last + 1, member):
+                yield from grow(block + (member,), inner + gap, hi)
+
+    yield from rec(0, n)
 
 
 # Brute-force oracle for the no-singleton enumerator: every set partition,
@@ -128,7 +187,36 @@ def test_nosingleton_noncrossing_counts():
     ]
 
 
-def test_nosingleton_noncrossing_budget():
-    assert count_nosingleton_noncrossing(MAX_PARTITION_POINTS) == 603
-    with pytest.raises(BudgetError):
-        count_nosingleton_noncrossing(MAX_PARTITION_POINTS + 1)
+def test_counts_equal_the_enumerators_up_to_12():
+    for n in range(13):
+        assert count_noncrossing_matchings(n) == sum(1 for _ in iter_noncrossing_matchings(n))
+        assert count_nosingleton_noncrossing(n) == sum(
+            1 for _ in iter_nosingleton_noncrossing(n))
+    rng = random.Random(12)
+    words = ["".join(letters) for n in range(11) for letters in itertools.product("AB", repeat=n)]
+    words += ["".join(rng.choice("AB") for _ in range(12)) for _ in range(200)]
+    for word in words:
+        assert count_ab_matchings(word) == sum(
+            1 for matching in iter_noncrossing_matchings(len(word))
+            if all(word[i] != word[j] for i, j in matching)), word
+
+
+def test_counts_equal_known_values_up_to_24():
+    assert [count_nosingleton_noncrossing(n) for n in range(25)] == RIORDAN
+    for n in range(25):
+        expected = catalan(n // 2) if n % 2 == 0 else 0
+        assert count_noncrossing_matchings(n) == expected
+        assert count_ab_matchings("AB" * (n // 2)) == catalan(n // 2)
+        assert count_ab_matchings(("AB" * 13)[:n]) == expected
+
+
+def test_counts_import_nothing_from_the_package():
+    """The oracles stay a second route: nothing of qclassfun, fusion included."""
+    tree = ast.parse(Path(qclassfun.noncrossing.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("qclassfun"), \
+                ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("qclassfun") for alias in node.names), \
+                ast.dump(node)

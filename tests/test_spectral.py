@@ -38,6 +38,11 @@ SVD_ORACLE_MAX_SIZE = 32
 RANK_RTOL = 1e-8
 
 
+def rho_spectrum_exact(n: int, q: Fraction) -> list[Fraction]:
+    """Exact rational oracle for :func:`qclassfun.fusion.rho_spectrum`."""
+    return [q ** (-n + 2 * k) for k in range(n + 1)]
+
+
 # ---------------------------------------------------------------------------
 # modular norms
 
@@ -67,7 +72,7 @@ def test_norm_matches_exact_rational_formula():
     # independent oracle: exact rational power sums for integer exponents
     q = Fraction(1, 3)
     for n in range(8):
-        spectrum = fusion.rho_spectrum_exact(n, q)
+        spectrum = rho_spectrum_exact(n, q)
         for b in (0, 1, -1, Fraction(1, 2)):
             exponent = -4 * Fraction(b) - 1
             if exponent.denominator != 1:
