@@ -172,6 +172,14 @@ def test_so3_moments_match_the_riordan_numbers(capsys, k_max):
         assert row["multiplicity"] == row["oracle"] == riordan(row["k"])
 
 
+def test_so3_moments_above_ten_points_exit_0(capsys):
+    code, out, err = run_cli(capsys, "moments", "--family", "so3", "--N", "3",
+                             "--k-max", "11")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["results"]["table"][-1]["k"] == 11
+
+
 # Powers of about 2^(|4b+1| n log2(1/q)) that once ended in a MemoryError,
 # a hang, an OverflowError or a decimal.Overflow after 35 s.
 @pytest.mark.parametrize("argv", [
