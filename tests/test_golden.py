@@ -52,6 +52,19 @@ CASES = {
     "bicrossed": ["bicrossed", "--q", "1/2", "--mode", "irrational",
                   "--t", "0,1", "--t", "5/3,2"],
     "report": ["report"],
+    # Non-default precisions: each enclosure must be computed at --bits.
+    "report_bits64": ["report", "--bits", "64"],
+    "series_uplus_bits256": ["series", "--family", "u-plus", "--dim", "2", "--qq", "0.22",
+                             "--bits", "256"],
+    "series_so3_bits96": ["series", "--family", "so3", "--N", "4", "--dimq", "5",
+                          "--bits", "96"],
+    "threshold_dim2_bits64": ["threshold", "--which", "dim2", "--tol", "1e-4", "--bits", "64"],
+    "threshold_remark_bits256": ["threshold", "--which", "remark", "--tol", "1e-4",
+                                 "--bits", "256"],
+    "spectral_bits256": ["spectral", "--rho-ladder", "3", "--q", "1/3", "--b", "-0.25",
+                         "--t", "1/3", "--bits", "256"],
+    "dims_uplus_bits64": ["dims", "--family", "u-plus", "--dim", "2", "--qq", "0.1",
+                          "--word-len", "3", "--bits", "64"],
 }
 
 
