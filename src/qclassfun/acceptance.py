@@ -52,14 +52,14 @@ def criterion_1_threshold_dim2(bits: int = intervals.DEFAULT_BITS) -> dict:
 
 def criterion_2_threshold_ratio(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Ratio threshold is 0.2306 +- 1e-4 and drives the bound to exactly 1."""
-    with intervals.precision(bits):
+    with intervals.precision(bits) as ctx:
         ratio = criteria.threshold_ratio_dimge3(bits=bits)
         near = intervals.contains(
             intervals.from_endpoints(Fraction(2306, 10000) - Fraction(1, 10000),
-                                     Fraction(2306, 10000) + Fraction(1, 10000)),
+                                     Fraction(2306, 10000) + Fraction(1, 10000), ctx),
             ratio,
         )
-        q_c = solve_fundamental_q(3)
+        q_c = solve_fundamental_q(intervals.make(3, ctx))
         bound = criteria.bound_S_dimge3(q_c, q_c * ratio, bits=bits)
         hits_one = intervals.contains(bound, 1) and intervals.width_at_most(bound, Fraction(1, 10**6))
     return {
@@ -116,12 +116,12 @@ def criterion_4_modular_norms(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Twisted norms: 1 at b=0 and dim/dim_q at b=-1/4, widths <= 1e-20."""
     width_cap = Fraction(1, 10**20)
     failures = []
-    with intervals.precision(bits):
+    with intervals.precision(bits) as ctx:
         for q_str in ("0.3", "0.5", "0.8"):
             q = Fraction(q_str)
             family = fusion.su2_ladder(2, q=q)
             for n in range(21):
-                rho = fusion.rho_spectrum(n, q)
+                rho = fusion.rho_spectrum(n, intervals.make(q, ctx))
                 at_zero = spectral.modular_norm_sq(rho, 0)
                 at_quarter = spectral.modular_norm_sq(rho, Fraction(-1, 4))
                 expected = criteria.ratio_exact(n, family)
@@ -421,28 +421,27 @@ def criterion_11_kac_degeneration(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Kac families: unit ratios, divergent series, full Kac part,
     no verdict."""
     failures = []
-    with intervals.precision(bits):
-        kac_families = {
-            "o-plus N=2": fusion.su2_ladder(2),
-            "o-plus N=3": fusion.su2_ladder(3),
-            "so3 N=4": fusion.so3_ladder(4),
-            "u-plus dim=2": fusion.free_unitary(2),
-            "u-plus dim=3": fusion.free_unitary(3),
-        }
-        for name, family in kac_families.items():
-            labels = (
-                list(range(9)) if family.is_ladder
-                else list(fusion.all_words(3))
-            )
-            if any(criteria.ratio_exact(label, family) != 1 for label in labels):
-                failures.append({"family": name, "check": "ratios"})
-            verdict = criteria.masa_verdict(family, n_max=12, bits=bits)
-            if verdict.series.verdict is not Verdict.DIVERGES:
-                failures.append({"family": name, "check": "series"})
-            if verdict.verdict_text != criteria.VERDICT_NO_CONCLUSION:
-                failures.append({"family": name, "check": "verdict"})
-            if family.is_ladder and criteria.kac_part(family, 12) != list(range(13)):
-                failures.append({"family": name, "check": "kac_part"})
+    kac_families = {
+        "o-plus N=2": fusion.su2_ladder(2),
+        "o-plus N=3": fusion.su2_ladder(3),
+        "so3 N=4": fusion.so3_ladder(4),
+        "u-plus dim=2": fusion.free_unitary(2),
+        "u-plus dim=3": fusion.free_unitary(3),
+    }
+    for name, family in kac_families.items():
+        labels = (
+            list(range(9)) if family.is_ladder
+            else list(fusion.all_words(3))
+        )
+        if any(criteria.ratio_exact(label, family) != 1 for label in labels):
+            failures.append({"family": name, "check": "ratios"})
+        verdict = criteria.masa_verdict(family, n_max=12, bits=bits)
+        if verdict.series.verdict is not Verdict.DIVERGES:
+            failures.append({"family": name, "check": "series"})
+        if verdict.verdict_text != criteria.VERDICT_NO_CONCLUSION:
+            failures.append({"family": name, "check": "verdict"})
+        if family.is_ladder and criteria.kac_part(family, 12) != list(range(13)):
+            failures.append({"family": name, "check": "kac_part"})
     return {
         "id": 11,
         "name": "Kac degeneration across all family kinds",

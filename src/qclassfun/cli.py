@@ -284,7 +284,7 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
     digits = intervals.decimal_digits(args.bits)
     family, inputs = _build_family(args)
     rows = []
-    with intervals.precision(args.bits):
+    with intervals.precision(args.bits) as ctx:
         if family.is_ladder:
             inputs["max"] = args.max
             labels = list(range(args.max + 1))
@@ -297,8 +297,9 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
             rows.append({
                 "label": str(label) or "e",
                 "dim": dim_c,
-                "dim_q": report.enclosure_payload(intervals.make(dim_q), digits),
-                "ratio": report.enclosure_payload(intervals.make(Fraction(dim_c) / dim_q), digits),
+                "dim_q": report.enclosure_payload(intervals.make(dim_q, ctx), digits),
+                "ratio": report.enclosure_payload(
+                    intervals.make(Fraction(dim_c) / dim_q, ctx), digits),
             })
     return report.Report("dims", inputs, {"table": rows}, {"bits": args.bits, "digits": digits})
 
@@ -332,11 +333,10 @@ def cmd_threshold(args: argparse.Namespace) -> report.Report:
         enclosure = criteria.threshold_remark(Fraction(args.tol), bits=args.bits)
     else:
         enclosure = criteria.threshold_ratio_dimge3(bits=args.bits)
-    with intervals.precision(args.bits):
-        results = {
-            "enclosure": report.enclosure_payload(enclosure, digits),
-            "width": str(float(intervals.width(enclosure))),
-        }
+    results = {
+        "enclosure": report.enclosure_payload(enclosure, digits),
+        "width": str(float(intervals.width(enclosure))),
+    }
     return report.Report("threshold", inputs, results, {"bits": args.bits, "digits": digits})
 
 
@@ -383,8 +383,8 @@ def cmd_spectral(args: argparse.Namespace) -> report.Report:
             raise BudgetError(f"the printed exact endpoints have {bits:.3g} bits in root sum of "
                               f"squares, which exceeds the budget of {MAX_POWER_BITS}")
     inputs = {"rho_ladder": args.rho_ladder, "q": args.q, "b": str(b)}
-    with intervals.precision(args.bits):
-        rho = fusion.rho_spectrum(args.rho_ladder, q)
+    with intervals.precision(args.bits) as ctx:
+        rho = fusion.rho_spectrum(args.rho_ladder, intervals.make(q, ctx))
         results: dict = {
             "norm_sq": report.enclosure_payload(spectral.modular_norm_sq(rho, b), digits),
             "trace_balanced": spectral.trace_balanced(rho),

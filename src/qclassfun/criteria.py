@@ -18,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
-
-from mpmath import iv
+from typing import Callable
 
 from . import fusion, intervals
 from .errors import BudgetError, DomainError, FamilyError, KacTypeError
 from .fusion import FusionFamily, Label
-from .intervals import Interval, IntervalLike
+from .intervals import Context, Interval, IntervalLike
 from .scalars import q_number, solve_fundamental_q
 
 DEFAULT_MAX_TERMS = 10_000
@@ -59,26 +57,23 @@ class SeriesResult:
 
     When `verdict` is CONVERGES, the true sum lies in ``partial_sum +
     tail_bound`` where `tail_bound` encloses the omitted tail from below by 0.
-    `bits_used` is the working precision the enclosures were computed at.
     """
 
     verdict: Verdict
     partial_sum: Interval | None = None
     tail_bound: Interval | None = None
     terms_used: int = 0
-    bits_used: int | None = None
 
     def sum_enclosure(self) -> Interval:
-        """Enclosure of the full series value (CONVERGES only), built at
-        `bits_used`."""
+        """Enclosure of the full series value (CONVERGES only), in the
+        context of `partial_sum`."""
         if self.verdict is not Verdict.CONVERGES:
             raise DomainError(f"series did not converge: {self.verdict.value}")
         assert self.partial_sum is not None and self.tail_bound is not None
-        with intervals.precision(self.bits_used):
-            total = self.partial_sum + self.tail_bound
-            return intervals.from_endpoints(
-                intervals.lower(self.partial_sum), intervals.upper(total)
-            )
+        total = self.partial_sum + self.tail_bound
+        return intervals.from_endpoints(
+            intervals.lower(self.partial_sum), intervals.upper(total), total.ctx
+        )
 
 
 def _resolve_bits(bits: int | None) -> int:
@@ -88,6 +83,11 @@ def _resolve_bits(bits: int | None) -> int:
     if not 1 <= bits <= MAX_BITS:
         raise DomainError(f"bits must lie in 1..{MAX_BITS}, got {bits}")
     return bits
+
+
+def _doublings(bits: int) -> list[int]:
+    """`bits`, then twice, four times ... as much while at most MAX_BITS."""
+    return [bits << k for k in range(MAX_BITS.bit_length()) if bits << k <= MAX_BITS]
 
 
 def _tol_fraction(tol) -> Fraction:
@@ -152,7 +152,7 @@ def _is_exact_one(x: Interval) -> bool:
 
 
 def _deformed_ratio_sum(
-    roots: Callable[[], tuple[Interval, Interval]],
+    roots: Callable[[Context], tuple[Interval, Interval]],
     step: int,
     first: int,
     tol,
@@ -161,7 +161,7 @@ def _deformed_ratio_sum(
 ) -> SeriesResult:
     """Certified ``sum sqrt([m]_x / [m]_y)`` over ``m = first, first+step, ...``.
 
-    ``roots()`` encloses ``0 < y < x <= 1`` at the working precision, and
+    ``roots(ctx)`` encloses ``0 < y < x <= 1`` in the context `ctx`, and
     ``[m]_t = t^(1-m) (1 - t^(2m)) / (1 - t^2)`` is the deformed integer
     (``m`` itself when ``x`` is exactly 1).  With ``z = sqrt(y/x)`` the term
     is ``z^(m-1) sqrt(a_m (1 - y^2) / (1 - y^(2m)))``, where
@@ -181,13 +181,13 @@ def _deformed_ratio_sum(
     `bits` and doubling up to MAX_BITS while a budget-exhausted majorant
     still reaches down to `tol`.
     """
+    if max_terms < 1:
+        raise DomainError(f"need a positive term budget, got {max_terms}")
     tol = _tol_fraction(tol)
-    start = _resolve_bits(bits)
-    doublings = [start << k for k in range(MAX_BITS.bit_length()) if start << k <= MAX_BITS]
     partial = None
-    for bits in doublings:
-        with intervals.precision(bits):
-            x, y = roots()
+    for bits in _doublings(_resolve_bits(bits)):
+        with intervals.precision(bits) as ctx:
+            x, y = roots(ctx)
             unit = _is_exact_one(x)
             z = intervals.isqrt(y if unit else y / x)
             w = z**step
@@ -205,7 +205,7 @@ def _deformed_ratio_sum(
                 inv_one_minus_x2 = 1 / (1 - x2)
                 scale = 1 / intervals.isqrt((1 - x2) * (1 + y2))
                 tail_factor = scale * geometric
-            partial = intervals.make(0)
+            partial = intervals.make(0, ctx)
             m = first
             for terms in range(1, max_terms + 1):
                 a_m = m if unit else (1 - xm) * inv_one_minus_x2
@@ -216,8 +216,8 @@ def _deformed_ratio_sum(
                 majorant = zm * (m * geometric + poly if unit else tail_factor)
                 hi = intervals.exact_endpoints(majorant)[1]
                 if hi is not None and hi <= tol:
-                    tail = intervals.from_endpoints(0, intervals.upper(majorant))
-                    return SeriesResult(Verdict.CONVERGES, partial, tail, terms, bits)
+                    tail = intervals.from_endpoints(0, intervals.upper(majorant), ctx)
+                    return SeriesResult(Verdict.CONVERGES, partial, tail, terms)
                 m += step
                 xm *= x_step
                 ym *= y_step
@@ -226,7 +226,7 @@ def _deformed_ratio_sum(
             if lo is not None and lo > tol:
                 break  # the tail genuinely exceeds tol; more bits cannot help
     return SeriesResult(Verdict.UNDETERMINED, partial, None,
-                        0 if partial is None else max_terms, bits)
+                        0 if partial is None else max_terms)
 
 
 def quasi_split_sum_ladder(
@@ -260,9 +260,9 @@ def quasi_split_sum_ladder(
     so3 = family.kind is fusion.FamilyKind.SO3_LADDER
     shift = 1 if so3 else 0
 
-    def roots() -> tuple[Interval, Interval]:
-        x = solve_fundamental_q(family.dim_c_fund - shift)
-        y = solve_fundamental_q(intervals.make(family.dim_q_fund - shift))
+    def roots(ctx: Context) -> tuple[Interval, Interval]:
+        x = solve_fundamental_q(intervals.make(family.dim_c_fund - shift, ctx))
+        y = solve_fundamental_q(intervals.make(family.dim_q_fund - shift, ctx))
         return (intervals.isqrt(x), intervals.isqrt(y)) if so3 else (x, y)
 
     return _deformed_ratio_sum(roots, 1 + shift, 1, tol, bits, max_terms + 1)
@@ -288,15 +288,13 @@ def block_sum_S(
     ``q_c = 1``.  Exactly equal deformation parameters mean Kac type, where
     every term is 1 and the sum diverges.
     """
-    if max_terms < 1:
-        raise DomainError(f"need a positive term budget, got {max_terms}")
     exact_kinds = (int, str, Fraction)
     if isinstance(q_c, exact_kinds) and isinstance(q_q, exact_kinds):
         if Fraction(q_c) == Fraction(q_q):
             return SeriesResult(Verdict.DIVERGES)
-    with intervals.precision(_resolve_bits(bits)):
-        qc = intervals.make(q_c)
-        qq = intervals.make(q_q)
+    with intervals.precision(_resolve_bits(bits)) as ctx:
+        qc = intervals.make(q_c, ctx)
+        qq = intervals.make(q_q, ctx)
         if intervals.lower(qq) <= 0 or intervals.upper(qc) > 1:
             raise DomainError(f"need 0 < q_q <= q_c <= 1, got {qq}, {qc}")
         if intervals.identical(qc, qq) and intervals.width(qc) == 0:
@@ -308,8 +306,8 @@ def block_sum_S(
         if not _is_exact_one(qc) and intervals.upper(qc) >= 1:
             raise DomainError(f"q_c must be exactly 1 or certified below 1, got {qc}")
 
-    def roots() -> tuple[Interval, Interval]:
-        return intervals.make(q_c), intervals.make(q_q)
+    def roots(ctx: Context) -> tuple[Interval, Interval]:
+        return intervals.make(q_c, ctx), intervals.make(q_q, ctx)
 
     return _deformed_ratio_sum(roots, 1, 2, tol, bits, max_terms)
 
@@ -320,27 +318,21 @@ def total_sum_free(block_sum: Interval | SeriesResult) -> SeriesResult:
     Chained blocks contribute geometrically, so the total is
     ``1 + 2 S / (1 - S)`` when ``S < 1`` is certified and diverges when
     ``S >= 1``.  A block enclosure straddling 1 stays undetermined.  The
-    total is computed at the block sum's precision (the current one for a
-    bare enclosure).
+    total is computed at the block sum's precision.
     """
     if isinstance(block_sum, SeriesResult):
         if block_sum.verdict is Verdict.DIVERGES:
             return SeriesResult(Verdict.DIVERGES)
         if block_sum.verdict is Verdict.UNDETERMINED:
             return SeriesResult(Verdict.UNDETERMINED)
-        bits = block_sum.bits_used
         s = block_sum.sum_enclosure()
     else:
-        bits = iv.prec
         s = intervals.make(block_sum)
     if intervals.lower(s) < 0:
         raise DomainError(f"block sum must be nonnegative, got {s}")
     if intervals.upper(s) < 1:
-        with intervals.precision(bits):
-            total = 1 + 2 * s / (1 - s)
-        return SeriesResult(
-            Verdict.CONVERGES, total, intervals.make(0), 0, bits
-        )
+        total = 1 + 2 * s / (1 - s)
+        return SeriesResult(Verdict.CONVERGES, total, intervals.make(0, s.ctx))
     if intervals.lower(s) >= 1:
         return SeriesResult(Verdict.DIVERGES)
     return SeriesResult(Verdict.UNDETERMINED)
@@ -358,8 +350,8 @@ def bound_S_dim2(q: IntervalLike, bits: int | None = None) -> Interval:
 
     monotone increasing on (0, 1).
     """
-    with intervals.precision(_resolve_bits(bits)):
-        point = intervals.make(q)
+    with intervals.precision(_resolve_bits(bits)) as ctx:
+        point = intervals.make(q, ctx)
         if intervals.lower(point) <= 0 or intervals.upper(point) >= 1:
             raise DomainError(f"q must lie strictly inside (0, 1), got {point}")
         root = intervals.isqrt(point)
@@ -381,25 +373,15 @@ def bound_S_dimge3(
     is exactly the ratio threshold reported by
     :func:`threshold_ratio_dimge3`.
     """
-    with intervals.precision(_resolve_bits(bits)):
-        qc = intervals.make(q_c)
-        qq = intervals.make(q_q)
+    with intervals.precision(_resolve_bits(bits)) as ctx:
+        qc = intervals.make(q_c, ctx)
+        qq = intervals.make(q_q, ctx)
         if intervals.lower(qq) <= 0 or intervals.upper(qc) >= 1:
             raise DomainError(f"need 0 < q_q < q_c < 1, got {qq}, {qc}")
         if not intervals.certainly_lt(qq, qc):
             raise DomainError(f"need q_q < q_c certified, got {qq}, {qc}")
         root = intervals.isqrt(qq / qc)
         return 1 / intervals.isqrt(1 - qc * qc) * root / (1 - root)
-
-
-def _certified_increasing(
-    f: Callable[[Interval], Interval], grid: Sequence[Fraction]
-) -> None:
-    """Certify strict growth of `f` across consecutive grid points."""
-    values = [f(intervals.make(x)) for x in grid]
-    for left, right in zip(values, values[1:]):
-        if not intervals.certainly_lt(left, right):
-            raise DomainError("monotonicity could not be certified on the grid")
 
 
 def _bisect_unit_crossing(
@@ -414,35 +396,40 @@ def _bisect_unit_crossing(
 
     `f` must be increasing; this is certified on a coarse grid first.
     Midpoint sign evaluations that straddle 1 trigger precision escalation.
+    The final bracket is narrower than `tol` and is enclosed at the first
+    doubling of `bits` whose outward rounding keeps it within `tol`.
     """
     tol_fraction = _tol_fraction(tol)
     span = hi - lo
     grid = [lo + span * k / (grid_points - 1) for k in range(grid_points)]
-    with intervals.precision(bits):
-        _certified_increasing(f, grid)
-        if not intervals.certainly_lt(f(intervals.make(lo)), 1):
-            raise DomainError(f"no sign change: f({lo}) not certified below 1")
-        if not intervals.certainly_gt(f(intervals.make(hi)), 1):
-            raise DomainError(f"no sign change: f({hi}) not certified above 1")
-    while hi - lo > tol_fraction:
+    with intervals.precision(bits) as ctx:
+        values = [f(intervals.make(x, ctx)) for x in grid]
+    for left, right in zip(values, values[1:]):
+        if not intervals.certainly_lt(left, right):
+            raise DomainError("monotonicity could not be certified on the grid")
+    if not intervals.certainly_lt(values[0], 1):
+        raise DomainError(f"no sign change: f({lo}) not certified below 1")
+    if not intervals.certainly_gt(values[-1], 1):
+        raise DomainError(f"no sign change: f({hi}) not certified above 1")
+    while hi - lo >= tol_fraction:
         mid = (lo + hi) / 2
-        eval_bits = bits
-        while True:
-            with intervals.precision(eval_bits):
-                value = f(intervals.make(mid))
+        for eval_bits in _doublings(bits):
+            with intervals.precision(eval_bits) as ctx:
+                value = f(intervals.make(mid, ctx))
             if intervals.upper(value) < 1:
                 lo = mid
                 break
             if intervals.lower(value) > 1:
                 hi = mid
                 break
-            eval_bits *= 2
-            if eval_bits > MAX_BITS:
-                raise BudgetError(
-                    f"sign of f({mid}) undecided at {MAX_BITS} bits"
-                )
-    with intervals.precision(bits):
-        return intervals.from_endpoints(lo, hi)
+        else:
+            raise BudgetError(f"sign of f({mid}) undecided at {MAX_BITS} bits")
+    for enclosure_bits in _doublings(bits):
+        with intervals.precision(enclosure_bits) as ctx:
+            enclosure = intervals.from_endpoints(lo, hi, ctx)
+        if intervals.width_at_most(enclosure, tol_fraction):
+            return enclosure
+    raise BudgetError(f"no enclosure of width {tol} at {MAX_BITS} bits")
 
 
 def threshold_dim2(tol, bits: int | None = None) -> Interval:
@@ -450,7 +437,7 @@ def threshold_dim2(tol, bits: int | None = None) -> Interval:
     bits = _resolve_bits(bits)
 
     def f(x: Interval) -> Interval:
-        return bound_S_dim2(x, bits=iv.prec)
+        return bound_S_dim2(x, bits=x.ctx.prec)
 
     return _bisect_unit_crossing(f, Fraction(1, 100), Fraction(1, 2), tol, bits)
 
@@ -458,8 +445,8 @@ def threshold_dim2(tol, bits: int | None = None) -> Interval:
 def threshold_ratio_dimge3(bits: int | None = None) -> Interval:
     """Closed-form ratio threshold ``(1 + sqrt((3 sqrt(5) + 5)/10))^(-2)``,
     with decimal expansion starting 0.2306."""
-    with intervals.precision(_resolve_bits(bits)):
-        u = intervals.isqrt((3 * intervals.isqrt(intervals.make(5)) + 5) / 10)
+    with intervals.precision(_resolve_bits(bits)) as ctx:
+        u = intervals.isqrt((3 * intervals.isqrt(intervals.make(5, ctx)) + 5) / 10)
         return (1 + u) ** (-2)
 
 
@@ -531,10 +518,11 @@ def masa_verdict(
         if family.is_kac:
             block = SeriesResult(Verdict.DIVERGES)
         else:
-            with intervals.precision(_resolve_bits(bits)):
-                q_c = 1 if family.dim_c_fund == 2 else solve_fundamental_q(family.dim_c_fund)
-                q_q = solve_fundamental_q(intervals.make(family.dim_q_fund))
-            block = block_sum_S(q_c, q_q, tol, bits=bits, max_terms=max_terms)
+            def roots(ctx: Context) -> tuple[Interval, Interval]:
+                return (solve_fundamental_q(intervals.make(family.dim_c_fund, ctx)),
+                        solve_fundamental_q(intervals.make(family.dim_q_fund, ctx)))
+
+            block = _deformed_ratio_sum(roots, 1, 2, tol, bits, max_terms)
         series = total_sum_free(block)
         # Non-Kac free-unitary families have nontrivial intertwiners on every
         # nontrivial word; Kac ones on none.

@@ -1,9 +1,13 @@
 """Outward-rounded interval arithmetic helpers.
 
 All rigorous numbers in this library are intervals ``[lo, hi]`` enclosing the
-true real value; arithmetic is delegated to ``mpmath.iv``, whose operations
-round outward so enclosures are never lost.  Working precision is a run-time
-parameter (bits of mantissa, default 128) scoped with :func:`precision`.
+true real value; arithmetic is delegated to ``mpmath``'s interval contexts,
+whose operations round outward so enclosures are never lost.  Each interval
+belongs to one context and carries its precision (bits of mantissa) with it:
+:func:`precision` yields the cached context for a bit count, :func:`make` and
+:func:`from_endpoints` build in it (default 128 bits), and an operation
+works at the precision of its left interval operand.  No global state is
+read or written, so concurrent callers may use different precisions.
 
 Constructors accept exact data only: ints, :class:`~fractions.Fraction`,
 decimal strings (converted outward) and existing intervals.  Floats are
@@ -14,10 +18,6 @@ Endpoints are read exactly (:func:`lower`, :func:`upper`,
 :func:`certainly_lt`, :func:`overlaps`) certify a relation between the
 enclosed true values.  No point inside an enclosure is offered as a result;
 :func:`to_decimal_mid` is a display convenience only.
-
-The precision knob is process-global (a property of the ``mpmath`` context),
-so concurrent callers requesting different precisions must serialize around
-:func:`precision`; results themselves are plain immutable values.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from __future__ import annotations
 import decimal
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Union
 
 import mpmath
-from mpmath import iv
+from mpmath.ctx_iv import MPIntervalContext as Context
 
 from .errors import DomainError
 
@@ -40,31 +41,37 @@ IntervalLike = Union[int, float, str, Fraction, "mpmath.ctx_iv.ivmpf"]
 Interval = mpmath.ctx_iv.ivmpf
 
 
+@lru_cache(maxsize=None)
+def _context(bits: int) -> Context:
+    ctx = Context()
+    ctx.prec = bits
+    return ctx
+
+
 @contextmanager
-def precision(bits: int = DEFAULT_BITS) -> Iterator[None]:
-    """Scope the working precision of interval arithmetic to `bits`."""
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old
+def precision(bits: int = DEFAULT_BITS) -> Iterator[Context]:
+    """Yield the interval context working at `bits`; nothing global changes."""
+    yield _context(bits)
 
 
-def make(value: IntervalLike) -> Interval:
-    """Build a rigorous enclosure of `value` at current precision."""
+def make(value: IntervalLike, ctx: Context | None = None) -> Interval:
+    """Rigorous enclosure of `value` in `ctx`; without one, an interval stays
+    in its own context and any other value is built at DEFAULT_BITS."""
     if isinstance(value, Interval):
-        return +value  # re-round into the current context
+        return +(value.ctx if ctx is None else ctx).convert(value)
+    if ctx is None:
+        ctx = _context(DEFAULT_BITS)
     if isinstance(value, Fraction):
-        return iv.mpf(value.numerator) / iv.mpf(value.denominator)
-    return iv.mpf(value)
+        return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+    return ctx.mpf(value)
 
 
-def from_endpoints(lo: IntervalLike, hi: IntervalLike) -> Interval:
-    """Interval spanning the hull of the enclosures of `lo` and `hi`."""
-    a = make(lo)
-    b = make(hi)
-    return iv.mpf([a.a, b.b])
+def from_endpoints(lo: IntervalLike, hi: IntervalLike, ctx: Context | None = None) -> Interval:
+    """Interval spanning the hull of the enclosures of `lo` and `hi` in `ctx`
+    (as for :func:`make`, the context of `lo` or DEFAULT_BITS without one)."""
+    a = make(lo, ctx)
+    b = make(hi, a.ctx)
+    return a.ctx.mpf([a.a, b.b])
 
 
 def lower(x: Interval) -> mpmath.mpf:
@@ -111,19 +118,21 @@ def contains(x: Interval, value: IntervalLike) -> bool:
     if isinstance(value, (int, Fraction)):
         lo, hi = exact_endpoints(x)
         return (lo is None or lo <= value) and (hi is None or value <= hi)
-    v = make(value)
+    v = make(value, x.ctx)
     return lower(x) <= lower(v) and upper(v) <= upper(x)
 
 
 def overlaps(x: Interval, y: IntervalLike) -> bool:
     """True when the two enclosures intersect (so equality is possible)."""
-    v = make(y)
+    v = make(y, x.ctx)
     return not (upper(x) < lower(v) or upper(v) < lower(x))
 
 
 def certainly_lt(x: IntervalLike, y: IntervalLike) -> bool:
-    """Certified strict inequality between the enclosed true values."""
-    return upper(make(x)) < lower(make(y))
+    """Certified strict inequality between the enclosed true values; an
+    exact value is enclosed in the other one's context."""
+    ctx = next((v.ctx for v in (x, y) if isinstance(v, Interval)), None)
+    return upper(make(x, ctx)) < lower(make(y, ctx))
 
 
 def certainly_gt(x: IntervalLike, y: IntervalLike) -> bool:
@@ -139,7 +148,7 @@ def isqrt(x: Interval) -> Interval:
     """Certified square root; rejects enclosures allowing negative values."""
     if lower(x) < 0:
         raise DomainError(f"sqrt of possibly negative enclosure {x}")
-    return iv.sqrt(x)
+    return x.ctx.sqrt(x)
 
 
 def inv(x: Interval) -> Interval:
@@ -158,18 +167,15 @@ def _endpoint_fraction(raw) -> Fraction | None:
 
 
 def _directed_decimal(value: Fraction, digits: int, rounding: str) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = rounding
-        return str(
-            decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-        )
+    context = decimal.Context(prec=digits, rounding=rounding)
+    return str(context.divide(value.numerator, value.denominator))
 
 
 def to_decimal_pair(x: Interval, digits: int | None = None) -> tuple[str, str]:
-    """Outward decimal endpoints: lower rounded down, upper rounded up."""
+    """Outward decimal endpoints: lower rounded down, upper rounded up; by
+    default to the digits of the precision of `x`."""
     if digits is None:
-        digits = decimal_digits(iv.prec)
+        digits = decimal_digits(x.ctx.prec)
     lo, hi = exact_endpoints(x)
     return (
         "-inf" if lo is None else _directed_decimal(lo, digits, decimal.ROUND_FLOOR),
@@ -180,7 +186,7 @@ def to_decimal_pair(x: Interval, digits: int | None = None) -> tuple[str, str]:
 def to_decimal_mid(x: Interval, digits: int | None = None) -> str:
     """Round-to-nearest decimal midpoint (convenience, not certified)."""
     if digits is None:
-        digits = decimal_digits(iv.prec)
+        digits = decimal_digits(x.ctx.prec)
     lo, hi = exact_endpoints(x)
     if lo is None or hi is None:
         return "nan"

@@ -42,7 +42,7 @@ class LaurentScalar:
         point = intervals.make(q)
         if self.coeffs and min(self.coeffs) < 0 and intervals.contains(point, 0):
             raise DomainError("negative exponents at an enclosure of zero")
-        total = intervals.make(0)
+        total = intervals.make(0, point.ctx)
         for e, c in sorted(self.coeffs.items()):
             total += c * point**e
         return total
@@ -60,7 +60,8 @@ def solve_fundamental_q(d: IntervalLike) -> Interval:
 
     Uses the closed form ``2/(d + sqrt(d^2 - 4))``, which encloses the root
     in one outward-rounded step without the cancellation of
-    ``(d - sqrt(d^2 - 4))/2`` at large d; ``d = 2`` gives exactly 1.
+    ``(d - sqrt(d^2 - 4))/2`` at large d; ``d = 2`` gives exactly 1.  The
+    root is computed at the precision of `d`, or at DEFAULT_BITS for exact d.
     """
     value = intervals.make(d)
     if intervals.lower(value) < 2:
@@ -69,5 +70,5 @@ def solve_fundamental_q(d: IntervalLike) -> Interval:
     # Outward rounding can push the lower endpoint of d^2-4 slightly below
     # zero when d encloses 2; clip, the true discriminant is >= 0.
     if intervals.lower(discriminant) < 0:
-        discriminant = intervals.from_endpoints(0, intervals.upper(discriminant))
+        discriminant = intervals.from_endpoints(0, intervals.upper(discriminant), value.ctx)
     return 2 / (value + intervals.isqrt(discriminant))

@@ -25,8 +25,6 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import iv
-
 from . import intervals
 from .errors import BudgetError, DomainError
 from .intervals import Interval, IntervalLike
@@ -43,8 +41,8 @@ GAP_RTOL = 2.0**-30
 
 def trace_balanced(rho: Sequence[Interval]) -> bool:
     """Certify-or-refute that sum(rho) can equal sum(1/rho)."""
-    total = sum(rho, intervals.make(0))
-    total_inv = sum((intervals.inv(lam) for lam in rho), intervals.make(0))
+    total = sum(rho[1:], rho[0])
+    total_inv = sum((intervals.inv(lam) for lam in rho[1:]), intervals.inv(rho[0]))
     return intervals.overlaps(total, total_inv)
 
 
@@ -53,9 +51,11 @@ def modular_norm_sq(rho: Sequence[Interval | Fraction], b) -> Interval:
     imaginary part `b`: ``sum(lam^(-4b-1)) / sum(lam)``.
 
     The real part of the modular parameter drops out, so only `b` is taken.
-    `b` may be a Fraction, int, float or decimal string.
+    `b` may be a Fraction, int, float or decimal string.  Exact eigenvalues
+    are enclosed at DEFAULT_BITS, and the norm is computed at the precision
+    of the first one.
     """
-    spectrum = [intervals.make(lam) if isinstance(lam, (Fraction, int)) else lam for lam in rho]
+    spectrum = [intervals.make(lam) for lam in rho]
     if not spectrum:
         raise DomainError("empty spectrum")
     for lam in spectrum:
@@ -65,11 +65,9 @@ def modular_norm_sq(rho: Sequence[Interval | Fraction], b) -> Interval:
     if exponent.denominator == 1:
         powered = [lam ** int(exponent) for lam in spectrum]
     else:
-        e = intervals.make(exponent)
+        e = intervals.make(exponent, spectrum[0].ctx)
         powered = [lam**e for lam in spectrum]
-    numerator = sum(powered, intervals.make(0))
-    denominator = sum(spectrum, intervals.make(0))
-    return numerator / denominator
+    return sum(powered[1:], powered[0]) / sum(spectrum[1:], spectrum[0])
 
 
 def modular_eigencoefficients(
@@ -78,16 +76,17 @@ def modular_eigencoefficients(
     """Unit-circle coefficients ``lam^(2it)`` of the twisted character.
 
     Returns (real, imaginary) enclosure pairs, one per eigenvalue, in the
-    order of `rho`.  At ``t = 0`` every coefficient is 1.
+    order of `rho`, each at the precision of its eigenvalue (DEFAULT_BITS
+    for an exact one).  At ``t = 0`` every coefficient is 1.
     """
-    time = intervals.make(t)
     out = []
     for lam in rho:
-        lam_iv = intervals.make(lam) if isinstance(lam, (Fraction, int)) else lam
-        if intervals.lower(lam_iv) <= 0:
-            raise DomainError(f"spectrum must be strictly positive, got {lam_iv}")
-        angle = 2 * time * iv.log(lam_iv)
-        out.append((iv.cos(angle), iv.sin(angle)))
+        lam = intervals.make(lam)
+        if intervals.lower(lam) <= 0:
+            raise DomainError(f"spectrum must be strictly positive, got {lam}")
+        ctx = lam.ctx
+        angle = 2 * intervals.make(t, ctx) * ctx.log(lam)
+        out.append((ctx.cos(angle), ctx.sin(angle)))
     return out
 
 
@@ -329,12 +328,12 @@ def suq2_relation_residuals(size: int, q: Fraction | int | float | str,
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    with intervals.precision():
-        angle = intervals.make(phase)
-        unit = (iv.cos(angle), iv.sin(angle))
+    with intervals.precision() as ctx:
+        angle = intervals.make(phase, ctx)
+        unit = (ctx.cos(angle), ctx.sin(angle))
         modulus_sq = unit[0] ** 2 + unit[1] ** 2
-        powers = [intervals.make(q) ** k for k in range(size)]
-        shift = [iv.sqrt(1 - power**2) for power in powers]
+        powers = [intervals.make(q, ctx) ** k for k in range(size)]
+        shift = [ctx.sqrt(1 - power**2) for power in powers]
         entries = []
         for k in range(1, size - 1):
             g_sq = modulus_sq * powers[k] ** 2

@@ -350,6 +350,18 @@ def test_series_ladder_converges(capsys):
     assert float(results["series"]["tail_bound"]["hi"]) <= 1e-6
 
 
+def test_series_free_unitary_escalates_to_separate_exact_input(capsys):
+    # q_q and q_c agree to about 20 digits: 64 bits cannot separate them, so
+    # the kernel escalates like the ladder families instead of rejecting
+    # the exact input, and answers as it does at 128 bits
+    argv = ("series", "--family", "u-plus", "--dim", "3", "--dimq", "3.00000000000000000001")
+    low = run_json(capsys, *argv, "--bits", "64")["results"]
+    default = run_json(capsys, *argv)["results"]
+    assert low["block_sum"] == default["block_sum"]
+    assert low["block_sum"]["verdict"] == "undetermined"
+    assert low["masa_verdict"] == default["masa_verdict"] == "no conclusion"
+
+
 def test_series_free_unitary_reports_block_sum(capsys):
     payload = run_json(capsys, "series", "--family", "u-plus", "--dim", "2", "--qq", "0.22")
     results = payload["results"]

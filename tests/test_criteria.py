@@ -25,7 +25,7 @@ from qclassfun.criteria import (
     total_sum_free,
     verify_decay,
 )
-from qclassfun.errors import DomainError, FamilyError, KacTypeError
+from qclassfun.errors import BudgetError, DomainError, FamilyError, KacTypeError
 from qclassfun.fusion import free_unitary, so3_ladder, su2_ladder
 from qclassfun.scalars import q_number, solve_fundamental_q
 
@@ -91,11 +91,11 @@ def test_quasi_split_sum_diverges_for_kac():
 def test_quasi_split_sum_partial_matches_fusion_ratios():
     fam = su2_ladder(3, q=Fraction(1, 5))
     result = quasi_split_sum_ladder(fam, TOL)
-    with intervals.precision(160):
+    with intervals.precision(160) as ctx:
         independent = sum(
-            (intervals.isqrt(intervals.make(ratio_exact(n, fam)))
+            (intervals.isqrt(intervals.make(ratio_exact(n, fam), ctx))
              for n in range(result.terms_used)),
-            intervals.make(0),
+            intervals.make(0, ctx),
         )
     assert intervals.overlaps(result.partial_sum, independent)
 
@@ -221,8 +221,8 @@ def _kernel_case(kind: str, below_one: bool, qq: Fraction):
         n = 4 if below_one else 3
         result = quasi_split_sum_ladder(so3_ladder(n, dim_q_fund=1 + s + 1 / s), KERNEL_TOL)
         return result, (mpmath.sqrt(_root(n - 1)), mpmath.sqrt(_mp(s)), 2, 1)
-    with intervals.precision(128):
-        q_c = solve_fundamental_q(3) if below_one else 1
+    with intervals.precision(128) as ctx:
+        q_c = solve_fundamental_q(intervals.make(3, ctx)) if below_one else 1
     result = block_sum_S(q_c, s, KERNEL_TOL)
     return result, (_root(3) if below_one else mpmath.mpf(1), _mp(s), 1, 2)
 
@@ -299,15 +299,15 @@ def test_block_sum_increasing_in_deformation():
 def test_block_sum_matches_family_dimensions():
     # independent route: terms from the exact family dimension recursion
     fam = free_unitary(3, dim_q_fund=5)
-    with intervals.precision(192):
-        q_c = solve_fundamental_q(3)
-        q_q = solve_fundamental_q(5)
+    with intervals.precision(192) as ctx:
+        q_c = solve_fundamental_q(intervals.make(3, ctx))
+        q_q = solve_fundamental_q(intervals.make(5, ctx))
         result = block_sum_S(q_c, q_q, TOL)
-        independent = intervals.make(0)
+        independent = intervals.make(0, ctx)
         for n in range(1, result.terms_used + 1):
             word = fusion.alternating_word(n)
             independent += intervals.isqrt(
-                intervals.make(ratio_exact(word, fam)))
+                intervals.make(ratio_exact(word, fam), ctx))
     assert intervals.overlaps(result.partial_sum, independent)
 
 
@@ -386,8 +386,8 @@ def test_threshold_ratio_value():
     enclosure = threshold_ratio_dimge3()
     assert _within(enclosure, "0.23067", "0.23069")
     assert intervals.upper(enclosure) < 1
-    with intervals.precision(128):
-        q_c = solve_fundamental_q(3)
+    with intervals.precision(128) as ctx:
+        q_c = solve_fundamental_q(intervals.make(3, ctx))
         bound = bound_S_dimge3(q_c, q_c * enclosure)
     assert intervals.contains(bound, 1)
 
@@ -399,9 +399,9 @@ def test_threshold_remark_encloses_published_value():
 
 
 def test_remark_two_term_bound_brackets():
-    with intervals.precision(128):
+    with intervals.precision(128) as ctx:
         def two_term(q):
-            point = intervals.make(q)
+            point = intervals.make(q, ctx)
             return intervals.isqrt(2 / q_number(2).evaluate(point)) \
                 + intervals.isqrt(3 / q_number(3).evaluate(point))
 
@@ -413,6 +413,25 @@ def test_remark_two_term_bound_brackets():
 @pytest.mark.parametrize("threshold", [threshold_dim2, threshold_remark])
 def test_threshold_below_double_precision(threshold, tol):
     assert intervals.width_at_most(threshold(tol), tol)
+
+
+@pytest.mark.parametrize("tol, bits", [(Fraction(1, 10**18), 32), (Fraction(1, 10**6), 16)])
+@pytest.mark.parametrize("threshold", [threshold_dim2, threshold_remark])
+def test_threshold_width_within_tol_from_low_starting_bits(threshold, tol, bits):
+    # the final bracket is rounded outward at a doubling of `bits` that
+    # keeps it within tol, not at the starting bits
+    enclosure = threshold(tol, bits=bits)
+    assert intervals.width_at_most(enclosure, tol)
+    assert intervals.overlaps(enclosure, threshold(tol))
+
+
+def test_threshold_enclosure_beyond_max_bits_is_a_budget_error():
+    # f(x) = 5x/2 crosses 1 at 2/5; from [1/3, 1] three halvings leave
+    # [1/3, 5/12], narrower than tol by 2^-1200, and no precision up to
+    # MAX_BITS rounds 1/3 and 5/12 outward by less than that
+    tol = Fraction(1, 12) + Fraction(1, 2**1200)
+    with pytest.raises(BudgetError):
+        criteria._bisect_unit_crossing(lambda x: 5 * x / 2, Fraction(1, 3), Fraction(1), tol, 64)
 
 
 def test_threshold_ordering():

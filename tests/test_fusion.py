@@ -197,8 +197,8 @@ def test_word_quantum_dim_is_deformed_integer_at_fundamental_root():
     # dual route: the exact block recursion against interval evaluation of
     # the deformed integer at the root of x + 1/x = dim_q.
     fam = free_unitary(2, dim_q_fund=Fraction(7, 2))
-    with intervals.precision(128):
-        root = solve_fundamental_q(Fraction(7, 2))
+    with intervals.precision(128) as ctx:
+        root = solve_fundamental_q(intervals.make(Fraction(7, 2), ctx))
         for n in range(1, 8):
             word = fusion.alternating_word(n)
             expected = q_number(n + 1).evaluate(root)
@@ -360,26 +360,27 @@ def test_ladder_caches_stay_bounded(fresh_ladder_caches):
 
 
 def test_rho_spectrum_examples():
-    with intervals.precision(128):
-        trivial = rho_spectrum(0, Fraction(1, 2))
+    with intervals.precision(128) as ctx:
+        trivial = rho_spectrum(0, intervals.make(Fraction(1, 2), ctx))
         assert len(trivial) == 1 and intervals.contains(trivial[0], 1)
         for n, exact in ((1, [2, Fraction(1, 2)]), (2, [4, 1, Fraction(1, 4)])):
-            spectrum = rho_spectrum(n, Fraction(1, 2))
+            spectrum = rho_spectrum(n, intervals.make(Fraction(1, 2), ctx))
             assert len(spectrum) == n + 1
             assert all(intervals.contains(lam, value) for lam, value in zip(spectrum, exact))
-        assert intervals.contains(sum(spectrum, intervals.make(0)), Fraction(21, 4))  # [3] at 1/2
+        total = sum(spectrum, intervals.make(0, ctx))
+        assert intervals.contains(total, Fraction(21, 4))  # [3] at 1/2
 
 
 def test_rho_spectrum_trace_balance_up_to_30():
     q = Fraction(2, 5)
-    with intervals.precision(96):
+    with intervals.precision(96) as ctx:
         for n in range(31):
             spectrum = [q ** (-n + 2 * k) for k in range(n + 1)]
             assert sum(spectrum) == sum(1 / lam for lam in spectrum)
-            enclosures = rho_spectrum(n, q)
+            enclosures = rho_spectrum(n, intervals.make(q, ctx))
             assert all(intervals.contains(lam, value) for lam, value in zip(enclosures, spectrum))
-            total = sum(enclosures, intervals.make(0))
-            total_inv = sum((1 / lam for lam in enclosures), intervals.make(0))
+            total = sum(enclosures, intervals.make(0, ctx))
+            total_inv = sum((1 / lam for lam in enclosures), intervals.make(0, ctx))
             assert intervals.overlaps(total, total_inv)
 
 

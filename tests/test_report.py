@@ -17,16 +17,16 @@ from qclassfun.report import (
 
 
 def test_enclosure_payload_is_outward():
-    with intervals.precision(64):
-        x = intervals.make(Fraction(1, 3))
+    with intervals.precision(64) as ctx:
+        x = intervals.make(Fraction(1, 3), ctx)
         payload = enclosure_payload(x, digits=10)
     assert Fraction(payload["lo"]) <= Fraction(1, 3) <= Fraction(payload["hi"])
     assert Fraction(payload["lo"]) <= Fraction(payload["mid"]) <= Fraction(payload["hi"])
 
 
 def test_enclosure_payload_exact_point():
-    with intervals.precision(64):
-        payload = enclosure_payload(intervals.make(2), digits=8)
+    with intervals.precision(64) as ctx:
+        payload = enclosure_payload(intervals.make(2, ctx), digits=8)
     assert payload == {"lo": "2", "hi": "2", "mid": "2"}
 
 

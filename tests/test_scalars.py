@@ -56,36 +56,37 @@ def test_q_number_recursion(n, q):
     # [2][n] = [n-1] + [n+1] holds for the oracle, and evaluation encloses it
     assert deformed_integer(2, q) * deformed_integer(n, q) == \
         deformed_integer(n - 1, q) + deformed_integer(n + 1, q)
-    with intervals.precision(128):
+    with intervals.precision(128) as ctx:
         for m in (n - 1, n, n + 1):
-            enclosed = q_number(m).evaluate(q)
+            enclosed = q_number(m).evaluate(intervals.make(q, ctx))
             exact = deformed_integer(m, q)
             assert intervals.contains(enclosed, exact)
             assert intervals.width_at_most(enclosed, exact / 10**20)
 
 
 def test_eval_q_number_examples():
-    with intervals.precision(128):
-        assert intervals.contains(q_number(2).evaluate(Fraction(1, 2)), Fraction(5, 2))
-        assert intervals.contains(q_number(3).evaluate(1), 3)
+    with intervals.precision(128) as ctx:
+        half = intervals.make(Fraction(1, 2), ctx)
+        assert intervals.contains(q_number(2).evaluate(half), Fraction(5, 2))
+        assert intervals.contains(q_number(3).evaluate(intervals.make(1, ctx)), 3)
         # direct evaluation of the sum form at 0.3
         expected = deformed_integer(5, Fraction(3, 10))
         assert expected == Fraction(3, 10) ** -4 + Fraction(3, 10) ** -2 + 1 \
             + Fraction(3, 10) ** 2 + Fraction(3, 10) ** 4
-        enclosed = q_number(5).evaluate(Fraction(3, 10))
+        enclosed = q_number(5).evaluate(intervals.make(Fraction(3, 10), ctx))
         assert intervals.contains(enclosed, expected)
         assert intervals.width_at_most(enclosed, Fraction(1, 10**20))
 
 
 def test_eval_at_one_encloses_n():
-    with intervals.precision(128):
+    with intervals.precision(128) as ctx:
         for n in range(65):
-            assert intervals.contains(q_number(n).evaluate(1), n)
+            assert intervals.contains(q_number(n).evaluate(intervals.make(1, ctx)), n)
 
 
 def test_eval_rejects_zero_enclosure_with_negative_exponents():
-    with intervals.precision(64):
-        spanning_zero = intervals.from_endpoints(Fraction(-1, 10), Fraction(1, 10))
+    with intervals.precision(64) as ctx:
+        spanning_zero = intervals.from_endpoints(Fraction(-1, 10), Fraction(1, 10), ctx)
         with pytest.raises(DomainError):
             q_number(2).evaluate(spanning_zero)
         # pure nonnegative exponents are fine at zero
@@ -96,8 +97,8 @@ def test_eval_rejects_zero_enclosure_with_negative_exponents():
 @example({0: 1, 4: 1}, Fraction(500671, 23704600))  # needs exact containment
 def test_eval_encloses_exact_rational_value(coeffs, q):
     p = LaurentScalar(coeffs)
-    with intervals.precision(96):
-        assert intervals.contains(p.evaluate(q), laurent_value(coeffs, q))
+    with intervals.precision(96) as ctx:
+        assert intervals.contains(p.evaluate(intervals.make(q, ctx)), laurent_value(coeffs, q))
 
 
 @given(coeff_maps, rational_q, rational_q, st.integers(min_value=0, max_value=4))
@@ -105,8 +106,8 @@ def test_eval_encloses_every_sample_inside_a_wide_enclosure(coeffs, q1, q2, pick
     p = LaurentScalar(coeffs)
     lo, hi = min(q1, q2), max(q1, q2)
     sample = lo + (hi - lo) * Fraction(pick, 4)
-    with intervals.precision(96):
-        box = intervals.from_endpoints(lo, hi)
+    with intervals.precision(96) as ctx:
+        box = intervals.from_endpoints(lo, hi, ctx)
         assert intervals.contains(p.evaluate(box), laurent_value(coeffs, sample))
 
 
@@ -116,20 +117,21 @@ def test_canonical_form_drops_zero_coefficients():
 
 
 def test_solve_fundamental_q_examples():
-    with intervals.precision(128):
-        assert intervals.contains(solve_fundamental_q(2), 1)
-        assert intervals.contains(solve_fundamental_q(Fraction(5, 2)), Fraction(1, 2))
+    with intervals.precision(128) as ctx:
+        assert intervals.contains(solve_fundamental_q(intervals.make(2, ctx)), 1)
+        half = solve_fundamental_q(intervals.make(Fraction(5, 2), ctx))
+        assert intervals.contains(half, Fraction(1, 2))
         # (3 - sqrt(5))/2 up to enclosure
-        root3 = solve_fundamental_q(3)
+        root3 = solve_fundamental_q(intervals.make(3, ctx))
         assert intervals.contains(
-            intervals.from_endpoints("0.3819660112501051", "0.3819660112501052"), root3
+            intervals.from_endpoints("0.3819660112501051", "0.3819660112501052", ctx), root3
         )
 
 
 @given(st.fractions(min_value=Fraction(2), max_value=Fraction(50)))
 def test_solve_fundamental_q_inverts(d):
-    with intervals.precision(128):
-        q = solve_fundamental_q(d)
+    with intervals.precision(128) as ctx:
+        q = solve_fundamental_q(intervals.make(d, ctx))
         assert intervals.upper(q) <= 1
         assert intervals.lower(q) > 0
         assert intervals.contains(q + 1 / q, d)
@@ -139,8 +141,8 @@ def test_solve_fundamental_q_tiny_root_keeps_its_sign():
     # d = q + 1/q with q = 1e-25: d - sqrt(d^2 - 4) would cancel to an
     # enclosure of zero at 128 bits
     q = Fraction(1, 10**25)
-    with intervals.precision(128):
-        root = solve_fundamental_q(q + 1 / q)
+    with intervals.precision(128) as ctx:
+        root = solve_fundamental_q(intervals.make(q + 1 / q, ctx))
         assert intervals.lower(root) > 0
         assert intervals.contains(root, q)
 

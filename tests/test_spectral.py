@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import iv
 
 from qclassfun import fusion, intervals
 from qclassfun.errors import BudgetError, DomainError
@@ -48,22 +47,22 @@ def rho_spectrum_exact(n: int, q: Fraction) -> list[Fraction]:
 
 
 def test_norm_one_at_zero_for_any_balanced_spectrum():
-    with intervals.precision(128):
+    with intervals.precision(128) as ctx:
         for n in (0, 1, 5, 12):
-            rho = fusion.rho_spectrum(n, Fraction(2, 5))
+            rho = fusion.rho_spectrum(n, intervals.make(Fraction(2, 5), ctx))
             assert intervals.contains(modular_norm_sq(rho, 0), 1)
 
 
 def test_norm_at_quarter_gives_dimension_ratio():
-    with intervals.precision(128):
-        rho = fusion.rho_spectrum(1, Fraction(1, 2))
+    with intervals.precision(128) as ctx:
+        rho = fusion.rho_spectrum(1, intervals.make(Fraction(1, 2), ctx))
         value = modular_norm_sq(rho, Fraction(-1, 4))
         assert intervals.contains(value, Fraction(4, 5))
 
 
 def test_norm_trivial_on_flat_spectrum():
-    with intervals.precision(96):
-        flat = [intervals.make(1) for _ in range(5)]
+    with intervals.precision(96) as ctx:
+        flat = [intervals.make(1, ctx) for _ in range(5)]
         for b in (0, Fraction(-1, 4), Fraction(3, 7), 1):
             assert intervals.contains(modular_norm_sq(flat, b), 1)
 
@@ -78,23 +77,23 @@ def test_norm_matches_exact_rational_formula():
             if exponent.denominator != 1:
                 continue
             expected = sum(lam ** int(exponent) for lam in spectrum) / sum(spectrum)
-            with intervals.precision(128):
-                rho = fusion.rho_spectrum(n, q)
+            with intervals.precision(128) as ctx:
+                rho = fusion.rho_spectrum(n, intervals.make(q, ctx))
                 assert intervals.contains(modular_norm_sq(rho, b), expected)
 
 
 def test_norm_rejects_empty_and_nonpositive():
     with pytest.raises(DomainError):
         modular_norm_sq([], 0)
-    with intervals.precision(64):
+    with intervals.precision(64) as ctx:
         with pytest.raises(DomainError):
-            modular_norm_sq([intervals.from_endpoints(-1, 1)], 0)
+            modular_norm_sq([intervals.from_endpoints(-1, 1, ctx)], 0)
 
 
 def test_trace_balanced():
-    with intervals.precision(96):
-        assert trace_balanced(fusion.rho_spectrum(7, Fraction(1, 2)))
-        skewed = [intervals.make(2), intervals.make(3)]
+    with intervals.precision(96) as ctx:
+        assert trace_balanced(fusion.rho_spectrum(7, intervals.make(Fraction(1, 2), ctx)))
+        skewed = [intervals.make(2, ctx), intervals.make(3, ctx)]
         assert not trace_balanced(skewed)
 
 
@@ -103,8 +102,9 @@ def test_trace_balanced():
 
 
 def test_eigencoefficients_at_zero():
-    with intervals.precision(96):
-        coeffs = modular_eigencoefficients(fusion.rho_spectrum(3, Fraction(1, 2)), 0)
+    with intervals.precision(96) as ctx:
+        rho = fusion.rho_spectrum(3, intervals.make(Fraction(1, 2), ctx))
+        coeffs = modular_eigencoefficients(rho, 0)
         for re, im in coeffs:
             assert intervals.contains(re, 1)
             assert intervals.contains(im, 0)
@@ -112,26 +112,27 @@ def test_eigencoefficients_at_zero():
 
 def test_eigencoefficients_half_turn():
     # at t = pi/(2 ln 2) both eigenvalues 2 and 1/2 land on -1
-    with intervals.precision(128):
-        t = iv.pi / (2 * iv.log(2))
-        coeffs = modular_eigencoefficients([Fraction(2), Fraction(1, 2)], t)
+    with intervals.precision(128) as ctx:
+        t = ctx.pi / (2 * ctx.log(2))
+        coeffs = modular_eigencoefficients(
+            [intervals.make(2, ctx), intervals.make(Fraction(1, 2), ctx)], t)
         for re, im in coeffs:
             assert intervals.contains(re, -1)
             assert intervals.contains(im, 0)
 
 
 def test_eigencoefficients_flat_spectrum_fixed():
-    with intervals.precision(96):
+    with intervals.precision(96) as ctx:
         for t in (Fraction(1, 3), 2, Fraction(-7, 2)):
-            coeffs = modular_eigencoefficients([Fraction(1)] * 4, t)
+            coeffs = modular_eigencoefficients([intervals.make(1, ctx)] * 4, t)
             for re, im in coeffs:
                 assert intervals.contains(re, 1)
                 assert intervals.contains(im, 0)
 
 
 def test_eigencoefficients_unit_modulus():
-    with intervals.precision(128):
-        rho = fusion.rho_spectrum(4, Fraction(3, 10))
+    with intervals.precision(128) as ctx:
+        rho = fusion.rho_spectrum(4, intervals.make(Fraction(3, 10), ctx))
         for re, im in modular_eigencoefficients(rho, Fraction(5, 7)):
             assert intervals.contains(re * re + im * im, 1)
 
@@ -340,9 +341,8 @@ def test_exact_count_at_vanishing_minors():
 def test_relation_residuals_interior():
     assert suq2_relation_residuals(16, 0.5) <= 1e-12
     assert suq2_relation_residuals(16, Fraction(1, 2), Fraction(37, 100)) <= 1e-12
-    # the bound is a rounding width at 128 bits, whatever the ambient precision
-    with intervals.precision(32):
-        assert suq2_relation_residuals(16, Fraction(1, 2), Fraction(37, 100)) <= 1e-30
+    # the bound is a rounding width at 128 bits
+    assert suq2_relation_residuals(16, Fraction(1, 2), Fraction(37, 100)) <= 1e-30
 
 
 def test_relation_residuals_boundary_is_large():
