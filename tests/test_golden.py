@@ -65,6 +65,11 @@ CASES = {
                          "--t", "1/3", "--bits", "256"],
     "dims_uplus_bits64": ["dims", "--family", "u-plus", "--dim", "2", "--qq", "0.1",
                           "--word-len", "3", "--bits", "64"],
+    # A tolerance finer than the starting precision: the bracket is enclosed
+    # at an escalated precision.
+    "threshold_dim2_bits32": ["threshold", "--which", "dim2", "--tol", "1e-18", "--bits", "32"],
+    "threshold_remark_bits32": ["threshold", "--which", "remark", "--tol", "1e-18",
+                                "--bits", "32"],
 }
 
 
