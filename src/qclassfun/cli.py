@@ -111,12 +111,12 @@ def _config_file(path: str) -> dict:
     return data
 
 
-BITS = _count(1, criteria.MAX_BITS)
+BITS = _count(1, intervals.MAX_BITS)
 
 
 def _bits_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--bits", type=BITS, default=None,
-                     help=f"precision in bits, 1..{criteria.MAX_BITS} (default ${ENV_BITS} or 128)")
+                     help=f"precision in bits, 1..{intervals.MAX_BITS} (default ${ENV_BITS} or 128)")
 
 
 def _common_flags(sub: argparse.ArgumentParser, formats=("json",)) -> None:
@@ -267,13 +267,18 @@ def _build_family(args: argparse.Namespace) -> tuple[FusionFamily, dict]:
     return build(size), inputs
 
 
-def _series_payload(result: criteria.SeriesResult, digits: int) -> dict:
+def _series_payload(result: criteria.SeriesResult) -> dict:
     payload: dict = {"verdict": result.verdict.value, "terms_used": result.terms_used}
     if result.verdict is criteria.Verdict.CONVERGES:
-        payload["partial_sum"] = report.enclosure_payload(result.partial_sum, digits)
-        payload["tail_bound"] = report.enclosure_payload(result.tail_bound, digits)
-        payload["sum"] = report.enclosure_payload(result.sum_enclosure(), digits)
+        payload["partial_sum"] = report.enclosure_payload(result.partial_sum)
+        payload["tail_bound"] = report.enclosure_payload(result.tail_bound)
+        payload["sum"] = report.enclosure_payload(result.sum_enclosure())
     return payload
+
+
+def _meta(args: argparse.Namespace) -> dict:
+    """The starting precision; an enclosure that escalated prints more digits."""
+    return {"bits": args.bits, "digits": intervals.decimal_digits(args.bits)}
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,6 @@ def _series_payload(result: criteria.SeriesResult, digits: int) -> dict:
 
 
 def cmd_dims(args: argparse.Namespace) -> report.Report:
-    digits = intervals.decimal_digits(args.bits)
     family, inputs = _build_family(args)
     rows = []
     with intervals.precision(args.bits) as ctx:
@@ -297,35 +301,31 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
             rows.append({
                 "label": str(label) or "e",
                 "dim": dim_c,
-                "dim_q": report.enclosure_payload(intervals.make(dim_q, ctx), digits),
-                "ratio": report.enclosure_payload(
-                    intervals.make(Fraction(dim_c) / dim_q, ctx), digits),
+                "dim_q": report.enclosure_payload(intervals.make(dim_q, ctx)),
+                "ratio": report.enclosure_payload(intervals.make(Fraction(dim_c) / dim_q, ctx)),
             })
-    return report.Report("dims", inputs, {"table": rows}, {"bits": args.bits, "digits": digits})
+    return report.Report("dims", inputs, {"table": rows}, _meta(args))
 
 
 def cmd_series(args: argparse.Namespace) -> report.Report:
-    digits = intervals.decimal_digits(args.bits)
     family, inputs = _build_family(args)
     inputs.update({"tol": args.tol, "n_max": args.n_max})
     verdict = criteria.masa_verdict(family, tol=Fraction(args.tol), n_max=args.n_max,
                                     bits=args.bits, max_terms=args.max_terms)
     results: dict = {
-        "series": _series_payload(verdict.series, digits),
+        "series": _series_payload(verdict.series),
         "quasi_split": verdict.quasi_split.value,
         "all_nontrivial_rho_nontrivial": verdict.all_nontrivial_rho_nontrivial,
         "masa_verdict": verdict.verdict_text,
     }
     if verdict.block_sum is not None:
-        results["block_sum"] = _series_payload(verdict.block_sum, digits)
+        results["block_sum"] = _series_payload(verdict.block_sum)
     if family.is_ladder:
         results["kac_part"] = criteria.kac_part(family, min(args.n_max, 20))
-    return report.Report("series", inputs, results,
-                         {"bits": args.bits, "digits": digits, "max_terms": args.max_terms})
+    return report.Report("series", inputs, results, {**_meta(args), "max_terms": args.max_terms})
 
 
 def cmd_threshold(args: argparse.Namespace) -> report.Report:
-    digits = intervals.decimal_digits(args.bits)
     inputs = {"which": args.which, "tol": args.tol}
     if args.which == "dim2":
         enclosure = criteria.threshold_dim2(Fraction(args.tol), bits=args.bits)
@@ -334,10 +334,10 @@ def cmd_threshold(args: argparse.Namespace) -> report.Report:
     else:
         enclosure = criteria.threshold_ratio_dimge3(bits=args.bits)
     results = {
-        "enclosure": report.enclosure_payload(enclosure, digits),
+        "enclosure": report.enclosure_payload(enclosure),
         "width": str(float(intervals.width(enclosure))),
     }
-    return report.Report("threshold", inputs, results, {"bits": args.bits, "digits": digits})
+    return report.Report("threshold", inputs, results, _meta(args))
 
 
 def cmd_moments(args: argparse.Namespace) -> report.Report:
@@ -371,7 +371,6 @@ def cmd_moments(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_spectral(args: argparse.Namespace) -> report.Report:
-    digits = intervals.decimal_digits(args.bits)
     if args.rho_ladder is None or args.q is None:
         raise UsageError("spectral requires --rho-ladder and --q")
     b, q = Fraction(args.b), Fraction(args.q)
@@ -386,18 +385,17 @@ def cmd_spectral(args: argparse.Namespace) -> report.Report:
     with intervals.precision(args.bits) as ctx:
         rho = fusion.rho_spectrum(args.rho_ladder, intervals.make(q, ctx))
         results: dict = {
-            "norm_sq": report.enclosure_payload(spectral.modular_norm_sq(rho, b), digits),
+            "norm_sq": report.enclosure_payload(spectral.modular_norm_sq(rho, b)),
             "trace_balanced": spectral.trace_balanced(rho),
-            "rho": [report.enclosure_payload(lam, digits) for lam in rho],
+            "rho": [report.enclosure_payload(lam) for lam in rho],
         }
         if args.t is not None:
             inputs["t"] = args.t
             results["eigencoefficients"] = [
-                {"re": report.enclosure_payload(re, digits),
-                 "im": report.enclosure_payload(im, digits)}
+                {"re": report.enclosure_payload(re), "im": report.enclosure_payload(im)}
                 for re, im in spectral.modular_eigencoefficients(rho, Fraction(args.t))
             ]
-    return report.Report("spectral", inputs, results, {"bits": args.bits, "digits": digits})
+    return report.Report("spectral", inputs, results, _meta(args))
 
 
 def cmd_jacobi(args: argparse.Namespace) -> report.Report:
@@ -487,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 args.bits = BITS(raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"${ENV_BITS} must be an integer in 1..{criteria.MAX_BITS}, "
+                raise UsageError(f"${ENV_BITS} must be an integer in 1..{intervals.MAX_BITS}, "
                                  f"got {raw!r}") from exc
         result = HANDLERS[args.command](args)
         if args.format == "csv":

@@ -23,11 +23,10 @@ from typing import Callable
 from . import fusion, intervals
 from .errors import BudgetError, DomainError, FamilyError, KacTypeError
 from .fusion import FusionFamily, Label
-from .intervals import Context, Interval, IntervalLike
+from .intervals import MAX_BITS, Context, Interval, IntervalLike
 from .scalars import q_number, solve_fundamental_q
 
 DEFAULT_MAX_TERMS = 10_000
-MAX_BITS = 1024
 
 #: sup of the multiplicity of the top component in fundamental-times-ladder
 #: fusion; both ladder kinds have multiplicity one there.
@@ -76,18 +75,10 @@ class SeriesResult:
         )
 
 
-def _resolve_bits(bits: int | None) -> int:
-    """Working precision: the default for None, else a value in 1..MAX_BITS."""
-    if bits is None:
-        return intervals.DEFAULT_BITS
-    if not 1 <= bits <= MAX_BITS:
-        raise DomainError(f"bits must lie in 1..{MAX_BITS}, got {bits}")
-    return bits
-
-
 def _doublings(bits: int) -> list[int]:
-    """`bits`, then twice, four times ... as much while at most MAX_BITS."""
-    return [bits << k for k in range(MAX_BITS.bit_length()) if bits << k <= MAX_BITS]
+    """`bits`, then twice, four times ... as much while at most MAX_BITS.
+    `bits` itself always comes first, so its context rejects it if invalid."""
+    return [bits << k for k in range(MAX_BITS.bit_length()) if k == 0 or bits << k <= MAX_BITS]
 
 
 def _tol_fraction(tol) -> Fraction:
@@ -156,7 +147,7 @@ def _deformed_ratio_sum(
     step: int,
     first: int,
     tol,
-    bits: int | None,
+    bits: int,
     max_terms: int,
 ) -> SeriesResult:
     """Certified ``sum sqrt([m]_x / [m]_y)`` over ``m = first, first+step, ...``.
@@ -185,7 +176,7 @@ def _deformed_ratio_sum(
         raise DomainError(f"need a positive term budget, got {max_terms}")
     tol = _tol_fraction(tol)
     partial = None
-    for bits in _doublings(_resolve_bits(bits)):
+    for bits in _doublings(bits):
         with intervals.precision(bits) as ctx:
             x, y = roots(ctx)
             unit = _is_exact_one(x)
@@ -232,7 +223,7 @@ def _deformed_ratio_sum(
 def quasi_split_sum_ladder(
     family: FusionFamily,
     tol,
-    bits: int | None = None,
+    bits: int = intervals.DEFAULT_BITS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
     """Certified sum of sqrt(dim(n)/dim_q(n)) over all ladder labels n >= 0.
@@ -257,6 +248,14 @@ def quasi_split_sum_ladder(
         raise DomainError(f"need a positive term budget, got {max_terms}")
     if family.is_kac:
         return SeriesResult(Verdict.DIVERGES)
+    step = 2 if family.kind is fusion.FamilyKind.SO3_LADDER else 1
+    return _deformed_ratio_sum(_fundamental_roots(family), step, 1, tol, bits, max_terms + 1)
+
+
+def _fundamental_roots(family: FusionFamily) -> Callable[[Context], tuple[Interval, Interval]]:
+    """``roots(ctx)`` for the kernel: the classical and quantum roots of the
+    fundamental, ``t`` with ``t + 1/t`` its dimension, or for so3 ``r``
+    with ``r^2 + r^-2`` its dimension minus 1."""
     so3 = family.kind is fusion.FamilyKind.SO3_LADDER
     shift = 1 if so3 else 0
 
@@ -265,14 +264,14 @@ def quasi_split_sum_ladder(
         y = solve_fundamental_q(intervals.make(family.dim_q_fund - shift, ctx))
         return (intervals.isqrt(x), intervals.isqrt(y)) if so3 else (x, y)
 
-    return _deformed_ratio_sum(roots, 1 + shift, 1, tol, bits, max_terms + 1)
+    return roots
 
 
 def block_sum_S(
     q_c: IntervalLike,
     q_q: IntervalLike,
     tol,
-    bits: int | None = None,
+    bits: int = intervals.DEFAULT_BITS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
     """Certified sum over one family of alternating blocks.
@@ -287,27 +286,26 @@ def block_sum_S(
     ``sqrt(q_q)^m ((m+1) - m sqrt(q_q)) / (1 - sqrt(q_q))^2`` at
     ``q_c = 1``.  Exactly equal deformation parameters mean Kac type, where
     every term is 1 and the sum diverges.
+
+    The inputs are enclosed at each precision the kernel tries; a pair
+    certainly outside ``0 < q_q <= q_c <= 1`` raises there, and a pair not
+    yet separated from ``q_q = q_c`` or ``q_c = 1`` escalates like any other
+    unseparated pair, ending `undetermined` if no precision separates it.
     """
     exact_kinds = (int, str, Fraction)
     if isinstance(q_c, exact_kinds) and isinstance(q_q, exact_kinds):
         if Fraction(q_c) == Fraction(q_q):
             return SeriesResult(Verdict.DIVERGES)
-    with intervals.precision(_resolve_bits(bits)) as ctx:
-        qc = intervals.make(q_c, ctx)
-        qq = intervals.make(q_q, ctx)
-        if intervals.lower(qq) <= 0 or intervals.upper(qc) > 1:
-            raise DomainError(f"need 0 < q_q <= q_c <= 1, got {qq}, {qc}")
-        if intervals.identical(qc, qq) and intervals.width(qc) == 0:
-            return SeriesResult(Verdict.DIVERGES)
-        if not intervals.certainly_lt(qq, qc):
-            raise DomainError(
-                f"cannot separate q_q={qq} from q_c={qc}; pass exact values"
-            )
-        if not _is_exact_one(qc) and intervals.upper(qc) >= 1:
-            raise DomainError(f"q_c must be exactly 1 or certified below 1, got {qc}")
+    point = intervals.make(q_c)
+    if intervals.identical(point, intervals.make(q_q, point.ctx)) and intervals.width(point) == 0:
+        return SeriesResult(Verdict.DIVERGES)
 
     def roots(ctx: Context) -> tuple[Interval, Interval]:
-        return intervals.make(q_c, ctx), intervals.make(q_q, ctx)
+        qc, qq = intervals.make(q_c, ctx), intervals.make(q_q, ctx)
+        if (intervals.upper(qq) <= 0 or intervals.lower(qc) > 1
+                or intervals.certainly_lt(qc, qq)):
+            raise DomainError(f"need 0 < q_q <= q_c <= 1, got {qq}, {qc}")
+        return qc, qq
 
     return _deformed_ratio_sum(roots, 1, 2, tol, bits, max_terms)
 
@@ -342,7 +340,7 @@ def total_sum_free(block_sum: Interval | SeriesResult) -> SeriesResult:
 # closed-form bounds and certified thresholds
 
 
-def bound_S_dim2(q: IntervalLike, bits: int | None = None) -> Interval:
+def bound_S_dim2(q: IntervalLike, bits: int = intervals.DEFAULT_BITS) -> Interval:
     """Closed-form upper bound for the block sum when the fundamental has
     classical dimension 2:
 
@@ -350,7 +348,7 @@ def bound_S_dim2(q: IntervalLike, bits: int | None = None) -> Interval:
 
     monotone increasing on (0, 1).
     """
-    with intervals.precision(_resolve_bits(bits)) as ctx:
+    with intervals.precision(bits) as ctx:
         point = intervals.make(q, ctx)
         if intervals.lower(point) <= 0 or intervals.upper(point) >= 1:
             raise DomainError(f"q must lie strictly inside (0, 1), got {point}")
@@ -363,7 +361,7 @@ def bound_S_dim2(q: IntervalLike, bits: int | None = None) -> Interval:
 
 
 def bound_S_dimge3(
-    q_c: IntervalLike, q_q: IntervalLike, bits: int | None = None
+    q_c: IntervalLike, q_q: IntervalLike, bits: int = intervals.DEFAULT_BITS
 ) -> Interval:
     """Geometric majorant of the block sum for fundamental dimension >= 3:
 
@@ -373,7 +371,7 @@ def bound_S_dimge3(
     is exactly the ratio threshold reported by
     :func:`threshold_ratio_dimge3`.
     """
-    with intervals.precision(_resolve_bits(bits)) as ctx:
+    with intervals.precision(bits) as ctx:
         qc = intervals.make(q_c, ctx)
         qq = intervals.make(q_q, ctx)
         if intervals.lower(qq) <= 0 or intervals.upper(qc) >= 1:
@@ -432,9 +430,8 @@ def _bisect_unit_crossing(
     raise BudgetError(f"no enclosure of width {tol} at {MAX_BITS} bits")
 
 
-def threshold_dim2(tol, bits: int | None = None) -> Interval:
+def threshold_dim2(tol, bits: int = intervals.DEFAULT_BITS) -> Interval:
     """Certified unit crossing of :func:`bound_S_dim2` (near 0.0861)."""
-    bits = _resolve_bits(bits)
 
     def f(x: Interval) -> Interval:
         return bound_S_dim2(x, bits=x.ctx.prec)
@@ -442,10 +439,10 @@ def threshold_dim2(tol, bits: int | None = None) -> Interval:
     return _bisect_unit_crossing(f, Fraction(1, 100), Fraction(1, 2), tol, bits)
 
 
-def threshold_ratio_dimge3(bits: int | None = None) -> Interval:
+def threshold_ratio_dimge3(bits: int = intervals.DEFAULT_BITS) -> Interval:
     """Closed-form ratio threshold ``(1 + sqrt((3 sqrt(5) + 5)/10))^(-2)``,
     with decimal expansion starting 0.2306."""
-    with intervals.precision(_resolve_bits(bits)) as ctx:
+    with intervals.precision(bits) as ctx:
         u = intervals.isqrt((3 * intervals.isqrt(intervals.make(5, ctx)) + 5) / 10)
         return (1 + u) ** (-2)
 
@@ -456,13 +453,12 @@ def _remark_two_term(x: Interval) -> Interval:
     return intervals.isqrt(2 / two) + intervals.isqrt(3 / three)
 
 
-def threshold_remark(tol, bits: int | None = None) -> Interval:
+def threshold_remark(tol, bits: int = intervals.DEFAULT_BITS) -> Interval:
     """Certified root of ``sqrt(2/[2]) + sqrt(3/[3]) = 1`` (near 0.2134).
 
     The left side is a two-term lower bound for the dimension-2 block sum,
     so above this root that sum certainly exceeds 1.
     """
-    bits = _resolve_bits(bits)
     return _bisect_unit_crossing(
         _remark_two_term, Fraction(1, 100), Fraction(1, 2), tol, bits
     )
@@ -506,7 +502,7 @@ def masa_verdict(
     family: FusionFamily,
     tol=Fraction(1, 10**6),
     n_max: int = 50,
-    bits: int | None = None,
+    bits: int = intervals.DEFAULT_BITS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> MasaVerdict:
     """Run the summability criterion and the intertwiner scan for `family`."""
@@ -518,11 +514,7 @@ def masa_verdict(
         if family.is_kac:
             block = SeriesResult(Verdict.DIVERGES)
         else:
-            def roots(ctx: Context) -> tuple[Interval, Interval]:
-                return (solve_fundamental_q(intervals.make(family.dim_c_fund, ctx)),
-                        solve_fundamental_q(intervals.make(family.dim_q_fund, ctx)))
-
-            block = _deformed_ratio_sum(roots, 1, 2, tol, bits, max_terms)
+            block = _deformed_ratio_sum(_fundamental_roots(family), 1, 2, tol, bits, max_terms)
         series = total_sum_free(block)
         # Non-Kac free-unitary families have nontrivial intertwiners on every
         # nontrivial word; Kac ones on none.

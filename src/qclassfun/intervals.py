@@ -7,7 +7,10 @@ belongs to one context and carries its precision (bits of mantissa) with it:
 :func:`precision` yields the cached context for a bit count, :func:`make` and
 :func:`from_endpoints` build in it (default 128 bits), and an operation
 works at the precision of its left interval operand.  No global state is
-read or written, so concurrent callers may use different precisions.
+read or written, so concurrent callers may use different precisions.  The
+context factory is the one place where a bit count is checked: anything
+outside ``1..MAX_BITS`` raises :class:`~qclassfun.errors.DomainError` and
+is never cached.
 
 Constructors accept exact data only: ints, :class:`~fractions.Fraction`,
 decimal strings (converted outward) and existing intervals.  Floats are
@@ -34,6 +37,7 @@ from mpmath.ctx_iv import MPIntervalContext as Context
 from .errors import DomainError
 
 DEFAULT_BITS = 128
+MAX_BITS = 1024
 
 #: Anything `make` can turn into a rigorous interval.
 IntervalLike = Union[int, float, str, Fraction, "mpmath.ctx_iv.ivmpf"]
@@ -43,6 +47,8 @@ Interval = mpmath.ctx_iv.ivmpf
 
 @lru_cache(maxsize=None)
 def _context(bits: int) -> Context:
+    if not 1 <= bits <= MAX_BITS:
+        raise DomainError(f"bits must lie in 1..{MAX_BITS}, got {bits}")
     ctx = Context()
     ctx.prec = bits
     return ctx

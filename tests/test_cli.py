@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -377,6 +378,16 @@ def test_threshold_dim2(capsys):
     enclosure = payload["results"]["enclosure"]
     assert 0.086 < float(enclosure["lo"]) <= 0.08617 <= float(enclosure["hi"]) < 0.0863
     assert float(enclosure["hi"]) - float(enclosure["lo"]) <= 1e-4 * 1.01
+
+
+@pytest.mark.parametrize("which", ["dim2", "remark"])
+@pytest.mark.parametrize("bits", ["16", "32"])
+def test_threshold_printed_bracket_within_tol_from_low_starting_bits(capsys, which, bits):
+    # the bracket is enclosed at an escalated precision and printed at its digits
+    payload = run_json(capsys, "threshold", "--which", which, "--tol", "1e-18", "--bits", bits)
+    enclosure = payload["results"]["enclosure"]
+    assert Fraction(enclosure["hi"]) - Fraction(enclosure["lo"]) <= Fraction(1, 10**18)
+    assert payload["meta"] == {"bits": int(bits), "digits": 17}
 
 
 def test_threshold_ratio3(capsys):

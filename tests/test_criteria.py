@@ -159,10 +159,20 @@ def test_ladder_near_kac_stays_undetermined():
 
 @pytest.mark.parametrize("bits", [-5, 0, criteria.MAX_BITS + 1, 2048])
 def test_series_reject_bits_outside_range(bits):
-    with pytest.raises(DomainError):
-        quasi_split_sum_ladder(su2_ladder(3, q=Fraction(1, 5)), TOL, bits=bits)
-    with pytest.raises(DomainError):
-        block_sum_S(1, Fraction(1, 20), TOL, bits=bits)
+    calls = [
+        lambda: quasi_split_sum_ladder(su2_ladder(3, q=Fraction(1, 5)), TOL, bits=bits),
+        lambda: block_sum_S(1, Fraction(1, 20), TOL, bits=bits),
+        lambda: bound_S_dim2(Fraction(1, 20), bits=bits),
+        lambda: bound_S_dimge3(Fraction(1, 2), Fraction(1, 20), bits=bits),
+        lambda: threshold_dim2(Fraction(1, 10**4), bits=bits),
+        lambda: threshold_remark(Fraction(1, 10**4), bits=bits),
+        lambda: threshold_ratio_dimge3(bits=bits),
+        lambda: masa_verdict(su2_ladder(3, q=Fraction(1, 5)), bits=bits),
+        lambda: masa_verdict(free_unitary(2, q=Fraction(1, 5)), bits=bits),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 @pytest.mark.parametrize("tol", [0, -1, "abc", "nan", Fraction(-1, 10**6)])
@@ -274,6 +284,37 @@ def test_block_sum_enclosure_keeps_partial_lower_endpoint():
 def test_block_sum_kac_diverges():
     assert block_sum_S(Fraction(1, 2), Fraction(1, 2), TOL).verdict is Verdict.DIVERGES
     assert block_sum_S(1, 1, TOL).verdict is Verdict.DIVERGES
+
+
+def test_block_sum_kac_diverges_for_identical_point_intervals():
+    with intervals.precision(64) as ctx:
+        half = intervals.make(Fraction(1, 2), ctx)
+    assert block_sum_S(half, half, TOL).verdict is Verdict.DIVERGES
+    assert block_sum_S(Fraction(1, 2), half, TOL).verdict is Verdict.DIVERGES
+
+
+@pytest.mark.parametrize("q_c, q_q", [
+    (Fraction(1, 3) + Fraction(1, 10**25), Fraction(1, 3)),  # q_q < q_c by 1e-25
+    (1 - Fraction(1, 10**30), Fraction(1, 2)),  # q_c below 1 by 1e-30
+])
+def test_block_sum_escalates_to_separate_close_exact_inputs(q_c, q_q):
+    # 64 bits separate neither pair; the kernel escalates instead of
+    # rejecting the exact input, and answers as it does from 128 bits
+    low = block_sum_S(q_c, q_q, TOL, bits=64)
+    high = block_sum_S(q_c, q_q, TOL, bits=128)
+    assert (low.verdict, low.terms_used) == (high.verdict, high.terms_used)
+    assert intervals.exact_endpoints(low.partial_sum) == intervals.exact_endpoints(
+        high.partial_sum)
+
+
+def test_block_sum_overlapping_interval_inputs_are_undetermined():
+    # no precision separates q_q from q_c, or q_c from 1: an answer, not an error
+    with intervals.precision(64) as ctx:
+        wide = intervals.from_endpoints(Fraction(1, 4), Fraction(1, 2), ctx)
+        near_one = intervals.from_endpoints(Fraction(9, 10), Fraction(11, 10), ctx)
+    for q_c, q_q in [(wide, Fraction(3, 10)), (near_one, Fraction(1, 10))]:
+        result = block_sum_S(q_c, q_q, TOL)
+        assert (result.verdict, result.terms_used) == (Verdict.UNDETERMINED, 0)
 
 
 def test_block_sum_domain_errors():

@@ -30,6 +30,15 @@ def test_precision_yields_one_context_per_bit_count():
     assert iv.prec == before
 
 
+@pytest.mark.parametrize("bits", [0, -5, intervals.MAX_BITS + 1, 200000])
+def test_precision_rejects_bits_outside_range_without_caching(bits):
+    cached = intervals._context.cache_info().currsize
+    with pytest.raises(DomainError):
+        with intervals.precision(bits):
+            pass
+    assert intervals._context.cache_info().currsize == cached
+
+
 def test_library_calls_ignore_mpmath_ambient_precision():
     before = iv.prec
     iv.prec = 20
