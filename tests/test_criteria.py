@@ -284,9 +284,7 @@ def test_block_sum_enclosure_keeps_partial_lower_endpoint():
 def test_block_sum_kac_diverges():
     assert block_sum_S(Fraction(1, 2), Fraction(1, 2), TOL).verdict is Verdict.DIVERGES
     assert block_sum_S(1, 1, TOL).verdict is Verdict.DIVERGES
-
-
-def test_block_sum_kac_diverges_for_identical_point_intervals():
+    # identical point intervals, alone or against the exact value
     with intervals.precision(64) as ctx:
         half = intervals.make(Fraction(1, 2), ctx)
     assert block_sum_S(half, half, TOL).verdict is Verdict.DIVERGES
