@@ -138,8 +138,25 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
 # certified series
 
 
-def _is_exact_one(x: Interval) -> bool:
-    return intervals.lower(x) == 1 and intervals.upper(x) == 1
+def _fixed_point_bits(bits: int, max_terms: int, tol: Fraction, y: Interval) -> int:
+    """Fraction bits of the kernel's fixed point at `bits`: `bits` bits below
+    the leading bit of the smaller of `tol`, which the majorant meets, and
+    the quantum root `y`, whose square root scales a block sum's first term
+    and bounds the classical root from below; then guard bits against the
+    roundings of `max_terms` terms."""
+    smallest = tol
+    y_lo = intervals.exact_endpoints(y)[0]
+    if y_lo is not None and 0 < y_lo < smallest:
+        smallest = y_lo
+    leading = (smallest.denominator // smallest.numerator).bit_length()
+    return bits + leading + max_terms.bit_length() + 4
+
+
+def _fixed_power(a: tuple[int, int], n: int, frac_bits: int) -> tuple[int, int]:
+    power = (1 << frac_bits, 1 << frac_bits)
+    for _ in range(n):
+        power = intervals.fixed_mul(power, a, frac_bits)
+    return power
 
 
 def _deformed_ratio_sum(
@@ -158,15 +175,25 @@ def _deformed_ratio_sum(
     is ``z^(m-1) sqrt(a_m (1 - y^2) / (1 - y^(2m)))``, where
     ``a_m = (1 - x^(2m)) / (1 - x^2)`` (``m`` at ``x = 1``).  The powers
     ``x^(2m)``, ``y^(2m)`` and ``z^(m-1)`` are carried from term to term
-    by one multiplication each, so a term costs O(1) interval operations.
+    by one multiplication each, so a term costs O(1) operations.
+
+    The terms are summed in fixed point: the roots cross once into pairs of
+    ints ``[lo, hi]·2^-P`` (:func:`intervals.to_fixed`), every quantity
+    stays nonnegative, so each operation is one floor and one ceiling of an
+    integer product, quotient or square root, and the partial sum and tail
+    cross back once, rounded outward to `bits`.  ``P`` keeps `bits` bits
+    below the smaller of `tol` and ``y``, plus guard bits for the
+    roundings of the sum (:func:`_fixed_point_bits`).
 
     Each term with ``m >= 2`` is at most ``C z^(m-1)``, where
     ``C = ((1 - x^2)(1 + y^2))^(-1/2)``, because ``1 - x^(2m) <= 1`` and
     ``(1 - y^2)/(1 - y^(2m)) <= 1/(1 + y^2)``; at ``x = 1`` it is at most
     ``m z^(m-1)``.  With ``w = z^step`` the tail after term ``m`` is then
     at most ``C z^(m-1) w/(1-w)``, or ``z^(m-1) (m w/(1-w) + step w/(1-w)^2)``
-    at ``x = 1``, and summation stops once that majorant is at most `tol`.
-    A term certainly above its own majorant is a bug and raises.
+    at ``x = 1``, and summation stops once that majorant is at most `tol`
+    rounded down to `bits`, so the reported tail, rounded up to `bits`, is
+    still at most `tol`.  A term certainly above its own majorant is a bug
+    and raises.
 
     Up to `max_terms` terms are summed at each precision, starting at
     `bits` and doubling up to MAX_BITS while a budget-exhausted majorant
@@ -175,47 +202,68 @@ def _deformed_ratio_sum(
     if max_terms < 1:
         raise DomainError(f"need a positive term budget, got {max_terms}")
     tol = _tol_fraction(tol)
+    mul, div, sqrt = intervals.fixed_mul, intervals.fixed_div, intervals.fixed_sqrt
     partial = None
     for bits in _doublings(bits):
         with intervals.precision(bits) as ctx:
             x, y = roots(ctx)
-            unit = _is_exact_one(x)
-            z = intervals.isqrt(y if unit else y / x)
-            w = z**step
-            if not (intervals.upper(w) < 1 and intervals.upper(y) < 1
-                    and (unit or intervals.upper(x) < 1)):
-                continue  # y and x are not separated at this precision
-            x2, y2 = x * x, y * y
-            x_step, y_step = x2**step, y2**step
-            xm, ym, zm = x2**first, y2**first, z ** (first - 1)
-            one_minus_y2 = 1 - y2
-            geometric = w / (1 - w)
+            p = _fixed_point_bits(bits, max_terms, tol, y)
+            stop = intervals.to_fixed(intervals.make(tol, ctx), p)[0]
+        one = 1 << p
+        xf, yf = intervals.to_fixed(x, p), intervals.to_fixed(y, p)
+        if xf[0] < 0 or yf[0] < 0:
+            raise DomainError(f"sqrt of possibly negative enclosure: roots {x}, {y}")
+        unit = xf == (one, one)
+        if not (yf[1] < one and (unit or 0 < xf[0] and xf[1] < one)):
+            continue  # y and x are not separated at this precision
+        z = sqrt(yf if unit else div(yf, xf, p), p)
+        w = _fixed_power(z, step, p)
+        if w[1] >= one:
+            continue
+        x2, y2 = mul(xf, xf, p), mul(yf, yf, p)
+        x_step, y_step = _fixed_power(x2, step, p), _fixed_power(y2, step, p)
+        xm, ym = _fixed_power(x2, first, p), _fixed_power(y2, first, p)
+        zm = _fixed_power(z, first - 1, p)
+        one_minus_y2 = (one - y2[1], one - y2[0])
+        one_minus_w = (one - w[1], one - w[0])
+        geometric = div(w, one_minus_w, p)
+        if unit:
+            poly = div(geometric, one_minus_w, p)
+            poly = (step * poly[0], step * poly[1])
+        else:
+            one_minus_x2 = (one - x2[1], one - x2[0])
+            ratio_scale = div(one_minus_y2, one_minus_x2, p)
+            scale = div((one, one), sqrt(mul(one_minus_x2, (one + y2[0], one + y2[1]), p), p), p)
+            tail_factor = mul(scale, geometric, p)
+        partial_lo = partial_hi = 0
+        m = first
+        for terms in range(1, max_terms + 1):
+            one_minus_ym = (one - ym[1], one - ym[0])
             if unit:
-                poly = step * geometric / (1 - w)
+                root = sqrt(div((m * one_minus_y2[0], m * one_minus_y2[1]), one_minus_ym, p), p)
             else:
-                inv_one_minus_x2 = 1 / (1 - x2)
-                scale = 1 / intervals.isqrt((1 - x2) * (1 + y2))
-                tail_factor = scale * geometric
-            partial = intervals.make(0, ctx)
-            m = first
-            for terms in range(1, max_terms + 1):
-                a_m = m if unit else (1 - xm) * inv_one_minus_x2
-                term = zm * intervals.isqrt(a_m * one_minus_y2 / (1 - ym))
-                if intervals.lower(term) > intervals.upper(zm * (m if unit else scale)):
-                    raise AssertionError(f"term {m} exceeds its majorant; kernel bug")
-                partial += term
-                majorant = zm * (m * geometric + poly if unit else tail_factor)
-                hi = intervals.exact_endpoints(majorant)[1]
-                if hi is not None and hi <= tol:
-                    tail = intervals.from_endpoints(0, intervals.upper(majorant), ctx)
-                    return SeriesResult(Verdict.CONVERGES, partial, tail, terms)
-                m += step
-                xm *= x_step
-                ym *= y_step
-                zm *= w
-            lo = intervals.exact_endpoints(majorant)[0]
-            if lo is not None and lo > tol:
-                break  # the tail genuinely exceeds tol; more bits cannot help
+                a_m = mul((one - xm[1], one - xm[0]), ratio_scale, p)
+                root = sqrt(div(a_m, one_minus_ym, p), p)
+            # the term over z^(m-1) against its bound: C, or m at x = 1
+            if root[0] > (m << p if unit else scale[1]):
+                raise AssertionError(f"term {m} exceeds its majorant; kernel bug")
+            term = mul(zm, root, p)
+            partial_lo += term[0]
+            partial_hi += term[1]
+            factor = ((m * geometric[0] + poly[0], m * geometric[1] + poly[1]) if unit
+                      else tail_factor)
+            majorant = mul(zm, factor, p)
+            if majorant[1] <= stop:
+                partial = intervals.from_fixed(partial_lo, partial_hi, p, ctx)
+                tail = intervals.from_fixed(0, majorant[1], p, ctx)
+                return SeriesResult(Verdict.CONVERGES, partial, tail, terms)
+            m += step
+            xm = mul(xm, x_step, p)
+            ym = mul(ym, y_step, p)
+            zm = mul(zm, w, p)
+        partial = intervals.from_fixed(partial_lo, partial_hi, p, ctx)
+        if majorant[0] * tol.denominator > tol.numerator << p:
+            break  # the tail genuinely exceeds tol; more bits cannot help
     return SeriesResult(Verdict.UNDETERMINED, partial, None,
                         0 if partial is None else max_terms)
 

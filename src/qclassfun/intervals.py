@@ -21,11 +21,20 @@ Endpoints are read exactly (:func:`lower`, :func:`upper`,
 :func:`certainly_lt`, :func:`overlaps`) certify a relation between the
 enclosed true values.  No point inside an enclosure is offered as a result;
 :func:`to_decimal_mid` is a display convenience only.
+
+Hot loops may leave mpmath for fixed point: a pair of ints ``(lo, hi)``
+stands for ``[lo, hi]·2^-frac_bits``.  :func:`to_fixed` (floor of the lower
+endpoint, ceiling of the upper) and :func:`from_fixed` (outward to a
+context) are the only crossings, and :func:`fixed_mul`, :func:`fixed_div`
+and :func:`fixed_sqrt` round each result by one floor and one ceiling.  They
+take nonnegative pairs only, so each endpoint of a result depends on the
+same endpoints of the operands.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +42,7 @@ from typing import Iterator, Union
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext as Context
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from .errors import DomainError
 
@@ -162,6 +172,50 @@ def inv(x: Interval) -> Interval:
     if lower(x) <= 0 <= upper(x):
         raise DomainError(f"division by enclosure of zero {x}")
     return 1 / x
+
+
+def to_fixed(x: Interval, frac_bits: int) -> tuple[int, int]:
+    """Fixed-point enclosure ``(lo, hi)`` of `x`: ``[lo, hi]·2^-frac_bits``
+    contains it, with `lo` the floor of the lower endpoint times
+    ``2^frac_bits`` and `hi` the ceiling of the upper one."""
+    lo, hi = x._mpi_
+    if lo in _NONFINITE or hi in _NONFINITE:
+        raise DomainError(f"no fixed-point form of the unbounded enclosure {x}")
+    sign, man, exp, _ = hi
+    return _scaled_floor(*lo[:3], frac_bits), -_scaled_floor(1 - sign, man, exp, frac_bits)
+
+
+def from_fixed(lo: int, hi: int, frac_bits: int, ctx: Context) -> Interval:
+    """Enclosure in `ctx` of ``[lo, hi]·2^-frac_bits``, rounded outward."""
+    return ctx.make_mpf((from_man_exp(lo, -frac_bits, ctx.prec, round_floor),
+                         from_man_exp(hi, -frac_bits, ctx.prec, round_ceiling)))
+
+
+def fixed_mul(a: tuple[int, int], b: tuple[int, int], frac_bits: int) -> tuple[int, int]:
+    """Product of two nonnegative fixed-point enclosures."""
+    return (a[0] * b[0]) >> frac_bits, -((-a[1] * b[1]) >> frac_bits)
+
+
+def fixed_div(a: tuple[int, int], b: tuple[int, int], frac_bits: int) -> tuple[int, int]:
+    """Quotient of a nonnegative by a positive fixed-point enclosure."""
+    return (a[0] << frac_bits) // b[1], -((-a[1] << frac_bits) // b[0])
+
+
+def fixed_sqrt(a: tuple[int, int], frac_bits: int) -> tuple[int, int]:
+    """Square root of a nonnegative fixed-point enclosure."""
+    top = a[1] << frac_bits
+    root = math.isqrt(top)
+    return math.isqrt(a[0] << frac_bits), root + (root * root < top)
+
+
+_NONFINITE = (mpmath.libmp.finf, mpmath.libmp.fninf, mpmath.libmp.fnan)
+
+
+def _scaled_floor(sign: int, man: int, exp: int, frac_bits: int) -> int:
+    """``floor((-1)^sign · man · 2^(exp + frac_bits))`` for a raw mpf."""
+    value = -man if sign else man
+    shift = exp + frac_bits
+    return value << shift if shift >= 0 else value >> -shift
 
 
 def _endpoint_fraction(raw) -> Fraction | None:

@@ -283,6 +283,15 @@ def test_undetermined_is_an_answer_with_exit_0(capsys):
     assert payload["results"]["masa_verdict"] == "no conclusion"
 
 
+def test_budget_capped_series_near_kac_is_undetermined(capsys):
+    # the benchmark's capped call: its majorant still exceeds tol after the
+    # budget, so the answer is undetermined at the budget of 1500 + 1 labels
+    payload = run_json(capsys, "series", "--family", "o-plus", "--N", "3",
+                       "--dimq", "3007/1000", "--max-terms", "1500")
+    series = payload["results"]["series"]
+    assert (series["verdict"], series["terms_used"]) == ("undetermined", 1501)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -217,32 +217,34 @@ def _deformed_ratio_oracle(x, y, step: int, first: int) -> mpmath.mpf:
         m += step
 
 
-def _kernel_case(kind: str, below_one: bool, qq: Fraction):
-    """The certified result and the oracle's (x, y, step, first).
+def _kernel_case(kind: str, below_one: bool, qq: Fraction, bits: int):
+    """The certified result at `bits` and the oracle's (x, y, step, first).
 
     `below_one` picks a classical root below 1; otherwise it is exactly 1
     (o-plus N=2, so3 N=3, u-plus dimension 2)."""
     s = qq * Fraction(38, 100) if below_one else qq  # below the root of 3
     if kind == "o-plus":
         n = 3 if below_one else 2
-        result = quasi_split_sum_ladder(su2_ladder(n, q=s), KERNEL_TOL)
+        result = quasi_split_sum_ladder(su2_ladder(n, q=s), KERNEL_TOL, bits=bits)
         return result, (_root(n), _mp(s), 1, 1)
     if kind == "so3":
         n = 4 if below_one else 3
-        result = quasi_split_sum_ladder(so3_ladder(n, dim_q_fund=1 + s + 1 / s), KERNEL_TOL)
+        result = quasi_split_sum_ladder(so3_ladder(n, dim_q_fund=1 + s + 1 / s), KERNEL_TOL,
+                                        bits=bits)
         return result, (mpmath.sqrt(_root(n - 1)), mpmath.sqrt(_mp(s)), 2, 1)
-    with intervals.precision(128) as ctx:
+    with intervals.precision(bits) as ctx:
         q_c = solve_fundamental_q(intervals.make(3, ctx)) if below_one else 1
-    result = block_sum_S(q_c, s, KERNEL_TOL)
+    result = block_sum_S(q_c, s, KERNEL_TOL, bits=bits)
     return result, (_root(3) if below_one else mpmath.mpf(1), _mp(s), 1, 2)
 
 
+@pytest.mark.parametrize("bits", [16, 32, 128])
 @pytest.mark.parametrize("below_one", [False, True])
 @pytest.mark.parametrize("kind", ["o-plus", "so3", "u-plus"])
-def test_kernel_encloses_closed_form_oracle(kind, below_one):
+def test_kernel_encloses_closed_form_oracle(kind, below_one, bits):
     for qq in KERNEL_GRID:
         with mpmath.workdps(50):
-            result, oracle_args = _kernel_case(kind, below_one, qq)
+            result, oracle_args = _kernel_case(kind, below_one, qq, bits)
             oracle = _deformed_ratio_oracle(*oracle_args)
         assert result.verdict is Verdict.CONVERGES, (kind, qq)
         assert intervals.width_at_most(result.tail_bound, KERNEL_TOL)
@@ -320,6 +322,20 @@ def test_block_sum_domain_errors():
         block_sum_S(Fraction(1, 2), Fraction(7, 10), TOL)  # q_q > q_c
     with pytest.raises(DomainError):
         block_sum_S(Fraction(3, 2), Fraction(1, 10), TOL)  # q_c > 1
+    # q_q may be negative: its square root is refused, not summed as undetermined
+    with intervals.precision(64) as ctx:
+        straddling = intervals.from_endpoints(Fraction(-1, 10), Fraction(1, 5), ctx)
+    with pytest.raises(DomainError, match="possibly negative"):
+        block_sum_S(1, straddling, TOL)
+
+
+def test_capped_ladder_near_kac_stops_without_escalating():
+    # after the budget the majorant certainly exceeds tol, so more bits
+    # cannot help and the partial sum stays at the starting precision
+    family = su2_ladder(3, dim_q_fund=Fraction(3007, 1000))
+    result = quasi_split_sum_ladder(family, TOL, max_terms=1500)
+    assert (result.verdict, result.terms_used) == (Verdict.UNDETERMINED, 1501)
+    assert result.partial_sum.ctx.prec == intervals.DEFAULT_BITS
 
 
 def test_block_sum_increasing_in_deformation():

@@ -1,13 +1,14 @@
 """Outward-rounded interval helpers and their per-call precision."""
 
 import ast
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
@@ -84,7 +85,8 @@ def _interval_api_uses(node: ast.AST) -> bool:
         return node.module == "mpmath.ctx_iv" or any(a.name in ("iv", "ctx_iv") for a in node.names)
     if isinstance(node, ast.Import):
         return any(a.name == "mpmath.ctx_iv" for a in node.names)
-    return isinstance(node, ast.Attribute) and node.attr in ("iv", "ctx_iv")
+    # `_mpi_` holds an interval's raw endpoints
+    return isinstance(node, ast.Attribute) and node.attr in ("iv", "ctx_iv", "_mpi_")
 
 
 def _prec_writes(tree: ast.AST) -> list[int]:
@@ -99,8 +101,9 @@ def _prec_writes(tree: ast.AST) -> list[int]:
 
 def test_only_the_context_factory_touches_interval_precision():
     """Precision lives in the interval contexts of `intervals`: no other
-    module uses mpmath's interval API, and only `intervals._context` sets
-    a `.prec`."""
+    module uses mpmath's interval API or reads an interval's raw endpoints
+    (so the fixed-point crossings stay in `intervals`), and only
+    `intervals._context` sets a `.prec`."""
     package = Path(qclassfun.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -185,3 +188,66 @@ def test_width_at_most_is_exact():
         x = intervals.from_endpoints(0, Fraction(1, 8), ctx)
         assert intervals.width_at_most(x, Fraction(1, 8))
         assert not intervals.width_at_most(x, Fraction(1, 9))
+
+
+# ---------------------------------------------------------------------------
+# fixed point: one floor and one ceiling per operation
+
+FIXED_POINT_BITS = [8, 53, 128, 1024]
+magnitudes = st.fractions(min_value=0, max_value=Fraction(16), max_denominator=10**40)
+signed = st.fractions(min_value=Fraction(-16), max_value=Fraction(16), max_denominator=10**40)
+
+
+def _floor(value: Fraction, frac_bits: int) -> int:
+    return math.floor(value * 2**frac_bits)
+
+
+def _ceil(value: Fraction, frac_bits: int) -> int:
+    return math.ceil(value * 2**frac_bits)
+
+
+def _fixed(a: Fraction, b: Fraction, frac_bits: int) -> tuple[int, int]:
+    """The tightest fixed-point pair around the hull of `a` and `b`."""
+    return _floor(min(a, b), frac_bits), _ceil(max(a, b), frac_bits)
+
+
+def _value(n: int, frac_bits: int) -> Fraction:
+    return Fraction(n, 2**frac_bits)
+
+
+@pytest.mark.parametrize("frac_bits", FIXED_POINT_BITS)
+@settings(derandomize=True, max_examples=60)
+@given(signed, signed)
+def test_fixed_point_crossings_round_outward(frac_bits, a, b):
+    with intervals.precision(64) as ctx:
+        x = intervals.from_endpoints(min(a, b), max(a, b), ctx)
+    lo, hi = intervals.exact_endpoints(x)
+    # the floor of the lower endpoint and the ceiling of the upper, exactly
+    assert intervals.to_fixed(x, frac_bits) == (_floor(lo, frac_bits), _ceil(hi, frac_bits))
+    pair = _fixed(a, b, frac_bits)
+    back = intervals.from_fixed(*pair, frac_bits, ctx)
+    assert back.ctx is ctx
+    assert intervals.contains(back, _value(pair[0], frac_bits))
+    assert intervals.contains(back, _value(pair[1], frac_bits))
+    # each endpoint moves by at most one 64-bit ulp
+    assert intervals.width_fraction(back) <= (
+        _value(pair[1] - pair[0], frac_bits) + Fraction(2 * max(abs(a), abs(b), 1), 2**63))
+
+
+@pytest.mark.parametrize("frac_bits", FIXED_POINT_BITS)
+@settings(derandomize=True, max_examples=60)
+@given(magnitudes, magnitudes, magnitudes, magnitudes)
+def test_fixed_point_operations_round_once_outward(frac_bits, a, b, c, d):
+    x, y = _fixed(a, b, frac_bits), _fixed(c, d, frac_bits)
+    x_lo, x_hi = _value(x[0], frac_bits), _value(x[1], frac_bits)
+    y_lo, y_hi = _value(y[0], frac_bits), _value(y[1], frac_bits)
+    assert intervals.fixed_mul(x, y, frac_bits) == (
+        _floor(x_lo * y_lo, frac_bits), _ceil(x_hi * y_hi, frac_bits))
+    if y[0] > 0:
+        assert intervals.fixed_div(x, y, frac_bits) == (
+            _floor(x_lo / y_hi, frac_bits), _ceil(x_hi / y_lo, frac_bits))
+    root_lo, root_hi = intervals.fixed_sqrt(x, frac_bits)
+    # floor and ceiling of the square roots, certified by squaring exactly
+    assert _value(root_lo, frac_bits) ** 2 <= x_lo < _value(root_lo + 1, frac_bits) ** 2
+    assert x_hi <= _value(root_hi, frac_bits) ** 2
+    assert root_hi == 0 or _value(root_hi - 1, frac_bits) ** 2 < x_hi
