@@ -27,8 +27,8 @@ stands for ``[lo, hi]·2^-frac_bits``.  :func:`to_fixed` (floor of the lower
 endpoint, ceiling of the upper) and :func:`from_fixed` (outward to a
 context) are the only crossings, and :func:`fixed_mul`, :func:`fixed_div`
 and :func:`fixed_sqrt` round each result by one floor and one ceiling.  They
-take nonnegative pairs only, so each endpoint of a result depends on the
-same endpoints of the operands.
+take nonnegative pairs only, on which each operation is monotone in every
+operand, so that rounding is outward.
 """
 
 from __future__ import annotations
