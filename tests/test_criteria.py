@@ -149,6 +149,10 @@ def test_ladder_and_block_at_tiny_deformation_converge():
     for family in (su2_ladder(2, q=q), so3_ladder(3, dim_q_fund=1 + q + 1 / q)):
         assert quasi_split_sum_ladder(family, TOL).verdict is Verdict.CONVERGES
     assert masa_verdict(free_unitary(2, q=q)).verdict_text == VERDICT_RELATIVE_COMMUTANT
+    # a block sum near 4.5e-13 keeps about 128 significant bits: the fixed
+    # point's scale follows the quantum root, not only tol
+    lo, hi = intervals.exact_endpoints(block_sum_S(1, q, TOL).partial_sum)
+    assert 0 < hi - lo < lo / 2**120
 
 
 def test_ladder_near_kac_stays_undetermined():
