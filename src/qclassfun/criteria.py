@@ -9,12 +9,18 @@ with the absence of nontrivial labels with trivial intertwiner it yields the
 
 Every sum is certified: terms are enclosed with outward rounding and a
 geometric majorant bounds the tail, so reported values are true enclosures,
-never point estimates.  Root findings below use bisection on functions whose
-monotonicity is first certified on a grid.
+never point estimates.  A threshold is certified by one interval enclosure
+of a derivative-sign quantity over its whole search interval, which proves
+the function increasing and the crossing unique, and by the certified signs
+of ``f - 1`` at the two ends of its bracket.  Where those ends lie is
+chosen by a secant estimate, which is not certified; when the signs
+refute it, bisection finishes the bracket.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -342,11 +348,13 @@ def block_sum_S(
     """
     exact_kinds = (int, str, Fraction)
     if isinstance(q_c, exact_kinds) and isinstance(q_q, exact_kinds):
+        # unequal rationals never enclose to one point, so no enclosure is needed
         if Fraction(q_c) == Fraction(q_q):
             return SeriesResult(Verdict.DIVERGES)
-    point = intervals.make(q_c)
-    if intervals.identical(point, intervals.make(q_q, point.ctx)) and intervals.width(point) == 0:
-        return SeriesResult(Verdict.DIVERGES)
+    else:
+        point = intervals.make(q_c)
+        if intervals.identical(point, intervals.make(q_q, point.ctx)) and intervals.width(point) == 0:
+            return SeriesResult(Verdict.DIVERGES)
 
     def roots(ctx: Context) -> tuple[Interval, Interval]:
         qc, qq = intervals.make(q_c, ctx), intervals.make(q_q, ctx)
@@ -430,61 +438,174 @@ def bound_S_dimge3(
         return 1 / intervals.isqrt(1 - qc * qc) * root / (1 - root)
 
 
-def _bisect_unit_crossing(
+#: The search interval of both thresholds.
+_SEARCH_LO, _SEARCH_HI = Fraction(1, 100), Fraction(1, 2)
+
+
+def _below_one(f: Callable[[Interval], Interval], x: Fraction, bits: int) -> bool:
+    """Certified side of 1 that ``f(x)`` lies on: True below, False above.
+    While the enclosure straddles 1 it is recomputed at the next doubling
+    of `bits`; undecided at MAX_BITS is a budget error."""
+    for eval_bits in _doublings(bits):
+        with intervals.precision(eval_bits) as ctx:
+            value = f(intervals.make(x, ctx))
+        if intervals.upper(value) < 1:
+            return True
+        if intervals.lower(value) > 1:
+            return False
+    raise BudgetError(f"sign of f({x}) - 1 undecided at {MAX_BITS} bits")
+
+
+def _certify_increasing(
+    slopes: Callable[[Interval], tuple], lo: Fraction, hi: Fraction, bits: int
+) -> None:
+    """Certify that f increases on [lo, hi] from one enclosure of
+    ``slopes(x)`` over the whole interval: each quantity must be certainly
+    positive, and their positivity is what makes f increasing (a derivative
+    sign, after Moore's interval analysis).  An enclosure that is too wide
+    is recomputed at the next doubling of `bits`."""
+    for eval_bits in _doublings(bits):
+        with intervals.precision(eval_bits) as ctx:
+            values = slopes(intervals.from_endpoints(lo, hi, ctx))
+        if all(intervals.certainly_gt(v, 0) for v in values):
+            return
+    raise DomainError(f"f could not be certified increasing on [{lo}, {hi}]")
+
+
+def _secant(
     f: Callable[[Interval], Interval],
+    x0: Fraction,
+    x1: Fraction,
+    bits: int,
+    steps: int,
+    stop: Fraction,
+) -> tuple[Fraction, Fraction]:
+    """Up to `steps` secant steps towards ``f = 1`` from `x0` and `x1`, on
+    the midpoints of f's enclosures at `bits`; each iterate is rounded to a
+    multiple of ``2^-(bits+8)`` and clipped to the search interval.  Stops
+    after a step of at most `stop`, or when a step would change nothing.
+    Returns the last two iterates, which differ.  Nothing here is
+    certified: the result is an estimate only."""
+    scale = 1 << (bits + 8)
+
+    def offset(x: Fraction) -> Fraction:
+        with intervals.precision(bits) as ctx:
+            lo, hi = intervals.exact_endpoints(f(intervals.make(x, ctx)))
+        return (lo + hi) / 2 - 1
+
+    v0 = offset(x0)
+    for _ in range(steps):
+        v1 = offset(x1)
+        if v1 == v0:
+            break
+        x2 = x1 - v1 * (x1 - x0) / (v1 - v0)
+        x2 = min(max(Fraction(round(x2 * scale), scale), _SEARCH_LO), _SEARCH_HI)
+        if x2 == x1:
+            break
+        x0, v0, x1 = x1, v1, x2
+        if abs(x1 - x0) <= stop:
+            break
+    return x0, x1
+
+
+@functools.cache
+def _coarse_estimate(which: str) -> tuple[Fraction, Fraction]:
+    """The last two secant iterates at 64 bits from the ends of the search
+    interval: a pure function of the threshold's name, computed once per
+    process whatever the tolerance."""
+    return _secant(_CROSSINGS[which][0], _SEARCH_LO, _SEARCH_HI, 64, 64, Fraction(1, 1 << 64))
+
+
+def _estimate(which: str, tol: Fraction) -> Fraction:
+    """Non-rigorous estimate of the unit crossing: the cached 64-bit one,
+    refined when `tol` needs more than 40 bits by secant steps at about
+    ``2 log2(1/tol) + 64`` bits until a step is at most ``tol/16``.  Each
+    step multiplies the correct bits by about 1.6, so one to three steps
+    reach tol 1e-60, and six take the 64 bits past MAX_BITS."""
+    x0, x1 = _coarse_estimate(which)
+    needed = (tol.denominator // tol.numerator).bit_length()
+    if needed > 40:
+        bits = min(2 * needed + 64, MAX_BITS)
+        x0, x1 = _secant(_CROSSINGS[which][0], x0, x1, bits, 6, tol / 16)
+    return x1
+
+
+def _unit_crossing(
+    f: Callable[[Interval], Interval],
+    slopes: Callable[[Interval], tuple],
     lo: Fraction,
     hi: Fraction,
-    tol,
+    tol: Fraction,
     bits: int,
-    grid_points: int = 17,
+    estimate: Fraction,
 ) -> Interval:
     """Enclose the unique solution of ``f = 1`` in [lo, hi] to width `tol`.
 
-    `f` must be increasing; this is certified on a coarse grid first.
-    Midpoint sign evaluations that straddle 1 trigger precision escalation.
-    The final bracket is narrower than `tol` and is enclosed at the first
-    doubling of `bits` whose outward rounding keeps it within `tol`.
+    Certified: that f increases on [lo, hi], so a crossing is unique
+    (:func:`_certify_increasing` on `slopes`), and the sign of ``f - 1`` at
+    every point the bracket ends on (:func:`_below_one`).  Not certified:
+    `estimate`, which only chooses where to look.  It is verified as in
+    Rump's verification methods: ``estimate -+ tol/4``, rounded outward to
+    multiples of a power of two at most ``tol/8`` and clipped to [lo, hi],
+    are the candidate ends, and when f is certified below 1 at the lower and
+    above 1 at the upper one they are the bracket, at most ``3 tol/4`` wide.
+    Otherwise the certified signs narrow [lo, hi] as far as they go, the
+    ends not yet checked are certified, and bisection finishes the bracket,
+    so a wrong estimate costs time, never correctness.  The final bracket
+    is narrower than `tol` and is enclosed at the first doubling of `bits`
+    whose outward rounding keeps it within `tol`.
     """
-    tol_fraction = _tol_fraction(tol)
-    span = hi - lo
-    grid = [lo + span * k / (grid_points - 1) for k in range(grid_points)]
-    with intervals.precision(bits) as ctx:
-        values = [f(intervals.make(x, ctx)) for x in grid]
-    for left, right in zip(values, values[1:]):
-        if not intervals.certainly_lt(left, right):
-            raise DomainError("monotonicity could not be certified on the grid")
-    if not intervals.certainly_lt(values[0], 1):
-        raise DomainError(f"no sign change: f({lo}) not certified below 1")
-    if not intervals.certainly_gt(values[-1], 1):
-        raise DomainError(f"no sign change: f({hi}) not certified above 1")
-    while hi - lo >= tol_fraction:
-        mid = (lo + hi) / 2
-        for eval_bits in _doublings(bits):
-            with intervals.precision(eval_bits) as ctx:
-                value = f(intervals.make(mid, ctx))
-            if intervals.upper(value) < 1:
-                lo = mid
-                break
-            if intervals.lower(value) > 1:
-                hi = mid
-                break
+    _certify_increasing(slopes, lo, hi, bits)
+    unit = 1 << (8 * tol.denominator // tol.numerator).bit_length()  # 1/unit <= tol/8
+    candidates = {
+        min(max(Fraction(math.floor((estimate - tol / 4) * unit), unit), lo), hi),
+        min(max(Fraction(math.ceil((estimate + tol / 4) * unit), unit), lo), hi),
+    }
+    lo_known = hi_known = False
+    for point in sorted(candidates):
+        if _below_one(f, point, bits):
+            lo, lo_known = point, True
         else:
-            raise BudgetError(f"sign of f({mid}) undecided at {MAX_BITS} bits")
+            hi, hi_known = point, True
+            break
+    if not lo_known and not _below_one(f, lo, bits):
+        raise DomainError(f"no sign change: f({lo}) not certified below 1")
+    if not hi_known and _below_one(f, hi, bits):
+        raise DomainError(f"no sign change: f({hi}) not certified above 1")
+    while hi - lo >= tol:
+        mid = (lo + hi) / 2
+        if _below_one(f, mid, bits):
+            lo = mid
+        else:
+            hi = mid
     for enclosure_bits in _doublings(bits):
         with intervals.precision(enclosure_bits) as ctx:
             enclosure = intervals.from_endpoints(lo, hi, ctx)
-        if intervals.width_at_most(enclosure, tol_fraction):
+        if intervals.width_at_most(enclosure, tol):
             return enclosure
     raise BudgetError(f"no enclosure of width {tol} at {MAX_BITS} bits")
 
 
+def _threshold(which: str, tol, bits: int) -> Interval:
+    f, slopes = _CROSSINGS[which]
+    tol = _tol_fraction(tol)
+    return _unit_crossing(f, slopes, _SEARCH_LO, _SEARCH_HI, tol, bits, _estimate(which, tol))
+
+
+def _dim2_bound(x: Interval) -> Interval:
+    return bound_S_dim2(x, bits=x.ctx.prec)
+
+
+def _dim2_slopes(q: Interval) -> tuple[Interval]:
+    """``d/ds log`` of :func:`bound_S_dim2` at ``q = s^2``; positive means
+    the bound increases in q."""
+    s = intervals.isqrt(q)
+    return (1 / s - 1 / (2 - s) - 2 * s**3 / (1 + s**4) + 2 / (1 - s),)
+
+
 def threshold_dim2(tol, bits: int = intervals.DEFAULT_BITS) -> Interval:
     """Certified unit crossing of :func:`bound_S_dim2` (near 0.0861)."""
-
-    def f(x: Interval) -> Interval:
-        return bound_S_dim2(x, bits=x.ctx.prec)
-
-    return _bisect_unit_crossing(f, Fraction(1, 100), Fraction(1, 2), tol, bits)
+    return _threshold("dim2", tol, bits)
 
 
 def threshold_ratio_dimge3(bits: int = intervals.DEFAULT_BITS) -> Interval:
@@ -501,15 +622,24 @@ def _remark_two_term(x: Interval) -> Interval:
     return intervals.isqrt(2 / two) + intervals.isqrt(3 / three)
 
 
+def _remark_slopes(x: Interval) -> tuple[Interval, Interval]:
+    """Minus the derivatives of ``[2]_x = x + 1/x`` and
+    ``[3]_x = x^2 + 1 + x^-2``; positive means both decrease, so the
+    two-term bound increases in x."""
+    return x**-2 - 1, 2 * x**-3 - 2 * x
+
+
 def threshold_remark(tol, bits: int = intervals.DEFAULT_BITS) -> Interval:
     """Certified root of ``sqrt(2/[2]) + sqrt(3/[3]) = 1`` (near 0.2134).
 
     The left side is a two-term lower bound for the dimension-2 block sum,
     so above this root that sum certainly exceeds 1.
     """
-    return _bisect_unit_crossing(
-        _remark_two_term, Fraction(1, 100), Fraction(1, 2), tol, bits
-    )
+    return _threshold("remark", tol, bits)
+
+
+#: Each threshold's function and the quantities certifying its increase.
+_CROSSINGS = {"dim2": (_dim2_bound, _dim2_slopes), "remark": (_remark_two_term, _remark_slopes)}
 
 
 # ---------------------------------------------------------------------------

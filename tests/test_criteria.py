@@ -483,12 +483,29 @@ def test_threshold_width_within_tol_from_low_starting_bits(threshold, tol, bits)
 
 
 def test_threshold_enclosure_beyond_max_bits_is_a_budget_error():
-    # f(x) = 5x/2 crosses 1 at 2/5; from [1/3, 1] three halvings leave
-    # [1/3, 5/12], narrower than tol by 2^-1200, and no precision up to
+    # f(x) = 5x/2 crosses 1 at 2/5; the estimate 2 clips both candidate
+    # ends to 1, so bisection starts from [1/3, 1], and three halvings leave
+    # [1/3, 5/12], narrower than tol by 2^-1200; no precision up to
     # MAX_BITS rounds 1/3 and 5/12 outward by less than that
     tol = Fraction(1, 12) + Fraction(1, 2**1200)
     with pytest.raises(BudgetError):
-        criteria._bisect_unit_crossing(lambda x: 5 * x / 2, Fraction(1, 3), Fraction(1), tol, 64)
+        criteria._unit_crossing(lambda x: 5 * x / 2, lambda x: (Fraction(5, 2),),
+                                Fraction(1, 3), Fraction(1), tol, 64, Fraction(2))
+
+
+def test_threshold_needs_a_certified_increase():
+    # 2x - 1 changes sign inside [1/3, 1], so it cannot certify an increase
+    with pytest.raises(DomainError, match="increasing"):
+        criteria._unit_crossing(lambda x: 5 * x / 2, lambda x: (2 * x - 1,),
+                                Fraction(1, 3), Fraction(1), Fraction(1, 100), 64, Fraction(2, 5))
+
+
+@pytest.mark.parametrize("which", ["dim2", "remark"])
+def test_threshold_increase_is_certified_over_the_whole_search_interval(which):
+    _, slopes = criteria._CROSSINGS[which]
+    with intervals.precision(16) as ctx:
+        whole = intervals.from_endpoints(Fraction(1, 100), Fraction(1, 2), ctx)
+        assert all(intervals.certainly_gt(v, 0) for v in slopes(whole))
 
 
 def test_threshold_ordering():

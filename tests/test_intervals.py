@@ -31,6 +31,17 @@ def test_precision_yields_one_context_per_bit_count():
     assert iv.prec == before
 
 
+def test_mixed_context_guard_rejects_arithmetic_across_contexts():
+    # conftest's autouse guard; within one context, and with exact operands,
+    # arithmetic is untouched
+    with intervals.precision(64) as low, intervals.precision(128) as high:
+        a, b = intervals.make(Fraction(1, 3), low), intervals.make(Fraction(1, 3), high)
+        assert (2 * a + 1 - a / 3).ctx is low and (b**2).ctx is high
+        for mixed in (lambda: a + b, lambda: b * a, lambda: a / b, lambda: b - a, lambda: a**b):
+            with pytest.raises(AssertionError, match="mixes interval contexts at"):
+                mixed()
+
+
 @pytest.mark.parametrize("bits", [0, -5, intervals.MAX_BITS + 1, 200000])
 def test_precision_rejects_bits_outside_range_without_caching(bits):
     cached = intervals._context.cache_info().currsize

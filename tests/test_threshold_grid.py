@@ -1,4 +1,5 @@
-"""A frozen grid of certified thresholds checked against an independent root.
+"""Certified thresholds against an independent root: a frozen grid, a forced
+fallback and the independence of the result from call history.
 
 `threshold_grid.json` holds, for the dimension-2 and remark thresholds at
 tol 1e-4, 1e-10, 1e-18, 1e-30 and 1e-60 and starting bits 16, 32, 128 and
@@ -15,7 +16,10 @@ CHANGES.md) with
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -23,7 +27,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qclassfun import intervals
+from qclassfun import criteria, intervals
 from qclassfun.criteria import threshold_dim2, threshold_remark
 
 FIXTURE = Path(__file__).resolve().parent / "threshold_grid.json"
@@ -67,6 +71,76 @@ def test_bracket_meets_the_recorded_one_and_holds_the_root(name):
     assert lo <= Fraction(recorded["hi"]) and Fraction(recorded["lo"]) <= hi
     assert hi - lo <= Fraction(name.split()[1].split("=")[1])
     assert lo <= _root(name.split()[0]) <= hi
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 10**30)])
+@pytest.mark.parametrize("wrong", [Fraction(1, 100), Fraction(3, 10), Fraction(1, 2), Fraction(5)])
+@pytest.mark.parametrize("which", sorted(THRESHOLDS))
+def test_a_wrong_estimate_falls_back_to_a_certified_bracket(monkeypatch, which, wrong, tol):
+    points = []
+    below_one = criteria._below_one
+
+    def counted(f, x, bits):
+        points.append(x)
+        return below_one(f, x, bits)
+
+    monkeypatch.setattr(criteria, "_estimate", lambda which, tol: wrong)
+    monkeypatch.setattr(criteria, "_below_one", counted)
+    lo, hi = intervals.exact_endpoints(THRESHOLDS[which](tol))
+    assert hi - lo <= tol
+    assert lo <= _root(which) <= hi
+    assert len(points) > 4  # the bracket came from bisection
+
+
+def _bytes(which: str, tol: str, bits: int) -> str:
+    enclosure = THRESHOLDS[which](Fraction(tol), bits=bits)
+    return "{} {} {}".format(*intervals.exact_endpoints(enclosure), enclosure.ctx.prec)
+
+
+REPEATS = [(which, tol, bits) for which in sorted(THRESHOLDS)
+           for tol, bits in (("1e-6", 16), ("1e-18", 32), ("1e-30", 128), ("3e-45", 256))]
+
+
+def test_same_arguments_give_the_same_bytes_in_a_fresh_process():
+    code = ("import json, sys\n"
+            "from test_threshold_grid import _bytes\n"
+            "print(json.dumps([_bytes(*case) for case in json.load(sys.stdin)]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(criteria.__file__).parents[1]),
+                                                      str(FIXTURE.parent), env.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-c", code], input=json.dumps(REPEATS),
+                           capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert json.loads(fresh.stdout) == [_bytes(*case) for case in REPEATS]
+
+
+def test_same_arguments_give_the_same_bytes_after_other_tolerances():
+    criteria._coarse_estimate.cache_clear()
+    first = [_bytes(*case) for case in REPEATS]
+    for which in THRESHOLDS:
+        for tol in ("1", "1e-3", "7e-13", "1e-60"):
+            _bytes(which, tol, 64)
+    assert [_bytes(*case) for case in reversed(REPEATS)] == first[::-1]
+
+
+def test_same_arguments_give_the_same_bytes_from_threads_at_different_bits():
+    # four threads switching every 10 us, each at its own starting bits,
+    # while the cached estimate is filled for the first time
+    bits = (16, 32, 128, 256)
+
+    def run(bits):
+        return [_bytes(which, tol, bits) for which in sorted(THRESHOLDS)
+                for tol in ("1e-6", "1e-18", "1e-30")]
+
+    expected = [run(b) for b in bits]
+    criteria._coarse_estimate.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(bits)) as pool:
+            got = list(pool.map(run, bits, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
 
 
 if __name__ == "__main__":
