@@ -500,6 +500,15 @@ def test_threshold_needs_a_certified_increase():
                                 Fraction(1, 3), Fraction(1), Fraction(1, 100), 64, Fraction(2, 5))
 
 
+def test_threshold_without_a_sign_change_is_a_domain_error():
+    # x + 2 stays above 1 and x/4 below it on [1/3, 1], whatever the estimate
+    for f in (lambda x: x + 2, lambda x: x / 4):
+        for estimate in (Fraction(1, 3), Fraction(1, 2), Fraction(2)):
+            with pytest.raises(DomainError, match="no sign change"):
+                criteria._unit_crossing(f, lambda x: (Fraction(1),), Fraction(1, 3), Fraction(1),
+                                        Fraction(1, 100), 64, estimate)
+
+
 @pytest.mark.parametrize("which", ["dim2", "remark"])
 def test_threshold_increase_is_certified_over_the_whole_search_interval(which):
     _, slopes = criteria._CROSSINGS[which]

@@ -73,10 +73,9 @@ def test_bracket_meets_the_recorded_one_and_holds_the_root(name):
     assert lo <= _root(name.split()[0]) <= hi
 
 
-@pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 10**30)])
-@pytest.mark.parametrize("wrong", [Fraction(1, 100), Fraction(3, 10), Fraction(1, 2), Fraction(5)])
-@pytest.mark.parametrize("which", sorted(THRESHOLDS))
-def test_a_wrong_estimate_falls_back_to_a_certified_bracket(monkeypatch, which, wrong, tol):
+@pytest.fixture
+def sign_checks(monkeypatch) -> list:
+    """The points at which the sign of f - 1 gets certified, in order."""
     points = []
     below_one = criteria._below_one
 
@@ -84,12 +83,28 @@ def test_a_wrong_estimate_falls_back_to_a_certified_bracket(monkeypatch, which, 
         points.append(x)
         return below_one(f, x, bits)
 
-    monkeypatch.setattr(criteria, "_estimate", lambda which, tol: wrong)
     monkeypatch.setattr(criteria, "_below_one", counted)
+    return points
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 10**30)])
+@pytest.mark.parametrize("wrong", [Fraction(1, 100), Fraction(3, 10), Fraction(1, 2), Fraction(5)])
+@pytest.mark.parametrize("which", sorted(THRESHOLDS))
+def test_a_wrong_estimate_falls_back_to_a_certified_bracket(monkeypatch, sign_checks, which,
+                                                            wrong, tol):
+    monkeypatch.setattr(criteria, "_estimate", lambda which, tol: wrong)
     lo, hi = intervals.exact_endpoints(THRESHOLDS[which](tol))
     assert hi - lo <= tol
     assert lo <= _root(which) <= hi
-    assert len(points) > 4  # the bracket came from bisection
+    assert len(sign_checks) > 4  # the bracket came from bisection
+
+
+@pytest.mark.parametrize("tol", ["1e-4", "1e-18", "1e-30", "1e-60"])
+@pytest.mark.parametrize("which", sorted(THRESHOLDS))
+def test_the_estimate_is_verified_by_two_sign_checks(sign_checks, which, tol):
+    lo, hi = intervals.exact_endpoints(THRESHOLDS[which](Fraction(tol)))
+    assert len(sign_checks) == 2
+    assert lo <= _root(which) <= hi
 
 
 def _bytes(which: str, tol: str, bits: int) -> str:
