@@ -6,30 +6,38 @@ stderr.  Identical invocations produce byte-identical output.
 
 Exit codes: 0 for computed answers (including Diverges/Undetermined, which
 are answers), 2 for usage errors, 3 for domain and budget errors.
+
+Each process runs one subcommand, so the module level imports only what
+parsing needs: the flag budgets come from the dependency-free ``budgets``
+module, and each handler imports the modules it runs.  A usage error,
+``moments`` and ``bicrossed`` never load mpmath; it is loaded where an
+enclosure is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import acceptance, bicrossed, criteria, fusion, intervals, noncrossing, report, spectral
+from .budgets import DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS, MAX_COMMUTANT_SIZE
 from .errors import BudgetError, DomainError
-from .fusion import FusionFamily
+
+if TYPE_CHECKING:
+    from . import bicrossed, criteria, report
+    from .fusion import FusionFamily
 
 ENV_BITS = "QCLASSFUN_BITS"
 
-#: --family value -> (constructor, flag giving the classical fundamental
-#: dimension, whether --qq applies).
+#: --family value -> (name of its constructor in `fusion`, flag giving the
+#: classical fundamental dimension, whether --qq applies).
 FAMILIES = {
-    "o-plus": (fusion.su2_ladder, "N", True),
-    "so3": (fusion.so3_ladder, "N", False),
-    "u-plus": (fusion.free_unitary, "dim", True),
+    "o-plus": ("su2_ladder", "N", True),
+    "so3": ("so3_ladder", "N", False),
+    "u-plus": ("free_unitary", "dim", True),
 }
 
 
@@ -83,6 +91,8 @@ def _positive_rational(raw: str) -> str:
 
 def _scaling_time(raw: str) -> bicrossed.ScalingTime:
     """Type of `bicrossed --t`: 'r,s' meaning t = r*nu + s*pi/log|q|."""
+    from . import bicrossed
+
     parts = raw.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expects 'r,s', got {raw!r}")
@@ -111,12 +121,12 @@ def _config_file(path: str) -> dict:
     return data
 
 
-BITS = _count(1, intervals.MAX_BITS)
+BITS = _count(1, MAX_BITS)
 
 
 def _bits_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--bits", type=BITS, default=None,
-                     help=f"precision in bits, 1..{intervals.MAX_BITS} (default ${ENV_BITS} or 128)")
+                     help=f"precision in bits, 1..{MAX_BITS} (default ${ENV_BITS} or {DEFAULT_BITS})")
 
 
 def _common_flags(sub: argparse.ArgumentParser, formats=("json",)) -> None:
@@ -159,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--tol", type=_positive_rational, default="1e-6", help="tail tolerance")
     series.add_argument("--n-max", type=_count(0, 1000), default=50,
                         help="label range scanned for trivial intertwiners")
-    series.add_argument("--max-terms", type=_count(1, 50_000), default=criteria.DEFAULT_MAX_TERMS,
+    series.add_argument("--max-terms", type=_count(1, 50_000), default=DEFAULT_MAX_TERMS,
                         help="series term budget")
     _bits_flag(series)
     _common_flags(series)
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(spectral_cmd)
 
     jacobi = sub.add_parser("jacobi", help="Finite weighted-shift model checks")
-    jacobi.add_argument("--M", type=_count(2, spectral.MAX_COMMUTANT_SIZE), default=None, dest="M")
+    jacobi.add_argument("--M", type=_count(2, MAX_COMMUTANT_SIZE), default=None, dest="M")
     jacobi.add_argument("--q", type=_rational, default=None)
     jacobi.add_argument("--phase", type=_rational, default="0",
                         help="phase of the diagonal generator, radians")
@@ -247,9 +257,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str],
 
 
 def _build_family(args: argparse.Namespace) -> tuple[FusionFamily, dict]:
+    from . import fusion
+
     if args.family is None:
         raise UsageError("--family is required")
-    build, size_flag, takes_qq = FAMILIES[args.family]
+    constructor, size_flag, takes_qq = FAMILIES[args.family]
+    build = getattr(fusion, constructor)
     size = getattr(args, size_flag)
     if size is None:
         raise UsageError(f"--{size_flag} is required for --family {args.family}")
@@ -268,6 +281,8 @@ def _build_family(args: argparse.Namespace) -> tuple[FusionFamily, dict]:
 
 
 def _series_payload(result: criteria.SeriesResult) -> dict:
+    from . import criteria, report
+
     payload: dict = {"verdict": result.verdict.value, "terms_used": result.terms_used}
     if result.verdict is criteria.Verdict.CONVERGES:
         payload["partial_sum"] = report.enclosure_payload(result.partial_sum)
@@ -278,6 +293,8 @@ def _series_payload(result: criteria.SeriesResult) -> dict:
 
 def _meta(args: argparse.Namespace) -> dict:
     """The starting precision; an enclosure that escalated prints more digits."""
+    from . import intervals
+
     return {"bits": args.bits, "digits": intervals.decimal_digits(args.bits)}
 
 
@@ -286,6 +303,8 @@ def _meta(args: argparse.Namespace) -> dict:
 
 
 def cmd_dims(args: argparse.Namespace) -> report.Report:
+    from . import fusion, intervals, report
+
     family, inputs = _build_family(args)
     rows = []
     with intervals.precision(args.bits) as ctx:
@@ -308,6 +327,8 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_series(args: argparse.Namespace) -> report.Report:
+    from . import criteria, report
+
     family, inputs = _build_family(args)
     inputs.update({"tol": args.tol, "n_max": args.n_max})
     verdict = criteria.masa_verdict(family, tol=Fraction(args.tol), n_max=args.n_max,
@@ -326,6 +347,8 @@ def cmd_series(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_threshold(args: argparse.Namespace) -> report.Report:
+    from . import criteria, intervals, report
+
     inputs = {"which": args.which, "tol": args.tol}
     if args.which == "dim2":
         enclosure = criteria.threshold_dim2(Fraction(args.tol), bits=args.bits)
@@ -341,6 +364,8 @@ def cmd_threshold(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_moments(args: argparse.Namespace) -> report.Report:
+    from . import fusion, noncrossing, report
+
     family, inputs = _build_family(args)
     inputs["k_max"] = args.k_max
     rows = []
@@ -371,6 +396,10 @@ def cmd_moments(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_spectral(args: argparse.Namespace) -> report.Report:
+    import math
+
+    from . import fusion, intervals, report, spectral
+
     if args.rho_ladder is None or args.q is None:
         raise UsageError("spectral requires --rho-ladder and --q")
     b, q = Fraction(args.b), Fraction(args.q)
@@ -399,6 +428,8 @@ def cmd_spectral(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_jacobi(args: argparse.Namespace) -> report.Report:
+    from . import report, spectral
+
     if args.M is None or args.q is None:
         raise UsageError("jacobi requires --M and --q")
     q = Fraction(args.q)
@@ -417,6 +448,8 @@ def cmd_jacobi(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_bicrossed(args: argparse.Namespace) -> report.Report:
+    from . import bicrossed, report
+
     if args.q is None or args.mode is None:
         raise UsageError("bicrossed requires --q and --mode")
     rational = args.mode == "rational"
@@ -455,6 +488,8 @@ def cmd_bicrossed(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_report(args: argparse.Namespace) -> report.Report:
+    from . import acceptance, report
+
     grid = acceptance.run_all(bits=args.bits)
     return report.Report("report", {}, grid, {"bits": args.bits})
 
@@ -481,14 +516,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config(parser, argv, args)
         if getattr(args, "bits", 0) is None:  # neither --bits nor the config gave one
-            raw = os.environ.get(ENV_BITS, str(intervals.DEFAULT_BITS))
+            raw = os.environ.get(ENV_BITS, str(DEFAULT_BITS))
             try:
                 args.bits = BITS(raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"${ENV_BITS} must be an integer in 1..{intervals.MAX_BITS}, "
+                raise UsageError(f"${ENV_BITS} must be an integer in 1..{MAX_BITS}, "
                                  f"got {raw!r}") from exc
         result = HANDLERS[args.command](args)
         if args.format == "csv":
+            from . import report
+
             sys.stdout.write(report.table_to_csv(result.results["table"]))
         else:
             sys.stdout.write(result.to_json())

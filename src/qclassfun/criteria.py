@@ -19,6 +19,7 @@ refute it, bisection finishes the bracket.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -27,12 +28,11 @@ from fractions import Fraction
 from typing import Callable
 
 from . import fusion, intervals
+from .budgets import DEFAULT_MAX_TERMS, MAX_BITS
 from .errors import BudgetError, DomainError, FamilyError, KacTypeError
 from .fusion import FusionFamily, Label
-from .intervals import MAX_BITS, Context, Interval, IntervalLike
+from .intervals import Context, Interval, IntervalLike
 from .scalars import q_number, solve_fundamental_q
-
-DEFAULT_MAX_TERMS = 10_000
 
 #: sup of the multiplicity of the top component in fundamental-times-ladder
 #: fusion; both ladder kinds have multiplicity one there.
@@ -453,7 +453,9 @@ def _below_one(f: Callable[[Interval], Interval], x: Fraction, bits: int) -> boo
             return True
         if intervals.lower(value) > 1:
             return False
-    raise BudgetError(f"sign of f({x}) - 1 undecided at {MAX_BITS} bits")
+    shown = decimal.Context(prec=20).divide(x.numerator, x.denominator)  # display only
+    raise BudgetError(f"sign of f(x) - 1 undecided at {MAX_BITS} bits for x = {shown} "
+                      "(to 20 digits)")
 
 
 def _certify_increasing(

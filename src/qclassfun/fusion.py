@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from . import intervals
 from .errors import DomainError, FamilyError
-from .intervals import Interval, IntervalLike
+
+if TYPE_CHECKING:
+    from .intervals import Interval, IntervalLike
 
 Label = Union[int, str]
 Decomposition = dict  # label -> positive multiplicity, canonically ordered
@@ -341,6 +342,8 @@ def rho_spectrum(n: int, q: IntervalLike) -> list[Interval]:
     Geometrically spaced so the trace is the order-(n+1) deformed integer and
     matches the trace of the inverse.
     """
+    from . import intervals
+
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"ladder index must be a nonnegative int, got {n!r}")
     point = intervals.make(q)

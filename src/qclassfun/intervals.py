@@ -44,10 +44,8 @@ import mpmath
 from mpmath.ctx_iv import MPIntervalContext as Context
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
+from .budgets import DEFAULT_BITS, MAX_BITS
 from .errors import DomainError
-
-DEFAULT_BITS = 128
-MAX_BITS = 1024
 
 #: Anything `make` can turn into a rigorous interval.
 IntervalLike = Union[int, float, str, Fraction, "mpmath.ctx_iv.ivmpf"]

@@ -14,11 +14,12 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from . import intervals
 from .errors import DomainError
-from .intervals import Interval
+
+if TYPE_CHECKING:
+    from .intervals import Interval
 
 
 @dataclass
@@ -45,6 +46,8 @@ def canonical_json(payload: Any) -> str:
 
 
 def enclosure_payload(x: Interval, digits: int | None = None) -> dict:
+    from . import intervals
+
     lo, hi = intervals.to_decimal_pair(x, digits)
     return {"lo": lo, "hi": hi, "mid": intervals.to_decimal_mid(x, digits)}
 

@@ -26,13 +26,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import intervals
+from .budgets import MAX_COMMUTANT_SIZE
 from .errors import BudgetError, DomainError
 from .intervals import Interval, IntervalLike
-
-#: Largest matrix size accepted by the Sturm-count model.  On a 2-vCPU VM
-#: `jacobi --M 768` takes at most 1.6 s of CPU over the q scanned, the
-#: slowest near ``q = 1 - 0.64/M``; 832 took 1.9 s and 896 took 2.2 s.
-MAX_COMMUTANT_SIZE = 768
 
 #: The two brackets around the smallest eigenvalue spacing are narrowed to
 #: this fraction of it, so the printed gap is within twice it of the true gap.

@@ -1,5 +1,6 @@
 """Certified series, bounds, thresholds and verdict logic."""
 
+import time
 from fractions import Fraction
 
 import mpmath
@@ -491,6 +492,18 @@ def test_threshold_enclosure_beyond_max_bits_is_a_budget_error():
     with pytest.raises(BudgetError):
         criteria._unit_crossing(lambda x: 5 * x / 2, lambda x: (Fraction(5, 2),),
                                 Fraction(1, 3), Fraction(1), tol, 64, Fraction(2))
+
+
+@pytest.mark.parametrize("threshold", [threshold_dim2, threshold_remark])
+def test_threshold_past_max_bits_fails_fast_with_a_short_message(threshold):
+    # below about 1e-305 the bracket ends cannot be told from the root at
+    # MAX_BITS; the message shows the point to 20 digits, not as the exact
+    # dyadic ratio of some 650 digits
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="undecided") as info:
+        threshold("1e-310")
+    assert time.perf_counter() - start < 1
+    assert len(str(info.value)) < 200
 
 
 def test_threshold_needs_a_certified_increase():

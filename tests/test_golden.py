@@ -8,8 +8,8 @@ that changes on purpose is regenerated with
 
 and the diff is explained in CHANGES.md.
 
-The same commands also run in a process where numpy cannot be imported:
-numpy is a test-only dependency.
+The same commands also run in a process where numpy cannot be imported
+(numpy is a test-only dependency), and each in a fresh process of its own.
 """
 
 from __future__ import annotations
@@ -105,12 +105,16 @@ json.dump(results, sys.stdout)
 """
 
 
-def _python(code: str, stdin: str = "") -> str:
+def _env() -> dict:
     env = dict(os.environ)
     env.pop("QCLASSFUN_BITS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(code: str, stdin: str = "") -> str:
     return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
-                          text=True, env=env, timeout=300, check=True).stdout
+                          text=True, env=_env(), timeout=300, check=True).stdout
 
 
 def test_golden_commands_run_without_numpy():
@@ -119,6 +123,16 @@ def test_golden_commands_run_without_numpy():
         code, out = results[name]
         assert code == 0, name
         assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+
+
+def test_golden_commands_in_fresh_processes():
+    # Each command in its own interpreter, as a user runs it: a handler that
+    # relies on a module imported by an earlier command fails here.
+    for name, argv in CASES.items():
+        run = subprocess.run([sys.executable, "-m", "qclassfun.cli", *argv], capture_output=True,
+                             env=_env(), timeout=300)
+        assert run.returncode == 0, (name, run.stderr)
+        assert run.stdout == (GOLDEN / f"{name}.out").read_bytes(), name
 
 
 def test_cli_leaves_numpy_unimported():
