@@ -19,13 +19,13 @@ _EXPORTS = {
     ),
     "criteria": (
         "MasaVerdict", "SeriesResult", "Verdict", "block_sum_S", "bound_S_dim2",
-        "bound_S_dimge3", "kac_part", "masa_verdict", "quasi_split_sum_ladder", "ratio",
+        "bound_S_dimge3", "kac_part", "masa_verdict", "quasi_split_sum_ladder",
         "threshold_dim2", "threshold_ratio_dimge3", "threshold_remark", "total_sum_free",
         "verify_decay",
     ),
     "errors": ("BudgetError", "DomainError", "FamilyError", "KacTypeError"),
     "fusion": (
-        "FamilyKind", "FusionFamily", "conjugate", "dim", "factorize", "free_unitary",
+        "FamilyKind", "FusionFamily", "dim", "factorize", "free_unitary",
         "invariant_multiplicity", "rho_spectrum", "so3_ladder", "su2_ladder", "tensor_free",
         "tensor_fundamental", "tensor_reduce",
     ),

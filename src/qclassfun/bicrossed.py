@@ -81,9 +81,6 @@ class ScalingTime:
     def __neg__(self) -> "ScalingTime":
         return ScalingTime(-self.r, -self.s)
 
-    def __sub__(self, other: "ScalingTime") -> "ScalingTime":
-        return self + (-other)
-
 
 def is_trivial_scaling(t: ScalingTime, params: BicrossedParams) -> bool:
     """Membership of `t` in ``(pi/log|q|) Z``.

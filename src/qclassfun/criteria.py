@@ -109,12 +109,6 @@ def ratio_exact(label: Label, family: FusionFamily) -> Fraction:
     )
 
 
-def ratio(label: Label, family: FusionFamily) -> Interval:
-    """Enclosure of dim/dim_q; exactly 1 on the trivial label and in the
-    Kac case."""
-    return intervals.make(ratio_exact(label, family))
-
-
 def verify_decay(family: FusionFamily, n_max: int) -> bool:
     """Exact check of the paper's decay lemma: ``A_(n+1) >= c A_n`` for
     ``1 <= n < n_max``, with ``c = 1 + (A_1 - 1)/sup_c``.
@@ -359,14 +353,14 @@ def block_sum_S(
     def roots(ctx: Context) -> tuple[Interval, Interval]:
         qc, qq = intervals.make(q_c, ctx), intervals.make(q_q, ctx)
         if (intervals.upper(qq) <= 0 or intervals.lower(qc) > 1
-                or intervals.certainly_lt(qc, qq)):
+                or intervals.upper(qc) < intervals.lower(qq)):
             raise DomainError(f"need 0 < q_q <= q_c <= 1, got {qq}, {qc}")
         return qc, qq
 
     return _deformed_ratio_sum(roots, 1, 2, tol, bits, max_terms)
 
 
-def total_sum_free(block_sum: Interval | SeriesResult) -> SeriesResult:
+def total_sum_free(block_sum: SeriesResult) -> SeriesResult:
     """Total over all free-unitary labels from the one-family block sum.
 
     Chained blocks contribute geometrically, so the total is
@@ -374,14 +368,9 @@ def total_sum_free(block_sum: Interval | SeriesResult) -> SeriesResult:
     ``S >= 1``.  A block enclosure straddling 1 stays undetermined.  The
     total is computed at the block sum's precision.
     """
-    if isinstance(block_sum, SeriesResult):
-        if block_sum.verdict is Verdict.DIVERGES:
-            return SeriesResult(Verdict.DIVERGES)
-        if block_sum.verdict is Verdict.UNDETERMINED:
-            return SeriesResult(Verdict.UNDETERMINED)
-        s = block_sum.sum_enclosure()
-    else:
-        s = intervals.make(block_sum)
+    if block_sum.verdict is not Verdict.CONVERGES:
+        return SeriesResult(block_sum.verdict)
+    s = block_sum.sum_enclosure()
     if intervals.lower(s) < 0:
         raise DomainError(f"block sum must be nonnegative, got {s}")
     if intervals.upper(s) < 1:

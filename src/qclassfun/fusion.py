@@ -151,14 +151,6 @@ def conjugate_word(word: str) -> str:
     return "".join(_CONJUGATE_LETTER[ch] for ch in reversed(word))
 
 
-def conjugate(label: Label, family: FusionFamily) -> Label:
-    """Conjugate label: ladder labels are self-conjugate, words reverse-swap."""
-    check_label(label, family)
-    if family.is_ladder:
-        return label
-    return conjugate_word(label)
-
-
 def all_words(max_len: int, min_len: int = 0) -> Iterator[str]:
     """All words over {A, B} with length in [min_len, max_len], short first."""
     for length in range(min_len, max_len + 1):
@@ -166,12 +158,9 @@ def all_words(max_len: int, min_len: int = 0) -> Iterator[str]:
             yield "".join(letters)
 
 
-def alternating_word(length: int, start: str = "A") -> str:
-    """The alternating word of given length beginning with `start`."""
-    if start not in WORD_ALPHABET:
-        raise DomainError(f"start letter must be A or B, got {start!r}")
-    other = _CONJUGATE_LETTER[start]
-    return "".join(start if i % 2 == 0 else other for i in range(length))
+def alternating_word(length: int) -> str:
+    """The alternating word ``ABAB...`` of given length."""
+    return "AB" * (length // 2) + "A" * (length % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +215,13 @@ def factorize(word: str) -> list[str]:
     return blocks
 
 
-def tensor_reduce(
-    labels: Sequence[Label], family: FusionFamily, start: Label | None = None
-) -> Decomposition:
-    """Decomposition of ``start (x) labels[0] (x) ... (x) labels[-1]``.
+def tensor_reduce(labels: Sequence[Label], family: FusionFamily) -> Decomposition:
+    """Decomposition of ``labels[0] (x) ... (x) labels[-1]``.
 
     Ladder families are generated by their fundamental, so ladder entries
     must be 0 or 1; free-unitary entries may be arbitrary words.
     """
-    state: dict[Label, int] = {check_label(start, family) if start is not None else family.trivial_label(): 1}
+    state: dict[Label, int] = {family.trivial_label(): 1}
     for label in labels:
         check_label(label, family)
         if family.is_ladder and label not in (0, 1):

@@ -241,14 +241,13 @@ def to_decimal_pair(x: Interval, digits: int | None = None) -> tuple[str, str]:
     )
 
 
-def to_decimal_mid(x: Interval, digits: int | None = None) -> str:
-    """Round-to-nearest decimal midpoint (convenience, not certified)."""
-    if digits is None:
-        digits = decimal_digits(x.ctx.prec)
+def to_decimal_mid(x: Interval) -> str:
+    """Round-to-nearest decimal midpoint to the digits of the precision of
+    `x` (convenience, not certified)."""
     lo, hi = exact_endpoints(x)
     if lo is None or hi is None:
         return "nan"
-    return _directed_decimal((lo + hi) / 2, digits, decimal.ROUND_HALF_EVEN)
+    return _directed_decimal((lo + hi) / 2, decimal_digits(x.ctx.prec), decimal.ROUND_HALF_EVEN)
 
 
 def decimal_digits(bits: int) -> int:

@@ -29,27 +29,24 @@ class Report:
     results: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def payload(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return canonical_json({
             "command": self.command,
             "inputs": self.inputs,
             "results": self.results,
             "meta": self.meta,
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.payload())
+        })
 
 
 def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def enclosure_payload(x: Interval, digits: int | None = None) -> dict:
+def enclosure_payload(x: Interval) -> dict:
     from . import intervals
 
-    lo, hi = intervals.to_decimal_pair(x, digits)
-    return {"lo": lo, "hi": hi, "mid": intervals.to_decimal_mid(x, digits)}
+    lo, hi = intervals.to_decimal_pair(x)
+    return {"lo": lo, "hi": hi, "mid": intervals.to_decimal_mid(x)}
 
 
 def fraction_payload(value: int | Fraction) -> str:

@@ -121,8 +121,6 @@ def build_jacobi(size: int, q: Fraction | int | float | str) -> JacobiOperator:
 
     `q` is read exactly; a float as the binary rational it denotes.
     """
-    if size < 2:
-        raise DomainError(f"need size >= 2, got {size}")
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
@@ -133,20 +131,14 @@ def build_jacobi(size: int, q: Fraction | int | float | str) -> JacobiOperator:
     return JacobiOperator(size, tuple(squares))
 
 
-def matrix_krylov_rank(squares: Sequence[Fraction]) -> int:
-    """Krylov rank of e0 under the zero-diagonal tridiagonal with squared
-    off-diagonals `squares`.
+def krylov_rank(op: JacobiOperator) -> int:
+    """Krylov rank of e0 under the compression: always M.
 
     ``T^k e0`` reaches basis vector k with coefficient ``b_0 ... b_(k-1)`` and
-    none beyond it, so the Krylov space is spanned by the basis vectors up to
-    the first vanishing entry: the rank is its index plus one, or M.
+    none beyond it, so the rank is M exactly when no square vanishes, which
+    :class:`JacobiOperator` checks exactly at construction: e0 is cyclic.
     """
-    return next((k + 1 for k, entry in enumerate(squares) if entry == 0), len(squares) + 1)
-
-
-def krylov_rank(op: JacobiOperator) -> int:
-    """Krylov rank of e0 under the compression; M certifies cyclicity of e0."""
-    return matrix_krylov_rank(op.squares)
+    return op.size
 
 
 def _float_bounds(value: Fraction) -> tuple[float, float]:

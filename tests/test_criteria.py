@@ -18,7 +18,6 @@ from qclassfun.criteria import (
     kac_part,
     masa_verdict,
     quasi_split_sum_ladder,
-    ratio,
     ratio_exact,
     threshold_dim2,
     threshold_ratio_dimge3,
@@ -45,10 +44,9 @@ def test_ratio_examples():
     fam = su2_ladder(2, dim_q_fund=Fraction(5, 2))
     assert ratio_exact(0, fam) == 1
     assert ratio_exact(1, fam) == Fraction(4, 5)
-    assert intervals.contains(ratio(1, fam), Fraction(4, 5))
     kac = su2_ladder(3)
     for n in range(6):
-        assert intervals.contains(ratio(n, kac), 1)
+        assert ratio_exact(n, kac) == 1
 
 
 def test_ratio_never_exceeds_one():
@@ -369,18 +367,25 @@ def test_block_sum_matches_family_dimensions():
     assert intervals.overlaps(result.partial_sum, independent)
 
 
+def _block(s) -> criteria.SeriesResult:
+    """A converged block sum whose enclosure is exactly `s`."""
+    return criteria.SeriesResult(Verdict.CONVERGES, s, intervals.make(0, s.ctx))
+
+
 def test_total_sum_free_examples():
-    zero = total_sum_free(intervals.make(0))
+    zero = total_sum_free(_block(intervals.make(0)))
     assert zero.verdict is Verdict.CONVERGES
     assert intervals.contains(zero.sum_enclosure(), 1)
-    half = total_sum_free(intervals.make(Fraction(1, 2)))
+    half = total_sum_free(_block(intervals.make(Fraction(1, 2))))
     assert intervals.contains(half.sum_enclosure(), 3)
-    assert total_sum_free(intervals.make(Fraction(3, 2))).verdict is Verdict.DIVERGES
+    assert total_sum_free(_block(intervals.make(Fraction(3, 2)))).verdict is Verdict.DIVERGES
     straddle = total_sum_free(
-        intervals.from_endpoints(Fraction(99, 100), Fraction(101, 100)))
+        _block(intervals.from_endpoints(Fraction(99, 100), Fraction(101, 100))))
     assert straddle.verdict is Verdict.UNDETERMINED
     with pytest.raises(DomainError):
-        total_sum_free(intervals.from_endpoints(-1, Fraction(1, 2)))
+        total_sum_free(_block(intervals.from_endpoints(-1, Fraction(1, 2))))
+    for verdict in (Verdict.DIVERGES, Verdict.UNDETERMINED):
+        assert total_sum_free(criteria.SeriesResult(verdict)).verdict is verdict
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from qclassfun.cli import main
 from qclassfun.errors import DomainError, FamilyError
 from qclassfun.fusion import (
     all_words,
-    conjugate,
     conjugate_word,
     dim,
     factorize,
@@ -68,11 +67,8 @@ def test_kac_flag():
 
 
 def test_conjugate_examples():
-    fam = su2_ladder(2, q=Fraction(1, 2))
-    assert conjugate(3, fam) == 3
-    uf = free_unitary(2)
-    assert conjugate("AB", uf) == "AB"
-    assert conjugate("AAB", uf) == "ABB"
+    assert conjugate_word("AB") == "AB"
+    assert conjugate_word("AAB") == "ABB"
 
 
 @given(words)
@@ -411,13 +407,6 @@ def test_invariant_multiplicity_rejects_mixed_families():
 def test_tensor_reduce_restricts_ladder_labels_to_fundamental():
     with pytest.raises(DomainError):
         tensor_reduce([2], su2_ladder(2))
-
-
-def test_tensor_reduce_with_start_matches_manual_fold():
-    fam = su2_ladder(2)
-    state = tensor_reduce([1, 1], fam, start=3)
-    # 1 (x) (1 (x) 3) = 1 (x) (2 + 4) = (1 + 3) + (3 + 5)
-    assert state == {1: 1, 3: 2, 5: 1}
 
 
 def test_tensor_reduce_empty_fold_is_trivial():

@@ -21,7 +21,8 @@ import pytest
 import qclassfun
 from qclassfun import fusion
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 PACKAGE = SRC / "qclassfun"
 SUBMODULES = ("acceptance", "bicrossed", "budgets", "cli", "criteria", "errors", "fusion",
               "intervals", "noncrossing", "report", "scalars", "spectral")
@@ -135,6 +136,37 @@ def test_exported_name_is_its_home_modules_attribute(name):
     home = importlib.import_module(value.__module__)
     assert home.__name__.startswith("qclassfun.")
     assert getattr(home, name) is value
+
+
+def _references(path: Path, home_of: dict[str, str]) -> set[str]:
+    """Exported names that the code in `path` reaches: as ``home.name`` with
+    `home` the name's home module, through ``from ... import name``, as a
+    bare name loaded inside its home module, or, in ``perfbench/traced.py``,
+    which binds its layers by name, as a string constant."""
+    module = path.stem
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if home_of.get(node.attr) == node.value.id:
+                found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if home_of.get(node.id) == module and path.parent == PACKAGE:
+                found.add(node.id)
+        elif isinstance(node, ast.Constant) and path == ROOT / "perfbench" / "traced.py":
+            found.add(node.value)
+    return found & home_of.keys()
+
+
+def test_every_export_is_used_outside_the_tests():
+    # a public name only the tests reach is dead library code
+    home_of = {name: getattr(qclassfun, name).__module__.rpartition(".")[2]
+               for name in qclassfun.__all__}
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    used = set().union(*(_references(path, home_of) for path in sources))
+    assert sorted(home_of.keys() - used) == []
 
 
 def test_exports_are_listed_by_dir():

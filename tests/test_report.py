@@ -1,5 +1,6 @@
 """Canonical report serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,14 +20,14 @@ from qclassfun.report import (
 def test_enclosure_payload_is_outward():
     with intervals.precision(64) as ctx:
         x = intervals.make(Fraction(1, 3), ctx)
-        payload = enclosure_payload(x, digits=10)
+        payload = enclosure_payload(x)
     assert Fraction(payload["lo"]) <= Fraction(1, 3) <= Fraction(payload["hi"])
     assert Fraction(payload["lo"]) <= Fraction(payload["mid"]) <= Fraction(payload["hi"])
 
 
 def test_enclosure_payload_exact_point():
     with intervals.precision(64) as ctx:
-        payload = enclosure_payload(intervals.make(2, ctx), digits=8)
+        payload = enclosure_payload(intervals.make(2, ctx))
     assert payload == {"lo": "2", "hi": "2", "mid": "2"}
 
 
@@ -39,8 +40,8 @@ def test_canonical_json_sorts_keys_and_terminates():
 
 def test_report_roundtrip():
     report = Report("demo", {"x": 1}, {"y": 2}, {"bits": 64})
-    payload = report.payload()
-    assert payload["command"] == "demo"
+    payload = json.loads(report.to_json())
+    assert payload == {"command": "demo", "inputs": {"x": 1}, "results": {"y": 2}, "meta": {"bits": 64}}
     assert canonical_json(payload) == report.to_json()
 
 

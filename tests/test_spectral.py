@@ -18,7 +18,6 @@ from qclassfun.spectral import (
     commutant_dim,
     krylov_rank,
     matrix_commutant_dim,
-    matrix_krylov_rank,
     min_eigenvalue_gap,
     modular_eigencoefficients,
     modular_norm_sq,
@@ -236,15 +235,6 @@ def test_krylov_rank_small():
 def test_krylov_rank_full_where_the_monomial_basis_lost_it(size, q):
     # the SVD rank of [e0, T e0, ...] gave 14, 16, 10 and 8 here
     assert krylov_rank(build_jacobi(size, q)) == size
-
-
-def test_krylov_rank_non_cyclic_control():
-    # a vanishing square b_k^2 confines e0 to the first k + 1 basis vectors
-    for squares in [(1, 0, 4, 9), (Fraction(1, 3), 2, 0), (0, 1), (2, 2, 2, 2, 0)]:
-        expected = squares.index(0) + 1
-        assert matrix_krylov_rank(squares) == expected
-        assert oracle_krylov_rank(_matrix(squares)) == expected
-    assert matrix_krylov_rank((1, 2, 3)) == 4
 
 
 def test_commutant_dim_small():

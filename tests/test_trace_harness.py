@@ -28,6 +28,7 @@ def _run(argv: list[str]) -> subprocess.CompletedProcess:
     (["series", "--family", "o-plus", "--N", "3", "--qq", "0.2"], "cli.handler.series"),
     (["threshold", "--which", "remark", "--tol", "1e-4"], "scalars.q_number"),
     (["report"], "acceptance.criterion_5"),
+    (["jacobi", "--M", "8", "--q", "0.5"], "spectral.krylov_rank"),
 ])
 def test_traced_run_matches_untraced(tmp_path, argv, layer):
     spans = tmp_path / "spans.json"
