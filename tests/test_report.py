@@ -41,7 +41,8 @@ def test_canonical_json_sorts_keys_and_terminates():
 def test_report_roundtrip():
     report = Report("demo", {"x": 1}, {"y": 2}, {"bits": 64})
     payload = json.loads(report.to_json())
-    assert payload == {"command": "demo", "inputs": {"x": 1}, "results": {"y": 2}, "meta": {"bits": 64}}
+    assert payload == {"command": "demo", "inputs": {"x": 1}, "results": {"y": 2},
+                       "meta": {"bits": 64}}
     assert canonical_json(payload) == report.to_json()
 
 
