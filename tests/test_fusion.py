@@ -409,6 +409,15 @@ def test_tensor_reduce_restricts_ladder_labels_to_fundamental():
         tensor_reduce([2], su2_ladder(2))
 
 
+def test_tensor_reduce_with_start_matches_manual_fold():
+    # a free-unitary fold may start at any word: AB (x) B (x) A
+    state = tensor_reduce(["AB", "B", "A"], free_unitary(2))
+    manual: dict[str, int] = {}
+    for part, mult in tensor_free("AB", "B").items():
+        for word, word_mult in tensor_free(part, "A").items():
+            manual[word] = manual.get(word, 0) + mult * word_mult
+    assert state == manual == {"AB": 1, "ABBA": 1}
+
 def test_tensor_reduce_empty_fold_is_trivial():
     assert tensor_reduce([], su2_ladder(2)) == {0: 1}
     assert tensor_reduce([], free_unitary(2)) == {"": 1}

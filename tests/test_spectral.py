@@ -237,6 +237,16 @@ def test_krylov_rank_full_where_the_monomial_basis_lost_it(size, q):
     assert krylov_rank(build_jacobi(size, q)) == size
 
 
+def test_krylov_rank_non_cyclic_control():
+    # a vanishing square b_k^2 confines e0 to the first k + 1 basis vectors;
+    # JacobiOperator rejects every such operator, so krylov_rank may return M
+    for squares in [(1, 0, 4, 9), (Fraction(1, 3), 2, 0), (0, 1), (2, 2, 2, 2, 0)]:
+        assert oracle_krylov_rank(_matrix(squares)) == squares.index(0) + 1
+        with pytest.raises(DomainError):
+            JacobiOperator(len(squares) + 1, tuple(Fraction(entry) for entry in squares))
+    assert oracle_krylov_rank(_matrix((1, 2, 3))) == 4
+    assert krylov_rank(JacobiOperator(4, (Fraction(1), Fraction(2), Fraction(3)))) == 4
+
 def test_commutant_dim_small():
     assert commutant_dim(build_jacobi(2, 0.5)) == 2
     assert commutant_dim(build_jacobi(10, 0.5)) == 10
