@@ -175,36 +175,39 @@ def tensor_fundamental(n: int, family: FusionFamily) -> Decomposition:
     if n == 0:
         return {1: 1}
     if family.kind is FamilyKind.SU2_LADDER:
-        return _canonical({n - 1: 1, n + 1: 1})
-    return _canonical({n - 1: 1, n: 1, n + 1: 1})
+        return {n - 1: 1, n + 1: 1}
+    return {n - 1: 1, n: 1, n + 1: 1}
 
 
 def tensor_free(x: str, y: str) -> Decomposition:
-    """Free fusion: sum of ``a * b`` over splits ``x = a c``, ``y = conj(c) b``."""
+    """Free fusion: sum of ``a * b`` over splits ``x = a c``, ``y = conj(c) b``.
+
+    A split that cancels k letters needs the last k letters of `x` to mirror
+    the first k of `y`, so the splits that occur are k = 0..K for the longest
+    such run K.  Their products have distinct lengths, so each has
+    multiplicity 1, and listing them shortest first is the canonical order.
+    """
     for word in (x, y):
         if any(ch not in WORD_ALPHABET for ch in word):
             raise FamilyError(f"free-unitary labels are words over {{A, B}}, got {word!r}")
-    terms: dict[str, int] = {}
-    for cut in range(len(x) + 1):
-        head, tail = x[:cut], x[cut:]
-        mirrored = conjugate_word(tail)
-        if y.startswith(mirrored):
-            product = head + y[len(mirrored):]
-            terms[product] = terms.get(product, 0) + 1
-    return _canonical(terms)
+    cancelled = 0
+    while (cancelled < len(x) and cancelled < len(y)
+           and _CONJUGATE_LETTER[x[-1 - cancelled]] == y[cancelled]):
+        cancelled += 1
+    return {x[:len(x) - k] + y[k:]: 1 for k in range(cancelled, -1, -1)}
 
 
 def factorize(word: str) -> list[str]:
-    """Split a nonempty word into maximal alternating blocks.
+    """Split a nonempty word over {A, B} into maximal alternating blocks.
 
     Cuts fall exactly between equal adjacent letters; the last letter of each
     block then matches the first letter of the next, re-concatenation gives
-    back the input, and the factorization is the unique chained one.
+    back the input, and the factorization is the unique chained one.  The
+    letters are not checked here: :func:`dim` checks the label with
+    :func:`check_label` before splitting it.
     """
     if not word:
         raise DomainError("the empty word has no block factorization")
-    if any(ch not in WORD_ALPHABET for ch in word):
-        raise FamilyError(f"expected a word over {{A, B}}, got {word!r}")
     blocks = []
     start = 0
     for i in range(1, len(word)):
@@ -287,15 +290,21 @@ def _ladder_prefix(kind: FamilyKind, d1: Fraction) -> tuple[list[Fraction], Iter
     return [], ladder_dims(kind, d1)
 
 
-@lru_cache(maxsize=LADDER_CACHE_SIZE)
-def _ladder_value(kind: FamilyKind, d1: Fraction, n: int) -> Fraction:
-    """n-th term of :func:`ladder_dims`, read from a stored prefix that is
-    extended only as far as `n`, so a table of labels 0..n costs n+1 steps."""
+def _ladder_values(kind: FamilyKind, d1: Fraction, n: int) -> list[Fraction]:
+    """The stored prefix of :func:`ladder_dims`, extended only as far as `n`,
+    so a table of labels 0..n costs n+1 steps.  Entries are only appended,
+    so the first n+1 stay valid after the lock is released."""
     with _LADDER_LOCK:
         values, steps = _ladder_prefix(kind, d1)
         while len(values) <= n:
             values.append(next(steps))
-        return values[n]
+    return values
+
+
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
+def _ladder_value(kind: FamilyKind, d1: Fraction, n: int) -> Fraction:
+    """n-th term of :func:`ladder_dims`, read from the stored prefix."""
+    return _ladder_values(kind, d1, n)[n]
 
 
 def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | Fraction:
@@ -304,7 +313,8 @@ def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | F
     Ladder dimensions follow the linear recursion of the family; a free word
     contributes the product over its alternating blocks, where a block of
     length n carries the order-(n+1) deformed integer of the fundamental
-    dimension.
+    dimension.  The blocks' numerators and denominators are multiplied as
+    ints, and reduced once.
     """
     if which not in ("classical", "quantum"):
         raise DomainError(f"which must be 'classical' or 'quantum', got {which!r}")
@@ -315,8 +325,13 @@ def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | F
     else:
         value = Fraction(1)
         if label:
-            for block in factorize(label):
-                value *= _ladder_value(FamilyKind.SU2_LADDER, d1, len(block))
+            lengths = [len(block) for block in factorize(label)]
+            ladder = _ladder_values(FamilyKind.SU2_LADDER, d1, max(lengths))
+            numerator = denominator = 1
+            for n in lengths:
+                numerator *= ladder[n].numerator
+                denominator *= ladder[n].denominator
+            value = Fraction(numerator, denominator)
     if which == "classical":
         assert value.denominator == 1
         return int(value)

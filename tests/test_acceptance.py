@@ -9,6 +9,8 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from qclassfun import acceptance, fusion
 
 
@@ -60,6 +62,32 @@ def test_criterion_05_reads_each_dimension_once_and_flags_a_wrong_one(monkeypatc
     failures = outcome["details"]["ladder_failures"] + outcome["details"]["free_failures"]
     assert outcome["details"]["ladder_failures"] and outcome["details"]["free_failures"]
     assert {failure["which"] for failure in failures} == {"quantum"}
+
+
+@pytest.mark.parametrize("family, which, label, table", [
+    # the second su2 ladder shares the first one's decompositions
+    (fusion.su2_ladder(3, q=Fraction(1, 5)), "quantum", 7, "ladder_failures"),
+    # the second free family shares the first one's decompositions
+    (fusion.free_unitary(3, dim_q_fund=4), "classical", "ABBA", "free_failures"),
+])
+def test_criterion_05_flags_one_wrong_dimension_in_a_shared_table(
+        monkeypatch, family, which, label, table):
+    exact = fusion.dim
+
+    def one_off(label_, family_, which_="classical"):
+        value = exact(label_, family_, which_)
+        if (label_, family_, which_) == (label, family, which):
+            return value + 1
+        return value
+
+    monkeypatch.setattr(fusion, "dim", one_off)
+    outcome = acceptance.criterion_5_dimension_additivity()
+    assert not outcome["passed"]
+    details = outcome["details"]
+    assert details[table]
+    assert {failure["which"] for failure in details[table]} == {which}
+    other = "free_failures" if table == "ladder_failures" else "ladder_failures"
+    assert details[other] == []
 
 
 def test_criterion_06_word_calculus_oracle():

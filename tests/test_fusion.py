@@ -91,6 +91,11 @@ def test_tensor_fundamental_examples():
     assert tensor_fundamental(4, su2) == {3: 1, 5: 1}
     so3 = so3_ladder(4, dim_q_fund=5)
     assert tensor_fundamental(1, so3) == {0: 1, 1: 1, 2: 1}
+    # keys come in canonical (ascending) order
+    for family in (su2, so3):
+        for n in range(6):
+            keys = list(tensor_fundamental(n, family))
+            assert keys == sorted(keys)
 
 
 def test_tensor_fundamental_rejects_free_family():
@@ -102,6 +107,28 @@ def test_tensor_free_examples():
     assert tensor_free("A", "B") == {"": 1, "AB": 1}
     assert tensor_free("A", "A") == {"AA": 1}
     assert tensor_free("", "BA") == {"BA": 1}
+
+
+def _tensor_free_by_cuts(x: str, y: str) -> dict:
+    """Oracle: try every cut of `x` and keep those whose mirrored tail starts `y`."""
+    terms: dict[str, int] = {}
+    for cut in range(len(x) + 1):
+        head, tail = x[:cut], x[cut:]
+        mirrored = conjugate_word(tail)
+        if y.startswith(mirrored):
+            product = head + y[len(mirrored):]
+            terms[product] = terms.get(product, 0) + 1
+    return {w: terms[w] for w in sorted(terms, key=fusion.label_sort_key)}
+
+
+def test_tensor_free_matches_the_cut_by_cut_oracle_up_to_length_7():
+    pool = list(all_words(7))
+    for x in pool:
+        for y in pool:
+            expected = _tensor_free_by_cuts(x, y)
+            result = tensor_free(x, y)
+            assert result == expected
+            assert list(result) == list(expected), (x, y)
 
 
 @given(words, words)
@@ -228,6 +255,32 @@ def test_word_dim_additivity_exhaustive_length_6():
             for y in pool:
                 total = sum(m * d(w) for w, m in tensor_free(x, y).items())
                 assert total == d(x) * d(y)
+
+
+def _dim_by_blocks(word: str, family, which: str):
+    """Oracle: the product of one `Fraction` ladder value per block."""
+    d1 = Fraction(family.dim_c_fund) if which == "classical" else family.dim_q_fund
+    ladder = list(itertools.islice(fusion.ladder_dims(fusion.FamilyKind.SU2_LADDER, d1),
+                                   len(word) + 1))
+    value = Fraction(1)
+    for block in (factorize(word) if word else []):
+        value *= ladder[len(block)]
+    return int(value) if which == "classical" else value
+
+
+@pytest.mark.parametrize("family", [
+    free_unitary(2),
+    free_unitary(2, q=Fraction(1, 10)),
+    free_unitary(2, dim_q_fund=Fraction(5, 2)),
+    free_unitary(3, q=Fraction(13, 97)),
+], ids=["kac", "q=1/10", "dim_q=5/2", "q=13/97"])
+def test_word_dim_matches_the_per_block_fraction_product(family):
+    for which in ("classical", "quantum"):
+        for word in all_words(11):
+            expected = _dim_by_blocks(word, family, which)
+            value = dim(word, family, which)
+            assert value == expected, (word, which)
+            assert type(value) is type(expected), (word, which)
 
 
 def test_kac_degeneration_matches_classical():
