@@ -145,7 +145,7 @@ def _scaled_dims(family: fusion.FusionFamily, which: str, labels) -> tuple[int, 
     """Dimensions of `labels`, each read once through :func:`fusion.dim`, as
     exact integer numerators over one common denominator ``scale``, so that
     the additivity checks add and compare ints, not `Fraction` values."""
-    dims = {label: Fraction(fusion.dim(label, family, which)) for label in labels}
+    dims = {label: fusion.dim(label, family, which) for label in labels}
     scale = math.lcm(*(d.denominator for d in dims.values()))
     return scale, {label: d.numerator * (scale // d.denominator) for label, d in dims.items()}
 

@@ -293,9 +293,9 @@ def _series_payload(result: criteria.SeriesResult) -> dict:
 
 def _meta(args: argparse.Namespace) -> dict:
     """The starting precision; an enclosure that escalated prints more digits."""
-    from . import intervals
+    from . import dyadic
 
-    return {"bits": args.bits, "digits": intervals.decimal_digits(args.bits)}
+    return {"bits": args.bits, "digits": dyadic.decimal_digits(args.bits)}
 
 
 # ---------------------------------------------------------------------------
@@ -303,26 +303,25 @@ def _meta(args: argparse.Namespace) -> dict:
 
 
 def cmd_dims(args: argparse.Namespace) -> report.Report:
-    from . import fusion, intervals, report
+    from . import fusion, report
 
     family, inputs = _build_family(args)
+    if family.is_ladder:
+        inputs["max"] = args.max
+        labels = list(range(args.max + 1))
+    else:
+        inputs["word_len"] = args.word_len
+        labels = list(fusion.all_words(args.word_len, min_len=1))
     rows = []
-    with intervals.precision(args.bits) as ctx:
-        if family.is_ladder:
-            inputs["max"] = args.max
-            labels = list(range(args.max + 1))
-        else:
-            inputs["word_len"] = args.word_len
-            labels = list(fusion.all_words(args.word_len, min_len=1))
-        for label in labels:
-            dim_c = fusion.dim(label, family, "classical")
-            dim_q = fusion.dim(label, family, "quantum")
-            rows.append({
-                "label": str(label) or "e",
-                "dim": dim_c,
-                "dim_q": report.enclosure_payload(intervals.make(dim_q, ctx)),
-                "ratio": report.enclosure_payload(intervals.make(Fraction(dim_c) / dim_q, ctx)),
-            })
+    for label in labels:
+        dim_c = fusion.dim(label, family, "classical")
+        dim_q = fusion.dim(label, family, "quantum")
+        rows.append({
+            "label": str(label) or "e",
+            "dim": dim_c,
+            "dim_q": report.rational_payload(dim_q, args.bits),
+            "ratio": report.rational_payload(Fraction(dim_c) / dim_q, args.bits),
+        })
     return report.Report("dims", inputs, {"table": rows}, _meta(args))
 
 

@@ -16,6 +16,7 @@ computed exactly: classical dimensions are ints, quantum dimensions are
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -146,11 +147,6 @@ def _canonical(terms: dict) -> Decomposition:
     return {k: terms[k] for k in sorted(terms, key=label_sort_key) if terms[k] > 0}
 
 
-def conjugate_word(word: str) -> str:
-    """Reverse the word and swap the two letters (antimultiplicative)."""
-    return "".join(_CONJUGATE_LETTER[ch] for ch in reversed(word))
-
-
 def all_words(max_len: int, min_len: int = 0) -> Iterator[str]:
     """All words over {A, B} with length in [min_len, max_len], short first."""
     for length in range(min_len, max_len + 1):
@@ -253,16 +249,18 @@ def invariant_multiplicity(labels: Sequence[Label], family: FusionFamily) -> int
 # dimensions
 
 
-def ladder_dims(kind: FamilyKind, d1: Fraction) -> Iterator[Fraction]:
+def ladder_dims(kind: FamilyKind, d1: int | Fraction) -> Iterator[int | Fraction]:
     """Dimensions of the ladder labels 0, 1, 2, ... for fundamental dimension `d1`.
 
     The fundamental fusion forces ``d1 d(n) = d(n-1) + d(n+1)`` for
     two-term (su2) fusion and ``d1 d(n) = d(n-1) + d(n) + d(n+1)`` for
     three-term (so3) fusion.  The two-term value ``d(n)`` is the deformed
     integer of order n+1 at the root of ``x + 1/x = d1`` (n+1 itself when
-    d1 = 2).  This is the only place either recursion is written.
+    d1 = 2).  The terms have the type of `d1`: ints for the classical
+    dimensions, Fractions for the quantum ones.  This is the only place
+    either recursion is written.
     """
-    prev, curr = Fraction(1), d1
+    prev, curr = type(d1)(1), d1
     yield prev
     while True:
         yield curr
@@ -274,6 +272,8 @@ def ladder_dims(kind: FamilyKind, d1: Fraction) -> Iterator[Fraction]:
 
 #: Most ladder dimensions :func:`_ladder_value` keeps, and most ``(kind, d1)``
 #: prefixes of :func:`ladder_dims` it extends; the least recently used go first.
+#: Both caches are typed, so an int `d1` and the equal Fraction keep their own
+#: terms, ints and Fractions.
 LADDER_CACHE_SIZE = 4096
 LADDER_PREFIXES = 32
 
@@ -282,15 +282,15 @@ LADDER_PREFIXES = 32
 _LADDER_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=LADDER_PREFIXES)
-def _ladder_prefix(kind: FamilyKind, d1: Fraction) -> tuple[list[Fraction], Iterator[Fraction]]:
+@lru_cache(maxsize=LADDER_PREFIXES, typed=True)
+def _ladder_prefix(kind: FamilyKind, d1: int | Fraction) -> tuple[list, Iterator]:
     """The terms of :func:`ladder_dims` computed so far, and the generator
     that extends them; shared by every caller, which appends in place
     while holding ``_LADDER_LOCK``."""
     return [], ladder_dims(kind, d1)
 
 
-def _ladder_values(kind: FamilyKind, d1: Fraction, n: int) -> list[Fraction]:
+def _ladder_values(kind: FamilyKind, d1: int | Fraction, n: int) -> list:
     """The stored prefix of :func:`ladder_dims`, extended only as far as `n`,
     so a table of labels 0..n costs n+1 steps.  Entries are only appended,
     so the first n+1 stay valid after the lock is released."""
@@ -301,8 +301,8 @@ def _ladder_values(kind: FamilyKind, d1: Fraction, n: int) -> list[Fraction]:
     return values
 
 
-@lru_cache(maxsize=LADDER_CACHE_SIZE)
-def _ladder_value(kind: FamilyKind, d1: Fraction, n: int) -> Fraction:
+@lru_cache(maxsize=LADDER_CACHE_SIZE, typed=True)
+def _ladder_value(kind: FamilyKind, d1: int | Fraction, n: int) -> int | Fraction:
     """n-th term of :func:`ladder_dims`, read from the stored prefix."""
     return _ladder_values(kind, d1, n)[n]
 
@@ -313,29 +313,26 @@ def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | F
     Ladder dimensions follow the linear recursion of the family; a free word
     contributes the product over its alternating blocks, where a block of
     length n carries the order-(n+1) deformed integer of the fundamental
-    dimension.  The blocks' numerators and denominators are multiplied as
-    ints, and reduced once.
+    dimension.  Classical dimensions run on the int fundamental dimension,
+    so they are ints throughout; for quantum ones the blocks' numerators and
+    denominators are multiplied as ints, and reduced once.
     """
     if which not in ("classical", "quantum"):
         raise DomainError(f"which must be 'classical' or 'quantum', got {which!r}")
     check_label(label, family)
-    d1 = Fraction(family.dim_c_fund) if which == "classical" else family.dim_q_fund
+    classical = which == "classical"
+    d1 = family.dim_c_fund if classical else family.dim_q_fund
     if family.is_ladder:
-        value = _ladder_value(family.kind, d1, label)
-    else:
-        value = Fraction(1)
-        if label:
-            lengths = [len(block) for block in factorize(label)]
-            ladder = _ladder_values(FamilyKind.SU2_LADDER, d1, max(lengths))
-            numerator = denominator = 1
-            for n in lengths:
-                numerator *= ladder[n].numerator
-                denominator *= ladder[n].denominator
-            value = Fraction(numerator, denominator)
-    if which == "classical":
-        assert value.denominator == 1
-        return int(value)
-    return value
+        return _ladder_value(family.kind, d1, label)
+    lengths = [len(block) for block in factorize(label)] if label else []
+    ladder = _ladder_values(FamilyKind.SU2_LADDER, d1, max(lengths, default=0))
+    if classical:
+        return math.prod(ladder[n] for n in lengths)
+    numerator = denominator = 1
+    for n in lengths:
+        numerator *= ladder[n].numerator
+        denominator *= ladder[n].denominator
+    return Fraction(numerator, denominator)
 
 
 def rho_spectrum(n: int, q: IntervalLike) -> list[Interval]:

@@ -22,6 +22,12 @@ Endpoints are read exactly (:func:`lower`, :func:`upper`,
 enclosed true values.  No point inside an enclosure is offered as a result;
 :func:`to_decimal_mid` is a display convenience only.
 
+mpmath neither rounds rationals nor prints here: :func:`make` encloses a
+:class:`~fractions.Fraction` with :func:`qclassfun.dyadic.round_quotient`,
+which gives mpmath's own endpoints, and :func:`to_decimal_pair` and
+:func:`to_decimal_mid` print the exact endpoints with
+:func:`qclassfun.dyadic.to_text`.
+
 Hot loops may leave mpmath for fixed point: a pair of ints ``(lo, hi)``
 stands for ``[lo, hi]·2^-frac_bits``.  :func:`to_fixed` (floor of the lower
 endpoint, ceiling of the upper) and :func:`from_fixed` (outward to a
@@ -33,7 +39,6 @@ operand, so that rounding is outward.
 
 from __future__ import annotations
 
-import decimal
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -42,9 +47,11 @@ from typing import Iterator, Union
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext as Context
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor
+from mpmath.libmp import MPZ, from_man_exp, round_ceiling, round_floor
 
+from . import dyadic
 from .budgets import DEFAULT_BITS, MAX_BITS
+from .dyadic import decimal_digits
 from .errors import DomainError
 
 #: Anything `make` can turn into a rigorous interval.
@@ -76,7 +83,8 @@ def make(value: IntervalLike, ctx: Context | None = None) -> Interval:
     if ctx is None:
         ctx = _context(DEFAULT_BITS)
     if isinstance(value, Fraction):
-        return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+        lo, hi = dyadic.round_quotient(value.numerator, value.denominator, ctx.prec)
+        return ctx.make_mpf((_raw(*lo), _raw(*hi)))
     return ctx.mpf(value)
 
 
@@ -216,17 +224,29 @@ def _scaled_floor(sign: int, man: int, exp: int, frac_bits: int) -> int:
     return value << shift if shift >= 0 else value >> -shift
 
 
+def _raw(m: int, e: int) -> tuple:
+    """The raw mpf of ``m·2^e`` for an odd `m` or zero."""
+    return int(m < 0), MPZ(abs(m)), e, abs(m).bit_length()
+
+
+def _endpoint_dyadic(raw) -> dyadic.Dyadic | None:
+    """Exact value ``(m, e)``, ``m·2^e``, of a raw mpf endpoint; None for
+    infinities."""
+    sign, man, exp, bc = raw
+    if bc == -1:
+        raise ValueError("a NaN endpoint has no value")
+    if bc < 0:
+        return None
+    return int(-man if sign else man), exp
+
+
 def _endpoint_fraction(raw) -> Fraction | None:
     """Exact rational value of a raw mpf endpoint; None for infinities."""
-    if raw in (mpmath.libmp.finf, mpmath.libmp.fninf):
+    value = _endpoint_dyadic(raw)
+    if value is None:
         return None
-    numerator, denominator = mpmath.libmp.to_rational(raw)
-    return Fraction(int(numerator), int(denominator))
-
-
-def _directed_decimal(value: Fraction, digits: int, rounding: str) -> str:
-    context = decimal.Context(prec=digits, rounding=rounding)
-    return str(context.divide(value.numerator, value.denominator))
+    m, e = value
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def to_decimal_pair(x: Interval, digits: int | None = None) -> tuple[str, str]:
@@ -234,22 +254,17 @@ def to_decimal_pair(x: Interval, digits: int | None = None) -> tuple[str, str]:
     default to the digits of the precision of `x`."""
     if digits is None:
         digits = decimal_digits(x.ctx.prec)
-    lo, hi = exact_endpoints(x)
+    lo, hi = (_endpoint_dyadic(raw) for raw in x._mpi_)
     return (
-        "-inf" if lo is None else _directed_decimal(lo, digits, decimal.ROUND_FLOOR),
-        "inf" if hi is None else _directed_decimal(hi, digits, decimal.ROUND_CEILING),
+        "-inf" if lo is None else dyadic.to_text(*lo, digits, "floor"),
+        "inf" if hi is None else dyadic.to_text(*hi, digits, "ceiling"),
     )
 
 
 def to_decimal_mid(x: Interval) -> str:
     """Round-to-nearest decimal midpoint to the digits of the precision of
     `x` (convenience, not certified)."""
-    lo, hi = exact_endpoints(x)
+    lo, hi = (_endpoint_dyadic(raw) for raw in x._mpi_)
     if lo is None or hi is None:
         return "nan"
-    return _directed_decimal((lo + hi) / 2, decimal_digits(x.ctx.prec), decimal.ROUND_HALF_EVEN)
-
-
-def decimal_digits(bits: int) -> int:
-    """Decimal digits carried by `bits` of mantissa, floored at 17."""
-    return max(17, int(bits * 0.30103) + 2)
+    return dyadic.to_text(*dyadic.midpoint(lo, hi), decimal_digits(x.ctx.prec), "half-even")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+from . import dyadic
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -47,6 +48,16 @@ def enclosure_payload(x: Interval) -> dict:
 
     lo, hi = intervals.to_decimal_pair(x)
     return {"lo": lo, "hi": hi, "mid": intervals.to_decimal_mid(x)}
+
+
+def rational_payload(value: int | Fraction, bits: int) -> dict:
+    """The cell :func:`enclosure_payload` prints for the `bits`-bit
+    enclosure of the exact `value`, built with ints alone."""
+    lo, hi = dyadic.round_quotient(value.numerator, value.denominator, bits)
+    digits = dyadic.decimal_digits(bits)
+    return {"lo": dyadic.to_text(*lo, digits, "floor"),
+            "hi": dyadic.to_text(*hi, digits, "ceiling"),
+            "mid": dyadic.to_text(*dyadic.midpoint(lo, hi), digits, "half-even")}
 
 
 def fraction_payload(value: int | Fraction) -> str:

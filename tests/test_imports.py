@@ -24,8 +24,8 @@ from qclassfun import fusion
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "qclassfun"
-SUBMODULES = ("acceptance", "bicrossed", "budgets", "cli", "criteria", "errors", "fusion",
-              "intervals", "noncrossing", "report", "scalars", "spectral")
+SUBMODULES = ("acceptance", "bicrossed", "budgets", "cli", "criteria", "dyadic", "errors",
+              "fusion", "intervals", "noncrossing", "report", "scalars", "spectral")
 
 
 def _python(code: str, *args: str):
@@ -40,10 +40,15 @@ def _python(code: str, *args: str):
 # ---------------------------------------------------------------------------
 # import graph
 
-#: Commands that build no enclosure, with their exit codes.
+#: Commands that never load mpmath, with their exit codes: `dims` prints the
+#: enclosures of exact rationals with ints alone.
 LIGHT_COMMANDS = [
     (["frobnicate"], 2),
     (["dims", "--family", "o-plus", "--N", "3", "--bits", "0"], 2),
+    (["dims", "--family", "so3", "--N", "5", "--dimq", "7", "--max", "40"], 0),
+    (["dims", "--family", "u-plus", "--dim", "3", "--qq", "13/97", "--word-len", "5",
+      "--format", "csv"], 0),
+    (["dims", "--family", "o-plus", "--N", "3", "--qq", "1/7", "--bits", "1024"], 0),
     (["moments", "--family", "so3", "--N", "4"], 0),
     (["bicrossed", "--q", "1/3", "--mode", "irrational"], 0),
 ]
