@@ -10,8 +10,9 @@ are answers), 2 for usage errors, 3 for domain and budget errors.
 Each process runs one subcommand, so the module level imports only what
 parsing needs: the flag budgets come from the dependency-free ``budgets``
 module, and each handler imports the modules it runs.  A usage error,
-``moments`` and ``bicrossed`` never load mpmath; it is loaded where an
-enclosure is built.
+``moments``, ``bicrossed`` and ``dims`` (which rounds and prints exact
+values with ``dyadic``) never load mpmath; it is loaded where interval
+arithmetic runs.
 """
 
 from __future__ import annotations
