@@ -304,9 +304,17 @@ def _meta(args: argparse.Namespace) -> dict:
 
 
 def cmd_dims(args: argparse.Namespace) -> report.Report:
+    import math
+
     from . import fusion, report
 
     family, inputs = _build_family(args)
+    # Every classical dimension of a label of length n is at most N^n, and
+    # an int past the default int -> str limit cannot be printed.
+    digits = (args.max if family.is_ladder else args.word_len) * math.log10(family.dim_c_fund)
+    if digits > sys.int_info.default_max_str_digits:
+        raise BudgetError(f"the classical dimensions may have {digits:.0f} digits, which exceeds "
+                          f"the budget of {sys.int_info.default_max_str_digits}")
     if family.is_ladder:
         inputs["max"] = args.max
         labels = list(range(args.max + 1))

@@ -118,16 +118,15 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
     """
     if not family.is_ladder:
         raise FamilyError("decay verification applies to ladder families")
-    classical = fusion.ladder_dims(family.kind, Fraction(family.dim_c_fund))
-    quantum = fusion.ladder_dims(family.kind, family.dim_q_fund)
-    ratios = (q / c for c, q in zip(classical, quantum))
-    next(ratios)  # A_0
-    previous = next(ratios)  # A_1
+    def rate(n: int) -> Fraction:
+        return fusion.dim(n, family, "quantum") / fusion.dim(n, family, "classical")
+
+    previous = rate(1)  # A_1
     if previous <= 1:
         raise KacTypeError("Kac-type family has no decay rate")
     c = 1 + (previous - 1) / LADDER_SUP_C
-    for _ in range(1, n_max):
-        current = next(ratios)
+    for n in range(2, n_max + 1):
+        current = rate(n)
         if current < c * previous:
             return False
         previous = current
@@ -644,9 +643,8 @@ def kac_part(family: FusionFamily, n_max: int) -> list[int]:
     Non-Kac families yield exactly the trivial label."""
     if not family.is_ladder:
         raise FamilyError("kac_part applies to ladder families")
-    classical = fusion.ladder_dims(family.kind, Fraction(family.dim_c_fund))
-    quantum = fusion.ladder_dims(family.kind, family.dim_q_fund)
-    return [n for n, c, q in zip(range(n_max + 1), classical, quantum) if c == q]
+    return [n for n in range(n_max + 1)
+            if fusion.dim(n, family, "quantum") == fusion.dim(n, family, "classical")]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ Three fusion families are modeled:
 Ladder labels are plain nonnegative ints (0 is trivial); free labels are
 strings over ``A``/``B`` (the empty string is trivial).  All dimensions are
 computed exactly: classical dimensions are ints, quantum dimensions are
-:class:`~fractions.Fraction` values driven by the same linear recursions.
+:class:`~fractions.Fraction` values read from the same integer recursions.
 """
 
 from __future__ import annotations
@@ -249,62 +249,53 @@ def invariant_multiplicity(labels: Sequence[Label], family: FusionFamily) -> int
 # dimensions
 
 
-def ladder_dims(kind: FamilyKind, d1: int | Fraction) -> Iterator[int | Fraction]:
-    """Dimensions of the ladder labels 0, 1, 2, ... for fundamental dimension `d1`.
-
-    The fundamental fusion forces ``d1 d(n) = d(n-1) + d(n+1)`` for
-    two-term (su2) fusion and ``d1 d(n) = d(n-1) + d(n) + d(n+1)`` for
-    three-term (so3) fusion.  The two-term value ``d(n)`` is the deformed
-    integer of order n+1 at the root of ``x + 1/x = d1`` (n+1 itself when
-    d1 = 2).  The terms have the type of `d1`: ints for the classical
-    dimensions, Fractions for the quantum ones.  This is the only place
-    either recursion is written.
-    """
-    prev, curr = type(d1)(1), d1
-    yield prev
-    while True:
-        yield curr
-        step = d1 * curr - prev
-        if kind is FamilyKind.SO3_LADDER:
-            step -= curr
-        prev, curr = curr, step
-
-
-#: Most ladder dimensions :func:`_ladder_value` keeps, and most ``(kind, d1)``
-#: prefixes of :func:`ladder_dims` it extends; the least recently used go first.
-#: Both caches are typed, so an int `d1` and the equal Fraction keep their own
-#: terms, ints and Fractions.
+#: Most ladder dimensions :func:`_ladder_value` keeps, and most
+#: ``(kind, a, b)`` prefixes :func:`_ladder_values` extends; the least
+#: recently used go first.
 LADDER_CACHE_SIZE = 4096
 LADDER_PREFIXES = 32
 
 
-#: Guards the shared prefixes: two threads must not advance one generator.
+#: Guards the shared prefixes: two threads must not extend one list.
 _LADDER_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=LADDER_PREFIXES, typed=True)
-def _ladder_prefix(kind: FamilyKind, d1: int | Fraction) -> tuple[list, Iterator]:
-    """The terms of :func:`ladder_dims` computed so far, and the generator
-    that extends them; shared by every caller, which appends in place
-    while holding ``_LADDER_LOCK``."""
-    return [], ladder_dims(kind, d1)
+@lru_cache(maxsize=LADDER_PREFIXES)
+def _ladder_prefix(kind: FamilyKind, a: int, b: int) -> list[int]:
+    """The scaled terms ``D(0), D(1), ...`` of :func:`_ladder_values`
+    computed so far; shared by every caller, which appends in place while
+    holding ``_LADDER_LOCK``."""
+    return [1, a]
 
 
-def _ladder_values(kind: FamilyKind, d1: int | Fraction, n: int) -> list:
-    """The stored prefix of :func:`ladder_dims`, extended only as far as `n`,
-    so a table of labels 0..n costs n+1 steps.  Entries are only appended,
-    so the first n+1 stay valid after the lock is released."""
+def _ladder_values(kind: FamilyKind, a: int, b: int, n: int) -> list[int]:
+    """Scaled dimensions ``D(k) = d(k)·b^k`` of the ladder labels 0..n for
+    the fundamental dimension ``d1 = a/b`` in lowest terms.
+
+    The fundamental fusion forces ``d1 d(k) = d(k-1) + d(k+1)`` for two-term
+    (su2) fusion and ``d1 d(k) = d(k-1) + d(k) + d(k+1)`` for three-term
+    (so3) fusion, so ``D(k+1) = (a - s·b)·D(k) - b²·D(k-1)`` with s = 0 for
+    su2 and 1 for so3; classical dimensions are the case b = 1.  The
+    two-term ``d(k)`` is the deformed integer of order k+1 at the root of
+    ``x + 1/x = d1``.  ``D(k)`` is congruent to ``a^k`` mod b, so
+    ``D(k)/b^k`` is in lowest terms.  This is the only place either
+    recursion is written.  The stored prefix is extended only as far as
+    `n`, so a table of labels 0..n costs n+1 steps; entries are only
+    appended, so the first n+1 stay valid after the lock is released.
+    """
+    step = a - b if kind is FamilyKind.SO3_LADDER else a
+    scale = b * b
     with _LADDER_LOCK:
-        values, steps = _ladder_prefix(kind, d1)
+        values = _ladder_prefix(kind, a, b)
         while len(values) <= n:
-            values.append(next(steps))
+            values.append(step * values[-1] - scale * values[-2])
     return values
 
 
-@lru_cache(maxsize=LADDER_CACHE_SIZE, typed=True)
-def _ladder_value(kind: FamilyKind, d1: int | Fraction, n: int) -> int | Fraction:
-    """n-th term of :func:`ladder_dims`, read from the stored prefix."""
-    return _ladder_values(kind, d1, n)[n]
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
+def _ladder_value(kind: FamilyKind, a: int, b: int, n: int) -> int:
+    """``D(n)`` of :func:`_ladder_values`, read from the stored prefix."""
+    return _ladder_values(kind, a, b, n)[n]
 
 
 def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | Fraction:
@@ -313,26 +304,23 @@ def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | F
     Ladder dimensions follow the linear recursion of the family; a free word
     contributes the product over its alternating blocks, where a block of
     length n carries the order-(n+1) deformed integer of the fundamental
-    dimension.  Classical dimensions run on the int fundamental dimension,
-    so they are ints throughout; for quantum ones the blocks' numerators and
-    denominators are multiplied as ints, and reduced once.
+    dimension.  Both run on the scaled ints of :func:`_ladder_values`:
+    classical dimensions are those ints, and a quantum dimension is their
+    product over ``b`` to the power of the label's length, already in
+    lowest terms.
     """
     if which not in ("classical", "quantum"):
         raise DomainError(f"which must be 'classical' or 'quantum', got {which!r}")
     check_label(label, family)
     classical = which == "classical"
-    d1 = family.dim_c_fund if classical else family.dim_q_fund
+    a, b = (family.dim_c_fund, 1) if classical else family.dim_q_fund.as_integer_ratio()
     if family.is_ladder:
-        return _ladder_value(family.kind, d1, label)
-    lengths = [len(block) for block in factorize(label)] if label else []
-    ladder = _ladder_values(FamilyKind.SU2_LADDER, d1, max(lengths, default=0))
-    if classical:
-        return math.prod(ladder[n] for n in lengths)
-    numerator = denominator = 1
-    for n in lengths:
-        numerator *= ladder[n].numerator
-        denominator *= ladder[n].denominator
-    return Fraction(numerator, denominator)
+        value, length = _ladder_value(family.kind, a, b, label), label
+    else:
+        lengths = [len(block) for block in factorize(label)] if label else []
+        ladder = _ladder_values(FamilyKind.SU2_LADDER, a, b, max(lengths, default=0))
+        value, length = math.prod(ladder[n] for n in lengths), len(label)
+    return value if classical else Fraction(value, b**length)
 
 
 def rho_spectrum(n: int, q: IntervalLike) -> list[Interval]:

@@ -19,13 +19,12 @@ accepted as the exact binary rational they denote.
 Endpoints are read exactly (:func:`lower`, :func:`upper`,
 :func:`exact_endpoints`), and the comparisons (:func:`contains`,
 :func:`certainly_lt`, :func:`overlaps`) certify a relation between the
-enclosed true values.  No point inside an enclosure is offered as a result;
-:func:`to_decimal_mid` is a display convenience only.
+enclosed true values.  No point inside an enclosure is offered as a result.
 
 mpmath neither rounds rationals nor prints here: :func:`make` encloses a
 :class:`~fractions.Fraction` with :func:`qclassfun.dyadic.round_quotient`,
-which gives mpmath's own endpoints, and :func:`to_decimal_pair` and
-:func:`to_decimal_mid` print the exact endpoints with
+which gives mpmath's own endpoints, and :func:`to_decimal_pair` prints the
+exact endpoints of :func:`dyadic_endpoints` with
 :func:`qclassfun.dyadic.to_text`.
 
 Hot loops may leave mpmath for fixed point: a pair of ints ``(lo, hi)``
@@ -104,6 +103,11 @@ def lower(x: Interval) -> mpmath.mpf:
 def upper(x: Interval) -> mpmath.mpf:
     """Upper endpoint as an exact ``mpf`` (no rounding to mpmath's precision)."""
     return mpmath.mp.make_mpf(x._mpi_[1])
+
+
+def dyadic_endpoints(x: Interval) -> tuple[dyadic.Dyadic | None, dyadic.Dyadic | None]:
+    """Endpoints of `x` as exact ``(m, e)``, ``m·2^e``; None for an infinite endpoint."""
+    return _endpoint_dyadic(x._mpi_[0]), _endpoint_dyadic(x._mpi_[1])
 
 
 def exact_endpoints(x: Interval) -> tuple[Fraction | None, Fraction | None]:
@@ -254,17 +258,8 @@ def to_decimal_pair(x: Interval, digits: int | None = None) -> tuple[str, str]:
     default to the digits of the precision of `x`."""
     if digits is None:
         digits = decimal_digits(x.ctx.prec)
-    lo, hi = (_endpoint_dyadic(raw) for raw in x._mpi_)
+    lo, hi = dyadic_endpoints(x)
     return (
         "-inf" if lo is None else dyadic.to_text(*lo, digits, "floor"),
         "inf" if hi is None else dyadic.to_text(*hi, digits, "ceiling"),
     )
-
-
-def to_decimal_mid(x: Interval) -> str:
-    """Round-to-nearest decimal midpoint to the digits of the precision of
-    `x` (convenience, not certified)."""
-    lo, hi = (_endpoint_dyadic(raw) for raw in x._mpi_)
-    if lo is None or hi is None:
-        return "nan"
-    return dyadic.to_text(*dyadic.midpoint(lo, hi), decimal_digits(x.ctx.prec), "half-even")

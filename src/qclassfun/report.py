@@ -46,18 +46,24 @@ def canonical_json(payload: Any) -> str:
 def enclosure_payload(x: Interval) -> dict:
     from . import intervals
 
-    lo, hi = intervals.to_decimal_pair(x)
-    return {"lo": lo, "hi": hi, "mid": intervals.to_decimal_mid(x)}
+    return _cell(*intervals.dyadic_endpoints(x), dyadic.decimal_digits(x.ctx.prec))
 
 
 def rational_payload(value: int | Fraction, bits: int) -> dict:
     """The cell :func:`enclosure_payload` prints for the `bits`-bit
     enclosure of the exact `value`, built with ints alone."""
     lo, hi = dyadic.round_quotient(value.numerator, value.denominator, bits)
-    digits = dyadic.decimal_digits(bits)
-    return {"lo": dyadic.to_text(*lo, digits, "floor"),
-            "hi": dyadic.to_text(*hi, digits, "ceiling"),
-            "mid": dyadic.to_text(*dyadic.midpoint(lo, hi), digits, "half-even")}
+    return _cell(lo, hi, dyadic.decimal_digits(bits))
+
+
+def _cell(lo: dyadic.Dyadic | None, hi: dyadic.Dyadic | None, digits: int) -> dict:
+    """Outward decimal text of the endpoints ``(m, e)`` at `digits` digits,
+    and their round-to-nearest midpoint; None is an unbounded end."""
+    cell = {"lo": "-inf" if lo is None else dyadic.to_text(*lo, digits, "floor"),
+            "hi": "inf" if hi is None else dyadic.to_text(*hi, digits, "ceiling"), "mid": "nan"}
+    if lo is not None and hi is not None:
+        cell["mid"] = dyadic.to_text(*dyadic.midpoint(lo, hi), digits, "half-even")
+    return cell
 
 
 def fraction_payload(value: int | Fraction) -> str:

@@ -178,3 +178,21 @@ def test_every_argv_exits_0_2_or_3_without_traceback(config_path, invocation):
     if code != 0:
         assert out.getvalue() == "", argv
     assert elapsed < DEADLINE_S, (argv, elapsed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--family", "o-plus", "--N", "100000000000", "--max", "400"],
+    ["dims", "--family", "o-plus", "--N", "9" * 1000],
+    ["dims", "--family", "u-plus", "--dim", "9" * 400, "--word-len", "12", "--format", "csv"],
+], ids=["N=1e11", "N=1000 nines", "u-plus dim=400 nines"])
+def test_dims_past_the_int_to_str_limit_is_a_budget_error(argv):
+    # max·log10(N) (word_len·log10(dim)) bounds the digits of the largest
+    # classical dimension; past 4,300 its int cell could not be printed.
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and "budget of 4300" in err.getvalue()

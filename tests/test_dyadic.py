@@ -146,10 +146,11 @@ def test_interval_text_matches_the_decimal_printer(bits):
                          intervals.from_endpoints(Fraction(-1, 3), Fraction(1, 10**9), ctx)):
             expected = _oracle_payload(interval)
             assert intervals.to_decimal_pair(interval) == (expected["lo"], expected["hi"])
-            assert intervals.to_decimal_mid(interval) == expected["mid"]
             assert report.enclosure_payload(interval) == expected
         unbounded = ctx.mpf([1, "inf"])
         assert report.enclosure_payload(unbounded) == {"lo": "1", "hi": "inf", "mid": "nan"}
+        unbounded = ctx.mpf(["-inf", 1])
+        assert report.enclosure_payload(unbounded) == {"lo": "-inf", "hi": "1", "mid": "nan"}
 
 
 def test_dims_prints_endpoints_longer_than_the_int_to_str_limit(capsys, monkeypatch):

@@ -1,9 +1,9 @@
 """Labels, tensor decompositions, dimensions and spectra."""
 
-import itertools
+import functools
+import math
 import threading
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -261,11 +261,21 @@ def test_word_dim_additivity_exhaustive_length_6():
                 assert total == d(x) * d(y)
 
 
+def _fraction_ladder(kind, d1: Fraction, count: int) -> list[Fraction]:
+    """Oracle: the first `count` ladder dimensions for the fundamental
+    dimension `d1`, stepped in `Fraction` from ``d1 d(n) = d(n-1) + d(n+1)``
+    (plus ``d(n)`` on the right for so3)."""
+    shift = 1 if kind is fusion.FamilyKind.SO3_LADDER else 0
+    values = [Fraction(1), d1]
+    while len(values) < count:
+        values.append((d1 - shift) * values[-1] - values[-2])
+    return values[:count]
+
+
 def _dim_by_blocks(word: str, family, which: str):
     """Oracle: the product of one `Fraction` ladder value per block."""
     d1 = Fraction(family.dim_c_fund) if which == "classical" else family.dim_q_fund
-    ladder = list(itertools.islice(fusion.ladder_dims(fusion.FamilyKind.SU2_LADDER, d1),
-                                   len(word) + 1))
+    ladder = _fraction_ladder(fusion.FamilyKind.SU2_LADDER, d1, len(word) + 1)
     value = Fraction(1)
     for block in (factorize(word) if word else []):
         value *= ladder[len(block)]
@@ -322,14 +332,17 @@ def fresh_ladder_caches():
     _clear_ladder_caches()
 
 
-def _reference(kind, d1, n):
-    return next(itertools.islice(fusion.ladder_dims(kind, d1), n, None))
+def _reference(kind, a, b, n):
+    """Oracle: ``D(n) = d(n)·b^n`` for ``d1 = a/b``, from the `Fraction` recursion."""
+    scaled = _fraction_ladder(kind, Fraction(a, b), n + 1)[n] * b**n
+    assert scaled.denominator == 1
+    return scaled.numerator
 
 
 LADDER_KINDS = [fusion.FamilyKind.SU2_LADDER, fusion.FamilyKind.SO3_LADDER]
-LADDER_D1 = [Fraction(2), Fraction(3), Fraction(17, 4), Fraction(5), Fraction(71, 10)]
+LADDER_D1 = [(2, 1), (3, 1), (17, 4), (5, 1), (71, 10)]
 LADDER_CALL = st.tuples(st.sampled_from(LADDER_KINDS), st.sampled_from(LADDER_D1),
-                        st.integers(0, 60))
+                        st.integers(0, 60)).map(lambda call: (call[0], *call[1], call[2]))
 
 
 @given(st.lists(st.one_of(LADDER_CALL, st.just("evict prefixes")), max_size=30))
@@ -346,43 +359,52 @@ def test_ladder_values_do_not_depend_on_the_call_order(calls):
     _clear_ladder_caches()
 
 
-@pytest.mark.parametrize("argv", [
-    ["dims", "--family", "o-plus", "--N", "4", "--qq", "15/97", "--max", "400"],
-    ["dims", "--family", "so3", "--N", "5", "--dimq", "71/10", "--max", "400"],
+@given(st.sampled_from(LADDER_KINDS), st.integers(1, 10**6), st.integers(1, 10**6),
+       st.integers(0, 40))
+def test_scaled_ladder_values_are_in_lowest_terms(kind, a, b, n):
+    a, b = Fraction(a, b).as_integer_ratio()  # coprime
+    for k, value in enumerate(fusion._ladder_values(kind, a, b, n)[:n + 1]):
+        assert math.gcd(value, b) == 1
+        assert Fraction(value, b**k) == _fraction_ladder(kind, Fraction(a, b), k + 1)[k]
+
+
+@pytest.mark.parametrize("argv, kind, d1", [
+    (["dims", "--family", "o-plus", "--N", "4", "--qq", "15/97", "--max", "400"],
+     fusion.FamilyKind.SU2_LADDER, Fraction(15, 97) + Fraction(97, 15)),
+    (["dims", "--family", "so3", "--N", "5", "--dimq", "71/10", "--max", "400"],
+     fusion.FamilyKind.SO3_LADDER, Fraction(71, 10)),
 ])
 def test_a_dims_table_advances_each_recursion_once_per_label(
-        argv, monkeypatch, capsys, fresh_ladder_caches):
-    steps = Counter()
-    recursion = fusion.ladder_dims
-
-    def counted(kind, d1):
-        for value in recursion(kind, d1):
-            steps[kind, d1] += 1
-            yield value
-
-    monkeypatch.setattr(fusion, "ladder_dims", counted)
+        argv, kind, d1, capsys, fresh_ladder_caches):
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(steps) == 2  # classical and quantum
-    assert max(steps.values()) == 401
+    # Two prefixes (classical and quantum), each made once and never evicted,
+    # and extended only by appending: 401 terms are 401 steps.
+    assert fusion._ladder_prefix.cache_info().misses == 2
+    n_fund = int(argv[4])
+    assert len(fusion._ladder_prefix(kind, n_fund, 1)) == 401
+    assert len(fusion._ladder_prefix(kind, *d1.as_integer_ratio())) == 401
+    assert fusion._ladder_prefix.cache_info().misses == 2
+
+
+class _SlowList(list):
+    def append(self, value):
+        time.sleep(0.0001)  # let another thread run between computing and storing a term
+        super().append(value)
 
 
 def test_ladder_values_are_right_when_threads_share_a_prefix(monkeypatch, fresh_ladder_caches):
-    kind, d1 = fusion.FamilyKind.SO3_LADDER, Fraction(71, 10)
+    kind, a, b = fusion.FamilyKind.SO3_LADDER, 71, 10
     errors = []
-    recursion = fusion.ladder_dims
-
-    def yielding(kind, d1):
-        for value in recursion(kind, d1):
-            time.sleep(0.0001)  # let another thread run inside the generator
-            yield value
-
-    monkeypatch.setattr(fusion, "ladder_dims", yielding)
+    first_terms = fusion._ladder_prefix.__wrapped__
+    prefix = functools.lru_cache(maxsize=fusion.LADDER_PREFIXES)(
+        lambda kind, a, b: _SlowList(first_terms(kind, a, b)))
+    monkeypatch.setattr(fusion, "_ladder_prefix", prefix)
 
     def read(labels):
         try:
             for n in labels:
-                assert fusion._ladder_value.__wrapped__(kind, d1, n) == _reference(kind, d1, n)
+                assert fusion._ladder_value.__wrapped__(kind, a, b, n) == _reference(kind, a, b, n)
         except Exception as exc:  # noqa: BLE001 - reported by the main thread
             errors.append(exc)
 
@@ -390,25 +412,28 @@ def test_ladder_values_are_right_when_threads_share_a_prefix(monkeypatch, fresh_
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
     assert errors == []
-    assert len(fusion._ladder_prefix(kind, d1)[0]) == 200
+    assert len(prefix(kind, a, b)) == 200
 
 
 def test_ladder_caches_stay_bounded(fresh_ladder_caches):
     kind = fusion.FamilyKind.SU2_LADDER
     assert fusion._ladder_value.cache_info().maxsize == fusion.LADDER_CACHE_SIZE
     assert fusion._ladder_prefix.cache_info().maxsize == fusion.LADDER_PREFIXES
-    d1_values = [2 + Fraction(k, 10_007) for k in range(10_000)]
-    for d1 in d1_values:
-        fusion._ladder_value(kind, d1, 3)
+    d1_values = [(2 + Fraction(k, 10_007)).as_integer_ratio() for k in range(10_000)]
+    for a, b in d1_values:
+        fusion._ladder_value(kind, a, b, 3)
     assert fusion._ladder_value.cache_info().currsize <= fusion.LADDER_CACHE_SIZE
     assert fusion._ladder_prefix.cache_info().currsize <= fusion.LADDER_PREFIXES
     # The first values were evicted from both caches and come back correct.
-    for d1 in d1_values[:5] + d1_values[-5:]:
+    for a, b in d1_values[:5] + d1_values[-5:]:
         for n in (5, 2, 0):
-            assert fusion._ladder_value(kind, d1, n) == _reference(kind, d1, n)
-    assert d1_values[-1] ** 3 - 2 * d1_values[-1] == fusion._ladder_value(kind, d1_values[-1], 3)
+            assert fusion._ladder_value(kind, a, b, n) == _reference(kind, a, b, n)
+    a, b = d1_values[-1]
+    d1 = Fraction(a, b)
+    assert d1**3 - 2 * d1 == Fraction(fusion._ladder_value(kind, a, b, 3), b**3)
 
 
 # ---------------------------------------------------------------------------
