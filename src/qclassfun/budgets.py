@@ -20,3 +20,7 @@ DEFAULT_MAX_TERMS = 10_000
 #: `jacobi --M 768` takes at most 1.6 s of CPU over the q scanned, the
 #: slowest near ``q = 1 - 0.64/M``; 832 took 1.9 s and 896 took 2.2 s.
 MAX_COMMUTANT_SIZE = 768
+
+#: Most decimal digits a `dims` table's classical dimensions may have: an
+#: int past Python's default int -> str limit (4300 digits) cannot be printed.
+MAX_DIM_DIGITS = 4300

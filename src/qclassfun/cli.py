@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .budgets import DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS, MAX_COMMUTANT_SIZE
+from .budgets import DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS, MAX_COMMUTANT_SIZE, MAX_DIM_DIGITS
 from .errors import BudgetError, DomainError
 
 if TYPE_CHECKING:
@@ -309,12 +309,11 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
     from . import fusion, report
 
     family, inputs = _build_family(args)
-    # Every classical dimension of a label of length n is at most N^n, and
-    # an int past the default int -> str limit cannot be printed.
+    # Every classical dimension of a label of length n is at most N^n.
     digits = (args.max if family.is_ladder else args.word_len) * math.log10(family.dim_c_fund)
-    if digits > sys.int_info.default_max_str_digits:
+    if digits > MAX_DIM_DIGITS:
         raise BudgetError(f"the classical dimensions may have {digits:.0f} digits, which exceeds "
-                          f"the budget of {sys.int_info.default_max_str_digits}")
+                          f"the budget of {MAX_DIM_DIGITS}")
     if family.is_ladder:
         inputs["max"] = args.max
         labels = list(range(args.max + 1))

@@ -373,7 +373,7 @@ def test_scaled_ladder_values_are_in_lowest_terms(kind, a, b, n):
      fusion.FamilyKind.SU2_LADDER, Fraction(15, 97) + Fraction(97, 15)),
     (["dims", "--family", "so3", "--N", "5", "--dimq", "71/10", "--max", "400"],
      fusion.FamilyKind.SO3_LADDER, Fraction(71, 10)),
-])
+], ids=["o-plus", "so3"])
 def test_a_dims_table_advances_each_recursion_once_per_label(
         argv, kind, d1, capsys, fresh_ladder_caches):
     assert main(argv) == 0
