@@ -15,11 +15,15 @@ the function increasing and the crossing unique, and by the certified signs
 of ``f - 1`` at the two ends of its bracket.  Where those ends lie is
 chosen by a secant estimate, which is not certified; when the signs
 refute it, bisection finishes the bracket.
+
+The series kernel and the thresholds' functions, slopes and estimate run
+on integer fixed point (:func:`intervals.to_fixed` and the ``fixed_*``
+operations): each input enters once as a floor and a ceiling, and each
+result leaves once, rounded outward to an interval.
 """
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -27,12 +31,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from . import fusion, intervals
+from . import dyadic, fusion, intervals
 from .budgets import DEFAULT_MAX_TERMS, MAX_BITS
 from .errors import BudgetError, DomainError, FamilyError, KacTypeError
 from .fusion import FusionFamily, Label
 from .intervals import Context, Interval, IntervalLike
-from .scalars import q_number, solve_fundamental_q
+from .scalars import solve_fundamental_q
 
 #: sup of the multiplicity of the top component in fundamental-times-ladder
 #: fusion; both ladder kinds have multiplicity one there.
@@ -147,8 +151,13 @@ def _fixed_point_bits(bits: int, max_terms: int, tol: Fraction, y: Interval) -> 
     y_lo = intervals.exact_endpoints(y)[0]
     if y_lo is not None and 0 < y_lo < smallest:
         smallest = y_lo
-    leading = (smallest.denominator // smallest.numerator).bit_length()
-    return bits + leading + max_terms.bit_length() + 4
+    return _point_bits(bits, smallest) + max_terms.bit_length()
+
+
+def _point_bits(bits: int, x: Fraction) -> int:
+    """Fraction bits of a fixed point that keeps `bits` bits below the
+    leading bit of the positive `x`, plus four guard bits."""
+    return bits + (x.denominator // x.numerator).bit_length() + 4
 
 
 def _fixed_power(a: tuple[int, int], n: int, frac_bits: int) -> tuple[int, int]:
@@ -382,6 +391,36 @@ def total_sum_free(block_sum: SeriesResult) -> SeriesResult:
 
 # ---------------------------------------------------------------------------
 # closed-form bounds and certified thresholds
+#
+# The functions and slopes of the thresholds run in fixed point, as the
+# series kernel does: each takes a nonnegative enclosure ``(lo, hi)`` of its
+# argument, standing for ``[lo, hi]·2^-p``, and `p`, and returns enclosures
+# in the same form, or None when a divisor's enclosure reaches 0 at this
+# `p`, which leaves the value undecided.  A slope may be signed: its lower
+# end is the sum of the lower ends of its positive terms minus the upper
+# ends of its negative terms.
+
+Fixed = tuple[int, int]
+FixedFunction = Callable[[Fixed, int], Fixed | None]
+FixedSlopes = Callable[[Fixed, int], tuple[Fixed, ...] | None]
+
+
+def _fixed_hull(lo: Fraction, hi: Fraction, p: int) -> Fixed:
+    """Fixed-point enclosure of ``[lo, hi]``."""
+    return intervals.to_fixed(lo, p)[0], intervals.to_fixed(hi, p)[1]
+
+
+def _dim2_bound(q: Fixed, p: int) -> Fixed | None:
+    """:func:`bound_S_dim2` on a fixed-point enclosure of ``q``."""
+    mul, div, sqrt = intervals.fixed_mul, intervals.fixed_div, intervals.fixed_sqrt
+    one = 1 << p
+    s = sqrt(q, p)
+    gap = (one - s[1], one - s[0])  # 1 - sqrt(q)
+    q2 = mul(q, q, p)
+    denominator = mul(sqrt((one + q2[0], one + q2[1]), p), mul(gap, gap, p), p)
+    if gap[0] <= 0 or denominator[0] <= 0:
+        return None
+    return div(mul(s, (2 * one - s[1], 2 * one - s[0]), p), denominator, p)
 
 
 def bound_S_dim2(q: IntervalLike, bits: int = intervals.DEFAULT_BITS) -> Interval:
@@ -390,18 +429,24 @@ def bound_S_dim2(q: IntervalLike, bits: int = intervals.DEFAULT_BITS) -> Interva
 
         sqrt(q)(2 - sqrt(q)) / (sqrt(1 + q^2) (1 - sqrt(q))^2),
 
-    monotone increasing on (0, 1).
+    monotone increasing on (0, 1).  It is evaluated in fixed point with
+    `bits` bits below the leading bit of `q` (:func:`_point_bits`), so a
+    small `q` keeps `bits` significant bits, and rounded outward to `bits`.
+    Ints and fractions enter exactly; other values are enclosed at `bits`
+    first.
     """
     with intervals.precision(bits) as ctx:
-        point = intervals.make(q, ctx)
-        if intervals.lower(point) <= 0 or intervals.upper(point) >= 1:
-            raise DomainError(f"q must lie strictly inside (0, 1), got {point}")
-        root = intervals.isqrt(point)
-        return (
-            root
-            * (2 - root)
-            / (intervals.isqrt(1 + point * point) * (1 - root) ** 2)
-        )
+        if isinstance(q, (int, Fraction)):
+            lo = hi = Fraction(q)
+        else:
+            lo, hi = intervals.exact_endpoints(intervals.make(q, ctx))
+        value = None
+        if lo is not None and hi is not None and 0 < lo and hi < 1:
+            p = _point_bits(bits, lo)
+            value = _dim2_bound(_fixed_hull(lo, hi, p), p)
+        if value is None:
+            raise DomainError(f"q must lie strictly inside (0, 1), got {q}")
+        return intervals.from_fixed(*value, p, ctx)
 
 
 def bound_S_dimge3(
@@ -430,40 +475,43 @@ def bound_S_dimge3(
 _SEARCH_LO, _SEARCH_HI = Fraction(1, 100), Fraction(1, 2)
 
 
-def _below_one(f: Callable[[Interval], Interval], x: Fraction, bits: int) -> bool:
+def _below_one(f: FixedFunction, x: Fraction, bits: int) -> bool:
     """Certified side of 1 that ``f(x)`` lies on: True below, False above.
-    While the enclosure straddles 1 it is recomputed at the next doubling
-    of `bits`; undecided at MAX_BITS is a budget error."""
+    `f` runs on `x` rounded outward to the fixed point of
+    :func:`_point_bits`.  While its enclosure straddles 1 or is undecided,
+    it is recomputed at the next doubling of `bits`; undecided at MAX_BITS
+    is a budget error."""
     for eval_bits in _doublings(bits):
-        with intervals.precision(eval_bits) as ctx:
-            value = f(intervals.make(x, ctx))
-        if intervals.upper(value) < 1:
+        p = _point_bits(eval_bits, x)
+        value = f(intervals.to_fixed(x, p), p)
+        if value is None:
+            continue
+        if value[1] < 1 << p:
             return True
-        if intervals.lower(value) > 1:
+        if value[0] > 1 << p:
             return False
-    shown = decimal.Context(prec=20).divide(x.numerator, x.denominator)  # display only
+    shown = dyadic.to_text(*dyadic.round_quotient(x.numerator, x.denominator, 80)[0], 20,
+                           "half-even")
     raise BudgetError(f"sign of f(x) - 1 undecided at {MAX_BITS} bits for x = {shown} "
                       "(to 20 digits)")
 
 
-def _certify_increasing(
-    slopes: Callable[[Interval], tuple], lo: Fraction, hi: Fraction, bits: int
-) -> None:
+def _certify_increasing(slopes: FixedSlopes, lo: Fraction, hi: Fraction, bits: int) -> None:
     """Certify that f increases on [lo, hi] from one enclosure of
     ``slopes(x)`` over the whole interval: each quantity must be certainly
     positive, and their positivity is what makes f increasing (a derivative
     sign, after Moore's interval analysis).  An enclosure that is too wide
-    is recomputed at the next doubling of `bits`."""
+    or undecided is recomputed at the next doubling of `bits`."""
     for eval_bits in _doublings(bits):
-        with intervals.precision(eval_bits) as ctx:
-            values = slopes(intervals.from_endpoints(lo, hi, ctx))
-        if all(intervals.certainly_gt(v, 0) for v in values):
+        p = _point_bits(eval_bits, lo)
+        values = slopes(_fixed_hull(lo, hi, p), p)
+        if values is not None and all(v[0] > 0 for v in values):
             return
     raise DomainError(f"f could not be certified increasing on [{lo}, {hi}]")
 
 
 def _secant(
-    f: Callable[[Interval], Interval],
+    f: FixedFunction,
     x0: Fraction,
     x1: Fraction,
     bits: int,
@@ -479,9 +527,9 @@ def _secant(
     scale = 1 << (bits + 8)
 
     def offset(x: Fraction) -> Fraction:
-        with intervals.precision(bits) as ctx:
-            lo, hi = intervals.exact_endpoints(f(intervals.make(x, ctx)))
-        return (lo + hi) / 2 - 1
+        p = _point_bits(bits, x)
+        lo, hi = f(intervals.to_fixed(x, p), p)
+        return Fraction(lo + hi, 2 << p) - 1
 
     v0 = offset(x0)
     for _ in range(steps):
@@ -521,8 +569,8 @@ def _estimate(which: str, tol: Fraction) -> Fraction:
 
 
 def _unit_crossing(
-    f: Callable[[Interval], Interval],
-    slopes: Callable[[Interval], tuple],
+    f: FixedFunction,
+    slopes: FixedSlopes,
     lo: Fraction,
     hi: Fraction,
     tol: Fraction,
@@ -579,18 +627,27 @@ def _unit_crossing(
 def _threshold(which: str, tol, bits: int) -> Interval:
     f, slopes = _CROSSINGS[which]
     tol = _tol_fraction(tol)
+    with intervals.precision(bits):  # rejects `bits` outside 1..MAX_BITS
+        pass
     return _unit_crossing(f, slopes, _SEARCH_LO, _SEARCH_HI, tol, bits, _estimate(which, tol))
 
 
-def _dim2_bound(x: Interval) -> Interval:
-    return bound_S_dim2(x, bits=x.ctx.prec)
-
-
-def _dim2_slopes(q: Interval) -> tuple[Interval]:
-    """``d/ds log`` of :func:`bound_S_dim2` at ``q = s^2``; positive means
-    the bound increases in q."""
-    s = intervals.isqrt(q)
-    return (1 / s - 1 / (2 - s) - 2 * s**3 / (1 + s**4) + 2 / (1 - s),)
+def _dim2_slopes(q: Fixed, p: int) -> tuple[Fixed] | None:
+    """``d/ds log`` of :func:`bound_S_dim2` at ``q = s^2``,
+    ``1/s - 1/(2 - s) - 2 s^3/(1 + s^4) + 2/(1 - s)``; positive means the
+    bound increases in q."""
+    mul, div, sqrt = intervals.fixed_mul, intervals.fixed_div, intervals.fixed_sqrt
+    one = 1 << p
+    s = sqrt(q, p)
+    if s[0] <= 0 or s[1] >= one:
+        return None
+    s3 = mul(mul(s, s, p), s, p)
+    s4 = mul(s3, s, p)
+    a = div((one, one), s, p)
+    b = div((one, one), (2 * one - s[1], 2 * one - s[0]), p)
+    c = div((2 * s3[0], 2 * s3[1]), (one + s4[0], one + s4[1]), p)
+    d = div((2 * one, 2 * one), (one - s[1], one - s[0]), p)
+    return ((a[0] - b[1] - c[1] + d[0], a[1] - b[0] - c[0] + d[1]),)
 
 
 def threshold_dim2(tol, bits: int = intervals.DEFAULT_BITS) -> Interval:
@@ -606,17 +663,34 @@ def threshold_ratio_dimge3(bits: int = intervals.DEFAULT_BITS) -> Interval:
         return (1 + u) ** (-2)
 
 
-def _remark_two_term(x: Interval) -> Interval:
-    two = q_number(2).evaluate(x)
-    three = q_number(3).evaluate(x)
-    return intervals.isqrt(2 / two) + intervals.isqrt(3 / three)
+def _remark_two_term(x: Fixed, p: int) -> Fixed | None:
+    """``sqrt(2/[2]_x) + sqrt(3/[3]_x)`` from the closed forms
+    ``[2]_x = x + 1/x`` and ``[3]_x = x^2 + 1 + x^-2``."""
+    if x[0] <= 0:
+        return None
+    mul, div, sqrt = intervals.fixed_mul, intervals.fixed_div, intervals.fixed_sqrt
+    one = 1 << p
+    inv = div((one, one), x, p)
+    x2, inv2 = mul(x, x, p), mul(inv, inv, p)
+    two = (x[0] + inv[0], x[1] + inv[1])
+    three = (x2[0] + one + inv2[0], x2[1] + one + inv2[1])
+    a = sqrt(div((2 * one, 2 * one), two, p), p)
+    b = sqrt(div((3 * one, 3 * one), three, p), p)
+    return a[0] + b[0], a[1] + b[1]
 
 
-def _remark_slopes(x: Interval) -> tuple[Interval, Interval]:
-    """Minus the derivatives of ``[2]_x = x + 1/x`` and
-    ``[3]_x = x^2 + 1 + x^-2``; positive means both decrease, so the
-    two-term bound increases in x."""
-    return x**-2 - 1, 2 * x**-3 - 2 * x
+def _remark_slopes(x: Fixed, p: int) -> tuple[Fixed, Fixed] | None:
+    """Minus the derivatives of ``[2]_x`` and ``[3]_x``, ``x^-2 - 1`` and
+    ``2 x^-3 - 2 x``; positive means both decrease, so the two-term bound
+    increases in x."""
+    if x[0] <= 0:
+        return None
+    mul, div = intervals.fixed_mul, intervals.fixed_div
+    one = 1 << p
+    inv = div((one, one), x, p)
+    inv2 = mul(inv, inv, p)
+    inv3 = mul(inv2, inv, p)
+    return (inv2[0] - one, inv2[1] - one), (2 * (inv3[0] - x[1]), 2 * (inv3[1] - x[0]))
 
 
 def threshold_remark(tol, bits: int = intervals.DEFAULT_BITS) -> Interval:

@@ -29,11 +29,12 @@ exact endpoints of :func:`dyadic_endpoints` with
 
 Hot loops may leave mpmath for fixed point: a pair of ints ``(lo, hi)``
 stands for ``[lo, hi]·2^-frac_bits``.  :func:`to_fixed` (floor of the lower
-endpoint, ceiling of the upper) and :func:`from_fixed` (outward to a
-context) are the only crossings, and :func:`fixed_mul`, :func:`fixed_div`
-and :func:`fixed_sqrt` round each result by one floor and one ceiling.  They
-take nonnegative pairs only, on which each operation is monotone in every
-operand, so that rounding is outward.
+endpoint, ceiling of the upper, of an interval or of an exact rational) and
+:func:`from_fixed` (outward to a context) are the only crossings, and
+:func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt` round each
+result by one floor and one ceiling.  They take nonnegative pairs only, on
+which each operation is monotone in every operand, so that rounding is
+outward.
 """
 
 from __future__ import annotations
@@ -184,10 +185,15 @@ def inv(x: Interval) -> Interval:
     return 1 / x
 
 
-def to_fixed(x: Interval, frac_bits: int) -> tuple[int, int]:
+def to_fixed(x: Interval | Fraction, frac_bits: int) -> tuple[int, int]:
     """Fixed-point enclosure ``(lo, hi)`` of `x`: ``[lo, hi]·2^-frac_bits``
     contains it, with `lo` the floor of the lower endpoint times
-    ``2^frac_bits`` and `hi` the ceiling of the upper one."""
+    ``2^frac_bits`` and `hi` the ceiling of the upper one; a rational `x` is
+    its own endpoints, so this is the floor and ceiling of
+    ``x·2^frac_bits``."""
+    if isinstance(x, Fraction):
+        scaled = x.numerator << frac_bits
+        return scaled // x.denominator, -(-scaled // x.denominator)
     lo, hi = x._mpi_
     if lo in _NONFINITE or hi in _NONFINITE:
         raise DomainError(f"no fixed-point form of the unbounded enclosure {x}")

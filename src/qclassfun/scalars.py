@@ -10,9 +10,10 @@ at ``q = 1``, where it degenerates to the ordinary integer ``n``.
 
 :class:`LaurentScalar` holds the coefficients and evaluates them to a
 certified enclosure through :mod:`qclassfun.intervals`; it has no ring
-operations.  The certified series kernel in :mod:`qclassfun.criteria` uses
-the closed form of ``[m]_q`` instead, so evaluation serves the small
-threshold functions only.
+operations.  No module of the package calls it or :func:`q_number` any
+more: the series kernel and the threshold functions in
+:mod:`qclassfun.criteria` use the closed forms of ``[m]_q``.  Both stay
+public because the benchmark's trace harness binds them by name.
 """
 
 from __future__ import annotations

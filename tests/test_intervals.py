@@ -247,6 +247,13 @@ def test_fixed_point_crossings_round_outward(frac_bits, a, b):
 
 @pytest.mark.parametrize("frac_bits", FIXED_POINT_BITS)
 @settings(derandomize=True, max_examples=60)
+@given(signed)
+def test_a_rational_enters_fixed_point_as_its_floor_and_ceiling(frac_bits, a):
+    assert intervals.to_fixed(a, frac_bits) == (_floor(a, frac_bits), _ceil(a, frac_bits))
+
+
+@pytest.mark.parametrize("frac_bits", FIXED_POINT_BITS)
+@settings(derandomize=True, max_examples=60)
 @given(magnitudes, magnitudes, magnitudes, magnitudes)
 def test_fixed_point_operations_round_once_outward(frac_bits, a, b, c, d):
     x, y = _fixed(a, b, frac_bits), _fixed(c, d, frac_bits)
