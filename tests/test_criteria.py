@@ -488,6 +488,22 @@ def test_threshold_width_within_tol_from_low_starting_bits(threshold, tol, bits)
     assert intervals.overlaps(enclosure, threshold(tol))
 
 
+def _affine(a: Fraction, b: Fraction):
+    """The fixed-point form of ``x -> a x + b`` for ``a >= 0``: each end of
+    ``a·x + b`` rounded outward, as the engine's functions and slopes take
+    and return enclosures ``(lo, hi)·2^-p``."""
+    def f(x, p):
+        lo, hi = (a * Fraction(end, 1 << p) + b for end in x)
+        return intervals.to_fixed(lo, p)[0], intervals.to_fixed(hi, p)[1]
+
+    return f
+
+
+def _constant(c: Fraction):
+    """Fixed-point slopes holding the one quantity `c`."""
+    return lambda x, p: (intervals.to_fixed(c, p),)
+
+
 def test_threshold_enclosure_beyond_max_bits_is_a_budget_error():
     # f(x) = 5x/2 crosses 1 at 2/5; the estimate 2 clips both candidate
     # ends to 1, so bisection starts from [1/3, 1], and three halvings leave
@@ -495,7 +511,7 @@ def test_threshold_enclosure_beyond_max_bits_is_a_budget_error():
     # MAX_BITS rounds 1/3 and 5/12 outward by less than that
     tol = Fraction(1, 12) + Fraction(1, 2**1200)
     with pytest.raises(BudgetError):
-        criteria._unit_crossing(lambda x: 5 * x / 2, lambda x: (Fraction(5, 2),),
+        criteria._unit_crossing(_affine(Fraction(5, 2), 0), _constant(Fraction(5, 2)),
                                 Fraction(1, 3), Fraction(1), tol, 64, Fraction(2))
 
 
@@ -513,26 +529,31 @@ def test_threshold_past_max_bits_fails_fast_with_a_short_message(threshold):
 
 def test_threshold_needs_a_certified_increase():
     # 2x - 1 changes sign inside [1/3, 1], so it cannot certify an increase
+    twice = _affine(Fraction(2), 0)
+
+    def slopes(x, p):
+        return (tuple(end - (1 << p) for end in twice(x, p)),)
+
     with pytest.raises(DomainError, match="increasing"):
-        criteria._unit_crossing(lambda x: 5 * x / 2, lambda x: (2 * x - 1,),
+        criteria._unit_crossing(_affine(Fraction(5, 2), 0), slopes,
                                 Fraction(1, 3), Fraction(1), Fraction(1, 100), 64, Fraction(2, 5))
 
 
 def test_threshold_without_a_sign_change_is_a_domain_error():
     # x + 2 stays above 1 and x/4 below it on [1/3, 1], whatever the estimate
-    for f in (lambda x: x + 2, lambda x: x / 4):
+    for f in (_affine(Fraction(1), Fraction(2)), _affine(Fraction(1, 4), 0)):
         for estimate in (Fraction(1, 3), Fraction(1, 2), Fraction(2)):
             with pytest.raises(DomainError, match="no sign change"):
-                criteria._unit_crossing(f, lambda x: (Fraction(1),), Fraction(1, 3), Fraction(1),
+                criteria._unit_crossing(f, _constant(Fraction(1)), Fraction(1, 3), Fraction(1),
                                         Fraction(1, 100), 64, estimate)
 
 
 @pytest.mark.parametrize("which", ["dim2", "remark"])
 def test_threshold_increase_is_certified_over_the_whole_search_interval(which):
     _, slopes = criteria._CROSSINGS[which]
-    with intervals.precision(16) as ctx:
-        whole = intervals.from_endpoints(Fraction(1, 100), Fraction(1, 2), ctx)
-        assert all(intervals.certainly_gt(v, 0) for v in slopes(whole))
+    p = criteria._point_bits(16, Fraction(1, 100))
+    whole = (intervals.to_fixed(Fraction(1, 100), p)[0], intervals.to_fixed(Fraction(1, 2), p)[1])
+    assert all(lo > 0 for lo, _ in slopes(whole, p))
 
 
 def test_threshold_ordering():

@@ -26,7 +26,7 @@ def _run(argv: list[str]) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("argv, layer", [
     (["series", "--family", "o-plus", "--N", "3", "--qq", "0.2"], "cli.handler.series"),
-    (["threshold", "--which", "remark", "--tol", "1e-4"], "scalars.q_number"),
+    (["threshold", "--which", "remark", "--tol", "1e-4"], "criteria.threshold"),
     (["report"], "acceptance.criterion_5"),
     (["jacobi", "--M", "8", "--q", "0.5"], "spectral.krylov_rank"),
 ])
