@@ -22,5 +22,6 @@ DEFAULT_MAX_TERMS = 10_000
 MAX_COMMUTANT_SIZE = 768
 
 #: Most decimal digits a `dims` table's classical dimensions may have: an
-#: int past Python's default int -> str limit (4300 digits) cannot be printed.
+#: int past Python's default int -> str limit (4300 digits) cannot be
+#: printed.  A lower limit in force (``PYTHONINTMAXSTRDIGITS``) lowers it.
 MAX_DIM_DIGITS = 4300

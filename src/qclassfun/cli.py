@@ -309,11 +309,13 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
     from . import fusion, report
 
     family, inputs = _build_family(args)
-    # Every classical dimension of a label of length n is at most N^n.
+    # Every classical dimension of a label of length n is at most N^n, and
+    # no int past the int -> str limit in force (0: none) can be printed.
     digits = (args.max if family.is_ladder else args.word_len) * math.log10(family.dim_c_fund)
-    if digits > MAX_DIM_DIGITS:
+    budget = min(MAX_DIM_DIGITS, sys.get_int_max_str_digits() or MAX_DIM_DIGITS)
+    if digits > budget:
         raise BudgetError(f"the classical dimensions may have {digits:.0f} digits, which exceeds "
-                          f"the budget of {MAX_DIM_DIGITS}")
+                          f"the budget of {budget}")
     if family.is_ladder:
         inputs["max"] = args.max
         labels = list(range(args.max + 1))

@@ -16,7 +16,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -196,3 +200,18 @@ def test_dims_past_the_int_to_str_limit_is_a_budget_error(argv):
     assert code == 3
     assert out.getvalue() == ""
     assert err.getvalue().count("\n") == 1 and "budget of 4300" in err.getvalue()
+
+
+def test_dims_budget_follows_the_int_to_str_limit_in_force():
+    # 400 labels of N = 100000 may reach 2,000 digits: within the default
+    # budget of 4,300, past the limit of 640 that the environment sets here
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+    env.pop("QCLASSFUN_BITS", None)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["dims", "--family", "o-plus", "--N", "100000", "--max", "400"]
+    done = subprocess.run([sys.executable, "-m", "qclassfun.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "budget of 640" in done.stderr
