@@ -17,9 +17,10 @@ chosen by a secant estimate, which is not certified; when the signs
 refute it, bisection finishes the bracket.
 
 The series kernel and the thresholds' functions, slopes and estimate run
-on integer fixed point (:func:`intervals.to_fixed` and the ``fixed_*``
-operations): each input enters once as a floor and a ceiling, and each
-result leaves once, rounded outward to an interval.
+on integer fixed point (the ``fixed_*`` operations of :mod:`intervals`):
+each exact input enters once as a floor and a ceiling, the kernel's roots
+are solved there (:func:`scalars.fixed_fundamental_q`), and each result
+leaves once, rounded outward to an interval.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from . import dyadic, fusion, intervals
 from .budgets import DEFAULT_MAX_TERMS, MAX_BITS
 from .errors import BudgetError, DomainError, FamilyError, KacTypeError
 from .fusion import FusionFamily, Label
-from .intervals import Context, Interval, IntervalLike
-from .scalars import solve_fundamental_q
+from .intervals import Interval, IntervalLike
+from .scalars import fixed_fundamental_q
 
 #: sup of the multiplicity of the top component in fundamental-times-ladder
 #: fusion; both ladder kinds have multiplicity one there.
@@ -141,16 +142,12 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
 # certified series
 
 
-def _fixed_point_bits(bits: int, max_terms: int, tol: Fraction, y: Interval) -> int:
+def _fixed_point_bits(bits: int, max_terms: int, tol: Fraction, y_low: Fraction) -> int:
     """Fraction bits of the kernel's fixed point at `bits`: `bits` bits below
-    the leading bit of the smaller of `tol`, which the majorant meets, and
-    the quantum root `y`, whose square root scales a block sum's first term
-    and bounds the classical root from below; then guard bits against the
-    roundings of `max_terms` terms."""
-    smallest = tol
-    y_lo = intervals.exact_endpoints(y)[0]
-    if y_lo is not None and 0 < y_lo < smallest:
-        smallest = y_lo
+    the smaller of `tol`, which the majorant meets, and `y_low` (0: none),
+    below the quantum root, whose square root scales a block sum's first term
+    and which bounds the classical root; then guard bits for `max_terms`."""
+    smallest = min(tol, y_low) if y_low > 0 else tol
     return _point_bits(bits, smallest) + max_terms.bit_length()
 
 
@@ -160,7 +157,16 @@ def _point_bits(bits: int, x: Fraction) -> int:
     return bits + (x.denominator // x.numerator).bit_length() + 4
 
 
-def _fixed_power(a: tuple[int, int], n: int, frac_bits: int) -> tuple[int, int]:
+Fixed = tuple[int, int]
+Roots = Callable[[int], tuple[Fixed, Fixed]]
+
+
+def _fixed_hull(lo: Fraction, hi: Fraction, p: int) -> Fixed:
+    """Fixed-point enclosure of ``[lo, hi]``."""
+    return intervals.to_fixed(lo, p)[0], intervals.to_fixed(hi, p)[1]
+
+
+def _fixed_power(a: Fixed, n: int, frac_bits: int) -> Fixed:
     power = (1 << frac_bits, 1 << frac_bits)
     for _ in range(n):
         power = intervals.fixed_mul(power, a, frac_bits)
@@ -168,7 +174,8 @@ def _fixed_power(a: tuple[int, int], n: int, frac_bits: int) -> tuple[int, int]:
 
 
 def _deformed_ratio_sum(
-    roots: Callable[[Context], tuple[Interval, Interval]],
+    roots: Roots,
+    y_low: Fraction,
     step: int,
     first: int,
     tol,
@@ -177,7 +184,8 @@ def _deformed_ratio_sum(
 ) -> SeriesResult:
     """Certified ``sum sqrt([m]_x / [m]_y)`` over ``m = first, first+step, ...``.
 
-    ``roots(ctx)`` encloses ``0 < y < x <= 1`` in the context `ctx`, and
+    ``roots(p)`` encloses ``0 < y < x <= 1`` in nonnegative pairs of ints
+    ``[lo, hi]·2^-p``, `y_low` is an exact lower bound of ``y``, and
     ``[m]_t = t^(1-m) (1 - t^(2m)) / (1 - t^2)`` is the deformed integer
     (``m`` itself when ``x`` is exactly 1).  With ``z = sqrt(y/x)`` the term
     is ``z^(m-1) sqrt(a_m (1 - y^2) / (1 - y^(2m)))``, where
@@ -185,13 +193,10 @@ def _deformed_ratio_sum(
     ``x^(2m)``, ``y^(2m)`` and ``z^(m-1)`` are carried from term to term
     by one multiplication each, so a term costs O(1) operations.
 
-    The terms are summed in fixed point: the roots cross once into pairs of
-    ints ``[lo, hi]·2^-P`` (:func:`intervals.to_fixed`), every quantity
-    stays nonnegative, so each operation is one floor and one ceiling of an
-    integer product, quotient or square root, and the partial sum and tail
-    cross back once, rounded outward to `bits`.  ``P`` keeps `bits` bits
-    below the smaller of `tol` and ``y``, plus guard bits for the
-    roundings of the sum (:func:`_fixed_point_bits`).
+    Every quantity stays nonnegative in the fixed point of
+    :func:`_fixed_point_bits`, so each operation is one floor and one ceiling
+    of an int product, quotient or square root; the partial sum and tail
+    leave once, rounded outward to `bits`.
 
     Each term with ``m >= 2`` is at most ``C z^(m-1)``, where
     ``C = ((1 - x^2)(1 + y^2))^(-1/2)``, because ``1 - x^(2m) <= 1`` and
@@ -214,13 +219,10 @@ def _deformed_ratio_sum(
     partial = None
     for bits in _doublings(bits):
         with intervals.precision(bits) as ctx:
-            x, y = roots(ctx)
-            p = _fixed_point_bits(bits, max_terms, tol, y)
+            p = _fixed_point_bits(bits, max_terms, tol, y_low)
             stop = intervals.to_fixed(intervals.make(tol, ctx), p)[0]
         one = 1 << p
-        xf, yf = intervals.to_fixed(x, p), intervals.to_fixed(y, p)
-        if xf[0] < 0 or yf[0] < 0:
-            raise DomainError(f"sqrt of possibly negative enclosure: roots {x}, {y}")
+        xf, yf = roots(p)
         unit = xf == (one, one)
         if not (yf[1] < one and (unit or 0 < xf[0] and xf[1] < one)):
             continue  # y and x are not separated at this precision
@@ -305,22 +307,22 @@ def quasi_split_sum_ladder(
     if family.is_kac:
         return SeriesResult(Verdict.DIVERGES)
     step = 2 if family.kind is fusion.FamilyKind.SO3_LADDER else 1
-    return _deformed_ratio_sum(_fundamental_roots(family), step, 1, tol, bits, max_terms + 1)
+    return _deformed_ratio_sum(*_fundamental_roots(family), step, 1, tol, bits, max_terms + 1)
 
 
-def _fundamental_roots(family: FusionFamily) -> Callable[[Context], tuple[Interval, Interval]]:
-    """``roots(ctx)`` for the kernel: the classical and quantum roots of the
-    fundamental, ``t`` with ``t + 1/t`` its dimension, or for so3 ``r``
-    with ``r^2 + r^-2`` its dimension minus 1."""
+def _fundamental_roots(family: FusionFamily) -> tuple[Roots, Fraction]:
+    """``roots(p)`` and ``y_low`` for the kernel: the classical and quantum
+    roots of the fundamental, ``t`` with ``t + 1/t`` its exact dimension d,
+    or for so3 ``r`` with ``r^2 + r^-2 = d - 1``; each is at least 1/d."""
     so3 = family.kind is fusion.FamilyKind.SO3_LADDER
     shift = 1 if so3 else 0
+    dims = Fraction(family.dim_c_fund - shift), family.dim_q_fund - shift
 
-    def roots(ctx: Context) -> tuple[Interval, Interval]:
-        x = solve_fundamental_q(intervals.make(family.dim_c_fund - shift, ctx))
-        y = solve_fundamental_q(intervals.make(family.dim_q_fund - shift, ctx))
-        return (intervals.isqrt(x), intervals.isqrt(y)) if so3 else (x, y)
+    def roots(p: int) -> tuple[Fixed, Fixed]:
+        x, y = (fixed_fundamental_q(intervals.to_fixed(d, p), p) for d in dims)
+        return (intervals.fixed_sqrt(x, p), intervals.fixed_sqrt(y, p)) if so3 else (x, y)
 
-    return roots
+    return roots, 1 / dims[1]
 
 
 def block_sum_S(
@@ -340,32 +342,29 @@ def block_sum_S(
     ``sqrt(q_q/q_c)^m / ((1 - sqrt(q_q/q_c)) sqrt((1 - q_c^2)(1 + q_q^2)))``
     after term ``m``, or by its polynomial-geometric form
     ``sqrt(q_q)^m ((m+1) - m sqrt(q_q)) / (1 - sqrt(q_q))^2`` at
-    ``q_c = 1``.  Exactly equal deformation parameters mean Kac type, where
+    ``q_c = 1``.  Both inputs being one single point means Kac type, where
     every term is 1 and the sum diverges.
 
-    The inputs are enclosed at each precision the kernel tries; a pair
-    certainly outside ``0 < q_q <= q_c <= 1`` raises there, and a pair not
-    yet separated from ``q_q = q_c`` or ``q_c = 1`` escalates like any other
-    unseparated pair, ending `undetermined` if no precision separates it.
+    Each input is read once, as an interval's exact endpoints or as a
+    rational, and the roots are their fixed-point hull.  A pair certainly
+    outside ``0 < q_q <= q_c <= 1``, or possibly negative, raises; a pair
+    not separated from ``q_q = q_c`` or ``q_c = 1`` escalates like any
+    other, ending `undetermined` if no precision separates it.
     """
-    exact_kinds = (int, str, Fraction)
-    if isinstance(q_c, exact_kinds) and isinstance(q_q, exact_kinds):
-        # unequal rationals never enclose to one point, so no enclosure is needed
-        if Fraction(q_c) == Fraction(q_q):
-            return SeriesResult(Verdict.DIVERGES)
-    else:
-        point = intervals.make(q_c)
-        if intervals.identical(point, intervals.make(q_q, point.ctx)) and intervals.width(point) == 0:
-            return SeriesResult(Verdict.DIVERGES)
+    (qc_lo, qc_hi), (qq_lo, qq_hi) = (
+        intervals.exact_endpoints(v) if isinstance(v, Interval) else (Fraction(v),) * 2
+        for v in (q_c, q_q))
+    if qc_lo == qc_hi == qq_lo == qq_hi:
+        return SeriesResult(Verdict.DIVERGES)
+    if None in (qc_lo, qc_hi, qq_lo, qq_hi) or qq_hi <= 0 or qc_lo > 1 or qc_hi < qq_lo:
+        raise DomainError(f"need 0 < q_q <= q_c <= 1, got {q_q}, {q_c}")
+    if min(qc_lo, qq_lo) < 0:
+        raise DomainError(f"sqrt of possibly negative enclosure: q_c {q_c}, q_q {q_q}")
 
-    def roots(ctx: Context) -> tuple[Interval, Interval]:
-        qc, qq = intervals.make(q_c, ctx), intervals.make(q_q, ctx)
-        if (intervals.upper(qq) <= 0 or intervals.lower(qc) > 1
-                or intervals.upper(qc) < intervals.lower(qq)):
-            raise DomainError(f"need 0 < q_q <= q_c <= 1, got {qq}, {qc}")
-        return qc, qq
+    def roots(p: int) -> tuple[Fixed, Fixed]:
+        return _fixed_hull(qc_lo, qc_hi, p), _fixed_hull(qq_lo, qq_hi, p)
 
-    return _deformed_ratio_sum(roots, 1, 2, tol, bits, max_terms)
+    return _deformed_ratio_sum(roots, qq_lo, 1, 2, tol, bits, max_terms)
 
 
 def total_sum_free(block_sum: SeriesResult) -> SeriesResult:
@@ -400,14 +399,8 @@ def total_sum_free(block_sum: SeriesResult) -> SeriesResult:
 # end is the sum of the lower ends of its positive terms minus the upper
 # ends of its negative terms.
 
-Fixed = tuple[int, int]
 FixedFunction = Callable[[Fixed, int], Fixed | None]
 FixedSlopes = Callable[[Fixed, int], tuple[Fixed, ...] | None]
-
-
-def _fixed_hull(lo: Fraction, hi: Fraction, p: int) -> Fixed:
-    """Fixed-point enclosure of ``[lo, hi]``."""
-    return intervals.to_fixed(lo, p)[0], intervals.to_fixed(hi, p)[1]
 
 
 def _dim2_bound(q: Fixed, p: int) -> Fixed | None:
@@ -465,7 +458,7 @@ def bound_S_dimge3(
         qq = intervals.make(q_q, ctx)
         if intervals.lower(qq) <= 0 or intervals.upper(qc) >= 1:
             raise DomainError(f"need 0 < q_q < q_c < 1, got {qq}, {qc}")
-        if not intervals.certainly_lt(qq, qc):
+        if not intervals.upper(qq) < intervals.lower(qc):
             raise DomainError(f"need q_q < q_c certified, got {qq}, {qc}")
         root = intervals.isqrt(qq / qc)
         return 1 / intervals.isqrt(1 - qc * qc) * root / (1 - root)
@@ -755,17 +748,13 @@ def masa_verdict(
         if family.is_kac:
             block = SeriesResult(Verdict.DIVERGES)
         else:
-            block = _deformed_ratio_sum(_fundamental_roots(family), 1, 2, tol, bits, max_terms)
+            block = _deformed_ratio_sum(*_fundamental_roots(family), 1, 2, tol, bits, max_terms)
         series = total_sum_free(block)
         # Non-Kac free-unitary families have nontrivial intertwiners on every
         # nontrivial word; Kac ones on none.
         all_nontrivial = not family.is_kac
 
-    if series.verdict is Verdict.CONVERGES:
-        quasi = QuasiSplit.YES
-    else:
-        quasi = QuasiSplit.UNDETERMINED
-
+    quasi = QuasiSplit.YES if series.verdict is Verdict.CONVERGES else QuasiSplit.UNDETERMINED
     if quasi is QuasiSplit.YES and all_nontrivial:
         text = VERDICT_NOT_MASA if family.is_ladder else VERDICT_RELATIVE_COMMUTANT
     else:

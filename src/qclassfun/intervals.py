@@ -34,7 +34,7 @@ endpoint, ceiling of the upper, of an interval or of an exact rational) and
 :func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt` round each
 result by one floor and one ceiling.  They take nonnegative pairs only, on
 which each operation is monotone in every operand, so that rounding is
-outward.
+outward.  An exact rational enters without mpmath, as the series' roots do.
 """
 
 from __future__ import annotations
@@ -164,11 +164,6 @@ def certainly_lt(x: IntervalLike, y: IntervalLike) -> bool:
 
 def certainly_gt(x: IntervalLike, y: IntervalLike) -> bool:
     return certainly_lt(y, x)
-
-
-def identical(x: Interval, y: Interval) -> bool:
-    """Endpoint-level equality of two intervals."""
-    return x._mpi_ == y._mpi_
 
 
 def isqrt(x: Interval) -> Interval:

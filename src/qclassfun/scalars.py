@@ -13,11 +13,13 @@ certified enclosure through :mod:`qclassfun.intervals`; it has no ring
 operations.  No module of the package calls it or :func:`q_number` any
 more: the series kernel and the threshold functions in
 :mod:`qclassfun.criteria` use the closed forms of ``[m]_q``.  Both stay
-public because the benchmark's trace harness binds them by name.
+public because the benchmark's trace harness binds them by name.  The one
+solver of ``x + 1/x = d``, :func:`fixed_fundamental_q`, runs in fixed point.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from . import intervals
@@ -56,20 +58,25 @@ def q_number(n: int) -> LaurentScalar:
     return LaurentScalar({n - 1 - 2 * k: 1 for k in range(n)})
 
 
-def solve_fundamental_q(d: IntervalLike) -> Interval:
-    """Certified root in (0, 1] of ``x + 1/x = d`` for ``d >= 2``.
+def fixed_fundamental_q(d: tuple[int, int], frac_bits: int) -> tuple[int, int]:
+    """Root in (0, 1] of ``x + 1/x = d`` as ``2/(d + sqrt(d^2 - 4))``, which
+    does not cancel at large d, for a fixed-point enclosure of ``d >= 2``
+    whose lower end, and so the floor of ``d^2 - 4``, is nonnegative as
+    well; ``d = 2`` exactly gives exactly 1."""
+    two, four = 2 << frac_bits, 4 << frac_bits
+    square = intervals.fixed_mul(d, d, frac_bits)
+    root = intervals.fixed_sqrt((square[0] - four, square[1] - four), frac_bits)
+    return intervals.fixed_div((two, two), (d[0] + root[0], d[1] + root[1]), frac_bits)
 
-    Uses the closed form ``2/(d + sqrt(d^2 - 4))``, which encloses the root
-    in one outward-rounded step without the cancellation of
-    ``(d - sqrt(d^2 - 4))/2`` at large d; ``d = 2`` gives exactly 1.  The
-    root is computed at the precision of `d`, or at DEFAULT_BITS for exact d.
-    """
+
+def solve_fundamental_q(d: IntervalLike) -> Interval:
+    """Certified root in (0, 1] of ``x + 1/x = d`` for ``d >= 2`` at the
+    precision of `d` (DEFAULT_BITS for exact d), from :func:`fixed_fundamental_q`
+    with that precision kept below the root's leading bit (the root is >= 1/d)."""
     value = intervals.make(d)
-    if intervals.lower(value) < 2:
-        raise DomainError(f"no root in (0, 1] unless d >= 2, got {value}")
-    discriminant = value * value - 4
-    # Outward rounding can push the lower endpoint of d^2-4 slightly below
-    # zero when d encloses 2; clip, the true discriminant is >= 0.
-    if intervals.lower(discriminant) < 0:
-        discriminant = intervals.from_endpoints(0, intervals.upper(discriminant), value.ctx)
-    return 2 / (value + intervals.isqrt(discriminant))
+    lo, hi = intervals.exact_endpoints(value)
+    if lo is None or lo < 2 or hi is None:
+        raise DomainError(f"no root in (0, 1] unless d >= 2 is bounded, got {value}")
+    frac_bits = value.ctx.prec + math.ceil(hi).bit_length() + 4
+    root = fixed_fundamental_q(intervals.to_fixed(value, frac_bits), frac_bits)
+    return intervals.from_fixed(*root, frac_bits, value.ctx)
