@@ -307,14 +307,15 @@ def test_block_sum_kac_diverges():
     (Fraction(1, 3) + Fraction(1, 10**25), Fraction(1, 3)),  # q_q < q_c by 1e-25
     (1 - Fraction(1, 10**30), Fraction(1, 2)),  # q_c below 1 by 1e-30
 ])
-def test_block_sum_escalates_to_separate_close_exact_inputs(q_c, q_q):
-    # 64 bits separate neither pair; the kernel escalates instead of
-    # rejecting the exact input, and answers as it does from 128 bits
+def test_block_sum_separates_close_exact_inputs_at_64_bits(q_c, q_q):
+    # exact inputs enter the kernel's fixed point exactly, whose fraction
+    # bits reach past the 1e-25 and 1e-30 gaps from 64 bits: no escalation,
+    # and the answer agrees with the 128-bit one
     low = block_sum_S(q_c, q_q, TOL, bits=64)
     high = block_sum_S(q_c, q_q, TOL, bits=128)
     assert (low.verdict, low.terms_used) == (high.verdict, high.terms_used)
-    assert intervals.exact_endpoints(low.partial_sum) == intervals.exact_endpoints(
-        high.partial_sum)
+    assert low.partial_sum.ctx.prec == 64
+    assert intervals.contains(low.partial_sum, high.partial_sum)
 
 
 def test_block_sum_overlapping_interval_inputs_are_undetermined():
