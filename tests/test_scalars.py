@@ -1,14 +1,17 @@
 """Deformed integers, their certified evaluation, and the root solver."""
 
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qclassfun import intervals
+from qclassfun import criteria, intervals
 from qclassfun.errors import DomainError
-from qclassfun.scalars import LaurentScalar, q_number, solve_fundamental_q
+from qclassfun.fusion import free_unitary, so3_ladder, su2_ladder
+from qclassfun.scalars import LaurentScalar, fixed_fundamental_q, q_number, solve_fundamental_q
 
 small_ints = st.integers(min_value=-6, max_value=6)
 coeff_maps = st.dictionaries(small_ints, st.integers(min_value=-9, max_value=9), max_size=6)
@@ -150,3 +153,66 @@ def test_solve_fundamental_q_tiny_root_keeps_its_sign():
 def test_solve_fundamental_q_domain():
     with pytest.raises(DomainError):
         solve_fundamental_q(Fraction(19, 10))
+    with intervals.precision(64) as ctx:
+        straddling = intervals.from_endpoints(Fraction(199, 100), 3, ctx)
+        unbounded = ctx.mpf([3, "+inf"])
+    for d in (straddling, unbounded):
+        with pytest.raises(DomainError):
+            solve_fundamental_q(d)
+
+
+FIXED_BITS = (8, 64, 128, 512)
+
+
+def _seeded_d(rng: random.Random) -> Fraction:
+    """A rational in [2, 10^24], its size spread over every decade."""
+    den = rng.randint(1, 10**6)
+    return min(2 + Fraction(rng.randint(0, 10 ** rng.randint(0, 24) * den), den), Fraction(10**24))
+
+
+def _root_oracle(d: Fraction, frac_bits: int) -> mpmath.mpf:
+    """The root in (0, 1] of x + 1/x = d from the cancelling form
+    (d - sqrt(d^2 - 4))/2, at 60 digits past the fixed point's resolution
+    and the up to 48 digits the subtraction cancels."""
+    with mpmath.workdps(60 + int(frac_bits * 0.302) + 50):
+        dm = mpmath.mpf(d.numerator) / d.denominator
+        return (dm - mpmath.sqrt(dm * dm - 4)) / 2
+
+
+@pytest.mark.parametrize("frac_bits", FIXED_BITS)
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_fundamental_q_encloses_the_root(seed, frac_bits):
+    rng = random.Random(seed)
+    for d in [_seeded_d(rng) for _ in range(10)]:
+        lo, hi = fixed_fundamental_q(intervals.to_fixed(d, frac_bits), frac_bits)
+        root = _root_oracle(d, frac_bits)
+        with mpmath.workdps(60 + int(frac_bits * 0.302) + 50):
+            assert mpmath.ldexp(lo, -frac_bits) <= root <= mpmath.ldexp(hi, -frac_bits), d
+        assert 0 <= lo <= hi <= 1 << frac_bits
+
+
+@pytest.mark.parametrize("frac_bits", FIXED_BITS)
+def test_fixed_fundamental_q_at_two_is_exactly_one(frac_bits):
+    one = 1 << frac_bits
+    assert fixed_fundamental_q((2 * one, 2 * one), frac_bits) == (one, one)
+
+
+@pytest.mark.parametrize("frac_bits", [128, 512])
+def test_fixed_fundamental_q_tiny_root_keeps_its_sign(frac_bits):
+    q = Fraction(1, 10**25)
+    lo, hi = fixed_fundamental_q(intervals.to_fixed(q + 1 / q, frac_bits), frac_bits)
+    assert 0 < lo
+    assert Fraction(lo, 1 << frac_bits) <= q <= Fraction(hi, 1 << frac_bits)
+
+
+@pytest.mark.parametrize("family", [
+    su2_ladder(2, q=Fraction(1, 5)), so3_ladder(3, dim_q_fund=Fraction(7, 2)),
+    free_unitary(2, q=Fraction(1, 5)),
+], ids=["o-plus N=2", "so3 N=3", "u-plus dim=2"])
+@pytest.mark.parametrize("frac_bits", FIXED_BITS)
+def test_kernel_classical_root_is_exactly_one_at_the_unit_families(family, frac_bits):
+    # the kernel's unit branch needs x to be exactly (1 << p, 1 << p)
+    roots, y_low = criteria._fundamental_roots(family)
+    x, y = roots(frac_bits)
+    assert x == (1 << frac_bits, 1 << frac_bits)
+    assert y[1] < 1 << frac_bits and y_low * (1 << frac_bits) <= y[1]
