@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -63,6 +64,11 @@ MAX_RATIONAL_DIGITS = 24
 #: Printing an endpoint costs time growing with the square of its bits.  On a
 #: 2-vCPU VM a run at the budget takes 1.5-2.3 s of CPU.
 MAX_POWER_BITS = 2**19
+
+#: Budget of the `series` scan of a ladder family: its largest exact dimension
+#: has about ``n_max * log10(a)`` digits for ``dim_q = a/b`` (``a >= N``).  On a
+#: 2-vCPU VM 200,000 digits took 0.9 s and 105 MB, 1,000,000 digits 11 s.
+MAX_SCAN_DIGITS = 200_000
 
 
 def _rational(raw: str) -> str:
@@ -304,8 +310,6 @@ def _meta(args: argparse.Namespace) -> dict:
 
 
 def cmd_dims(args: argparse.Namespace) -> report.Report:
-    import math
-
     from . import fusion, report
 
     family, inputs = _build_family(args)
@@ -339,6 +343,10 @@ def cmd_series(args: argparse.Namespace) -> report.Report:
     from . import criteria, report
 
     family, inputs = _build_family(args)
+    digits = args.n_max * math.log10(family.dim_q_fund.numerator) if family.is_ladder else 0
+    if digits > MAX_SCAN_DIGITS:
+        raise BudgetError(f"the intertwiner scan may reach {digits:.0f} digits, which exceeds "
+                          f"the budget of {MAX_SCAN_DIGITS}")
     inputs.update({"tol": args.tol, "n_max": args.n_max})
     verdict = criteria.masa_verdict(family, tol=Fraction(args.tol), n_max=args.n_max,
                                     bits=args.bits, max_terms=args.max_terms)

@@ -202,6 +202,46 @@ def test_dims_past_the_int_to_str_limit_is_a_budget_error(argv):
     assert err.getvalue().count("\n") == 1 and "budget of 4300" in err.getvalue()
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--family", "o-plus", "--N", "9" * 1000, "--n-max", "1000"],
+    ["series", "--family", "o-plus", "--N", "9" * 4000, "--n-max", "1000"],
+    ["series", "--family", "so3", "--N", "9" * 1000, "--n-max", "201"],
+], ids=["o-plus N=1000 nines", "o-plus N=4000 nines", "so3 N=1000 nines"])
+def test_series_scan_past_its_digit_budget_is_a_budget_error(argv):
+    # n_max·log10(a), for dim_q = a/b, bounds the digits of the largest exact
+    # ladder dimension of the intertwiner scan; the first call stepped a
+    # ladder of up to 1,000,000 digits for 11 s before the budget
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and "budget of 200000" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--family", "o-plus", "--N", "3", "--qq", "1e-23", "--n-max", "1000"],
+    ["series", "--family", "o-plus", "--N", "9" * 1000],
+    ["series", "--family", "u-plus", "--dim", "9" * 4000, "--n-max", "1000"],
+], ids=["qq=1e-23 n-max=1000", "N=1000 nines default n-max", "u-plus"])
+def test_series_scan_budget_admits_its_largest_inputs(argv, monkeypatch):
+    # the largest rational the flags admit scans about 46,000 digits, a
+    # 1000-digit Kac fundamental 50,000 by default; u-plus has no ladder scan
+    from qclassfun import criteria
+
+    class Reached(Exception):
+        pass
+
+    def masa_verdict(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(criteria, "masa_verdict", masa_verdict)
+    with pytest.raises(Reached), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+
+
 def test_dims_budget_follows_the_int_to_str_limit_in_force():
     # 400 labels of N = 100000 may reach 2,000 digits: within the default
     # budget of 4,300, past the limit of 640 that the environment sets here
