@@ -142,15 +142,6 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
 # certified series
 
 
-def _fixed_point_bits(bits: int, max_terms: int, tol: Fraction, y_low: Fraction) -> int:
-    """Fraction bits of the kernel's fixed point at `bits`: `bits` bits below
-    the smaller of `tol`, which the majorant meets, and `y_low` (0: none),
-    below the quantum root, whose square root scales a block sum's first term
-    and which bounds the classical root; then guard bits for `max_terms`."""
-    smallest = min(tol, y_low) if y_low > 0 else tol
-    return _point_bits(bits, smallest) + max_terms.bit_length()
-
-
 def _point_bits(bits: int, x: Fraction) -> int:
     """Fraction bits of a fixed point that keeps `bits` bits below the
     leading bit of the positive `x`, plus four guard bits."""
@@ -185,7 +176,7 @@ def _deformed_ratio_sum(
     """Certified ``sum sqrt([m]_x / [m]_y)`` over ``m = first, first+step, ...``.
 
     ``roots(p)`` encloses ``0 < y < x <= 1`` in nonnegative pairs of ints
-    ``[lo, hi]·2^-p``, `y_low` is an exact lower bound of ``y``, and
+    ``[lo, hi]·2^-p``, `y_low` is an exact lower bound of ``y`` or 0, and
     ``[m]_t = t^(1-m) (1 - t^(2m)) / (1 - t^2)`` is the deformed integer
     (``m`` itself when ``x`` is exactly 1).  With ``z = sqrt(y/x)`` the term
     is ``z^(m-1) sqrt(a_m (1 - y^2) / (1 - y^(2m)))``, where
@@ -193,10 +184,12 @@ def _deformed_ratio_sum(
     ``x^(2m)``, ``y^(2m)`` and ``z^(m-1)`` are carried from term to term
     by one multiplication each, so a term costs O(1) operations.
 
-    Every quantity stays nonnegative in the fixed point of
-    :func:`_fixed_point_bits`, so each operation is one floor and one ceiling
-    of an int product, quotient or square root; the partial sum and tail
-    leave once, rounded outward to `bits`.
+    The fixed point ``p`` keeps `bits` bits below the smaller of `tol`, which
+    the majorant meets, and `y_low`, below ``y``, whose square root scales a
+    block sum's first term and which bounds ``x``, plus guard bits for
+    `max_terms` roundings.  Every quantity stays nonnegative, so each
+    operation is one floor and one ceiling of an int product, quotient or
+    square root; partial sum and tail leave once, rounded outward to `bits`.
 
     Each term with ``m >= 2`` is at most ``C z^(m-1)``, where
     ``C = ((1 - x^2)(1 + y^2))^(-1/2)``, because ``1 - x^(2m) <= 1`` and
@@ -219,7 +212,7 @@ def _deformed_ratio_sum(
     partial = None
     for bits in _doublings(bits):
         with intervals.precision(bits) as ctx:
-            p = _fixed_point_bits(bits, max_terms, tol, y_low)
+            p = _point_bits(bits, min(tol, y_low) if y_low > 0 else tol) + max_terms.bit_length()
             stop = intervals.to_fixed(intervals.make(tol, ctx), p)[0]
         one = 1 << p
         xf, yf = roots(p)
@@ -754,7 +747,11 @@ def masa_verdict(
         # nontrivial word; Kac ones on none.
         all_nontrivial = not family.is_kac
 
-    quasi = QuasiSplit.YES if series.verdict is Verdict.CONVERGES else QuasiSplit.UNDETERMINED
+    if series.verdict is Verdict.CONVERGES:
+        quasi = QuasiSplit.YES
+    else:
+        quasi = QuasiSplit.UNDETERMINED
+
     if quasi is QuasiSplit.YES and all_nontrivial:
         text = VERDICT_NOT_MASA if family.is_ladder else VERDICT_RELATIVE_COMMUTANT
     else:

@@ -60,9 +60,9 @@ def q_number(n: int) -> LaurentScalar:
 
 def fixed_fundamental_q(d: tuple[int, int], frac_bits: int) -> tuple[int, int]:
     """Root in (0, 1] of ``x + 1/x = d`` as ``2/(d + sqrt(d^2 - 4))``, which
-    does not cancel at large d, for a fixed-point enclosure of ``d >= 2``
-    whose lower end, and so the floor of ``d^2 - 4``, is nonnegative as
-    well; ``d = 2`` exactly gives exactly 1."""
+    does not cancel at large d, on a fixed-point enclosure of ``d`` whose
+    lower end is at least 2, so that the floor of ``d^2 - 4`` is nonnegative;
+    ``d = 2`` exactly gives exactly 1."""
     two, four = 2 << frac_bits, 4 << frac_bits
     square = intervals.fixed_mul(d, d, frac_bits)
     root = intervals.fixed_sqrt((square[0] - four, square[1] - four), frac_bits)
