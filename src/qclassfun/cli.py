@@ -10,9 +10,11 @@ are answers), 2 for usage errors, 3 for domain and budget errors.
 Each process runs one subcommand, so the module level imports only what
 parsing needs: the flag budgets come from the dependency-free ``budgets``
 module, and each handler imports the modules it runs.  A usage error,
-``moments``, ``bicrossed`` and ``dims`` (which rounds and prints exact
-values with ``dyadic``) never load mpmath; it is loaded where interval
-arithmetic runs.
+``moments``, ``bicrossed``, ``dims`` (which rounds and prints exact values
+with ``dyadic``), ``series`` and ``threshold --which dim2|remark`` (whose
+enclosures ``criteria`` computes on ints) never load mpmath; it is loaded
+where interval arithmetic runs: ``threshold --which ratio3``, ``spectral``
+and ``report``.
 """
 
 from __future__ import annotations
@@ -315,8 +317,10 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
     family, inputs = _build_family(args)
     # Every classical dimension of a label of length n is at most N^n, and
     # no int past the int -> str limit in force (0: none) can be printed.
+    # Pythons before 3.10.7 have no such limit, nor the function that reads it.
     digits = (args.max if family.is_ladder else args.word_len) * math.log10(family.dim_c_fund)
-    budget = min(MAX_DIM_DIGITS, sys.get_int_max_str_digits() or MAX_DIM_DIGITS)
+    in_force = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    budget = min(MAX_DIM_DIGITS, in_force or MAX_DIM_DIGITS)
     if digits > budget:
         raise BudgetError(f"the classical dimensions may have {digits:.0f} digits, which exceeds "
                           f"the budget of {budget}")
@@ -364,7 +368,7 @@ def cmd_series(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_threshold(args: argparse.Namespace) -> report.Report:
-    from . import criteria, intervals, report
+    from . import criteria, dyadic, report
 
     inputs = {"which": args.which, "tol": args.tol}
     if args.which == "dim2":
@@ -372,10 +376,12 @@ def cmd_threshold(args: argparse.Namespace) -> report.Report:
     elif args.which == "remark":
         enclosure = criteria.threshold_remark(Fraction(args.tol), bits=args.bits)
     else:
-        enclosure = criteria.threshold_ratio_dimge3(bits=args.bits)
+        from . import intervals
+
+        enclosure = intervals.to_enclosure(criteria.threshold_ratio_dimge3(bits=args.bits))
     results = {
         "enclosure": report.enclosure_payload(enclosure),
-        "width": str(float(intervals.width(enclosure))),
+        "width": str(float(dyadic.to_fraction(dyadic.width(enclosure)))),
     }
     return report.Report("threshold", inputs, results, _meta(args))
 

@@ -17,10 +17,14 @@ chosen by a secant estimate, which is not certified; when the signs
 refute it, bisection finishes the bracket.
 
 The series kernel and the thresholds' functions, slopes and estimate run
-on integer fixed point (the ``fixed_*`` operations of :mod:`intervals`):
-each exact input enters once as a floor and a ceiling, the kernel's roots
-are solved there (:func:`scalars.fixed_fundamental_q`), and each result
-leaves once, rounded outward to an interval.
+on integer fixed point (the ``fixed_*`` operations of :mod:`dyadic`): each
+exact input enters once as a floor and a ceiling, the kernel's roots are
+solved there (:func:`scalars.fixed_fundamental_q`), and each result leaves
+once, rounded outward to a :class:`~qclassfun.dyadic.Enclosure` at the
+working bits.  So the series, the block-sum total, ``bound_S_dim2`` and the
+dim2 and remark thresholds run on ints alone and load no mpmath; only
+:func:`bound_S_dimge3` and :func:`threshold_ratio_dimge3` still evaluate in
+mpmath's interval arithmetic, importing :mod:`intervals` when called.
 """
 
 from __future__ import annotations
@@ -30,14 +34,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import dyadic, fusion, intervals
-from .budgets import DEFAULT_MAX_TERMS, MAX_BITS
+from . import dyadic, fusion
+from .budgets import DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS
+from .dyadic import Enclosure, Fixed
 from .errors import BudgetError, DomainError, FamilyError, KacTypeError
 from .fusion import FusionFamily, Label
-from .intervals import Interval, IntervalLike
 from .scalars import fixed_fundamental_q
+
+if TYPE_CHECKING:
+    from .intervals import Interval, IntervalLike
 
 #: sup of the multiplicity of the top component in fundamental-times-ladder
 #: fusion; both ladder kinds have multiplicity one there.
@@ -67,28 +74,34 @@ class SeriesResult:
 
     When `verdict` is CONVERGES, the true sum lies in ``partial_sum +
     tail_bound`` where `tail_bound` encloses the omitted tail from below by 0.
+    Both are at the bits the sum ended at.
     """
 
     verdict: Verdict
-    partial_sum: Interval | None = None
-    tail_bound: Interval | None = None
+    partial_sum: Enclosure | None = None
+    tail_bound: Enclosure | None = None
     terms_used: int = 0
 
-    def sum_enclosure(self) -> Interval:
-        """Enclosure of the full series value (CONVERGES only), in the
-        context of `partial_sum`."""
+    def sum_enclosure(self) -> Enclosure:
+        """Enclosure of the full series value (CONVERGES only): the lower end
+        of `partial_sum` and the exact sum of the two upper ends, rounded up
+        to their common bits.  Enclosures at different bits are refused, as
+        mpmath would silently round one to the precision of the other."""
         if self.verdict is not Verdict.CONVERGES:
             raise DomainError(f"series did not converge: {self.verdict.value}")
-        assert self.partial_sum is not None and self.tail_bound is not None
-        total = self.partial_sum + self.tail_bound
-        return intervals.from_endpoints(
-            intervals.lower(self.partial_sum), intervals.upper(total), total.ctx
-        )
+        partial, tail = self.partial_sum, self.tail_bound
+        assert partial is not None and tail is not None
+        if partial.bits != tail.bits:
+            raise ValueError(f"partial sum at {partial.bits} bits and tail bound at "
+                             f"{tail.bits} bits do not add")
+        top = dyadic.round_to(*dyadic.add(partial.hi, tail.hi), partial.bits, True)
+        return Enclosure(partial.lo, top, partial.bits)
 
 
 def _doublings(bits: int) -> list[int]:
-    """`bits`, then twice, four times ... as much while at most MAX_BITS.
-    `bits` itself always comes first, so its context rejects it if invalid."""
+    """`bits`, then twice, four times ... as much while at most MAX_BITS;
+    `bits` outside ``1..MAX_BITS`` is a domain error."""
+    dyadic.check_bits(bits)
     return [bits << k for k in range(MAX_BITS.bit_length()) if k == 0 or bits << k <= MAX_BITS]
 
 
@@ -148,19 +161,18 @@ def _point_bits(bits: int, x: Fraction) -> int:
     return bits + (x.denominator // x.numerator).bit_length() + 4
 
 
-Fixed = tuple[int, int]
 Roots = Callable[[int], tuple[Fixed, Fixed]]
 
 
 def _fixed_hull(lo: Fraction, hi: Fraction, p: int) -> Fixed:
     """Fixed-point enclosure of ``[lo, hi]``."""
-    return intervals.to_fixed(lo, p)[0], intervals.to_fixed(hi, p)[1]
+    return dyadic.to_fixed(lo, p)[0], dyadic.to_fixed(hi, p)[1]
 
 
 def _fixed_power(a: Fixed, n: int, frac_bits: int) -> Fixed:
     power = (1 << frac_bits, 1 << frac_bits)
     for _ in range(n):
-        power = intervals.fixed_mul(power, a, frac_bits)
+        power = dyadic.fixed_mul(power, a, frac_bits)
     return power
 
 
@@ -189,7 +201,8 @@ def _deformed_ratio_sum(
     block sum's first term and which bounds ``x``, plus guard bits for
     `max_terms` roundings.  Every quantity stays nonnegative, so each
     operation is one floor and one ceiling of an int product, quotient or
-    square root; partial sum and tail leave once, rounded outward to `bits`.
+    square root; partial sum and tail leave once, rounded outward to an
+    Enclosure at `bits`.
 
     Each term with ``m >= 2`` is at most ``C z^(m-1)``, where
     ``C = ((1 - x^2)(1 + y^2))^(-1/2)``, because ``1 - x^(2m) <= 1`` and
@@ -208,12 +221,11 @@ def _deformed_ratio_sum(
     if max_terms < 1:
         raise DomainError(f"need a positive term budget, got {max_terms}")
     tol = _tol_fraction(tol)
-    mul, div, sqrt = intervals.fixed_mul, intervals.fixed_div, intervals.fixed_sqrt
+    mul, div, sqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt
     partial = None
     for bits in _doublings(bits):
-        with intervals.precision(bits) as ctx:
-            p = _point_bits(bits, min(tol, y_low) if y_low > 0 else tol) + max_terms.bit_length()
-            stop = intervals.to_fixed(intervals.make(tol, ctx), p)[0]
+        p = _point_bits(bits, min(tol, y_low) if y_low > 0 else tol) + max_terms.bit_length()
+        stop = dyadic.floor_fixed(dyadic.round_quotient(tol.numerator, tol.denominator, bits)[0], p)
         one = 1 << p
         xf, yf = roots(p)
         unit = xf == (one, one)
@@ -257,14 +269,14 @@ def _deformed_ratio_sum(
                       else tail_factor)
             majorant = mul(zm, factor, p)
             if majorant[1] <= stop:
-                partial = intervals.from_fixed(partial_lo, partial_hi, p, ctx)
-                tail = intervals.from_fixed(0, majorant[1], p, ctx)
+                partial = dyadic.fixed_enclosure(partial_lo, partial_hi, p, bits)
+                tail = dyadic.fixed_enclosure(0, majorant[1], p, bits)
                 return SeriesResult(Verdict.CONVERGES, partial, tail, terms)
             m += step
             xm = mul(xm, x_step, p)
             ym = mul(ym, y_step, p)
             zm = mul(zm, w, p)
-        partial = intervals.from_fixed(partial_lo, partial_hi, p, ctx)
+        partial = dyadic.fixed_enclosure(partial_lo, partial_hi, p, bits)
         if majorant[0] * tol.denominator > tol.numerator << p:
             break  # the tail genuinely exceeds tol; more bits cannot help
     return SeriesResult(Verdict.UNDETERMINED, partial, None,
@@ -274,7 +286,7 @@ def _deformed_ratio_sum(
 def quasi_split_sum_ladder(
     family: FusionFamily,
     tol,
-    bits: int = intervals.DEFAULT_BITS,
+    bits: int = DEFAULT_BITS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
     """Certified sum of sqrt(dim(n)/dim_q(n)) over all ladder labels n >= 0.
@@ -312,8 +324,8 @@ def _fundamental_roots(family: FusionFamily) -> tuple[Roots, Fraction]:
     dims = Fraction(family.dim_c_fund - shift), family.dim_q_fund - shift
 
     def roots(p: int) -> tuple[Fixed, Fixed]:
-        x, y = (fixed_fundamental_q(intervals.to_fixed(d, p), p) for d in dims)
-        return (intervals.fixed_sqrt(x, p), intervals.fixed_sqrt(y, p)) if so3 else (x, y)
+        x, y = (fixed_fundamental_q(dyadic.to_fixed(d, p), p) for d in dims)
+        return (dyadic.fixed_sqrt(x, p), dyadic.fixed_sqrt(y, p)) if so3 else (x, y)
 
     return roots, 1 / dims[1]
 
@@ -322,7 +334,7 @@ def block_sum_S(
     q_c: IntervalLike,
     q_q: IntervalLike,
     tol,
-    bits: int = intervals.DEFAULT_BITS,
+    bits: int = DEFAULT_BITS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
     """Certified sum over one family of alternating blocks.
@@ -338,15 +350,15 @@ def block_sum_S(
     ``q_c = 1``.  Both inputs being one single point means Kac type, where
     every term is 1 and the sum diverges.
 
-    Each input is read once, as an interval's exact endpoints or as a
-    rational, and the roots are their fixed-point hull.  A pair certainly
-    outside ``0 < q_q <= q_c <= 1``, or possibly negative, raises; a pair
-    not separated from ``q_q = q_c`` or ``q_c = 1`` escalates like any
-    other, ending `undetermined` if no precision separates it.
+    Each input is read once, as a rational (an int, ``Fraction``, float or
+    decimal string) or as the exact endpoints of an Enclosure or of an
+    mpmath interval, and the roots are their fixed-point hull.  A pair
+    certainly outside ``0 < q_q <= q_c <= 1``, or possibly negative,
+    raises; a pair not separated from ``q_q = q_c`` or ``q_c = 1``
+    escalates like any other, ending `undetermined` if no precision
+    separates it.
     """
-    (qc_lo, qc_hi), (qq_lo, qq_hi) = (
-        intervals.exact_endpoints(v) if isinstance(v, Interval) else (Fraction(v),) * 2
-        for v in (q_c, q_q))
+    (qc_lo, qc_hi), (qq_lo, qq_hi) = (_exact_hull(v) for v in (q_c, q_q))
     if qc_lo == qc_hi == qq_lo == qq_hi:
         return SeriesResult(Verdict.DIVERGES)
     if None in (qc_lo, qc_hi, qq_lo, qq_hi) or qq_hi <= 0 or qc_lo > 1 or qc_hi < qq_lo:
@@ -360,23 +372,49 @@ def block_sum_S(
     return _deformed_ratio_sum(roots, qq_lo, 1, 2, tol, bits, max_terms)
 
 
+def _exact_hull(value) -> tuple[Fraction | None, Fraction | None]:
+    """Exact endpoints of an input of :func:`block_sum_S`; None is unbounded."""
+    if isinstance(value, Enclosure):
+        return dyadic.exact_endpoints(value)
+    if isinstance(value, (int, float, str, Fraction)):
+        return (Fraction(value),) * 2
+    from . import intervals
+
+    return intervals.exact_endpoints(value)
+
+
 def total_sum_free(block_sum: SeriesResult) -> SeriesResult:
     """Total over all free-unitary labels from the one-family block sum.
 
     Chained blocks contribute geometrically, so the total is
     ``1 + 2 S / (1 - S)`` when ``S < 1`` is certified and diverges when
     ``S >= 1``.  A block enclosure straddling 1 stays undetermined.  The
-    total is computed at the block sum's precision.
+    total is computed at the block sum's bits, each operation from left to
+    right rounded outward, as mpmath's interval operators round
+    ``1 + 2*s/(1 - s)`` at that precision.
     """
     if block_sum.verdict is not Verdict.CONVERGES:
         return SeriesResult(block_sum.verdict)
     s = block_sum.sum_enclosure()
-    if intervals.lower(s) < 0:
+    lo, hi = dyadic.exact_endpoints(s)
+    if lo < 0:
         raise DomainError(f"block sum must be nonnegative, got {s}")
-    if intervals.upper(s) < 1:
-        total = 1 + 2 * s / (1 - s)
-        return SeriesResult(Verdict.CONVERGES, total, intervals.make(0, s.ctx))
-    if intervals.lower(s) >= 1:
+    if hi < 1:
+        bits = s.bits
+
+        def rounded(x: dyadic.Dyadic, ceiling: bool) -> dyadic.Dyadic:
+            return dyadic.round_to(*x, bits, ceiling)
+
+        one = (1, 0)
+        twice = rounded((s.lo[0], s.lo[1] + 1), False), rounded((s.hi[0], s.hi[1] + 1), True)
+        gap = (rounded(dyadic.add(one, dyadic.negate(s.hi)), False),
+               rounded(dyadic.add(one, dyadic.negate(s.lo)), True))
+        ratio = (dyadic.quotient(twice[0], gap[1], bits, False),
+                 dyadic.quotient(twice[1], gap[0], bits, True))
+        total = Enclosure(rounded(dyadic.add(one, ratio[0]), False),
+                          rounded(dyadic.add(one, ratio[1]), True), bits)
+        return SeriesResult(Verdict.CONVERGES, total, Enclosure((0, 0), (0, 0), bits))
+    if lo >= 1:
         return SeriesResult(Verdict.DIVERGES)
     return SeriesResult(Verdict.UNDETERMINED)
 
@@ -398,7 +436,7 @@ FixedSlopes = Callable[[Fixed, int], tuple[Fixed, ...] | None]
 
 def _dim2_bound(q: Fixed, p: int) -> Fixed | None:
     """:func:`bound_S_dim2` on a fixed-point enclosure of ``q``."""
-    mul, div, sqrt = intervals.fixed_mul, intervals.fixed_div, intervals.fixed_sqrt
+    mul, div, sqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt
     one = 1 << p
     s = sqrt(q, p)
     gap = (one - s[1], one - s[0])  # 1 - sqrt(q)
@@ -409,7 +447,7 @@ def _dim2_bound(q: Fixed, p: int) -> Fixed | None:
     return div(mul(s, (2 * one - s[1], 2 * one - s[0]), p), denominator, p)
 
 
-def bound_S_dim2(q: IntervalLike, bits: int = intervals.DEFAULT_BITS) -> Interval:
+def bound_S_dim2(q: IntervalLike, bits: int = DEFAULT_BITS) -> Enclosure:
     """Closed-form upper bound for the block sum when the fundamental has
     classical dimension 2:
 
@@ -419,24 +457,27 @@ def bound_S_dim2(q: IntervalLike, bits: int = intervals.DEFAULT_BITS) -> Interva
     `bits` bits below the leading bit of `q` (:func:`_point_bits`), so a
     small `q` keeps `bits` significant bits, and rounded outward to `bits`.
     Ints and fractions enter exactly; other values are enclosed at `bits`
-    first.
+    first, in mpmath.
     """
-    with intervals.precision(bits) as ctx:
-        if isinstance(q, (int, Fraction)):
-            lo = hi = Fraction(q)
-        else:
+    dyadic.check_bits(bits)
+    if isinstance(q, (int, Fraction)):
+        lo = hi = Fraction(q)
+    else:
+        from . import intervals
+
+        with intervals.precision(bits) as ctx:
             lo, hi = intervals.exact_endpoints(intervals.make(q, ctx))
-        value = None
-        if lo is not None and hi is not None and 0 < lo and hi < 1:
-            p = _point_bits(bits, lo)
-            value = _dim2_bound(_fixed_hull(lo, hi, p), p)
-        if value is None:
-            raise DomainError(f"q must lie strictly inside (0, 1), got {q}")
-        return intervals.from_fixed(*value, p, ctx)
+    value = None
+    if lo is not None and hi is not None and 0 < lo and hi < 1:
+        p = _point_bits(bits, lo)
+        value = _dim2_bound(_fixed_hull(lo, hi, p), p)
+    if value is None:
+        raise DomainError(f"q must lie strictly inside (0, 1), got {q}")
+    return dyadic.fixed_enclosure(*value, p, bits)
 
 
 def bound_S_dimge3(
-    q_c: IntervalLike, q_q: IntervalLike, bits: int = intervals.DEFAULT_BITS
+    q_c: IntervalLike, q_q: IntervalLike, bits: int = DEFAULT_BITS
 ) -> Interval:
     """Geometric majorant of the block sum for fundamental dimension >= 3:
 
@@ -446,6 +487,8 @@ def bound_S_dimge3(
     is exactly the ratio threshold reported by
     :func:`threshold_ratio_dimge3`.
     """
+    from . import intervals
+
     with intervals.precision(bits) as ctx:
         qc = intervals.make(q_c, ctx)
         qq = intervals.make(q_q, ctx)
@@ -469,7 +512,7 @@ def _below_one(f: FixedFunction, x: Fraction, bits: int) -> bool:
     is a budget error."""
     for eval_bits in _doublings(bits):
         p = _point_bits(eval_bits, x)
-        value = f(intervals.to_fixed(x, p), p)
+        value = f(dyadic.to_fixed(x, p), p)
         if value is None:
             continue
         if value[1] < 1 << p:
@@ -514,7 +557,7 @@ def _secant(
 
     def offset(x: Fraction) -> Fraction:
         p = _point_bits(bits, x)
-        lo, hi = f(intervals.to_fixed(x, p), p)
+        lo, hi = f(dyadic.to_fixed(x, p), p)
         return Fraction(lo + hi, 2 << p) - 1
 
     v0 = offset(x0)
@@ -562,7 +605,7 @@ def _unit_crossing(
     tol: Fraction,
     bits: int,
     estimate: Fraction,
-) -> Interval:
+) -> Enclosure:
     """Enclose the unique solution of ``f = 1`` in [lo, hi] to width `tol`.
 
     Certified: that f increases on [lo, hi], so a crossing is unique
@@ -576,7 +619,8 @@ def _unit_crossing(
     Otherwise the certified signs narrow [lo, hi] as far as they go, the
     ends not yet checked are certified, and bisection finishes the bracket,
     so a wrong estimate costs time, never correctness.  The final bracket
-    is narrower than `tol` and is enclosed at the first doubling of `bits`
+    is narrower than `tol` and is enclosed
+    (:func:`dyadic.rational_enclosure`) at the first doubling of `bits`
     whose outward rounding keeps it within `tol`.
     """
     _certify_increasing(slopes, lo, hi, bits)
@@ -603,18 +647,17 @@ def _unit_crossing(
         else:
             hi = mid
     for enclosure_bits in _doublings(bits):
-        with intervals.precision(enclosure_bits) as ctx:
-            enclosure = intervals.from_endpoints(lo, hi, ctx)
-        if intervals.width_at_most(enclosure, tol):
+        enclosure = dyadic.rational_enclosure(lo, hi, enclosure_bits)
+        low, high = dyadic.exact_endpoints(enclosure)
+        if high - low <= tol:
             return enclosure
     raise BudgetError(f"no enclosure of width {tol} at {MAX_BITS} bits")
 
 
-def _threshold(which: str, tol, bits: int) -> Interval:
+def _threshold(which: str, tol, bits: int) -> Enclosure:
     f, slopes = _CROSSINGS[which]
     tol = _tol_fraction(tol)
-    with intervals.precision(bits):  # rejects `bits` outside 1..MAX_BITS
-        pass
+    dyadic.check_bits(bits)
     return _unit_crossing(f, slopes, _SEARCH_LO, _SEARCH_HI, tol, bits, _estimate(which, tol))
 
 
@@ -622,7 +665,7 @@ def _dim2_slopes(q: Fixed, p: int) -> tuple[Fixed] | None:
     """``d/ds log`` of :func:`bound_S_dim2` at ``q = s^2``,
     ``1/s - 1/(2 - s) - 2 s^3/(1 + s^4) + 2/(1 - s)``; positive means the
     bound increases in q."""
-    mul, div, sqrt = intervals.fixed_mul, intervals.fixed_div, intervals.fixed_sqrt
+    mul, div, sqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt
     one = 1 << p
     s = sqrt(q, p)
     if s[0] <= 0 or s[1] >= one:
@@ -636,14 +679,16 @@ def _dim2_slopes(q: Fixed, p: int) -> tuple[Fixed] | None:
     return ((a[0] - b[1] - c[1] + d[0], a[1] - b[0] - c[0] + d[1]),)
 
 
-def threshold_dim2(tol, bits: int = intervals.DEFAULT_BITS) -> Interval:
+def threshold_dim2(tol, bits: int = DEFAULT_BITS) -> Enclosure:
     """Certified unit crossing of :func:`bound_S_dim2` (near 0.0861)."""
     return _threshold("dim2", tol, bits)
 
 
-def threshold_ratio_dimge3(bits: int = intervals.DEFAULT_BITS) -> Interval:
+def threshold_ratio_dimge3(bits: int = DEFAULT_BITS) -> Interval:
     """Closed-form ratio threshold ``(1 + sqrt((3 sqrt(5) + 5)/10))^(-2)``,
     with decimal expansion starting 0.2306."""
+    from . import intervals
+
     with intervals.precision(bits) as ctx:
         u = intervals.isqrt((3 * intervals.isqrt(intervals.make(5, ctx)) + 5) / 10)
         return (1 + u) ** (-2)
@@ -654,7 +699,7 @@ def _remark_two_term(x: Fixed, p: int) -> Fixed | None:
     ``[2]_x = x + 1/x`` and ``[3]_x = x^2 + 1 + x^-2``."""
     if x[0] <= 0:
         return None
-    mul, div, sqrt = intervals.fixed_mul, intervals.fixed_div, intervals.fixed_sqrt
+    mul, div, sqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt
     one = 1 << p
     inv = div((one, one), x, p)
     x2, inv2 = mul(x, x, p), mul(inv, inv, p)
@@ -671,7 +716,7 @@ def _remark_slopes(x: Fixed, p: int) -> tuple[Fixed, Fixed] | None:
     increases in x."""
     if x[0] <= 0:
         return None
-    mul, div = intervals.fixed_mul, intervals.fixed_div
+    mul, div = dyadic.fixed_mul, dyadic.fixed_div
     one = 1 << p
     inv = div((one, one), x, p)
     inv2 = mul(inv, inv, p)
@@ -679,7 +724,7 @@ def _remark_slopes(x: Fixed, p: int) -> tuple[Fixed, Fixed] | None:
     return (inv2[0] - one, inv2[1] - one), (2 * (inv3[0] - x[1]), 2 * (inv3[1] - x[0]))
 
 
-def threshold_remark(tol, bits: int = intervals.DEFAULT_BITS) -> Interval:
+def threshold_remark(tol, bits: int = DEFAULT_BITS) -> Enclosure:
     """Certified root of ``sqrt(2/[2]) + sqrt(3/[3]) = 1`` (near 0.2134).
 
     The left side is a two-term lower bound for the dimension-2 block sum,
@@ -703,8 +748,7 @@ def kac_part(family: FusionFamily, n_max: int) -> list[int]:
     Non-Kac families yield exactly the trivial label."""
     if not family.is_ladder:
         raise FamilyError("kac_part applies to ladder families")
-    return [n for n in range(n_max + 1)
-            if fusion.dim(n, family, "quantum") == fusion.dim(n, family, "classical")]
+    return [n for n in range(n_max + 1) if fusion.dims_equal(n, family)]
 
 
 @dataclass(frozen=True)
@@ -729,7 +773,7 @@ def masa_verdict(
     family: FusionFamily,
     tol=Fraction(1, 10**6),
     n_max: int = 50,
-    bits: int = intervals.DEFAULT_BITS,
+    bits: int = DEFAULT_BITS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> MasaVerdict:
     """Run the summability criterion and the intertwiner scan for `family`."""

@@ -15,6 +15,19 @@ either, so a command that only prints exact rationals never loads mpmath.
   (``"half-even"``), as ``str(decimal.Context(prec=digits,
   rounding=...).divide(num, den))`` prints the same rational.
 
+* :class:`Enclosure` is a certified result carried on ints: two such
+  endpoints and the precision `bits` they were rounded to.  It has no
+  arithmetic operators; :func:`fixed_enclosure` rounds a fixed-point pair
+  into one as mpmath's ``from_man_exp`` does, and :func:`round_to`,
+  :func:`quotient` and :func:`width` round single operations outward as
+  mpmath's interval operators do at the same precision.
+  :mod:`qclassfun.intervals` converts it to and from mpmath intervals.
+* Fixed point: a pair of ints ``(lo, hi)`` stands for ``[lo, hi]·2^-p``.
+  :func:`to_fixed` encloses a rational, and :func:`fixed_mul`,
+  :func:`fixed_div` and :func:`fixed_sqrt` round each result by one floor
+  and one ceiling.  They take nonnegative pairs only, on which each
+  operation is monotone in every operand, so that rounding is outward.
+
 The decimal digits come from the exact conversion of Steele and White ("How
 to print floating-point numbers accurately", PLDI 1990): one shift and one
 division by a power of ten give the leading digits and the remainder that
@@ -24,10 +37,23 @@ decides the rounding.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .budgets import MAX_BITS
+from .errors import DomainError
 
 Dyadic = tuple[int, int]  # (m, e): the value m·2^e
+Fixed = tuple[int, int]  # (lo, hi): the interval [lo, hi]·2^-p of a fraction bit count p
 
 _LOG10_2 = math.log10(2)
+
+
+def check_bits(bits: int) -> None:
+    """The one check of a precision: `bits` outside ``1..MAX_BITS`` is a
+    domain error."""
+    if not 1 <= bits <= MAX_BITS:
+        raise DomainError(f"bits must lie in 1..{MAX_BITS}, got {bits}")
 
 
 def decimal_digits(bits: int) -> int:
@@ -84,11 +110,115 @@ def round_quotient(p: int, q: int, bits: int) -> tuple[Dyadic, Dyadic]:
     return (-high[0], high[1]), (-low[0], low[1])
 
 
+def round_to(m: int, e: int, bits: int, ceiling: bool) -> Dyadic:
+    """``m·2^e`` rounded to `bits` bits toward +inf (`ceiling`) or -inf,
+    with an odd mantissa or zero: mpmath's ``from_man_exp(m, e, bits,
+    round_ceiling or round_floor)``."""
+    if not m:
+        return 0, 0
+    m_abs, e = _normal(*_round_bits(abs(m), e, bits, False, ceiling == (m > 0)))
+    return (m_abs if m > 0 else -m_abs), e
+
+
+def quotient(x: Dyadic, y: Dyadic, bits: int, ceiling: bool) -> Dyadic:
+    """``x/y`` for ``x >= 0`` and ``y > 0``, rounded as :func:`round_to`."""
+    return _divide(x, y, bits, ceiling) if x[0] else (0, 0)
+
+
+def add(x: Dyadic, y: Dyadic) -> Dyadic:
+    """Exact sum of two dyadics."""
+    (m1, e1), (m2, e2) = x, y
+    e = min(e1, e2)
+    return (m1 << (e1 - e)) + (m2 << (e2 - e)), e
+
+
+def negate(x: Dyadic) -> Dyadic:
+    return -x[0], x[1]
+
+
 def midpoint(lo: Dyadic, hi: Dyadic) -> Dyadic:
     """Exact midpoint of two dyadics."""
-    (m1, e1), (m2, e2) = lo, hi
-    e = min(e1, e2)
-    return (m1 << (e1 - e)) + (m2 << (e2 - e)), e - 1
+    m, e = add(lo, hi)
+    return m, e - 1
+
+
+def to_fraction(x: Dyadic) -> Fraction:
+    m, e = x
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+# ---------------------------------------------------------------------------
+# enclosures
+
+
+@dataclass(frozen=True, slots=True)
+class Enclosure:
+    """The interval ``[lo, hi]`` between two dyadics ``(m, e)`` with odd
+    mantissas (or ``(0, 0)``), each rounded to at most `bits` bits, the
+    form mpmath stores.  None is an unbounded end, which only an mpmath
+    interval converted by :mod:`qclassfun.intervals` has."""
+
+    lo: Dyadic | None
+    hi: Dyadic | None
+    bits: int
+
+
+def exact_endpoints(x: Enclosure) -> tuple[Fraction | None, Fraction | None]:
+    """Endpoints of `x` as exact rationals; None for an unbounded end."""
+    return tuple(None if end is None else to_fraction(end) for end in (x.lo, x.hi))
+
+
+def fixed_enclosure(lo: int, hi: int, p: int, bits: int) -> Enclosure:
+    """Enclosure of ``[lo, hi]·2^-p`` at `bits`: the lower end rounded down
+    and the upper one up."""
+    return Enclosure(round_to(lo, -p, bits, False), round_to(hi, -p, bits, True), bits)
+
+
+def rational_enclosure(lo: Fraction, hi: Fraction, bits: int) -> Enclosure:
+    """Enclosure of ``[lo, hi]`` at `bits`: the lower end of the enclosure
+    of `lo` and the upper end of that of `hi`, as :func:`round_quotient`
+    rounds them."""
+    return Enclosure(round_quotient(lo.numerator, lo.denominator, bits)[0],
+                     round_quotient(hi.numerator, hi.denominator, bits)[1], bits)
+
+
+def width(x: Enclosure) -> Dyadic:
+    """Upper bound of the diameter of a bounded `x`: ``hi - lo`` rounded up
+    to ``x.bits``, the upper end of mpmath's ``delta``."""
+    return round_to(*add(x.hi, negate(x.lo)), x.bits, True)
+
+
+# ---------------------------------------------------------------------------
+# fixed point
+
+
+def floor_fixed(x: Dyadic, p: int) -> int:
+    """``floor(m·2^(e+p))``: the floor of `x` in fixed point at `p` bits."""
+    m, e = x
+    return m << (e + p) if e + p >= 0 else m >> -(e + p)
+
+
+def to_fixed(x: Fraction, p: int) -> Fixed:
+    """Floor and ceiling of ``x·2^p``: the fixed-point enclosure of `x`."""
+    scaled = x.numerator << p
+    return scaled // x.denominator, -(-scaled // x.denominator)
+
+
+def fixed_mul(a: Fixed, b: Fixed, p: int) -> Fixed:
+    """Product of two nonnegative fixed-point enclosures."""
+    return (a[0] * b[0]) >> p, -((-a[1] * b[1]) >> p)
+
+
+def fixed_div(a: Fixed, b: Fixed, p: int) -> Fixed:
+    """Quotient of a nonnegative by a positive fixed-point enclosure."""
+    return (a[0] << p) // b[1], -((-a[1] << p) // b[0])
+
+
+def fixed_sqrt(a: Fixed, p: int) -> Fixed:
+    """Square root of a nonnegative fixed-point enclosure."""
+    top = a[1] << p
+    root = math.isqrt(top)
+    return math.isqrt(a[0] << p), root + (root * root < top)
 
 
 # ---------------------------------------------------------------------------

@@ -312,15 +312,36 @@ def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | F
     if which not in ("classical", "quantum"):
         raise DomainError(f"which must be 'classical' or 'quantum', got {which!r}")
     check_label(label, family)
-    classical = which == "classical"
-    a, b = (family.dim_c_fund, 1) if classical else family.dim_q_fund.as_integer_ratio()
+    if which == "classical":
+        return _scaled_dim(label, family, family.dim_c_fund, 1)
+    a, b = family.dim_q_fund.as_integer_ratio()
+    return Fraction(_scaled_dim(label, family, a, b), b ** _length(label))
+
+
+def dims_equal(label: Label, family: FusionFamily) -> bool:
+    """Exact test of ``dim(label, family, "quantum") == dim(label, family)``:
+    the scaled ints are compared, ``D_q == D_c·b^length`` for the quantum
+    fundamental dimension ``a/b``, and no ``Fraction`` is normalised."""
+    check_label(label, family)
+    a, b = family.dim_q_fund.as_integer_ratio()
+    classical = _scaled_dim(label, family, family.dim_c_fund, 1)
+    return _scaled_dim(label, family, a, b) == classical * b ** _length(label)
+
+
+def _length(label: Label) -> int:
+    """Length of a label: its ladder index, or its number of letters."""
+    return label if isinstance(label, int) else len(label)
+
+
+def _scaled_dim(label: Label, family: FusionFamily, a: int, b: int) -> int:
+    """``d(label)·b^length`` for the fundamental dimension ``a/b``: a ladder
+    value of :func:`_ladder_values`, or for a word the product of those of
+    its alternating blocks."""
     if family.is_ladder:
-        value, length = _ladder_value(family.kind, a, b, label), label
-    else:
-        lengths = [len(block) for block in factorize(label)] if label else []
-        ladder = _ladder_values(FamilyKind.SU2_LADDER, a, b, max(lengths, default=0))
-        value, length = math.prod(ladder[n] for n in lengths), len(label)
-    return value if classical else Fraction(value, b**length)
+        return _ladder_value(family.kind, a, b, label)
+    lengths = [len(block) for block in factorize(label)] if label else []
+    ladder = _ladder_values(FamilyKind.SU2_LADDER, a, b, max(lengths, default=0))
+    return math.prod(ladder[n] for n in lengths)
 
 
 def rho_spectrum(n: int, q: IntervalLike) -> list[Interval]:

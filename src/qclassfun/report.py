@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from . import dyadic
+from .dyadic import Enclosure
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -43,10 +44,14 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def enclosure_payload(x: Interval) -> dict:
-    from . import intervals
+def enclosure_payload(x: Enclosure | Interval) -> dict:
+    """The cell of an enclosure at the digits of its bits; an mpmath
+    interval is read through :func:`intervals.to_enclosure`."""
+    if not isinstance(x, Enclosure):
+        from . import intervals
 
-    return _cell(*intervals.dyadic_endpoints(x), dyadic.decimal_digits(x.ctx.prec))
+        x = intervals.to_enclosure(x)
+    return _cell(x.lo, x.hi, dyadic.decimal_digits(x.bits))
 
 
 def rational_payload(value: int | Fraction, bits: int) -> dict:

@@ -14,17 +14,21 @@ operations.  No module of the package calls it or :func:`q_number` any
 more: the series kernel and the threshold functions in
 :mod:`qclassfun.criteria` use the closed forms of ``[m]_q``.  Both stay
 public because the benchmark's trace harness binds them by name.  The one
-solver of ``x + 1/x = d``, :func:`fixed_fundamental_q`, runs in fixed point.
+solver of ``x + 1/x = d``, :func:`fixed_fundamental_q`, runs in fixed point,
+so the series kernel loads no mpmath through this module; the functions
+returning mpmath intervals import :mod:`qclassfun.intervals` when called.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from . import intervals
+from . import dyadic
 from .errors import DomainError
-from .intervals import Interval, IntervalLike
+
+if TYPE_CHECKING:
+    from .intervals import Interval, IntervalLike
 
 
 class LaurentScalar:
@@ -42,6 +46,8 @@ class LaurentScalar:
         Negative exponents are evaluated through the reciprocal of the
         enclosure, so `q` must not enclose zero when such terms are present.
         """
+        from . import intervals
+
         point = intervals.make(q)
         if self.coeffs and min(self.coeffs) < 0 and intervals.contains(point, 0):
             raise DomainError("negative exponents at an enclosure of zero")
@@ -64,19 +70,21 @@ def fixed_fundamental_q(d: tuple[int, int], frac_bits: int) -> tuple[int, int]:
     lower end is at least 2, so that the floor of ``d^2 - 4`` is nonnegative;
     ``d = 2`` exactly gives exactly 1."""
     two, four = 2 << frac_bits, 4 << frac_bits
-    square = intervals.fixed_mul(d, d, frac_bits)
-    root = intervals.fixed_sqrt((square[0] - four, square[1] - four), frac_bits)
-    return intervals.fixed_div((two, two), (d[0] + root[0], d[1] + root[1]), frac_bits)
+    square = dyadic.fixed_mul(d, d, frac_bits)
+    root = dyadic.fixed_sqrt((square[0] - four, square[1] - four), frac_bits)
+    return dyadic.fixed_div((two, two), (d[0] + root[0], d[1] + root[1]), frac_bits)
 
 
 def solve_fundamental_q(d: IntervalLike) -> Interval:
     """Certified root in (0, 1] of ``x + 1/x = d`` for ``d >= 2`` at the
     precision of `d` (DEFAULT_BITS for exact d), from :func:`fixed_fundamental_q`
     with that precision kept below the root's leading bit (the root is >= 1/d)."""
+    from . import intervals
+
     value = intervals.make(d)
     lo, hi = intervals.exact_endpoints(value)
     if lo is None or lo < 2 or hi is None:
         raise DomainError(f"no root in (0, 1] unless d >= 2 is bounded, got {value}")
     frac_bits = value.ctx.prec + math.ceil(hi).bit_length() + 4
     root = fixed_fundamental_q(intervals.to_fixed(value, frac_bits), frac_bits)
-    return intervals.from_fixed(*root, frac_bits, value.ctx)
+    return intervals.make(dyadic.fixed_enclosure(*root, frac_bits, value.ctx.prec), value.ctx)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qclassfun import criteria, fusion, intervals
+from qclassfun import criteria, dyadic, fusion, intervals
 from qclassfun.criteria import (
     Verdict,
     VERDICT_NO_CONCLUSION,
@@ -133,7 +133,7 @@ def test_oplus_dim2_ladder_is_one_plus_the_block_sum():
     for qq in (Fraction(1, 20), Fraction(1, 2), Fraction(4, 5)):
         ladder = quasi_split_sum_ladder(su2_ladder(2, q=qq), TOL).sum_enclosure()
         block = block_sum_S(1, qq, TOL).sum_enclosure()
-        assert intervals.overlaps(ladder, 1 + block)
+        assert intervals.overlaps(ladder, 1 + intervals.make(block))
 
 
 def test_ladder_near_unit_deformation_converges_within_budget():
@@ -160,7 +160,7 @@ def test_ladder_near_kac_stays_undetermined():
     assert result.terms_used == criteria.DEFAULT_MAX_TERMS + 1
     # the majorant certainly exceeds tol after the budget, so the kernel
     # stops at the starting precision instead of escalating
-    assert result.partial_sum.ctx.prec == intervals.DEFAULT_BITS
+    assert result.partial_sum.bits == intervals.DEFAULT_BITS
 
 
 @pytest.mark.parametrize("bits", [-5, 0, criteria.MAX_BITS + 1, 2048])
@@ -314,7 +314,7 @@ def test_block_sum_separates_close_exact_inputs_at_64_bits(q_c, q_q):
     low = block_sum_S(q_c, q_q, TOL, bits=64)
     high = block_sum_S(q_c, q_q, TOL, bits=128)
     assert (low.verdict, low.terms_used) == (high.verdict, high.terms_used)
-    assert low.partial_sum.ctx.prec == 64
+    assert low.partial_sum.bits == 64
     assert intervals.contains(low.partial_sum, high.partial_sum)
 
 
@@ -369,8 +369,9 @@ def test_block_sum_matches_family_dimensions():
 
 
 def _block(s) -> criteria.SeriesResult:
-    """A converged block sum whose enclosure is exactly `s`."""
-    return criteria.SeriesResult(Verdict.CONVERGES, s, intervals.make(0, s.ctx))
+    """A converged block sum whose enclosure is exactly the interval `s`."""
+    zero = dyadic.Enclosure((0, 0), (0, 0), s.ctx.prec)
+    return criteria.SeriesResult(Verdict.CONVERGES, intervals.to_enclosure(s), zero)
 
 
 def test_total_sum_free_examples():
@@ -495,14 +496,14 @@ def _affine(a: Fraction, b: Fraction):
     and return enclosures ``(lo, hi)·2^-p``."""
     def f(x, p):
         lo, hi = (a * Fraction(end, 1 << p) + b for end in x)
-        return intervals.to_fixed(lo, p)[0], intervals.to_fixed(hi, p)[1]
+        return dyadic.to_fixed(lo, p)[0], dyadic.to_fixed(hi, p)[1]
 
     return f
 
 
 def _constant(c: Fraction):
     """Fixed-point slopes holding the one quantity `c`."""
-    return lambda x, p: (intervals.to_fixed(c, p),)
+    return lambda x, p: (dyadic.to_fixed(c, p),)
 
 
 def test_threshold_enclosure_beyond_max_bits_is_a_budget_error():
@@ -553,7 +554,7 @@ def test_threshold_without_a_sign_change_is_a_domain_error():
 def test_threshold_increase_is_certified_over_the_whole_search_interval(which):
     _, slopes = criteria._CROSSINGS[which]
     p = criteria._point_bits(16, Fraction(1, 100))
-    whole = (intervals.to_fixed(Fraction(1, 100), p)[0], intervals.to_fixed(Fraction(1, 2), p)[1])
+    whole = (dyadic.to_fixed(Fraction(1, 100), p)[0], dyadic.to_fixed(Fraction(1, 2), p)[1])
     assert all(lo > 0 for lo, _ in slopes(whole, p))
 
 
@@ -633,6 +634,29 @@ def test_kac_part_examples():
     assert kac_part(su2_ladder(2, q=Fraction(1, 4)), 0) == [0]
     with pytest.raises(FamilyError):
         kac_part(free_unitary(2), 5)
+
+
+def _fraction_kac_part(family, n_max: int) -> list[int]:
+    """Oracle: the labels whose dimensions agree, both stepped in `Fraction`
+    from ``d1 d(n) = d(n-1) + d(n+1)`` (plus ``d(n)`` on the right for so3)."""
+    shift = 1 if family.kind is fusion.FamilyKind.SO3_LADDER else 0
+    ladders = []
+    for d1 in (Fraction(family.dim_c_fund), family.dim_q_fund):
+        values = [Fraction(1), d1]
+        while len(values) <= n_max:
+            values.append((d1 - shift) * values[-1] - values[-2])
+        ladders.append(values)
+    return [n for n in range(n_max + 1) if ladders[0][n] == ladders[1][n]]
+
+
+@pytest.mark.parametrize("family", [
+    su2_ladder(2), su2_ladder(3), su2_ladder(2, q=Fraction(1, 2)), su2_ladder(2, q=Fraction(1, 4)),
+    su2_ladder(2, dim_q_fund=Fraction(17, 4)), su2_ladder(3, q=Fraction(1, 10**23)),
+    so3_ladder(3), so3_ladder(5), so3_ladder(4, dim_q_fund=5),
+    so3_ladder(5, dim_q_fund=Fraction(71, 10)), so3_ladder(3, dim_q_fund=Fraction(7, 2)),
+], ids=lambda f: f"{f.kind.value} N={f.dim_c_fund} dimq={f.dim_q_fund}")
+def test_kac_part_matches_the_fraction_oracle(family):
+    assert kac_part(family, 120) == _fraction_kac_part(family, 120)
 
 
 def test_masa_verdict_ladder():

@@ -8,14 +8,16 @@ character.  The oracles below are those two computations, run directly.
 from __future__ import annotations
 
 import decimal
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
-from qclassfun import dyadic, fusion, intervals, report
+from qclassfun import criteria, dyadic, fusion, intervals, report
 from qclassfun.cli import main
 
 ROUNDINGS = {"floor": decimal.ROUND_FLOOR, "ceiling": decimal.ROUND_CEILING,
@@ -174,3 +176,180 @@ def test_dims_prints_endpoints_longer_than_the_int_to_str_limit(capsys, monkeypa
     expected = report.Report("dims", {"family": "o-plus", "N": 3, "qq": "1e-23", "max": 200},
                              {"table": rows}, {"bits": 128, "digits": 40})
     assert capsys.readouterr().out == expected.to_json()
+
+
+# ---------------------------------------------------------------------------
+# fixed point: one floor and one ceiling per operation
+
+FIXED_POINT_BITS = [8, 53, 128, 1024]
+magnitudes = st.fractions(min_value=0, max_value=Fraction(16), max_denominator=10**40)
+signed = st.fractions(min_value=Fraction(-16), max_value=Fraction(16), max_denominator=10**40)
+
+
+def _floor(value: Fraction, frac_bits: int) -> int:
+    return math.floor(value * 2**frac_bits)
+
+
+def _ceil(value: Fraction, frac_bits: int) -> int:
+    return math.ceil(value * 2**frac_bits)
+
+
+def _fixed(a: Fraction, b: Fraction, frac_bits: int) -> tuple[int, int]:
+    """The tightest fixed-point pair around the hull of `a` and `b`."""
+    return _floor(min(a, b), frac_bits), _ceil(max(a, b), frac_bits)
+
+
+def _fixed_value(n: int, frac_bits: int) -> Fraction:
+    return Fraction(n, 2**frac_bits)
+
+
+@pytest.mark.parametrize("frac_bits", FIXED_POINT_BITS)
+@settings(derandomize=True, max_examples=60)
+@given(signed)
+def test_a_rational_enters_fixed_point_as_its_floor_and_ceiling(frac_bits, a):
+    assert dyadic.to_fixed(a, frac_bits) == (_floor(a, frac_bits), _ceil(a, frac_bits))
+
+
+@pytest.mark.parametrize("frac_bits", FIXED_POINT_BITS)
+@settings(derandomize=True, max_examples=60)
+@given(magnitudes, magnitudes, magnitudes, magnitudes)
+def test_fixed_point_operations_round_once_outward(frac_bits, a, b, c, d):
+    x, y = _fixed(a, b, frac_bits), _fixed(c, d, frac_bits)
+    x_lo, x_hi = _fixed_value(x[0], frac_bits), _fixed_value(x[1], frac_bits)
+    y_lo, y_hi = _fixed_value(y[0], frac_bits), _fixed_value(y[1], frac_bits)
+    assert dyadic.fixed_mul(x, y, frac_bits) == (
+        _floor(x_lo * y_lo, frac_bits), _ceil(x_hi * y_hi, frac_bits))
+    if y[0] > 0:
+        assert dyadic.fixed_div(x, y, frac_bits) == (
+            _floor(x_lo / y_hi, frac_bits), _ceil(x_hi / y_lo, frac_bits))
+    root_lo, root_hi = dyadic.fixed_sqrt(x, frac_bits)
+    # floor and ceiling of the square roots, certified by squaring exactly
+    assert _fixed_value(root_lo, frac_bits) ** 2 <= x_lo < _fixed_value(root_lo + 1, frac_bits) ** 2
+    assert x_hi <= _fixed_value(root_hi, frac_bits) ** 2
+    assert root_hi == 0 or _fixed_value(root_hi - 1, frac_bits) ** 2 < x_hi
+
+
+# ---------------------------------------------------------------------------
+# int enclosures against mpmath's interval operators
+#
+# Each result of the int layer must equal, endpoint for endpoint, what the
+# same operations give in mpmath's interval context at the same precision.
+
+ENCLOSURE_BITS = [1, 2, 7, 53, 64, 96, 128, 256, 1024]
+wide_ints = st.one_of(st.integers(-(2**70), 2**70), st.integers(-(2**2100), 2**2100))
+
+
+def _context(bits: int) -> MPIntervalContext:
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    return ctx
+
+
+def _raw_dyadic(raw) -> tuple[int, int]:
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def _mpmath_enclosure(interval, bits: int) -> dyadic.Enclosure:
+    """Oracle: the raw endpoints of an mpmath interval, as ``(m, e)``."""
+    return dyadic.Enclosure(*(_raw_dyadic(raw) for raw in interval._mpi_), bits)
+
+
+def _fixed_input(draw_lo: int, draw_hi: int, p: int, bits: int) -> dyadic.Enclosure:
+    lo, hi = sorted((draw_lo, draw_hi))
+    return dyadic.fixed_enclosure(lo, hi, p, bits)
+
+
+@pytest.mark.parametrize("bits", ENCLOSURE_BITS)
+@settings(derandomize=True, max_examples=80)
+@given(wide_ints, wide_ints, st.integers(0, 2200))
+def test_fixed_enclosure_is_mpmaths_from_man_exp(bits, lo, hi, p):
+    expected = dyadic.Enclosure(
+        _raw_dyadic(from_man_exp(lo, -p, bits, round_floor)),
+        _raw_dyadic(from_man_exp(hi, -p, bits, round_ceiling)), bits)
+    assert dyadic.fixed_enclosure(lo, hi, p, bits) == expected
+
+
+@pytest.mark.parametrize("bits", ENCLOSURE_BITS)
+@settings(derandomize=True, max_examples=60)
+@given(st.integers(0, 2**300), st.integers(0, 2**300), st.integers(0, 2**300),
+       st.integers(0, 2**300), st.integers(0, 400))
+def test_sum_enclosure_is_mpmaths_partial_plus_tail(bits, a, b, c, d, p):
+    partial, tail = _fixed_input(a, b, p, bits), _fixed_input(c, d, p, bits)
+    result = criteria.SeriesResult(criteria.Verdict.CONVERGES, partial, tail, 1)
+    ctx = _context(bits)
+    total = intervals.make(partial, ctx) + intervals.make(tail, ctx)
+    expected = ctx.mpf([intervals.lower(intervals.make(partial, ctx)), intervals.upper(total)])
+    assert result.sum_enclosure() == _mpmath_enclosure(expected, bits)
+
+
+def test_sum_enclosure_refuses_enclosures_at_different_bits():
+    # the counterpart of tests/conftest.py's guard on mixed interval contexts
+    partial = dyadic.fixed_enclosure(3, 5, 4, 64)
+    tail = dyadic.fixed_enclosure(0, 1, 4, 128)
+    result = criteria.SeriesResult(criteria.Verdict.CONVERGES, partial, tail, 1)
+    with pytest.raises(ValueError, match="64 bits .* 128 bits"):
+        result.sum_enclosure()
+
+
+@pytest.mark.parametrize("bits", ENCLOSURE_BITS)
+@settings(derandomize=True, max_examples=60)
+@given(st.one_of(st.just(0), st.integers(0, 2**200)), st.integers(0, 2**200),
+       st.integers(1, 260))
+def test_total_sum_free_is_mpmaths_one_plus_geometric(bits, a, b, p):
+    # 0 <= s < 1, including s.lo = 0, where the quotient's lower end is 0
+    a, b = a % (1 << p), b % (1 << p)
+    s = _fixed_input(a, b, p, bits)
+    if dyadic.to_fraction(s.hi) >= 1:  # rounding up to `bits` reached 1
+        s = dyadic.Enclosure(s.lo, s.lo, bits)
+    zero = dyadic.Enclosure((0, 0), (0, 0), bits)
+    total = criteria.total_sum_free(criteria.SeriesResult(criteria.Verdict.CONVERGES, s, zero))
+    interval = intervals.make(s, _context(bits))
+    assert total.verdict is criteria.Verdict.CONVERGES
+    assert total.partial_sum == _mpmath_enclosure(1 + 2 * interval / (1 - interval), bits)
+    assert total.tail_bound == zero
+
+
+@pytest.mark.parametrize("bits", ENCLOSURE_BITS)
+@settings(derandomize=True, max_examples=60)
+@given(st.fractions(min_value=Fraction(1, 10**30), max_value=Fraction(2), max_denominator=10**40),
+       st.fractions(min_value=0, max_value=Fraction(1, 100), max_denominator=10**40))
+def test_threshold_bracket_rounding_is_mpmaths_from_endpoints(bits, lo, span):
+    expected = intervals.from_endpoints(lo, lo + span, _context(bits))
+    assert dyadic.rational_enclosure(lo, lo + span, bits) == _mpmath_enclosure(expected, bits)
+
+
+@pytest.mark.parametrize("bits", ENCLOSURE_BITS)
+@settings(derandomize=True, max_examples=60)
+@given(wide_ints, wide_ints, st.integers(0, 2200))
+def test_width_is_the_upper_end_of_mpmaths_delta(bits, lo, hi, p):
+    x = _fixed_input(lo, hi, p, bits)
+    interval = intervals.make(x, _context(bits))
+    width = dyadic.width(x)
+    assert width == _raw_dyadic(interval.delta._mpi_[1])
+    if dyadic.to_fraction(width) < 1:  # as `threshold` prints it: its widths are below 1
+        assert str(float(dyadic.to_fraction(width))) == str(float(intervals.width(interval)))
+
+
+@pytest.mark.parametrize("bits", ENCLOSURE_BITS)
+@settings(derandomize=True, max_examples=40)
+@given(st.integers(-(2**150), 2**150), st.integers(-(2**150), 2**150), st.integers(0, 160),
+       st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=10**12))
+def test_interval_readers_read_an_enclosure_as_its_interval(bits, lo, hi, p, value):
+    x = _fixed_input(lo, hi, p, bits)
+    interval = intervals.make(x)
+    assert interval.ctx.prec == bits and intervals.to_enclosure(interval) == x
+    for reader in (intervals.lower, intervals.upper, intervals.dyadic_endpoints,
+                   intervals.exact_endpoints, intervals.width, intervals.width_fraction,
+                   intervals.to_decimal_pair):
+        assert reader(x) == reader(interval), reader.__name__
+    assert intervals.to_decimal_pair(x, 12) == intervals.to_decimal_pair(interval, 12)
+    assert intervals.width_at_most(x, value) == intervals.width_at_most(interval, value)
+    other = intervals.make(value, interval.ctx)
+    for relation in (intervals.contains, intervals.overlaps, intervals.certainly_lt,
+                     intervals.certainly_gt):
+        for y in (value, other):
+            assert relation(x, y) == relation(interval, y), relation.__name__
+        assert relation(x, x) == relation(interval, interval), relation.__name__
+    assert intervals.certainly_lt(value, x) == intervals.certainly_lt(value, interval)
+    assert report.enclosure_payload(x) == report.enclosure_payload(interval)

@@ -89,6 +89,15 @@ def test_golden_output(name, monkeypatch):
     assert out == expected
 
 
+def test_dims_runs_where_the_int_to_str_limit_cannot_be_read(monkeypatch):
+    # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits
+    monkeypatch.delenv("QCLASSFUN_BITS", raising=False)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    code, out = _stdout(CASES["dims_oplus_max60"])
+    assert code == 0
+    assert out == (GOLDEN / "dims_oplus_max60.out").read_text(encoding="utf-8")
+
+
 #: Runs the {name: argv} cases read from stdin with numpy unimportable and
 #: prints {name: [exit code, stdout]}.
 RUN_WITHOUT_NUMPY = """

@@ -41,7 +41,9 @@ def _python(code: str, *args: str):
 # import graph
 
 #: Commands that never load mpmath, with their exit codes: `dims` prints the
-#: enclosures of exact rationals with ints alone.
+#: enclosures of exact rationals with ints alone, and `series` and the dim2
+#: and remark thresholds compute theirs on ints, escalated precisions and
+#: refusals included.
 LIGHT_COMMANDS = [
     (["frobnicate"], 2),
     (["dims", "--family", "o-plus", "--N", "3", "--bits", "0"], 2),
@@ -51,6 +53,16 @@ LIGHT_COMMANDS = [
     (["dims", "--family", "o-plus", "--N", "3", "--qq", "1/7", "--bits", "1024"], 0),
     (["moments", "--family", "so3", "--N", "4"], 0),
     (["bicrossed", "--q", "1/3", "--mode", "irrational"], 0),
+    (["series", "--family", "o-plus", "--N", "3", "--qq", "0.2"], 0),
+    (["series", "--family", "u-plus", "--dim", "2", "--qq", "0.22"], 0),
+    (["series", "--family", "so3", "--N", "4", "--dimq", "5", "--bits", "96"], 0),
+    (["series", "--family", "u-plus", "--dim", "2", "--qq", "0.22", "--bits", "256"], 0),
+    (["series", "--family", "o-plus", "--N", "3"], 0),  # Kac: diverges
+    (["series", "--family", "o-plus", "--N", "9" * 1000, "--n-max", "1000"], 3),
+    (["threshold", "--which", "dim2", "--tol", "1e-4"], 0),
+    (["threshold", "--which", "remark", "--tol", "1e-4"], 0),
+    (["threshold", "--which", "dim2", "--tol", "1e-18", "--bits", "32"], 0),
+    (["threshold", "--which", "remark", "--tol", "1e-18", "--bits", "32"], 0),
 ]
 
 #: Runs the argv lists read from argv[1] in turn and prints, after each,
@@ -67,9 +79,15 @@ print(json.dumps(probes))
 """
 
 
-def test_commands_without_enclosures_never_load_mpmath():
+def test_commands_without_interval_arithmetic_never_load_mpmath():
     probes = _python(RUN_AND_PROBE, json.dumps([argv for argv, _ in LIGHT_COMMANDS]))
     assert probes == [[code, False] for _, code in LIGHT_COMMANDS]
+
+
+def test_the_ratio_threshold_still_loads_mpmath():
+    # its closed form is evaluated in mpmath's interval arithmetic
+    probes = _python(RUN_AND_PROBE, json.dumps([["threshold", "--which", "ratio3"]]))
+    assert probes == [[0, True]]
 
 
 def test_bare_package_import_loads_no_working_module():
@@ -115,7 +133,7 @@ def test_modules_that_load_mpmath_on_import():
             reaches_mpmath(dep, seen) for dep in GRAPH[name] & GRAPH.keys() - seen)
 
     heavy = sorted(name for name in GRAPH if reaches_mpmath(name, set()))
-    assert heavy == ["acceptance", "criteria", "intervals", "scalars", "spectral"]
+    assert heavy == ["acceptance", "intervals", "spectral"]
 
 
 def test_budgets_module_imports_nothing():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qclassfun import criteria, intervals
+from qclassfun import criteria, dyadic, intervals
 from qclassfun.errors import DomainError
 from qclassfun.fusion import free_unitary, so3_ladder, su2_ladder
 from qclassfun.scalars import LaurentScalar, fixed_fundamental_q, q_number, solve_fundamental_q
@@ -184,7 +184,7 @@ def _root_oracle(d: Fraction, frac_bits: int) -> mpmath.mpf:
 def test_fixed_fundamental_q_encloses_the_root(seed, frac_bits):
     rng = random.Random(seed)
     for d in [_seeded_d(rng) for _ in range(10)]:
-        lo, hi = fixed_fundamental_q(intervals.to_fixed(d, frac_bits), frac_bits)
+        lo, hi = fixed_fundamental_q(dyadic.to_fixed(d, frac_bits), frac_bits)
         root = _root_oracle(d, frac_bits)
         with mpmath.workdps(60 + int(frac_bits * 0.302) + 50):
             assert mpmath.ldexp(lo, -frac_bits) <= root <= mpmath.ldexp(hi, -frac_bits), d
@@ -200,7 +200,7 @@ def test_fixed_fundamental_q_at_two_is_exactly_one(frac_bits):
 @pytest.mark.parametrize("frac_bits", [128, 512])
 def test_fixed_fundamental_q_tiny_root_keeps_its_sign(frac_bits):
     q = Fraction(1, 10**25)
-    lo, hi = fixed_fundamental_q(intervals.to_fixed(q + 1 / q, frac_bits), frac_bits)
+    lo, hi = fixed_fundamental_q(dyadic.to_fixed(q + 1 / q, frac_bits), frac_bits)
     assert 0 < lo
     assert Fraction(lo, 1 << frac_bits) <= q <= Fraction(hi, 1 << frac_bits)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qclassfun import criteria, intervals
+from qclassfun import criteria, dyadic, intervals
 
 FRAC_BITS = [8, 16, 64, 128, 512]
 LO, HI = Fraction(1, 100), Fraction(1, 2)
@@ -71,7 +71,7 @@ def test_each_function_encloses_its_value_at_seeded_rationals(which, frac_bits):
     f = criteria._CROSSINGS[which][0]
     digits = _digits(frac_bits)
     for x in [LO, HI, *_points(frac_bits, 40)]:
-        pair = f(intervals.to_fixed(x, frac_bits), frac_bits)
+        pair = f(dyadic.to_fixed(x, frac_bits), frac_bits)
         assert pair is not None and pair[0] <= pair[1]
         with mpmath.workdps(digits):
             assert _holds(pair, frac_bits, FUNCTIONS[which](_mp(x)), digits), (which, x)
@@ -85,7 +85,7 @@ def test_each_slope_encloses_its_values_over_seeded_sub_intervals(which, frac_bi
     rng = random.Random(1000 + frac_bits)
     for _ in range(12):
         a, b = sorted(_points(rng.randrange(10**9), 2))
-        pairs = slopes((intervals.to_fixed(a, frac_bits)[0], intervals.to_fixed(b, frac_bits)[1]),
+        pairs = slopes((dyadic.to_fixed(a, frac_bits)[0], dyadic.to_fixed(b, frac_bits)[1]),
                        frac_bits)
         assert pairs is not None and len(pairs) == len(SLOPES[which])
         samples = [a, b] + [a + (b - a) * Fraction(rng.randrange(1001), 1000) for _ in range(6)]
@@ -125,7 +125,7 @@ def test_thresholds_from_the_lowest_starting_bits_hold_the_root(which, bits):
 
 def test_a_divisor_reaching_zero_leaves_the_value_undecided():
     # at 8 fraction bits 1/1000 rounds down to 0: no reciprocal is formed
-    x = intervals.to_fixed(Fraction(1, 1000), 8)
+    x = dyadic.to_fixed(Fraction(1, 1000), 8)
     assert x[0] == 0
     assert criteria._remark_two_term(x, 8) is None
     assert criteria._remark_slopes(x, 8) is None
@@ -140,7 +140,7 @@ def test_bound_dim2_keeps_its_bits_at_small_q(q, bits):
     # the fixed point keeps `bits` bits below the leading bit of q, so the
     # bound, about 2 sqrt(q) at small q, is as tight relative to its size
     enclosure = criteria.bound_S_dim2(q, bits=bits)
-    assert enclosure.ctx.prec == bits
+    assert enclosure.bits == bits
     lo, hi = intervals.exact_endpoints(enclosure)
     assert 0 < lo and (hi - lo) / lo <= Fraction(8, 2**bits)
     with mpmath.workdps(80):
@@ -159,6 +159,6 @@ def test_bound_dim2_encloses_an_interval_argument():
     with intervals.precision(96) as ctx:
         q = intervals.from_endpoints(Fraction(1, 20), Fraction(1, 10), ctx)
     enclosure = criteria.bound_S_dim2(q, bits=64)
-    assert enclosure.ctx.prec == 64
+    assert enclosure.bits == 64
     assert intervals.contains(enclosure, criteria.bound_S_dim2(Fraction(1, 20), bits=64))
     assert intervals.contains(enclosure, criteria.bound_S_dim2(Fraction(1, 10), bits=64))

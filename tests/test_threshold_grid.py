@@ -109,7 +109,7 @@ def test_the_estimate_is_verified_by_two_sign_checks(sign_checks, which, tol):
 
 def _bytes(which: str, tol: str, bits: int) -> str:
     enclosure = THRESHOLDS[which](Fraction(tol), bits=bits)
-    return "{} {} {}".format(*intervals.exact_endpoints(enclosure), enclosure.ctx.prec)
+    return "{} {} {}".format(*intervals.exact_endpoints(enclosure), enclosure.bits)
 
 
 REPEATS = [(which, tol, bits) for which in sorted(THRESHOLDS)
