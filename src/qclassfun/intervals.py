@@ -128,11 +128,6 @@ def exact_endpoints(x: Interval | Enclosure) -> tuple[Fraction | None, Fraction 
     return dyadic.exact_endpoints(x if isinstance(x, Enclosure) else to_enclosure(x))
 
 
-def width(x: Interval | Enclosure) -> mpmath.mpf:
-    """Upper bound for the diameter of `x`."""
-    return upper(_interval(x).delta)
-
-
 def width_fraction(x: Interval | Enclosure) -> Fraction | None:
     """Exact diameter of `x` as a rational; None for unbounded intervals."""
     lo, hi = exact_endpoints(x)
