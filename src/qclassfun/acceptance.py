@@ -15,7 +15,7 @@ import random
 import time
 from fractions import Fraction
 
-from . import bicrossed, criteria, fusion, intervals, noncrossing, spectral
+from . import bicrossed, criteria, dyadic, fusion, intervals, noncrossing, spectral
 from .criteria import Verdict
 from .scalars import solve_fundamental_q
 
@@ -52,16 +52,14 @@ def criterion_1_threshold_dim2(bits: int = intervals.DEFAULT_BITS) -> dict:
 
 def criterion_2_threshold_ratio(bits: int = intervals.DEFAULT_BITS) -> dict:
     """Ratio threshold is 0.2306 +- 1e-4 and drives the bound to exactly 1."""
-    with intervals.precision(bits) as ctx:
-        ratio = criteria.threshold_ratio_dimge3(bits=bits)
-        near = intervals.contains(
-            intervals.from_endpoints(Fraction(2306, 10000) - Fraction(1, 10000),
-                                     Fraction(2306, 10000) + Fraction(1, 10000), ctx),
-            ratio,
-        )
-        q_c = solve_fundamental_q(intervals.make(3, ctx))
-        bound = criteria.bound_S_dimge3(q_c, q_c * ratio, bits=bits)
-        hits_one = intervals.contains(bound, 1) and intervals.width_at_most(bound, Fraction(1, 10**6))
+    ratio = criteria.threshold_ratio_dimge3(bits=bits)
+    ratio_lo, ratio_hi = dyadic.exact_endpoints(ratio)
+    near = Fraction(2305, 10000) <= ratio_lo and ratio_hi <= Fraction(2307, 10000)
+    q_c = solve_fundamental_q(3, bits=bits)
+    qc_lo, qc_hi = dyadic.exact_endpoints(q_c)
+    q_q = dyadic.rational_enclosure(qc_lo * ratio_lo, qc_hi * ratio_hi, bits)
+    bound = criteria.bound_S_dimge3(q_c, q_q, bits=bits)
+    hits_one = intervals.contains(bound, 1) and intervals.width_at_most(bound, Fraction(1, 10**6))
     return {
         "id": 2,
         "name": "threshold_ratio_dimge3 and unit crossing of the bound",

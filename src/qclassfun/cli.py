@@ -376,9 +376,7 @@ def cmd_threshold(args: argparse.Namespace) -> report.Report:
     elif args.which == "remark":
         enclosure = criteria.threshold_remark(Fraction(args.tol), bits=args.bits)
     else:
-        from . import intervals
-
-        enclosure = intervals.to_enclosure(criteria.threshold_ratio_dimge3(bits=args.bits))
+        enclosure = criteria.threshold_ratio_dimge3(bits=args.bits)
     results = {
         "enclosure": report.enclosure_payload(enclosure),
         "width": str(float(dyadic.to_fraction(dyadic.width(enclosure)))),

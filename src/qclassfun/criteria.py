@@ -21,10 +21,10 @@ on integer fixed point (the ``fixed_*`` operations of :mod:`dyadic`): each
 exact input enters once as a floor and a ceiling, the kernel's roots are
 solved there (:func:`scalars.fixed_fundamental_q`), and each result leaves
 once, rounded outward to a :class:`~qclassfun.dyadic.Enclosure` at the
-working bits.  So the series, the block-sum total, ``bound_S_dim2`` and the
-dim2 and remark thresholds run on ints alone and load no mpmath; only
-:func:`bound_S_dimge3` and :func:`threshold_ratio_dimge3` still evaluate in
-mpmath's interval arithmetic, importing :mod:`intervals` when called.
+working bits.  So the series, the block-sum total, the two closed-form
+bounds and all three thresholds run on ints alone, and every public function
+here returns an ``Enclosure``; :mod:`intervals` is imported only to read the
+endpoints of an mpmath interval passed in as an input.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .fusion import FusionFamily, Label
 from .scalars import fixed_fundamental_q
 
 if TYPE_CHECKING:
-    from .intervals import Interval, IntervalLike
+    from .intervals import IntervalLike
 
 #: sup of the multiplicity of the top component in fundamental-times-ladder
 #: fusion; both ladder kinds have multiplicity one there.
@@ -162,11 +162,6 @@ def _point_bits(bits: int, x: Fraction) -> int:
 
 
 Roots = Callable[[int], tuple[Fixed, Fixed]]
-
-
-def _fixed_hull(lo: Fraction, hi: Fraction, p: int) -> Fixed:
-    """Fixed-point enclosure of ``[lo, hi]``."""
-    return dyadic.to_fixed(lo, p)[0], dyadic.to_fixed(hi, p)[1]
 
 
 def _fixed_power(a: Fixed, n: int, frac_bits: int) -> Fixed:
@@ -367,13 +362,13 @@ def block_sum_S(
         raise DomainError(f"sqrt of possibly negative enclosure: q_c {q_c}, q_q {q_q}")
 
     def roots(p: int) -> tuple[Fixed, Fixed]:
-        return _fixed_hull(qc_lo, qc_hi, p), _fixed_hull(qq_lo, qq_hi, p)
+        return dyadic.fixed_hull(qc_lo, qc_hi, p), dyadic.fixed_hull(qq_lo, qq_hi, p)
 
     return _deformed_ratio_sum(roots, qq_lo, 1, 2, tol, bits, max_terms)
 
 
 def _exact_hull(value) -> tuple[Fraction | None, Fraction | None]:
-    """Exact endpoints of an input of :func:`block_sum_S`; None is unbounded."""
+    """Exact endpoints of an input of a series or a bound; None is unbounded."""
     if isinstance(value, Enclosure):
         return dyadic.exact_endpoints(value)
     if isinstance(value, (int, float, str, Fraction)):
@@ -453,51 +448,59 @@ def bound_S_dim2(q: IntervalLike, bits: int = DEFAULT_BITS) -> Enclosure:
 
         sqrt(q)(2 - sqrt(q)) / (sqrt(1 + q^2) (1 - sqrt(q))^2),
 
-    monotone increasing on (0, 1).  It is evaluated in fixed point with
-    `bits` bits below the leading bit of `q` (:func:`_point_bits`), so a
-    small `q` keeps `bits` significant bits, and rounded outward to `bits`.
-    Ints and fractions enter exactly; other values are enclosed at `bits`
-    first, in mpmath.
+    monotone increasing on (0, 1).  `q` is read once, exactly, as
+    :func:`block_sum_S` reads its inputs.  The bound is evaluated in fixed
+    point with `bits` bits below the leading bit of `q`
+    (:func:`_point_bits`), so a small `q` keeps `bits` significant bits, and
+    rounded outward to `bits`.
     """
     dyadic.check_bits(bits)
-    if isinstance(q, (int, Fraction)):
-        lo = hi = Fraction(q)
-    else:
-        from . import intervals
-
-        with intervals.precision(bits) as ctx:
-            lo, hi = intervals.exact_endpoints(intervals.make(q, ctx))
+    lo, hi = _exact_hull(q)
     value = None
     if lo is not None and hi is not None and 0 < lo and hi < 1:
         p = _point_bits(bits, lo)
-        value = _dim2_bound(_fixed_hull(lo, hi, p), p)
+        value = _dim2_bound(dyadic.fixed_hull(lo, hi, p), p)
     if value is None:
         raise DomainError(f"q must lie strictly inside (0, 1), got {q}")
     return dyadic.fixed_enclosure(*value, p, bits)
 
 
-def bound_S_dimge3(
-    q_c: IntervalLike, q_q: IntervalLike, bits: int = DEFAULT_BITS
-) -> Interval:
+def _dimge3_bound(q_c: Fixed, q_q: Fixed, p: int) -> Fixed | None:
+    """:func:`bound_S_dimge3` on fixed-point enclosures of ``q_c`` and ``q_q``."""
+    mul, div, sqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt
+    one = 1 << p
+    c2 = mul(q_c, q_c, p)
+    if q_c[0] <= 0 or c2[1] >= one:
+        return None
+    r = sqrt(div(q_q, q_c, p), p)  # sqrt(q_q/q_c)
+    denominator = mul(sqrt((one - c2[1], one - c2[0]), p), (one - r[1], one - r[0]), p)
+    if r[1] >= one or denominator[0] <= 0:
+        return None
+    return div(r, denominator, p)
+
+
+def bound_S_dimge3(q_c: IntervalLike, q_q: IntervalLike, bits: int = DEFAULT_BITS) -> Enclosure:
     """Geometric majorant of the block sum for fundamental dimension >= 3:
 
         (1 - q_c^2)^(-1/2) * sqrt(q_q/q_c) / (1 - sqrt(q_q/q_c)).
 
     Its unit crossing in the ratio q_q/q_c, at the extreme admissible q_c,
     is exactly the ratio threshold reported by
-    :func:`threshold_ratio_dimge3`.
+    :func:`threshold_ratio_dimge3`.  It is read, evaluated and rounded as
+    :func:`bound_S_dim2` is, keeping `bits` bits below the leading bit of
+    `q_q`; a pair not certainly inside ``0 < q_q < q_c < 1``, or not
+    separated from its ends at that precision, is a domain error.
     """
-    from . import intervals
-
-    with intervals.precision(bits) as ctx:
-        qc = intervals.make(q_c, ctx)
-        qq = intervals.make(q_q, ctx)
-        if intervals.lower(qq) <= 0 or intervals.upper(qc) >= 1:
-            raise DomainError(f"need 0 < q_q < q_c < 1, got {qq}, {qc}")
-        if not intervals.upper(qq) < intervals.lower(qc):
-            raise DomainError(f"need q_q < q_c certified, got {qq}, {qc}")
-        root = intervals.isqrt(qq / qc)
-        return 1 / intervals.isqrt(1 - qc * qc) * root / (1 - root)
+    dyadic.check_bits(bits)
+    (qc_lo, qc_hi), (qq_lo, qq_hi) = (_exact_hull(v) for v in (q_c, q_q))
+    value = None
+    if None not in (qc_lo, qc_hi, qq_lo, qq_hi) and 0 < qq_lo and qq_hi < qc_lo and qc_hi < 1:
+        p = _point_bits(bits, qq_lo)
+        value = _dimge3_bound(dyadic.fixed_hull(qc_lo, qc_hi, p),
+                              dyadic.fixed_hull(qq_lo, qq_hi, p), p)
+    if value is None:
+        raise DomainError(f"need 0 < q_q < q_c < 1, got {q_q}, {q_c}")
+    return dyadic.fixed_enclosure(*value, p, bits)
 
 
 #: The search interval of both thresholds.
@@ -533,7 +536,7 @@ def _certify_increasing(slopes: FixedSlopes, lo: Fraction, hi: Fraction, bits: i
     or undecided is recomputed at the next doubling of `bits`."""
     for eval_bits in _doublings(bits):
         p = _point_bits(eval_bits, lo)
-        values = slopes(_fixed_hull(lo, hi, p), p)
+        values = slopes(dyadic.fixed_hull(lo, hi, p), p)
         if values is not None and all(v[0] > 0 for v in values):
             return
     raise DomainError(f"f could not be certified increasing on [{lo}, {hi}]")
@@ -684,14 +687,23 @@ def threshold_dim2(tol, bits: int = DEFAULT_BITS) -> Enclosure:
     return _threshold("dim2", tol, bits)
 
 
-def threshold_ratio_dimge3(bits: int = DEFAULT_BITS) -> Interval:
-    """Closed-form ratio threshold ``(1 + sqrt((3 sqrt(5) + 5)/10))^(-2)``,
-    with decimal expansion starting 0.2306."""
-    from . import intervals
+def _ratio_threshold(p: int) -> Fixed:
+    """:func:`threshold_ratio_dimge3` in fixed point at `p`."""
+    mul, div, sqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt
+    one = 1 << p
+    root5 = sqrt((5 * one, 5 * one), p)
+    u = sqrt(div((3 * root5[0] + 5 * one, 3 * root5[1] + 5 * one), (10 * one, 10 * one), p), p)
+    base = (one + u[0], one + u[1])
+    return div((one, one), mul(base, base, p), p)
 
-    with intervals.precision(bits) as ctx:
-        u = intervals.isqrt((3 * intervals.isqrt(intervals.make(5, ctx)) + 5) / 10)
-        return (1 + u) ** (-2)
+
+def threshold_ratio_dimge3(bits: int = DEFAULT_BITS) -> Enclosure:
+    """Closed-form ratio threshold ``(1 + sqrt((3 sqrt(5) + 5)/10))^(-2)``,
+    with decimal expansion starting 0.2306, evaluated in fixed point with
+    eight guard bits and rounded outward to `bits`."""
+    dyadic.check_bits(bits)
+    p = bits + 8  # the value lies in [1/8, 1/4), so p keeps bits + 5 bits below it
+    return dyadic.fixed_enclosure(*_ratio_threshold(p), p, bits)
 
 
 def _remark_two_term(x: Fixed, p: int) -> Fixed | None:

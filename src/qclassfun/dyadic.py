@@ -23,10 +23,11 @@ either, so a command that only prints exact rationals never loads mpmath.
   mpmath's interval operators do at the same precision.
   :mod:`qclassfun.intervals` converts it to and from mpmath intervals.
 * Fixed point: a pair of ints ``(lo, hi)`` stands for ``[lo, hi]·2^-p``.
-  :func:`to_fixed` encloses a rational, and :func:`fixed_mul`,
-  :func:`fixed_div` and :func:`fixed_sqrt` round each result by one floor
-  and one ceiling.  They take nonnegative pairs only, on which each
-  operation is monotone in every operand, so that rounding is outward.
+  :func:`to_fixed` and :func:`fixed_hull` enclose a rational and an
+  interval, and :func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt`
+  round each result by one floor and one ceiling.  They take nonnegative
+  pairs only, on which each operation is monotone in every operand, so that
+  rounding is outward.
 
 The decimal digits come from the exact conversion of Steele and White ("How
 to print floating-point numbers accurately", PLDI 1990): one shift and one
@@ -202,6 +203,11 @@ def to_fixed(x: Fraction, p: int) -> Fixed:
     """Floor and ceiling of ``x·2^p``: the fixed-point enclosure of `x`."""
     scaled = x.numerator << p
     return scaled // x.denominator, -(-scaled // x.denominator)
+
+
+def fixed_hull(lo: Fraction, hi: Fraction, p: int) -> Fixed:
+    """Fixed-point enclosure of ``[lo, hi]``: floor of ``lo·2^p``, ceiling of ``hi·2^p``."""
+    return to_fixed(lo, p)[0], to_fixed(hi, p)[1]
 
 
 def fixed_mul(a: Fixed, b: Fixed, p: int) -> Fixed:

@@ -1,8 +1,8 @@
 """Outward-rounded interval helpers.
 
 All rigorous numbers in this library are intervals ``[lo, hi]`` enclosing the
-true real value.  Where interval arithmetic runs (``spectral``, acceptance,
-``bound_S_dimge3`` and ``threshold_ratio_dimge3``), it is delegated to
+true real value.  Where interval arithmetic runs (``spectral``,
+``fusion.rho_spectrum`` and ``LaurentScalar.evaluate``), it is delegated to
 ``mpmath``'s interval contexts, whose operations round outward so
 enclosures are never lost.  Each interval belongs to one context and
 carries its precision (bits of mantissa) with it: :func:`precision` yields
@@ -23,7 +23,7 @@ Endpoints are read exactly (:func:`lower`, :func:`upper`,
 :func:`certainly_lt`, :func:`overlaps`) certify a relation between the
 enclosed true values.  No point inside an enclosure is offered as a result.
 Every reader also takes an ``Enclosure``, the int-endpoint result of
-:mod:`qclassfun.criteria`'s series and thresholds, read as the mpmath
+:mod:`qclassfun.criteria` and ``solve_fundamental_q``, read as the mpmath
 interval with its endpoints at its bits; :func:`to_enclosure` is the
 conversion the other way.
 
@@ -31,8 +31,7 @@ mpmath neither rounds rationals nor prints here: :func:`make` encloses a
 :class:`~fractions.Fraction` with :func:`qclassfun.dyadic.round_quotient`,
 which gives mpmath's own endpoints, and :func:`to_decimal_pair` prints the
 exact endpoints of :func:`dyadic_endpoints` with
-:func:`qclassfun.dyadic.to_text`.  :func:`to_fixed` is the crossing from an
-interval into the fixed point of :mod:`qclassfun.dyadic`.
+:func:`qclassfun.dyadic.to_text`.
 """
 
 from __future__ import annotations
@@ -176,28 +175,11 @@ def certainly_gt(x: IntervalLike, y: IntervalLike) -> bool:
     return certainly_lt(y, x)
 
 
-def isqrt(x: Interval) -> Interval:
-    """Certified square root; rejects enclosures allowing negative values."""
-    if lower(x) < 0:
-        raise DomainError(f"sqrt of possibly negative enclosure {x}")
-    return x.ctx.sqrt(x)
-
-
 def inv(x: Interval) -> Interval:
     """Certified reciprocal; rejects enclosures of zero."""
     if lower(x) <= 0 <= upper(x):
         raise DomainError(f"division by enclosure of zero {x}")
     return 1 / x
-
-
-def to_fixed(x: Interval, frac_bits: int) -> dyadic.Fixed:
-    """Fixed-point enclosure ``(lo, hi)`` of `x`: ``[lo, hi]·2^-frac_bits``
-    contains it, with `lo` the floor of the lower endpoint times
-    ``2^frac_bits`` and `hi` the ceiling of the upper one."""
-    lo, hi = dyadic_endpoints(x)
-    if lo is None or hi is None:
-        raise DomainError(f"no fixed-point form of the unbounded enclosure {x}")
-    return dyadic.floor_fixed(lo, frac_bits), -dyadic.floor_fixed(dyadic.negate(hi), frac_bits)
 
 
 def _raw(m: int, e: int) -> tuple:

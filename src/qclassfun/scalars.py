@@ -14,17 +14,19 @@ operations.  No module of the package calls it or :func:`q_number` any
 more: the series kernel and the threshold functions in
 :mod:`qclassfun.criteria` use the closed forms of ``[m]_q``.  Both stay
 public because the benchmark's trace harness binds them by name.  The one
-solver of ``x + 1/x = d``, :func:`fixed_fundamental_q`, runs in fixed point,
-so the series kernel loads no mpmath through this module; the functions
-returning mpmath intervals import :mod:`qclassfun.intervals` when called.
+solver of ``x + 1/x = d``, :func:`fixed_fundamental_q`, runs in fixed point
+and :func:`solve_fundamental_q` rounds its root to an ``Enclosure``, so only
+``LaurentScalar.evaluate`` imports :mod:`qclassfun.intervals`, when called.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from . import dyadic
+from .budgets import DEFAULT_BITS
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -75,16 +77,15 @@ def fixed_fundamental_q(d: tuple[int, int], frac_bits: int) -> tuple[int, int]:
     return dyadic.fixed_div((two, two), (d[0] + root[0], d[1] + root[1]), frac_bits)
 
 
-def solve_fundamental_q(d: IntervalLike) -> Interval:
-    """Certified root in (0, 1] of ``x + 1/x = d`` for ``d >= 2`` at the
-    precision of `d` (DEFAULT_BITS for exact d), from :func:`fixed_fundamental_q`
-    with that precision kept below the root's leading bit (the root is >= 1/d)."""
-    from . import intervals
-
-    value = intervals.make(d)
-    lo, hi = intervals.exact_endpoints(value)
+def solve_fundamental_q(d: int | Fraction | dyadic.Enclosure,
+                        bits: int = DEFAULT_BITS) -> dyadic.Enclosure:
+    """Certified root in (0, 1] of ``x + 1/x = d >= 2``, `d` read exactly (an
+    int, a Fraction or an Enclosure), from :func:`fixed_fundamental_q` with
+    `bits` kept below the root's leading bit (the root is >= 1/d)."""
+    dyadic.check_bits(bits)
+    lo, hi = dyadic.exact_endpoints(d) if isinstance(d, dyadic.Enclosure) else (Fraction(d),) * 2
     if lo is None or lo < 2 or hi is None:
-        raise DomainError(f"no root in (0, 1] unless d >= 2 is bounded, got {value}")
-    frac_bits = value.ctx.prec + math.ceil(hi).bit_length() + 4
-    root = fixed_fundamental_q(intervals.to_fixed(value, frac_bits), frac_bits)
-    return intervals.make(dyadic.fixed_enclosure(*root, frac_bits, value.ctx.prec), value.ctx)
+        raise DomainError(f"no root in (0, 1] unless d >= 2 is bounded, got {d}")
+    frac_bits = bits + math.ceil(hi).bit_length() + 4
+    root = fixed_fundamental_q(dyadic.fixed_hull(lo, hi, frac_bits), frac_bits)
+    return dyadic.fixed_enclosure(*root, frac_bits, bits)

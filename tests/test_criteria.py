@@ -92,7 +92,7 @@ def test_quasi_split_sum_partial_matches_fusion_ratios():
     result = quasi_split_sum_ladder(fam, TOL)
     with intervals.precision(160) as ctx:
         independent = sum(
-            (intervals.isqrt(intervals.make(ratio_exact(n, fam), ctx))
+            (ctx.sqrt(intervals.make(ratio_exact(n, fam), ctx))
              for n in range(result.terms_used)),
             intervals.make(0, ctx),
         )
@@ -238,8 +238,7 @@ def _kernel_case(kind: str, below_one: bool, qq: Fraction, bits: int):
         result = quasi_split_sum_ladder(so3_ladder(n, dim_q_fund=1 + s + 1 / s), KERNEL_TOL,
                                         bits=bits)
         return result, (mpmath.sqrt(_root(n - 1)), mpmath.sqrt(_mp(s)), 2, 1)
-    with intervals.precision(bits) as ctx:
-        q_c = solve_fundamental_q(intervals.make(3, ctx)) if below_one else 1
+    q_c = solve_fundamental_q(3, bits=bits) if below_one else 1
     result = block_sum_S(q_c, s, KERNEL_TOL, bits=bits)
     return result, (_root(3) if below_one else mpmath.mpf(1), _mp(s), 1, 2)
 
@@ -357,14 +356,13 @@ def test_block_sum_matches_family_dimensions():
     # independent route: terms from the exact family dimension recursion
     fam = free_unitary(3, dim_q_fund=5)
     with intervals.precision(192) as ctx:
-        q_c = solve_fundamental_q(intervals.make(3, ctx))
-        q_q = solve_fundamental_q(intervals.make(5, ctx))
+        q_c = solve_fundamental_q(3, bits=ctx.prec)
+        q_q = solve_fundamental_q(5, bits=ctx.prec)
         result = block_sum_S(q_c, q_q, TOL)
         independent = intervals.make(0, ctx)
         for n in range(1, result.terms_used + 1):
             word = fusion.alternating_word(n)
-            independent += intervals.isqrt(
-                intervals.make(ratio_exact(word, fam), ctx))
+            independent += ctx.sqrt(intervals.make(ratio_exact(word, fam), ctx))
     assert intervals.overlaps(result.partial_sum, independent)
 
 
@@ -451,9 +449,8 @@ def test_threshold_ratio_value():
     enclosure = threshold_ratio_dimge3()
     assert _within(enclosure, "0.23067", "0.23069")
     assert intervals.upper(enclosure) < 1
-    with intervals.precision(128) as ctx:
-        q_c = solve_fundamental_q(intervals.make(3, ctx))
-        bound = bound_S_dimge3(q_c, q_c * enclosure)
+    q_c = solve_fundamental_q(3, bits=128)
+    bound = bound_S_dimge3(q_c, intervals.make(q_c) * intervals.make(enclosure))
     assert intervals.contains(bound, 1)
 
 
@@ -467,8 +464,8 @@ def test_remark_two_term_bound_brackets():
     with intervals.precision(128) as ctx:
         def two_term(q):
             point = intervals.make(q, ctx)
-            return intervals.isqrt(2 / q_number(2).evaluate(point)) \
-                + intervals.isqrt(3 / q_number(3).evaluate(point))
+            return ctx.sqrt(2 / q_number(2).evaluate(point)) \
+                + ctx.sqrt(3 / q_number(3).evaluate(point))
 
         assert intervals.lower(two_term(Fraction(1, 4))) > 1
         assert intervals.upper(two_term(Fraction(1, 10))) < 1

@@ -225,7 +225,7 @@ def test_word_quantum_dim_is_deformed_integer_at_fundamental_root():
     # the deformed integer at the root of x + 1/x = dim_q.
     fam = free_unitary(2, dim_q_fund=Fraction(7, 2))
     with intervals.precision(128) as ctx:
-        root = solve_fundamental_q(intervals.make(Fraction(7, 2), ctx))
+        root = solve_fundamental_q(Fraction(7, 2), bits=ctx.prec)
         for n in range(1, 8):
             word = fusion.alternating_word(n)
             expected = q_number(n + 1).evaluate(root)

@@ -41,9 +41,9 @@ def _python(code: str, *args: str):
 # import graph
 
 #: Commands that never load mpmath, with their exit codes: `dims` prints the
-#: enclosures of exact rationals with ints alone, and `series` and the dim2
-#: and remark thresholds compute theirs on ints, escalated precisions and
-#: refusals included.
+#: enclosures of exact rationals with ints alone, and `series` and all three
+#: thresholds compute theirs on ints, escalated precisions and refusals
+#: included.
 LIGHT_COMMANDS = [
     (["frobnicate"], 2),
     (["dims", "--family", "o-plus", "--N", "3", "--bits", "0"], 2),
@@ -63,6 +63,8 @@ LIGHT_COMMANDS = [
     (["threshold", "--which", "remark", "--tol", "1e-4"], 0),
     (["threshold", "--which", "dim2", "--tol", "1e-18", "--bits", "32"], 0),
     (["threshold", "--which", "remark", "--tol", "1e-18", "--bits", "32"], 0),
+    (["threshold", "--which", "ratio3"], 0),
+    (["threshold", "--which", "ratio3", "--bits", "192"], 0),
 ]
 
 #: Runs the argv lists read from argv[1] in turn and prints, after each,
@@ -82,12 +84,6 @@ print(json.dumps(probes))
 def test_commands_without_interval_arithmetic_never_load_mpmath():
     probes = _python(RUN_AND_PROBE, json.dumps([argv for argv, _ in LIGHT_COMMANDS]))
     assert probes == [[code, False] for _, code in LIGHT_COMMANDS]
-
-
-def test_the_ratio_threshold_still_loads_mpmath():
-    # its closed form is evaluated in mpmath's interval arithmetic
-    probes = _python(RUN_AND_PROBE, json.dumps([["threshold", "--which", "ratio3"]]))
-    assert probes == [[0, True]]
 
 
 def test_bare_package_import_loads_no_working_module():

@@ -121,11 +121,11 @@ def test_canonical_form_drops_zero_coefficients():
 
 def test_solve_fundamental_q_examples():
     with intervals.precision(128) as ctx:
-        assert intervals.contains(solve_fundamental_q(intervals.make(2, ctx)), 1)
-        half = solve_fundamental_q(intervals.make(Fraction(5, 2), ctx))
+        assert intervals.contains(solve_fundamental_q(2, bits=ctx.prec), 1)
+        half = solve_fundamental_q(Fraction(5, 2), bits=ctx.prec)
         assert intervals.contains(half, Fraction(1, 2))
         # (3 - sqrt(5))/2 up to enclosure
-        root3 = solve_fundamental_q(intervals.make(3, ctx))
+        root3 = solve_fundamental_q(3, bits=ctx.prec)
         assert intervals.contains(
             intervals.from_endpoints("0.3819660112501051", "0.3819660112501052", ctx), root3
         )
@@ -133,21 +133,19 @@ def test_solve_fundamental_q_examples():
 
 @given(st.fractions(min_value=Fraction(2), max_value=Fraction(50)))
 def test_solve_fundamental_q_inverts(d):
-    with intervals.precision(128) as ctx:
-        q = solve_fundamental_q(intervals.make(d, ctx))
-        assert intervals.upper(q) <= 1
-        assert intervals.lower(q) > 0
-        assert intervals.contains(q + 1 / q, d)
+    q = intervals.make(solve_fundamental_q(d, bits=128))
+    assert intervals.upper(q) <= 1
+    assert intervals.lower(q) > 0
+    assert intervals.contains(q + 1 / q, d)
 
 
 def test_solve_fundamental_q_tiny_root_keeps_its_sign():
     # d = q + 1/q with q = 1e-25: d - sqrt(d^2 - 4) would cancel to an
     # enclosure of zero at 128 bits
     q = Fraction(1, 10**25)
-    with intervals.precision(128) as ctx:
-        root = solve_fundamental_q(intervals.make(q + 1 / q, ctx))
-        assert intervals.lower(root) > 0
-        assert intervals.contains(root, q)
+    root = solve_fundamental_q(q + 1 / q, bits=128)
+    assert intervals.lower(root) > 0
+    assert intervals.contains(root, q)
 
 
 def test_solve_fundamental_q_domain():
@@ -158,7 +156,7 @@ def test_solve_fundamental_q_domain():
         unbounded = ctx.mpf([3, "+inf"])
     for d in (straddling, unbounded):
         with pytest.raises(DomainError):
-            solve_fundamental_q(d)
+            solve_fundamental_q(intervals.to_enclosure(d))
 
 
 FIXED_BITS = (8, 64, 128, 512)
@@ -189,6 +187,37 @@ def test_fixed_fundamental_q_encloses_the_root(seed, frac_bits):
         with mpmath.workdps(60 + int(frac_bits * 0.302) + 50):
             assert mpmath.ldexp(lo, -frac_bits) <= root <= mpmath.ldexp(hi, -frac_bits), d
         assert 0 <= lo <= hi <= 1 << frac_bits
+
+
+def _mpmath_root(d: Fraction, bits: int):
+    """The root as mpmath's interval arithmetic encloses ``2/(d + sqrt(d^2 - 4))``
+    at `bits`, or None where `d` enclosed at `bits` reaches below 2."""
+    with intervals.precision(bits) as ctx:
+        x = intervals.make(d, ctx)
+        return None if intervals.lower(x) < 2 else 2 / (x + ctx.sqrt(x * x - 4))
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 128, 512, 1024])
+def test_solve_fundamental_q_holds_the_root_and_meets_the_mpmath_enclosure(bits):
+    rng = random.Random(bits)
+    for d in [Fraction(2), Fraction(3), Fraction(7, 2), *(_seeded_d(rng) for _ in range(10))]:
+        root = solve_fundamental_q(d, bits=bits)
+        assert root.bits == bits
+        # bits kept below the root's leading bit, however small the root
+        lo, hi = dyadic.exact_endpoints(root)
+        assert 0 < lo and hi - lo <= lo * Fraction(8, 2**bits), d
+        value = _root_oracle(d, 3 * bits)
+        with mpmath.workdps(60 + int(3 * bits * 0.302) + 50):
+            assert mpmath.ldexp(*root.lo) <= value <= mpmath.ldexp(*root.hi), d
+        old = _mpmath_root(d, bits)
+        assert old is None or intervals.overlaps(root, old), d
+
+
+def test_solve_fundamental_q_reads_an_enclosure_exactly():
+    d = dyadic.rational_enclosure(Fraction(3), Fraction(7, 2), 64)
+    root = solve_fundamental_q(d, bits=64)
+    for end in dyadic.exact_endpoints(d):
+        assert intervals.contains(root, solve_fundamental_q(end, bits=64))
 
 
 @pytest.mark.parametrize("frac_bits", FIXED_BITS)

@@ -37,8 +37,7 @@ LADDER_BELOW = [Fraction(19, 1000), Fraction(95, 1000), Fraction(19, 100),
 
 
 def _root_of_three():
-    with intervals.precision(intervals.DEFAULT_BITS) as ctx:
-        return solve_fundamental_q(intervals.make(3, ctx))
+    return solve_fundamental_q(3, bits=intervals.DEFAULT_BITS)
 
 
 def _cases() -> dict:

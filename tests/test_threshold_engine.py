@@ -162,3 +162,147 @@ def test_bound_dim2_encloses_an_interval_argument():
     assert enclosure.bits == 64
     assert intervals.contains(enclosure, criteria.bound_S_dim2(Fraction(1, 20), bits=64))
     assert intervals.contains(enclosure, criteria.bound_S_dim2(Fraction(1, 10), bits=64))
+
+
+# ---------------------------------------------------------------------------
+# the ratio closed forms: fixed point against the mpmath interval code they
+# replaced, kept here as an oracle, and against a point value at three times
+# the bits (at least 64)
+
+CLOSED_FORM_BITS = [1, 8, 64, 128, 512, 1024]
+
+
+def _oracle_prec(bits: int) -> int:
+    return max(3 * bits, 64)
+
+
+def _contains_point(enclosure, value: mpmath.mpf, prec: int) -> bool:
+    """`enclosure` contains `value`, known to `prec` bits."""
+    slack = abs(value) * mpmath.ldexp(1, 4 - prec)
+    lo, hi = intervals.exact_endpoints(enclosure)
+    return _mp(lo) <= value + slack and value - slack <= _mp(hi)
+
+
+def _ratio_value() -> mpmath.mpf:
+    return (1 + mpmath.sqrt((3 * mpmath.sqrt(5) + 5) / 10)) ** -2
+
+
+def _mpmath_ratio(bits: int):
+    """``threshold_ratio_dimge3`` as mpmath's interval arithmetic computed it."""
+    with intervals.precision(bits) as ctx:
+        u = ctx.sqrt((3 * ctx.sqrt(intervals.make(5, ctx)) + 5) / 10)
+        return (1 + u) ** -2
+
+
+def _dimge3_value(q_c: Fraction, q_q: Fraction) -> mpmath.mpf:
+    r = mpmath.sqrt(_mp(q_q) / _mp(q_c))
+    return r / (1 - r) / mpmath.sqrt(1 - _mp(q_c) ** 2)
+
+
+def _mpmath_dimge3(q_c: Fraction, q_q: Fraction, bits: int):
+    """``bound_S_dimge3`` as mpmath's interval arithmetic computed it, or
+    None where its inputs, enclosed at `bits`, were refused."""
+    with intervals.precision(bits) as ctx:
+        qc, qq = intervals.make(q_c, ctx), intervals.make(q_q, ctx)
+        if intervals.lower(qq) <= 0 or intervals.upper(qc) >= 1 \
+                or not intervals.upper(qq) < intervals.lower(qc):
+            return None
+        root = ctx.sqrt(qq / qc)
+        return 1 / ctx.sqrt(1 - qc * qc) * root / (1 - root)
+
+
+def _dimge3_pairs() -> list[tuple[Fraction, Fraction]]:
+    """40 seeded pairs with q_c in (0, 0.9) and q_q/q_c below 0.81, some of
+    them tiny, so that sqrt(q_q/q_c) stays below 0.9."""
+    rng = random.Random(21)
+    pairs = []
+    for _ in range(40):
+        q_c = Fraction(rng.randrange(1, 9 * 10**5), 10**6)
+        ratio = Fraction(rng.randrange(1, 81 * 10**4), 10 ** (6 + rng.choice([0, 0, 0, 3, 20])))
+        pairs.append((q_c, q_c * ratio))
+    return pairs
+
+
+def test_ratio_threshold_in_fixed_point_holds_the_value_at_every_p():
+    # the value is irrational, so its floor and ceiling at p differ by one
+    with mpmath.workprec(3500):
+        value = _ratio_value()
+        floors = [int(mpmath.floor(mpmath.ldexp(value, p))) for p in range(1, 1033)]
+    for p, floor in enumerate(floors, start=1):
+        lo, hi = criteria._ratio_threshold(p)
+        assert lo <= floor < hi, p
+
+
+def test_dimge3_bound_in_fixed_point_holds_the_value_at_seeded_pairs_and_every_p():
+    # each value is irrational, so its floor and ceiling at p differ by one
+    for q_c, q_q in _dimge3_pairs():
+        with mpmath.workprec(1400):
+            value = _dimge3_value(q_c, q_q)
+            floors = [int(mpmath.floor(mpmath.ldexp(value, p))) for p in range(1, 513)]
+        for p, floor in enumerate(floors, start=1):
+            pair = criteria._dimge3_bound(dyadic.to_fixed(q_c, p), dyadic.to_fixed(q_q, p), p)
+            if pair is None:  # a divisor reaches 0 at this p
+                assert p < 64, (q_c, q_q, p)
+                continue
+            assert pair[0] <= floor < pair[1], (q_c, q_q, p)
+
+
+@pytest.mark.parametrize("bits", CLOSED_FORM_BITS)
+def test_ratio_threshold_holds_the_closed_form_and_meets_the_mpmath_enclosure(bits):
+    enclosure = criteria.threshold_ratio_dimge3(bits)
+    assert enclosure.bits == bits
+    prec = _oracle_prec(bits)
+    with mpmath.workprec(prec):
+        assert _contains_point(enclosure, _ratio_value(), prec)
+    assert intervals.overlaps(enclosure, _mpmath_ratio(bits))
+
+
+@pytest.mark.parametrize("bits", [8, 64, 128, 512, 1024])
+def test_ratio_threshold_is_one_unit_wide(bits):
+    # eight guard bits leave the value's rounding to bits as the only width
+    lo, hi = intervals.exact_endpoints(criteria.threshold_ratio_dimge3(bits))
+    assert hi - lo == Fraction(1, 2 ** (bits + 2))  # one unit at 2^-3 <= value < 2^-2
+
+
+@pytest.mark.parametrize("bits", CLOSED_FORM_BITS)
+def test_bound_dimge3_holds_the_closed_form_and_meets_the_mpmath_enclosure(bits):
+    prec = _oracle_prec(bits)
+    compared = 0
+    for q_c, q_q in _dimge3_pairs():
+        enclosure = criteria.bound_S_dimge3(q_c, q_q, bits=bits)
+        assert enclosure.bits == bits
+        # bits kept below the leading bit of q_q, as bound_S_dim2 keeps them
+        lo, hi = intervals.exact_endpoints(enclosure)
+        assert 0 < lo and (hi - lo) / lo <= Fraction(8, 2**bits), (q_c, q_q)
+        with mpmath.workprec(prec):
+            assert _contains_point(enclosure, _dimge3_value(q_c, q_q), prec), (q_c, q_q)
+        old = _mpmath_dimge3(q_c, q_q, bits)
+        if old is not None:
+            compared += 1
+            assert intervals.overlaps(enclosure, old), (q_c, q_q)
+            if bits >= 8:
+                # the guard bits make it no wider than per-operation rounding
+                assert intervals.width_fraction(enclosure) <= intervals.width_fraction(old)
+    assert compared >= (6 if bits == 1 else 40)  # at 1 bit the old code refused most
+
+
+@pytest.mark.parametrize("q_c, q_q", [
+    (Fraction(1, 5), Fraction(1, 5)),  # q_q = q_c
+    (Fraction(1, 10), Fraction(1, 5)),  # q_q > q_c
+    (1 - Fraction(1, 2**300), Fraction(1, 5)),  # not separated from 1 at 128 bits
+    (Fraction(1, 2), 0),
+    (Fraction(1, 2), Fraction(-1, 5)),
+    (1, Fraction(1, 5)),
+    (Fraction(3, 2), Fraction(1, 5)),
+])
+def test_bound_dimge3_outside_its_domain_is_a_domain_error(q_c, q_q):
+    with pytest.raises(criteria.DomainError, match="need 0 < q_q < q_c < 1"):
+        criteria.bound_S_dimge3(q_c, q_q)
+
+
+def test_bound_dimge3_reads_an_interval_argument_exactly():
+    with intervals.precision(96) as ctx:
+        q_q = intervals.from_endpoints(Fraction(1, 20), Fraction(1, 10), ctx)
+    enclosure = criteria.bound_S_dimge3(Fraction(3, 10), q_q, bits=64)
+    for end in (Fraction(1, 20), Fraction(1, 10)):
+        assert intervals.contains(enclosure, criteria.bound_S_dimge3(Fraction(3, 10), end, bits=64))
