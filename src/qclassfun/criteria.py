@@ -372,7 +372,10 @@ def _exact_hull(value) -> tuple[Fraction | None, Fraction | None]:
     if isinstance(value, Enclosure):
         return dyadic.exact_endpoints(value)
     if isinstance(value, (int, float, str, Fraction)):
-        return (Fraction(value),) * 2
+        try:
+            return (Fraction(value),) * 2
+        except (ValueError, OverflowError) as exc:  # a malformed string, NaN or infinity
+            raise DomainError(f"need a finite rational, got {value!r}") from exc
     from . import intervals
 
     return intervals.exact_endpoints(value)

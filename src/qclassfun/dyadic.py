@@ -23,11 +23,10 @@ either, so a command that only prints exact rationals never loads mpmath.
   mpmath's interval operators do at the same precision.
   :mod:`qclassfun.intervals` converts it to and from mpmath intervals.
 * Fixed point: a pair of ints ``(lo, hi)`` stands for ``[lo, hi]·2^-p``.
-  :func:`to_fixed` and :func:`fixed_hull` enclose a rational and an
-  interval, and :func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt`
-  round each result by one floor and one ceiling.  They take nonnegative
-  pairs only, on which each operation is monotone in every operand, so that
-  rounding is outward.
+  :func:`to_fixed` and :func:`fixed_hull` enclose a rational and an interval,
+  and :func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt` round each
+  result by one floor and one ceiling.  They take nonnegative pairs only, on
+  which each operation is monotone in every operand, so rounding is outward.
 
 The decimal digits come from the exact conversion of Steele and White ("How
 to print floating-point numbers accurately", PLDI 1990): one shift and one

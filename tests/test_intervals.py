@@ -77,6 +77,10 @@ def test_threads_at_different_precisions_match_sequential_runs():
             block = criteria.block_sum_S(1, Fraction(1, 10), Fraction(1, 10**6), bits=bits)
             out.append(intervals.exact_endpoints(block.sum_enclosure()))
             out.append(intervals.exact_endpoints(criteria.threshold_ratio_dimge3(bits=bits)))
+            # the interval contexts, which the two int computations above never enter
+            with intervals.precision(bits) as ctx:
+                spectrum = fusion.rho_spectrum(3, intervals.make(Fraction(1, 3), ctx))
+            out.extend(intervals.exact_endpoints(x) for x in spectrum)
         return out
 
     expected = [run(b) for b in bits]

@@ -6,7 +6,8 @@ checked for containment of the true value at seeded rationals and over
 seeded sub-intervals of the search interval, the certified sign check for
 the verdict of a plain high-precision evaluation, and the thresholds from
 the lowest starting precisions for a bracket around ``mpmath.findroot``'s
-root.
+root.  The ratio threshold and ``bound_S_dimge3`` are checked against a
+high-precision value and against the mpmath interval code they replaced.
 """
 
 from __future__ import annotations
@@ -298,6 +299,18 @@ def test_bound_dimge3_holds_the_closed_form_and_meets_the_mpmath_enclosure(bits)
 def test_bound_dimge3_outside_its_domain_is_a_domain_error(q_c, q_q):
     with pytest.raises(criteria.DomainError, match="need 0 < q_q < q_c < 1"):
         criteria.bound_S_dimge3(q_c, q_q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: criteria.bound_S_dim2("abc"),
+    lambda: criteria.bound_S_dim2(float("nan")),
+    lambda: criteria.bound_S_dim2(float("inf")),
+    lambda: criteria.bound_S_dimge3("0.3", "nan"),
+    lambda: criteria.block_sum_S("abc", "0.1", Fraction(1, 10**6)),
+], ids=["dim2 text", "dim2 nan", "dim2 inf", "dimge3 nan", "block sum text"])
+def test_an_input_that_is_no_finite_rational_is_a_domain_error(call):
+    with pytest.raises(criteria.DomainError, match="need a finite rational"):
+        call()
 
 
 def test_bound_dimge3_reads_an_interval_argument_exactly():
