@@ -10,7 +10,6 @@ the fixed-precision matrix checks do not read it.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -140,12 +139,13 @@ def criterion_4_modular_norms(bits: int = intervals.DEFAULT_BITS) -> dict:
 
 
 def _scaled_dims(family: fusion.FusionFamily, which: str, labels) -> tuple[int, dict]:
-    """Dimensions of `labels`, each read once through :func:`fusion.dim`, as
-    exact integer numerators over one common denominator ``scale``, so that
-    the additivity checks add and compare ints, not `Fraction` values."""
-    dims = {label: fusion.dim(label, family, which) for label in labels}
-    scale = math.lcm(*(d.denominator for d in dims.values()))
-    return scale, {label: d.numerator * (scale // d.denominator) for label, d in dims.items()}
+    """Dimensions of `labels`, each read once through :func:`fusion.scaled_dim`,
+    as exact integer numerators over the one common denominator ``scale``,
+    the largest ``b^length``, so that the additivity checks add and compare
+    ints."""
+    dims = {label: fusion.scaled_dim(label, family, which) for label in labels}
+    scale = max(denominator for _, denominator in dims.values())
+    return scale, {label: d * (scale // denominator) for label, (d, denominator) in dims.items()}
 
 
 def _ladder_evolutions(family: fusion.FusionFamily, n_max: int, m_max: int) -> list:

@@ -11,10 +11,10 @@ Each process runs one subcommand, so the module level imports only what
 parsing needs: the flag budgets come from the dependency-free ``budgets``
 module, and each handler imports the modules it runs.  A usage error,
 ``moments``, ``bicrossed``, ``dims`` (which rounds and prints exact values
-with ``dyadic``), ``series`` and ``threshold --which dim2|remark`` (whose
-enclosures ``criteria`` computes on ints) never load mpmath; it is loaded
-where interval arithmetic runs: ``threshold --which ratio3``, ``spectral``
-and ``report``.
+with ``dyadic``), ``series`` and ``threshold`` (whose enclosures
+``criteria`` computes on ints) never load mpmath; it is loaded where
+interval arithmetic runs: ``spectral``, ``jacobi`` from ``--M 4`` on (its
+relation residuals) and ``report``.
 """
 
 from __future__ import annotations
@@ -332,13 +332,13 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
         labels = list(fusion.all_words(args.word_len, min_len=1))
     rows = []
     for label in labels:
-        dim_c = fusion.dim(label, family, "classical")
-        dim_q = fusion.dim(label, family, "quantum")
+        dim_c, _ = fusion.scaled_dim(label, family, "classical")
+        dim_q, scale = fusion.scaled_dim(label, family, "quantum")
         rows.append({
             "label": str(label) or "e",
             "dim": dim_c,
-            "dim_q": report.rational_payload(dim_q, args.bits),
-            "ratio": report.rational_payload(Fraction(dim_c) / dim_q, args.bits),
+            "dim_q": report.rational_payload(dim_q, scale, args.bits),
+            "ratio": report.rational_payload(dim_c * scale, dim_q, args.bits),
         })
     return report.Report("dims", inputs, {"table": rows}, _meta(args))
 
@@ -417,20 +417,20 @@ def cmd_moments(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_spectral(args: argparse.Namespace) -> report.Report:
-    import math
-
     from . import fusion, intervals, report, spectral
 
     if args.rho_ladder is None or args.q is None:
         raise UsageError("spectral requires --rho-ladder and --q")
     b, q = Fraction(args.b), Fraction(args.q)
-    if q > 0:  # otherwise rho_spectrum rejects it
-        n = args.rho_ladder
-        bits = abs(math.log2(q.denominator) - math.log2(q.numerator)) * math.hypot(
-            (4 * b + 1) * n, math.sqrt(n * (n + 1) * (n + 2) / 3))
-        if bits > MAX_POWER_BITS:
-            raise BudgetError(f"the printed exact endpoints have {bits:.3g} bits in root sum of "
-                              f"squares, which exceeds the budget of {MAX_POWER_BITS}")
+    # checked exactly, before q is rounded to --bits
+    if not 0 < q <= 1:
+        raise DomainError(f"spectral parameter must lie in (0, 1], got {args.q}")
+    n = args.rho_ladder
+    bits = abs(math.log2(q.denominator) - math.log2(q.numerator)) * math.hypot(
+        (4 * b + 1) * n, math.sqrt(n * (n + 1) * (n + 2) / 3))
+    if bits > MAX_POWER_BITS:
+        raise BudgetError(f"the printed exact endpoints have {bits:.3g} bits in root sum of "
+                          f"squares, which exceeds the budget of {MAX_POWER_BITS}")
     inputs = {"rho_ladder": args.rho_ladder, "q": args.q, "b": str(b)}
     with intervals.precision(args.bits) as ctx:
         rho = fusion.rho_spectrum(args.rho_ladder, intervals.make(q, ctx))

@@ -122,9 +122,9 @@ def _tol_fraction(tol) -> Fraction:
 
 def ratio_exact(label: Label, family: FusionFamily) -> Fraction:
     """Exact classical/quantum dimension ratio of a label (<= 1 always)."""
-    return Fraction(fusion.dim(label, family, "classical")) / fusion.dim(
-        label, family, "quantum"
-    )
+    classical, _ = fusion.scaled_dim(label, family, "classical")
+    quantum, scale = fusion.scaled_dim(label, family, "quantum")
+    return Fraction(classical * scale, quantum)
 
 
 def verify_decay(family: FusionFamily, n_max: int) -> bool:
@@ -387,9 +387,9 @@ def total_sum_free(block_sum: SeriesResult) -> SeriesResult:
     Chained blocks contribute geometrically, so the total is
     ``1 + 2 S / (1 - S)`` when ``S < 1`` is certified and diverges when
     ``S >= 1``.  A block enclosure straddling 1 stays undetermined.  The
-    total is computed at the block sum's bits, each operation from left to
-    right rounded outward, as mpmath's interval operators round
-    ``1 + 2*s/(1 - s)`` at that precision.
+    total equals ``(1 + S)/(1 - S)``, increasing on ``[0, 1)``, so each end
+    is the exact quotient at that end of `S`, rounded once outward at the
+    block sum's bits.
     """
     if block_sum.verdict is not Verdict.CONVERGES:
         return SeriesResult(block_sum.verdict)
@@ -400,17 +400,12 @@ def total_sum_free(block_sum: SeriesResult) -> SeriesResult:
     if hi < 1:
         bits = s.bits
 
-        def rounded(x: dyadic.Dyadic, ceiling: bool) -> dyadic.Dyadic:
-            return dyadic.round_to(*x, bits, ceiling)
+        def end(x: dyadic.Dyadic, ceiling: bool) -> dyadic.Dyadic:
+            # 1 + x and 1 - x share one exponent, which cancels
+            plus, minus = dyadic.add((1, 0), x)[0], dyadic.add((1, 0), dyadic.negate(x))[0]
+            return dyadic.round_quotient(plus, minus, bits)[ceiling]
 
-        one = (1, 0)
-        twice = rounded((s.lo[0], s.lo[1] + 1), False), rounded((s.hi[0], s.hi[1] + 1), True)
-        gap = (rounded(dyadic.add(one, dyadic.negate(s.hi)), False),
-               rounded(dyadic.add(one, dyadic.negate(s.lo)), True))
-        ratio = (dyadic.quotient(twice[0], gap[1], bits, False),
-                 dyadic.quotient(twice[1], gap[0], bits, True))
-        total = Enclosure(rounded(dyadic.add(one, ratio[0]), False),
-                          rounded(dyadic.add(one, ratio[1]), True), bits)
+        total = Enclosure(end(s.lo, False), end(s.hi, True), bits)
         return SeriesResult(Verdict.CONVERGES, total, Enclosure((0, 0), (0, 0), bits))
     if lo >= 1:
         return SeriesResult(Verdict.DIVERGES)

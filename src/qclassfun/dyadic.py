@@ -2,14 +2,14 @@
 
 Every finite endpoint of an interval is a dyadic rational, held here as a
 pair ``(m, e)`` of ints: the signed mantissa and the binary exponent.  This
-module rounds exact rationals to such endpoints and prints them in decimal,
-giving exactly the results of mpmath and of :mod:`decimal` without loading
-either, so a command that only prints exact rationals never loads mpmath.
+module rounds exact rationals to such endpoints and prints them in decimal
+without loading mpmath or :mod:`decimal`, so a command that only prints
+exact rationals never loads mpmath.
 
 * :func:`round_quotient` encloses ``p/q`` between two `bits`-bit dyadics,
-  as ``ctx.mpf(p) / ctx.mpf(q)`` does in mpmath's interval context at `bits`
-  bits: `p` and `q` are rounded outward to `bits` bits, and the quotient of
-  those bounds is rounded outward.
+  its floor and its ceiling on the `bits`-bit grid: one exact division
+  rounds each end once, the tightest enclosure at `bits` bits (Brent and
+  Zimmermann, "Modern Computer Arithmetic", 2010, section 1.4).
 * :func:`to_text` prints a dyadic at `digits` significant digits, rounded
   toward -inf (``"floor"``), toward +inf (``"ceiling"``) or to nearest-even
   (``"half-even"``), as ``str(decimal.Context(prec=digits,
@@ -18,9 +18,9 @@ either, so a command that only prints exact rationals never loads mpmath.
 * :class:`Enclosure` is a certified result carried on ints: two such
   endpoints and the precision `bits` they were rounded to.  It has no
   arithmetic operators; :func:`fixed_enclosure` rounds a fixed-point pair
-  into one as mpmath's ``from_man_exp`` does, and :func:`round_to`,
-  :func:`quotient` and :func:`width` round single operations outward as
-  mpmath's interval operators do at the same precision.
+  into one as mpmath's ``from_man_exp`` does, and :func:`round_to` and
+  :func:`width` round single operations outward as mpmath's interval
+  operators do at the same precision.
   :mod:`qclassfun.intervals` converts it to and from mpmath intervals.
 * Fixed point: a pair of ints ``(lo, hi)`` stands for ``[lo, hi]·2^-p``.
   :func:`to_fixed` and :func:`fixed_hull` enclose a rational and an interval,
@@ -74,40 +74,18 @@ def _normal(m: int, e: int) -> Dyadic:
     return m >> zeros, e + zeros
 
 
-def _round_bits(m: int, e: int, bits: int, inexact: bool, up: bool) -> Dyadic:
-    """Round the positive ``m·2^e`` to `bits` bits, down or up in magnitude.
-    `inexact` says that a positive amount below one unit of `m` was dropped
-    before; `m` must then have at least `bits` bits."""
-    extra = m.bit_length() - bits
-    if extra > 0:
-        inexact = inexact or m & ((1 << extra) - 1) != 0
-        m >>= extra
-        e += extra
-    return (m + 1 if up and inexact else m), e
-
-
-def _divide(x: Dyadic, y: Dyadic, bits: int, up: bool) -> Dyadic:
-    """Quotient of two positive dyadics rounded to `bits` bits, down or up."""
-    (mx, ex), (my, ey) = x, y
-    shift = max(bits - mx.bit_length() + my.bit_length(), 0)  # quotient has >= bits bits
-    quotient, remainder = divmod(mx << shift, my)
-    return _normal(*_round_bits(quotient, ex - ey - shift, bits, remainder != 0, up))
-
-
 def round_quotient(p: int, q: int, bits: int) -> tuple[Dyadic, Dyadic]:
     """Lower and upper endpoint, each with an odd mantissa or zero, of the
-    `bits`-bit enclosure of ``p/q`` for ``q > 0``: those of
-    ``ctx.mpf(p) / ctx.mpf(q)`` in mpmath's interval context at `bits` bits."""
-    if not p:
-        return (0, 0), (0, 0)
-    a = abs(p)
-    low = _divide(_round_bits(a, 0, bits, False, False), _round_bits(q, 0, bits, False, True),
-                  bits, False)
-    high = _divide(_round_bits(a, 0, bits, False, True), _round_bits(q, 0, bits, False, False),
-                   bits, True)
-    if p > 0:
-        return low, high
-    return (-high[0], high[1]), (-low[0], low[1])
+    tightest `bits`-bit enclosure of ``p/q`` for ``q > 0``: the floor and
+    the ceiling of ``p/q`` on the `bits`-bit grid, from one exact division.
+    They depend on the value alone, not on the terms of the fraction."""
+    if p < 0:
+        low, high = round_quotient(-p, q, bits)
+        return negate(high), negate(low)
+    shift = max(bits - p.bit_length() + q.bit_length(), 0)  # the floor has >= bits bits
+    floor, remainder = divmod(p << shift, q)
+    return (round_to(floor, -shift, bits, False),
+            round_to(floor + (remainder != 0), -shift, bits, True))
 
 
 def round_to(m: int, e: int, bits: int, ceiling: bool) -> Dyadic:
@@ -116,13 +94,16 @@ def round_to(m: int, e: int, bits: int, ceiling: bool) -> Dyadic:
     round_ceiling or round_floor)``."""
     if not m:
         return 0, 0
-    m_abs, e = _normal(*_round_bits(abs(m), e, bits, False, ceiling == (m > 0)))
+    m_abs = abs(m)
+    extra = m_abs.bit_length() - bits
+    if extra > 0:
+        dropped = m_abs & ((1 << extra) - 1)
+        m_abs >>= extra
+        e += extra
+        if dropped and ceiling == (m > 0):  # away from zero
+            m_abs += 1
+    m_abs, e = _normal(m_abs, e)
     return (m_abs if m > 0 else -m_abs), e
-
-
-def quotient(x: Dyadic, y: Dyadic, bits: int, ceiling: bool) -> Dyadic:
-    """``x/y`` for ``x >= 0`` and ``y > 0``, rounded as :func:`round_to`."""
-    return _divide(x, y, bits, ceiling) if x[0] else (0, 0)
 
 
 def add(x: Dyadic, y: Dyadic) -> Dyadic:

@@ -299,49 +299,43 @@ def _ladder_value(kind: FamilyKind, a: int, b: int, n: int) -> int:
 
 
 def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | Fraction:
-    """Exact classical or quantum dimension of a label.
+    """Exact classical (an int) or quantum (a Fraction) dimension of a
+    label: the pair of :func:`scaled_dim` as one number."""
+    numerator, denominator = scaled_dim(label, family, which)
+    return numerator if which == "classical" else Fraction(numerator, denominator)
+
+
+def scaled_dim(label: Label, family: FusionFamily, which: str) -> tuple[int, int]:
+    """Exact classical or quantum dimension of a label as the unreduced pair
+    ``(D, b^length)`` of ints for the fundamental dimension ``a/b``; no gcd
+    is taken.
 
     Ladder dimensions follow the linear recursion of the family; a free word
     contributes the product over its alternating blocks, where a block of
     length n carries the order-(n+1) deformed integer of the fundamental
-    dimension.  Both run on the scaled ints of :func:`_ladder_values`:
-    classical dimensions are those ints, and a quantum dimension is their
-    product over ``b`` to the power of the label's length, already in
-    lowest terms.
+    dimension.  Both run on the scaled ints of :func:`_ladder_values`, so
+    ``D`` is congruent to ``a^length`` mod b and the pair is in lowest
+    terms already; a classical dimension is ``(D, 1)``.
     """
     if which not in ("classical", "quantum"):
         raise DomainError(f"which must be 'classical' or 'quantum', got {which!r}")
     check_label(label, family)
-    if which == "classical":
-        return _scaled_dim(label, family, family.dim_c_fund, 1)
-    a, b = family.dim_q_fund.as_integer_ratio()
-    return Fraction(_scaled_dim(label, family, a, b), b ** _length(label))
+    a, b = (family.dim_c_fund, 1) if which == "classical" else family.dim_q_fund.as_integer_ratio()
+    length = label if isinstance(label, int) else len(label)
+    if family.is_ladder:
+        return _ladder_value(family.kind, a, b, label), b ** length
+    lengths = [len(block) for block in factorize(label)] if label else []
+    ladder = _ladder_values(FamilyKind.SU2_LADDER, a, b, max(lengths, default=0))
+    return math.prod(ladder[n] for n in lengths), b ** length
 
 
 def dims_equal(label: Label, family: FusionFamily) -> bool:
     """Exact test of ``dim(label, family, "quantum") == dim(label, family)``:
-    the scaled ints are compared, ``D_q == D_c·b^length`` for the quantum
-    fundamental dimension ``a/b``, and no ``Fraction`` is normalised."""
-    check_label(label, family)
-    a, b = family.dim_q_fund.as_integer_ratio()
-    classical = _scaled_dim(label, family, family.dim_c_fund, 1)
-    return _scaled_dim(label, family, a, b) == classical * b ** _length(label)
-
-
-def _length(label: Label) -> int:
-    """Length of a label: its ladder index, or its number of letters."""
-    return label if isinstance(label, int) else len(label)
-
-
-def _scaled_dim(label: Label, family: FusionFamily, a: int, b: int) -> int:
-    """``d(label)·b^length`` for the fundamental dimension ``a/b``: a ladder
-    value of :func:`_ladder_values`, or for a word the product of those of
-    its alternating blocks."""
-    if family.is_ladder:
-        return _ladder_value(family.kind, a, b, label)
-    lengths = [len(block) for block in factorize(label)] if label else []
-    ladder = _ladder_values(FamilyKind.SU2_LADDER, a, b, max(lengths, default=0))
-    return math.prod(ladder[n] for n in lengths)
+    the scaled ints of :func:`scaled_dim` are compared, and no ``Fraction``
+    is built."""
+    classical, _ = scaled_dim(label, family, "classical")
+    quantum, scale = scaled_dim(label, family, "quantum")
+    return quantum == classical * scale
 
 
 def rho_spectrum(n: int, q: IntervalLike) -> list[Interval]:

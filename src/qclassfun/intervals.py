@@ -29,8 +29,9 @@ conversion the other way.
 
 mpmath neither rounds rationals nor prints here: :func:`make` encloses a
 :class:`~fractions.Fraction` with :func:`qclassfun.dyadic.round_quotient`,
-which gives mpmath's own endpoints, and :func:`to_decimal_pair` prints the
-exact endpoints of :func:`dyadic_endpoints` with
+the tightest enclosure at the context's precision (inside mpmath's own
+``ctx.mpf(p) / ctx.mpf(q)``, which rounds twice), and :func:`to_decimal_pair`
+prints the exact endpoints of :func:`dyadic_endpoints` with
 :func:`qclassfun.dyadic.to_text`.
 """
 
@@ -73,7 +74,8 @@ def precision(bits: int = DEFAULT_BITS) -> Iterator[Context]:
 def make(value: IntervalLike, ctx: Context | None = None) -> Interval:
     """Rigorous enclosure of `value` in `ctx`; without one, an interval stays
     in its own context, an Enclosure in the context of its bits, and any
-    other value is built at DEFAULT_BITS."""
+    other value is built at DEFAULT_BITS.  A Fraction gets its tightest
+    enclosure at the context's precision, rounded once."""
     if isinstance(value, Enclosure):
         value = _context(value.bits).make_mpf((_raw_end(value.lo, fninf), _raw_end(value.hi, finf)))
     if isinstance(value, Interval):

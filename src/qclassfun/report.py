@@ -54,10 +54,11 @@ def enclosure_payload(x: Enclosure | Interval) -> dict:
     return _cell(x.lo, x.hi, dyadic.decimal_digits(x.bits))
 
 
-def rational_payload(value: int | Fraction, bits: int) -> dict:
-    """The cell :func:`enclosure_payload` prints for the `bits`-bit
-    enclosure of the exact `value`, built with ints alone."""
-    lo, hi = dyadic.round_quotient(value.numerator, value.denominator, bits)
+def rational_payload(numerator: int, denominator: int, bits: int) -> dict:
+    """The cell :func:`enclosure_payload` prints for the tightest `bits`-bit
+    enclosure of ``numerator/denominator`` (``denominator > 0``, any terms),
+    built with ints alone."""
+    lo, hi = dyadic.round_quotient(numerator, denominator, bits)
     return _cell(lo, hi, dyadic.decimal_digits(bits))
 
 

@@ -23,12 +23,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import intervals
 from .budgets import MAX_COMMUTANT_SIZE
 from .errors import BudgetError, DomainError
-from .intervals import Interval, IntervalLike
+
+if TYPE_CHECKING:
+    from .intervals import Interval, IntervalLike
 
 #: The two brackets around the smallest eigenvalue spacing are narrowed to
 #: this fraction of it, so the printed gap is within twice it of the true gap.
@@ -37,6 +38,8 @@ GAP_RTOL = 2.0**-30
 
 def trace_balanced(rho: Sequence[Interval]) -> bool:
     """Certify-or-refute that sum(rho) can equal sum(1/rho)."""
+    from . import intervals
+
     total = sum(rho[1:], rho[0])
     total_inv = sum((intervals.inv(lam) for lam in rho[1:]), intervals.inv(rho[0]))
     return intervals.overlaps(total, total_inv)
@@ -51,6 +54,8 @@ def modular_norm_sq(rho: Sequence[Interval | Fraction], b) -> Interval:
     are enclosed at DEFAULT_BITS, and the norm is computed at the precision
     of the first one.
     """
+    from . import intervals
+
     spectrum = [intervals.make(lam) for lam in rho]
     if not spectrum:
         raise DomainError("empty spectrum")
@@ -75,6 +80,8 @@ def modular_eigencoefficients(
     order of `rho`, each at the precision of its eigenvalue (DEFAULT_BITS
     for an exact one).  At ``t = 0`` every coefficient is 1.
     """
+    from . import intervals
+
     out = []
     for lam in rho:
         lam = intervals.make(lam)
@@ -311,6 +318,8 @@ def suq2_relation_residuals(size: int, q: Fraction | int | float | str,
     by one in intervals at the default 128 bits.  Compression breaks the relations only in
     the last row and column, so every interior entry encloses 0.
     """
+    from . import intervals
+
     if size < 4:
         raise DomainError(f"need size >= 4 to have an interior block, got {size}")
     q = Fraction(q)

@@ -46,16 +46,16 @@ def test_criterion_05_dimension_additivity():
 
 def test_criterion_05_reads_each_dimension_once_and_flags_a_wrong_one(monkeypatch):
     reads = Counter()
-    exact = fusion.dim
+    exact = fusion.scaled_dim
 
     def off_by_a_little(label, family, which="classical"):
         reads[label, family, which] += 1
-        value = exact(label, family, which)
+        numerator, denominator = exact(label, family, which)
         if which == "quantum" and label in (7, "ABBA"):
-            return value + Fraction(1, 10**9)
-        return value
+            return numerator + 1, denominator  # one part in b^length too large
+        return numerator, denominator
 
-    monkeypatch.setattr(fusion, "dim", off_by_a_little)
+    monkeypatch.setattr(fusion, "scaled_dim", off_by_a_little)
     outcome = acceptance.criterion_5_dimension_additivity()
     assert max(reads.values()) == 1
     assert not outcome["passed"]
@@ -72,15 +72,15 @@ def test_criterion_05_reads_each_dimension_once_and_flags_a_wrong_one(monkeypatc
 ])
 def test_criterion_05_flags_one_wrong_dimension_in_a_shared_table(
         monkeypatch, family, which, label, table):
-    exact = fusion.dim
+    exact = fusion.scaled_dim
 
     def one_off(label_, family_, which_="classical"):
-        value = exact(label_, family_, which_)
+        numerator, denominator = exact(label_, family_, which_)
         if (label_, family_, which_) == (label, family, which):
-            return value + 1
-        return value
+            return numerator + denominator, denominator  # the dimension plus 1
+        return numerator, denominator
 
-    monkeypatch.setattr(fusion, "dim", one_off)
+    monkeypatch.setattr(fusion, "scaled_dim", one_off)
     outcome = acceptance.criterion_5_dimension_additivity()
     assert not outcome["passed"]
     details = outcome["details"]

@@ -255,3 +255,19 @@ def test_dims_budget_follows_the_int_to_str_limit_in_force():
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr.count("\n") == 1 and "budget of 640" in done.stderr
+
+
+def test_spectral_checks_q_exactly_before_rounding_it(monkeypatch):
+    # at --bits 8 an enclosure of q = 1 - 1e-22 reaches 1, and of
+    # q = 1 + 1e-20 touches 1: the exact value decides, not the rounded one
+    monkeypatch.delenv("QCLASSFUN_BITS", raising=False)
+    for q, expected in (("0.9999999999999999999999", 0), ("1.00000000000000000001", 3)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["spectral", "--rho-ladder", "2", "--q", q, "--bits", "8"])
+        assert code == expected, (q, err.getvalue())
+        if expected:
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1 and f"got {q}\n" in err.getvalue()
+        else:
+            assert json.loads(out.getvalue())["inputs"]["q"] == q

@@ -1,8 +1,11 @@
-"""Dyadic rounding and decimal text against mpmath and the decimal module.
+"""Dyadic rounding and decimal text against exact oracles, mpmath and the
+decimal module.
 
-:mod:`qclassfun.dyadic` must give mpmath's interval endpoints for an exact
-rational and :mod:`decimal`'s text for an exact endpoint, character for
-character.  The oracles below are those two computations, run directly.
+:mod:`qclassfun.dyadic` must round an exact rational to its floor and
+ceiling on the `bits`-bit grid, found here with `Fraction` arithmetic, which
+lie inside mpmath's interval; its operations on enclosures must give
+mpmath's interval endpoints; and its text of an exact endpoint must be
+:mod:`decimal`'s, character for character.
 """
 
 from __future__ import annotations
@@ -33,6 +36,48 @@ def _decimal_text(value: Fraction, digits: int, rounding: str) -> str:
 
 def _value(m: int, e: int) -> Fraction:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _grid_floor(x: Fraction, bits: int) -> Fraction:
+    """Oracle: the largest ``m·2^e <= x`` with ``|m| < 2^bits``."""
+    if x == 0:
+        return x
+    if x < 0:
+        return -_grid_ceil(-x, bits)
+    k = x.numerator.bit_length() - x.denominator.bit_length()  # floor(log2 x) or one more
+    if Fraction(2) ** k > x:
+        k -= 1
+    unit = Fraction(2) ** (k - bits + 1)  # 2^(bits-1) <= x/unit < 2^bits
+    return math.floor(x / unit) * unit
+
+
+def _grid_ceil(x: Fraction, bits: int) -> Fraction:
+    """Oracle: the smallest ``m·2^e >= x`` with ``|m| < 2^bits``."""
+    if x <= 0:
+        return -_grid_floor(-x, bits)
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    if Fraction(2) ** k > x:
+        k -= 1
+    unit = Fraction(2) ** (k - bits + 1)
+    return math.ceil(x / unit) * unit
+
+
+def _is_normal(x: tuple[int, int]) -> bool:
+    """An odd mantissa, or zero as ``(0, 0)``."""
+    return x == (0, 0) or x[0] % 2 == 1
+
+
+def _assert_tightest(pair, value: Fraction, bits: int) -> None:
+    """`pair` is the grid floor and ceiling of `value`, normalised, and lies
+    inside mpmath's ``ctx.mpf(p) / ctx.mpf(q)``."""
+    lo, hi = pair
+    assert (dyadic.to_fraction(lo), dyadic.to_fraction(hi)) == (
+        _grid_floor(value, bits), _grid_ceil(value, bits))
+    assert _is_normal(lo) and _is_normal(hi)
+    assert abs(lo[0]).bit_length() <= bits and abs(hi[0]).bit_length() <= bits
+    mp_lo, mp_hi = _mpmath_endpoints(value.numerator, value.denominator, bits)
+    assert dyadic.to_fraction(mp_lo) <= dyadic.to_fraction(lo)
+    assert dyadic.to_fraction(hi) <= dyadic.to_fraction(mp_hi)
 
 
 def _mpmath_endpoints(p: int, q: int, bits: int):
@@ -93,51 +138,77 @@ def test_text_of_examples():
 # rounding rationals
 
 
-@pytest.mark.parametrize("bits", [1, 8, 53, 128, 1024])
+ROUNDING_BITS = [1, 2, 8, 53, 128, 1024]
+operands = st.one_of(st.integers(-(2**40), 2**40), st.integers(-(10**600), 10**600))
+divisors = st.one_of(st.just(1), st.integers(1, 2**40), st.integers(1, 10**600))
+
+
+@pytest.mark.parametrize("bits", ROUNDING_BITS)
 @settings(derandomize=True, max_examples=150)
-@given(p=st.one_of(st.integers(-(2**40), 2**40), st.integers(-(2**1500), 2**1500)),
-       q=st.one_of(st.just(1), st.integers(1, 2**40), st.integers(1, 2**1500)))
-def test_round_quotient_matches_mpmath(bits, p, q):
-    assert dyadic.round_quotient(p, q, bits) == _mpmath_endpoints(p, q, bits)
+@given(p=operands, q=divisors, k=st.one_of(st.integers(2, 2**20), st.integers(2, 10**200)))
+def test_round_quotient_is_the_grid_floor_and_ceiling(bits, p, q, k):
+    pair = dyadic.round_quotient(p, q, bits)
+    _assert_tightest(pair, Fraction(p, q), bits)
+    assert dyadic.round_quotient(p * k, q * k, bits) == pair  # the value alone decides
 
 
-@pytest.mark.parametrize("bits", [1, 8, 53, 128, 1024])
+@pytest.mark.parametrize("bits", ROUNDING_BITS)
 @pytest.mark.parametrize("p,q", [(0, 1), (0, 7), (1, 1), (-1, 1), (3, 1), (-3, 4), (2**2000 + 1, 1),
-                                 (-(2**2000) - 1, 3), (1, 2**1100 - 1), (2**60 - 1, 2**60 + 1)])
-def test_round_quotient_matches_mpmath_on_chosen_values(bits, p, q):
-    assert dyadic.round_quotient(p, q, bits) == _mpmath_endpoints(p, q, bits)
+                                 (-(2**2000) - 1, 3), (1, 2**1100 - 1), (2**60 - 1, 2**60 + 1),
+                                 (10**600 - 1, 10**599 + 7), (-(10**600) + 1, 3), (2**1030, 1),
+                                 (2**1030 - 1, 1), (-(2**1030 - 1), 2**1030)])
+def test_round_quotient_is_the_grid_floor_and_ceiling_on_chosen_values(bits, p, q):
+    pair = dyadic.round_quotient(p, q, bits)
+    _assert_tightest(pair, Fraction(p, q), bits)
+    for k in (3, 2**64, 10**300 + 1):
+        assert dyadic.round_quotient(p * k, q * k, bits) == pair
 
 
 @pytest.mark.parametrize("bits", [1, 53, 128, 1024])
 @pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 3), Fraction(-22, 7), Fraction(5),
                                    Fraction(2**1200 + 1, 3**500), Fraction(-1, 10**400)])
-def test_make_of_a_fraction_is_mpmaths_quotient(bits, value):
+def test_make_of_a_fraction_is_its_tightest_enclosure(bits, value):
     with intervals.precision(bits) as ctx:
-        expected = ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
-        assert intervals.make(value, ctx)._mpi_ == expected._mpi_
+        made = intervals.make(value, ctx)
+        assert made.ctx is ctx
+        _assert_tightest(intervals.dyadic_endpoints(made), value, bits)
 
 
 # ---------------------------------------------------------------------------
 # the printed enclosures
 
 
-def _oracle_payload(interval) -> dict:
-    """Oracle: today's cell of an interval, its endpoints read as Fractions
-    and printed by the Decimal printer."""
-    lo, hi = intervals.exact_endpoints(interval)
-    digits = dyadic.decimal_digits(interval.ctx.prec)
+def _oracle_cell(lo: Fraction, hi: Fraction, bits: int) -> dict:
+    """Oracle: the cell of the exact endpoints `lo` and `hi`, printed by the
+    Decimal printer at the digits of `bits`."""
+    digits = dyadic.decimal_digits(bits)
     return {"lo": _decimal_text(lo, digits, "floor"), "hi": _decimal_text(hi, digits, "ceiling"),
             "mid": _decimal_text((lo + hi) / 2, digits, "half-even")}
 
 
+def _oracle_payload(interval) -> dict:
+    """Oracle: today's cell of an interval, its endpoints read as Fractions."""
+    return _oracle_cell(*intervals.exact_endpoints(interval), interval.ctx.prec)
+
+
+def _grid_cell(value: Fraction, bits: int) -> dict:
+    """Oracle: the cell of the tightest `bits`-bit enclosure of `value`."""
+    return _oracle_cell(_grid_floor(value, bits), _grid_ceil(value, bits), bits)
+
+
 @pytest.mark.parametrize("bits", [1, 32, 128, 256, 1024])
 @pytest.mark.parametrize("value", [0, 1, 7, Fraction(1, 3), Fraction(-22, 7),
-                                   Fraction(10**100 + 1, 10**30), Fraction(3, 10**40)])
-def test_rational_payload_prints_mpmaths_enclosure(bits, value):
+                                   Fraction(10**100 + 1, 10**30), Fraction(3, 10**40),
+                                   Fraction(10**600 + 1, 7**700)])
+def test_rational_payload_prints_the_tightest_enclosure(bits, value):
     p, q = Fraction(value).as_integer_ratio()
-    with intervals.precision(bits) as ctx:
-        expected = _oracle_payload(ctx.mpf(p) / ctx.mpf(q))
-    assert report.rational_payload(value, bits) == expected
+    expected = _grid_cell(Fraction(value), bits)
+    assert report.rational_payload(p, q, bits) == expected
+    assert report.rational_payload(p * 6, q * 6, bits) == expected  # unreduced terms
+    with intervals.precision(bits) as ctx:  # inside mpmath's enclosure
+        mp_lo, mp_hi = intervals.exact_endpoints(ctx.mpf(p) / ctx.mpf(q))
+    assert mp_lo <= _grid_floor(Fraction(value), bits)
+    assert _grid_ceil(Fraction(value), bits) <= mp_hi
 
 
 @pytest.mark.parametrize("bits", [1, 53, 128, 1024])
@@ -163,16 +234,10 @@ def test_dims_prints_endpoints_longer_than_the_int_to_str_limit(capsys, monkeypa
     family = fusion.su2_ladder(3, q=Fraction("1e-23"))
     assert fusion.dim(200, family, "quantum").numerator > 10**4300
     rows = []
-    with intervals.precision(128) as ctx:
-        for n in range(201):
-            dim_c, dim_q = fusion.dim(n, family, "classical"), fusion.dim(n, family, "quantum")
-            ratio = Fraction(dim_c) / dim_q
-            rows.append({
-                "label": str(n),
-                "dim": dim_c,
-                "dim_q": _oracle_payload(ctx.mpf(dim_q.numerator) / ctx.mpf(dim_q.denominator)),
-                "ratio": _oracle_payload(ctx.mpf(ratio.numerator) / ctx.mpf(ratio.denominator)),
-            })
+    for n in range(201):
+        dim_c, dim_q = fusion.dim(n, family, "classical"), fusion.dim(n, family, "quantum")
+        rows.append({"label": str(n), "dim": dim_c, "dim_q": _grid_cell(dim_q, 128),
+                     "ratio": _grid_cell(Fraction(dim_c) / dim_q, 128)})
     expected = report.Report("dims", {"family": "o-plus", "N": 3, "qq": "1e-23", "max": 200},
                              {"table": rows}, {"bits": 128, "digits": 40})
     assert capsys.readouterr().out == expected.to_json()
@@ -296,27 +361,38 @@ def test_sum_enclosure_refuses_enclosures_at_different_bits():
 @settings(derandomize=True, max_examples=60)
 @given(st.one_of(st.just(0), st.integers(0, 2**200)), st.integers(0, 2**200),
        st.integers(1, 260))
-def test_total_sum_free_is_mpmaths_one_plus_geometric(bits, a, b, p):
-    # 0 <= s < 1, including s.lo = 0, where the quotient's lower end is 0
+def test_total_sum_free_is_the_tightest_enclosure_of_one_plus_geometric(bits, a, b, p):
+    # 0 <= s < 1, including s.lo = 0, where the total's lower end is 1
     a, b = a % (1 << p), b % (1 << p)
     s = _fixed_input(a, b, p, bits)
     if dyadic.to_fraction(s.hi) >= 1:  # rounding up to `bits` reached 1
         s = dyadic.Enclosure(s.lo, s.lo, bits)
     zero = dyadic.Enclosure((0, 0), (0, 0), bits)
     total = criteria.total_sum_free(criteria.SeriesResult(criteria.Verdict.CONVERGES, s, zero))
-    interval = intervals.make(s, _context(bits))
     assert total.verdict is criteria.Verdict.CONVERGES
-    assert total.partial_sum == _mpmath_enclosure(1 + 2 * interval / (1 - interval), bits)
     assert total.tail_bound == zero
+    # 1 + 2s/(1 - s) = (1 + s)/(1 - s) increases with s
+    s_lo, s_hi = dyadic.exact_endpoints(s)
+    lo, hi = dyadic.exact_endpoints(total.partial_sum)
+    assert lo == _grid_floor((1 + s_lo) / (1 - s_lo), bits)
+    assert hi == _grid_ceil((1 + s_hi) / (1 - s_hi), bits)
+    assert total.partial_sum.bits == bits
+    assert _is_normal(total.partial_sum.lo) and _is_normal(total.partial_sum.hi)
+    interval = intervals.make(s, _context(bits))  # inside mpmath's left-to-right operators
+    mp_lo, mp_hi = intervals.exact_endpoints(1 + 2 * interval / (1 - interval))
+    assert mp_lo <= lo and hi <= mp_hi
 
 
 @pytest.mark.parametrize("bits", ENCLOSURE_BITS)
 @settings(derandomize=True, max_examples=60)
 @given(st.fractions(min_value=Fraction(1, 10**30), max_value=Fraction(2), max_denominator=10**40),
        st.fractions(min_value=0, max_value=Fraction(1, 100), max_denominator=10**40))
-def test_threshold_bracket_rounding_is_mpmaths_from_endpoints(bits, lo, span):
+def test_threshold_bracket_rounding_is_the_grid_hull(bits, lo, span):
+    enclosure = dyadic.rational_enclosure(lo, lo + span, bits)
+    assert dyadic.exact_endpoints(enclosure) == (_grid_floor(lo, bits),
+                                                 _grid_ceil(lo + span, bits))
     expected = intervals.from_endpoints(lo, lo + span, _context(bits))
-    assert dyadic.rational_enclosure(lo, lo + span, bits) == _mpmath_enclosure(expected, bits)
+    assert enclosure == _mpmath_enclosure(expected, bits)
 
 
 @pytest.mark.parametrize("bits", ENCLOSURE_BITS)

@@ -295,6 +295,22 @@ def test_word_dim_matches_the_per_block_fraction_product(family):
             value = dim(word, family, which)
             assert value == expected, (word, which)
             assert type(value) is type(expected), (word, which)
+            # the unreduced pair over b^length that dims and criterion 5 read
+            numerator, denominator = fusion.scaled_dim(word, family, which)
+            b = 1 if which == "classical" else family.dim_q_fund.denominator
+            assert denominator == b ** len(word) and Fraction(numerator, denominator) == expected
+
+
+@pytest.mark.parametrize("family", [
+    su2_ladder(3, q=Fraction(15, 97)), so3_ladder(5, dim_q_fund=Fraction(71, 10)), so3_ladder(4),
+], ids=["o-plus q=15/97", "so3 dim_q=71/10", "so3 kac"])
+def test_ladder_scaled_dim_is_the_dimension_over_b_to_the_label(family):
+    for which in ("classical", "quantum"):
+        b = 1 if which == "classical" else family.dim_q_fund.denominator
+        for n in range(40):
+            numerator, denominator = fusion.scaled_dim(n, family, which)
+            assert denominator == b**n
+            assert Fraction(numerator, denominator) == dim(n, family, which)
 
 
 def test_kac_degeneration_matches_classical():

@@ -41,9 +41,9 @@ def _python(code: str, *args: str):
 # import graph
 
 #: Commands that never load mpmath, with their exit codes: `dims` prints the
-#: enclosures of exact rationals with ints alone, and `series` and all three
+#: enclosures of exact rationals with ints alone, `series` and all three
 #: thresholds compute theirs on ints, escalated precisions and refusals
-#: included.
+#: included, and `jacobi` below size 4 computes no relation residual.
 LIGHT_COMMANDS = [
     (["frobnicate"], 2),
     (["dims", "--family", "o-plus", "--N", "3", "--bits", "0"], 2),
@@ -65,6 +65,8 @@ LIGHT_COMMANDS = [
     (["threshold", "--which", "remark", "--tol", "1e-18", "--bits", "32"], 0),
     (["threshold", "--which", "ratio3"], 0),
     (["threshold", "--which", "ratio3", "--bits", "192"], 0),
+    (["jacobi", "--M", "2", "--q", "0.5"], 0),
+    (["jacobi", "--M", "3", "--q", "3/10"], 0),
 ]
 
 #: Runs the argv lists read from argv[1] in turn and prints, after each,
@@ -129,7 +131,7 @@ def test_modules_that_load_mpmath_on_import():
             reaches_mpmath(dep, seen) for dep in GRAPH[name] & GRAPH.keys() - seen)
 
     heavy = sorted(name for name in GRAPH if reaches_mpmath(name, set()))
-    assert heavy == ["acceptance", "intervals", "spectral"]
+    assert heavy == ["acceptance", "intervals"]
 
 
 def test_budgets_module_imports_nothing():
