@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from qclassfun import criteria, intervals
+from qclassfun import criteria, dyadic, intervals
 
 
 def main() -> None:
@@ -33,9 +33,10 @@ def main() -> None:
         result = criteria.block_sum_S(1, q, args.tol, bits=args.bits)
         enclosure = result.sum_enclosure()
         bound = criteria.bound_S_dim2(q, bits=args.bits)
-        if intervals.certainly_lt(enclosure, 1):
+        sum_lo, sum_hi = dyadic.exact_endpoints(enclosure)
+        if sum_hi < 1:
             verdict = "below-1"
-        elif intervals.certainly_gt(enclosure, 1):
+        elif sum_lo > 1:
             verdict = "above-1"
         else:
             verdict = "straddles-1"

@@ -14,7 +14,8 @@ import random
 import time
 from fractions import Fraction
 
-from . import bicrossed, criteria, dyadic, fusion, intervals, noncrossing, spectral
+from . import bicrossed, criteria, dyadic, fusion, noncrossing, spectral
+from .budgets import DEFAULT_BITS
 from .criteria import Verdict
 from .scalars import solve_fundamental_q
 
@@ -24,17 +25,18 @@ NO_SINGLETON_COUNTS = (1, 0, 1, 1, 3, 6, 15, 36)
 RANDOM_SEED = 20240229
 
 
-def _enclosure_str(x, digits=25) -> list[str]:
-    return list(intervals.to_decimal_pair(x, digits))
+def _enclosure_str(x: dyadic.Enclosure, digits=25) -> list[str]:
+    return [dyadic.to_text(*x.lo, digits, "floor"), dyadic.to_text(*x.hi, digits, "ceiling")]
 
 
-def criterion_1_threshold_dim2(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_1_threshold_dim2(bits: int = DEFAULT_BITS) -> dict:
     """Dimension-2 threshold encloses 0.0861 at width 1e-3 within 5 s."""
     start = time.perf_counter()
     enclosure = criteria.threshold_dim2(Fraction(1, 1000), bits=bits)
     elapsed = time.perf_counter() - start
-    contains = intervals.contains(enclosure, Fraction(861, 10000))
-    narrow = intervals.width_at_most(enclosure, Fraction(1, 1000))
+    lo, hi = dyadic.exact_endpoints(enclosure)
+    contains = lo <= Fraction(861, 10000) <= hi
+    narrow = hi - lo <= Fraction(1, 1000)
     runtime_ok = elapsed < 5.0
     return {
         "id": 1,
@@ -49,7 +51,7 @@ def criterion_1_threshold_dim2(bits: int = intervals.DEFAULT_BITS) -> dict:
     }
 
 
-def criterion_2_threshold_ratio(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_2_threshold_ratio(bits: int = DEFAULT_BITS) -> dict:
     """Ratio threshold is 0.2306 +- 1e-4 and drives the bound to exactly 1."""
     ratio = criteria.threshold_ratio_dimge3(bits=bits)
     ratio_lo, ratio_hi = dyadic.exact_endpoints(ratio)
@@ -58,7 +60,8 @@ def criterion_2_threshold_ratio(bits: int = intervals.DEFAULT_BITS) -> dict:
     qc_lo, qc_hi = dyadic.exact_endpoints(q_c)
     q_q = dyadic.rational_enclosure(qc_lo * ratio_lo, qc_hi * ratio_hi, bits)
     bound = criteria.bound_S_dimge3(q_c, q_q, bits=bits)
-    hits_one = intervals.contains(bound, 1) and intervals.width_at_most(bound, Fraction(1, 10**6))
+    bound_lo, bound_hi = dyadic.exact_endpoints(bound)
+    hits_one = bound_lo <= 1 <= bound_hi and bound_hi - bound_lo <= Fraction(1, 10**6)
     return {
         "id": 2,
         "name": "threshold_ratio_dimge3 and unit crossing of the bound",
@@ -72,13 +75,14 @@ def criterion_2_threshold_ratio(bits: int = intervals.DEFAULT_BITS) -> dict:
     }
 
 
-def criterion_3_threshold_remark(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_3_threshold_remark(bits: int = DEFAULT_BITS) -> dict:
     """Remark threshold encloses 0.2134; block sums certify S>1 / S<1."""
     start = time.perf_counter()
     enclosure = criteria.threshold_remark(Fraction(1, 1000), bits=bits)
     first = time.perf_counter() - start
-    contains = intervals.contains(enclosure, Fraction(2134, 10000))
-    narrow = intervals.width_at_most(enclosure, Fraction(1, 1000))
+    lo, hi = dyadic.exact_endpoints(enclosure)
+    contains = lo <= Fraction(2134, 10000) <= hi
+    narrow = hi - lo <= Fraction(1, 1000)
 
     start = time.perf_counter()
     above = criteria.block_sum_S(1, Fraction(22, 100), Fraction(1, 10**6), bits=bits)
@@ -88,9 +92,9 @@ def criterion_3_threshold_remark(bits: int = intervals.DEFAULT_BITS) -> dict:
     third = time.perf_counter() - start
 
     s_above = (above.verdict is Verdict.CONVERGES
-               and intervals.lower(above.sum_enclosure()) > 1)
+               and dyadic.exact_endpoints(above.sum_enclosure())[0] > 1)
     s_below = (below.verdict is Verdict.CONVERGES
-               and intervals.upper(below.sum_enclosure()) < 1)
+               and dyadic.exact_endpoints(below.sum_enclosure())[1] < 1)
     runtime_ok = first < 10.0 and second < 10.0 and third < 10.0
     return {
         "id": 3,
@@ -109,27 +113,21 @@ def criterion_3_threshold_remark(bits: int = intervals.DEFAULT_BITS) -> dict:
     }
 
 
-def criterion_4_modular_norms(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_4_modular_norms(bits: int = DEFAULT_BITS) -> dict:
     """Twisted norms: 1 at b=0 and dim/dim_q at b=-1/4, widths <= 1e-20."""
     width_cap = Fraction(1, 10**20)
     failures = []
-    with intervals.precision(bits) as ctx:
-        for q_str in ("0.3", "0.5", "0.8"):
-            q = Fraction(q_str)
-            family = fusion.su2_ladder(2, q=q)
-            for n in range(21):
-                rho = fusion.rho_spectrum(n, intervals.make(q, ctx))
-                at_zero = spectral.modular_norm_sq(rho, 0)
-                at_quarter = spectral.modular_norm_sq(rho, Fraction(-1, 4))
-                expected = criteria.ratio_exact(n, family)
-                ok = (
-                    intervals.contains(at_zero, 1)
-                    and intervals.width_at_most(at_zero, width_cap)
-                    and intervals.contains(at_quarter, expected)
-                    and intervals.width_at_most(at_quarter, width_cap)
-                )
-                if not ok:
-                    failures.append({"q": q_str, "n": n})
+    for q_str in ("0.3", "0.5", "0.8"):
+        q = Fraction(q_str)
+        family = fusion.su2_ladder(2, q=q)
+        for n in range(21):
+            rho = fusion.rho_spectrum(n, q)
+            ok = True
+            for b, expected in ((0, 1), (Fraction(-1, 4), criteria.ratio_exact(n, family))):
+                lo, hi = dyadic.exact_endpoints(spectral.modular_norm_sq(rho, b, bits))
+                ok = ok and lo <= expected <= hi and hi - lo <= width_cap
+            if not ok:
+                failures.append({"q": q_str, "n": n})
     return {
         "id": 4,
         "name": "modular norm identities for ladder spectra",
@@ -196,7 +194,7 @@ def _additivity_free(family: fusion.FusionFamily, max_len: int, products: list) 
     return failures
 
 
-def criterion_5_dimension_additivity(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_5_dimension_additivity(bits: int = DEFAULT_BITS) -> dict:
     """Exact dimension additivity across tensor decompositions.
 
     Each decomposition is computed once and checked against every table
@@ -231,7 +229,7 @@ def criterion_5_dimension_additivity(bits: int = intervals.DEFAULT_BITS) -> dict
     }
 
 
-def criterion_6_word_calculus(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_6_word_calculus(bits: int = DEFAULT_BITS) -> dict:
     """Block-product word dimensions agree with the tensor recursion."""
 
     def recursive_dim(word: str, d1: Fraction, memo: dict[str, Fraction]) -> Fraction:
@@ -288,7 +286,7 @@ def ladder_grid() -> tuple[list[tuple[str, fusion.FusionFamily]], list[str]]:
     return families, skipped
 
 
-def criterion_7_decay_and_quasi_split(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_7_decay_and_quasi_split(bits: int = DEFAULT_BITS) -> dict:
     """Certified decay to n=50 and convergent sums with tails <= 1e-6."""
     failures = []
     families, skipped = ladder_grid()
@@ -296,10 +294,10 @@ def criterion_7_decay_and_quasi_split(bits: int = intervals.DEFAULT_BITS) -> dic
         decay_ok = criteria.verify_decay(family, 50)
         series = criteria.quasi_split_sum_ladder(
             family, Fraction(1, 10**6), bits=bits)
-        series_ok = (
-            series.verdict is Verdict.CONVERGES
-            and intervals.width_at_most(series.tail_bound, Fraction(1, 10**6))
-        )
+        series_ok = series.verdict is Verdict.CONVERGES
+        if series_ok:
+            lo, hi = dyadic.exact_endpoints(series.tail_bound)
+            series_ok = hi - lo <= Fraction(1, 10**6)
         if not (decay_ok and series_ok):
             failures.append({"family": name, "decay": decay_ok,
                              "verdict": series.verdict.value})
@@ -312,7 +310,7 @@ def criterion_7_decay_and_quasi_split(bits: int = intervals.DEFAULT_BITS) -> dic
     }
 
 
-def criterion_8_moment_oracles(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_8_moment_oracles(bits: int = DEFAULT_BITS) -> dict:
     """Invariant multiplicities match the independent counts."""
     failures = []
     su2 = fusion.su2_ladder(2)
@@ -346,7 +344,7 @@ def criterion_8_moment_oracles(bits: int = intervals.DEFAULT_BITS) -> dict:
     }
 
 
-def criterion_9_operator_model(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_9_operator_model(bits: int = DEFAULT_BITS) -> dict:
     """Krylov rank, commutant dimension and interior relation residuals."""
     start = time.perf_counter()
     failures = []
@@ -369,7 +367,7 @@ def criterion_9_operator_model(bits: int = intervals.DEFAULT_BITS) -> dict:
     }
 
 
-def criterion_10_bicrossed_table(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_10_bicrossed_table(bits: int = DEFAULT_BITS) -> dict:
     """Truth-table laws for scaling times, plus the anchored example rows."""
     rng = random.Random(RANDOM_SEED)
 
@@ -432,7 +430,7 @@ def criterion_10_bicrossed_table(bits: int = intervals.DEFAULT_BITS) -> dict:
     }
 
 
-def criterion_11_kac_degeneration(bits: int = intervals.DEFAULT_BITS) -> dict:
+def criterion_11_kac_degeneration(bits: int = DEFAULT_BITS) -> dict:
     """Kac families: unit ratios, divergent series, full Kac part,
     no verdict."""
     failures = []
@@ -480,7 +478,7 @@ CRITERIA = (
 )
 
 
-def run_all(bits: int = intervals.DEFAULT_BITS) -> dict:
+def run_all(bits: int = DEFAULT_BITS) -> dict:
     """Run every criterion; aggregate payload for the ``report`` command."""
     results = [check(bits=bits) for check in CRITERIA]
     return {

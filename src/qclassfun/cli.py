@@ -417,12 +417,12 @@ def cmd_moments(args: argparse.Namespace) -> report.Report:
 
 
 def cmd_spectral(args: argparse.Namespace) -> report.Report:
-    from . import fusion, intervals, report, spectral
+    from . import fusion, report, spectral
 
     if args.rho_ladder is None or args.q is None:
         raise UsageError("spectral requires --rho-ladder and --q")
     b, q = Fraction(args.b), Fraction(args.q)
-    # checked exactly, before q is rounded to --bits
+    # checked before the budget below takes the logarithm of q
     if not 0 < q <= 1:
         raise DomainError(f"spectral parameter must lie in (0, 1], got {args.q}")
     n = args.rho_ladder
@@ -432,19 +432,19 @@ def cmd_spectral(args: argparse.Namespace) -> report.Report:
         raise BudgetError(f"the printed exact endpoints have {bits:.3g} bits in root sum of "
                           f"squares, which exceeds the budget of {MAX_POWER_BITS}")
     inputs = {"rho_ladder": args.rho_ladder, "q": args.q, "b": str(b)}
-    with intervals.precision(args.bits) as ctx:
-        rho = fusion.rho_spectrum(args.rho_ladder, intervals.make(q, ctx))
-        results: dict = {
-            "norm_sq": report.enclosure_payload(spectral.modular_norm_sq(rho, b)),
-            "trace_balanced": spectral.trace_balanced(rho),
-            "rho": [report.enclosure_payload(lam) for lam in rho],
-        }
-        if args.t is not None:
-            inputs["t"] = args.t
-            results["eigencoefficients"] = [
-                {"re": report.enclosure_payload(re), "im": report.enclosure_payload(im)}
-                for re, im in spectral.modular_eigencoefficients(rho, Fraction(args.t))
-            ]
+    rho = fusion.rho_spectrum(args.rho_ladder, q)
+    results: dict = {
+        "norm_sq": report.enclosure_payload(spectral.modular_norm_sq(rho, b, args.bits)),
+        "trace_balanced": spectral.trace_balanced(rho, args.bits),
+        "rho": [report.rational_payload(lam.numerator, lam.denominator, args.bits)
+                for lam in rho],
+    }
+    if args.t is not None:
+        inputs["t"] = args.t
+        results["eigencoefficients"] = [
+            {"re": report.enclosure_payload(re), "im": report.enclosure_payload(im)}
+            for re, im in spectral.modular_eigencoefficients(rho, Fraction(args.t), args.bits)
+        ]
     return report.Report("spectral", inputs, results, _meta(args))
 
 

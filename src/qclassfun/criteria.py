@@ -23,8 +23,9 @@ solved there (:func:`scalars.fixed_fundamental_q`), and each result leaves
 once, rounded outward to a :class:`~qclassfun.dyadic.Enclosure` at the
 working bits.  So the series, the block-sum total, the two closed-form
 bounds and all three thresholds run on ints alone, and every public function
-here returns an ``Enclosure``; :mod:`intervals` is imported only to read the
-endpoints of an mpmath interval passed in as an input.
+here returns an ``Enclosure``.  An input is exact, or an ``Enclosure`` read
+through its exact endpoints; an mpmath interval is refused, and
+:func:`qclassfun.intervals.to_enclosure` converts one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Union
 
 from . import dyadic, fusion
 from .budgets import DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS
@@ -43,8 +44,9 @@ from .errors import BudgetError, DomainError, FamilyError, KacTypeError
 from .fusion import FusionFamily, Label
 from .scalars import fixed_fundamental_q
 
-if TYPE_CHECKING:
-    from .intervals import IntervalLike
+#: An input of a series or a bound: a rational (int, Fraction, float or
+#: decimal string), or an Enclosure read through its exact endpoints.
+Exact = Union[int, float, str, Fraction, Enclosure]
 
 #: sup of the multiplicity of the top component in fundamental-times-ladder
 #: fusion; both ladder kinds have multiplicity one there.
@@ -326,8 +328,8 @@ def _fundamental_roots(family: FusionFamily) -> tuple[Roots, Fraction]:
 
 
 def block_sum_S(
-    q_c: IntervalLike,
-    q_q: IntervalLike,
+    q_c: Exact,
+    q_q: Exact,
     tol,
     bits: int = DEFAULT_BITS,
     max_terms: int = DEFAULT_MAX_TERMS,
@@ -346,12 +348,11 @@ def block_sum_S(
     every term is 1 and the sum diverges.
 
     Each input is read once, as a rational (an int, ``Fraction``, float or
-    decimal string) or as the exact endpoints of an Enclosure or of an
-    mpmath interval, and the roots are their fixed-point hull.  A pair
-    certainly outside ``0 < q_q <= q_c <= 1``, or possibly negative,
-    raises; a pair not separated from ``q_q = q_c`` or ``q_c = 1``
-    escalates like any other, ending `undetermined` if no precision
-    separates it.
+    decimal string) or as the exact endpoints of an Enclosure, and the
+    roots are their fixed-point hull.  A pair certainly outside
+    ``0 < q_q <= q_c <= 1``, or possibly negative, raises; a pair not
+    separated from ``q_q = q_c`` or ``q_c = 1`` escalates like any other,
+    ending `undetermined` if no precision separates it.
     """
     (qc_lo, qc_hi), (qq_lo, qq_hi) = (_exact_hull(v) for v in (q_c, q_q))
     if qc_lo == qc_hi == qq_lo == qq_hi:
@@ -367,18 +368,14 @@ def block_sum_S(
     return _deformed_ratio_sum(roots, qq_lo, 1, 2, tol, bits, max_terms)
 
 
-def _exact_hull(value) -> tuple[Fraction | None, Fraction | None]:
+def _exact_hull(value: Exact) -> tuple[Fraction | None, Fraction | None]:
     """Exact endpoints of an input of a series or a bound; None is unbounded."""
     if isinstance(value, Enclosure):
         return dyadic.exact_endpoints(value)
-    if isinstance(value, (int, float, str, Fraction)):
-        try:
-            return (Fraction(value),) * 2
-        except (ValueError, OverflowError) as exc:  # a malformed string, NaN or infinity
-            raise DomainError(f"need a finite rational, got {value!r}") from exc
-    from . import intervals
-
-    return intervals.exact_endpoints(value)
+    try:
+        return (Fraction(value),) * 2
+    except (TypeError, ValueError, OverflowError) as exc:  # NaN, infinity, or not a rational
+        raise DomainError(f"need a finite rational, got {value!r}") from exc
 
 
 def total_sum_free(block_sum: SeriesResult) -> SeriesResult:
@@ -440,7 +437,7 @@ def _dim2_bound(q: Fixed, p: int) -> Fixed | None:
     return div(mul(s, (2 * one - s[1], 2 * one - s[0]), p), denominator, p)
 
 
-def bound_S_dim2(q: IntervalLike, bits: int = DEFAULT_BITS) -> Enclosure:
+def bound_S_dim2(q: Exact, bits: int = DEFAULT_BITS) -> Enclosure:
     """Closed-form upper bound for the block sum when the fundamental has
     classical dimension 2:
 
@@ -477,7 +474,7 @@ def _dimge3_bound(q_c: Fixed, q_q: Fixed, p: int) -> Fixed | None:
     return div(r, denominator, p)
 
 
-def bound_S_dimge3(q_c: IntervalLike, q_q: IntervalLike, bits: int = DEFAULT_BITS) -> Enclosure:
+def bound_S_dimge3(q_c: Exact, q_q: Exact, bits: int = DEFAULT_BITS) -> Enclosure:
     """Geometric majorant of the block sum for fundamental dimension >= 3:
 
         (1 - q_c^2)^(-1/2) * sqrt(q_q/q_c) / (1 - sqrt(q_q/q_c)).

@@ -21,7 +21,7 @@ exact rationals never loads mpmath.
   into one as mpmath's ``from_man_exp`` does, and :func:`round_to` and
   :func:`width` round single operations outward as mpmath's interval
   operators do at the same precision.
-  :mod:`qclassfun.intervals` converts it to and from mpmath intervals.
+  :func:`qclassfun.intervals.to_enclosure` converts an mpmath interval into one.
 * Fixed point: a pair of ints ``(lo, hi)`` stands for ``[lo, hi]·2^-p``.
   :func:`to_fixed` and :func:`fixed_hull` enclose a rational and an interval,
   and :func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt` round each

@@ -10,7 +10,9 @@ Three fusion families are modeled:
 Ladder labels are plain nonnegative ints (0 is trivial); free labels are
 strings over ``A``/``B`` (the empty string is trivial).  All dimensions are
 computed exactly: classical dimensions are ints, quantum dimensions are
-:class:`~fractions.Fraction` values read from the same integer recursions.
+:class:`~fractions.Fraction` values read from the same integer recursions,
+and :func:`rho_spectrum` gives the intertwiner's spectrum as exact
+``Fraction`` values too.
 """
 
 from __future__ import annotations
@@ -22,12 +24,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import DomainError, FamilyError
-
-if TYPE_CHECKING:
-    from .intervals import Interval, IntervalLike
 
 Label = Union[int, str]
 Decomposition = dict  # label -> positive multiplicity, canonically ordered
@@ -338,17 +337,17 @@ def dims_equal(label: Label, family: FusionFamily) -> bool:
     return quantum == classical * scale
 
 
-def rho_spectrum(n: int, q: IntervalLike) -> list[Interval]:
-    """Spectrum ``{q^(-n+2k) : k = 0..n}`` of the positive intertwiner.
+def rho_spectrum(n: int, q: int | str | Fraction) -> list[Fraction]:
+    """Spectrum ``{q^(2k-n) : k = 0..n}`` of the positive intertwiner, as
+    exact ``Fraction`` values.
 
     Geometrically spaced so the trace is the order-(n+1) deformed integer and
-    matches the trace of the inverse.
+    matches the trace of the inverse.  `q` is read with :func:`exact_fraction`
+    and must lie in ``(0, 1]``, checked exactly.
     """
-    from . import intervals
-
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"ladder index must be a nonnegative int, got {n!r}")
-    point = intervals.make(q)
-    if intervals.lower(point) <= 0 or intervals.upper(point) > 1:
-        raise DomainError(f"spectral parameter must lie in (0, 1], got {point}")
-    return [point ** (-n + 2 * k) for k in range(n + 1)]
+    q = exact_fraction(q)
+    if not 0 < q <= 1:
+        raise DomainError(f"spectral parameter must lie in (0, 1], got {q}")
+    return [q ** (2 * k - n) for k in range(n + 1)]

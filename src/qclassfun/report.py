@@ -4,7 +4,9 @@ Reports serialize to JSON with sorted keys and fixed separators, so an
 identical invocation always produces byte-identical output.  Every enclosure
 appears as outward-rounded decimal strings ``{"lo", "hi", "mid"}`` at the
 precision stated in the report's ``meta`` block; ``mid`` is a convenience
-midpoint, only ``[lo, hi]`` is certified.
+midpoint, only ``[lo, hi]`` is certified.  A cell is printed from a
+:class:`~qclassfun.dyadic.Enclosure` or from an exact rational, with ints
+alone.
 """
 
 from __future__ import annotations
@@ -14,14 +16,11 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import dyadic
 from .dyadic import Enclosure
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from .intervals import Interval
 
 
 @dataclass
@@ -44,13 +43,8 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def enclosure_payload(x: Enclosure | Interval) -> dict:
-    """The cell of an enclosure at the digits of its bits; an mpmath
-    interval is read through :func:`intervals.to_enclosure`."""
-    if not isinstance(x, Enclosure):
-        from . import intervals
-
-        x = intervals.to_enclosure(x)
+def enclosure_payload(x: Enclosure) -> dict:
+    """The cell of an enclosure at the digits of its bits."""
     return _cell(x.lo, x.hi, dyadic.decimal_digits(x.bits))
 
 

@@ -10,8 +10,9 @@ at ``q = 1``, where it degenerates to the ordinary integer ``n``.
 
 :class:`LaurentScalar` holds the coefficients and evaluates them to a
 certified enclosure through :mod:`qclassfun.intervals`; it has no ring
-operations.  No module of the package calls it or :func:`q_number` any
-more: the series kernel and the threshold functions in
+operations, and its ``evaluate`` is the one public method of the package
+that returns an mpmath interval.  No module of the package calls it or
+:func:`q_number` any more: the series kernel and the threshold functions in
 :mod:`qclassfun.criteria` use the closed forms of ``[m]_q``.  Both stay
 public because the benchmark's trace harness binds them by name.  The one
 solver of ``x + 1/x = d``, :func:`fixed_fundamental_q`, runs in fixed point
@@ -51,7 +52,7 @@ class LaurentScalar:
         from . import intervals
 
         point = intervals.make(q)
-        if self.coeffs and min(self.coeffs) < 0 and intervals.contains(point, 0):
+        if self.coeffs and min(self.coeffs) < 0 and point.a <= 0 <= point.b:
             raise DomainError("negative exponents at an enclosure of zero")
         total = intervals.make(0, point.ctx)
         for e, c in sorted(self.coeffs.items()):

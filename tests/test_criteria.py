@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp
 
 from qclassfun import criteria, dyadic, fusion, intervals
 from qclassfun.criteria import (
@@ -32,8 +33,34 @@ from qclassfun.scalars import q_number, solve_fundamental_q
 TOL = Fraction(1, 10**6)
 
 
-def _within(enclosure, lo: str, hi: str) -> bool:
-    return intervals.contains(intervals.from_endpoints(lo, hi), enclosure)
+def _lo(enclosure: dyadic.Enclosure) -> Fraction:
+    return dyadic.exact_endpoints(enclosure)[0]
+
+
+def _hi(enclosure: dyadic.Enclosure) -> Fraction:
+    return dyadic.exact_endpoints(enclosure)[1]
+
+
+def _holds(enclosure: dyadic.Enclosure, value) -> bool:
+    return _lo(enclosure) <= value <= _hi(enclosure)
+
+
+def _width(enclosure: dyadic.Enclosure) -> Fraction:
+    return _hi(enclosure) - _lo(enclosure)
+
+
+def _overlap(x: dyadic.Enclosure, y: dyadic.Enclosure) -> bool:
+    return _lo(x) <= _hi(y) and _lo(y) <= _hi(x)
+
+
+def _within(enclosure: dyadic.Enclosure, lo: str, hi: str) -> bool:
+    return Fraction(lo) <= _lo(enclosure) and _hi(enclosure) <= Fraction(hi)
+
+
+def _holds_mpf(enclosure: dyadic.Enclosure, value: mpmath.mpf) -> bool:
+    """`enclosure` holds the mpmath real `value`, its endpoints read exactly."""
+    lo, hi = (mpmath.mp.make_mpf(from_man_exp(*end)) for end in (enclosure.lo, enclosure.hi))
+    return lo <= value <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +98,11 @@ def test_quasi_split_sum_converges_su2():
     fam = su2_ladder(2, dim_q_fund=Fraction(17, 4))  # deformation 1/4
     result = quasi_split_sum_ladder(fam, TOL)
     assert result.verdict is Verdict.CONVERGES
-    assert intervals.width_at_most(result.tail_bound, TOL)
+    assert _width(result.tail_bound) <= TOL
     # sum starts at 1 (trivial label) and stays finite
     total = result.sum_enclosure()
-    assert intervals.lower(total) > 1
-    assert intervals.upper(total) < 3
+    assert _lo(total) > 1
+    assert _hi(total) < 3
 
 
 def test_quasi_split_sum_converges_so3():
@@ -96,7 +123,7 @@ def test_quasi_split_sum_partial_matches_fusion_ratios():
              for n in range(result.terms_used)),
             intervals.make(0, ctx),
         )
-    assert intervals.overlaps(result.partial_sum, independent)
+    assert _overlap(result.partial_sum, intervals.to_enclosure(independent))
 
 
 def test_quasi_split_sum_budget_exhaustion():
@@ -126,21 +153,21 @@ def test_ladder_majorant_below_the_papers_at_the_stopping_index():
         with mpmath.workdps(50):
             y = 1 / mpmath.sqrt(mpmath.mpf(a1.numerator) / a1.denominator)
             paper = y * y**n / (1 - y)
-        assert intervals.upper(result.tail_bound) <= paper
+        assert mpmath.mp.make_mpf(from_man_exp(*result.tail_bound.hi)) <= paper
 
 
 def test_oplus_dim2_ladder_is_one_plus_the_block_sum():
     for qq in (Fraction(1, 20), Fraction(1, 2), Fraction(4, 5)):
         ladder = quasi_split_sum_ladder(su2_ladder(2, q=qq), TOL).sum_enclosure()
         block = block_sum_S(1, qq, TOL).sum_enclosure()
-        assert intervals.overlaps(ladder, 1 + intervals.make(block))
+        assert _lo(ladder) <= 1 + _hi(block) and 1 + _lo(block) <= _hi(ladder)
 
 
 def test_ladder_near_unit_deformation_converges_within_budget():
     result = quasi_split_sum_ladder(su2_ladder(2, q=Fraction(99, 100)), TOL)
     assert result.verdict is Verdict.CONVERGES
     assert result.terms_used <= criteria.DEFAULT_MAX_TERMS
-    assert intervals.width_at_most(result.tail_bound, TOL)
+    assert _width(result.tail_bound) <= TOL
 
 
 def test_ladder_and_block_at_tiny_deformation_converge():
@@ -150,7 +177,7 @@ def test_ladder_and_block_at_tiny_deformation_converge():
     assert masa_verdict(free_unitary(2, q=q)).verdict_text == VERDICT_RELATIVE_COMMUTANT
     # a block sum near 4.5e-13 keeps about 128 significant bits: the fixed
     # point's scale follows the quantum root, not only tol
-    lo, hi = intervals.exact_endpoints(block_sum_S(1, q, TOL).partial_sum)
+    lo, hi = dyadic.exact_endpoints(block_sum_S(1, q, TOL).partial_sum)
     assert 0 < hi - lo < lo / 2**120
 
 
@@ -256,9 +283,9 @@ def test_kernel_encloses_closed_form_oracle(kind, below_one, bits):
             result, oracle_args = _kernel_case(kind, below_one, qq, bits)
             oracle = _deformed_ratio_oracle(*oracle_args)
         assert result.verdict is Verdict.CONVERGES, (kind, qq)
-        assert intervals.width_at_most(result.tail_bound, KERNEL_TOL)
+        assert _width(result.tail_bound) <= KERNEL_TOL
         enclosure = result.sum_enclosure()
-        assert intervals.lower(enclosure) <= oracle <= intervals.upper(enclosure), (kind, qq)
+        assert _holds_mpf(enclosure, oracle), (kind, qq)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +295,13 @@ def test_kernel_encloses_closed_form_oracle(kind, below_one, bits):
 def test_block_sum_below_one_at_small_deformation():
     result = block_sum_S(1, Fraction(5, 100), TOL)
     assert result.verdict is Verdict.CONVERGES
-    assert intervals.upper(result.sum_enclosure()) < 1
+    assert _hi(result.sum_enclosure()) < 1
 
 
 def test_block_sum_above_one_matches_remark():
     result = block_sum_S(1, Fraction(22, 100), TOL)
     assert result.verdict is Verdict.CONVERGES
-    assert intervals.lower(result.sum_enclosure()) > 1
+    assert _lo(result.sum_enclosure()) > 1
 
 
 @pytest.mark.parametrize("q_q, terms", [
@@ -288,16 +315,14 @@ def test_block_sum_terms_used_frozen(q_q, terms):
 def test_block_sum_enclosure_keeps_partial_lower_endpoint():
     # sum_enclosure() works at the series' own precision, not mpmath's ambient 53 bits
     result = block_sum_S(1, Fraction(1, 20), "1e-8")
-    assert (intervals.exact_endpoints(result.sum_enclosure())[0]
-            == intervals.exact_endpoints(result.partial_sum)[0])
+    assert _lo(result.sum_enclosure()) == _lo(result.partial_sum)
 
 
 def test_block_sum_kac_diverges():
     assert block_sum_S(Fraction(1, 2), Fraction(1, 2), TOL).verdict is Verdict.DIVERGES
     assert block_sum_S(1, 1, TOL).verdict is Verdict.DIVERGES
-    # identical point intervals, alone or against the exact value
-    with intervals.precision(64) as ctx:
-        half = intervals.make(Fraction(1, 2), ctx)
+    # identical point enclosures, alone or against the exact value
+    half = dyadic.rational_enclosure(Fraction(1, 2), Fraction(1, 2), 64)
     assert block_sum_S(half, half, TOL).verdict is Verdict.DIVERGES
     assert block_sum_S(Fraction(1, 2), half, TOL).verdict is Verdict.DIVERGES
 
@@ -314,14 +339,14 @@ def test_block_sum_separates_close_exact_inputs_at_64_bits(q_c, q_q):
     high = block_sum_S(q_c, q_q, TOL, bits=128)
     assert (low.verdict, low.terms_used) == (high.verdict, high.terms_used)
     assert low.partial_sum.bits == 64
-    assert intervals.contains(low.partial_sum, high.partial_sum)
+    assert _lo(low.partial_sum) <= _lo(high.partial_sum)
+    assert _hi(high.partial_sum) <= _hi(low.partial_sum)
 
 
 def test_block_sum_overlapping_interval_inputs_are_undetermined():
     # no precision separates q_q from q_c, or q_c from 1: an answer, not an error
-    with intervals.precision(64) as ctx:
-        wide = intervals.from_endpoints(Fraction(1, 4), Fraction(1, 2), ctx)
-        near_one = intervals.from_endpoints(Fraction(9, 10), Fraction(11, 10), ctx)
+    wide = dyadic.rational_enclosure(Fraction(1, 4), Fraction(1, 2), 64)
+    near_one = dyadic.rational_enclosure(Fraction(9, 10), Fraction(11, 10), 64)
     for q_c, q_q in [(wide, Fraction(3, 10)), (near_one, Fraction(1, 10))]:
         result = block_sum_S(q_c, q_q, TOL)
         assert (result.verdict, result.terms_used) == (Verdict.UNDETERMINED, 0)
@@ -333,10 +358,26 @@ def test_block_sum_domain_errors():
     with pytest.raises(DomainError):
         block_sum_S(Fraction(3, 2), Fraction(1, 10), TOL)  # q_c > 1
     # q_q may be negative: its square root is refused, not summed as undetermined
-    with intervals.precision(64) as ctx:
-        straddling = intervals.from_endpoints(Fraction(-1, 10), Fraction(1, 5), ctx)
+    straddling = dyadic.rational_enclosure(Fraction(-1, 10), Fraction(1, 5), 64)
     with pytest.raises(DomainError, match="possibly negative"):
         block_sum_S(1, straddling, TOL)
+
+
+def test_series_and_bounds_refuse_an_mpmath_interval():
+    # an input is exact or an Enclosure; intervals.to_enclosure converts an interval
+    with intervals.precision(64) as ctx:
+        fifth = intervals.make(Fraction(1, 5), ctx)
+    calls = [
+        lambda: block_sum_S(1, fifth, TOL),
+        lambda: block_sum_S(fifth, Fraction(1, 10), TOL),
+        lambda: bound_S_dim2(fifth),
+        lambda: bound_S_dimge3(Fraction(1, 2), fifth),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="need a finite rational"):
+            call()
+    converted = intervals.to_enclosure(fifth)
+    assert block_sum_S(1, converted, TOL).verdict is Verdict.CONVERGES
 
 
 def test_block_sum_increasing_in_deformation():
@@ -349,7 +390,7 @@ def test_block_sum_increasing_in_deformation():
             for q_q in grid
         ]
         for left, right in zip(sums, sums[1:]):
-            assert intervals.certainly_lt(left, right)
+            assert _hi(left) < _lo(right)
 
 
 def test_block_sum_matches_family_dimensions():
@@ -363,27 +404,26 @@ def test_block_sum_matches_family_dimensions():
         for n in range(1, result.terms_used + 1):
             word = fusion.alternating_word(n)
             independent += ctx.sqrt(intervals.make(ratio_exact(word, fam), ctx))
-    assert intervals.overlaps(result.partial_sum, independent)
+    assert _overlap(result.partial_sum, intervals.to_enclosure(independent))
 
 
-def _block(s) -> criteria.SeriesResult:
-    """A converged block sum whose enclosure is exactly the interval `s`."""
-    zero = dyadic.Enclosure((0, 0), (0, 0), s.ctx.prec)
-    return criteria.SeriesResult(Verdict.CONVERGES, intervals.to_enclosure(s), zero)
+def _block(lo: Fraction, hi: Fraction) -> criteria.SeriesResult:
+    """A converged block sum whose enclosure is the 128-bit enclosure of ``[lo, hi]``."""
+    zero = dyadic.Enclosure((0, 0), (0, 0), 128)
+    return criteria.SeriesResult(Verdict.CONVERGES, dyadic.rational_enclosure(lo, hi, 128), zero)
 
 
 def test_total_sum_free_examples():
-    zero = total_sum_free(_block(intervals.make(0)))
+    zero = total_sum_free(_block(Fraction(0), Fraction(0)))
     assert zero.verdict is Verdict.CONVERGES
-    assert intervals.contains(zero.sum_enclosure(), 1)
-    half = total_sum_free(_block(intervals.make(Fraction(1, 2))))
-    assert intervals.contains(half.sum_enclosure(), 3)
-    assert total_sum_free(_block(intervals.make(Fraction(3, 2)))).verdict is Verdict.DIVERGES
-    straddle = total_sum_free(
-        _block(intervals.from_endpoints(Fraction(99, 100), Fraction(101, 100))))
+    assert _holds(zero.sum_enclosure(), 1)
+    half = total_sum_free(_block(Fraction(1, 2), Fraction(1, 2)))
+    assert _holds(half.sum_enclosure(), 3)
+    assert total_sum_free(_block(Fraction(3, 2), Fraction(3, 2))).verdict is Verdict.DIVERGES
+    straddle = total_sum_free(_block(Fraction(99, 100), Fraction(101, 100)))
     assert straddle.verdict is Verdict.UNDETERMINED
     with pytest.raises(DomainError):
-        total_sum_free(_block(intervals.from_endpoints(-1, Fraction(1, 2))))
+        total_sum_free(_block(Fraction(-1), Fraction(1, 2)))
     for verdict in (Verdict.DIVERGES, Verdict.UNDETERMINED):
         assert total_sum_free(criteria.SeriesResult(verdict)).verdict is verdict
 
@@ -400,11 +440,11 @@ def test_bound_dim2_frozen_values():
 
 def test_bound_dim2_monotone_and_vanishing():
     small = bound_S_dim2(Fraction(1, 10**6))
-    assert intervals.certainly_lt(small, Fraction(1, 100))
+    assert _hi(small) < Fraction(1, 100)
     grid = [Fraction(k, 20) for k in range(1, 16)]
     values = [bound_S_dim2(q) for q in grid]
     for left, right in zip(values, values[1:]):
-        assert intervals.certainly_lt(left, right)
+        assert _hi(left) < _lo(right)
 
 
 def test_bound_dimge3_frozen_value():
@@ -413,7 +453,7 @@ def test_bound_dimge3_frozen_value():
 
 def test_bound_dimge3_limits_and_domain():
     tiny = bound_S_dimge3(Fraction(3, 10), Fraction(3, 10**7))
-    assert intervals.certainly_lt(tiny, Fraction(1, 100))
+    assert _hi(tiny) < Fraction(1, 100)
     with pytest.raises(DomainError):
         bound_S_dimge3(Fraction(1, 10), Fraction(2, 10))
 
@@ -422,11 +462,11 @@ def test_bounds_dominate_block_sums():
     small_tol = Fraction(1, 10**10)
     for q_q in (Fraction(2, 100), Fraction(5, 100), Fraction(8, 100)):
         s = block_sum_S(1, q_q, small_tol).sum_enclosure()
-        assert intervals.upper(s) <= intervals.upper(bound_S_dim2(q_q))
+        assert _hi(s) <= _hi(bound_S_dim2(q_q))
     for q_c, q_q in ((Fraction(3, 10), Fraction(3, 100)),
                      (Fraction(38, 100), Fraction(4, 100))):
         s = block_sum_S(q_c, q_q, small_tol).sum_enclosure()
-        assert intervals.upper(s) <= intervals.upper(bound_S_dimge3(q_c, q_q))
+        assert _hi(s) <= _hi(bound_S_dimge3(q_c, q_q))
 
 
 # ---------------------------------------------------------------------------
@@ -435,29 +475,29 @@ def test_bounds_dominate_block_sums():
 
 def test_threshold_dim2_encloses_published_value():
     enclosure = threshold_dim2(Fraction(1, 1000))
-    assert intervals.contains(enclosure, Fraction(861, 10000))
-    assert intervals.width_at_most(enclosure, Fraction(1, 1000))
+    assert _holds(enclosure, Fraction(861, 10000))
+    assert _width(enclosure) <= Fraction(1, 1000)
 
 
 def test_threshold_dim2_fine_tolerance_stays_in_window():
     enclosure = threshold_dim2(Fraction(1, 10**6))
-    assert intervals.width_at_most(enclosure, Fraction(1, 10**6))
+    assert _width(enclosure) <= Fraction(1, 10**6)
     assert _within(enclosure, "0.086", "0.0862")
 
 
 def test_threshold_ratio_value():
     enclosure = threshold_ratio_dimge3()
     assert _within(enclosure, "0.23067", "0.23069")
-    assert intervals.upper(enclosure) < 1
+    assert _hi(enclosure) < 1
     q_c = solve_fundamental_q(3, bits=128)
-    bound = bound_S_dimge3(q_c, intervals.make(q_c) * intervals.make(enclosure))
-    assert intervals.contains(bound, 1)
+    q_q = dyadic.rational_enclosure(_lo(q_c) * _lo(enclosure), _hi(q_c) * _hi(enclosure), 128)
+    assert _holds(bound_S_dimge3(q_c, q_q), 1)
 
 
 def test_threshold_remark_encloses_published_value():
     enclosure = threshold_remark(Fraction(1, 1000))
-    assert intervals.contains(enclosure, Fraction(2134, 10000))
-    assert intervals.width_at_most(enclosure, Fraction(1, 1000))
+    assert _holds(enclosure, Fraction(2134, 10000))
+    assert _width(enclosure) <= Fraction(1, 1000)
 
 
 def test_remark_two_term_bound_brackets():
@@ -467,14 +507,14 @@ def test_remark_two_term_bound_brackets():
             return ctx.sqrt(2 / q_number(2).evaluate(point)) \
                 + ctx.sqrt(3 / q_number(3).evaluate(point))
 
-        assert intervals.lower(two_term(Fraction(1, 4))) > 1
-        assert intervals.upper(two_term(Fraction(1, 10))) < 1
+        assert two_term(Fraction(1, 4)).a > 1
+        assert two_term(Fraction(1, 10)).b < 1
 
 
 @pytest.mark.parametrize("tol", [Fraction(1, 10**18), Fraction(3, 10**20)])
 @pytest.mark.parametrize("threshold", [threshold_dim2, threshold_remark])
 def test_threshold_below_double_precision(threshold, tol):
-    assert intervals.width_at_most(threshold(tol), tol)
+    assert _width(threshold(tol)) <= tol
 
 
 @pytest.mark.parametrize("tol, bits", [(Fraction(1, 10**18), 32), (Fraction(1, 10**6), 16)])
@@ -483,8 +523,8 @@ def test_threshold_width_within_tol_from_low_starting_bits(threshold, tol, bits)
     # the final bracket is rounded outward at a doubling of `bits` that
     # keeps it within tol, not at the starting bits
     enclosure = threshold(tol, bits=bits)
-    assert intervals.width_at_most(enclosure, tol)
-    assert intervals.overlaps(enclosure, threshold(tol))
+    assert _width(enclosure) <= tol
+    assert _overlap(enclosure, threshold(tol))
 
 
 def _affine(a: Fraction, b: Fraction):
@@ -558,13 +598,13 @@ def test_threshold_increase_is_certified_over_the_whole_search_interval(which):
 def test_threshold_ordering():
     dim2 = threshold_dim2(Fraction(1, 1000))
     remark = threshold_remark(Fraction(1, 1000))
-    assert intervals.certainly_lt(dim2, remark)
+    assert _hi(dim2) < _lo(remark)
 
 
 def test_threshold_trivial_tolerance_returns_bracket():
     enclosure = threshold_dim2(1)
-    assert intervals.width_at_most(enclosure, 1)
-    assert intervals.contains(enclosure, Fraction(861, 10000))
+    assert _width(enclosure) <= 1
+    assert _holds(enclosure, Fraction(861, 10000))
 
 
 def test_thresholds_against_independent_root_finder():
@@ -587,8 +627,8 @@ def test_thresholds_against_independent_root_finder():
 
     dim2 = threshold_dim2(Fraction(1, 10**6))
     remark = threshold_remark(Fraction(1, 10**6))
-    assert intervals.lower(dim2) <= dim2_root <= intervals.upper(dim2)
-    assert intervals.lower(remark) <= remark_root <= intervals.upper(remark)
+    assert _holds_mpf(dim2, dim2_root)
+    assert _holds_mpf(remark, remark_root)
 
 
 def test_block_sum_against_plain_summation_oracle():
@@ -603,7 +643,7 @@ def test_block_sum_against_plain_summation_oracle():
             for n in range(1, 400)
         )
     enclosure = block_sum_S(1, q_q, Fraction(1, 10**12)).sum_enclosure()
-    assert intervals.lower(enclosure) <= direct <= intervals.upper(enclosure)
+    assert _holds_mpf(enclosure, direct)
 
 
 def test_quasi_split_sum_against_plain_summation_oracle():
@@ -618,7 +658,7 @@ def test_quasi_split_sum_against_plain_summation_oracle():
             for n in range(400)
         )
     enclosure = result.sum_enclosure()
-    assert intervals.lower(enclosure) <= direct <= intervals.upper(enclosure)
+    assert _holds_mpf(enclosure, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +707,7 @@ def test_masa_verdict_free_unitary():
     verdict = masa_verdict(free_unitary(2, q=Fraction(5, 100)))
     assert verdict.verdict_text == VERDICT_RELATIVE_COMMUTANT
     assert verdict.block_sum is not None
-    assert intervals.upper(verdict.block_sum.sum_enclosure()) < 1
+    assert _hi(verdict.block_sum.sum_enclosure()) < 1
 
 
 def test_masa_verdict_free_unitary_large_deformation_is_inconclusive():

@@ -14,6 +14,7 @@ import decimal
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,7 +172,8 @@ def test_make_of_a_fraction_is_its_tightest_enclosure(bits, value):
     with intervals.precision(bits) as ctx:
         made = intervals.make(value, ctx)
         assert made.ctx is ctx
-        _assert_tightest(intervals.dyadic_endpoints(made), value, bits)
+        enclosure = intervals.to_enclosure(made)
+        _assert_tightest((enclosure.lo, enclosure.hi), value, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +189,9 @@ def _oracle_cell(lo: Fraction, hi: Fraction, bits: int) -> dict:
 
 
 def _oracle_payload(interval) -> dict:
-    """Oracle: today's cell of an interval, its endpoints read as Fractions."""
-    return _oracle_cell(*intervals.exact_endpoints(interval), interval.ctx.prec)
+    """Oracle: today's cell of an interval, its raw endpoints read as Fractions."""
+    bits = interval.ctx.prec
+    return _oracle_cell(*dyadic.exact_endpoints(_mpmath_enclosure(interval, bits)), bits)
 
 
 def _grid_cell(value: Fraction, bits: int) -> dict:
@@ -205,8 +208,8 @@ def test_rational_payload_prints_the_tightest_enclosure(bits, value):
     expected = _grid_cell(Fraction(value), bits)
     assert report.rational_payload(p, q, bits) == expected
     assert report.rational_payload(p * 6, q * 6, bits) == expected  # unreduced terms
-    with intervals.precision(bits) as ctx:  # inside mpmath's enclosure
-        mp_lo, mp_hi = intervals.exact_endpoints(ctx.mpf(p) / ctx.mpf(q))
+    # inside mpmath's enclosure
+    mp_lo, mp_hi = (dyadic.to_fraction(end) for end in _mpmath_endpoints(p, q, bits))
     assert mp_lo <= _grid_floor(Fraction(value), bits)
     assert _grid_ceil(Fraction(value), bits) <= mp_hi
 
@@ -216,13 +219,14 @@ def test_interval_text_matches_the_decimal_printer(bits):
     with intervals.precision(bits) as ctx:
         for interval in (ctx.mpf([-3, 5]) / 7, ctx.sqrt(ctx.mpf(2)) * 2**-40,
                          ctx.exp(ctx.mpf(300)),
-                         intervals.from_endpoints(Fraction(-1, 3), Fraction(1, 10**9), ctx)):
+                         _hull(Fraction(-1, 3), Fraction(1, 10**9), ctx)):
             expected = _oracle_payload(interval)
-            assert intervals.to_decimal_pair(interval) == (expected["lo"], expected["hi"])
-            assert report.enclosure_payload(interval) == expected
-        unbounded = ctx.mpf([1, "inf"])
+            enclosure = intervals.to_enclosure(interval)
+            assert intervals.to_decimal_pair(enclosure) == (expected["lo"], expected["hi"])
+            assert report.enclosure_payload(enclosure) == expected
+        unbounded = intervals.to_enclosure(ctx.mpf([1, "inf"]))
         assert report.enclosure_payload(unbounded) == {"lo": "1", "hi": "inf", "mid": "nan"}
-        unbounded = ctx.mpf(["-inf", 1])
+        unbounded = intervals.to_enclosure(ctx.mpf(["-inf", 1]))
         assert report.enclosure_payload(unbounded) == {"lo": "-inf", "hi": "1", "mid": "nan"}
 
 
@@ -320,6 +324,17 @@ def _mpmath_enclosure(interval, bits: int) -> dyadic.Enclosure:
     return dyadic.Enclosure(*(_raw_dyadic(raw) for raw in interval._mpi_), bits)
 
 
+def _interval(x: dyadic.Enclosure, ctx: MPIntervalContext):
+    """The mpmath interval in `ctx` with the endpoints of `x`, built exactly."""
+    return ctx.make_mpf(tuple(from_man_exp(m, e) for m, e in (x.lo, x.hi)))
+
+
+def _hull(lo: Fraction, hi: Fraction, ctx: MPIntervalContext):
+    """The mpmath interval in `ctx` from the lower end of the enclosure of
+    `lo` to the upper end of that of `hi`."""
+    return ctx.mpf([intervals.make(lo, ctx).a, intervals.make(hi, ctx).b])
+
+
 def _fixed_input(draw_lo: int, draw_hi: int, p: int, bits: int) -> dyadic.Enclosure:
     lo, hi = sorted((draw_lo, draw_hi))
     return dyadic.fixed_enclosure(lo, hi, p, bits)
@@ -343,8 +358,9 @@ def test_sum_enclosure_is_mpmaths_partial_plus_tail(bits, a, b, c, d, p):
     partial, tail = _fixed_input(a, b, p, bits), _fixed_input(c, d, p, bits)
     result = criteria.SeriesResult(criteria.Verdict.CONVERGES, partial, tail, 1)
     ctx = _context(bits)
-    total = intervals.make(partial, ctx) + intervals.make(tail, ctx)
-    expected = ctx.mpf([intervals.lower(intervals.make(partial, ctx)), intervals.upper(total)])
+    partial_interval = _interval(partial, ctx)
+    total = partial_interval + _interval(tail, ctx)
+    expected = ctx.mpf([partial_interval.a, total.b])
     assert result.sum_enclosure() == _mpmath_enclosure(expected, bits)
 
 
@@ -378,8 +394,9 @@ def test_total_sum_free_is_the_tightest_enclosure_of_one_plus_geometric(bits, a,
     assert hi == _grid_ceil((1 + s_hi) / (1 - s_hi), bits)
     assert total.partial_sum.bits == bits
     assert _is_normal(total.partial_sum.lo) and _is_normal(total.partial_sum.hi)
-    interval = intervals.make(s, _context(bits))  # inside mpmath's left-to-right operators
-    mp_lo, mp_hi = intervals.exact_endpoints(1 + 2 * interval / (1 - interval))
+    interval = _interval(s, _context(bits))  # inside mpmath's left-to-right operators
+    total = 1 + 2 * interval / (1 - interval)
+    mp_lo, mp_hi = dyadic.exact_endpoints(_mpmath_enclosure(total, bits))
     assert mp_lo <= lo and hi <= mp_hi
 
 
@@ -391,7 +408,7 @@ def test_threshold_bracket_rounding_is_the_grid_hull(bits, lo, span):
     enclosure = dyadic.rational_enclosure(lo, lo + span, bits)
     assert dyadic.exact_endpoints(enclosure) == (_grid_floor(lo, bits),
                                                  _grid_ceil(lo + span, bits))
-    expected = intervals.from_endpoints(lo, lo + span, _context(bits))
+    expected = _hull(lo, lo + span, _context(bits))
     assert enclosure == _mpmath_enclosure(expected, bits)
 
 
@@ -400,32 +417,24 @@ def test_threshold_bracket_rounding_is_the_grid_hull(bits, lo, span):
 @given(wide_ints, wide_ints, st.integers(0, 2200))
 def test_width_is_the_upper_end_of_mpmaths_delta(bits, lo, hi, p):
     x = _fixed_input(lo, hi, p, bits)
-    interval = intervals.make(x, _context(bits))
+    interval = _interval(x, _context(bits))
     width = dyadic.width(x)
     assert width == _raw_dyadic(interval.delta._mpi_[1])
     if dyadic.to_fraction(width) < 1:  # as `threshold` prints it: its widths are below 1
-        assert str(float(dyadic.to_fraction(width))) == str(float(intervals.upper(interval.delta)))
+        mp_width = mpmath.mp.make_mpf(interval.delta._mpi_[1])
+        assert str(float(dyadic.to_fraction(width))) == str(float(mp_width))
 
 
 @pytest.mark.parametrize("bits", ENCLOSURE_BITS)
 @settings(derandomize=True, max_examples=40)
-@given(st.integers(-(2**150), 2**150), st.integers(-(2**150), 2**150), st.integers(0, 160),
-       st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=10**12))
-def test_interval_readers_read_an_enclosure_as_its_interval(bits, lo, hi, p, value):
+@given(st.integers(-(2**150), 2**150), st.integers(-(2**150), 2**150), st.integers(0, 160))
+def test_to_enclosure_reads_back_the_interval_of_an_enclosure(bits, lo, hi, p):
     x = _fixed_input(lo, hi, p, bits)
-    interval = intervals.make(x)
-    assert interval.ctx.prec == bits and intervals.to_enclosure(interval) == x
-    for reader in (intervals.lower, intervals.upper, intervals.dyadic_endpoints,
-                   intervals.exact_endpoints, intervals.width_fraction,
-                   intervals.to_decimal_pair):
-        assert reader(x) == reader(interval), reader.__name__
-    assert intervals.to_decimal_pair(x, 12) == intervals.to_decimal_pair(interval, 12)
-    assert intervals.width_at_most(x, value) == intervals.width_at_most(interval, value)
-    other = intervals.make(value, interval.ctx)
-    for relation in (intervals.contains, intervals.overlaps, intervals.certainly_lt,
-                     intervals.certainly_gt):
-        for y in (value, other):
-            assert relation(x, y) == relation(interval, y), relation.__name__
-        assert relation(x, x) == relation(interval, interval), relation.__name__
-    assert intervals.certainly_lt(value, x) == intervals.certainly_lt(value, interval)
-    assert report.enclosure_payload(x) == report.enclosure_payload(interval)
+    interval = _interval(x, _context(bits))
+    assert intervals.to_enclosure(interval) == x
+    expected = _oracle_cell(*dyadic.exact_endpoints(x), bits)
+    assert intervals.to_decimal_pair(x) == (expected["lo"], expected["hi"])
+    assert report.enclosure_payload(x) == expected
+    lo_text, hi_text = intervals.to_decimal_pair(x, 12)
+    x_lo, x_hi = dyadic.exact_endpoints(x)
+    assert Fraction(lo_text) <= x_lo and x_hi <= Fraction(hi_text)

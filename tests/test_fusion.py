@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qclassfun import fusion, intervals
+from qclassfun import dyadic, fusion, intervals
 from qclassfun.cli import main
 from qclassfun.errors import DomainError, FamilyError
 from qclassfun.fusion import (
@@ -224,12 +224,13 @@ def test_word_quantum_dim_is_deformed_integer_at_fundamental_root():
     # dual route: the exact block recursion against interval evaluation of
     # the deformed integer at the root of x + 1/x = dim_q.
     fam = free_unitary(2, dim_q_fund=Fraction(7, 2))
+    root_lo, root_hi = dyadic.exact_endpoints(solve_fundamental_q(Fraction(7, 2), bits=128))
     with intervals.precision(128) as ctx:
-        root = solve_fundamental_q(Fraction(7, 2), bits=ctx.prec)
+        root = ctx.mpf([intervals.make(root_lo, ctx).a, intervals.make(root_hi, ctx).b])
         for n in range(1, 8):
             word = fusion.alternating_word(n)
-            expected = q_number(n + 1).evaluate(root)
-            assert intervals.contains(expected, Fraction(dim(word, fam, "quantum")))
+            lo, hi = dyadic.exact_endpoints(intervals.to_enclosure(q_number(n + 1).evaluate(root)))
+            assert lo <= Fraction(dim(word, fam, "quantum")) <= hi
 
 
 def test_dim_additivity_spot_checks():
@@ -457,35 +458,31 @@ def test_ladder_caches_stay_bounded(fresh_ladder_caches):
 
 
 def test_rho_spectrum_examples():
-    with intervals.precision(128) as ctx:
-        trivial = rho_spectrum(0, intervals.make(Fraction(1, 2), ctx))
-        assert len(trivial) == 1 and intervals.contains(trivial[0], 1)
-        for n, exact in ((1, [2, Fraction(1, 2)]), (2, [4, 1, Fraction(1, 4)])):
-            spectrum = rho_spectrum(n, intervals.make(Fraction(1, 2), ctx))
-            assert len(spectrum) == n + 1
-            assert all(intervals.contains(lam, value) for lam, value in zip(spectrum, exact))
-        total = sum(spectrum, intervals.make(0, ctx))
-        assert intervals.contains(total, Fraction(21, 4))  # [3] at 1/2
+    assert rho_spectrum(0, Fraction(1, 2)) == [1]
+    assert rho_spectrum(1, "1/2") == [2, Fraction(1, 2)]
+    assert rho_spectrum(1, 1) == [1, 1]
+    spectrum = rho_spectrum(2, Fraction(1, 2))
+    assert spectrum == [4, 1, Fraction(1, 4)]
+    assert all(type(lam) is Fraction for lam in spectrum)
+    assert sum(spectrum) == Fraction(21, 4)  # [3] at 1/2
 
 
 def test_rho_spectrum_trace_balance_up_to_30():
     q = Fraction(2, 5)
-    with intervals.precision(96) as ctx:
-        for n in range(31):
-            spectrum = [q ** (-n + 2 * k) for k in range(n + 1)]
-            assert sum(spectrum) == sum(1 / lam for lam in spectrum)
-            enclosures = rho_spectrum(n, intervals.make(q, ctx))
-            assert all(intervals.contains(lam, value) for lam, value in zip(enclosures, spectrum))
-            total = sum(enclosures, intervals.make(0, ctx))
-            total_inv = sum((1 / lam for lam in enclosures), intervals.make(0, ctx))
-            assert intervals.overlaps(total, total_inv)
+    for n in range(31):
+        spectrum = rho_spectrum(n, q)
+        assert spectrum == [q ** (-n + 2 * k) for k in range(n + 1)]
+        assert sum(spectrum) == sum(1 / lam for lam in spectrum)
 
 
 def test_rho_spectrum_domain():
-    with pytest.raises(DomainError):
-        rho_spectrum(2, Fraction(3, 2))
+    for q in (Fraction(3, 2), 0, Fraction(-1, 2)):
+        with pytest.raises(DomainError):
+            rho_spectrum(2, q)
     with pytest.raises(DomainError):
         rho_spectrum(-1, Fraction(1, 2))
+    with pytest.raises(TypeError):  # a float is refused, not read as its binary value
+        rho_spectrum(2, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_modules_that_load_mpmath_on_import():
             reaches_mpmath(dep, seen) for dep in GRAPH[name] & GRAPH.keys() - seen)
 
     heavy = sorted(name for name in GRAPH if reaches_mpmath(name, set()))
-    assert heavy == ["acceptance", "intervals"]
+    assert heavy == ["intervals"]
 
 
 def test_budgets_module_imports_nothing():

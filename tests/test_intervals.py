@@ -1,6 +1,8 @@
 """Outward-rounded interval helpers and their per-call precision."""
 
 import ast
+import dataclasses
+import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -10,12 +12,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import iv
+from mpmath.ctx_iv import ivmpf
 
 import qclassfun
-from qclassfun import criteria, fusion, intervals, scalars
+from qclassfun import criteria, dyadic, fusion, intervals, scalars, spectral
 from qclassfun.errors import DomainError
 
 fractions = st.fractions(min_value=Fraction(-100), max_value=Fraction(100))
+
+
+def _endpoints(x) -> tuple[Fraction, Fraction]:
+    """The exact endpoints of an mpmath interval."""
+    return dyadic.exact_endpoints(intervals.to_enclosure(x))
+
+
+def _width(x) -> Fraction:
+    lo, hi = _endpoints(x)
+    return hi - lo
 
 
 def test_precision_yields_one_context_per_bit_count():
@@ -26,7 +39,7 @@ def test_precision_yields_one_context_per_bit_count():
         assert third.ctx is ctx and (1 - third * third).ctx is ctx
         default_third = intervals.make(Fraction(1, 3))
         assert default_third.ctx.prec == intervals.DEFAULT_BITS
-        assert intervals.width_fraction(default_third) < intervals.width_fraction(third)
+        assert _width(default_third) < _width(third)
     assert iv.prec == before
 
 
@@ -55,15 +68,17 @@ def test_library_calls_ignore_mpmath_ambient_precision():
     iv.prec = 20
     try:
         root = scalars.solve_fundamental_q(3)
-        rho = fusion.rho_spectrum(2, Fraction(1, 3))
+        norm = spectral.modular_norm_sq(fusion.rho_spectrum(2, Fraction(1, 3)), 0)
         pair = intervals.to_decimal_pair(root)
         assert iv.prec == 20
     finally:
         iv.prec = before
-    assert root.bits == intervals.DEFAULT_BITS
-    assert intervals.width_fraction(root) < Fraction(1, 2**120)
-    assert intervals.contains(rho[2], Fraction(1, 9))
-    assert intervals.width_fraction(rho[2]) < Fraction(1, 2**120)
+    for enclosure in (root, norm):
+        lo, hi = dyadic.exact_endpoints(enclosure)
+        assert enclosure.bits == intervals.DEFAULT_BITS
+        assert hi - lo < Fraction(1, 2**120)
+    norm_lo, norm_hi = dyadic.exact_endpoints(norm)
+    assert norm_lo <= 1 <= norm_hi
     assert pair == intervals.to_decimal_pair(root, intervals.decimal_digits(intervals.DEFAULT_BITS))
 
 
@@ -75,12 +90,11 @@ def test_threads_at_different_precisions_match_sequential_runs():
         out = []
         for _ in range(40):
             block = criteria.block_sum_S(1, Fraction(1, 10), Fraction(1, 10**6), bits=bits)
-            out.append(intervals.exact_endpoints(block.sum_enclosure()))
-            out.append(intervals.exact_endpoints(criteria.threshold_ratio_dimge3(bits=bits)))
+            out.append(dyadic.exact_endpoints(block.sum_enclosure()))
+            out.append(dyadic.exact_endpoints(criteria.threshold_ratio_dimge3(bits=bits)))
             # the interval contexts, which the two int computations above never enter
-            with intervals.precision(bits) as ctx:
-                spectrum = fusion.rho_spectrum(3, intervals.make(Fraction(1, 3), ctx))
-            out.extend(intervals.exact_endpoints(x) for x in spectrum)
+            rho = fusion.rho_spectrum(3, Fraction(1, 3))
+            out.append(dyadic.exact_endpoints(spectral.modular_norm_sq(rho, Fraction(1, 3), bits)))
         return out
 
     expected = [run(b) for b in bits]
@@ -134,70 +148,132 @@ def test_only_the_context_factory_touches_interval_precision():
 @given(fractions)
 def test_make_encloses_fractions(f):
     with intervals.precision(64) as ctx:
-        assert intervals.contains(intervals.make(f, ctx), f)
+        lo, hi = _endpoints(intervals.make(f, ctx))
+    assert lo <= f <= hi
 
 
 def test_make_encloses_decimal_strings():
     with intervals.precision(64) as ctx:
-        x = intervals.make("0.3", ctx)
-        assert intervals.contains(x, Fraction(3, 10))
-        assert intervals.width_fraction(x) > 0  # 0.3 is not binary-exact
+        lo, hi = _endpoints(intervals.make("0.3", ctx))
+    assert lo < Fraction(3, 10) < hi  # 0.3 is not binary-exact
 
 
 def test_endpoints_are_exact_beyond_double_precision():
     with intervals.precision(128) as ctx:
-        third = intervals.make(Fraction(1, 3), ctx)
-        assert intervals.lower(third) < intervals.upper(third)
-        assert intervals.contains(third, Fraction(1, 3))
-        # 1e-30 away: inside one double's rounding, far outside 128 bits
-        assert not intervals.contains(third, Fraction(1, 3) + Fraction(1, 10**30))
-        assert not intervals.contains(third, Fraction(1, 3) - Fraction(1, 10**30))
-
-
-def test_from_endpoints_and_width():
-    with intervals.precision(64) as ctx:
-        x = intervals.from_endpoints(Fraction(1, 4), Fraction(3, 4), ctx)
-        assert intervals.width_fraction(x) == Fraction(1, 2)
-        assert intervals.contains(x, Fraction(1, 2))
-        assert not intervals.contains(x, 1)
-
-
-@given(fractions, fractions)
-def test_order_certification(a, b):
-    with intervals.precision(64) as ctx:
-        x, y = intervals.make(a, ctx), intervals.make(b, ctx)
-        if intervals.certainly_lt(x, y):
-            assert a < b
-        if a < b and intervals.overlaps(x, y):
-            # only near-ties may overlap after rounding
-            assert b - a < Fraction(1, 10**15)
-
-
-def test_inv_guard():
-    with intervals.precision(64) as ctx:
-        with pytest.raises(DomainError):
-            intervals.inv(intervals.from_endpoints(-1, 1, ctx))
-        assert intervals.contains(intervals.inv(intervals.make(4, ctx)), Fraction(1, 4))
+        lo, hi = _endpoints(intervals.make(Fraction(1, 3), ctx))
+    assert lo < Fraction(1, 3) < hi
+    # 1e-30 away: inside one double's rounding, far outside 128 bits
+    assert Fraction(1, 3) - Fraction(1, 10**30) < lo and hi < Fraction(1, 3) + Fraction(1, 10**30)
 
 
 @given(fractions)
 def test_decimal_pair_brackets_the_value(f):
     with intervals.precision(64) as ctx:
-        lo, hi = intervals.to_decimal_pair(intervals.make(f, ctx), digits=12)
+        x = intervals.to_enclosure(intervals.make(f, ctx))
+    lo, hi = intervals.to_decimal_pair(x, digits=12)
     assert Fraction(lo) <= f <= Fraction(hi)
 
 
 def test_decimal_pair_unbounded():
     with intervals.precision(64) as ctx:
-        top = ctx.mpf([1, "inf"])
+        top = intervals.to_enclosure(ctx.mpf([1, "inf"]))
         lo, hi = intervals.to_decimal_pair(top, digits=8)
         assert hi == "inf"
         assert Fraction(lo) <= 1
 
 
-def test_width_at_most_is_exact():
-    with intervals.precision(64) as ctx:
-        x = intervals.from_endpoints(0, Fraction(1, 8), ctx)
-        assert intervals.width_at_most(x, Fraction(1, 8))
-        assert not intervals.width_at_most(x, Fraction(1, 9))
+# ---------------------------------------------------------------------------
+# the enclosure boundary: exact values or Enclosures in, Enclosures out
 
+_FAMILY = fusion.su2_ladder(3, q=Fraction(1, 5))
+_FREE = fusion.free_unitary(2, q=Fraction(1, 10))
+_RHO = fusion.rho_spectrum(2, Fraction(1, 3))
+_OP = spectral.build_jacobi(4, Fraction(1, 2))
+_BLOCK = criteria.block_sum_S(1, Fraction(1, 10), Fraction(1, 1000))
+
+#: One small valid call of each public function of the four modules, except
+#: ``LaurentScalar.evaluate``, the one method that returns an mpmath interval.
+BOUNDARY_CALLS = {
+    "fusion.exact_fraction": lambda: fusion.exact_fraction("1/3"),
+    "fusion.su2_ladder": lambda: fusion.su2_ladder(3, q=Fraction(1, 5)),
+    "fusion.so3_ladder": lambda: fusion.so3_ladder(4, dim_q_fund=5),
+    "fusion.free_unitary": lambda: fusion.free_unitary(2, q=Fraction(1, 10)),
+    "fusion.check_label": lambda: fusion.check_label(2, _FAMILY),
+    "fusion.label_sort_key": lambda: fusion.label_sort_key("AB"),
+    "fusion.all_words": lambda: list(fusion.all_words(2)),
+    "fusion.alternating_word": lambda: fusion.alternating_word(3),
+    "fusion.tensor_fundamental": lambda: fusion.tensor_fundamental(2, _FAMILY),
+    "fusion.tensor_free": lambda: fusion.tensor_free("AB", "BA"),
+    "fusion.factorize": lambda: fusion.factorize("ABBA"),
+    "fusion.tensor_reduce": lambda: fusion.tensor_reduce([1, 1], _FAMILY),
+    "fusion.invariant_multiplicity": lambda: fusion.invariant_multiplicity([1, 1], _FAMILY),
+    "fusion.dim": lambda: fusion.dim(2, _FAMILY, "quantum"),
+    "fusion.scaled_dim": lambda: fusion.scaled_dim("AB", _FREE, "quantum"),
+    "fusion.dims_equal": lambda: fusion.dims_equal(2, _FAMILY),
+    "fusion.rho_spectrum": lambda: fusion.rho_spectrum(2, Fraction(1, 3)),
+    "spectral.trace_balanced": lambda: spectral.trace_balanced(_RHO),
+    "spectral.modular_norm_sq": lambda: spectral.modular_norm_sq(_RHO, Fraction(1, 3)),
+    "spectral.modular_eigencoefficients":
+        lambda: spectral.modular_eigencoefficients(_RHO, Fraction(1, 3)),
+    "spectral.build_jacobi": lambda: spectral.build_jacobi(4, Fraction(1, 2)),
+    "spectral.krylov_rank": lambda: spectral.krylov_rank(_OP),
+    "spectral.matrix_commutant_dim":
+        lambda: spectral.matrix_commutant_dim(3, [Fraction(1, 2), Fraction(3, 4)]),
+    "spectral.commutant_dim": lambda: spectral.commutant_dim(_OP),
+    "spectral.min_eigenvalue_gap": lambda: spectral.min_eigenvalue_gap(_OP),
+    "spectral.suq2_relation_residuals":
+        lambda: spectral.suq2_relation_residuals(4, Fraction(1, 2), Fraction(1, 3)),
+    "criteria.ratio_exact": lambda: criteria.ratio_exact(2, _FAMILY),
+    "criteria.verify_decay": lambda: criteria.verify_decay(_FAMILY, 5),
+    "criteria.quasi_split_sum_ladder":
+        lambda: criteria.quasi_split_sum_ladder(_FAMILY, Fraction(1, 1000)),
+    "criteria.block_sum_S": lambda: criteria.block_sum_S(1, Fraction(1, 10), Fraction(1, 1000)),
+    "criteria.total_sum_free": lambda: criteria.total_sum_free(_BLOCK),
+    "criteria.bound_S_dim2": lambda: criteria.bound_S_dim2(Fraction(1, 10)),
+    "criteria.bound_S_dimge3": lambda: criteria.bound_S_dimge3(Fraction(1, 2), Fraction(1, 10)),
+    "criteria.threshold_dim2": lambda: criteria.threshold_dim2(Fraction(1, 100)),
+    "criteria.threshold_ratio_dimge3": lambda: criteria.threshold_ratio_dimge3(),
+    "criteria.threshold_remark": lambda: criteria.threshold_remark(Fraction(1, 100)),
+    "criteria.kac_part": lambda: criteria.kac_part(_FAMILY, 5),
+    "criteria.masa_verdict": lambda: criteria.masa_verdict(_FREE, n_max=5),
+    "scalars.q_number": lambda: scalars.q_number(3),
+    "scalars.fixed_fundamental_q": lambda: scalars.fixed_fundamental_q((3 << 64, 3 << 64), 64),
+    "scalars.solve_fundamental_q": lambda: scalars.solve_fundamental_q(3),
+}
+
+
+def _public_functions() -> set[str]:
+    names = set()
+    for module in (fusion, spectral, criteria, scalars):
+        short = module.__name__.rsplit(".", 1)[1]
+        names.update(f"{short}.{name}" for name, value in vars(module).items()
+                     if inspect.isfunction(value) and value.__module__ == module.__name__
+                     and not name.startswith("_"))
+    return names
+
+
+def _held(value):
+    """`value` and everything it holds, through containers and dataclasses."""
+    yield value
+    if isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = value
+    elif dataclasses.is_dataclass(value):
+        children = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    elif isinstance(value, scalars.LaurentScalar):
+        children = [value.coeffs]
+    else:
+        children = []
+    for child in children:
+        yield from _held(child)
+
+
+def test_the_boundary_calls_cover_every_public_function():
+    assert set(BOUNDARY_CALLS) == _public_functions()
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CALLS))
+def test_no_public_function_returns_an_mpmath_interval(name):
+    result = BOUNDARY_CALLS[name]()
+    assert not any(isinstance(value, ivmpf) for value in _held(result))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qclassfun import intervals
+from qclassfun import dyadic
 from qclassfun.errors import DomainError
 from qclassfun.report import (
     Report,
@@ -18,16 +18,13 @@ from qclassfun.report import (
 
 
 def test_enclosure_payload_is_outward():
-    with intervals.precision(64) as ctx:
-        x = intervals.make(Fraction(1, 3), ctx)
-        payload = enclosure_payload(x)
+    payload = enclosure_payload(dyadic.rational_enclosure(Fraction(1, 3), Fraction(1, 3), 64))
     assert Fraction(payload["lo"]) <= Fraction(1, 3) <= Fraction(payload["hi"])
     assert Fraction(payload["lo"]) <= Fraction(payload["mid"]) <= Fraction(payload["hi"])
 
 
 def test_enclosure_payload_exact_point():
-    with intervals.precision(64) as ctx:
-        payload = enclosure_payload(intervals.make(2, ctx))
+    payload = enclosure_payload(dyadic.rational_enclosure(Fraction(2), Fraction(2), 64))
     assert payload == {"lo": "2", "hi": "2", "mid": "2"}
 
 

@@ -29,6 +29,28 @@ def laurent_value(coeffs: dict[int, int], q: Fraction) -> Fraction:
     return sum((c * q**e for e, c in coeffs.items()), Fraction(0))
 
 
+def _holds(enclosure: dyadic.Enclosure, value) -> bool:
+    lo, hi = dyadic.exact_endpoints(enclosure)
+    return lo <= value <= hi
+
+
+def _width(enclosure: dyadic.Enclosure) -> Fraction:
+    lo, hi = dyadic.exact_endpoints(enclosure)
+    return hi - lo
+
+
+def _evaluate(p: LaurentScalar, q) -> dyadic.Enclosure:
+    """`p` evaluated at the mpmath interval or exact value `q`, read back as
+    an Enclosure."""
+    return intervals.to_enclosure(p.evaluate(q))
+
+
+def _hull(lo: Fraction, hi: Fraction, ctx):
+    """The mpmath interval in `ctx` from the lower end of the enclosure of
+    `lo` to the upper end of that of `hi`."""
+    return ctx.mpf([intervals.make(lo, ctx).a, intervals.make(hi, ctx).b])
+
+
 def test_q_number_zero_is_empty_sum():
     assert q_number(0).coeffs == {}
 
@@ -61,39 +83,39 @@ def test_q_number_recursion(n, q):
         deformed_integer(n - 1, q) + deformed_integer(n + 1, q)
     with intervals.precision(128) as ctx:
         for m in (n - 1, n, n + 1):
-            enclosed = q_number(m).evaluate(intervals.make(q, ctx))
+            enclosed = _evaluate(q_number(m), intervals.make(q, ctx))
             exact = deformed_integer(m, q)
-            assert intervals.contains(enclosed, exact)
-            assert intervals.width_at_most(enclosed, exact / 10**20)
+            assert _holds(enclosed, exact)
+            assert _width(enclosed) <= exact / 10**20
 
 
 def test_eval_q_number_examples():
     with intervals.precision(128) as ctx:
         half = intervals.make(Fraction(1, 2), ctx)
-        assert intervals.contains(q_number(2).evaluate(half), Fraction(5, 2))
-        assert intervals.contains(q_number(3).evaluate(intervals.make(1, ctx)), 3)
+        assert _holds(_evaluate(q_number(2), half), Fraction(5, 2))
+        assert _holds(_evaluate(q_number(3), intervals.make(1, ctx)), 3)
         # direct evaluation of the sum form at 0.3
         expected = deformed_integer(5, Fraction(3, 10))
         assert expected == Fraction(3, 10) ** -4 + Fraction(3, 10) ** -2 + 1 \
             + Fraction(3, 10) ** 2 + Fraction(3, 10) ** 4
-        enclosed = q_number(5).evaluate(intervals.make(Fraction(3, 10), ctx))
-        assert intervals.contains(enclosed, expected)
-        assert intervals.width_at_most(enclosed, Fraction(1, 10**20))
+        enclosed = _evaluate(q_number(5), intervals.make(Fraction(3, 10), ctx))
+        assert _holds(enclosed, expected)
+        assert _width(enclosed) <= Fraction(1, 10**20)
 
 
 def test_eval_at_one_encloses_n():
     with intervals.precision(128) as ctx:
         for n in range(65):
-            assert intervals.contains(q_number(n).evaluate(intervals.make(1, ctx)), n)
+            assert _holds(_evaluate(q_number(n), intervals.make(1, ctx)), n)
 
 
 def test_eval_rejects_zero_enclosure_with_negative_exponents():
     with intervals.precision(64) as ctx:
-        spanning_zero = intervals.from_endpoints(Fraction(-1, 10), Fraction(1, 10), ctx)
+        spanning_zero = _hull(Fraction(-1, 10), Fraction(1, 10), ctx)
         with pytest.raises(DomainError):
             q_number(2).evaluate(spanning_zero)
         # pure nonnegative exponents are fine at zero
-        assert intervals.contains(LaurentScalar({0: 7}).evaluate(spanning_zero), 7)
+        assert _holds(_evaluate(LaurentScalar({0: 7}), spanning_zero), 7)
 
 
 @given(coeff_maps, rational_q)
@@ -101,7 +123,7 @@ def test_eval_rejects_zero_enclosure_with_negative_exponents():
 def test_eval_encloses_exact_rational_value(coeffs, q):
     p = LaurentScalar(coeffs)
     with intervals.precision(96) as ctx:
-        assert intervals.contains(p.evaluate(intervals.make(q, ctx)), laurent_value(coeffs, q))
+        assert _holds(_evaluate(p, intervals.make(q, ctx)), laurent_value(coeffs, q))
 
 
 @given(coeff_maps, rational_q, rational_q, st.integers(min_value=0, max_value=4))
@@ -110,8 +132,8 @@ def test_eval_encloses_every_sample_inside_a_wide_enclosure(coeffs, q1, q2, pick
     lo, hi = min(q1, q2), max(q1, q2)
     sample = lo + (hi - lo) * Fraction(pick, 4)
     with intervals.precision(96) as ctx:
-        box = intervals.from_endpoints(lo, hi, ctx)
-        assert intervals.contains(p.evaluate(box), laurent_value(coeffs, sample))
+        box = _hull(lo, hi, ctx)
+        assert _holds(_evaluate(p, box), laurent_value(coeffs, sample))
 
 
 def test_canonical_form_drops_zero_coefficients():
@@ -120,23 +142,20 @@ def test_canonical_form_drops_zero_coefficients():
 
 
 def test_solve_fundamental_q_examples():
-    with intervals.precision(128) as ctx:
-        assert intervals.contains(solve_fundamental_q(2, bits=ctx.prec), 1)
-        half = solve_fundamental_q(Fraction(5, 2), bits=ctx.prec)
-        assert intervals.contains(half, Fraction(1, 2))
-        # (3 - sqrt(5))/2 up to enclosure
-        root3 = solve_fundamental_q(3, bits=ctx.prec)
-        assert intervals.contains(
-            intervals.from_endpoints("0.3819660112501051", "0.3819660112501052", ctx), root3
-        )
+    assert _holds(solve_fundamental_q(2, bits=128), 1)
+    assert _holds(solve_fundamental_q(Fraction(5, 2), bits=128), Fraction(1, 2))
+    # (3 - sqrt(5))/2 up to enclosure
+    lo, hi = dyadic.exact_endpoints(solve_fundamental_q(3, bits=128))
+    assert Fraction("0.3819660112501051") <= lo and hi <= Fraction("0.3819660112501052")
 
 
 @given(st.fractions(min_value=Fraction(2), max_value=Fraction(50)))
 def test_solve_fundamental_q_inverts(d):
-    q = intervals.make(solve_fundamental_q(d, bits=128))
-    assert intervals.upper(q) <= 1
-    assert intervals.lower(q) > 0
-    assert intervals.contains(q + 1 / q, d)
+    lo, hi = dyadic.exact_endpoints(solve_fundamental_q(d, bits=128))
+    assert 0 < lo and hi <= 1
+    with intervals.precision(128) as ctx:
+        q = _hull(lo, hi, ctx)
+        assert _holds(intervals.to_enclosure(q + 1 / q), d)
 
 
 def test_solve_fundamental_q_tiny_root_keeps_its_sign():
@@ -144,19 +163,19 @@ def test_solve_fundamental_q_tiny_root_keeps_its_sign():
     # enclosure of zero at 128 bits
     q = Fraction(1, 10**25)
     root = solve_fundamental_q(q + 1 / q, bits=128)
-    assert intervals.lower(root) > 0
-    assert intervals.contains(root, q)
+    assert dyadic.exact_endpoints(root)[0] > 0
+    assert _holds(root, q)
 
 
 def test_solve_fundamental_q_domain():
     with pytest.raises(DomainError):
         solve_fundamental_q(Fraction(19, 10))
     with intervals.precision(64) as ctx:
-        straddling = intervals.from_endpoints(Fraction(199, 100), 3, ctx)
-        unbounded = ctx.mpf([3, "+inf"])
+        unbounded = intervals.to_enclosure(ctx.mpf([3, "+inf"]))
+    straddling = dyadic.rational_enclosure(Fraction(199, 100), Fraction(3), 64)
     for d in (straddling, unbounded):
         with pytest.raises(DomainError):
-            solve_fundamental_q(intervals.to_enclosure(d))
+            solve_fundamental_q(d)
 
 
 FIXED_BITS = (8, 64, 128, 512)
@@ -194,7 +213,7 @@ def _mpmath_root(d: Fraction, bits: int):
     at `bits`, or None where `d` enclosed at `bits` reaches below 2."""
     with intervals.precision(bits) as ctx:
         x = intervals.make(d, ctx)
-        return None if intervals.lower(x) < 2 else 2 / (x + ctx.sqrt(x * x - 4))
+        return None if x.a < 2 else 2 / (x + ctx.sqrt(x * x - 4))
 
 
 @pytest.mark.parametrize("bits", [1, 8, 64, 128, 512, 1024])
@@ -210,14 +229,17 @@ def test_solve_fundamental_q_holds_the_root_and_meets_the_mpmath_enclosure(bits)
         with mpmath.workdps(60 + int(3 * bits * 0.302) + 50):
             assert mpmath.ldexp(*root.lo) <= value <= mpmath.ldexp(*root.hi), d
         old = _mpmath_root(d, bits)
-        assert old is None or intervals.overlaps(root, old), d
+        if old is not None:
+            old_lo, old_hi = dyadic.exact_endpoints(intervals.to_enclosure(old))
+            assert lo <= old_hi and old_lo <= hi, d
 
 
 def test_solve_fundamental_q_reads_an_enclosure_exactly():
     d = dyadic.rational_enclosure(Fraction(3), Fraction(7, 2), 64)
-    root = solve_fundamental_q(d, bits=64)
+    lo, hi = dyadic.exact_endpoints(solve_fundamental_q(d, bits=64))
     for end in dyadic.exact_endpoints(d):
-        assert intervals.contains(root, solve_fundamental_q(end, bits=64))
+        end_lo, end_hi = dyadic.exact_endpoints(solve_fundamental_q(end, bits=64))
+        assert lo <= end_lo and end_hi <= hi
 
 
 @pytest.mark.parametrize("frac_bits", FIXED_BITS)

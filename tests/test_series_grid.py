@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from qclassfun import intervals
+from qclassfun import budgets, dyadic
 from qclassfun.criteria import block_sum_S, quasi_split_sum_ladder
 from qclassfun.fusion import so3_ladder, su2_ladder
 from qclassfun.scalars import solve_fundamental_q
@@ -37,7 +37,7 @@ LADDER_BELOW = [Fraction(19, 1000), Fraction(95, 1000), Fraction(19, 100),
 
 
 def _root_of_three():
-    return solve_fundamental_q(3, bits=intervals.DEFAULT_BITS)
+    return solve_fundamental_q(3, bits=budgets.DEFAULT_BITS)
 
 
 def _cases() -> dict:
@@ -65,7 +65,7 @@ CASES = _cases()
 
 
 def _record(result) -> dict:
-    lo, hi = intervals.exact_endpoints(result.sum_enclosure())
+    lo, hi = dyadic.exact_endpoints(result.sum_enclosure())
     return {"terms_used": result.terms_used, "lo": str(lo), "hi": str(hi)}
 
 

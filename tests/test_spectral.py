@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qclassfun import fusion, intervals
+from qclassfun import dyadic, fusion, intervals
+from qclassfun.dyadic import Enclosure
 from qclassfun.errors import BudgetError, DomainError
 from qclassfun.spectral import (
     MAX_COMMUTANT_SIZE,
@@ -45,25 +46,26 @@ def rho_spectrum_exact(n: int, q: Fraction) -> list[Fraction]:
 # modular norms
 
 
+def _holds(enclosure: Enclosure, value) -> bool:
+    lo, hi = dyadic.exact_endpoints(enclosure)
+    return lo <= value <= hi
+
+
 def test_norm_one_at_zero_for_any_balanced_spectrum():
-    with intervals.precision(128) as ctx:
-        for n in (0, 1, 5, 12):
-            rho = fusion.rho_spectrum(n, intervals.make(Fraction(2, 5), ctx))
-            assert intervals.contains(modular_norm_sq(rho, 0), 1)
+    for n in (0, 1, 5, 12):
+        rho = fusion.rho_spectrum(n, Fraction(2, 5))
+        assert _holds(modular_norm_sq(rho, 0, 128), 1)
 
 
 def test_norm_at_quarter_gives_dimension_ratio():
-    with intervals.precision(128) as ctx:
-        rho = fusion.rho_spectrum(1, intervals.make(Fraction(1, 2), ctx))
-        value = modular_norm_sq(rho, Fraction(-1, 4))
-        assert intervals.contains(value, Fraction(4, 5))
+    value = modular_norm_sq(fusion.rho_spectrum(1, Fraction(1, 2)), Fraction(-1, 4), 128)
+    assert _holds(value, Fraction(4, 5))
 
 
 def test_norm_trivial_on_flat_spectrum():
-    with intervals.precision(96) as ctx:
-        flat = [intervals.make(1, ctx) for _ in range(5)]
-        for b in (0, Fraction(-1, 4), Fraction(3, 7), 1):
-            assert intervals.contains(modular_norm_sq(flat, b), 1)
+    for b in (0, Fraction(-1, 4), Fraction(3, 7), 1):
+        norm = modular_norm_sq([1] * 5, b, 96)
+        assert norm.bits == 96 and _holds(norm, 1)
 
 
 def test_norm_matches_exact_rational_formula():
@@ -76,24 +78,31 @@ def test_norm_matches_exact_rational_formula():
             if exponent.denominator != 1:
                 continue
             expected = sum(lam ** int(exponent) for lam in spectrum) / sum(spectrum)
-            with intervals.precision(128) as ctx:
-                rho = fusion.rho_spectrum(n, intervals.make(q, ctx))
-                assert intervals.contains(modular_norm_sq(rho, b), expected)
+            assert _holds(modular_norm_sq(fusion.rho_spectrum(n, q), b, 128), expected)
 
 
 def test_norm_rejects_empty_and_nonpositive():
     with pytest.raises(DomainError):
         modular_norm_sq([], 0)
-    with intervals.precision(64) as ctx:
-        with pytest.raises(DomainError):
-            modular_norm_sq([intervals.from_endpoints(-1, 1, ctx)], 0)
+    with pytest.raises(DomainError):
+        modular_norm_sq([Fraction(-1)], 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rho: trace_balanced(rho),
+    lambda rho: modular_norm_sq(rho, 0),
+    lambda rho: modular_eigencoefficients(rho, 0),
+], ids=["trace_balanced", "modular_norm_sq", "modular_eigencoefficients"])
+@pytest.mark.parametrize("rho", [[], [Fraction(1, 2), 0], [2, Fraction(-1, 3)]],
+                         ids=["empty", "zero", "negative"])
+def test_each_modular_function_refuses_an_empty_or_nonpositive_spectrum(call, rho):
+    with pytest.raises(DomainError):
+        call(rho)
 
 
 def test_trace_balanced():
-    with intervals.precision(96) as ctx:
-        assert trace_balanced(fusion.rho_spectrum(7, intervals.make(Fraction(1, 2), ctx)))
-        skewed = [intervals.make(2, ctx), intervals.make(3, ctx)]
-        assert not trace_balanced(skewed)
+    assert trace_balanced(fusion.rho_spectrum(7, Fraction(1, 2)), 96)
+    assert not trace_balanced([2, 3], 96)
 
 
 # ---------------------------------------------------------------------------
@@ -101,39 +110,41 @@ def test_trace_balanced():
 
 
 def test_eigencoefficients_at_zero():
-    with intervals.precision(96) as ctx:
-        rho = fusion.rho_spectrum(3, intervals.make(Fraction(1, 2), ctx))
-        coeffs = modular_eigencoefficients(rho, 0)
-        for re, im in coeffs:
-            assert intervals.contains(re, 1)
-            assert intervals.contains(im, 0)
+    for re, im in modular_eigencoefficients(fusion.rho_spectrum(3, Fraction(1, 2)), 0, 96):
+        assert _holds(re, 1)
+        assert _holds(im, 0)
 
 
 def test_eigencoefficients_half_turn():
-    # at t = pi/(2 ln 2) both eigenvalues 2 and 1/2 land on -1
-    with intervals.precision(128) as ctx:
-        t = ctx.pi / (2 * ctx.log(2))
-        coeffs = modular_eigencoefficients(
-            [intervals.make(2, ctx), intervals.make(Fraction(1, 2), ctx)], t)
-        for re, im in coeffs:
-            assert intervals.contains(re, -1)
-            assert intervals.contains(im, 0)
+    # at t = pi/(2 ln 2) both eigenvalues 2 and 1/2 land on -1; t is the
+    # lower end of a 256-bit enclosure of it, about 2^-250 away, which moves
+    # the coefficients far less than their 128-bit enclosures are wide
+    with intervals.precision(256) as ctx:
+        t = dyadic.exact_endpoints(intervals.to_enclosure(ctx.pi / (2 * ctx.log(2))))[0]
+    for re, im in modular_eigencoefficients([2, Fraction(1, 2)], t, 128):
+        assert _holds(re, -1)
+        assert _holds(im, 0)
 
 
 def test_eigencoefficients_flat_spectrum_fixed():
-    with intervals.precision(96) as ctx:
-        for t in (Fraction(1, 3), 2, Fraction(-7, 2)):
-            coeffs = modular_eigencoefficients([intervals.make(1, ctx)] * 4, t)
-            for re, im in coeffs:
-                assert intervals.contains(re, 1)
-                assert intervals.contains(im, 0)
+    for t in (Fraction(1, 3), 2, Fraction(-7, 2)):
+        for re, im in modular_eigencoefficients([1] * 4, t, 96):
+            assert _holds(re, 1)
+            assert _holds(im, 0)
+
+
+def _square(enclosure: Enclosure) -> tuple[Fraction, Fraction]:
+    """Exact range of ``x^2`` over the enclosure."""
+    lo, hi = dyadic.exact_endpoints(enclosure)
+    ends = (lo * lo, hi * hi)
+    return (0 if lo <= 0 <= hi else min(ends)), max(ends)
 
 
 def test_eigencoefficients_unit_modulus():
-    with intervals.precision(128) as ctx:
-        rho = fusion.rho_spectrum(4, intervals.make(Fraction(3, 10), ctx))
-        for re, im in modular_eigencoefficients(rho, Fraction(5, 7)):
-            assert intervals.contains(re * re + im * im, 1)
+    rho = fusion.rho_spectrum(4, Fraction(3, 10))
+    for re, im in modular_eigencoefficients(rho, Fraction(5, 7), 128):
+        (re_lo, re_hi), (im_lo, im_hi) = _square(re), _square(im)
+        assert re_lo + im_lo <= 1 <= re_hi + im_hi
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp
 
 from qclassfun import criteria, dyadic, intervals
 
@@ -52,6 +53,27 @@ def _digits(frac_bits: int) -> int:
 
 def _mp(x: Fraction) -> mpmath.mpf:
     return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _ends(enclosure: dyadic.Enclosure) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The endpoints of `enclosure` as exact mpmath reals."""
+    return tuple(mpmath.mp.make_mpf(from_man_exp(*end)) for end in (enclosure.lo, enclosure.hi))
+
+
+def _width(enclosure: dyadic.Enclosure) -> Fraction:
+    lo, hi = dyadic.exact_endpoints(enclosure)
+    return hi - lo
+
+
+def _overlap(x: dyadic.Enclosure, y: dyadic.Enclosure) -> bool:
+    """`x` and `y` intersect; None is an unbounded end, as an mpmath oracle may have."""
+    (x_lo, x_hi), (y_lo, y_hi) = dyadic.exact_endpoints(x), dyadic.exact_endpoints(y)
+    return (None in (x_lo, y_hi) or x_lo <= y_hi) and (None in (y_lo, x_hi) or y_lo <= x_hi)
+
+
+def _inside(inner: dyadic.Enclosure, outer: dyadic.Enclosure) -> bool:
+    (i_lo, i_hi), (o_lo, o_hi) = dyadic.exact_endpoints(inner), dyadic.exact_endpoints(outer)
+    return o_lo <= i_lo and i_hi <= o_hi
 
 
 def _holds(pair: tuple[int, int], frac_bits: int, value: mpmath.mpf, digits: int) -> bool:
@@ -120,8 +142,9 @@ def test_thresholds_from_the_lowest_starting_bits_hold_the_root(which, bits):
                                mpmath.mpf("0.086" if which == "dim2" else "0.2134"))
     threshold = getattr(criteria, f"threshold_{which}")
     enclosure = threshold(tol, bits=bits)
-    assert intervals.width_at_most(enclosure, tol)
-    assert intervals.lower(enclosure) <= root <= intervals.upper(enclosure)
+    assert _width(enclosure) <= tol
+    lo, hi = _ends(enclosure)
+    assert lo <= root <= hi
 
 
 def test_a_divisor_reaching_zero_leaves_the_value_undecided():
@@ -142,11 +165,12 @@ def test_bound_dim2_keeps_its_bits_at_small_q(q, bits):
     # bound, about 2 sqrt(q) at small q, is as tight relative to its size
     enclosure = criteria.bound_S_dim2(q, bits=bits)
     assert enclosure.bits == bits
-    lo, hi = intervals.exact_endpoints(enclosure)
+    lo, hi = dyadic.exact_endpoints(enclosure)
     assert 0 < lo and (hi - lo) / lo <= Fraction(8, 2**bits)
     with mpmath.workdps(80):
         value = _dim2(_mp(q))
-    assert intervals.lower(enclosure) <= value <= intervals.upper(enclosure)
+    mp_lo, mp_hi = _ends(enclosure)
+    assert mp_lo <= value <= mp_hi
 
 
 @pytest.mark.parametrize("q", [0, 1, Fraction(-1, 3), Fraction(3, 2), 1 - Fraction(1, 2**300)])
@@ -157,12 +181,11 @@ def test_bound_dim2_outside_the_open_unit_interval_is_a_domain_error(q):
 
 
 def test_bound_dim2_encloses_an_interval_argument():
-    with intervals.precision(96) as ctx:
-        q = intervals.from_endpoints(Fraction(1, 20), Fraction(1, 10), ctx)
+    q = dyadic.rational_enclosure(Fraction(1, 20), Fraction(1, 10), 96)
     enclosure = criteria.bound_S_dim2(q, bits=64)
     assert enclosure.bits == 64
-    assert intervals.contains(enclosure, criteria.bound_S_dim2(Fraction(1, 20), bits=64))
-    assert intervals.contains(enclosure, criteria.bound_S_dim2(Fraction(1, 10), bits=64))
+    assert _inside(criteria.bound_S_dim2(Fraction(1, 20), bits=64), enclosure)
+    assert _inside(criteria.bound_S_dim2(Fraction(1, 10), bits=64), enclosure)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +203,7 @@ def _oracle_prec(bits: int) -> int:
 def _contains_point(enclosure, value: mpmath.mpf, prec: int) -> bool:
     """`enclosure` contains `value`, known to `prec` bits."""
     slack = abs(value) * mpmath.ldexp(1, 4 - prec)
-    lo, hi = intervals.exact_endpoints(enclosure)
+    lo, hi = dyadic.exact_endpoints(enclosure)
     return _mp(lo) <= value + slack and value - slack <= _mp(hi)
 
 
@@ -205,8 +228,7 @@ def _mpmath_dimge3(q_c: Fraction, q_q: Fraction, bits: int):
     None where its inputs, enclosed at `bits`, were refused."""
     with intervals.precision(bits) as ctx:
         qc, qq = intervals.make(q_c, ctx), intervals.make(q_q, ctx)
-        if intervals.lower(qq) <= 0 or intervals.upper(qc) >= 1 \
-                or not intervals.upper(qq) < intervals.lower(qc):
+        if qq.a <= 0 or qc.b >= 1 or not qq.b < qc.a:
             return None
         root = ctx.sqrt(qq / qc)
         return 1 / ctx.sqrt(1 - qc * qc) * root / (1 - root)
@@ -255,13 +277,13 @@ def test_ratio_threshold_holds_the_closed_form_and_meets_the_mpmath_enclosure(bi
     prec = _oracle_prec(bits)
     with mpmath.workprec(prec):
         assert _contains_point(enclosure, _ratio_value(), prec)
-    assert intervals.overlaps(enclosure, _mpmath_ratio(bits))
+    assert _overlap(enclosure, intervals.to_enclosure(_mpmath_ratio(bits)))
 
 
 @pytest.mark.parametrize("bits", [8, 64, 128, 512, 1024])
 def test_ratio_threshold_is_one_unit_wide(bits):
     # eight guard bits leave the value's rounding to bits as the only width
-    lo, hi = intervals.exact_endpoints(criteria.threshold_ratio_dimge3(bits))
+    lo, hi = dyadic.exact_endpoints(criteria.threshold_ratio_dimge3(bits))
     assert hi - lo == Fraction(1, 2 ** (bits + 2))  # one unit at 2^-3 <= value < 2^-2
 
 
@@ -273,17 +295,18 @@ def test_bound_dimge3_holds_the_closed_form_and_meets_the_mpmath_enclosure(bits)
         enclosure = criteria.bound_S_dimge3(q_c, q_q, bits=bits)
         assert enclosure.bits == bits
         # bits kept below the leading bit of q_q, as bound_S_dim2 keeps them
-        lo, hi = intervals.exact_endpoints(enclosure)
+        lo, hi = dyadic.exact_endpoints(enclosure)
         assert 0 < lo and (hi - lo) / lo <= Fraction(8, 2**bits), (q_c, q_q)
         with mpmath.workprec(prec):
             assert _contains_point(enclosure, _dimge3_value(q_c, q_q), prec), (q_c, q_q)
         old = _mpmath_dimge3(q_c, q_q, bits)
         if old is not None:
             compared += 1
-            assert intervals.overlaps(enclosure, old), (q_c, q_q)
+            old = intervals.to_enclosure(old)
+            assert _overlap(enclosure, old), (q_c, q_q)
             if bits >= 8:
                 # the guard bits make it no wider than per-operation rounding
-                assert intervals.width_fraction(enclosure) <= intervals.width_fraction(old)
+                assert _width(enclosure) <= _width(old)
     assert compared >= (6 if bits == 1 else 40)  # at 1 bit the old code refused most
 
 
@@ -314,8 +337,7 @@ def test_an_input_that_is_no_finite_rational_is_a_domain_error(call):
 
 
 def test_bound_dimge3_reads_an_interval_argument_exactly():
-    with intervals.precision(96) as ctx:
-        q_q = intervals.from_endpoints(Fraction(1, 20), Fraction(1, 10), ctx)
+    q_q = dyadic.rational_enclosure(Fraction(1, 20), Fraction(1, 10), 96)
     enclosure = criteria.bound_S_dimge3(Fraction(3, 10), q_q, bits=64)
     for end in (Fraction(1, 20), Fraction(1, 10)):
-        assert intervals.contains(enclosure, criteria.bound_S_dimge3(Fraction(3, 10), end, bits=64))
+        assert _inside(criteria.bound_S_dimge3(Fraction(3, 10), end, bits=64), enclosure)

@@ -27,7 +27,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qclassfun import criteria, intervals
+from qclassfun import criteria, dyadic
 from qclassfun.criteria import threshold_dim2, threshold_remark
 
 FIXTURE = Path(__file__).resolve().parent / "threshold_grid.json"
@@ -39,7 +39,7 @@ CASES = [f"{which} tol={tol} bits={bits}" for which in THRESHOLDS for tol in TOL
 
 def _bracket(name: str) -> tuple[Fraction, Fraction]:
     which, tol, bits = (part.split("=")[-1] for part in name.split())
-    return intervals.exact_endpoints(THRESHOLDS[which](Fraction(tol), bits=int(bits)))
+    return dyadic.exact_endpoints(THRESHOLDS[which](Fraction(tol), bits=int(bits)))
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +93,7 @@ def sign_checks(monkeypatch) -> list:
 def test_a_wrong_estimate_falls_back_to_a_certified_bracket(monkeypatch, sign_checks, which,
                                                             wrong, tol):
     monkeypatch.setattr(criteria, "_estimate", lambda which, tol: wrong)
-    lo, hi = intervals.exact_endpoints(THRESHOLDS[which](tol))
+    lo, hi = dyadic.exact_endpoints(THRESHOLDS[which](tol))
     assert hi - lo <= tol
     assert lo <= _root(which) <= hi
     assert len(sign_checks) > 4  # the bracket came from bisection
@@ -102,14 +102,14 @@ def test_a_wrong_estimate_falls_back_to_a_certified_bracket(monkeypatch, sign_ch
 @pytest.mark.parametrize("tol", ["1e-4", "1e-18", "1e-30", "1e-60"])
 @pytest.mark.parametrize("which", sorted(THRESHOLDS))
 def test_the_estimate_is_verified_by_two_sign_checks(sign_checks, which, tol):
-    lo, hi = intervals.exact_endpoints(THRESHOLDS[which](Fraction(tol)))
+    lo, hi = dyadic.exact_endpoints(THRESHOLDS[which](Fraction(tol)))
     assert len(sign_checks) == 2
     assert lo <= _root(which) <= hi
 
 
 def _bytes(which: str, tol: str, bits: int) -> str:
     enclosure = THRESHOLDS[which](Fraction(tol), bits=bits)
-    return "{} {} {}".format(*intervals.exact_endpoints(enclosure), enclosure.bits)
+    return "{} {} {}".format(*dyadic.exact_endpoints(enclosure), enclosure.bits)
 
 
 REPEATS = [(which, tol, bits) for which in sorted(THRESHOLDS)
