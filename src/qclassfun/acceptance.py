@@ -137,25 +137,29 @@ def criterion_4_modular_norms(bits: int = DEFAULT_BITS) -> dict:
 
 
 def _scaled_dims(family: fusion.FusionFamily, which: str, labels) -> tuple[int, dict]:
-    """Dimensions of `labels`, each read once through :func:`fusion.scaled_dim`,
+    """Dimensions of `labels`, read as one table by :func:`fusion.scaled_dims`,
     as exact integer numerators over the one common denominator ``scale``,
     the largest ``b^length``, so that the additivity checks add and compare
     ints."""
-    dims = {label: fusion.scaled_dim(label, family, which) for label in labels}
+    labels = list(labels)
+    dims = dict(zip(labels, fusion.scaled_dims(labels, family, which)))
     scale = max(denominator for _, denominator in dims.values())
     return scale, {label: d * (scale // denominator) for label, (d, denominator) in dims.items()}
 
 
 def _ladder_evolutions(family: fusion.FusionFamily, n_max: int, m_max: int) -> list:
     """For each n <= n_max, the decompositions of ``1^(x)m (x) n`` for
-    m = 1..m_max; they depend only on the family's kind."""
+    m = 1..m_max; they depend only on the family's kind.  Each label's
+    product with the fundamental is computed once."""
+    fundamental = [fusion.tensor_fundamental(label, family)
+                   for label in range(n_max + m_max + 1)]
     evolutions = []
     for n in range(n_max + 1):
         state, states = {n: 1}, []
         for _ in range(m_max):
             next_state: dict[int, int] = {}
             for label, mult in state.items():
-                for part, pm in fusion.tensor_fundamental(label, family).items():
+                for part, pm in fundamental[label].items():
                     next_state[part] = next_state.get(part, 0) + mult * pm
             state = next_state
             states.append(state)

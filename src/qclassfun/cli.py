@@ -12,9 +12,10 @@ parsing needs: the flag budgets come from the dependency-free ``budgets``
 module, and each handler imports the modules it runs.  A usage error,
 ``moments``, ``bicrossed``, ``dims`` (which rounds and prints exact values
 with ``dyadic``), ``series`` and ``threshold`` (whose enclosures
-``criteria`` computes on ints) never load mpmath; it is loaded where
-interval arithmetic runs: ``spectral``, ``jacobi`` from ``--M 4`` on (its
-relation residuals) and ``report``.
+``criteria`` computes on ints), ``jacobi`` (whose relation residuals run in
+fixed point), ``report`` and ``spectral`` at an integer ``4b`` without
+``--t`` (whose norms run on dyadics) never load mpmath; it is loaded where
+interval arithmetic runs: ``spectral`` with ``--t`` or a non-integer ``4b``.
 """
 
 from __future__ import annotations
@@ -330,16 +331,14 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
     else:
         inputs["word_len"] = args.word_len
         labels = list(fusion.all_words(args.word_len, min_len=1))
-    rows = []
-    for label in labels:
-        dim_c, _ = fusion.scaled_dim(label, family, "classical")
-        dim_q, scale = fusion.scaled_dim(label, family, "quantum")
-        rows.append({
-            "label": str(label) or "e",
-            "dim": dim_c,
-            "dim_q": report.rational_payload(dim_q, scale, args.bits),
-            "ratio": report.rational_payload(dim_c * scale, dim_q, args.bits),
-        })
+    rows = [{
+        "label": str(label) or "e",
+        "dim": dim_c,
+        "dim_q": report.rational_payload(dim_q, scale, args.bits),
+        "ratio": report.rational_payload(dim_c * scale, dim_q, args.bits),
+    } for label, (dim_c, _), (dim_q, scale) in zip(
+        labels, fusion.scaled_dims(labels, family, "classical"),
+        fusion.scaled_dims(labels, family, "quantum"))]
     return report.Report("dims", inputs, {"table": rows}, _meta(args))
 
 

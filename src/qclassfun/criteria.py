@@ -752,10 +752,16 @@ def kac_part(family: FusionFamily, n_max: int) -> list[int]:
     """Ladder labels up to `n_max` whose intertwiner is certified trivial,
     i.e. whose quantum dimension equals the classical one exactly.
 
-    Non-Kac families yield exactly the trivial label."""
+    Non-Kac families yield exactly the trivial label.  The two dimension
+    tables of :func:`fusion.scaled_dims` are compared as scaled ints, and no
+    ``Fraction`` is built."""
     if not family.is_ladder:
         raise FamilyError("kac_part applies to ladder families")
-    return [n for n in range(n_max + 1) if fusion.dims_equal(n, family)]
+    labels = range(n_max + 1)
+    classical = fusion.scaled_dims(labels, family, "classical")
+    quantum = fusion.scaled_dims(labels, family, "quantum")
+    return [n for n, ((dim_c, _), (dim_q, scale)) in enumerate(zip(classical, quantum))
+            if dim_q == dim_c * scale]
 
 
 @dataclass(frozen=True)

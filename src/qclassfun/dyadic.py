@@ -22,11 +22,24 @@ exact rationals never loads mpmath.
   :func:`width` round single operations outward as mpmath's interval
   operators do at the same precision.
   :func:`qclassfun.intervals.to_enclosure` converts an mpmath interval into one.
+  :func:`power` and :func:`divide` round one product chain or one quotient
+  of positive dyadics toward the end they bound, and :func:`below` compares
+  two positive dyadics however far apart their exponents are.
 * Fixed point: a pair of ints ``(lo, hi)`` stands for ``[lo, hi]·2^-p``.
   :func:`to_fixed` and :func:`fixed_hull` enclose a rational and an interval,
   and :func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt` round each
   result by one floor and one ceiling.  They take nonnegative pairs only, on
-  which each operation is monotone in every operand, so rounding is outward.
+  which each operation is monotone in every operand, so rounding is outward;
+  :func:`fixed_abs` turns a signed pair into the nonnegative one of its
+  absolute value.
+* :func:`fixed_pi` and :func:`fixed_cos_sin` enclose pi and the cosine and
+  sine of an exact rational in fixed point, by Machin's formula and by
+  Taylor series after reduction by the nearest multiple of pi/2, each with
+  the truncation error bounded by the first omitted term and the rounding
+  error by the term count (Brent and Zimmermann, ch. 4), and the error of
+  the reduced argument carried as a radius about its midpoint (Johansson,
+  "Arb: efficient arbitrary-precision midpoint-radius interval arithmetic",
+  IEEE Trans. Computers 66, 2017).
 
 The decimal digits come from the exact conversion of Steele and White ("How
 to print floating-point numbers accurately", PLDI 1990): one shift and one
@@ -41,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budgets import MAX_BITS
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 Dyadic = tuple[int, int]  # (m, e): the value m·2^e
 Fixed = tuple[int, int]  # (lo, hi): the interval [lo, hi]·2^-p of a fraction bit count p
@@ -113,6 +126,18 @@ def add(x: Dyadic, y: Dyadic) -> Dyadic:
     return (m1 << (e1 - e)) + (m2 << (e2 - e)), e
 
 
+def _top(x: Dyadic) -> int:
+    """The exponent just above the leading bit of a nonzero `x`."""
+    return abs(x[0]).bit_length() + x[1]
+
+
+def below(x: Dyadic, y: Dyadic) -> bool:
+    """``x < y`` for positive dyadics, with no shift past the mantissa lengths."""
+    if _top(x) != _top(y):
+        return _top(x) < _top(y)
+    return add(x, negate(y))[0] < 0
+
+
 def negate(x: Dyadic) -> Dyadic:
     return -x[0], x[1]
 
@@ -121,6 +146,27 @@ def midpoint(lo: Dyadic, hi: Dyadic) -> Dyadic:
     """Exact midpoint of two dyadics."""
     m, e = add(lo, hi)
     return m, e - 1
+
+
+def power(x: Dyadic, n: int, bits: int, ceiling: bool) -> Dyadic:
+    """``x^n`` for a positive `x` and ``n >= 0`` by repeated squaring, each
+    product rounded to `bits` bits toward +inf (`ceiling`) or -inf, so the
+    result bounds the exact power from that side after ``2 log2(n)`` roundings."""
+    result = 1, 0
+    while n:
+        if n & 1:
+            result = round_to(result[0] * x[0], result[1] + x[1], bits, ceiling)
+        n >>= 1
+        if n:
+            x = round_to(x[0] * x[0], 2 * x[1], bits, ceiling)
+    return result
+
+
+def divide(x: Dyadic, y: Dyadic, bits: int, ceiling: bool) -> Dyadic:
+    """``x/y`` for a positive `y`, rounded to `bits` bits toward +inf
+    (`ceiling`) or -inf."""
+    m, e = round_quotient(x[0], y[0], bits)[ceiling]
+    return (m, e + x[1] - y[1]) if m else (0, 0)
 
 
 def to_fraction(x: Dyadic) -> Fraction:
@@ -205,6 +251,94 @@ def fixed_sqrt(a: Fixed, p: int) -> Fixed:
     top = a[1] << p
     root = math.isqrt(top)
     return math.isqrt(a[0] << p), root + (root * root < top)
+
+
+def fixed_abs(a: Fixed) -> Fixed:
+    """The nonnegative enclosure of ``|x|`` for x in the signed enclosure `a`."""
+    lo, hi = a
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
+
+
+def _atan_inverse(x: int, p: int) -> tuple[int, int]:
+    """``arctan(1/x)·2^p`` for an int ``x > 1`` as its series
+    ``sum (-1)^k / ((2k+1) x^(2k+1))`` summed on floored terms, and a bound
+    on the error.  ``power`` stays the exact floor of ``2^p / x^(2k+1)``
+    (a floor of a floor divided by an int is the floor of the quotient), so
+    each term is off by less than 1; the series stops at the first term
+    below 1, which bounds the alternating tail."""
+    power, square = (1 << p) // x, x * x
+    total, k = 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= square
+        k += 1
+    return total, k + 1
+
+
+def fixed_pi(p: int) -> Fixed:
+    """Fixed-point enclosure of pi at `p` fraction bits, by Machin's formula
+    ``pi = 16 arctan(1/5) - 4 arctan(1/239)`` summed at guard bits on ints
+    with the error bound of :func:`_atan_inverse`."""
+    guard = p.bit_length() + 10
+    fifth, fifth_error = _atan_inverse(5, p + guard)
+    tail, tail_error = _atan_inverse(239, p + guard)
+    centre, error = 16 * fifth - 4 * tail, 16 * fifth_error + 4 * tail_error
+    return (centre - error) >> guard, -(-(centre + error) >> guard)
+
+
+def fixed_cos_sin(x: int | Fraction, p: int) -> tuple[Fixed, Fixed]:
+    """Signed fixed-point enclosures at `p` fraction bits of ``cos x`` and
+    ``sin x`` for an exact rational `x`.
+
+    `x` is reduced by the nearest multiple k of pi/2, with pi at ``p`` plus
+    the bits of ``|x|`` plus guard bits, to ``r = x - k pi/2`` with
+    ``|r| <= pi/4`` up to the error of pi.  The Taylor series of cos and sin
+    are summed at the midpoint m of the enclosure of r, on floored terms
+    ``t_n = floor(t_(n-1) |m| / n)``: since ``|m| <= 1`` each lies less than
+    2 below the exact term, and the series stop at the first zero term, a
+    bound of the omitted alternating tail.  The radius of r widens both
+    results, as cos and sin are 1-Lipschitz.  An `x` of more than
+    ``MAX_BITS`` integer bits raises :class:`BudgetError`.
+    """
+    x = Fraction(x)
+    check_bits(p)
+    if not x:
+        return (1 << p, 1 << p), (0, 0)
+    extra = (abs(x.numerator) // x.denominator).bit_length()
+    if extra > MAX_BITS:
+        raise BudgetError(f"reducing an angle of {extra} integer bits needs more than "
+                          f"{MAX_BITS} extra bits of pi")
+    guard = p.bit_length() + 10
+    work = p + guard
+    reduce = work + extra + 2
+    pi_lo, pi_hi = fixed_pi(reduce)
+    x_lo, x_hi = to_fixed(x, reduce)
+    k = (4 * x_lo + pi_lo) // (2 * pi_lo)  # the nearest integer to 2x/pi
+    # 2r·2^reduce, between 2x - k pi at the two ends of pi
+    low, high = (2 * x_lo - k * pi_hi, 2 * x_hi - k * pi_lo) if k >= 0 else (
+        2 * x_lo - k * pi_lo, 2 * x_hi - k * pi_hi)
+    shift = reduce + 1 - work
+    low, high = low >> shift, -(-high >> shift)
+    mid = (low + high) >> 1
+    radius = high - mid
+    term, n, sums = 1 << work, 0, [0, 0]
+    size = abs(mid)
+    while term:
+        sums[n & 1] += -term if n & 2 else term
+        n += 1
+        term = term * size // (n << work)
+    error = 2 * n + 2 + radius
+    cos, sin = sums[0], sums[1] if mid >= 0 else -sums[1]
+    cos, sin = (cos - error, cos + error), (sin - error, sin + error)
+    for _ in range(k % 4):  # a quarter turn: (cos, sin) -> (-sin, cos)
+        cos, sin = (-sin[1], -sin[0]), cos
+    return ((cos[0] >> guard, -(-cos[1] >> guard)),
+            (sin[0] >> guard, -(-sin[1] >> guard)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError, FamilyError
 
@@ -33,6 +34,8 @@ Decomposition = dict  # label -> positive multiplicity, canonically ordered
 
 WORD_ALPHABET = "AB"
 _CONJUGATE_LETTER = {"A": "B", "B": "A"}
+#: A maximal alternating run of A and B: it ends before a repeated letter.
+_ALTERNATING_BLOCK = re.compile("A(?:BA)*B?|B(?:AB)*A?")
 
 
 class FamilyKind(Enum):
@@ -131,7 +134,7 @@ def check_label(label: Label, family: FusionFamily) -> Label:
         if not isinstance(label, int) or isinstance(label, bool) or label < 0:
             raise FamilyError(f"ladder families use nonnegative int labels, got {label!r}")
         return label
-    if not isinstance(label, str) or any(ch not in WORD_ALPHABET for ch in label):
+    if not isinstance(label, str) or label.strip(WORD_ALPHABET):
         raise FamilyError(f"free-unitary labels are words over {{A, B}}, got {label!r}")
     return label
 
@@ -183,7 +186,7 @@ def tensor_free(x: str, y: str) -> Decomposition:
     multiplicity 1, and listing them shortest first is the canonical order.
     """
     for word in (x, y):
-        if any(ch not in WORD_ALPHABET for ch in word):
+        if word.strip(WORD_ALPHABET):
             raise FamilyError(f"free-unitary labels are words over {{A, B}}, got {word!r}")
     cancelled = 0
     while (cancelled < len(x) and cancelled < len(y)
@@ -198,19 +201,12 @@ def factorize(word: str) -> list[str]:
     Cuts fall exactly between equal adjacent letters; the last letter of each
     block then matches the first letter of the next, re-concatenation gives
     back the input, and the factorization is the unique chained one.  The
-    letters are not checked here: :func:`dim` checks the label with
+    letters are not checked here: :func:`scaled_dims` checks the label with
     :func:`check_label` before splitting it.
     """
     if not word:
         raise DomainError("the empty word has no block factorization")
-    blocks = []
-    start = 0
-    for i in range(1, len(word)):
-        if word[i] == word[i - 1]:
-            blocks.append(word[start:i])
-            start = i
-    blocks.append(word[start:])
-    return blocks
+    return _ALTERNATING_BLOCK.findall(word)
 
 
 def tensor_reduce(labels: Sequence[Label], family: FusionFamily) -> Decomposition:
@@ -305,36 +301,62 @@ def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | F
 
 
 def scaled_dim(label: Label, family: FusionFamily, which: str) -> tuple[int, int]:
-    """Exact classical or quantum dimension of a label as the unreduced pair
-    ``(D, b^length)`` of ints for the fundamental dimension ``a/b``; no gcd
-    is taken.
+    """Exact classical or quantum dimension of one label: the one-label
+    table of :func:`scaled_dims`."""
+    return scaled_dims((label,), family, which)[0]
+
+
+def scaled_dims(labels: Iterable[Label], family: FusionFamily,
+                which: str) -> list[tuple[int, int]]:
+    """Exact classical or quantum dimensions of `labels`, in their order, each
+    as the unreduced pair ``(D, b^length)`` of ints for the fundamental
+    dimension ``a/b``; no gcd is taken.
 
     Ladder dimensions follow the linear recursion of the family; a free word
     contributes the product over its alternating blocks, where a block of
     length n carries the order-(n+1) deformed integer of the fundamental
     dimension.  Both run on the scaled ints of :func:`_ladder_values`, so
     ``D`` is congruent to ``a^length`` mod b and the pair is in lowest
-    terms already; a classical dimension is ``(D, 1)``.
+    terms already; a classical dimension is ``(D, 1)``.  `which` is checked
+    once and each label once, the recursion is stepped once up to the
+    longest label or block, and each word is split once; a ladder label is
+    read through :func:`_ladder_value`.
     """
     if which not in ("classical", "quantum"):
         raise DomainError(f"which must be 'classical' or 'quantum', got {which!r}")
-    check_label(label, family)
+    labels = [check_label(label, family) for label in labels]
     a, b = (family.dim_c_fund, 1) if which == "classical" else family.dim_q_fund.as_integer_ratio()
-    length = label if isinstance(label, int) else len(label)
     if family.is_ladder:
-        return _ladder_value(family.kind, a, b, label), b ** length
-    lengths = [len(block) for block in factorize(label)] if label else []
-    ladder = _ladder_values(FamilyKind.SU2_LADDER, a, b, max(lengths, default=0))
-    return math.prod(ladder[n] for n in lengths), b ** length
+        kind = family.kind
+        _ladder_values(kind, a, b, max(labels, default=0))
+        return [(_ladder_value(kind, a, b, n), b ** n) for n in labels]
+    lengths = [_block_lengths(word) for word in labels]
+    ladder = _ladder_values(FamilyKind.SU2_LADDER, a, b,
+                            max((n for blocks in lengths for n in blocks), default=0))
+    return [(math.prod(map(ladder.__getitem__, blocks)), b ** len(word))
+            for word, blocks in zip(labels, lengths)]
 
 
-def dims_equal(label: Label, family: FusionFamily) -> bool:
-    """Exact test of ``dim(label, family, "quantum") == dim(label, family)``:
-    the scaled ints of :func:`scaled_dim` are compared, and no ``Fraction``
-    is built."""
-    classical, _ = scaled_dim(label, family, "classical")
-    quantum, scale = scaled_dim(label, family, "quantum")
-    return quantum == classical * scale
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
+def _block_lengths(word: str) -> tuple[int, ...]:
+    """Lengths of the blocks of :func:`factorize`, none for the empty word;
+    kept for the tables of every family that reads the same words."""
+    return tuple(map(len, factorize(word))) if word else ()
+
+
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
+def _block_lengths(word: str) -> tuple[int, ...]:
+    """Lengths of the blocks of :func:`factorize`, none for the empty word;
+    kept for the tables of every family that reads the same words."""
+    return tuple(map(len, factorize(word))) if word else ()
+
+
+def _powers(b: int, n: int) -> list[int]:
+    """``b^0, ..., b^n``."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * b)
+    return out
 
 
 def rho_spectrum(n: int, q: int | str | Fraction) -> list[Fraction]:

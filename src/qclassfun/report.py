@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping, Sequence
 
 from . import dyadic
@@ -40,7 +41,51 @@ class Report:
 
 
 def canonical_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))``
+    and a newline.  ``indent`` selects json's pure-Python encoder, so the
+    payload is walked here and every string quoted by the C quoting of
+    :func:`json.encoder.encode_basestring_ascii`."""
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_FLOAT_NAMES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON text of `value`, whose line starts with `newline`."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_FLOAT_NAMES.get(value, "NaN" if value != value else float.__repr__(value)))
+    elif isinstance(value, (dict, list, tuple)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        opener = "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{opener}{inner}{_quote(key)}: ")
+            _write(value[key], inner, out)
+            opener = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        opener = "["
+        for item in value:
+            out.append(opener + inner)
+            _write(item, inner, out)
+            opener = ","
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def enclosure_payload(x: Enclosure) -> dict:

@@ -5,9 +5,14 @@ powers of the intertwiner eigenvalues; the squared 2-norm of the twisted
 character is ``Tr(rho^(-4b-1)) / Tr(rho)``, which specializes to 1 at
 ``b = 0`` (trace balance) and to dim/dim_q at ``b = -1/4``.  These
 functions take the exact spectrum of :func:`qclassfun.fusion.rho_spectrum`
-and the working precision `bits`, enclose each eigenvalue once at `bits`
-in mpmath's interval arithmetic (through :mod:`qclassfun.intervals`), and
-return :class:`~qclassfun.dyadic.Enclosure` values.
+and the working precision `bits`, and return
+:class:`~qclassfun.dyadic.Enclosure` values.  Trace balance and the norm at
+an integer exponent ``-4b-1`` run on the dyadics of :mod:`qclassfun.dyadic`:
+each eigenvalue (or its reciprocal) is enclosed once at `bits` plus guard
+bits and raised to the power by repeated squaring, and the terms are
+summed in fixed point.  A non-integer exponent and the unit-circle coefficients need
+``log`` and ``exp``, which run in mpmath's interval arithmetic (through
+:mod:`qclassfun.intervals`).
 
 The finite model compresses the real part of the weighted shift
 ``a phi_k = sqrt(1 - q^(2k)) phi_(k-1)`` to the first M basis vectors.  Two
@@ -18,8 +23,8 @@ squared off-diagonals ``1 - q^(2k)``, and every answer is certified: the
 Krylov rank is read from the exact squares, a simple spectrum and a lower
 bound on the eigenvalue gap come from Sturm counts on outward-rounded float
 pivots (an exact integer count where those cannot decide), and the relation
-residuals are bounded in intervals and read back exactly.  No numpy is
-needed.
+residuals are bounded in integer fixed point and read back exactly.  No
+numpy is needed.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from . import dyadic
 from .budgets import DEFAULT_BITS, MAX_COMMUTANT_SIZE
-from .dyadic import Enclosure, to_fraction
+from .dyadic import Dyadic, Enclosure
 from .errors import BudgetError, DomainError
 
 if TYPE_CHECKING:
@@ -41,33 +47,68 @@ if TYPE_CHECKING:
 #: this fraction of it, so the printed gap is within twice it of the true gap.
 GAP_RTOL = 2.0**-30
 
+#: Bits beyond `bits`, and beyond the bits of the term count, at which the
+#: dyadic sums enclose each eigenvalue and round each term, so that those
+#: roundings stay below the last bit of the result.
+SUM_GUARD_BITS = 8
 
-def _enclose(rho: Sequence[Fraction], ctx: Context) -> list[Interval]:
-    """Each eigenvalue of the exact spectrum `rho` enclosed once in `ctx`,
-    after the one check of a spectrum: non-empty and strictly positive,
+
+def _check(rho: Sequence[Fraction]) -> None:
+    """The one check of a spectrum: non-empty and strictly positive,
     decided exactly."""
-    from . import intervals
-
     if not rho:
         raise DomainError("empty spectrum")
     for lam in rho:
         if lam <= 0:
             raise DomainError(f"spectrum must be strictly positive, got {lam}")
+
+
+def _enclose(rho: Sequence[Fraction], ctx: Context) -> list[Interval]:
+    """Each eigenvalue of the checked exact spectrum `rho` enclosed once in `ctx`."""
+    from . import intervals
+
+    _check(rho)
     return [intervals.make(lam, ctx) for lam in rho]
+
+
+def _power_sum(rho: Sequence[Fraction], n: int, bits: int) -> tuple[Dyadic, Dyadic]:
+    """Lower and upper dyadic bound of ``sum(lam^n)`` for an int `n`: each
+    eigenvalue (its reciprocal for ``n < 0``) enclosed once at `bits` by
+    :func:`dyadic.round_quotient` and raised to ``|n|`` by
+    :func:`dyadic.power`, rounded outward; then every term is floored and
+    ceiled in the fixed point whose unit is ``2^-bits`` of the largest upper
+    term, and the ints are added.  So each term costs at most one unit
+    more, however small it is and however far apart the exponents are."""
+    if n == 0:
+        return (len(rho), 0), (len(rho), 0)
+    terms = []
+    for lam in rho:
+        p, q = lam.as_integer_ratio()
+        lo, hi = dyadic.round_quotient(*((p, q) if n > 0 else (q, p)), bits)
+        if abs(n) != 1:
+            lo, hi = dyadic.power(lo, abs(n), bits, False), dyadic.power(hi, abs(n), bits, True)
+        terms.append((lo, hi))
+    scale = bits - max(m.bit_length() + e for _, (m, e) in terms)
+    low = sum(dyadic.floor_fixed(lo, scale) for lo, _ in terms)
+    high = -sum(dyadic.floor_fixed(dyadic.negate(hi), scale) for _, hi in terms)
+    return (low, -scale), (high, -scale)
+
+
+def _work_bits(rho: Sequence[Fraction], bits: int) -> int:
+    return bits + SUM_GUARD_BITS + len(rho).bit_length()
 
 
 def trace_balanced(rho: Sequence[Fraction], bits: int = DEFAULT_BITS) -> bool:
     """Certify-or-refute that sum(rho) can equal sum(1/rho): both sums are
-    enclosed at `bits` and tested for overlap.  (The exact test on
-    ``Fraction`` sums took 1.0 s against 0.16 s at the 5,001 eigenvalues of
-    ``q = 1/5``, on a 2-vCPU Xeon.)"""
-    from . import intervals
-
-    with intervals.precision(bits) as ctx:
-        spectrum = _enclose(rho, ctx)
-        total = sum(spectrum[1:], spectrum[0])
-        total_inv = sum((1 / lam for lam in spectrum[1:]), 1 / spectrum[0])
-    return not (total.b < total_inv.a or total_inv.b < total.a)
+    enclosed at `bits` by :func:`_power_sum` and tested for overlap.  (At
+    the 5,001 eigenvalues of ``q = 1/5`` on a 2-vCPU Xeon, the exact test on
+    ``Fraction`` sums took 1.0 s, mpmath's interval sums 0.16 s and these
+    0.07 s.)"""
+    dyadic.check_bits(bits)
+    _check(rho)
+    total = _power_sum(rho, 1, _work_bits(rho, bits))
+    total_inv = _power_sum(rho, -1, _work_bits(rho, bits))
+    return not (dyadic.below(total[1], total_inv[0]) or dyadic.below(total_inv[1], total[0]))
 
 
 def modular_norm_sq(rho: Sequence[Fraction], b, bits: int = DEFAULT_BITS) -> Enclosure:
@@ -76,18 +117,28 @@ def modular_norm_sq(rho: Sequence[Fraction], b, bits: int = DEFAULT_BITS) -> Enc
 
     The real part of the modular parameter drops out, so only `b` is taken.
     `b` may be a Fraction, int, float or decimal string.  The eigenvalues
-    are exact and enclosed at `bits`, where the norm is computed.
+    are exact.  At an integer exponent both sums are enclosed by
+    :func:`_power_sum` at `bits` plus guard bits growing with the bits of
+    the exponent and of the term count, and divided once, rounded outward
+    to `bits`; no exact power is formed, so the exponent costs its bit
+    length in squarings.  At any other exponent the norm is computed in
+    mpmath's intervals at `bits`.
     """
+    exponent = -4 * Fraction(str(b) if isinstance(b, float) else b) - 1
+    dyadic.check_bits(bits)
+    if exponent.denominator == 1:
+        _check(rho)
+        work = _work_bits(rho, bits) + exponent.numerator.bit_length()
+        powered = _power_sum(rho, exponent.numerator, work)
+        total = _power_sum(rho, 1, work)
+        return Enclosure(dyadic.divide(powered[0], total[1], bits, False),
+                         dyadic.divide(powered[1], total[0], bits, True), bits)
     from . import intervals
 
-    exponent = -4 * Fraction(str(b) if isinstance(b, float) else b) - 1
     with intervals.precision(bits) as ctx:
         spectrum = _enclose(rho, ctx)
-        if exponent.denominator == 1:
-            powered = [lam ** int(exponent) for lam in spectrum]
-        else:
-            e = intervals.make(exponent, ctx)
-            powered = [lam**e for lam in spectrum]
+        e = intervals.make(exponent, ctx)
+        powered = [lam**e for lam in spectrum]
         return intervals.to_enclosure(sum(powered[1:], powered[0]) / sum(spectrum[1:], spectrum[0]))
 
 
@@ -334,30 +385,43 @@ def suq2_relation_residuals(size: int, q: Fraction | int | float | str,
     restricted to rows and columns 1..M-2.  The first three are diagonal and
     the last two hold only the superdiagonal, where ``a g* - q g* a`` is the
     complex conjugate of ``a g - q g a``; so the O(M) entries are enclosed one
-    by one in intervals at the default 128 bits.  Compression breaks the relations only in
-    the last row and column, so every interior entry encloses 0.
+    by one in integer fixed point at the default 128 fraction bits, with
+    ``sqrt(1 - q^(2k))`` from :func:`dyadic.fixed_sqrt` and ``cos`` and
+    ``sin`` of the phase from :func:`dyadic.fixed_cos_sin`.  Compression
+    breaks the relations only in the last row and column, so every interior
+    entry encloses 0.
     """
-    from . import intervals
-
     if size < 4:
         raise DomainError(f"need size >= 4 to have an interior block, got {size}")
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    with intervals.precision() as ctx:
-        angle = intervals.make(phase, ctx)
-        unit = (ctx.cos(angle), ctx.sin(angle))
-        modulus_sq = unit[0] ** 2 + unit[1] ** 2
-        powers = [intervals.make(q, ctx) ** k for k in range(size)]
-        shift = [ctx.sqrt(1 - power**2) for power in powers]
-        entries = []
-        for k in range(1, size - 1):
-            g_sq = modulus_sq * powers[k] ** 2
-            entries += [shift[k] ** 2 + g_sq - 1,
-                        shift[k + 1] ** 2 + powers[1] ** 2 * g_sq - 1,
-                        g_sq - modulus_sq * powers[k] ** 2]
-            if k >= 2:  # entry (k-1, k) of a g - q g a, real and imaginary parts
-                entries += [shift[k] * powers[k] * part - powers[1] * powers[k - 1] * shift[k] * part
-                            for part in unit]
-        bound = max(to_fraction(intervals.to_enclosure(abs(entry)).hi) for entry in entries)
-    return _float_bounds(bound)[1]
+    p = DEFAULT_BITS
+    one = 1 << p
+    unit = [dyadic.fixed_abs(part) for part in dyadic.fixed_cos_sin(Fraction(phase), p)]
+    modulus_sq = tuple(map(sum, zip(*(dyadic.fixed_mul(part, part, p) for part in unit))))
+    base = dyadic.to_fixed(q, p)
+    powers = [(one, one)]
+    for _ in range(size - 1):
+        powers.append(dyadic.fixed_mul(powers[-1], base, p))
+    squares = [dyadic.fixed_mul(power, power, p) for power in powers]
+    shift = [dyadic.fixed_sqrt((one - hi, one - lo), p) for lo, hi in squares]
+
+    def sum_minus_one(x: dyadic.Fixed, y: dyadic.Fixed) -> int:
+        # bound of |x + y - 1|
+        return max(one - x[0] - y[0], x[1] + y[1] - one)
+
+    bound = 0
+    for k in range(1, size - 1):
+        g_sq = dyadic.fixed_mul(modulus_sq, squares[k], p)
+        bound = max(bound,
+                    sum_minus_one(dyadic.fixed_mul(shift[k], shift[k], p), g_sq),
+                    sum_minus_one(dyadic.fixed_mul(shift[k + 1], shift[k + 1], p),
+                                  dyadic.fixed_mul(squares[1], g_sq, p)),
+                    g_sq[1] - g_sq[0])
+        if k >= 2:  # entry (k-1, k) of a g - q g a, real and imaginary parts
+            left = dyadic.fixed_mul(shift[k], powers[k], p)
+            right = dyadic.fixed_mul(dyadic.fixed_mul(powers[1], powers[k - 1], p), shift[k], p)
+            gap = max(left[1] - right[0], right[1] - left[0])
+            bound = max(bound, *(-(-gap * part[1] >> p) for part in unit))
+    return _float_bounds(Fraction(bound, one))[1]

@@ -45,18 +45,22 @@ def test_criterion_05_dimension_additivity():
 
 
 def test_criterion_05_reads_each_dimension_once_and_flags_a_wrong_one(monkeypatch):
-    reads = Counter()
-    exact = fusion.scaled_dim
+    tables, reads = Counter(), Counter()
+    exact = fusion.scaled_dims
 
-    def off_by_a_little(label, family, which="classical"):
-        reads[label, family, which] += 1
-        numerator, denominator = exact(label, family, which)
-        if which == "quantum" and label in (7, "ABBA"):
-            return numerator + 1, denominator  # one part in b^length too large
-        return numerator, denominator
+    def off_by_a_little(labels, family, which):
+        labels = list(labels)
+        tables[family, which] += 1
+        reads.update((label, family, which) for label in labels)
+        dims = exact(labels, family, which)
+        return [(numerator + 1, denominator)  # one part in b^length too large
+                if which == "quantum" and label in (7, "ABBA") else (numerator, denominator)
+                for label, (numerator, denominator) in zip(labels, dims)]
 
-    monkeypatch.setattr(fusion, "scaled_dim", off_by_a_little)
+    monkeypatch.setattr(fusion, "scaled_dims", off_by_a_little)
     outcome = acceptance.criterion_5_dimension_additivity()
+    # one table per family and kind of dimension, each label read once
+    assert len(tables) == 10 and max(tables.values()) == 1
     assert max(reads.values()) == 1
     assert not outcome["passed"]
     failures = outcome["details"]["ladder_failures"] + outcome["details"]["free_failures"]
@@ -72,15 +76,15 @@ def test_criterion_05_reads_each_dimension_once_and_flags_a_wrong_one(monkeypatc
 ])
 def test_criterion_05_flags_one_wrong_dimension_in_a_shared_table(
         monkeypatch, family, which, label, table):
-    exact = fusion.scaled_dim
+    exact = fusion.scaled_dims
 
-    def one_off(label_, family_, which_="classical"):
-        numerator, denominator = exact(label_, family_, which_)
-        if (label_, family_, which_) == (label, family, which):
-            return numerator + denominator, denominator  # the dimension plus 1
-        return numerator, denominator
+    def one_off(labels_, family_, which_):
+        labels_ = list(labels_)
+        return [(numerator + denominator, denominator)  # the dimension plus 1
+                if (label_, family_, which_) == (label, family, which) else (numerator, denominator)
+                for label_, (numerator, denominator) in zip(labels_, exact(labels_, family_, which_))]
 
-    monkeypatch.setattr(fusion, "scaled_dim", one_off)
+    monkeypatch.setattr(fusion, "scaled_dims", one_off)
     outcome = acceptance.criterion_5_dimension_additivity()
     assert not outcome["passed"]
     details = outcome["details"]

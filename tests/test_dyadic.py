@@ -23,6 +23,7 @@ from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from qclassfun import criteria, dyadic, fusion, intervals, report
 from qclassfun.cli import main
+from qclassfun.errors import BudgetError, DomainError
 
 ROUNDINGS = {"floor": decimal.ROUND_FLOOR, "ceiling": decimal.ROUND_CEILING,
              "half-even": decimal.ROUND_HALF_EVEN}
@@ -438,3 +439,124 @@ def test_to_enclosure_reads_back_the_interval_of_an_enclosure(bits, lo, hi, p):
     lo_text, hi_text = intervals.to_decimal_pair(x, 12)
     x_lo, x_hi = dyadic.exact_endpoints(x)
     assert Fraction(lo_text) <= x_lo and x_hi <= Fraction(hi_text)
+
+# ---------------------------------------------------------------------------
+# pi, cosine and sine in fixed point
+
+TRIG_BITS = (1, 2, 7, 53, 64, 128, 333, 1024)
+
+#: Zero, signs, angles near and past multiples of pi/2, and 24-digit angles,
+#: the most digits a CLI `--phase` takes.
+ANGLES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-1, 3),
+          Fraction(22, 7), Fraction(-355, 113), Fraction(7, 2), Fraction(-11, 2), Fraction(100),
+          Fraction(1, 10**24), Fraction(10**24 - 1), Fraction(-123456789012345678901234, 7),
+          Fraction(884279719003555, 562949953421312)]  # the double nearest pi/2
+
+
+def _mp(n: int, p: int) -> mpmath.mpf:
+    return mpmath.ldexp(mpmath.mpf(n), -p)
+
+
+def _oracle_bits(bits: int) -> int:
+    """mpmath's precision for a result at `bits`: three times it, and 16
+    more so that the oracle's own rounding stays far below a unit at 1 bit."""
+    return 3 * bits + 16
+
+
+@pytest.mark.parametrize("bits", TRIG_BITS)
+def test_fixed_pi_encloses_pi_within_one_unit(bits):
+    lo, hi = dyadic.fixed_pi(bits)
+    with mpmath.workprec(_oracle_bits(bits)):
+        assert _mp(lo, bits) < mpmath.pi < _mp(hi, bits)
+    assert hi - lo == 1
+
+
+@pytest.mark.parametrize("bits", TRIG_BITS)
+@pytest.mark.parametrize("x", ANGLES, ids=str)
+def test_fixed_cos_sin_enclose_mpmaths_values(bits, x):
+    cos, sin = dyadic.fixed_cos_sin(x, bits)
+    # plus the integer bits of x that the reduction consumes
+    with mpmath.workprec(_oracle_bits(bits) + abs(x.numerator // x.denominator).bit_length()):
+        angle = mpmath.mpf(x.numerator) / x.denominator
+        for (lo, hi), value in ((cos, mpmath.cos(angle)), (sin, mpmath.sin(angle))):
+            assert _mp(lo, bits) <= value <= _mp(hi, bits)
+            assert hi - lo <= 3
+
+
+def _fraction(x: mpmath.mpf) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("bits", [8, 53, 128, 300])
+def test_fixed_cos_sin_hold_values_next_to_a_grid_point(bits):
+    # angles whose cosine or sine lies 2^-40 units of the last bit above or
+    # below a multiple k 2^-bits: the enclosure keeps them only if every
+    # rounding of the series is counted
+    for k in (1, 3, 2**bits // 3, 2**bits - 5):
+        for offset in (1, -1):
+            with mpmath.workprec(3 * bits + 128):
+                target = mpmath.ldexp(k + offset * mpmath.ldexp(1, -40), -bits)
+                for inverse, index, function in ((mpmath.acos, 0, mpmath.cos),
+                                                 (mpmath.asin, 1, mpmath.sin)):
+                    angle = _fraction(inverse(target))
+                    lo, hi = dyadic.fixed_cos_sin(angle, bits)[index]
+                    value = function(mpmath.mpf(angle.numerator) / angle.denominator)
+                    assert _mp(lo, bits) <= value <= _mp(hi, bits)
+
+
+def test_fixed_cos_sin_of_zero_is_exact():
+    assert dyadic.fixed_cos_sin(0, 64) == ((1 << 64, 1 << 64), (0, 0))
+
+
+def test_fixed_cos_sin_budget():
+    dyadic.fixed_cos_sin(Fraction(2**dyadic.MAX_BITS - 1, 3), 8)
+    with pytest.raises(BudgetError):
+        dyadic.fixed_cos_sin(Fraction(2**dyadic.MAX_BITS), 8)
+    with pytest.raises(BudgetError):
+        dyadic.fixed_cos_sin(Fraction(-(2**(dyadic.MAX_BITS + 5)), 7), 8)
+    with pytest.raises(DomainError):
+        dyadic.fixed_cos_sin(Fraction(1, 3), 0)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.integers(1, 2**80), st.integers(-200, 200), st.integers(0, 70), st.integers(1, 300))
+def test_power_brackets_the_exact_power(m, e, n, bits):
+    exact = _value(m, e) ** n
+    lo, hi = dyadic.power((m, e), n, bits, False), dyadic.power((m, e), n, bits, True)
+    assert _value(*lo) <= exact <= _value(*hi)
+    assert abs(lo[0]).bit_length() <= bits and abs(hi[0]).bit_length() <= bits
+    # at most 2 log2(n) roundings, each by one part in 2^(bits-1)
+    assert _value(*hi) - _value(*lo) <= exact * 2 * n.bit_length() * Fraction(4, 2**bits)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.integers(-2**80, 2**80), st.integers(-200, 200), st.integers(1, 2**80),
+       st.integers(-200, 200), st.integers(1, 300))
+def test_divide_is_the_grid_floor_and_ceiling(m1, e1, m2, e2, bits):
+    value = _value(m1, e1) / _value(m2, e2)
+    lo, hi = dyadic.divide((m1, e1), (m2, e2), bits, False), dyadic.divide((m1, e1), (m2, e2), bits, True)
+    assert (lo, hi) == dyadic.round_quotient(value.numerator, value.denominator, bits)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.integers(-10**6, 10**6), st.integers(0, 2 * 10**6))
+def test_fixed_abs_is_the_range_of_the_absolute_value(lo, span):
+    hi = lo + span
+    ends = (abs(lo), abs(hi))
+    assert dyadic.fixed_abs((lo, hi)) == ((0 if lo < 0 < hi else min(ends)), max(ends))
+
+
+def test_fixed_abs_examples():
+    assert dyadic.fixed_abs((-5, 3)) == (0, 5)
+    assert dyadic.fixed_abs((-3, 5)) == (0, 5)
+    assert dyadic.fixed_abs((-5, -3)) == (3, 5)
+    assert dyadic.fixed_abs((3, 5)) == (3, 5)
+
+
+def test_below_compares_far_exponents_without_shifting():
+    # a shift by 10^20 bits could not be made
+    big, small = (3, 10**20), (5, -(10**20))
+    assert dyadic.below(small, big) and not dyadic.below(big, small)
+    assert dyadic.below((3, 0), (7, 0)) and not dyadic.below((6, 0), (3, 1))
+    assert not dyadic.below((3, 1), (3, 1)) and dyadic.below((5, -1), (3, 0))

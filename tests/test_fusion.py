@@ -333,6 +333,30 @@ def test_dim_rejects_wrong_labels():
         dim("XY", free_unitary(2))
 
 
+@pytest.mark.parametrize("family, labels", [
+    (su2_ladder(3, q=Fraction(15, 97)), [7, 0, 40, 7, 3]),
+    (so3_ladder(5, dim_q_fund=Fraction(71, 10)), list(range(30, -1, -3))),
+    (free_unitary(3, q=Fraction(13, 97)), ["ABBA", "", "B", "AAAB", "ABBA", *all_words(4)]),
+], ids=["o-plus", "so3", "u-plus"])
+def test_scaled_dims_is_the_table_of_scaled_dim(family, labels):
+    for which in ("classical", "quantum"):
+        assert fusion.scaled_dims(iter(labels), family, which) == [
+            fusion.scaled_dim(label, family, which) for label in labels]
+        assert fusion.scaled_dims([], family, which) == []
+
+
+def test_scaled_dims_checks_which_and_every_label():
+    family = free_unitary(2)
+    with pytest.raises(DomainError):
+        fusion.scaled_dims(["A"], family, "both")
+    with pytest.raises(FamilyError):
+        fusion.scaled_dims(["AB", "AXB"], family, "classical")
+    with pytest.raises(FamilyError):
+        fusion.scaled_dims([1, -1], su2_ladder(2), "quantum")
+    with pytest.raises(FamilyError):
+        fusion.scaled_dims([1, True], su2_ladder(2), "quantum")
+
+
 # ---------------------------------------------------------------------------
 # ladder dimension caches
 

@@ -43,7 +43,10 @@ def _python(code: str, *args: str):
 #: Commands that never load mpmath, with their exit codes: `dims` prints the
 #: enclosures of exact rationals with ints alone, `series` and all three
 #: thresholds compute theirs on ints, escalated precisions and refusals
-#: included, and `jacobi` below size 4 computes no relation residual.
+#: included, `jacobi` bounds its relation residuals in fixed point, with the
+#: phase's cosine and sine from `dyadic`, `spectral` at an integer ``4b``
+#: and without `--t` computes its norm on dyadics, and `report` runs all of
+#: these.
 LIGHT_COMMANDS = [
     (["frobnicate"], 2),
     (["dims", "--family", "o-plus", "--N", "3", "--bits", "0"], 2),
@@ -67,6 +70,10 @@ LIGHT_COMMANDS = [
     (["threshold", "--which", "ratio3", "--bits", "192"], 0),
     (["jacobi", "--M", "2", "--q", "0.5"], 0),
     (["jacobi", "--M", "3", "--q", "3/10"], 0),
+    (["jacobi", "--M", "8", "--q", "0.5"], 0),
+    (["jacobi", "--M", "32", "--q", "1/2", "--phase", "3/7"], 0),
+    (["spectral", "--rho-ladder", "4", "--q", "1/3", "--b=-1/4"], 0),
+    (["report"], 0),
 ]
 
 #: Runs the argv lists read from argv[1] in turn and prints, after each,

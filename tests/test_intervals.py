@@ -209,7 +209,7 @@ BOUNDARY_CALLS = {
     "fusion.invariant_multiplicity": lambda: fusion.invariant_multiplicity([1, 1], _FAMILY),
     "fusion.dim": lambda: fusion.dim(2, _FAMILY, "quantum"),
     "fusion.scaled_dim": lambda: fusion.scaled_dim("AB", _FREE, "quantum"),
-    "fusion.dims_equal": lambda: fusion.dims_equal(2, _FAMILY),
+    "fusion.scaled_dims": lambda: fusion.scaled_dims(["", "AB"], _FREE, "quantum"),
     "fusion.rho_spectrum": lambda: fusion.rho_spectrum(2, Fraction(1, 3)),
     "spectral.trace_balanced": lambda: spectral.trace_balanced(_RHO),
     "spectral.modular_norm_sq": lambda: spectral.modular_norm_sq(_RHO, Fraction(1, 3)),

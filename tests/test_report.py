@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclassfun import dyadic
 from qclassfun.errors import DomainError
@@ -70,3 +72,40 @@ def test_table_to_csv_quoting_and_line_endings():
 def test_table_to_csv_rejects_empty():
     with pytest.raises(DomainError):
         table_to_csv([])
+
+
+#: Ints at the default int -> str limit of 4300 digits, and one digit under.
+LIMIT_INTS = st.sampled_from([10**4299, -(10**4299), 10**4300 - 1, -(10**4300 - 1), 10**4298])
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | LIMIT_INTS
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(JSON_VALUES)
+def test_canonical_json_is_json_dumps_with_indent(payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    assert canonical_json(payload) == expected
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), {"a": {}, "b": [], "c": [{}], "d": [[]]}, "héllo ☃ \U0001f600\n\"\\",
+    {"é": None, "\x00": True, "A": False}, [1.0, -0.0, 1e300, float("inf"), float("nan")],
+])
+def test_canonical_json_edge_cases(payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    assert canonical_json(payload) == expected
+
+
+def test_canonical_json_refuses_what_it_cannot_print():
+    with pytest.raises(TypeError):
+        canonical_json({"a": Fraction(1, 3)})
+    with pytest.raises(TypeError):
+        canonical_json({1: "int key"})
+    with pytest.raises(ValueError):  # past the int -> str limit, as json.dumps
+        canonical_json([10**4300])

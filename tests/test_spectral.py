@@ -3,8 +3,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclassfun import dyadic, fusion, intervals
 from qclassfun.dyadic import Enclosure
@@ -15,6 +18,7 @@ from qclassfun.spectral import (
     _count_below,
     _exact_count,
     _float_bounds,
+    _power_sum,
     build_jacobi,
     commutant_dim,
     krylov_rank,
@@ -79,6 +83,53 @@ def test_norm_matches_exact_rational_formula():
                 continue
             expected = sum(lam ** int(exponent) for lam in spectrum) / sum(spectrum)
             assert _holds(modular_norm_sq(fusion.rho_spectrum(n, q), b, 128), expected)
+
+
+def _mp_endpoints(enclosure: Enclosure) -> tuple:
+    return tuple(mpmath.ldexp(m, e) for m, e in (enclosure.lo, enclosure.hi))
+
+
+@pytest.mark.parametrize("bits", [1, 24, 64, 128, 333])
+@pytest.mark.parametrize("b", [0, Fraction(-1, 4), Fraction(1, 4), Fraction(5, 4), -3,
+                               Fraction(10**20 - 1, 4)], ids=str)
+def test_integer_exponent_norm_is_tight_around_mpmaths_value(bits, b):
+    # the dyadic path: mpmath at 3 x bits as the oracle, the result within
+    # a few units of its last bit, and an exponent of 67 bits costs 67 squarings
+    for n, q in ((0, Fraction(1, 3)), (3, Fraction(1, 3)), (12, Fraction(4, 5)),
+                 (40, Fraction(97, 100))):
+        rho = fusion.rho_spectrum(n, q)
+        norm = modular_norm_sq(rho, b, bits)
+        assert norm.bits == bits
+        exponent = int(-4 * Fraction(b) - 1)
+        # a power of e multiplies the relative error of its base by e
+        with mpmath.workprec(3 * bits + 16 + exponent.bit_length()):
+            lams = [mpmath.mpf(lam.numerator) / lam.denominator for lam in rho]
+            value = mpmath.fsum(lam**exponent for lam in lams) / mpmath.fsum(lams)
+            lo, hi = _mp_endpoints(norm)
+            assert lo <= value <= hi
+            assert hi - lo <= 8 * mpmath.ldexp(value, -bits)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6), min_size=1,
+                max_size=6), st.integers(-6, 6), st.integers(2, 80))
+def test_power_sum_brackets_the_exact_sum(rho, n, bits):
+    # the exact rational sum as the oracle, at precisions low enough that
+    # every rounding shows
+    exact = sum(lam**n for lam in rho)
+    low, high = _power_sum(rho, n, bits)
+    assert dyadic.to_fraction(low) <= exact <= dyadic.to_fraction(high)
+    # one unit of 2^-bits of the largest term per term, and the roundings of the powers
+    slack = Fraction(2 * len(rho) * (2 + abs(n)), 2**bits)
+    assert dyadic.to_fraction(high) - dyadic.to_fraction(low) <= slack * max(exact, 1) * 4
+
+
+def test_trace_balance_is_refuted_by_one_unit():
+    # 1 + 2 + 1/2 against 1 + 1/2 + 2, and one eigenvalue off by 2^-200
+    rho = [Fraction(1), Fraction(2), Fraction(1, 2)]
+    assert trace_balanced(rho, 64)
+    off = rho[:2] + [Fraction(1, 2) + Fraction(1, 2**200)]
+    assert trace_balanced(off, 64) and not trace_balanced(off, 256)
 
 
 def test_norm_rejects_empty_and_nonpositive():
@@ -354,6 +405,33 @@ def test_relation_residuals_interior():
     assert suq2_relation_residuals(16, Fraction(1, 2), Fraction(37, 100)) <= 1e-12
     # the bound is a rounding width at 128 bits
     assert suq2_relation_residuals(16, Fraction(1, 2), Fraction(37, 100)) <= 1e-30
+
+
+@pytest.mark.parametrize("size", [4, 8, 32, 768])
+@pytest.mark.parametrize("q", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10),
+                               Fraction("0.999999999")], ids=str)
+@pytest.mark.parametrize("phase", [Fraction(0), Fraction(3, 7), Fraction(-1, 3)], ids=str)
+def test_relation_residuals_bound_mpmaths_entries(size, q, phase):
+    # the same interior entries in mpmath at 384 bits, where they are
+    # rounding noise far below the 128-bit fixed-point bound; the bound
+    # itself is a rounding width, not a loose cap
+    bound = suq2_relation_residuals(size, q, phase)
+    with mpmath.workprec(384):
+        mq = mpmath.mpf(q.numerator) / q.denominator
+        angle = mpmath.mpf(phase.numerator) / phase.denominator
+        unit = (mpmath.cos(angle), mpmath.sin(angle))
+        modulus_sq = unit[0] ** 2 + unit[1] ** 2
+        powers = [mq**k for k in range(size)]
+        shift = [mpmath.sqrt(1 - power**2) for power in powers]
+        worst = mpmath.mpf(0)
+        for k in range(1, size - 1):
+            g_sq = modulus_sq * powers[k] ** 2
+            entries = [shift[k] ** 2 + g_sq - 1, shift[k + 1] ** 2 + mq**2 * g_sq - 1]
+            if k >= 2:
+                entries += [(shift[k] * powers[k] - mq * powers[k - 1] * shift[k]) * part
+                            for part in unit]
+            worst = max([worst, *map(abs, entries)])
+    assert worst <= bound <= 2.0**-100
 
 
 def test_relation_residuals_boundary_is_large():
