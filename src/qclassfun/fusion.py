@@ -344,21 +344,6 @@ def _block_lengths(word: str) -> tuple[int, ...]:
     return tuple(map(len, factorize(word))) if word else ()
 
 
-@lru_cache(maxsize=LADDER_CACHE_SIZE)
-def _block_lengths(word: str) -> tuple[int, ...]:
-    """Lengths of the blocks of :func:`factorize`, none for the empty word;
-    kept for the tables of every family that reads the same words."""
-    return tuple(map(len, factorize(word))) if word else ()
-
-
-def _powers(b: int, n: int) -> list[int]:
-    """``b^0, ..., b^n``."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * b)
-    return out
-
-
 def rho_spectrum(n: int, q: int | str | Fraction) -> list[Fraction]:
     """Spectrum ``{q^(2k-n) : k = 0..n}`` of the positive intertwiner, as
     exact ``Fraction`` values.
