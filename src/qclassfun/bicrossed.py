@@ -17,63 +17,61 @@ rational ``r, s``; this is exactly the decidable fragment:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .fusion import exact_fraction
 
 FACTOR_II_INFINITY = "injective factor of type II-infinity"
 NON_FACTOR = "non-factor; center isomorphic to bounded functions on the circle"
 
 
-@dataclass(frozen=True)
-class RatioRational:
+class RatioRational(Record):
     """Declares ``nu log|q| = ratio * pi`` with a nonzero rational ratio."""
 
-    ratio: Fraction
+    __slots__ = ("ratio",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", exact_fraction(self.ratio))
-        if self.ratio == 0:
+    def __init__(self, ratio: Fraction, _set=object.__setattr__) -> None:
+        ratio = exact_fraction(ratio)
+        if ratio == 0:
             raise DomainError("the rational ratio must be nonzero")
+        _set(self, "ratio", ratio)
 
 
-@dataclass(frozen=True)
-class RatioIrrational:
+class RatioIrrational(Record):
     """Asserts ``nu log|q| / pi`` is irrational (recorded, not verified).
 
     `nu_note` is display-only; no decision consults it.
     """
 
-    nu_note: str | None = None
+    __slots__ = ("nu_note",)
+
+    def __init__(self, nu_note: str | None = None, _set=object.__setattr__) -> None:
+        _set(self, "nu_note", nu_note)
 
 
-NuMode = Union[RatioRational, RatioIrrational]
+NuMode = RatioRational | RatioIrrational
 
 
-@dataclass(frozen=True)
-class BicrossedParams:
-    q: Fraction
-    nu_mode: NuMode
+class BicrossedParams(Record):
+    __slots__ = ("q", "nu_mode")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", exact_fraction(self.q))
-        if not (-1 < self.q < 1) or self.q == 0:
-            raise DomainError(f"q must lie in (-1, 1) and be nonzero, got {self.q}")
+    def __init__(self, q: Fraction, nu_mode: NuMode, _set=object.__setattr__) -> None:
+        q = exact_fraction(q)
+        if not (-1 < q < 1) or q == 0:
+            raise DomainError(f"q must lie in (-1, 1) and be nonzero, got {q}")
+        _set(self, "q", q)
+        _set(self, "nu_mode", nu_mode)
 
 
-@dataclass(frozen=True)
-class ScalingTime:
+class ScalingTime(Record):
     """The time ``t = r nu + s pi/log|q|`` as an exact rational pair."""
 
-    r: Fraction
-    s: Fraction
+    __slots__ = ("r", "s")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", exact_fraction(self.r))
-        object.__setattr__(self, "s", exact_fraction(self.s))
+    def __init__(self, r: Fraction, s: Fraction, _set=object.__setattr__) -> None:
+        _set(self, "r", exact_fraction(r))
+        _set(self, "s", exact_fraction(s))
 
     def __add__(self, other: "ScalingTime") -> "ScalingTime":
         return ScalingTime(self.r + other.r, self.s + other.s)
@@ -108,12 +106,16 @@ def is_inner_scaling(t: ScalingTime, params: BicrossedParams) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CenterDescription:
-    is_trivial: bool
-    #: positive generator of the rational cyclic group carried by the center
-    #: (None when the center is trivial).
-    generator: Fraction | None = None
+class CenterDescription(Record):
+    """`generator` is the positive generator of the rational cyclic group
+    carried by the center (None when the center is trivial)."""
+
+    __slots__ = ("is_trivial", "generator")
+
+    def __init__(self, is_trivial: bool, generator: Fraction | None = None,
+                 _set=object.__setattr__) -> None:
+        _set(self, "is_trivial", is_trivial)
+        _set(self, "generator", generator)
 
 
 def center_description(params: BicrossedParams) -> CenterDescription:
@@ -125,12 +127,15 @@ def center_description(params: BicrossedParams) -> CenterDescription:
     return CenterDescription(False, abs(1 / mode.ratio))
 
 
-@dataclass(frozen=True)
-class FactorReport:
-    is_factor: bool
-    description: str
-    coamenable: bool = True
-    injective: bool = True
+class FactorReport(Record):
+    __slots__ = ("is_factor", "description", "coamenable", "injective")
+
+    def __init__(self, is_factor: bool, description: str, coamenable: bool = True,
+                 injective: bool = True, _set=object.__setattr__) -> None:
+        _set(self, "is_factor", is_factor)
+        _set(self, "description", description)
+        _set(self, "coamenable", coamenable)
+        _set(self, "injective", injective)
 
 
 def factor_report(params: BicrossedParams) -> FactorReport:

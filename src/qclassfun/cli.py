@@ -21,17 +21,18 @@ interval arithmetic runs: ``spectral`` with ``--t`` or a non-integer ``4b``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
 
 from .budgets import DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS, MAX_COMMUTANT_SIZE, MAX_DIM_DIGITS
 from .errors import BudgetError, DomainError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from . import bicrossed, criteria, report
     from .fusion import FusionFamily
 
@@ -64,8 +65,12 @@ MAX_RATIONAL_DIGITS = 24
 #: Budget of `spectral`: the root sum of squares of the bits of the exact
 #: endpoints it prints, the norm with a power of about ``|4b+1| n log2(1/q)``
 #: bits and the n+1 eigenvalues ``q^(n-2k)`` of ``|n-2k| log2(1/q)`` bits each.
-#: Printing an endpoint costs time growing with the square of its bits.  On a
-#: 2-vCPU VM a run at the budget takes 1.5-2.3 s of CPU.
+#: Printing an endpoint costs time growing with the square of its bits.  The
+#: budget does not bound the exact spectrum, whose rationals grow with the
+#: digits of q rather than with log2(1/q): on a 2-vCPU VM `--rho-ladder 5000
+#: --q 1/5` takes about 0.7 s of CPU, but admitted runs with a q of 12 to 23
+#: digits near 1 took 19-48 s and up to 310 MB.  ROADMAP direction 2 makes the
+#: budget bound that work.
 MAX_POWER_BITS = 2**19
 
 #: Budget of the `series` scan of a ladder family: its largest exact dimension
@@ -121,6 +126,8 @@ def _count(minimum: int, maximum: int) -> Callable[[str], int]:
 
 
 def _config_file(path: str) -> dict:
+    import json
+
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)

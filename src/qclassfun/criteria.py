@@ -32,21 +32,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Union
 
 from . import dyadic, fusion
 from .budgets import DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS
 from .dyadic import Enclosure, Fixed
-from .errors import BudgetError, DomainError, FamilyError, KacTypeError
+from .errors import BudgetError, DomainError, FamilyError, KacTypeError, Record
 from .fusion import FusionFamily, Label
 from .scalars import fixed_fundamental_q
 
 #: An input of a series or a bound: a rational (int, Fraction, float or
 #: decimal string), or an Enclosure read through its exact endpoints.
-Exact = Union[int, float, str, Fraction, Enclosure]
+Exact = int | float | str | Fraction | Enclosure
 
 #: sup of the multiplicity of the top component in fundamental-times-ladder
 #: fusion; both ladder kinds have multiplicity one there.
@@ -70,8 +69,7 @@ class QuasiSplit(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(Record):
     """Outcome of a certified summation.
 
     When `verdict` is CONVERGES, the true sum lies in ``partial_sum +
@@ -79,10 +77,15 @@ class SeriesResult:
     Both are at the bits the sum ended at.
     """
 
-    verdict: Verdict
-    partial_sum: Enclosure | None = None
-    tail_bound: Enclosure | None = None
-    terms_used: int = 0
+    __slots__ = ("verdict", "partial_sum", "tail_bound", "terms_used")
+
+    def __init__(self, verdict: Verdict, partial_sum: Enclosure | None = None,
+                 tail_bound: Enclosure | None = None, terms_used: int = 0,
+                 _set=object.__setattr__) -> None:
+        _set(self, "verdict", verdict)
+        _set(self, "partial_sum", partial_sum)
+        _set(self, "tail_bound", tail_bound)
+        _set(self, "terms_used", terms_used)
 
     def sum_enclosure(self) -> Enclosure:
         """Enclosure of the full series value (CONVERGES only): the lower end
@@ -764,8 +767,7 @@ def kac_part(family: FusionFamily, n_max: int) -> list[int]:
             if dim_q == dim_c * scale]
 
 
-@dataclass(frozen=True)
-class MasaVerdict:
+class MasaVerdict(Record):
     """Combined verdict for one family.
 
     `verdict_text` is a fixed enumeration: ``"not a MASA"`` requires both a
@@ -775,11 +777,17 @@ class MasaVerdict:
     non-abelian.
     """
 
-    quasi_split: QuasiSplit
-    all_nontrivial_rho_nontrivial: bool
-    verdict_text: str
-    series: SeriesResult
-    block_sum: SeriesResult | None = None
+    __slots__ = ("quasi_split", "all_nontrivial_rho_nontrivial", "verdict_text", "series",
+                 "block_sum")
+
+    def __init__(self, quasi_split: QuasiSplit, all_nontrivial_rho_nontrivial: bool,
+                 verdict_text: str, series: SeriesResult, block_sum: SeriesResult | None = None,
+                 _set=object.__setattr__) -> None:
+        _set(self, "quasi_split", quasi_split)
+        _set(self, "all_nontrivial_rho_nontrivial", all_nontrivial_rho_nontrivial)
+        _set(self, "verdict_text", verdict_text)
+        _set(self, "series", series)
+        _set(self, "block_sum", block_sum)
 
 
 def masa_verdict(

@@ -50,11 +50,10 @@ decides the rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budgets import MAX_BITS
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, Record
 
 Dyadic = tuple[int, int]  # (m, e): the value m·2^e
 Fixed = tuple[int, int]  # (lo, hi): the interval [lo, hi]·2^-p of a fraction bit count p
@@ -178,16 +177,19 @@ def to_fraction(x: Dyadic) -> Fraction:
 # enclosures
 
 
-@dataclass(frozen=True, slots=True)
-class Enclosure:
+class Enclosure(Record):
     """The interval ``[lo, hi]`` between two dyadics ``(m, e)`` with odd
     mantissas (or ``(0, 0)``), each rounded to at most `bits` bits, the
     form mpmath stores.  None is an unbounded end, which only an mpmath
     interval converted by :mod:`qclassfun.intervals` has."""
 
-    lo: Dyadic | None
-    hi: Dyadic | None
-    bits: int
+    __slots__ = ("lo", "hi", "bits")
+
+    def __init__(self, lo: Dyadic | None, hi: Dyadic | None, bits: int,
+                 _set=object.__setattr__) -> None:
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "bits", bits)
 
 
 def exact_endpoints(x: Enclosure) -> tuple[Fraction | None, Fraction | None]:

@@ -20,16 +20,18 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import threading
-from dataclasses import dataclass
+from _thread import allocate_lock
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import DomainError, FamilyError
+from .errors import DomainError, FamilyError, Record
 
-Label = Union[int, str]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Sequence
+
+Label = int | str
 Decomposition = dict  # label -> positive multiplicity, canonically ordered
 
 WORD_ALPHABET = "AB"
@@ -53,26 +55,27 @@ def exact_fraction(value: int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class FusionFamily:
+class FusionFamily(Record):
     """Fusion data of one family: kind plus fundamental dimensions.
 
     `dim_q_fund` must dominate `dim_c_fund`; equality is the Kac case, where
     every quantum dimension collapses onto the classical one.
     """
 
-    kind: FamilyKind
-    dim_c_fund: int
-    dim_q_fund: Fraction
+    __slots__ = ("kind", "dim_c_fund", "dim_q_fund")
 
-    def __post_init__(self) -> None:
-        if self.dim_c_fund < 2:
-            raise DomainError(f"fundamental dimension must be >= 2, got {self.dim_c_fund}")
-        if self.dim_q_fund < self.dim_c_fund:
+    def __init__(self, kind: FamilyKind, dim_c_fund: int, dim_q_fund: Fraction,
+                 _set=object.__setattr__) -> None:
+        if dim_c_fund < 2:
+            raise DomainError(f"fundamental dimension must be >= 2, got {dim_c_fund}")
+        if dim_q_fund < dim_c_fund:
             raise DomainError(
-                f"quantum dimension {self.dim_q_fund} may not fall below the "
-                f"classical dimension {self.dim_c_fund}"
+                f"quantum dimension {dim_q_fund} may not fall below the "
+                f"classical dimension {dim_c_fund}"
             )
+        _set(self, "kind", kind)
+        _set(self, "dim_c_fund", dim_c_fund)
+        _set(self, "dim_q_fund", dim_q_fund)
 
     @property
     def is_kac(self) -> bool:
@@ -252,7 +255,7 @@ LADDER_PREFIXES = 32
 
 
 #: Guards the shared prefixes: two threads must not extend one list.
-_LADDER_LOCK = threading.Lock()
+_LADDER_LOCK = allocate_lock()
 
 
 @lru_cache(maxsize=LADDER_PREFIXES)

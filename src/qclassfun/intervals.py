@@ -30,7 +30,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext as Context
@@ -40,10 +39,14 @@ from . import dyadic
 from .budgets import DEFAULT_BITS, MAX_BITS
 from .dyadic import Enclosure, decimal_digits
 
-#: Anything `make` can turn into a rigorous interval.
-IntervalLike = Union[int, float, str, Fraction, "mpmath.ctx_iv.ivmpf"]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 Interval = mpmath.ctx_iv.ivmpf
+
+#: Anything `make` can turn into a rigorous interval.
+IntervalLike = int | float | str | Fraction | Interval
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,10 @@ cross-checks, so the two sides must stay independent.
 from __future__ import annotations
 
 import math
-from typing import Callable
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 
 def catalan(k: int) -> int:

@@ -11,25 +11,36 @@ alone.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping, Sequence
 
 from . import dyadic
 from .dyadic import Enclosure
-from .errors import DomainError
+from .errors import DomainError, Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Mapping, Sequence
+    from typing import Any
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+class Report(Record):
+    """One command's output; unlike the other records it is mutable and
+    unhashable.  A missing `inputs`, `results` or `meta` is a new empty dict."""
+
+    __slots__ = ("command", "inputs", "results", "meta")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command: str, inputs: dict | None = None, results: dict | None = None,
+                 meta: dict | None = None) -> None:
+        self.command = command
+        self.inputs = {} if inputs is None else inputs
+        self.results = {} if results is None else results
+        self.meta = {} if meta is None else meta
 
     def to_json(self) -> str:
         return canonical_json({
@@ -138,6 +149,8 @@ def table_to_csv(rows: Sequence[Mapping[str, Any]]) -> str:
     """RFC-style CSV with '.' decimal points and plain newline endings."""
     if not rows:
         raise DomainError("empty table")
+    import csv
+
     flat_rows = [flatten_row(row) for row in rows]
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(flat_rows[0]), lineterminator="\n")

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
 
 from . import dyadic
 from .budgets import DEFAULT_BITS
 from .errors import DomainError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Mapping
+
     from .intervals import Interval, IntervalLike
 
 

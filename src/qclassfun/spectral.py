@@ -30,17 +30,18 @@ numpy is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
 
 from . import dyadic
 from .budgets import DEFAULT_BITS, MAX_COMMUTANT_SIZE
 from .dyadic import Dyadic, Enclosure
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, Record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .intervals import Context, Interval
 
 #: The two brackets around the smallest eigenvalue spacing are narrowed to
@@ -167,8 +168,7 @@ def modular_eigencoefficients(rho: Sequence[Fraction], t: int | str | Fraction,
 # finite weighted-shift model
 
 
-@dataclass(frozen=True)
-class JacobiOperator:
+class JacobiOperator(Record):
     """Symmetric tridiagonal compression with zero diagonal, held exactly.
 
     Entry k of `squares` is the squared off-diagonal ``1 - q^(2(k+1))``, a
@@ -176,16 +176,18 @@ class JacobiOperator:
     the spectrum simple and the first basis vector cyclic.
     """
 
-    size: int
-    squares: tuple[Fraction, ...]
+    __slots__ = ("size", "squares")
 
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise DomainError(f"need size >= 2, got {self.size}")
-        if len(self.squares) != self.size - 1:
+    def __init__(self, size: int, squares: tuple[Fraction, ...],
+                 _set=object.__setattr__) -> None:
+        if size < 2:
+            raise DomainError(f"need size >= 2, got {size}")
+        if len(squares) != size - 1:
             raise DomainError("off-diagonal length must be size - 1")
-        if any(entry <= 0 for entry in self.squares):
+        if any(entry <= 0 for entry in squares):
             raise DomainError("off-diagonal entries must be strictly positive")
+        _set(self, "size", size)
+        _set(self, "squares", squares)
 
     @property
     def off_diagonal(self) -> tuple[float, ...]:

@@ -2,8 +2,11 @@
 a CLI process imports only the modules its subcommand runs.
 
 Every CLI call runs in a fresh process, so start-up is part of each
-command's cost; mpmath alone is most of it.  These tests pin where it may
-be loaded.
+command's cost.  These tests pin where mpmath may be loaded, and that a
+command which runs no interval arithmetic loads none of the stdlib modules
+that the package's records, annotations, locks and writers once pulled in:
+``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``),
+``typing``, ``threading``, ``csv`` and ``json``.
 """
 
 from __future__ import annotations
@@ -28,13 +31,18 @@ SUBMODULES = ("acceptance", "bicrossed", "budgets", "cli", "criteria", "dyadic",
               "fusion", "intervals", "noncrossing", "report", "scalars", "spectral")
 
 
-def _python(code: str, *args: str):
-    """The JSON that `code` prints, run in a fresh interpreter."""
+def _run(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
+    """What `code` prints, run in a fresh interpreter started with `flags`."""
     env = dict(os.environ)
     env.pop("QCLASSFUN_BITS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return json.loads(subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                                     text=True, env=env, timeout=120, check=True).stdout)
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120, check=True).stdout
+
+
+def _python(code: str, *args: str, flags: tuple[str, ...] = ()):
+    """The JSON that `code` prints, run in a fresh interpreter."""
+    return json.loads(_run(code, *args, flags=flags))
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +101,42 @@ print(json.dumps(probes))
 def test_commands_without_interval_arithmetic_never_load_mpmath():
     probes = _python(RUN_AND_PROBE, json.dumps([argv for argv, _ in LIGHT_COMMANDS]))
     assert probes == [[code, False] for _, code in LIGHT_COMMANDS]
+
+
+#: Stdlib modules that no light command loads.  csv is the exception once a
+#: ``--format csv`` command has run, since it writes the table.
+LEAN_UNLOADED = ("dataclasses", "inspect", "typing", "threading", "csv")
+
+#: Runs the argv lists read from argv[1] in turn and prints, after each,
+#: its exit code and which of LEAN_UNLOADED are loaded.
+RUN_AND_LIST = """
+import contextlib, io, json, sys
+from qclassfun.cli import main
+probes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    probes.append([code, [name for name in %r if name in sys.modules]])
+print(json.dumps(probes))
+""" % (LEAN_UNLOADED,)
+
+
+def test_light_commands_load_no_dataclasses_inspect_typing_threading_or_csv():
+    # -S: a site-packages .pth file may import some of these before any command runs
+    probes = _python(RUN_AND_LIST, json.dumps([argv for argv, _ in LIGHT_COMMANDS]),
+                     flags=("-S",))
+    csv_written = False
+    for (argv, code), probe in zip(LIGHT_COMMANDS, probes, strict=True):
+        csv_written = csv_written or "csv" in argv
+        assert probe == [code, ["csv"] if csv_written else []], argv
+    assert csv_written
+
+
+def test_bare_cli_import_loads_no_json_and_none_of_the_lean_modules():
+    loaded = _run(f"import sys, qclassfun.cli\n"
+                  f"print(*(m for m in {(*LEAN_UNLOADED, 'json')!r} if m in sys.modules))",
+                  flags=("-S",))
+    assert loaded.split() == []
 
 
 def test_bare_package_import_loads_no_working_module():

@@ -1,7 +1,6 @@
 """Outward-rounded interval helpers and their per-call precision."""
 
 import ast
-import dataclasses
 import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +15,7 @@ from mpmath.ctx_iv import ivmpf
 
 import qclassfun
 from qclassfun import criteria, dyadic, fusion, intervals, scalars, spectral
-from qclassfun.errors import DomainError
+from qclassfun.errors import DomainError, Record
 
 fractions = st.fractions(min_value=Fraction(-100), max_value=Fraction(100))
 
@@ -253,20 +252,26 @@ def _public_functions() -> set[str]:
 
 
 def _held(value):
-    """`value` and everything it holds, through containers and dataclasses."""
+    """`value` and everything it holds, through containers and records."""
     yield value
     if isinstance(value, dict):
         children = [*value.keys(), *value.values()]
     elif isinstance(value, (list, tuple, set, frozenset)):
         children = value
-    elif dataclasses.is_dataclass(value):
-        children = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    elif isinstance(value, Record):
+        children = [getattr(value, name) for name in type(value).__slots__]
     elif isinstance(value, scalars.LaurentScalar):
         children = [value.coeffs]
     else:
         children = []
     for child in children:
         yield from _held(child)
+
+
+def test_the_walker_reaches_the_enclosures_inside_a_record():
+    held = list(_held(criteria.block_sum_S(1, Fraction(1, 10), Fraction(1, 1000))))
+    assert isinstance(held[0], criteria.SeriesResult)
+    assert any(isinstance(value, dyadic.Enclosure) for value in held)
 
 
 def test_the_boundary_calls_cover_every_public_function():
