@@ -121,10 +121,9 @@ def criterion_4_modular_norms(bits: int = DEFAULT_BITS) -> dict:
         q = Fraction(q_str)
         family = fusion.su2_ladder(2, q=q)
         for n in range(21):
-            rho = fusion.rho_spectrum(n, q)
             ok = True
             for b, expected in ((0, 1), (Fraction(-1, 4), criteria.ratio_exact(n, family))):
-                lo, hi = dyadic.exact_endpoints(spectral.modular_norm_sq(rho, b, bits))
+                lo, hi = dyadic.exact_endpoints(spectral.modular_norm_sq(n, q, b, bits))
                 ok = ok and lo <= expected <= hi and hi - lo <= width_cap
             if not ok:
                 failures.append({"q": q_str, "n": n})

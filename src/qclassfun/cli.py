@@ -62,15 +62,13 @@ class UsageError(Exception):
 MAX_RATIONAL_DIGITS = 24
 
 
-#: Budget of `spectral`: the root sum of squares of the bits of the exact
-#: endpoints it prints, the norm with a power of about ``|4b+1| n log2(1/q)``
-#: bits and the n+1 eigenvalues ``q^(n-2k)`` of ``|n-2k| log2(1/q)`` bits each.
-#: Printing an endpoint costs time growing with the square of its bits.  The
-#: budget does not bound the exact spectrum, whose rationals grow with the
-#: digits of q rather than with log2(1/q): on a 2-vCPU VM `--rho-ladder 5000
-#: --q 1/5` takes about 0.7 s of CPU, but admitted runs with a q of 12 to 23
-#: digits near 1 took 19-48 s and up to 310 MB.  ROADMAP direction 2 makes the
-#: budget bound that work.
+#: Budget of `spectral`: the root sum of squares of the bits of the norm's
+#: power, about ``|4b+1| n log2(1/q)``, and of the n+1 exact eigenvalues
+#: ``q^(n-2k) = r^(n-2k)/p^(n-2k)`` for ``q = p/r``, ``|n-2k| log2(r)`` bits
+#: each, which are stepped, rounded and printed.  On a 2-vCPU VM the runs at
+#: the budget take at most about 7 s of CPU, the slowest with `--t` and a
+#: non-integer `4b` at `--bits 1024`, where mpmath takes the logarithm of
+#: each eigenvalue; `--rho-ladder 5000 --q 1/5 --b=1/4` takes 0.45 s.
 MAX_POWER_BITS = 2**19
 
 #: Budget of the `series` scan of a ladder family: its largest exact dimension
@@ -427,29 +425,27 @@ def cmd_spectral(args: argparse.Namespace) -> report.Report:
 
     if args.rho_ladder is None or args.q is None:
         raise UsageError("spectral requires --rho-ladder and --q")
-    b, q = Fraction(args.b), Fraction(args.q)
+    n, b = args.rho_ladder, Fraction(args.b)
     # checked before the budget below takes the logarithm of q
-    if not 0 < q <= 1:
-        raise DomainError(f"spectral parameter must lie in (0, 1], got {args.q}")
-    n = args.rho_ladder
-    bits = abs(math.log2(q.denominator) - math.log2(q.numerator)) * math.hypot(
-        (4 * b + 1) * n, math.sqrt(n * (n + 1) * (n + 2) / 3))
+    q = fusion.check_ladder(n, args.q)
+    p, r = q.as_integer_ratio()
+    bits = math.hypot((4 * b + 1) * n * (math.log2(r) - math.log2(p)),
+                      math.log2(r) * math.sqrt(n * (n + 1) * (n + 2) / 3))
     if bits > MAX_POWER_BITS:
-        raise BudgetError(f"the printed exact endpoints have {bits:.3g} bits in root sum of "
-                          f"squares, which exceeds the budget of {MAX_POWER_BITS}")
-    inputs = {"rho_ladder": args.rho_ladder, "q": args.q, "b": str(b)}
-    rho = fusion.rho_spectrum(args.rho_ladder, q)
+        raise BudgetError(f"the norm's power and the exact eigenvalues have {bits:.3g} bits in "
+                          f"root sum of squares, which exceeds the budget of {MAX_POWER_BITS}")
+    inputs = {"rho_ladder": n, "q": args.q, "b": str(b)}
     results: dict = {
-        "norm_sq": report.enclosure_payload(spectral.modular_norm_sq(rho, b, args.bits)),
-        "trace_balanced": spectral.trace_balanced(rho, args.bits),
-        "rho": [report.rational_payload(lam.numerator, lam.denominator, args.bits)
-                for lam in rho],
+        "norm_sq": report.enclosure_payload(spectral.modular_norm_sq(n, q, b, args.bits)),
+        "trace_balanced": spectral.trace_balanced(n, q),
+        "rho": [report.rational_payload(num, den, args.bits)
+                for num, den in fusion.rho_spectrum(n, q)],
     }
     if args.t is not None:
         inputs["t"] = args.t
         results["eigencoefficients"] = [
             {"re": report.enclosure_payload(re), "im": report.enclosure_payload(im)}
-            for re, im in spectral.modular_eigencoefficients(rho, Fraction(args.t), args.bits)
+            for re, im in spectral.modular_eigencoefficients(n, q, Fraction(args.t), args.bits)
         ]
     return report.Report("spectral", inputs, results, _meta(args))
 

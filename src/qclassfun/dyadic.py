@@ -23,8 +23,7 @@ exact rationals never loads mpmath.
   operators do at the same precision.
   :func:`qclassfun.intervals.to_enclosure` converts an mpmath interval into one.
   :func:`power` and :func:`divide` round one product chain or one quotient
-  of positive dyadics toward the end they bound, and :func:`below` compares
-  two positive dyadics however far apart their exponents are.
+  of positive dyadics toward the end they bound.
 * Fixed point: a pair of ints ``(lo, hi)`` stands for ``[lo, hi]·2^-p``.
   :func:`to_fixed` and :func:`fixed_hull` enclose a rational and an interval,
   and :func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt` round each
@@ -123,18 +122,6 @@ def add(x: Dyadic, y: Dyadic) -> Dyadic:
     (m1, e1), (m2, e2) = x, y
     e = min(e1, e2)
     return (m1 << (e1 - e)) + (m2 << (e2 - e)), e
-
-
-def _top(x: Dyadic) -> int:
-    """The exponent just above the leading bit of a nonzero `x`."""
-    return abs(x[0]).bit_length() + x[1]
-
-
-def below(x: Dyadic, y: Dyadic) -> bool:
-    """``x < y`` for positive dyadics, with no shift past the mantissa lengths."""
-    if _top(x) != _top(y):
-        return _top(x) < _top(y)
-    return add(x, negate(y))[0] < 0
 
 
 def negate(x: Dyadic) -> Dyadic:

@@ -11,8 +11,8 @@ Ladder labels are plain nonnegative ints (0 is trivial); free labels are
 strings over ``A``/``B`` (the empty string is trivial).  All dimensions are
 computed exactly: classical dimensions are ints, quantum dimensions are
 :class:`~fractions.Fraction` values read from the same integer recursions,
-and :func:`rho_spectrum` gives the intertwiner's spectrum as exact
-``Fraction`` values too.
+and :func:`rho_spectrum` steps the intertwiner's spectrum as exact int
+pairs.
 """
 
 from __future__ import annotations
@@ -347,17 +347,40 @@ def _block_lengths(word: str) -> tuple[int, ...]:
     return tuple(map(len, factorize(word))) if word else ()
 
 
-def rho_spectrum(n: int, q: int | str | Fraction) -> list[Fraction]:
-    """Spectrum ``{q^(2k-n) : k = 0..n}`` of the positive intertwiner, as
-    exact ``Fraction`` values.
-
-    Geometrically spaced so the trace is the order-(n+1) deformed integer and
-    matches the trace of the inverse.  `q` is read with :func:`exact_fraction`
-    and must lie in ``(0, 1]``, checked exactly.
-    """
+def check_ladder(n: int, q: int | str | Fraction) -> Fraction:
+    """The one check of an ``SU_q(2)`` ladder ``(n, q)``: `n` must be a
+    nonnegative int, and `q`, read with :func:`exact_fraction`, must lie in
+    ``(0, 1]``, decided exactly.  Returns `q` as a ``Fraction``."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"ladder index must be a nonnegative int, got {n!r}")
-    q = exact_fraction(q)
-    if not 0 < q <= 1:
+    value = exact_fraction(q)
+    if not 0 < value <= 1:
         raise DomainError(f"spectral parameter must lie in (0, 1], got {q}")
-    return [q ** (2 * k - n) for k in range(n + 1)]
+    return value
+
+
+def rho_spectrum(n: int, q: int | str | Fraction) -> Iterator[tuple[int, int]]:
+    """Spectrum ``{q^(2k-n) : k = 0..n}`` of the positive intertwiner, whose
+    trace is the order-(n+1) deformed integer, in the order of k, as int
+    pairs ``(numerator, denominator)`` in lowest terms; ``(n, q)`` is checked
+    by :func:`check_ladder` on the call.  For ``q = p/r`` the pairs are
+    ``(r^j, p^j)`` or ``(p^j, r^j)`` with ``j = |2k-n|``, stepped down from
+    ``j = n`` by exact division by ``r^2`` and ``p^2`` and back up by
+    multiplication, so two powers of each are alive at a time.
+    """
+    p, r = check_ladder(n, q).as_integer_ratio()
+    return _ladder_pairs(n, p, r)
+
+
+def _ladder_pairs(n: int, p: int, r: int) -> Iterator[tuple[int, int]]:
+    p2, r2 = p * p, r * r
+    num, den = r**n, p**n
+    for _ in range(n // 2):
+        yield num, den
+        num, den = num // r2, den // p2
+    if n % 2:
+        yield num, den
+    num, den = den, num
+    for _ in range(n // 2 + 1):
+        yield num, den
+        num, den = num * p2, den * r2

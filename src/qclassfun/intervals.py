@@ -3,22 +3,23 @@
 Every public function of the package takes exact values or
 :class:`~qclassfun.dyadic.Enclosure` values and returns ``Enclosure``
 values.  mpmath's interval arithmetic, whose operations round outward so
-enclosures are never lost, runs only inside four functions of
-:mod:`qclassfun.spectral` (``trace_balanced``, ``modular_norm_sq``,
-``modular_eigencoefficients`` and ``suq2_relation_residuals``) and inside
-``LaurentScalar.evaluate``, and this module is their bridge.  Each interval
-belongs to one context and carries its precision (bits of mantissa) with
-it: :func:`precision` yields the cached context for a bit count,
-:func:`make` encloses an exact value in it (default 128 bits), and an
-operation works at the precision of its left interval operand.  No global
-state is read or written, so concurrent callers may use different
-precisions.  The context factory checks its bit count with
-:func:`qclassfun.dyadic.check_bits`, and a rejected count is never cached.
+enclosures are never lost, runs only inside ``modular_norm_sq`` at a
+non-integer exponent and ``modular_eigencoefficients`` of
+:mod:`qclassfun.spectral` and inside ``LaurentScalar.evaluate``, and this
+module is their bridge.  Each interval belongs to one context and carries
+its precision (bits of mantissa) with it: :func:`precision` yields the
+cached context for a bit count, :func:`make` encloses an exact value in it
+(default 128 bits), and an operation works at the precision of its left
+interval operand.  No global state is read or written, so concurrent
+callers may use different precisions.  The context factory checks its bit
+count with :func:`qclassfun.dyadic.check_bits`, and a rejected count is
+never cached.
 
 :func:`make` accepts exact data only: ints, :class:`~fractions.Fraction`,
 decimal strings (converted outward) and existing intervals.  Floats are
 accepted as the exact binary rational they denote.  mpmath neither rounds
-rationals nor prints here: a ``Fraction`` gets its tightest enclosure from
+rationals nor prints here: a ``Fraction``, or a quotient of ints given to
+:func:`quotient`, gets its tightest enclosure from
 :func:`qclassfun.dyadic.round_quotient`, an interval leaves as the
 ``Enclosure`` of its exact endpoints through :func:`to_enclosure`, and
 :func:`to_decimal_pair` prints an ``Enclosure``'s endpoints with
@@ -73,9 +74,14 @@ def make(value: IntervalLike, ctx: Context | None = None) -> Interval:
     if ctx is None:
         ctx = _context(DEFAULT_BITS)
     if isinstance(value, Fraction):
-        lo, hi = dyadic.round_quotient(value.numerator, value.denominator, ctx.prec)
-        return ctx.make_mpf((_raw(*lo), _raw(*hi)))
+        return quotient(value.numerator, value.denominator, ctx)
     return ctx.mpf(value)
+
+
+def quotient(p: int, q: int, ctx: Context) -> Interval:
+    """The tightest enclosure of ``p/q`` (``q > 0``, any terms) in `ctx`."""
+    lo, hi = dyadic.round_quotient(p, q, ctx.prec)
+    return ctx.make_mpf((_raw(*lo), _raw(*hi)))
 
 
 def to_enclosure(x: Interval) -> Enclosure:

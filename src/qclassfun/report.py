@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import io
 import math
+from _json import encode_basestring_ascii as _quote
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
 from . import dyadic
 from .dyadic import Enclosure
@@ -54,8 +54,9 @@ class Report(Record):
 def canonical_json(payload: Any) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))``
     and a newline.  ``indent`` selects json's pure-Python encoder, so the
-    payload is walked here and every string quoted by the C quoting of
-    :func:`json.encoder.encode_basestring_ascii`."""
+    payload is walked here and every string quoted by the C quoting that
+    :func:`json.encoder.encode_basestring_ascii` re-exports, imported from
+    ``_json`` so that printing loads no ``json`` package."""
     out: list[str] = []
     _write(payload, "\n", out)
     out.append("\n")

@@ -3,16 +3,16 @@
 The modular group scales the diagonal coefficients of a character by complex
 powers of the intertwiner eigenvalues; the squared 2-norm of the twisted
 character is ``Tr(rho^(-4b-1)) / Tr(rho)``, which specializes to 1 at
-``b = 0`` (trace balance) and to dim/dim_q at ``b = -1/4``.  These
-functions take the exact spectrum of :func:`qclassfun.fusion.rho_spectrum`
-and the working precision `bits`, and return
-:class:`~qclassfun.dyadic.Enclosure` values.  Trace balance and the norm at
-an integer exponent ``-4b-1`` run on the dyadics of :mod:`qclassfun.dyadic`:
-each eigenvalue (or its reciprocal) is enclosed once at `bits` plus guard
-bits and raised to the power by repeated squaring, and the terms are
-summed in fixed point.  A non-integer exponent and the unit-circle coefficients need
-``log`` and ``exp``, which run in mpmath's interval arithmetic (through
-:mod:`qclassfun.intervals`).
+``b = 0`` (trace balance) and to dim/dim_q at ``b = -1/4``.  The
+``SU_q(2)`` intertwiner has the spectrum ``{q^(2k-n) : k = 0..n}``, so
+these functions take the ladder ``(n, q)`` and the working precision
+`bits`, and return :class:`~qclassfun.dyadic.Enclosure` values.  There a
+power sum is a deformed integer, so trace balance is the identity ``[n+1]_q
+= [n+1]_(1/q)`` and the norm at an integer exponent runs on the ints of
+:mod:`qclassfun.dyadic` (:func:`_ladder_sum`).  A non-integer exponent and
+the unit-circle coefficients need ``log`` and ``exp`` of each eigenvalue
+stepped by :func:`qclassfun.fusion.rho_spectrum`, in mpmath's interval
+arithmetic (through :mod:`qclassfun.intervals`).
 
 The finite model compresses the real part of the weighted shift
 ``a phi_k = sqrt(1 - q^(2k)) phi_(k-1)`` to the first M basis vectors.  Two
@@ -42,123 +42,104 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
-    from .intervals import Context, Interval
-
 #: The two brackets around the smallest eigenvalue spacing are narrowed to
 #: this fraction of it, so the printed gap is within twice it of the true gap.
 GAP_RTOL = 2.0**-30
 
-#: Bits beyond `bits`, and beyond the bits of the term count, at which the
-#: dyadic sums enclose each eigenvalue and round each term, so that those
-#: roundings stay below the last bit of the result.
-SUM_GUARD_BITS = 8
+#: Bits beyond `bits`, and beyond the bits of ``|e| n``, at which a ladder
+#: sum encloses `q`, ``1/q`` and their powers and runs its Horner steps.
+LADDER_GUARD_BITS = 16
 
 
-def _check(rho: Sequence[Fraction]) -> None:
-    """The one check of a spectrum: non-empty and strictly positive,
-    decided exactly."""
-    if not rho:
-        raise DomainError("empty spectrum")
-    for lam in rho:
-        if lam <= 0:
-            raise DomainError(f"spectrum must be strictly positive, got {lam}")
+def _ladder_sum(n: int, q: Fraction, e: int, bits: int) -> tuple[Dyadic, Dyadic]:
+    """Lower and upper dyadic bound of ``sum_k q^(e(2k-n))``, ``k = 0..n``,
+    for an int `e`: ``q^(-a n) S(q^(2a))`` with ``a = |e|`` and ``S(y) = 1 +
+    y + ... + y^n``.  `q` and ``1/q`` are enclosed once and raised by
+    :func:`dyadic.power` at `bits` plus guard bits plus the bits of ``a n``,
+    as a power multiplies the relative error of its base by its exponent.
+    S has positive terms and increases with y, so Horner's rule ``s -> 1 +
+    y s`` is floored from the lower end of y and ceiled from the upper one
+    in fixed point, with no cancellation.  At ``e = 0`` it is exactly n + 1.
+    """
+    a = abs(e)
+    work = bits + LADDER_GUARD_BITS + (a * n).bit_length()
+    p, r = q.as_integer_ratio()
+    base, inverse = dyadic.round_quotient(p, r, work), dyadic.round_quotient(r, p, work)
+    y_lo = dyadic.floor_fixed(dyadic.power(base[0], 2 * a, work, False), work)
+    y_hi = -dyadic.floor_fixed(dyadic.negate(dyadic.power(base[1], 2 * a, work, True)), work)
+    one = 1 << work
+    low = high = one
+    for _ in range(n):
+        low, high = one + (y_lo * low >> work), one - (-y_hi * high >> work)
+    (m_lo, e_lo), (m_hi, e_hi) = (dyadic.power(inverse[0], a * n, work, False),
+                                  dyadic.power(inverse[1], a * n, work, True))
+    return (m_lo * low, e_lo - work), (m_hi * high, e_hi - work)
 
 
-def _enclose(rho: Sequence[Fraction], ctx: Context) -> list[Interval]:
-    """Each eigenvalue of the checked exact spectrum `rho` enclosed once in `ctx`."""
-    from . import intervals
+def trace_balanced(n: int, q: int | str | Fraction) -> bool:
+    """Whether ``Tr(rho) = Tr(rho^-1)`` on the ladder ``(n, q)``: always,
+    since the spectrum is closed under ``lam -> 1/lam`` and both traces are
+    ``[n+1]_q = [n+1]_(1/q)``.  So after the one check of ``(n, q)`` it
+    returns True, as :func:`krylov_rank` returns M."""
+    from .fusion import check_ladder
 
-    _check(rho)
-    return [intervals.make(lam, ctx) for lam in rho]
-
-
-def _power_sum(rho: Sequence[Fraction], n: int, bits: int) -> tuple[Dyadic, Dyadic]:
-    """Lower and upper dyadic bound of ``sum(lam^n)`` for an int `n`: each
-    eigenvalue (its reciprocal for ``n < 0``) enclosed once at `bits` by
-    :func:`dyadic.round_quotient` and raised to ``|n|`` by
-    :func:`dyadic.power`, rounded outward; then every term is floored and
-    ceiled in the fixed point whose unit is ``2^-bits`` of the largest upper
-    term, and the ints are added.  So each term costs at most one unit
-    more, however small it is and however far apart the exponents are."""
-    if n == 0:
-        return (len(rho), 0), (len(rho), 0)
-    terms = []
-    for lam in rho:
-        p, q = lam.as_integer_ratio()
-        lo, hi = dyadic.round_quotient(*((p, q) if n > 0 else (q, p)), bits)
-        if abs(n) != 1:
-            lo, hi = dyadic.power(lo, abs(n), bits, False), dyadic.power(hi, abs(n), bits, True)
-        terms.append((lo, hi))
-    scale = bits - max(m.bit_length() + e for _, (m, e) in terms)
-    low = sum(dyadic.floor_fixed(lo, scale) for lo, _ in terms)
-    high = -sum(dyadic.floor_fixed(dyadic.negate(hi), scale) for _, hi in terms)
-    return (low, -scale), (high, -scale)
+    check_ladder(n, q)
+    return True
 
 
-def _work_bits(rho: Sequence[Fraction], bits: int) -> int:
-    return bits + SUM_GUARD_BITS + len(rho).bit_length()
-
-
-def trace_balanced(rho: Sequence[Fraction], bits: int = DEFAULT_BITS) -> bool:
-    """Certify-or-refute that sum(rho) can equal sum(1/rho): both sums are
-    enclosed at `bits` by :func:`_power_sum` and tested for overlap.  (At
-    the 5,001 eigenvalues of ``q = 1/5`` on a 2-vCPU Xeon, the exact test on
-    ``Fraction`` sums took 1.0 s, mpmath's interval sums 0.16 s and these
-    0.07 s.)"""
-    dyadic.check_bits(bits)
-    _check(rho)
-    total = _power_sum(rho, 1, _work_bits(rho, bits))
-    total_inv = _power_sum(rho, -1, _work_bits(rho, bits))
-    return not (dyadic.below(total[1], total_inv[0]) or dyadic.below(total_inv[1], total[0]))
-
-
-def modular_norm_sq(rho: Sequence[Fraction], b, bits: int = DEFAULT_BITS) -> Enclosure:
+def modular_norm_sq(n: int, q: int | str | Fraction, b,
+                    bits: int = DEFAULT_BITS) -> Enclosure:
     """Squared 2-norm of the character twisted by the modular group at
-    imaginary part `b`: ``sum(lam^(-4b-1)) / sum(lam)``.
+    imaginary part `b`: ``sum(lam^(-4b-1)) / sum(lam)`` over the spectrum
+    of the ladder ``(n, q)``.
 
     The real part of the modular parameter drops out, so only `b` is taken.
-    `b` may be a Fraction, int, float or decimal string.  The eigenvalues
-    are exact.  At an integer exponent both sums are enclosed by
-    :func:`_power_sum` at `bits` plus guard bits growing with the bits of
-    the exponent and of the term count, and divided once, rounded outward
-    to `bits`; no exact power is formed, so the exponent costs its bit
-    length in squarings.  At any other exponent the norm is computed in
-    mpmath's intervals at `bits`.
+    `b` may be a Fraction, int, float or decimal string.  At the exponents
+    ±1 the sums are equal (trace balance) and the norm is exactly 1; at any
+    other integer exponent both come from :func:`_ladder_sum` and are
+    divided once, rounded outward to `bits`, so the exponent costs its bit
+    length in squarings.  Any other exponent runs in mpmath's intervals at
+    `bits`, one eigenvalue at a time.
     """
+    from .fusion import check_ladder, rho_spectrum
+
+    q = check_ladder(n, q)
     exponent = -4 * Fraction(str(b) if isinstance(b, float) else b) - 1
     dyadic.check_bits(bits)
     if exponent.denominator == 1:
-        _check(rho)
-        work = _work_bits(rho, bits) + exponent.numerator.bit_length()
-        powered = _power_sum(rho, exponent.numerator, work)
-        total = _power_sum(rho, 1, work)
+        if abs(exponent) == 1:
+            return Enclosure((1, 0), (1, 0), bits)
+        powered, total = _ladder_sum(n, q, exponent.numerator, bits), _ladder_sum(n, q, 1, bits)
         return Enclosure(dyadic.divide(powered[0], total[1], bits, False),
                          dyadic.divide(powered[1], total[0], bits, True), bits)
     from . import intervals
 
     with intervals.precision(bits) as ctx:
-        spectrum = _enclose(rho, ctx)
-        e = intervals.make(exponent, ctx)
-        powered = [lam**e for lam in spectrum]
-        return intervals.to_enclosure(sum(powered[1:], powered[0]) / sum(spectrum[1:], spectrum[0]))
+        e, total, powered = intervals.make(exponent, ctx), 0, 0
+        for num, den in rho_spectrum(n, q):
+            lam = intervals.quotient(num, den, ctx)
+            total, powered = total + lam, powered + lam**e
+        return intervals.to_enclosure(powered / total)
 
 
-def modular_eigencoefficients(rho: Sequence[Fraction], t: int | str | Fraction,
+def modular_eigencoefficients(n: int, q: int | str | Fraction, t: int | str | Fraction,
                               bits: int = DEFAULT_BITS) -> list[tuple[Enclosure, Enclosure]]:
     """Unit-circle coefficients ``lam^(2it)`` of the twisted character, for
-    the exact eigenvalues `rho` and the exact `t`.
+    the eigenvalues of the ladder ``(n, q)`` and the exact `t`.
 
     Returns (real, imaginary) enclosure pairs at `bits`, one per eigenvalue,
-    in the order of `rho`.  At ``t = 0`` every coefficient is 1.
+    in the order of :func:`qclassfun.fusion.rho_spectrum`.  At ``t = 0``
+    every coefficient is 1.
     """
     from . import intervals
+    from .fusion import rho_spectrum
 
+    spectrum = rho_spectrum(n, q)
     with intervals.precision(bits) as ctx:
-        spectrum = _enclose(rho, ctx)
         twice_t = 2 * intervals.make(t, ctx)
         out = []
-        for lam in spectrum:
-            angle = twice_t * ctx.log(lam)
+        for num, den in spectrum:
+            angle = twice_t * ctx.log(intervals.quotient(num, den, ctx))
             out.append((intervals.to_enclosure(ctx.cos(angle)),
                         intervals.to_enclosure(ctx.sin(angle))))
     return out

@@ -1,8 +1,13 @@
 """CLI behavior: output schema, determinism, exit codes, formats."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +200,11 @@ def test_so3_moments_above_ten_points_exit_0(capsys):
     ("spectral", "--rho-ladder", "5000", "--q", "1e-23"),
     ("spectral", "--rho-ladder", "5000", "--q", "1/10000"),
     ("spectral", "--rho-ladder", "5000", "--q", "1/6"),
+    # n+1 exact eigenvalues of |n-2k| log2(r) bits for q = p/r: 12 to 23
+    # digits near 1 took 14-55 s and up to 308 MB at --rho-ladder 5000.
+    ("spectral", "--rho-ladder", "5000", "--q", "0.99999999999999999999999"),
+    ("spectral", "--rho-ladder", "520", "--q", "0.99999999999999999999999"),
+    ("spectral", "--rho-ladder", "803", "--q", "0.999999999999"),
 ])
 def test_spectral_power_above_the_magnitude_budget_exit_3(capsys, monkeypatch, argv):
     def unreachable(*args):
@@ -228,6 +238,9 @@ def test_spectral_power_at_the_magnitude_budget_is_computed(capsys, monkeypatch)
     ("--rho-ladder", "5000", "--q", "1/5"),
     ("--rho-ladder", "5", "--q", "1/5", "--b=-1/2"),
     ("--rho-ladder", "5", "--q", "1/5", "--b", "1/4", "--t", "1/3"),
+    # the largest ladders that a q of 12 and of 23 digits near 1 admit
+    ("--rho-ladder", "802", "--q", "0.999999999999"),
+    ("--rho-ladder", "519", "--q", "0.99999999999999999999999"),
 ])
 def test_spectral_eigenvalues_within_the_magnitude_budget_are_computed(capsys, monkeypatch,
                                                                        argv):
@@ -238,6 +251,42 @@ def test_spectral_eigenvalues_within_the_magnitude_budget_are_computed(capsys, m
     code, _, err = run_cli(capsys, "spectral", *argv)
     assert code == 3
     assert "reached" in err
+
+
+#: CPU seconds a worst-case `spectral` run may take in its child process,
+#: which RLIMIT_CPU stops there.  At the budget the slowest admitted run
+#: takes about 7 s on a 2-vCPU VM; before the budget counted the exact
+#: eigenvalues, the first case below took 47 s and 278 MB.
+SPECTRAL_CPU_SECONDS = 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("--rho-ladder", "5000", "--q", "0.99999999999999999999999", "--b=1/4", "--bits", "1024"),
+    # the slowest admitted run at an integer 4b
+    ("--rho-ladder", "5000", "--q", "4/5", "--b=1/4", "--bits", "1024"),
+])
+def test_spectral_worst_cases_end_within_the_cpu_bound(argv):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (SPECTRAL_CPU_SECONDS, SPECTRAL_CPU_SECONDS))
+
+    env = dict(os.environ)
+    env.pop("QCLASSFUN_BITS", None)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "qclassfun.cli", "spectral", *argv],
+                          capture_output=True, text=True, env=env, preexec_fn=limit,
+                          timeout=10 * SPECTRAL_CPU_SECONDS)
+    assert done.returncode in (0, 3), done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_spectral_norm_at_a_huge_exponent_stays_in_its_cell(capsys):
+    # -4b-1 = -(4e23+1): the norm is about e^4 / 2 at q = 1 - 1e-23
+    payload = run_json(capsys, "spectral", "--rho-ladder", "1",
+                       "--q", "0.99999999999999999999999", "--b=100000000000000000000000")
+    norm = payload["results"]["norm_sq"]
+    assert Fraction("27.30823283601648662920280830958297365503") <= Fraction(norm["lo"])
+    assert Fraction(norm["hi"]) <= Fraction("27.30823283601648662920280830958297365513")
 
 
 @pytest.mark.parametrize("flag, config, env, expected", [

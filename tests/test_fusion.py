@@ -15,6 +15,7 @@ from qclassfun.cli import main
 from qclassfun.errors import DomainError, FamilyError
 from qclassfun.fusion import (
     all_words,
+    check_ladder,
     dim,
     factorize,
     free_unitary,
@@ -482,31 +483,44 @@ def test_ladder_caches_stay_bounded(fresh_ladder_caches):
 
 
 def test_rho_spectrum_examples():
-    assert rho_spectrum(0, Fraction(1, 2)) == [1]
-    assert rho_spectrum(1, "1/2") == [2, Fraction(1, 2)]
-    assert rho_spectrum(1, 1) == [1, 1]
-    spectrum = rho_spectrum(2, Fraction(1, 2))
-    assert spectrum == [4, 1, Fraction(1, 4)]
-    assert all(type(lam) is Fraction for lam in spectrum)
-    assert sum(spectrum) == Fraction(21, 4)  # [3] at 1/2
+    assert list(rho_spectrum(0, Fraction(1, 2))) == [(1, 1)]
+    assert list(rho_spectrum(1, "1/2")) == [(2, 1), (1, 2)]
+    assert list(rho_spectrum(1, 1)) == [(1, 1), (1, 1)]
+    spectrum = list(rho_spectrum(2, Fraction(1, 2)))
+    assert spectrum == [(4, 1), (1, 1), (1, 4)]
+    assert all(type(term) is int for pair in spectrum for term in pair)
+    assert sum(Fraction(*pair) for pair in spectrum) == Fraction(21, 4)  # [3] at 1/2
 
 
-def test_rho_spectrum_trace_balance_up_to_30():
-    q = Fraction(2, 5)
+@pytest.mark.parametrize("q", [Fraction(2, 5), Fraction(7, 9), Fraction(1, 6), Fraction(1)],
+                         ids=str)
+def test_rho_spectrum_trace_balance_up_to_30(q):
     for n in range(31):
-        spectrum = rho_spectrum(n, q)
-        assert spectrum == [q ** (-n + 2 * k) for k in range(n + 1)]
-        assert sum(spectrum) == sum(1 / lam for lam in spectrum)
+        spectrum = list(rho_spectrum(n, q))
+        # the pairs are the exact powers, in lowest terms
+        assert spectrum == [(lam.numerator, lam.denominator)
+                            for lam in (q ** (-n + 2 * k) for k in range(n + 1))]
+        assert sum(Fraction(num, den) for num, den in spectrum) == sum(
+            Fraction(den, num) for num, den in spectrum)
 
 
 def test_rho_spectrum_domain():
+    # checked when called, before a pair is stepped
     for q in (Fraction(3, 2), 0, Fraction(-1, 2)):
         with pytest.raises(DomainError):
             rho_spectrum(2, q)
-    with pytest.raises(DomainError):
-        rho_spectrum(-1, Fraction(1, 2))
+    for n in (-1, 2.0, True):
+        with pytest.raises(DomainError):
+            rho_spectrum(n, Fraction(1, 2))
     with pytest.raises(TypeError):  # a float is refused, not read as its binary value
         rho_spectrum(2, 0.5)
+
+
+def test_check_ladder_reads_q_exactly():
+    assert check_ladder(3, "0.5") == Fraction(1, 2) and check_ladder(0, 1) == 1
+    assert check_ladder(2, "0.99999999999999999999999") < 1
+    with pytest.raises(DomainError, match="got 1.00000000000000000001"):
+        check_ladder(2, "1.00000000000000000001")
 
 
 # ---------------------------------------------------------------------------

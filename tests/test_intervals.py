@@ -67,7 +67,7 @@ def test_library_calls_ignore_mpmath_ambient_precision():
     iv.prec = 20
     try:
         root = scalars.solve_fundamental_q(3)
-        norm = spectral.modular_norm_sq(fusion.rho_spectrum(2, Fraction(1, 3)), 0)
+        norm = spectral.modular_norm_sq(2, Fraction(1, 3), 0)
         pair = intervals.to_decimal_pair(root)
         assert iv.prec == 20
     finally:
@@ -92,8 +92,8 @@ def test_threads_at_different_precisions_match_sequential_runs():
             out.append(dyadic.exact_endpoints(block.sum_enclosure()))
             out.append(dyadic.exact_endpoints(criteria.threshold_ratio_dimge3(bits=bits)))
             # the interval contexts, which the two int computations above never enter
-            rho = fusion.rho_spectrum(3, Fraction(1, 3))
-            out.append(dyadic.exact_endpoints(spectral.modular_norm_sq(rho, Fraction(1, 3), bits)))
+            norm = spectral.modular_norm_sq(3, Fraction(1, 3), Fraction(1, 3), bits)
+            out.append(dyadic.exact_endpoints(norm))
         return out
 
     expected = [run(b) for b in bits]
@@ -186,7 +186,6 @@ def test_decimal_pair_unbounded():
 
 _FAMILY = fusion.su2_ladder(3, q=Fraction(1, 5))
 _FREE = fusion.free_unitary(2, q=Fraction(1, 10))
-_RHO = fusion.rho_spectrum(2, Fraction(1, 3))
 _OP = spectral.build_jacobi(4, Fraction(1, 2))
 _BLOCK = criteria.block_sum_S(1, Fraction(1, 10), Fraction(1, 1000))
 
@@ -209,11 +208,12 @@ BOUNDARY_CALLS = {
     "fusion.dim": lambda: fusion.dim(2, _FAMILY, "quantum"),
     "fusion.scaled_dim": lambda: fusion.scaled_dim("AB", _FREE, "quantum"),
     "fusion.scaled_dims": lambda: fusion.scaled_dims(["", "AB"], _FREE, "quantum"),
-    "fusion.rho_spectrum": lambda: fusion.rho_spectrum(2, Fraction(1, 3)),
-    "spectral.trace_balanced": lambda: spectral.trace_balanced(_RHO),
-    "spectral.modular_norm_sq": lambda: spectral.modular_norm_sq(_RHO, Fraction(1, 3)),
+    "fusion.check_ladder": lambda: fusion.check_ladder(2, Fraction(1, 3)),
+    "fusion.rho_spectrum": lambda: list(fusion.rho_spectrum(2, Fraction(1, 3))),
+    "spectral.trace_balanced": lambda: spectral.trace_balanced(2, Fraction(1, 3)),
+    "spectral.modular_norm_sq": lambda: spectral.modular_norm_sq(2, Fraction(1, 3), Fraction(1, 3)),
     "spectral.modular_eigencoefficients":
-        lambda: spectral.modular_eigencoefficients(_RHO, Fraction(1, 3)),
+        lambda: spectral.modular_eigencoefficients(2, Fraction(1, 3), Fraction(1, 3)),
     "spectral.build_jacobi": lambda: spectral.build_jacobi(4, Fraction(1, 2)),
     "spectral.krylov_rank": lambda: spectral.krylov_rank(_OP),
     "spectral.matrix_commutant_dim":

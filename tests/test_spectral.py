@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
-from qclassfun import dyadic, fusion, intervals
+from qclassfun import dyadic, intervals
 from qclassfun.dyadic import Enclosure
 from qclassfun.errors import BudgetError, DomainError
 from qclassfun.spectral import (
@@ -18,7 +19,7 @@ from qclassfun.spectral import (
     _count_below,
     _exact_count,
     _float_bounds,
-    _power_sum,
+    _ladder_sum,
     build_jacobi,
     commutant_dim,
     krylov_rank,
@@ -57,18 +58,24 @@ def _holds(enclosure: Enclosure, value) -> bool:
 
 def test_norm_one_at_zero_for_any_balanced_spectrum():
     for n in (0, 1, 5, 12):
-        rho = fusion.rho_spectrum(n, Fraction(2, 5))
-        assert _holds(modular_norm_sq(rho, 0, 128), 1)
+        assert _holds(modular_norm_sq(n, Fraction(2, 5), 0, 128), 1)
+
+
+def test_norm_at_plus_and_minus_one_is_exactly_one():
+    # the exponents -4b-1 = -1 and 1: the trace and the trace of the inverse agree
+    for b in (0, Fraction(-1, 2)):
+        norm = modular_norm_sq(7, Fraction(1, 3), b, 64)
+        assert (norm.lo, norm.hi, norm.bits) == ((1, 0), (1, 0), 64)
 
 
 def test_norm_at_quarter_gives_dimension_ratio():
-    value = modular_norm_sq(fusion.rho_spectrum(1, Fraction(1, 2)), Fraction(-1, 4), 128)
+    value = modular_norm_sq(1, Fraction(1, 2), Fraction(-1, 4), 128)
     assert _holds(value, Fraction(4, 5))
 
 
 def test_norm_trivial_on_flat_spectrum():
     for b in (0, Fraction(-1, 4), Fraction(3, 7), 1):
-        norm = modular_norm_sq([1] * 5, b, 96)
+        norm = modular_norm_sq(4, 1, b, 96)
         assert norm.bits == 96 and _holds(norm, 1)
 
 
@@ -82,7 +89,7 @@ def test_norm_matches_exact_rational_formula():
             if exponent.denominator != 1:
                 continue
             expected = sum(lam ** int(exponent) for lam in spectrum) / sum(spectrum)
-            assert _holds(modular_norm_sq(fusion.rho_spectrum(n, q), b, 128), expected)
+            assert _holds(modular_norm_sq(n, q, b, 128), expected)
 
 
 def _mp_endpoints(enclosure: Enclosure) -> tuple:
@@ -93,67 +100,71 @@ def _mp_endpoints(enclosure: Enclosure) -> tuple:
 @pytest.mark.parametrize("b", [0, Fraction(-1, 4), Fraction(1, 4), Fraction(5, 4), -3,
                                Fraction(10**20 - 1, 4)], ids=str)
 def test_integer_exponent_norm_is_tight_around_mpmaths_value(bits, b):
-    # the dyadic path: mpmath at 3 x bits as the oracle, the result within
-    # a few units of its last bit, and an exponent of 67 bits costs 67 squarings
+    # the ladder sums: an mpmath interval at 3 x bits as the oracle, the
+    # result within a few units of its last bit, and an exponent of 67 bits
+    # costs 67 squarings.  The oracle is an interval because the norm at
+    # b = 0 is the point 1, which a rounded mpmath value may miss.
     for n, q in ((0, Fraction(1, 3)), (3, Fraction(1, 3)), (12, Fraction(4, 5)),
                  (40, Fraction(97, 100))):
-        rho = fusion.rho_spectrum(n, q)
-        norm = modular_norm_sq(rho, b, bits)
+        norm = modular_norm_sq(n, q, b, bits)
         assert norm.bits == bits
         exponent = int(-4 * Fraction(b) - 1)
+        ctx = MPIntervalContext()
         # a power of e multiplies the relative error of its base by e
-        with mpmath.workprec(3 * bits + 16 + exponent.bit_length()):
-            lams = [mpmath.mpf(lam.numerator) / lam.denominator for lam in rho]
-            value = mpmath.fsum(lam**exponent for lam in lams) / mpmath.fsum(lams)
-            lo, hi = _mp_endpoints(norm)
-            assert lo <= value <= hi
-            assert hi - lo <= 8 * mpmath.ldexp(value, -bits)
+        ctx.prec = 3 * bits + 16 + exponent.bit_length()
+        lams = [ctx.mpf(lam.numerator) / lam.denominator for lam in rho_spectrum_exact(n, q)]
+        oracle = intervals.to_enclosure(sum(lam**exponent for lam in lams) / sum(lams))
+        with mpmath.workprec(ctx.prec):
+            (lo, hi), (value_lo, value_hi) = _mp_endpoints(norm), _mp_endpoints(oracle)
+            assert lo <= value_hi and value_lo <= hi
+            assert hi - lo <= 8 * mpmath.ldexp(value_hi, -bits)
 
 
-@settings(derandomize=True, max_examples=150)
-@given(st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6), min_size=1,
-                max_size=6), st.integers(-6, 6), st.integers(2, 80))
-def test_power_sum_brackets_the_exact_sum(rho, n, bits):
-    # the exact rational sum as the oracle, at precisions low enough that
-    # every rounding shows
-    exact = sum(lam**n for lam in rho)
-    low, high = _power_sum(rho, n, bits)
-    assert dyadic.to_fraction(low) <= exact <= dyadic.to_fraction(high)
-    # one unit of 2^-bits of the largest term per term, and the roundings of the powers
-    slack = Fraction(2 * len(rho) * (2 + abs(n)), 2**bits)
-    assert dyadic.to_fraction(high) - dyadic.to_fraction(low) <= slack * max(exact, 1) * 4
+#: Ladder parameters of the exact oracle: dyadic ones, where every power is
+#: exact and only Horner's rule rounds, and decimal ones near 0 and near 1.
+LADDER_QS = st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(3, 4),
+                             Fraction(1, 10), Fraction(3, 10), Fraction(7, 9), Fraction(97, 100),
+                             Fraction(999, 1000), Fraction(1)])
 
 
-def test_trace_balance_is_refuted_by_one_unit():
-    # 1 + 2 + 1/2 against 1 + 1/2 + 2, and one eigenvalue off by 2^-200
-    rho = [Fraction(1), Fraction(2), Fraction(1, 2)]
-    assert trace_balanced(rho, 64)
-    off = rho[:2] + [Fraction(1, 2) + Fraction(1, 2**200)]
-    assert trace_balanced(off, 64) and not trace_balanced(off, 256)
-
-
-def test_norm_rejects_empty_and_nonpositive():
-    with pytest.raises(DomainError):
-        modular_norm_sq([], 0)
-    with pytest.raises(DomainError):
-        modular_norm_sq([Fraction(-1)], 0)
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(0, 40), LADDER_QS, st.integers(-12, 12), st.integers(1, 333))
+def test_ladder_sum_brackets_the_exact_sum(n, q, e, bits):
+    # the exact rational sums as the oracle, at precisions low enough that
+    # every rounding shows: the sum before its last rounding, and the norm
+    spectrum = rho_spectrum_exact(n, q)
+    exact = sum(lam**e for lam in spectrum)
+    low, high = (dyadic.to_fraction(end) for end in _ladder_sum(n, q, e, bits))
+    assert low <= exact <= high
+    assert high - low <= 8 * exact / 2**bits
+    ratio = exact / sum(spectrum)
+    lo, hi = dyadic.exact_endpoints(modular_norm_sq(n, q, Fraction(-e - 1, 4), bits))
+    assert lo <= ratio <= hi
+    assert hi - lo <= 8 * ratio / 2**bits
 
 
 @pytest.mark.parametrize("call", [
-    lambda rho: trace_balanced(rho),
-    lambda rho: modular_norm_sq(rho, 0),
-    lambda rho: modular_eigencoefficients(rho, 0),
-], ids=["trace_balanced", "modular_norm_sq", "modular_eigencoefficients"])
-@pytest.mark.parametrize("rho", [[], [Fraction(1, 2), 0], [2, Fraction(-1, 3)]],
-                         ids=["empty", "zero", "negative"])
-def test_each_modular_function_refuses_an_empty_or_nonpositive_spectrum(call, rho):
+    lambda n, q: trace_balanced(n, q),
+    lambda n, q: modular_norm_sq(n, q, 0),
+    lambda n, q: modular_norm_sq(n, q, Fraction(1, 3)),
+    lambda n, q: modular_eigencoefficients(n, q, 0),
+], ids=["trace_balanced", "modular_norm_sq", "modular_norm_sq_mpmath",
+        "modular_eigencoefficients"])
+@pytest.mark.parametrize("n, q", [(-1, Fraction(1, 2)), (2.0, Fraction(1, 2)),
+                                  (True, Fraction(1, 2)), ("2", Fraction(1, 2)),
+                                  (2, 0), (2, Fraction(-1, 3)), (2, Fraction(3, 2)),
+                                  (2, "1.00000000000000000001")],
+                         ids=["negative", "float", "bool", "str", "zero", "negative_q",
+                              "above_one", "just_above_one"])
+def test_each_modular_function_refuses_an_invalid_ladder(call, n, q):
     with pytest.raises(DomainError):
-        call(rho)
+        call(n, q)
 
 
 def test_trace_balanced():
-    assert trace_balanced(fusion.rho_spectrum(7, Fraction(1, 2)), 96)
-    assert not trace_balanced([2, 3], 96)
+    for n in range(31):
+        assert trace_balanced(n, Fraction(2, 5))
+    assert trace_balanced(7, "1/2") and trace_balanced(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +172,7 @@ def test_trace_balanced():
 
 
 def test_eigencoefficients_at_zero():
-    for re, im in modular_eigencoefficients(fusion.rho_spectrum(3, Fraction(1, 2)), 0, 96):
+    for re, im in modular_eigencoefficients(3, Fraction(1, 2), 0, 96):
         assert _holds(re, 1)
         assert _holds(im, 0)
 
@@ -172,14 +183,14 @@ def test_eigencoefficients_half_turn():
     # the coefficients far less than their 128-bit enclosures are wide
     with intervals.precision(256) as ctx:
         t = dyadic.exact_endpoints(intervals.to_enclosure(ctx.pi / (2 * ctx.log(2))))[0]
-    for re, im in modular_eigencoefficients([2, Fraction(1, 2)], t, 128):
+    for re, im in modular_eigencoefficients(1, Fraction(1, 2), t, 128):
         assert _holds(re, -1)
         assert _holds(im, 0)
 
 
 def test_eigencoefficients_flat_spectrum_fixed():
     for t in (Fraction(1, 3), 2, Fraction(-7, 2)):
-        for re, im in modular_eigencoefficients([1] * 4, t, 96):
+        for re, im in modular_eigencoefficients(3, 1, t, 96):
             assert _holds(re, 1)
             assert _holds(im, 0)
 
@@ -192,8 +203,7 @@ def _square(enclosure: Enclosure) -> tuple[Fraction, Fraction]:
 
 
 def test_eigencoefficients_unit_modulus():
-    rho = fusion.rho_spectrum(4, Fraction(3, 10))
-    for re, im in modular_eigencoefficients(rho, Fraction(5, 7), 128):
+    for re, im in modular_eigencoefficients(4, Fraction(3, 10), Fraction(5, 7), 128):
         (re_lo, re_hi), (im_lo, im_hi) = _square(re), _square(im)
         assert re_lo + im_lo <= 1 <= re_hi + im_hi
 
