@@ -63,6 +63,8 @@ CASES = {
                                  "--bits", "256"],
     "spectral_bits256": ["spectral", "--rho-ladder", "3", "--q", "1/3", "--b", "-0.25",
                          "--t", "1/3", "--bits", "256"],
+    # A non-integer 4b with --t: the norm and the coefficients need log and exp.
+    "spectral_b_third": ["spectral", "--rho-ladder", "4", "--q", "2/7", "--b=1/3", "--t", "5/2"],
     "dims_uplus_bits64": ["dims", "--family", "u-plus", "--dim", "2", "--qq", "0.1",
                           "--word-len", "3", "--bits", "64"],
     # A tolerance finer than the starting precision: the bracket is enclosed
