@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from qclassfun import criteria, fusion, intervals
+from qclassfun import criteria, dyadic, fusion
 
 
 def main() -> None:
@@ -46,7 +46,7 @@ def main() -> None:
 
     result = criteria.quasi_split_sum_ladder(family, args.tol)
     if result.verdict is criteria.Verdict.CONVERGES:
-        lo, hi = intervals.to_decimal_pair(result.sum_enclosure(), 12)
+        lo, hi = dyadic.to_decimal_pair(result.sum_enclosure(), 12)
         print(f"# series converges: [{lo}, {hi}] using {result.terms_used} terms")
     else:
         print(f"# series verdict: {result.verdict.value}")

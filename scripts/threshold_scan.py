@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from qclassfun import criteria, dyadic, intervals
+from qclassfun import criteria, dyadic
 
 
 def main() -> None:
@@ -40,8 +40,8 @@ def main() -> None:
             verdict = "above-1"
         else:
             verdict = "straddles-1"
-        s_lo, s_hi = intervals.to_decimal_pair(enclosure, 12)
-        _, b_hi = intervals.to_decimal_pair(bound, 12)
+        s_lo, s_hi = dyadic.to_decimal_pair(enclosure, 12)
+        _, b_hi = dyadic.to_decimal_pair(bound, 12)
         print(f"{float(q):.6f},{s_lo},{s_hi},{b_hi},{verdict}")
 
 

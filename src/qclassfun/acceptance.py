@@ -25,10 +25,6 @@ NO_SINGLETON_COUNTS = (1, 0, 1, 1, 3, 6, 15, 36)
 RANDOM_SEED = 20240229
 
 
-def _enclosure_str(x: dyadic.Enclosure, digits=25) -> list[str]:
-    return [dyadic.to_text(*x.lo, digits, "floor"), dyadic.to_text(*x.hi, digits, "ceiling")]
-
-
 def criterion_1_threshold_dim2(bits: int = DEFAULT_BITS) -> dict:
     """Dimension-2 threshold encloses 0.0861 at width 1e-3 within 5 s."""
     start = time.perf_counter()
@@ -43,7 +39,7 @@ def criterion_1_threshold_dim2(bits: int = DEFAULT_BITS) -> dict:
         "name": "threshold_dim2 encloses 0.0861",
         "passed": contains and narrow and runtime_ok,
         "details": {
-            "enclosure": _enclosure_str(enclosure),
+            "enclosure": dyadic.to_decimal_pair(enclosure, 25),
             "contains_0.0861": contains,
             "width_ok": narrow,
             "runtime_ok": runtime_ok,
@@ -67,9 +63,9 @@ def criterion_2_threshold_ratio(bits: int = DEFAULT_BITS) -> dict:
         "name": "threshold_ratio_dimge3 and unit crossing of the bound",
         "passed": near and hits_one,
         "details": {
-            "ratio": _enclosure_str(ratio),
+            "ratio": dyadic.to_decimal_pair(ratio, 25),
             "ratio_near_0.2306": near,
-            "bound_at_threshold": _enclosure_str(bound),
+            "bound_at_threshold": dyadic.to_decimal_pair(bound, 25),
             "bound_encloses_1": hits_one,
         },
     }
@@ -101,12 +97,12 @@ def criterion_3_threshold_remark(bits: int = DEFAULT_BITS) -> dict:
         "name": "threshold_remark and certified block-sum comparisons",
         "passed": contains and narrow and s_above and s_below and runtime_ok,
         "details": {
-            "enclosure": _enclosure_str(enclosure),
+            "enclosure": dyadic.to_decimal_pair(enclosure, 25),
             "contains_0.2134": contains,
             "width_ok": narrow,
-            "S_at_0.22": _enclosure_str(above.sum_enclosure()),
+            "S_at_0.22": dyadic.to_decimal_pair(above.sum_enclosure(), 25),
             "S_above_1": s_above,
-            "S_at_0.05": _enclosure_str(below.sum_enclosure()),
+            "S_at_0.05": dyadic.to_decimal_pair(below.sum_enclosure(), 25),
             "S_below_1": s_below,
             "runtime_ok": runtime_ok,
         },

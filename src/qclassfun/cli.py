@@ -9,13 +9,12 @@ are answers), 2 for usage errors, 3 for domain and budget errors.
 
 Each process runs one subcommand, so the module level imports only what
 parsing needs: the flag budgets come from the dependency-free ``budgets``
-module, and each handler imports the modules it runs.  A usage error,
-``moments``, ``bicrossed``, ``dims`` (which rounds and prints exact values
-with ``dyadic``), ``series`` and ``threshold`` (whose enclosures
-``criteria`` computes on ints), ``jacobi`` (whose relation residuals run in
-fixed point), ``report`` and ``spectral`` at an integer ``4b`` without
-``--t`` (whose norms run on dyadics) never load mpmath; it is loaded where
-interval arithmetic runs: ``spectral`` with ``--t`` or a non-integer ``4b``.
+module, and each handler imports the modules it runs.  Every subcommand
+computes on ints and none loads mpmath: ``dims`` rounds and prints exact
+values with ``dyadic``, ``series`` and ``threshold`` get their enclosures
+from ``criteria``'s fixed point, ``jacobi`` bounds its relation residuals in
+fixed point, and ``spectral`` takes its norms and coefficients from
+``dyadic``'s powers, logarithm, exponential, cosine and sine.
 """
 
 from __future__ import annotations
@@ -66,9 +65,10 @@ MAX_RATIONAL_DIGITS = 24
 #: power, about ``|4b+1| n log2(1/q)``, and of the n+1 exact eigenvalues
 #: ``q^(n-2k) = r^(n-2k)/p^(n-2k)`` for ``q = p/r``, ``|n-2k| log2(r)`` bits
 #: each, which are stepped, rounded and printed.  On a 2-vCPU VM the runs at
-#: the budget take at most about 7 s of CPU, the slowest with `--t` and a
-#: non-integer `4b` at `--bits 1024`, where mpmath takes the logarithm of
-#: each eigenvalue; `--rho-ladder 5000 --q 1/5 --b=1/4` takes 0.45 s.
+#: the budget take at most about 2.1 s of CPU, the slowest with `--t` and a
+#: non-integer `4b` at `--bits 1024`, where a cosine and a sine are summed
+#: for each of the 2,501 angles; `--rho-ladder 5000 --q 1/5 --b=1/4` takes
+#: 0.45 s.
 MAX_POWER_BITS = 2**19
 
 #: Budget of the `series` scan of a ladder family: its largest exact dimension

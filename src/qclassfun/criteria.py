@@ -24,8 +24,7 @@ once, rounded outward to a :class:`~qclassfun.dyadic.Enclosure` at the
 working bits.  So the series, the block-sum total, the two closed-form
 bounds and all three thresholds run on ints alone, and every public function
 here returns an ``Enclosure``.  An input is exact, or an ``Enclosure`` read
-through its exact endpoints; an mpmath interval is refused, and
-:func:`qclassfun.intervals.to_enclosure` converts one.
+through its exact endpoints; an mpmath interval is refused.
 """
 
 from __future__ import annotations
@@ -360,7 +359,7 @@ def block_sum_S(
     (qc_lo, qc_hi), (qq_lo, qq_hi) = (_exact_hull(v) for v in (q_c, q_q))
     if qc_lo == qc_hi == qq_lo == qq_hi:
         return SeriesResult(Verdict.DIVERGES)
-    if None in (qc_lo, qc_hi, qq_lo, qq_hi) or qq_hi <= 0 or qc_lo > 1 or qc_hi < qq_lo:
+    if qq_hi <= 0 or qc_lo > 1 or qc_hi < qq_lo:
         raise DomainError(f"need 0 < q_q <= q_c <= 1, got {q_q}, {q_c}")
     if min(qc_lo, qq_lo) < 0:
         raise DomainError(f"sqrt of possibly negative enclosure: q_c {q_c}, q_q {q_q}")
@@ -371,8 +370,8 @@ def block_sum_S(
     return _deformed_ratio_sum(roots, qq_lo, 1, 2, tol, bits, max_terms)
 
 
-def _exact_hull(value: Exact) -> tuple[Fraction | None, Fraction | None]:
-    """Exact endpoints of an input of a series or a bound; None is unbounded."""
+def _exact_hull(value: Exact) -> tuple[Fraction, Fraction]:
+    """Exact endpoints of an input of a series or a bound."""
     if isinstance(value, Enclosure):
         return dyadic.exact_endpoints(value)
     try:
@@ -455,7 +454,7 @@ def bound_S_dim2(q: Exact, bits: int = DEFAULT_BITS) -> Enclosure:
     dyadic.check_bits(bits)
     lo, hi = _exact_hull(q)
     value = None
-    if lo is not None and hi is not None and 0 < lo and hi < 1:
+    if 0 < lo and hi < 1:
         p = _point_bits(bits, lo)
         value = _dim2_bound(dyadic.fixed_hull(lo, hi, p), p)
     if value is None:
@@ -492,7 +491,7 @@ def bound_S_dimge3(q_c: Exact, q_q: Exact, bits: int = DEFAULT_BITS) -> Enclosur
     dyadic.check_bits(bits)
     (qc_lo, qc_hi), (qq_lo, qq_hi) = (_exact_hull(v) for v in (q_c, q_q))
     value = None
-    if None not in (qc_lo, qc_hi, qq_lo, qq_hi) and 0 < qq_lo and qq_hi < qc_lo and qc_hi < 1:
+    if 0 < qq_lo and qq_hi < qc_lo and qc_hi < 1:
         p = _point_bits(bits, qq_lo)
         value = _dimge3_bound(dyadic.fixed_hull(qc_lo, qc_hi, p),
                               dyadic.fixed_hull(qq_lo, qq_hi, p), p)

@@ -1,10 +1,11 @@
-"""Exact dyadic rationals ``m·2^e``: outward rounding and decimal text with ints.
+"""Exact dyadic rationals ``m·2^e``: outward rounding, elementary functions
+and decimal text with ints.
 
-Every finite endpoint of an interval is a dyadic rational, held here as a
-pair ``(m, e)`` of ints: the signed mantissa and the binary exponent.  This
-module rounds exact rationals to such endpoints and prints them in decimal
-without loading mpmath or :mod:`decimal`, so a command that only prints
-exact rationals never loads mpmath.
+Every endpoint of an enclosure is a dyadic rational, held here as a pair
+``(m, e)`` of ints: the signed mantissa and the binary exponent.  This
+module rounds exact rationals to such endpoints, encloses the elementary
+functions the package needs and prints endpoints in decimal, without
+loading mpmath or :mod:`decimal`, so no command loads mpmath.
 
 * :func:`round_quotient` encloses ``p/q`` between two `bits`-bit dyadics,
   its floor and its ceiling on the `bits`-bit grid: one exact division
@@ -16,14 +17,14 @@ exact rationals never loads mpmath.
   rounding=...).divide(num, den))`` prints the same rational.
 
 * :class:`Enclosure` is a certified result carried on ints: two such
-  endpoints and the precision `bits` they were rounded to.  It has no
-  arithmetic operators; :func:`fixed_enclosure` rounds a fixed-point pair
-  into one as mpmath's ``from_man_exp`` does, and :func:`round_to` and
-  :func:`width` round single operations outward as mpmath's interval
-  operators do at the same precision.
-  :func:`qclassfun.intervals.to_enclosure` converts an mpmath interval into one.
-  :func:`power` and :func:`divide` round one product chain or one quotient
-  of positive dyadics toward the end they bound.
+  endpoints, both bounded, and the precision `bits` they were rounded to.
+  It has no arithmetic operators; :func:`fixed_enclosure` rounds a
+  fixed-point pair into one as mpmath's ``from_man_exp`` does, and
+  :func:`round_to` and :func:`width` round single operations outward as
+  mpmath's interval operators do at the same precision;
+  :func:`to_decimal_pair` prints its endpoints outward.  :func:`power`,
+  :func:`divide` and :func:`exp` round one product chain, one quotient of
+  positive dyadics or one exponential toward the end they bound.
 * Fixed point: a pair of ints ``(lo, hi)`` stands for ``[lo, hi]·2^-p``.
   :func:`to_fixed` and :func:`fixed_hull` enclose a rational and an interval,
   and :func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt` round each
@@ -31,14 +32,17 @@ exact rationals never loads mpmath.
   which each operation is monotone in every operand, so rounding is outward;
   :func:`fixed_abs` turns a signed pair into the nonnegative one of its
   absolute value.
-* :func:`fixed_pi` and :func:`fixed_cos_sin` enclose pi and the cosine and
-  sine of an exact rational in fixed point, by Machin's formula and by
-  Taylor series after reduction by the nearest multiple of pi/2, each with
-  the truncation error bounded by the first omitted term and the rounding
-  error by the term count (Brent and Zimmermann, ch. 4), and the error of
-  the reduced argument carried as a radius about its midpoint (Johansson,
-  "Arb: efficient arbitrary-precision midpoint-radius interval arithmetic",
-  IEEE Trans. Computers 66, 2017).
+* :func:`fixed_pi`, :func:`fixed_log` and :func:`fixed_cos_sin` enclose
+  pi, the logarithm of a positive rational and the cosine and sine of an
+  exact rational in fixed point, and :func:`exp` the exponential of an
+  exact dyadic as dyadic bounds: by Machin's formula, by the series of
+  ``artanh`` after reduction by a power of two, and by one Taylor loop
+  after reduction by the nearest multiple of pi/2 or of ``log 2``, each
+  with the truncation error bounded by the first omitted term and the
+  rounding error by the term count (Brent and Zimmermann, ch. 4), and the
+  error of the reduced argument carried as a radius about its midpoint
+  (Johansson, "Arb: efficient arbitrary-precision midpoint-radius interval
+  arithmetic", IEEE Trans. Computers 66, 2017).
 
 The decimal digits come from the exact conversion of Steele and White ("How
 to print floating-point numbers accurately", PLDI 1990): one shift and one
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .budgets import MAX_BITS
 from .errors import BudgetError, DomainError, Record
@@ -167,21 +172,28 @@ def to_fraction(x: Dyadic) -> Fraction:
 class Enclosure(Record):
     """The interval ``[lo, hi]`` between two dyadics ``(m, e)`` with odd
     mantissas (or ``(0, 0)``), each rounded to at most `bits` bits, the
-    form mpmath stores.  None is an unbounded end, which only an mpmath
-    interval converted by :mod:`qclassfun.intervals` has."""
+    form mpmath stores.  Both ends are bounded."""
 
     __slots__ = ("lo", "hi", "bits")
 
-    def __init__(self, lo: Dyadic | None, hi: Dyadic | None, bits: int,
+    def __init__(self, lo: Dyadic, hi: Dyadic, bits: int,
                  _set=object.__setattr__) -> None:
         _set(self, "lo", lo)
         _set(self, "hi", hi)
         _set(self, "bits", bits)
 
 
-def exact_endpoints(x: Enclosure) -> tuple[Fraction | None, Fraction | None]:
-    """Endpoints of `x` as exact rationals; None for an unbounded end."""
-    return tuple(None if end is None else to_fraction(end) for end in (x.lo, x.hi))
+def exact_endpoints(x: Enclosure) -> tuple[Fraction, Fraction]:
+    """Endpoints of `x` as exact rationals."""
+    return to_fraction(x.lo), to_fraction(x.hi)
+
+
+def to_decimal_pair(x: Enclosure, digits: int | None = None) -> tuple[str, str]:
+    """Outward decimal endpoints of `x`: the lower rounded down, the upper
+    up; by default to the digits of its bits."""
+    if digits is None:
+        digits = decimal_digits(x.bits)
+    return to_text(*x.lo, digits, "floor"), to_text(*x.hi, digits, "ceiling")
 
 
 def fixed_enclosure(lo: int, hi: int, p: int, bits: int) -> Enclosure:
@@ -199,7 +211,7 @@ def rational_enclosure(lo: Fraction, hi: Fraction, bits: int) -> Enclosure:
 
 
 def width(x: Enclosure) -> Dyadic:
-    """Upper bound of the diameter of a bounded `x`: ``hi - lo`` rounded up
+    """Upper bound of the diameter of `x`: ``hi - lo`` rounded up
     to ``x.bits``, the upper end of mpmath's ``delta``."""
     return round_to(*add(x.hi, negate(x.lo)), x.bits, True)
 
@@ -252,32 +264,102 @@ def fixed_abs(a: Fixed) -> Fixed:
     return 0, max(-lo, hi)
 
 
-def _atan_inverse(x: int, p: int) -> tuple[int, int]:
-    """``arctan(1/x)·2^p`` for an int ``x > 1`` as its series
-    ``sum (-1)^k / ((2k+1) x^(2k+1))`` summed on floored terms, and a bound
-    on the error.  ``power`` stays the exact floor of ``2^p / x^(2k+1)``
-    (a floor of a floor divided by an int is the floor of the quotient), so
-    each term is off by less than 1; the series stops at the first term
-    below 1, which bounds the alternating tail."""
-    power, square = (1 << p) // x, x * x
+def _atan_series(u: int, v: int, p: int, alternate: bool) -> tuple[int, int]:
+    """``arctan(z)·2^p``, or ``artanh(z)·2^p`` without `alternate`, for
+    ``z = u/v`` with ``0 < 3u <= v``, as the series ``sum (±1)^k z^(2k+1) /
+    (2k+1)`` summed on floored terms, and a bound on the error.  For
+    ``u = 1``, ``power`` stays the exact floor of ``2^p / v^(2k+1)`` (a floor
+    of a floor divided by an int is the floor of the quotient), so each term
+    is off by less than 1; otherwise each floored power lies less than
+    ``1/(1 - z^2) <= 9/8`` below the exact one, and each term less than 2.
+    The series stops at the first zero power, which bounds the tail: below
+    1 when it alternates, below ``(9/8)^2 < 2`` when it does not."""
+    power, square_u, square_v = (u << p) // v, u * u, v * v
     total, k = 0, 0
     while power:
         term = power // (2 * k + 1)
-        total += -term if k & 1 else term
-        power //= square
+        total += -term if alternate and k & 1 else term
+        power = power * square_u // square_v
         k += 1
-    return total, k + 1
+    return total, (1 if u == 1 else 2) * k + (1 if alternate else 2)
 
 
+@lru_cache(maxsize=128)
 def fixed_pi(p: int) -> Fixed:
     """Fixed-point enclosure of pi at `p` fraction bits, by Machin's formula
     ``pi = 16 arctan(1/5) - 4 arctan(1/239)`` summed at guard bits on ints
-    with the error bound of :func:`_atan_inverse`."""
+    with the error bound of :func:`_atan_series`; computed once per `p`."""
     guard = p.bit_length() + 10
-    fifth, fifth_error = _atan_inverse(5, p + guard)
-    tail, tail_error = _atan_inverse(239, p + guard)
+    fifth, fifth_error = _atan_series(1, 5, p + guard, True)
+    tail, tail_error = _atan_series(1, 239, p + guard, True)
     centre, error = 16 * fifth - 4 * tail, 16 * fifth_error + 4 * tail_error
     return (centre - error) >> guard, -(-(centre + error) >> guard)
+
+
+@lru_cache(maxsize=128)
+def _fixed_log2(p: int) -> Fixed:
+    """Fixed-point enclosure of ``log 2 = 2 artanh(1/3)`` at `p` fraction bits."""
+    guard = p.bit_length() + 10
+    centre, error = _atan_series(1, 3, p + guard, False)
+    return (2 * (centre - error)) >> guard, -(-2 * (centre + error) >> guard)
+
+
+def fixed_log(x: Fraction, p: int) -> Fixed:
+    """Fixed-point enclosure at `p` fraction bits of ``log x`` for a positive
+    rational `x`, exactly 0 at ``x = 1``.
+
+    ``x = m·2^k`` with m in ``[1/sqrt 2, sqrt 2)``, decided exactly, and
+    ``log x = 2 artanh((m - 1)/(m + 1)) + k log 2``: the series of
+    :func:`_atan_series` converges by a factor ``((sqrt 2 - 1)/(sqrt 2 +
+    1))^2 < 1/33`` a term, and runs with ``log 2`` at guard bits plus the
+    bits of k, which multiplies its error (Brent and Zimmermann, ch. 4).
+    """
+    a, b = x.numerator, x.denominator
+    if a == b:
+        return 0, 0
+    k = a.bit_length() - b.bit_length()  # x / 2^k lies in (1/2, 2)
+    a, b = (a, b << k) if k >= 0 else (a << -k, b)
+    if a * a >= 2 * b * b:
+        b, k = b << 1, k + 1
+    elif 2 * a * a < b * b:
+        a, k = a << 1, k - 1
+    guard = p.bit_length() + k.bit_length() + 10
+    work = p + guard
+    series, error = _atan_series(abs(a - b), a + b, work, False) if a != b else (0, 0)
+    if a < b:
+        series = -series
+    ln2_lo, ln2_hi = _fixed_log2(work)
+    scaled_lo, scaled_hi = sorted((k * ln2_lo, k * ln2_hi))
+    low, high = 2 * (series - error) + scaled_lo, 2 * (series + error) + scaled_hi
+    return low >> guard, -(-high >> guard)
+
+
+def _taylor_sums(size: int, work: int) -> tuple[list[int], int]:
+    """The floored Taylor terms ``t_n = floor(t_(n-1) size / (n 2^work))``
+    of ``e^(size·2^-work)`` from ``t_0 = 2^work``, summed by ``n mod 4`` up to
+    the first zero term, and the count n of the nonzero ones.  For ``0 <=
+    size <= 2^work`` each lies less than 2 below the exact term, so each sum
+    of a series read from them (cos, sin, ``e^r`` and ``e^-r``) is off by
+    less than 2n before its tail."""
+    term, n, sums = 1 << work, 0, [0, 0, 0, 0]
+    while term:
+        sums[n & 3] += term
+        n += 1
+        term = term * size // (n << work)
+    return sums, n
+
+
+def _reduce(x: Fixed, c: Fixed, shift: int) -> tuple[int, int, int]:
+    """The nearest multiple k of a positive constant ``c`` to ``x``, both
+    fixed-point enclosures at one precision, and the midpoint and radius of
+    ``x - k c``, `shift` bits lower, floored and ceiled."""
+    (x_lo, x_hi), (c_lo, c_hi) = x, c
+    k = (2 * x_lo + c_lo) // (2 * c_lo)
+    low, high = (x_lo - k * c_hi, x_hi - k * c_lo) if k >= 0 else (
+        x_lo - k * c_lo, x_hi - k * c_hi)
+    low, high = low >> shift, -(-high >> shift)
+    mid = (low + high) >> 1
+    return k, mid, high - mid
 
 
 def fixed_cos_sin(x: int | Fraction, p: int) -> tuple[Fixed, Fixed]:
@@ -287,15 +369,16 @@ def fixed_cos_sin(x: int | Fraction, p: int) -> tuple[Fixed, Fixed]:
     `x` is reduced by the nearest multiple k of pi/2, with pi at ``p`` plus
     the bits of ``|x|`` plus guard bits, to ``r = x - k pi/2`` with
     ``|r| <= pi/4`` up to the error of pi.  The Taylor series of cos and sin
-    are summed at the midpoint m of the enclosure of r, on floored terms
-    ``t_n = floor(t_(n-1) |m| / n)``: since ``|m| <= 1`` each lies less than
-    2 below the exact term, and the series stop at the first zero term, a
-    bound of the omitted alternating tail.  The radius of r widens both
-    results, as cos and sin are 1-Lipschitz.  An `x` of more than
-    ``MAX_BITS`` integer bits raises :class:`BudgetError`.
+    are summed at the midpoint m of the enclosure of r, on the floored terms
+    of :func:`_taylor_sums` (``|m| <= 1``), and the series stop at the first
+    zero term, a bound of the omitted alternating tail.  The radius of r
+    widens both results, as cos and sin are 1-Lipschitz.  Any ``p >= 1`` is
+    taken, so a caller may carry guard bits beyond ``MAX_BITS``; an `x` of
+    more than ``MAX_BITS`` integer bits raises :class:`BudgetError`.
     """
     x = Fraction(x)
-    check_bits(p)
+    if p < 1:
+        raise DomainError(f"need at least 1 fraction bit, got {p}")
     if not x:
         return (1 << p, 1 << p), (0, 0)
     extra = (abs(x.numerator) // x.denominator).bit_length()
@@ -305,29 +388,50 @@ def fixed_cos_sin(x: int | Fraction, p: int) -> tuple[Fixed, Fixed]:
     guard = p.bit_length() + 10
     work = p + guard
     reduce = work + extra + 2
-    pi_lo, pi_hi = fixed_pi(reduce)
     x_lo, x_hi = to_fixed(x, reduce)
-    k = (4 * x_lo + pi_lo) // (2 * pi_lo)  # the nearest integer to 2x/pi
-    # 2r·2^reduce, between 2x - k pi at the two ends of pi
-    low, high = (2 * x_lo - k * pi_hi, 2 * x_hi - k * pi_lo) if k >= 0 else (
-        2 * x_lo - k * pi_lo, 2 * x_hi - k * pi_hi)
-    shift = reduce + 1 - work
-    low, high = low >> shift, -(-high >> shift)
-    mid = (low + high) >> 1
-    radius = high - mid
-    term, n, sums = 1 << work, 0, [0, 0]
-    size = abs(mid)
-    while term:
-        sums[n & 1] += -term if n & 2 else term
-        n += 1
-        term = term * size // (n << work)
+    # 2x - k pi = 2r, so one bit more of shift leaves r
+    k, mid, radius = _reduce((2 * x_lo, 2 * x_hi), fixed_pi(reduce), reduce + 1 - work)
+    sums, n = _taylor_sums(abs(mid), work)
     error = 2 * n + 2 + radius
-    cos, sin = sums[0], sums[1] if mid >= 0 else -sums[1]
+    cos, sin = sums[0] - sums[2], sums[1] - sums[3]
+    if mid < 0:
+        sin = -sin
     cos, sin = (cos - error, cos + error), (sin - error, sin + error)
     for _ in range(k % 4):  # a quarter turn: (cos, sin) -> (-sin, cos)
         cos, sin = (-sin[1], -sin[0]), cos
     return ((cos[0] >> guard, -(-cos[1] >> guard)),
             (sin[0] >> guard, -(-sin[1] >> guard)))
+
+
+def exp(x: Dyadic, bits: int, ceiling: bool) -> Dyadic:
+    """``e^x`` for an exact dyadic `x`, rounded to `bits` bits toward +inf
+    (`ceiling`) or -inf.
+
+    `x` is reduced by the nearest multiple k of log 2, with ``log 2`` at
+    guard bits plus the bits of ``|x|``, to ``r = x - k log 2`` with ``|r|
+    <= (log 2)/2`` up to the error of ``log 2``.  ``e^r`` is summed at the
+    midpoint of the enclosure of r on the floored terms of
+    :func:`_taylor_sums`, with the tail after the first zero term below 4,
+    and widened by twice the radius, since ``e^r < 2`` there.  Then ``e^x =
+    2^k e^r`` is a dyadic with any exponent, far below or above a fixed
+    point.  An `x` of more than ``MAX_BITS`` integer bits raises
+    :class:`BudgetError`.
+    """
+    m, e = x
+    if not m:
+        return 1, 0
+    extra = max(m.bit_length() + e, 0)  # |x| < 2^extra
+    if extra > MAX_BITS:
+        raise BudgetError(f"the exponential of {extra} integer bits needs more than "
+                          f"{MAX_BITS} extra bits of log 2")
+    work = bits + bits.bit_length() + 10
+    reduce = work + extra + 2
+    x_fixed = floor_fixed(x, reduce), -floor_fixed((-m, e), reduce)
+    k, mid, radius = _reduce(x_fixed, _fixed_log2(reduce), reduce - work)
+    sums, n = _taylor_sums(abs(mid), work)
+    value = sum(sums) if mid >= 0 else sums[0] - sums[1] + sums[2] - sums[3]
+    error = 2 * n + 4 + 2 * radius
+    return round_to(value + error if ceiling else value - error, k - work, bits, ceiling)
 
 
 # ---------------------------------------------------------------------------

@@ -113,14 +113,12 @@ def rational_payload(numerator: int, denominator: int, bits: int) -> dict:
     return _cell(lo, hi, dyadic.decimal_digits(bits))
 
 
-def _cell(lo: dyadic.Dyadic | None, hi: dyadic.Dyadic | None, digits: int) -> dict:
+def _cell(lo: dyadic.Dyadic, hi: dyadic.Dyadic, digits: int) -> dict:
     """Outward decimal text of the endpoints ``(m, e)`` at `digits` digits,
-    and their round-to-nearest midpoint; None is an unbounded end."""
-    cell = {"lo": "-inf" if lo is None else dyadic.to_text(*lo, digits, "floor"),
-            "hi": "inf" if hi is None else dyadic.to_text(*hi, digits, "ceiling"), "mid": "nan"}
-    if lo is not None and hi is not None:
-        cell["mid"] = dyadic.to_text(*dyadic.midpoint(lo, hi), digits, "half-even")
-    return cell
+    and their round-to-nearest midpoint."""
+    return {"lo": dyadic.to_text(*lo, digits, "floor"),
+            "hi": dyadic.to_text(*hi, digits, "ceiling"),
+            "mid": dyadic.to_text(*dyadic.midpoint(lo, hi), digits, "half-even")}
 
 
 def fraction_payload(value: int | Fraction) -> str:

@@ -16,8 +16,9 @@ that returns an mpmath interval.  No module of the package calls it or
 :mod:`qclassfun.criteria` use the closed forms of ``[m]_q``.  Both stay
 public because the benchmark's trace harness binds them by name.  The one
 solver of ``x + 1/x = d``, :func:`fixed_fundamental_q`, runs in fixed point
-and :func:`solve_fundamental_q` rounds its root to an ``Enclosure``, so only
-``LaurentScalar.evaluate`` imports :mod:`qclassfun.intervals`, when called.
+and :func:`solve_fundamental_q` rounds its root to an ``Enclosure``.  So
+``LaurentScalar.evaluate`` is the one function of the package that imports
+:mod:`qclassfun.intervals`, when called, and with it mpmath.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def solve_fundamental_q(d: int | Fraction | dyadic.Enclosure,
     `bits` kept below the root's leading bit (the root is >= 1/d)."""
     dyadic.check_bits(bits)
     lo, hi = dyadic.exact_endpoints(d) if isinstance(d, dyadic.Enclosure) else (Fraction(d),) * 2
-    if lo is None or lo < 2 or hi is None:
-        raise DomainError(f"no root in (0, 1] unless d >= 2 is bounded, got {d}")
+    if lo < 2:
+        raise DomainError(f"no root in (0, 1] unless d >= 2, got {d}")
     frac_bits = bits + math.ceil(hi).bit_length() + 4
     root = fixed_fundamental_q(dyadic.fixed_hull(lo, hi, frac_bits), frac_bits)
     return dyadic.fixed_enclosure(*root, frac_bits, bits)

@@ -6,13 +6,14 @@ character is ``Tr(rho^(-4b-1)) / Tr(rho)``, which specializes to 1 at
 ``b = 0`` (trace balance) and to dim/dim_q at ``b = -1/4``.  The
 ``SU_q(2)`` intertwiner has the spectrum ``{q^(2k-n) : k = 0..n}``, so
 these functions take the ladder ``(n, q)`` and the working precision
-`bits`, and return :class:`~qclassfun.dyadic.Enclosure` values.  There a
-power sum is a deformed integer, so trace balance is the identity ``[n+1]_q
-= [n+1]_(1/q)`` and the norm at an integer exponent runs on the ints of
-:mod:`qclassfun.dyadic` (:func:`_ladder_sum`).  A non-integer exponent and
-the unit-circle coefficients need ``log`` and ``exp`` of each eigenvalue
-stepped by :func:`qclassfun.fusion.rho_spectrum`, in mpmath's interval
-arithmetic (through :mod:`qclassfun.intervals`).
+`bits`, and return :class:`~qclassfun.dyadic.Enclosure` values, all on the
+ints of :mod:`qclassfun.dyadic`.  There a power sum is a deformed integer,
+so trace balance is the identity ``[n+1]_q = [n+1]_(1/q)``, and the norm at
+any exponent is one ladder sum (:func:`_ladder_sum`), whose powers of `q`
+come from repeated squaring at an integer exponent and from ``exp(c log
+q)`` at any other.  The unit-circle coefficients are the cosines and sines
+of the multiples ``(2k-n) 2t log q`` of one angle.  Each function takes one
+``log q`` at most, and none steps the spectrum.
 
 The finite model compresses the real part of the weighted shift
 ``a phi_k = sqrt(1 - q^(2k)) phi_(k-1)`` to the first M basis vectors.  Two
@@ -46,33 +47,55 @@ if TYPE_CHECKING:
 #: this fraction of it, so the printed gap is within twice it of the true gap.
 GAP_RTOL = 2.0**-30
 
-#: Bits beyond `bits`, and beyond the bits of ``|e| n``, at which a ladder
-#: sum encloses `q`, ``1/q`` and their powers and runs its Horner steps.
+#: Guard bits of the ladder's modular functions.  Beyond `bits` and the bits
+#: of ``|e| n``, a ladder sum encloses `q`, ``1/q``, ``log q`` and their
+#: powers and runs its Horner steps; beyond `bits` and the bits that ``log
+#: q`` lies below 1 and the largest angle above it, the coefficients
+#: enclose ``log q``, and beyond those that an angle lies below 1, sum its
+#: cosine and sine.
 LADDER_GUARD_BITS = 16
 
 
-def _ladder_sum(n: int, q: Fraction, e: int, bits: int) -> tuple[Dyadic, Dyadic]:
-    """Lower and upper dyadic bound of ``sum_k q^(e(2k-n))``, ``k = 0..n``,
-    for an int `e`: ``q^(-a n) S(q^(2a))`` with ``a = |e|`` and ``S(y) = 1 +
-    y + ... + y^n``.  `q` and ``1/q`` are enclosed once and raised by
-    :func:`dyadic.power` at `bits` plus guard bits plus the bits of ``a n``,
-    as a power multiplies the relative error of its base by its exponent.
-    S has positive terms and increases with y, so Horner's rule ``s -> 1 +
-    y s`` is floored from the lower end of y and ceiled from the upper one
-    in fixed point, with no cancellation.  At ``e = 0`` it is exactly n + 1.
+def _ladder_sum(n: int, q: Fraction, e: int | Fraction, bits: int) -> tuple[Dyadic, Dyadic]:
+    """Lower and upper dyadic bound of ``sum_k q^(e(2k-n))``, ``k = 0..n``:
+    ``q^(-a n) S(q^(2a))`` with ``a = |e|`` and ``S(y) = 1 + y + ... + y^n``.
+    At an int `e`, `q` and ``1/q`` are enclosed once and raised by
+    :func:`dyadic.power`; at any other `e`, ``log q`` is enclosed once by
+    :func:`dyadic.fixed_log` and both powers are ``e^(c log q)`` from
+    :func:`dyadic.exp`.  Either runs at `bits` plus guard bits plus the bits
+    of ``a n``, as a power multiplies the relative error of its base, and
+    the error of a logarithm, by its exponent.  S has positive terms and
+    increases with y, so Horner's rule ``s -> 1 + y s`` is floored from the
+    lower end of y and ceiled from the upper one in fixed point, with no
+    cancellation.  At ``e = 0`` it is exactly n + 1.
     """
     a = abs(e)
-    work = bits + LADDER_GUARD_BITS + (a * n).bit_length()
-    p, r = q.as_integer_ratio()
-    base, inverse = dyadic.round_quotient(p, r, work), dyadic.round_quotient(r, p, work)
-    y_lo = dyadic.floor_fixed(dyadic.power(base[0], 2 * a, work, False), work)
-    y_hi = -dyadic.floor_fixed(dyadic.negate(dyadic.power(base[1], 2 * a, work, True)), work)
+    work = bits + LADDER_GUARD_BITS + math.ceil(a * n).bit_length()
+    if a.denominator == 1:
+        a = int(a)
+        p, r = q.as_integer_ratio()
+        base, inverse = dyadic.round_quotient(p, r, work), dyadic.round_quotient(r, p, work)
+        y = dyadic.power(base[0], 2 * a, work, False), dyadic.power(base[1], 2 * a, work, True)
+        scale = (dyadic.power(inverse[0], a * n, work, False),
+                 dyadic.power(inverse[1], a * n, work, True))
+    else:
+        log_lo, log_hi = dyadic.fixed_log(q, work)  # log q <= 0
+
+        def exp_of(c: Fraction, log: int, ceiling: bool) -> Dyadic:
+            # e^(c log q) at the end of log q that bounds it, rounded the same way
+            top, c_den = c.numerator * log, c.denominator
+            return dyadic.exp((-(-top // c_den) if ceiling else top // c_den, -work),
+                              work, ceiling)
+
+        y = exp_of(2 * a, log_lo, False), exp_of(2 * a, log_hi, True)
+        scale = exp_of(-a * n, log_hi, False), exp_of(-a * n, log_lo, True)
+    y_lo = dyadic.floor_fixed(y[0], work)
+    y_hi = -dyadic.floor_fixed(dyadic.negate(y[1]), work)
     one = 1 << work
     low = high = one
     for _ in range(n):
         low, high = one + (y_lo * low >> work), one - (-y_hi * high >> work)
-    (m_lo, e_lo), (m_hi, e_hi) = (dyadic.power(inverse[0], a * n, work, False),
-                                  dyadic.power(inverse[1], a * n, work, True))
+    (m_lo, e_lo), (m_hi, e_hi) = scale
     return (m_lo * low, e_lo - work), (m_hi * high, e_hi - work)
 
 
@@ -87,62 +110,73 @@ def trace_balanced(n: int, q: int | str | Fraction) -> bool:
     return True
 
 
-def modular_norm_sq(n: int, q: int | str | Fraction, b,
+def modular_norm_sq(n: int, q: int | str | Fraction, b: int | str | Fraction,
                     bits: int = DEFAULT_BITS) -> Enclosure:
     """Squared 2-norm of the character twisted by the modular group at
     imaginary part `b`: ``sum(lam^(-4b-1)) / sum(lam)`` over the spectrum
     of the ladder ``(n, q)``.
 
-    The real part of the modular parameter drops out, so only `b` is taken.
-    `b` may be a Fraction, int, float or decimal string.  At the exponents
-    ±1 the sums are equal (trace balance) and the norm is exactly 1; at any
-    other integer exponent both come from :func:`_ladder_sum` and are
-    divided once, rounded outward to `bits`, so the exponent costs its bit
-    length in squarings.  Any other exponent runs in mpmath's intervals at
-    `bits`, one eigenvalue at a time.
+    The real part of the modular parameter drops out, so only `b` is taken,
+    read exactly as `q` is (a float is refused).  At the exponents ±1 the
+    sums are equal (trace balance) and the norm is exactly 1; at any other
+    exponent both sums come from :func:`_ladder_sum` and are divided once,
+    rounded outward to `bits`.  An int exponent costs its bit length in
+    squarings, any other one ``log q`` and four exponentials.
     """
-    from .fusion import check_ladder, rho_spectrum
+    from .fusion import check_ladder, exact_fraction
 
     q = check_ladder(n, q)
-    exponent = -4 * Fraction(str(b) if isinstance(b, float) else b) - 1
+    exponent = -4 * exact_fraction(b) - 1
     dyadic.check_bits(bits)
-    if exponent.denominator == 1:
-        if abs(exponent) == 1:
-            return Enclosure((1, 0), (1, 0), bits)
-        powered, total = _ladder_sum(n, q, exponent.numerator, bits), _ladder_sum(n, q, 1, bits)
-        return Enclosure(dyadic.divide(powered[0], total[1], bits, False),
-                         dyadic.divide(powered[1], total[0], bits, True), bits)
-    from . import intervals
-
-    with intervals.precision(bits) as ctx:
-        e, total, powered = intervals.make(exponent, ctx), 0, 0
-        for num, den in rho_spectrum(n, q):
-            lam = intervals.quotient(num, den, ctx)
-            total, powered = total + lam, powered + lam**e
-        return intervals.to_enclosure(powered / total)
+    if abs(exponent) == 1:
+        return Enclosure((1, 0), (1, 0), bits)
+    powered, total = _ladder_sum(n, q, exponent, bits), _ladder_sum(n, q, 1, bits)
+    return Enclosure(dyadic.divide(powered[0], total[1], bits, False),
+                     dyadic.divide(powered[1], total[0], bits, True), bits)
 
 
 def modular_eigencoefficients(n: int, q: int | str | Fraction, t: int | str | Fraction,
                               bits: int = DEFAULT_BITS) -> list[tuple[Enclosure, Enclosure]]:
     """Unit-circle coefficients ``lam^(2it)`` of the twisted character, for
-    the eigenvalues of the ladder ``(n, q)`` and the exact `t`.
+    the eigenvalues of the ladder ``(n, q)`` and `t`, read exactly as `q` is.
 
     Returns (real, imaginary) enclosure pairs at `bits`, one per eigenvalue,
-    in the order of :func:`qclassfun.fusion.rho_spectrum`.  At ``t = 0``
-    every coefficient is 1.
+    in the order of :func:`qclassfun.fusion.rho_spectrum`.  The coefficient
+    of ``q^j`` is ``cos(j theta) + i sin(j theta)`` with ``theta = 2t log
+    q``, so ``log q`` is enclosed once by :func:`dyadic.fixed_log`, at bits
+    enough that ``|j| theta`` keeps `bits` bits of its own size, below 1, or
+    of a unit, above 1.  Each ``|j|`` runs :func:`dyadic.fixed_cos_sin` once,
+    at the exact midpoint of ``|j| theta`` and at as many fraction bits more
+    as that lies below 1, widened by ``|j|`` times the radius of theta, as
+    cos and sin are 1-Lipschitz; ``-j`` negates the sine.  At ``t = 0`` or
+    ``q = 1`` every coefficient is exactly 1.
     """
-    from . import intervals
-    from .fusion import rho_spectrum
+    from .fusion import check_ladder, exact_fraction
 
-    spectrum = rho_spectrum(n, q)
-    with intervals.precision(bits) as ctx:
-        twice_t = 2 * intervals.make(t, ctx)
-        out = []
-        for num, den in spectrum:
-            angle = twice_t * ctx.log(intervals.quotient(num, den, ctx))
-            out.append((intervals.to_enclosure(ctx.cos(angle)),
-                        intervals.to_enclosure(ctx.sin(angle))))
-    return out
+    q = check_ladder(n, q)
+    t = exact_fraction(t)
+    dyadic.check_bits(bits)
+    if not t or q == 1:
+        return [(Enclosure((1, 0), (1, 0), bits), Enclosure((0, 0), (0, 0), bits))] * (n + 1)
+    p, r = q.as_integer_ratio()
+    # 1 - q <= |log q| <= 1/q - 1
+    below = r.bit_length() - (r - p).bit_length() + 1
+    above = math.ceil(2 * abs(t) * n * Fraction(r - p, p)).bit_length()
+    work = bits + LADDER_GUARD_BITS + below + above
+    log_lo, log_hi = dyadic.fixed_log(q, work)
+    mid = t * Fraction(log_lo + log_hi, 1 << work)
+    radius = abs(t) * Fraction(log_hi - log_lo, 1 << work)
+    cells = {}
+    for j in range(n % 2, n + 1, 2):
+        angle = j * mid
+        size = angle.denominator.bit_length() - abs(angle.numerator).bit_length()
+        frac_bits = bits + LADDER_GUARD_BITS + max(size, 0)
+        widen = -(-(j * radius.numerator << frac_bits) // radius.denominator)
+        cos, sin = (dyadic.fixed_enclosure(lo - widen, hi + widen, frac_bits, bits)
+                    for lo, hi in dyadic.fixed_cos_sin(angle, frac_bits))
+        cells[j] = cos, sin
+        cells[-j] = cos, Enclosure(dyadic.negate(sin.hi), dyadic.negate(sin.lo), bits)
+    return [cells[2 * k - n] for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -254,9 +254,9 @@ def test_spectral_eigenvalues_within_the_magnitude_budget_are_computed(capsys, m
 
 
 #: CPU seconds a worst-case `spectral` run may take in its child process,
-#: which RLIMIT_CPU stops there.  At the budget the slowest admitted run
-#: takes about 7 s on a 2-vCPU VM; before the budget counted the exact
-#: eigenvalues, the first case below took 47 s and 278 MB.
+#: which RLIMIT_CPU stops there.  At the budget the slowest admitted run,
+#: the last case below, takes about 2.1 s on a 2-vCPU VM; before the budget
+#: counted the exact eigenvalues, the first case took 47 s and 278 MB.
 SPECTRAL_CPU_SECONDS = 20
 
 
@@ -264,6 +264,8 @@ SPECTRAL_CPU_SECONDS = 20
     ("--rho-ladder", "5000", "--q", "0.99999999999999999999999", "--b=1/4", "--bits", "1024"),
     # the slowest admitted run at an integer 4b
     ("--rho-ladder", "5000", "--q", "4/5", "--b=1/4", "--bits", "1024"),
+    # with --t and a non-integer 4b: one log q, then a cosine and a sine per |2k - n|
+    ("--rho-ladder", "5000", "--q", "1/5", "--b=1/3", "--t", "7/3", "--bits", "1024"),
 ])
 def test_spectral_worst_cases_end_within_the_cpu_bound(argv):
     def limit():

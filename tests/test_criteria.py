@@ -29,6 +29,7 @@ from qclassfun.criteria import (
 from qclassfun.errors import BudgetError, DomainError, FamilyError, KacTypeError
 from qclassfun.fusion import free_unitary, so3_ladder, su2_ladder
 from qclassfun.scalars import q_number, solve_fundamental_q
+from interval_oracle import to_enclosure
 
 TOL = Fraction(1, 10**6)
 
@@ -123,7 +124,7 @@ def test_quasi_split_sum_partial_matches_fusion_ratios():
              for n in range(result.terms_used)),
             intervals.make(0, ctx),
         )
-    assert _overlap(result.partial_sum, intervals.to_enclosure(independent))
+    assert _overlap(result.partial_sum, to_enclosure(independent))
 
 
 def test_quasi_split_sum_budget_exhaustion():
@@ -376,7 +377,7 @@ def test_series_and_bounds_refuse_an_mpmath_interval():
     for call in calls:
         with pytest.raises(DomainError, match="need a finite rational"):
             call()
-    converted = intervals.to_enclosure(fifth)
+    converted = to_enclosure(fifth)
     assert block_sum_S(1, converted, TOL).verdict is Verdict.CONVERGES
 
 
@@ -404,7 +405,7 @@ def test_block_sum_matches_family_dimensions():
         for n in range(1, result.terms_used + 1):
             word = fusion.alternating_word(n)
             independent += ctx.sqrt(intervals.make(ratio_exact(word, fam), ctx))
-    assert _overlap(result.partial_sum, intervals.to_enclosure(independent))
+    assert _overlap(result.partial_sum, to_enclosure(independent))
 
 
 def _block(lo: Fraction, hi: Fraction) -> criteria.SeriesResult:

@@ -24,6 +24,7 @@ from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 from qclassfun import criteria, dyadic, fusion, intervals, report
 from qclassfun.cli import main
 from qclassfun.errors import BudgetError, DomainError
+from interval_oracle import to_enclosure
 
 ROUNDINGS = {"floor": decimal.ROUND_FLOOR, "ceiling": decimal.ROUND_CEILING,
              "half-even": decimal.ROUND_HALF_EVEN}
@@ -173,7 +174,7 @@ def test_make_of_a_fraction_is_its_tightest_enclosure(bits, value):
     with intervals.precision(bits) as ctx:
         made = intervals.make(value, ctx)
         assert made.ctx is ctx
-        enclosure = intervals.to_enclosure(made)
+        enclosure = to_enclosure(made)
         _assert_tightest((enclosure.lo, enclosure.hi), value, bits)
 
 
@@ -222,13 +223,12 @@ def test_interval_text_matches_the_decimal_printer(bits):
                          ctx.exp(ctx.mpf(300)),
                          _hull(Fraction(-1, 3), Fraction(1, 10**9), ctx)):
             expected = _oracle_payload(interval)
-            enclosure = intervals.to_enclosure(interval)
-            assert intervals.to_decimal_pair(enclosure) == (expected["lo"], expected["hi"])
+            enclosure = to_enclosure(interval)
+            assert dyadic.to_decimal_pair(enclosure) == (expected["lo"], expected["hi"])
             assert report.enclosure_payload(enclosure) == expected
-        unbounded = intervals.to_enclosure(ctx.mpf([1, "inf"]))
-        assert report.enclosure_payload(unbounded) == {"lo": "1", "hi": "inf", "mid": "nan"}
-        unbounded = intervals.to_enclosure(ctx.mpf(["-inf", 1]))
-        assert report.enclosure_payload(unbounded) == {"lo": "-inf", "hi": "1", "mid": "nan"}
+        for unbounded in (ctx.mpf([1, "inf"]), ctx.mpf(["-inf", 1])):
+            with pytest.raises(ValueError, match="no infinite or NaN end"):
+                to_enclosure(unbounded)
 
 
 def test_dims_prints_endpoints_longer_than_the_int_to_str_limit(capsys, monkeypatch):
@@ -432,18 +432,19 @@ def test_width_is_the_upper_end_of_mpmaths_delta(bits, lo, hi, p):
 def test_to_enclosure_reads_back_the_interval_of_an_enclosure(bits, lo, hi, p):
     x = _fixed_input(lo, hi, p, bits)
     interval = _interval(x, _context(bits))
-    assert intervals.to_enclosure(interval) == x
+    assert to_enclosure(interval) == x
     expected = _oracle_cell(*dyadic.exact_endpoints(x), bits)
-    assert intervals.to_decimal_pair(x) == (expected["lo"], expected["hi"])
+    assert dyadic.to_decimal_pair(x) == (expected["lo"], expected["hi"])
     assert report.enclosure_payload(x) == expected
-    lo_text, hi_text = intervals.to_decimal_pair(x, 12)
+    lo_text, hi_text = dyadic.to_decimal_pair(x, 12)
     x_lo, x_hi = dyadic.exact_endpoints(x)
     assert Fraction(lo_text) <= x_lo and x_hi <= Fraction(hi_text)
 
 # ---------------------------------------------------------------------------
 # pi, cosine and sine in fixed point
 
-TRIG_BITS = (1, 2, 7, 53, 64, 128, 333, 1024)
+#: Up to MAX_BITS, and past it: a 1024-bit caller carries guard bits.
+TRIG_BITS = (1, 2, 7, 53, 64, 128, 333, 1024, 1053, 1100)
 
 #: Zero, signs, angles near and past multiples of pi/2, and 24-digit angles,
 #: the most digits a CLI `--phase` takes.
@@ -517,6 +518,106 @@ def test_fixed_cos_sin_budget():
         dyadic.fixed_cos_sin(Fraction(-(2**(dyadic.MAX_BITS + 5)), 7), 8)
     with pytest.raises(DomainError):
         dyadic.fixed_cos_sin(Fraction(1, 3), 0)
+
+
+# ---------------------------------------------------------------------------
+# logarithm and exponential
+
+
+#: 1 and its neighbours, both sides of a power of two and of sqrt 2 (where
+#: the reduction switches), 24-digit rationals and huge and tiny arguments.
+LOG_ARGUMENTS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(1, 3),
+                 1 + Fraction(1, 10**24), 1 - Fraction(1, 10**24), Fraction(2**80 + 1, 2**80),
+                 Fraction(2**90 - 1), Fraction(2**90 + 1), Fraction(1, 2**90 - 1),
+                 Fraction(1414213562373095, 10**15), Fraction(1414213562373096, 10**15),
+                 Fraction(10**15, 1414213562373096),
+                 Fraction(123456789012345678901234, 987654321098765432109877),
+                 Fraction(99999999999999999999999, 10**23), Fraction(10**300), Fraction(7, 10**300)]
+
+
+@pytest.mark.parametrize("bits", TRIG_BITS)
+@pytest.mark.parametrize("x", LOG_ARGUMENTS, ids=lambda x: f"{float(x):.6g}")
+def test_fixed_log_encloses_mpmaths_value(bits, x):
+    lo, hi = dyadic.fixed_log(x, bits)
+    with mpmath.workprec(_oracle_bits(bits)):
+        value = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+        assert _mp(lo, bits) <= value <= _mp(hi, bits)
+    assert hi - lo <= 4
+    if x == 1:
+        assert (lo, hi) == (0, 0)
+
+
+@pytest.mark.parametrize("bits", TRIG_BITS)
+def test_fixed_log2_encloses_log_2_within_one_unit(bits):
+    lo, hi = dyadic._fixed_log2(bits)
+    with mpmath.workprec(_oracle_bits(bits)):
+        assert _mp(lo, bits) < mpmath.log(2) < _mp(hi, bits)
+    assert hi - lo == 1
+
+
+def _dyadic_of(x: mpmath.mpf) -> tuple[int, int]:
+    man, exp = x.man_exp
+    return int(man), int(exp)
+
+
+@pytest.mark.parametrize("bits", [8, 53, 128, 300])
+def test_log_and_exp_hold_values_next_to_a_grid_point(bits):
+    # arguments whose logarithm (exponential) lies 2^-40 units of the last
+    # bit above or below a point of the fixed-point (`bits`-bit) grid: the
+    # enclosure keeps them only if every rounding of the series is counted
+    with mpmath.workprec(3 * bits + 128):
+        for k in (1, 3, 2**bits // 3, 2**bits - 5, -(2**bits // 3), 5 * 2**bits + 1,
+                  -7 * 2**bits - 3):
+            for offset in (1, -1):
+                target = mpmath.ldexp(k + offset * mpmath.ldexp(1, -40), -bits)
+                x = _fraction(mpmath.exp(target))
+                lo, hi = dyadic.fixed_log(x, bits)
+                value = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+                assert _mp(lo, bits) <= value <= _mp(hi, bits), (k, offset)
+        # 1.35 and 21.6 reduce to r = +0.3, where no floor error cancels
+        for mantissa, exponent in ((3, -1), (2**bits - 5, -bits), (2**(bits - 1) + 1, 7),
+                                   (2**bits // 3, -bits - 10), (27 * 2**bits // 40, 1 - bits),
+                                   (27 * 2**bits // 40, 5 - bits)):
+            for offset in (1, -1):
+                target = mpmath.ldexp(mantissa + offset * mpmath.ldexp(1, -40), exponent)
+                x = _dyadic_of(mpmath.log(target))
+                lo, hi = dyadic.exp(x, bits, False), dyadic.exp(x, bits, True)
+                value = mpmath.exp(mpmath.ldexp(*x))
+                assert mpmath.ldexp(*lo) <= value <= mpmath.ldexp(*hi), (mantissa, offset)
+
+
+#: Zero, tiny arguments, next to multiples of log 2 and on both sides of
+#: 3/2 log 2 (where the reduction switches), a 24-digit mantissa, and
+#: results far above and far below any fixed point: e^363000 is about
+#: 2^523700, the largest power of the `spectral` budget.
+EXP_ARGUMENTS = [(0, 0), (1, 0), (-1, 0), (1, -80), (-1, -80), (3, -1), (-3, -1),
+                 (12786308645202655659, -64), (19179462967803983489, -64),
+                 (19179462967803983490, -64),
+                 (-38358925935607966977, -64), (123456789012345678901234, -60),
+                 (-123456789012345678901234, -70), (363000, 0), (-363000, 0)]
+
+
+@pytest.mark.parametrize("bits", TRIG_BITS)
+@pytest.mark.parametrize("x", EXP_ARGUMENTS, ids=str)
+def test_exp_brackets_mpmaths_value(bits, x):
+    lo, hi = dyadic.exp(x, bits, False), dyadic.exp(x, bits, True)
+    assert abs(lo[0]).bit_length() <= bits and abs(hi[0]).bit_length() <= bits
+    # plus the integer bits of x, whose own rounding in mpmath e^x multiplies
+    with mpmath.workprec(_oracle_bits(bits) + max(abs(x[0]).bit_length() + x[1], 0)):
+        value = mpmath.exp(mpmath.ldexp(*x))
+        low, high = mpmath.ldexp(*lo), mpmath.ldexp(*hi)
+        assert low <= value <= high
+        assert high - low <= 8 * mpmath.ldexp(value, -bits)
+    if x == (0, 0):
+        assert lo == hi == (1, 0)
+
+
+def test_exp_budget():
+    dyadic.exp((1, dyadic.MAX_BITS - 1), 8, True)
+    with pytest.raises(BudgetError):
+        dyadic.exp((1, dyadic.MAX_BITS), 8, True)
+    with pytest.raises(BudgetError):
+        dyadic.exp((-(2**40), dyadic.MAX_BITS), 8, False)
 
 
 @settings(derandomize=True, max_examples=60)

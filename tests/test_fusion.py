@@ -28,6 +28,7 @@ from qclassfun.fusion import (
     tensor_reduce,
 )
 from qclassfun.scalars import q_number, solve_fundamental_q
+from interval_oracle import to_enclosure
 
 words = st.text(alphabet="AB", max_size=8)
 
@@ -230,7 +231,7 @@ def test_word_quantum_dim_is_deformed_integer_at_fundamental_root():
         root = ctx.mpf([intervals.make(root_lo, ctx).a, intervals.make(root_hi, ctx).b])
         for n in range(1, 8):
             word = fusion.alternating_word(n)
-            lo, hi = dyadic.exact_endpoints(intervals.to_enclosure(q_number(n + 1).evaluate(root)))
+            lo, hi = dyadic.exact_endpoints(to_enclosure(q_number(n + 1).evaluate(root)))
             assert lo <= Fraction(dim(word, fam, "quantum")) <= hi
 
 

@@ -8,8 +8,9 @@ that changes on purpose is regenerated with
 
 and the diff is explained in CHANGES.md.
 
-The same commands also run in a process where numpy cannot be imported
-(numpy is a test-only dependency), and each in a fresh process of its own.
+The same commands also run in a process where neither numpy (a test-only
+dependency) nor mpmath (which no subcommand loads) can be imported, and
+each in a fresh process of its own.
 """
 
 from __future__ import annotations
@@ -100,11 +101,11 @@ def test_dims_runs_where_the_int_to_str_limit_cannot_be_read(monkeypatch):
     assert out == (GOLDEN / "dims_oplus_max60.out").read_text(encoding="utf-8")
 
 
-#: Runs the {name: argv} cases read from stdin with numpy unimportable and
-#: prints {name: [exit code, stdout]}.
+#: Runs the {name: argv} cases read from stdin with numpy and mpmath
+#: unimportable and prints {name: [exit code, stdout]}.
 RUN_WITHOUT_NUMPY = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+sys.modules["numpy"] = sys.modules["mpmath"] = None  # every import of them now raises ImportError
 from qclassfun.cli import main
 results = {}
 for name, argv in json.load(sys.stdin).items():

@@ -2,8 +2,9 @@
 a CLI process imports only the modules its subcommand runs.
 
 Every CLI call runs in a fresh process, so start-up is part of each
-command's cost.  These tests pin where mpmath may be loaded, and that a
-command which runs no interval arithmetic loads none of the stdlib modules
+command's cost.  These tests pin that no subcommand loads mpmath, that
+only ``LaurentScalar.evaluate`` reaches it, and that a command loads none
+of the stdlib modules
 that the package's records, annotations, locks and writers once pulled in:
 ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``),
 ``typing``, ``threading``, ``csv`` and ``json``.
@@ -48,13 +49,14 @@ def _python(code: str, *args: str, flags: tuple[str, ...] = ()):
 # ---------------------------------------------------------------------------
 # import graph
 
-#: Commands that never load mpmath, with their exit codes: `dims` prints the
-#: enclosures of exact rationals with ints alone, `series` and all three
-#: thresholds compute theirs on ints, escalated precisions and refusals
-#: included, `jacobi` bounds its relation residuals in fixed point, with the
-#: phase's cosine and sine from `dyadic`, `spectral` at an integer ``4b``
-#: and without `--t` computes its norm on dyadics, and `report` runs all of
-#: these.
+#: Commands of every subcommand, none of which loads mpmath, with their exit
+#: codes: `dims` prints the enclosures of exact rationals with ints alone,
+#: `series` and all three thresholds compute theirs on ints, escalated
+#: precisions and refusals included, `jacobi` bounds its relation residuals
+#: in fixed point, with the phase's cosine and sine from `dyadic`,
+#: `spectral` computes its norms at any ``4b`` and its coefficients on
+#: dyadics, with ``log q`` and ``exp`` from `dyadic`, and `report` runs all
+#: of these.
 LIGHT_COMMANDS = [
     (["frobnicate"], 2),
     (["dims", "--family", "o-plus", "--N", "3", "--bits", "0"], 2),
@@ -81,6 +83,10 @@ LIGHT_COMMANDS = [
     (["jacobi", "--M", "8", "--q", "0.5"], 0),
     (["jacobi", "--M", "32", "--q", "1/2", "--phase", "3/7"], 0),
     (["spectral", "--rho-ladder", "4", "--q", "1/3", "--b=-1/4"], 0),
+    (["spectral", "--rho-ladder", "4", "--q", "1/3", "--t", "1/3"], 0),
+    (["spectral", "--rho-ladder", "4", "--q", "1/3", "--b=1/3"], 0),
+    (["spectral", "--rho-ladder", "4", "--q", "1/3", "--b=1/3", "--t", "7/3",
+      "--bits", "1024"], 0),
     (["report"], 0),
 ]
 
@@ -147,19 +153,21 @@ def test_bare_package_import_loads_no_working_module():
     assert set(loaded) <= {"qclassfun.errors", "qclassfun.budgets"}
 
 
-def _module_level_imports(path: Path) -> set[str]:
+def _module_level_imports(path: Path, everywhere: bool = False) -> set[str]:
     """Modules that `path` imports when it is imported: every import outside
-    function bodies and ``if TYPE_CHECKING:`` blocks.  A submodule of the
-    package is named by its bare name, as ``from . import x`` does."""
+    function bodies and ``if TYPE_CHECKING:`` blocks, or with `everywhere`
+    every import at all.  A submodule of the package is named by its bare
+    name, as ``from . import x`` does."""
     found: set[str] = set()
     stack: list[ast.AST] = [ast.parse(path.read_text(encoding="utf-8"))]
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
-            stack.extend(node.orelse)
-            continue
+        if not everywhere:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                stack.extend(node.orelse)
+                continue
         if isinstance(node, ast.Import):
             found.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -175,6 +183,13 @@ GRAPH = {path.stem: _module_level_imports(path) for path in PACKAGE.glob("*.py")
 
 def test_only_intervals_imports_mpmath_at_module_level():
     assert sorted(name for name, imports in GRAPH.items() if "mpmath" in imports) == ["intervals"]
+
+
+def test_only_scalars_imports_intervals_even_inside_a_function():
+    # LaurentScalar.evaluate, the one method that returns an mpmath interval
+    importers = sorted(path.stem for path in PACKAGE.glob("*.py")
+                       if "intervals" in _module_level_imports(path, everywhere=True))
+    assert importers == ["scalars"]
 
 
 def test_modules_that_load_mpmath_on_import():

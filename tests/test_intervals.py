@@ -16,13 +16,14 @@ from mpmath.ctx_iv import ivmpf
 import qclassfun
 from qclassfun import criteria, dyadic, fusion, intervals, scalars, spectral
 from qclassfun.errors import DomainError, Record
+from interval_oracle import to_enclosure
 
 fractions = st.fractions(min_value=Fraction(-100), max_value=Fraction(100))
 
 
 def _endpoints(x) -> tuple[Fraction, Fraction]:
     """The exact endpoints of an mpmath interval."""
-    return dyadic.exact_endpoints(intervals.to_enclosure(x))
+    return dyadic.exact_endpoints(to_enclosure(x))
 
 
 def _width(x) -> Fraction:
@@ -68,7 +69,7 @@ def test_library_calls_ignore_mpmath_ambient_precision():
     try:
         root = scalars.solve_fundamental_q(3)
         norm = spectral.modular_norm_sq(2, Fraction(1, 3), 0)
-        pair = intervals.to_decimal_pair(root)
+        pair = dyadic.to_decimal_pair(root)
         assert iv.prec == 20
     finally:
         iv.prec = before
@@ -78,7 +79,7 @@ def test_library_calls_ignore_mpmath_ambient_precision():
         assert hi - lo < Fraction(1, 2**120)
     norm_lo, norm_hi = dyadic.exact_endpoints(norm)
     assert norm_lo <= 1 <= norm_hi
-    assert pair == intervals.to_decimal_pair(root, intervals.decimal_digits(intervals.DEFAULT_BITS))
+    assert pair == dyadic.to_decimal_pair(root, dyadic.decimal_digits(intervals.DEFAULT_BITS))
 
 
 def test_threads_at_different_precisions_match_sequential_runs():
@@ -91,7 +92,7 @@ def test_threads_at_different_precisions_match_sequential_runs():
             block = criteria.block_sum_S(1, Fraction(1, 10), Fraction(1, 10**6), bits=bits)
             out.append(dyadic.exact_endpoints(block.sum_enclosure()))
             out.append(dyadic.exact_endpoints(criteria.threshold_ratio_dimge3(bits=bits)))
-            # the interval contexts, which the two int computations above never enter
+            # the norm at a non-integer exponent, on ints as the two calls above
             norm = spectral.modular_norm_sq(3, Fraction(1, 3), Fraction(1, 3), bits)
             out.append(dyadic.exact_endpoints(norm))
         return out
@@ -168,17 +169,17 @@ def test_endpoints_are_exact_beyond_double_precision():
 @given(fractions)
 def test_decimal_pair_brackets_the_value(f):
     with intervals.precision(64) as ctx:
-        x = intervals.to_enclosure(intervals.make(f, ctx))
-    lo, hi = intervals.to_decimal_pair(x, digits=12)
+        x = to_enclosure(intervals.make(f, ctx))
+    lo, hi = dyadic.to_decimal_pair(x, digits=12)
     assert Fraction(lo) <= f <= Fraction(hi)
 
 
-def test_decimal_pair_unbounded():
+def test_decimal_pair_is_dyadics_and_an_unbounded_interval_has_no_enclosure():
+    # an Enclosure is bounded, so the oracle's reading refuses an infinite end
+    assert intervals.to_decimal_pair is dyadic.to_decimal_pair
     with intervals.precision(64) as ctx:
-        top = intervals.to_enclosure(ctx.mpf([1, "inf"]))
-        lo, hi = intervals.to_decimal_pair(top, digits=8)
-        assert hi == "inf"
-        assert Fraction(lo) <= 1
+        with pytest.raises(ValueError, match="no infinite or NaN end"):
+            to_enclosure(ctx.mpf([1, "inf"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The experiment scripts stay runnable."""
+"""The experiment scripts stay runnable, and neither loads mpmath: each
+runs in a process where importing mpmath raises ImportError."""
 
 import subprocess
 import sys
@@ -6,10 +7,19 @@ from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
+#: Runs the script named by argv[1] as __main__, with the rest of argv as
+#: its own, in a process where mpmath cannot be imported.
+RUN_WITHOUT_MPMATH = """
+import runpy, sys
+sys.modules["mpmath"] = None
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
 
 def run_script(name: str, *argv: str) -> str:
     result = subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *argv],
+        [sys.executable, "-c", RUN_WITHOUT_MPMATH, str(SCRIPTS / name), *argv],
         capture_output=True, text=True, timeout=120, check=True,
     )
     return result.stdout

@@ -30,6 +30,7 @@ from qclassfun.spectral import (
     suq2_relation_residuals,
     trace_balanced,
 )
+from interval_oracle import to_enclosure
 
 GRID_Q = (0.1, 0.3, 0.5, 0.7, 0.9)
 GRID_M = (2, 4, 8, 16)
@@ -113,11 +114,91 @@ def test_integer_exponent_norm_is_tight_around_mpmaths_value(bits, b):
         # a power of e multiplies the relative error of its base by e
         ctx.prec = 3 * bits + 16 + exponent.bit_length()
         lams = [ctx.mpf(lam.numerator) / lam.denominator for lam in rho_spectrum_exact(n, q)]
-        oracle = intervals.to_enclosure(sum(lam**exponent for lam in lams) / sum(lams))
+        oracle = to_enclosure(sum(lam**exponent for lam in lams) / sum(lams))
         with mpmath.workprec(ctx.prec):
             (lo, hi), (value_lo, value_hi) = _mp_endpoints(norm), _mp_endpoints(oracle)
             assert lo <= value_hi and value_lo <= hi
             assert hi - lo <= 8 * mpmath.ldexp(value_hi, -bits)
+
+
+#: Ladders of the oracle tests at non-integer exponents and of the
+#: coefficients: the one-point ladder, q = 1, q small, near 1, and 1e-23
+#: below 1, where log q has 77 leading zero bits.
+ORACLE_LADDERS = ((0, Fraction(1, 3)), (3, Fraction(1, 3)), (5, Fraction(1)),
+                  (12, Fraction(4, 5)), (40, Fraction(97, 100)),
+                  (2, Fraction(10**23 - 1, 10**23)))
+
+
+def _oracle_context(prec: int) -> MPIntervalContext:
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    return ctx
+
+
+def _ladder_oracle(ctx: MPIntervalContext, n: int, q: Fraction) -> list:
+    return [ctx.mpf(lam.numerator) / lam.denominator for lam in rho_spectrum_exact(n, q)]
+
+
+@pytest.mark.parametrize("bits", [1, 24, 64, 128, 333, 1024])
+@pytest.mark.parametrize("b", [Fraction(1, 3), Fraction(-1, 3), Fraction(1, 8), Fraction(-5, 12),
+                               Fraction(7, 6), Fraction(222_001, 3)], ids=str)
+def test_non_integer_exponent_norm_is_tight_around_mpmaths_value(bits, b):
+    # log q and exp on ints against an mpmath interval at 3 x bits; the
+    # last b puts the 40-step ladder at 97/100 next to the `spectral` budget:
+    # |4b + 1| n log2(1/q) is about 520,000 bits, and 2^19 is 524,288
+    for n, q in ORACLE_LADDERS:
+        norm = modular_norm_sq(n, q, b, bits)
+        assert norm.bits == bits
+        exponent = -4 * b - 1
+        ctx = _oracle_context(3 * bits + 16 + math.ceil(abs(exponent) * n).bit_length())
+        e = ctx.mpf(exponent.numerator) / exponent.denominator
+        lams = _ladder_oracle(ctx, n, q)
+        oracle = to_enclosure(sum(lam**e for lam in lams) / sum(lams))
+        with mpmath.workprec(ctx.prec):
+            (lo, hi), (value_lo, value_hi) = _mp_endpoints(norm), _mp_endpoints(oracle)
+            assert lo <= value_hi and value_lo <= hi, (n, q)
+            assert hi - lo <= 8 * mpmath.ldexp(value_hi, -bits), (n, q)
+
+
+@pytest.mark.parametrize("bits", [1, 24, 64, 128, 333, 1024])
+@pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(-7, 2), Fraction(5, 2),
+                               Fraction(10**20, 3), 10**23, Fraction(1, 10**23)], ids=str)
+def test_eigencoefficients_are_tight_around_mpmaths_values(bits, t):
+    # against mpmath's cos and sin of 2t log(lam) at 3 x bits plus the bits
+    # the angle reaches above 1 and log q below it.  Each cell is within a
+    # few units of its last bit: of the value itself where the angle is below
+    # 1, and where it is not, of the value or 1/16, whichever is larger, as
+    # cos and sin are summed in fixed point.  At t = 10^23 mpmath's own
+    # interval at 128 bits is 1.3e-15 wide.
+    for n, q in ORACLE_LADDERS:
+        cells = modular_eigencoefficients(n, q, t, bits)
+        assert len(cells) == n + 1
+        ctx = _oracle_context(3 * bits + 256)
+        twice_t = 2 * ctx.mpf(Fraction(t).numerator) / Fraction(t).denominator
+        for (re, im), lam in zip(cells, _ladder_oracle(ctx, n, q), strict=True):
+            angle = twice_t * ctx.log(lam)
+            for cell, value in ((re, ctx.cos(angle)), (im, ctx.sin(angle))):
+                assert cell.bits == bits
+                oracle = to_enclosure(value)
+                with mpmath.workprec(ctx.prec):
+                    (lo, hi), (value_lo, value_hi) = _mp_endpoints(cell), _mp_endpoints(oracle)
+                    assert lo <= value_hi and value_lo <= hi, (n, q, lam)
+                    size = max(abs(value_lo), abs(value_hi))
+                    if abs(angle.b) > 1:
+                        size = max(size, mpmath.mpf(1) / 16)
+                    assert hi - lo <= 8 * mpmath.ldexp(size, -bits), (n, q, lam)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: modular_norm_sq(3, Fraction(1, 3), 0.25),
+    lambda: modular_norm_sq(3, Fraction(1, 3), -0.25),
+    lambda: modular_eigencoefficients(3, Fraction(1, 3), 0.5),
+    lambda: modular_eigencoefficients(3, Fraction(1, 3), 0.0),
+], ids=["b", "b_integer_exponent", "t", "t_zero"])
+def test_a_float_b_or_t_is_refused(call):
+    # b and t are read exactly, as q is: a float's binary value is not what it prints
+    with pytest.raises(TypeError, match="for exactness"):
+        call()
 
 
 #: Ladder parameters of the exact oracle: dyadic ones, where every power is
@@ -182,7 +263,7 @@ def test_eigencoefficients_half_turn():
     # lower end of a 256-bit enclosure of it, about 2^-250 away, which moves
     # the coefficients far less than their 128-bit enclosures are wide
     with intervals.precision(256) as ctx:
-        t = dyadic.exact_endpoints(intervals.to_enclosure(ctx.pi / (2 * ctx.log(2))))[0]
+        t = dyadic.exact_endpoints(to_enclosure(ctx.pi / (2 * ctx.log(2))))[0]
     for re, im in modular_eigencoefficients(1, Fraction(1, 2), t, 128):
         assert _holds(re, -1)
         assert _holds(im, 0)

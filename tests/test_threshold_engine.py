@@ -20,6 +20,7 @@ import pytest
 from mpmath.libmp import from_man_exp
 
 from qclassfun import criteria, dyadic, intervals
+from interval_oracle import to_enclosure
 
 FRAC_BITS = [8, 16, 64, 128, 512]
 LO, HI = Fraction(1, 100), Fraction(1, 2)
@@ -277,7 +278,7 @@ def test_ratio_threshold_holds_the_closed_form_and_meets_the_mpmath_enclosure(bi
     prec = _oracle_prec(bits)
     with mpmath.workprec(prec):
         assert _contains_point(enclosure, _ratio_value(), prec)
-    assert _overlap(enclosure, intervals.to_enclosure(_mpmath_ratio(bits)))
+    assert _overlap(enclosure, to_enclosure(_mpmath_ratio(bits)))
 
 
 @pytest.mark.parametrize("bits", [8, 64, 128, 512, 1024])
@@ -302,7 +303,10 @@ def test_bound_dimge3_holds_the_closed_form_and_meets_the_mpmath_enclosure(bits)
         old = _mpmath_dimge3(q_c, q_q, bits)
         if old is not None:
             compared += 1
-            old = intervals.to_enclosure(old)
+            try:
+                old = to_enclosure(old)
+            except ValueError:  # an unbounded end, which every enclosure meets
+                continue
             assert _overlap(enclosure, old), (q_c, q_q)
             if bits >= 8:
                 # the guard bits make it no wider than per-operation rounding
