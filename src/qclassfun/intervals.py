@@ -1,8 +1,8 @@
 """The bridge from exact values to mpmath's interval contexts.
 
-Every function of the package that computes takes exact values or
-:class:`~qclassfun.dyadic.Enclosure` values and returns ``Enclosure``
-values, on ints.  mpmath's interval arithmetic, whose operations round
+Every public function of the package takes exact values or
+:class:`~qclassfun.dyadic.Enclosure` values, computes on ints and returns
+``Enclosure`` values.  mpmath's interval arithmetic, whose operations round
 outward so enclosures are never lost, runs only inside
 ``LaurentScalar.evaluate`` of :mod:`qclassfun.scalars`, the one method that
 returns an mpmath interval, and this module is its bridge; no subcommand
