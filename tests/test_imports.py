@@ -4,10 +4,9 @@ a CLI process imports only the modules its subcommand runs.
 Every CLI call runs in a fresh process, so start-up is part of each
 command's cost.  These tests pin that no subcommand loads mpmath, that
 only ``LaurentScalar.evaluate`` reaches it, and that a command loads none
-of the stdlib modules
-that the package's records, annotations, locks and writers once pulled in:
-``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``),
-``typing``, ``threading``, ``csv`` and ``json``.
+of the stdlib modules that the package's records, annotations, locks and
+writers once pulled in: ``dataclasses`` (with ``inspect``, ``ast``, ``dis``
+and ``tokenize``), ``typing``, ``threading``, ``csv`` and ``json``.
 """
 
 from __future__ import annotations

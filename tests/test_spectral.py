@@ -97,30 +97,6 @@ def _mp_endpoints(enclosure: Enclosure) -> tuple:
     return tuple(mpmath.ldexp(m, e) for m, e in (enclosure.lo, enclosure.hi))
 
 
-@pytest.mark.parametrize("bits", [1, 24, 64, 128, 333])
-@pytest.mark.parametrize("b", [0, Fraction(-1, 4), Fraction(1, 4), Fraction(5, 4), -3,
-                               Fraction(10**20 - 1, 4)], ids=str)
-def test_integer_exponent_norm_is_tight_around_mpmaths_value(bits, b):
-    # the ladder sums: an mpmath interval at 3 x bits as the oracle, the
-    # result within a few units of its last bit, and an exponent of 67 bits
-    # costs 67 squarings.  The oracle is an interval because the norm at
-    # b = 0 is the point 1, which a rounded mpmath value may miss.
-    for n, q in ((0, Fraction(1, 3)), (3, Fraction(1, 3)), (12, Fraction(4, 5)),
-                 (40, Fraction(97, 100))):
-        norm = modular_norm_sq(n, q, b, bits)
-        assert norm.bits == bits
-        exponent = int(-4 * Fraction(b) - 1)
-        ctx = MPIntervalContext()
-        # a power of e multiplies the relative error of its base by e
-        ctx.prec = 3 * bits + 16 + exponent.bit_length()
-        lams = [ctx.mpf(lam.numerator) / lam.denominator for lam in rho_spectrum_exact(n, q)]
-        oracle = to_enclosure(sum(lam**exponent for lam in lams) / sum(lams))
-        with mpmath.workprec(ctx.prec):
-            (lo, hi), (value_lo, value_hi) = _mp_endpoints(norm), _mp_endpoints(oracle)
-            assert lo <= value_hi and value_lo <= hi
-            assert hi - lo <= 8 * mpmath.ldexp(value_hi, -bits)
-
-
 #: Ladders of the oracle tests at non-integer exponents and of the
 #: coefficients: the one-point ladder, q = 1, q small, near 1, and 1e-23
 #: below 1, where log q has 77 leading zero bits.
@@ -137,6 +113,29 @@ def _oracle_context(prec: int) -> MPIntervalContext:
 
 def _ladder_oracle(ctx: MPIntervalContext, n: int, q: Fraction) -> list:
     return [ctx.mpf(lam.numerator) / lam.denominator for lam in rho_spectrum_exact(n, q)]
+
+
+@pytest.mark.parametrize("bits", [1, 24, 64, 128, 333])
+@pytest.mark.parametrize("b", [0, Fraction(-1, 4), Fraction(1, 4), Fraction(5, 4), -3,
+                               Fraction(10**20 - 1, 4)], ids=str)
+def test_integer_exponent_norm_is_tight_around_mpmaths_value(bits, b):
+    # the ladder sums: an mpmath interval at 3 x bits as the oracle, the
+    # result within a few units of its last bit, and an exponent of 67 bits
+    # costs 67 squarings.  The oracle is an interval because the norm at
+    # b = 0 is the point 1, which a rounded mpmath value may miss.
+    for n, q in ((0, Fraction(1, 3)), (3, Fraction(1, 3)), (12, Fraction(4, 5)),
+                 (40, Fraction(97, 100))):
+        norm = modular_norm_sq(n, q, b, bits)
+        assert norm.bits == bits
+        exponent = int(-4 * Fraction(b) - 1)
+        # a power of e multiplies the relative error of its base by e
+        ctx = _oracle_context(3 * bits + 16 + exponent.bit_length())
+        lams = _ladder_oracle(ctx, n, q)
+        oracle = to_enclosure(sum(lam**exponent for lam in lams) / sum(lams))
+        with mpmath.workprec(ctx.prec):
+            (lo, hi), (value_lo, value_hi) = _mp_endpoints(norm), _mp_endpoints(oracle)
+            assert lo <= value_hi and value_lo <= hi
+            assert hi - lo <= 8 * mpmath.ldexp(value_hi, -bits)
 
 
 @pytest.mark.parametrize("bits", [1, 24, 64, 128, 333, 1024])
