@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .dyadic import read_rational
 from .errors import DomainError, Record
-from .fusion import exact_fraction
 
 FACTOR_II_INFINITY = "injective factor of type II-infinity"
 NON_FACTOR = "non-factor; center isomorphic to bounded functions on the circle"
@@ -32,7 +32,7 @@ class RatioRational(Record):
     __slots__ = ("ratio",)
 
     def __init__(self, ratio: Fraction, _set=object.__setattr__) -> None:
-        ratio = exact_fraction(ratio)
+        ratio = read_rational(ratio)
         if ratio == 0:
             raise DomainError("the rational ratio must be nonzero")
         _set(self, "ratio", ratio)
@@ -57,7 +57,7 @@ class BicrossedParams(Record):
     __slots__ = ("q", "nu_mode")
 
     def __init__(self, q: Fraction, nu_mode: NuMode, _set=object.__setattr__) -> None:
-        q = exact_fraction(q)
+        q = read_rational(q)
         if not (-1 < q < 1) or q == 0:
             raise DomainError(f"q must lie in (-1, 1) and be nonzero, got {q}")
         _set(self, "q", q)
@@ -70,8 +70,8 @@ class ScalingTime(Record):
     __slots__ = ("r", "s")
 
     def __init__(self, r: Fraction, s: Fraction, _set=object.__setattr__) -> None:
-        _set(self, "r", exact_fraction(r))
-        _set(self, "s", exact_fraction(s))
+        _set(self, "r", read_rational(r))
+        _set(self, "s", read_rational(s))
 
     def __add__(self, other: "ScalingTime") -> "ScalingTime":
         return ScalingTime(self.r + other.r, self.s + other.s)
@@ -172,7 +172,7 @@ def iso_necessary(
         return True
     if nu_ratio is None:
         return None
-    ratio = exact_fraction(nu_ratio)
+    ratio = read_rational(nu_ratio)
     if ratio == 0:
         raise DomainError("nu ratio must be nonzero")
     return True

@@ -54,13 +54,6 @@ class UsageError(Exception):
 # flag types: argparse checks every value once, so handlers convert safely
 
 
-#: Budget of a rational flag: digits in all, an exponent e-n counting as n.
-#: The exact recursions grow with the size of the value.  On a 2-vCPU VM,
-#: 24 digits (1e-23) keep one call under 0.1 s at the default counts, and
-#: `dims --max 400`, `--word-len 12` and `series --n-max 1000` under 5 s.
-MAX_RATIONAL_DIGITS = 24
-
-
 #: Budget of `spectral`: the root sum of squares of the bits of the norm's
 #: power, about ``|4b+1| n log2(1/q)``, and of the n+1 exact eigenvalues
 #: ``q^(n-2k) = r^(n-2k)/p^(n-2k)`` for ``q = p/r``, ``|n-2k| log2(r)`` bits
@@ -78,21 +71,14 @@ MAX_SCAN_DIGITS = 200_000
 
 
 def _rational(raw: str) -> str:
-    """Type of a rational flag; returns the text, which reports echo as given.
+    """Type of a rational flag; returns the text, which reports echo as given,
+    once the library's reader, imported here to keep the CLI's import lean, accepts it."""
+    from .dyadic import read_rational
 
-    The size is checked first: `Fraction` expands a decimal exponent into
-    an exact integer, whatever its size."""
-    mantissa, _, exponent = raw.lower().partition("e")
     try:
-        size = sum(ch.isdecimal() for ch in mantissa) + (abs(int(exponent)) if exponent else 0)
-        if size > MAX_RATIONAL_DIGITS:
-            raise argparse.ArgumentTypeError(
-                f"must be in 1..{MAX_RATIONAL_DIGITS} digits, an exponent e-n counting as n; "
-                f"got {size}")
-        Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expects a rational like 1/3 or 0.25, got {raw!r}") from None
+        read_rational(raw)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return raw
 
 
@@ -109,7 +95,7 @@ def _scaling_time(raw: str) -> bicrossed.ScalingTime:
     parts = raw.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expects 'r,s', got {raw!r}")
-    return bicrossed.ScalingTime(*(Fraction(_rational(part)) for part in parts))
+    return bicrossed.ScalingTime(*map(_rational, parts))
 
 
 def _count(minimum: int, maximum: int) -> Callable[[str], int]:
@@ -288,10 +274,10 @@ def _build_family(args: argparse.Namespace) -> tuple[FusionFamily, dict]:
     inputs: dict = {"family": args.family, size_flag: size}
     if args.qq is not None:
         inputs["qq"] = args.qq
-        return build(size, q=Fraction(args.qq)), inputs
+        return build(size, q=args.qq), inputs
     if args.dimq is not None:
         inputs["dimq"] = args.dimq
-        return build(size, dim_q_fund=Fraction(args.dimq)), inputs
+        return build(size, dim_q_fund=args.dimq), inputs
     return build(size), inputs
 
 
@@ -356,7 +342,7 @@ def cmd_series(args: argparse.Namespace) -> report.Report:
         raise BudgetError(f"the intertwiner scan may reach {digits:.0f} digits, which exceeds "
                           f"the budget of {MAX_SCAN_DIGITS}")
     inputs.update({"tol": args.tol, "n_max": args.n_max})
-    verdict = criteria.masa_verdict(family, tol=Fraction(args.tol), n_max=args.n_max,
+    verdict = criteria.masa_verdict(family, tol=args.tol, n_max=args.n_max,
                                     bits=args.bits, max_terms=args.max_terms)
     results: dict = {
         "series": _series_payload(verdict.series),
@@ -376,9 +362,9 @@ def cmd_threshold(args: argparse.Namespace) -> report.Report:
 
     inputs = {"which": args.which, "tol": args.tol}
     if args.which == "dim2":
-        enclosure = criteria.threshold_dim2(Fraction(args.tol), bits=args.bits)
+        enclosure = criteria.threshold_dim2(args.tol, bits=args.bits)
     elif args.which == "remark":
-        enclosure = criteria.threshold_remark(Fraction(args.tol), bits=args.bits)
+        enclosure = criteria.threshold_remark(args.tol, bits=args.bits)
     else:
         enclosure = criteria.threshold_ratio_dimge3(bits=args.bits)
     results = {
@@ -445,7 +431,7 @@ def cmd_spectral(args: argparse.Namespace) -> report.Report:
         inputs["t"] = args.t
         results["eigencoefficients"] = [
             {"re": report.enclosure_payload(re), "im": report.enclosure_payload(im)}
-            for re, im in spectral.modular_eigencoefficients(n, q, Fraction(args.t), args.bits)
+            for re, im in spectral.modular_eigencoefficients(n, q, args.t, args.bits)
         ]
     return report.Report("spectral", inputs, results, _meta(args))
 
@@ -455,9 +441,8 @@ def cmd_jacobi(args: argparse.Namespace) -> report.Report:
 
     if args.M is None or args.q is None:
         raise UsageError("jacobi requires --M and --q")
-    q = Fraction(args.q)
     inputs = {"M": args.M, "q": args.q, "phase": args.phase}
-    op = spectral.build_jacobi(args.M, q)
+    op = spectral.build_jacobi(args.M, args.q)
     results: dict = {
         "krylov_rank": spectral.krylov_rank(op),
         "commutant_dim": spectral.commutant_dim(op),
@@ -465,7 +450,7 @@ def cmd_jacobi(args: argparse.Namespace) -> report.Report:
         "off_diagonal": [repr(x) for x in op.off_diagonal],
     }
     if args.M >= 4:
-        residual = spectral.suq2_relation_residuals(args.M, q, Fraction(args.phase))
+        residual = spectral.suq2_relation_residuals(args.M, args.q, args.phase)
         results["interior_residual"] = repr(residual)
     return report.Report("jacobi", inputs, results)
 
@@ -478,9 +463,8 @@ def cmd_bicrossed(args: argparse.Namespace) -> report.Report:
     rational = args.mode == "rational"
     if rational != (args.ratio is not None):
         raise UsageError("rational mode requires --ratio, and only rational mode takes it")
-    mode = (bicrossed.RatioRational(Fraction(args.ratio)) if rational
-            else bicrossed.RatioIrrational())
-    params = bicrossed.BicrossedParams(Fraction(args.q), mode)
+    mode = bicrossed.RatioRational(args.ratio) if rational else bicrossed.RatioIrrational()
+    params = bicrossed.BicrossedParams(args.q, mode)
     times = args.t or [bicrossed.ScalingTime(0, 1)]
     inputs = {"q": args.q, "mode": args.mode, "t": [f"{t.r},{t.s}" for t in times]}
     if rational:

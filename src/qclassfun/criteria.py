@@ -23,8 +23,10 @@ solved there (:func:`scalars.fixed_fundamental_q`), and each result leaves
 once, rounded outward to a :class:`~qclassfun.dyadic.Enclosure` at the
 working bits.  So the series, the block-sum total, the two closed-form
 bounds and all three thresholds run on ints alone, and every public function
-here returns an ``Enclosure``.  An input is exact, or an ``Enclosure`` read
-through its exact endpoints; an mpmath interval is refused.
+here returns an ``Enclosure``.  Each input is read once, on entry, by
+:mod:`dyadic`: a rational as an int, a ``Fraction`` or decimal text, or as
+the exact ends of an ``Enclosure`` where one may stand for it, and a count
+as an int in its range; a float, an mpmath interval or malformed text is refused.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .errors import BudgetError, DomainError, FamilyError, KacTypeError, Record
 from .fusion import FusionFamily, Label
 from .scalars import fixed_fundamental_q
 
-#: An input of a series or a bound: a rational (int, Fraction, float or
-#: decimal string), or an Enclosure read through its exact endpoints.
-Exact = int | float | str | Fraction | Enclosure
+#: An input of a series or a bound: a rational (int, Fraction or decimal
+#: string), or an Enclosure read through its exact endpoints.
+Exact = int | str | Fraction | Enclosure
 
 #: sup of the multiplicity of the top component in fundamental-times-ladder
 #: fusion; both ladder kinds have multiplicity one there.
@@ -103,21 +105,18 @@ class SeriesResult(Record):
 
 
 def _doublings(bits: int) -> list[int]:
-    """`bits`, then twice, four times ... as much while at most MAX_BITS;
-    `bits` outside ``1..MAX_BITS`` is a domain error."""
-    dyadic.check_bits(bits)
+    """`bits`, then twice, four times ... as much while at most MAX_BITS."""
     return [bits << k for k in range(MAX_BITS.bit_length()) if k == 0 or bits << k <= MAX_BITS]
 
 
-def _tol_fraction(tol) -> Fraction:
-    """`tol` as an exact positive rational; floats are read by their repr."""
-    try:
-        value = Fraction(tol) if isinstance(tol, (int, Fraction)) else Fraction(str(tol))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"tolerance must be a positive rational, got {tol!r}") from exc
-    if value <= 0:
+def _read_tol(tol, bits: int, max_terms: int = 1) -> Fraction:
+    """`tol` as a positive rational, after the count checks of `bits` and `max_terms`."""
+    dyadic.check_count(bits, "bits", 1, MAX_BITS)
+    dyadic.check_count(max_terms, "max_terms", 1)
+    tol = dyadic.read_rational(tol)
+    if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    return value
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +137,7 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
     This is the exact reproduction of the lemma; the certified sums below
     use the sharper majorant of the deformed-integer closed form instead.
     """
+    dyadic.check_count(n_max, "n_max", 0)
     if not family.is_ladder:
         raise FamilyError("decay verification applies to ladder families")
     def rate(n: int) -> Fraction:
@@ -180,7 +180,7 @@ def _deformed_ratio_sum(
     y_low: Fraction,
     step: int,
     first: int,
-    tol,
+    tol: Fraction,
     bits: int,
     max_terms: int,
 ) -> SeriesResult:
@@ -217,9 +217,6 @@ def _deformed_ratio_sum(
     `bits` and doubling up to MAX_BITS while a budget-exhausted majorant
     still reaches down to `tol`.
     """
-    if max_terms < 1:
-        raise DomainError(f"need a positive term budget, got {max_terms}")
-    tol = _tol_fraction(tol)
     mul, div, sqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt
     partial = None
     for bits in _doublings(bits):
@@ -306,8 +303,7 @@ def quasi_split_sum_ladder(
     """
     if not family.is_ladder:
         raise FamilyError("ladder summation applies to ladder families")
-    if max_terms < 1:
-        raise DomainError(f"need a positive term budget, got {max_terms}")
+    tol = _read_tol(tol, bits, max_terms)
     if family.is_kac:
         return SeriesResult(Verdict.DIVERGES)
     step = 2 if family.kind is fusion.FamilyKind.SO3_LADDER else 1
@@ -349,14 +345,15 @@ def block_sum_S(
     ``q_c = 1``.  Both inputs being one single point means Kac type, where
     every term is 1 and the sum diverges.
 
-    Each input is read once, as a rational (an int, ``Fraction``, float or
-    decimal string) or as the exact endpoints of an Enclosure, and the
-    roots are their fixed-point hull.  A pair certainly outside
+    Each input is read once by :func:`dyadic.read_hull`, as a rational (an
+    int, ``Fraction`` or decimal string) or as the exact endpoints of an
+    Enclosure, and the roots are their fixed-point hull.  A pair certainly outside
     ``0 < q_q <= q_c <= 1``, or possibly negative, raises; a pair not
     separated from ``q_q = q_c`` or ``q_c = 1`` escalates like any other,
     ending `undetermined` if no precision separates it.
     """
-    (qc_lo, qc_hi), (qq_lo, qq_hi) = (_exact_hull(v) for v in (q_c, q_q))
+    (qc_lo, qc_hi), (qq_lo, qq_hi) = dyadic.read_hull(q_c), dyadic.read_hull(q_q)
+    tol = _read_tol(tol, bits, max_terms)
     if qc_lo == qc_hi == qq_lo == qq_hi:
         return SeriesResult(Verdict.DIVERGES)
     if qq_hi <= 0 or qc_lo > 1 or qc_hi < qq_lo:
@@ -368,16 +365,6 @@ def block_sum_S(
         return dyadic.fixed_hull(qc_lo, qc_hi, p), dyadic.fixed_hull(qq_lo, qq_hi, p)
 
     return _deformed_ratio_sum(roots, qq_lo, 1, 2, tol, bits, max_terms)
-
-
-def _exact_hull(value: Exact) -> tuple[Fraction, Fraction]:
-    """Exact endpoints of an input of a series or a bound."""
-    if isinstance(value, Enclosure):
-        return dyadic.exact_endpoints(value)
-    try:
-        return (Fraction(value),) * 2
-    except (TypeError, ValueError, OverflowError) as exc:  # NaN, infinity, or not a rational
-        raise DomainError(f"need a finite rational, got {value!r}") from exc
 
 
 def total_sum_free(block_sum: SeriesResult) -> SeriesResult:
@@ -451,8 +438,8 @@ def bound_S_dim2(q: Exact, bits: int = DEFAULT_BITS) -> Enclosure:
     (:func:`_point_bits`), so a small `q` keeps `bits` significant bits, and
     rounded outward to `bits`.
     """
-    dyadic.check_bits(bits)
-    lo, hi = _exact_hull(q)
+    dyadic.check_count(bits, "bits", 1, MAX_BITS)
+    lo, hi = dyadic.read_hull(q)
     value = None
     if 0 < lo and hi < 1:
         p = _point_bits(bits, lo)
@@ -488,8 +475,8 @@ def bound_S_dimge3(q_c: Exact, q_q: Exact, bits: int = DEFAULT_BITS) -> Enclosur
     `q_q`; a pair not certainly inside ``0 < q_q < q_c < 1``, or not
     separated from its ends at that precision, is a domain error.
     """
-    dyadic.check_bits(bits)
-    (qc_lo, qc_hi), (qq_lo, qq_hi) = (_exact_hull(v) for v in (q_c, q_q))
+    dyadic.check_count(bits, "bits", 1, MAX_BITS)
+    (qc_lo, qc_hi), (qq_lo, qq_hi) = dyadic.read_hull(q_c), dyadic.read_hull(q_q)
     value = None
     if 0 < qq_lo and qq_hi < qc_lo and qc_hi < 1:
         p = _point_bits(bits, qq_lo)
@@ -656,8 +643,7 @@ def _unit_crossing(
 
 def _threshold(which: str, tol, bits: int) -> Enclosure:
     f, slopes = _CROSSINGS[which]
-    tol = _tol_fraction(tol)
-    dyadic.check_bits(bits)
+    tol = _read_tol(tol, bits)
     return _unit_crossing(f, slopes, _SEARCH_LO, _SEARCH_HI, tol, bits, _estimate(which, tol))
 
 
@@ -698,7 +684,7 @@ def threshold_ratio_dimge3(bits: int = DEFAULT_BITS) -> Enclosure:
     """Closed-form ratio threshold ``(1 + sqrt((3 sqrt(5) + 5)/10))^(-2)``,
     with decimal expansion starting 0.2306, evaluated in fixed point with
     eight guard bits and rounded outward to `bits`."""
-    dyadic.check_bits(bits)
+    dyadic.check_count(bits, "bits", 1, MAX_BITS)
     p = bits + 8  # the value lies in [1/8, 1/4), so p keeps bits + 5 bits below it
     return dyadic.fixed_enclosure(*_ratio_threshold(p), p, bits)
 
@@ -757,6 +743,7 @@ def kac_part(family: FusionFamily, n_max: int) -> list[int]:
     Non-Kac families yield exactly the trivial label.  The two dimension
     tables of :func:`fusion.scaled_dims` are compared as scaled ints, and no
     ``Fraction`` is built."""
+    dyadic.check_count(n_max, "n_max", 0)
     if not family.is_ladder:
         raise FamilyError("kac_part applies to ladder families")
     labels = range(n_max + 1)
@@ -797,11 +784,13 @@ def masa_verdict(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> MasaVerdict:
     """Run the summability criterion and the intertwiner scan for `family`."""
+    dyadic.check_count(n_max, "n_max", 0)
     if family.is_ladder:
         series = quasi_split_sum_ladder(family, tol, bits=bits, max_terms=max_terms)
         all_nontrivial = kac_part(family, n_max) == [0]
         block = None
     else:
+        tol = _read_tol(tol, bits, max_terms)
         if family.is_kac:
             block = SeriesResult(Verdict.DIVERGES)
         else:

@@ -1,5 +1,8 @@
 """Exact dyadic rationals ``m·2^e``: outward rounding, elementary functions
-and decimal text with ints.
+and decimal text with ints, and the one reader of the package's inputs:
+:func:`read_rational` reads every rational a caller or a command-line flag
+gives, :func:`read_hull` one that an :class:`Enclosure` may stand for, and
+:func:`check_count` checks every count.
 
 Every endpoint of an enclosure is a dyadic rational, held here as a pair
 ``(m, e)`` of ints: the signed mantissa and the binary exponent.  This
@@ -56,7 +59,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .budgets import MAX_BITS
+from .budgets import MAX_BITS, MAX_RATIONAL_DIGITS
 from .errors import BudgetError, DomainError, Record
 
 Dyadic = tuple[int, int]  # (m, e): the value m·2^e
@@ -65,11 +68,42 @@ Fixed = tuple[int, int]  # (lo, hi): the interval [lo, hi]·2^-p of a fraction b
 _LOG10_2 = math.log10(2)
 
 
-def check_bits(bits: int) -> None:
-    """The one check of a precision: `bits` outside ``1..MAX_BITS`` is a
-    domain error."""
-    if not 1 <= bits <= MAX_BITS:
-        raise DomainError(f"bits must lie in 1..{MAX_BITS}, got {bits}")
+def read_rational(value: int | str | Fraction) -> Fraction:
+    """An int or a ``Fraction`` as it is, or text within ``MAX_RATIONAL_DIGITS``
+    digits, checked before ``Fraction`` expands its exponent.  A float or a
+    bool raises ``TypeError``, as its binary value is not what it prints, and
+    anything else that is no finite rational :class:`DomainError`."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"pass an int, Fraction or decimal string for exactness, got {value!r}")
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        try:
+            size = sum(map(str.isdecimal, mantissa)) + abs(int(exponent or 0))
+        except ValueError:  # no exponent of a rational: Fraction refuses the text
+            size = 0
+        if size > MAX_RATIONAL_DIGITS:
+            raise DomainError(f"a rational must be in 1..{MAX_RATIONAL_DIGITS} digits, "
+                              f"an exponent e-n counting as n; got {size}")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"need a finite rational, got {value!r}") from None
+
+
+def read_hull(value: int | str | Fraction | Enclosure) -> tuple[Fraction, Fraction]:
+    """Exact ends of an :class:`Enclosure`, or a rational of :func:`read_rational` twice."""
+    return exact_endpoints(value) if isinstance(value, Enclosure) else (read_rational(value),) * 2
+
+
+def check_count(value: int, name: str, low: int, high: int | None = None) -> None:
+    """The one check of a count, such as `bits` in ``1..MAX_BITS``: `value`
+    must be an int, not a bool, in ``low..high`` (no upper end without
+    `high`), or it is a domain error."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if value < low or high is not None and value > high:
+        span = f"be >= {low}" if high is None else f"lie in {low}..{high}"
+        raise DomainError(f"{name} must {span}, got {value}")
 
 
 def decimal_digits(bits: int) -> int:

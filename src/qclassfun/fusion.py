@@ -25,6 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from .dyadic import check_count, read_rational
 from .errors import DomainError, FamilyError, Record
 
 TYPE_CHECKING = False
@@ -46,28 +47,21 @@ class FamilyKind(Enum):
     FREE_UNITARY = "free-unitary"
 
 
-def exact_fraction(value: int | str | Fraction) -> Fraction:
-    """Exact conversion; floats are refused to avoid silent binary rounding."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(
-            f"pass an int, Fraction or decimal string for exactness, got {value!r}"
-        )
-    return Fraction(value)
-
-
 class FusionFamily(Record):
     """Fusion data of one family: kind plus fundamental dimensions.
 
-    `dim_q_fund` must dominate `dim_c_fund`; equality is the Kac case, where
-    every quantum dimension collapses onto the classical one.
+    `dim_c_fund` is an int of at least 2, or 3 for so3 ladders, whose
+    classical dimensions go 1, 2, 1, -1, ... at 2.  The rational
+    `dim_q_fund` must dominate it; equality is the Kac case, where every
+    quantum dimension collapses onto the classical one.
     """
 
     __slots__ = ("kind", "dim_c_fund", "dim_q_fund")
 
-    def __init__(self, kind: FamilyKind, dim_c_fund: int, dim_q_fund: Fraction,
+    def __init__(self, kind: FamilyKind, dim_c_fund: int, dim_q_fund: int | str | Fraction,
                  _set=object.__setattr__) -> None:
-        if dim_c_fund < 2:
-            raise DomainError(f"fundamental dimension must be >= 2, got {dim_c_fund}")
+        check_count(dim_c_fund, "fundamental dimension", 3 if kind is FamilyKind.SO3_LADDER else 2)
+        dim_q_fund = read_rational(dim_q_fund)
         if dim_q_fund < dim_c_fund:
             raise DomainError(
                 f"quantum dimension {dim_q_fund} may not fall below the "
@@ -93,17 +87,15 @@ def _dim_q_from_args(
     dim_fund: int,
     dim_q_fund: int | str | Fraction | None,
     q: int | str | Fraction | None,
-) -> Fraction:
+) -> int | str | Fraction:
     if dim_q_fund is not None and q is not None:
         raise DomainError("give either dim_q_fund or q, not both")
     if q is not None:
-        qq = exact_fraction(q)
+        qq = read_rational(q)
         if not (0 < qq <= 1):
             raise DomainError(f"deformation parameter must lie in (0, 1], got {qq}")
         return qq + 1 / qq
-    if dim_q_fund is not None:
-        return exact_fraction(dim_q_fund)
-    return Fraction(dim_fund)  # Kac by default
+    return dim_fund if dim_q_fund is None else dim_q_fund  # Kac by default
 
 
 def su2_ladder(dim_fund: int, dim_q_fund=None, q=None) -> FusionFamily:
@@ -112,13 +104,7 @@ def su2_ladder(dim_fund: int, dim_q_fund=None, q=None) -> FusionFamily:
 
 
 def so3_ladder(dim_fund: int, dim_q_fund=None) -> FusionFamily:
-    """Ladder family with three-term fusion (quantum automorphism type).
-
-    Needs ``dim_fund >= 3``: below that the classical dimensions of the
-    recursion go 1, 2, 1, -1, ... and define no family.
-    """
-    if dim_fund < 3:
-        raise DomainError(f"so3 ladders need fundamental dimension >= 3, got {dim_fund}")
+    """Ladder family with three-term fusion (quantum automorphism type)."""
     return FusionFamily(FamilyKind.SO3_LADDER, dim_fund, _dim_q_from_args(dim_fund, dim_q_fund, None))
 
 
@@ -349,11 +335,10 @@ def _block_lengths(word: str) -> tuple[int, ...]:
 
 def check_ladder(n: int, q: int | str | Fraction) -> Fraction:
     """The one check of an ``SU_q(2)`` ladder ``(n, q)``: `n` must be a
-    nonnegative int, and `q`, read with :func:`exact_fraction`, must lie in
-    ``(0, 1]``, decided exactly.  Returns `q` as a ``Fraction``."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"ladder index must be a nonnegative int, got {n!r}")
-    value = exact_fraction(q)
+    nonnegative int, and `q`, read with :func:`~qclassfun.dyadic.read_rational`,
+    must lie in ``(0, 1]``, decided exactly.  Returns `q` as a ``Fraction``."""
+    check_count(n, "ladder index", 0)
+    value = read_rational(q)
     if not 0 < value <= 1:
         raise DomainError(f"spectral parameter must lie in (0, 1], got {q}")
     return value

@@ -12,7 +12,7 @@ a bit count, :func:`make` encloses an exact value in it (default 128
 bits), and an operation works at the precision of its left interval
 operand.  No global state is read or written, so concurrent callers may use
 different precisions.  The context factory checks its bit count with
-:func:`qclassfun.dyadic.check_bits`, and a rejected count is never cached.
+:func:`qclassfun.dyadic.check_count`, and a rejected count is never cached.
 
 :func:`make` accepts exact data only: ints, :class:`~fractions.Fraction`,
 decimal strings (converted outward) and existing intervals.  Floats are
@@ -49,7 +49,7 @@ IntervalLike = int | float | str | Fraction | Interval
 
 @lru_cache(maxsize=None)
 def _context(bits: int) -> Context:
-    dyadic.check_bits(bits)
+    dyadic.check_count(bits, "bits", 1, MAX_BITS)
     ctx = Context()
     ctx.prec = bits
     return ctx

@@ -31,6 +31,8 @@ def _count_matchings(n: int, joins: Callable[[int, int], bool]) -> int:
     some p, which leaves ``i+1..p-1`` and ``p+1..j-1`` to be matched on their
     own.  Only spans of even length are filled; the empty span counts 1.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n % 2 == 1:
         return 0
     c = [[1] * (n + 1) for _ in range(n + 1)]

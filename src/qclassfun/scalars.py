@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from . import dyadic
-from .budgets import DEFAULT_BITS
+from .budgets import DEFAULT_BITS, MAX_BITS
 from .errors import DomainError
 
 TYPE_CHECKING = False
@@ -81,13 +81,13 @@ def fixed_fundamental_q(d: tuple[int, int], frac_bits: int) -> tuple[int, int]:
     return dyadic.fixed_div((two, two), (d[0] + root[0], d[1] + root[1]), frac_bits)
 
 
-def solve_fundamental_q(d: int | Fraction | dyadic.Enclosure,
+def solve_fundamental_q(d: int | str | Fraction | dyadic.Enclosure,
                         bits: int = DEFAULT_BITS) -> dyadic.Enclosure:
-    """Certified root in (0, 1] of ``x + 1/x = d >= 2``, `d` read exactly (an
-    int, a Fraction or an Enclosure), from :func:`fixed_fundamental_q` with
-    `bits` kept below the root's leading bit (the root is >= 1/d)."""
-    dyadic.check_bits(bits)
-    lo, hi = dyadic.exact_endpoints(d) if isinstance(d, dyadic.Enclosure) else (Fraction(d),) * 2
+    """Certified root in (0, 1] of ``x + 1/x = d >= 2``, `d` a rational or an
+    Enclosure (:func:`dyadic.read_hull`), from :func:`fixed_fundamental_q`
+    with `bits` kept below the root's leading bit (the root is >= 1/d)."""
+    dyadic.check_count(bits, "bits", 1, MAX_BITS)
+    lo, hi = dyadic.read_hull(d)
     if lo < 2:
         raise DomainError(f"no root in (0, 1] unless d >= 2, got {d}")
     frac_bits = bits + math.ceil(hi).bit_length() + 4

@@ -35,7 +35,7 @@ from functools import lru_cache
 from fractions import Fraction
 
 from . import dyadic
-from .budgets import DEFAULT_BITS, MAX_COMMUTANT_SIZE
+from .budgets import DEFAULT_BITS, MAX_BITS, MAX_COMMUTANT_SIZE
 from .dyadic import Dyadic, Enclosure
 from .errors import BudgetError, DomainError, Record
 
@@ -117,17 +117,17 @@ def modular_norm_sq(n: int, q: int | str | Fraction, b: int | str | Fraction,
     of the ladder ``(n, q)``.
 
     The real part of the modular parameter drops out, so only `b` is taken,
-    read exactly as `q` is (a float is refused).  At the exponents ±1 the
+    read by :func:`dyadic.read_rational` as `q` is.  At the exponents ±1 the
     sums are equal (trace balance) and the norm is exactly 1; at any other
     exponent both sums come from :func:`_ladder_sum` and are divided once,
     rounded outward to `bits`.  An int exponent costs its bit length in
     squarings, any other one ``log q`` and four exponentials.
     """
-    from .fusion import check_ladder, exact_fraction
+    from .fusion import check_ladder
 
     q = check_ladder(n, q)
-    exponent = -4 * exact_fraction(b) - 1
-    dyadic.check_bits(bits)
+    exponent = -4 * dyadic.read_rational(b) - 1
+    dyadic.check_count(bits, "bits", 1, MAX_BITS)
     if abs(exponent) == 1:
         return Enclosure((1, 0), (1, 0), bits)
     powered, total = _ladder_sum(n, q, exponent, bits), _ladder_sum(n, q, 1, bits)
@@ -138,7 +138,7 @@ def modular_norm_sq(n: int, q: int | str | Fraction, b: int | str | Fraction,
 def modular_eigencoefficients(n: int, q: int | str | Fraction, t: int | str | Fraction,
                               bits: int = DEFAULT_BITS) -> list[tuple[Enclosure, Enclosure]]:
     """Unit-circle coefficients ``lam^(2it)`` of the twisted character, for
-    the eigenvalues of the ladder ``(n, q)`` and `t`, read exactly as `q` is.
+    the eigenvalues of the ladder ``(n, q)`` and `t`, read as `q` is.
 
     Returns (real, imaginary) enclosure pairs at `bits`, one per eigenvalue,
     in the order of :func:`qclassfun.fusion.rho_spectrum`.  The coefficient
@@ -151,11 +151,11 @@ def modular_eigencoefficients(n: int, q: int | str | Fraction, t: int | str | Fr
     cos and sin are 1-Lipschitz; ``-j`` negates the sine.  At ``t = 0`` or
     ``q = 1`` every coefficient is exactly 1.
     """
-    from .fusion import check_ladder, exact_fraction
+    from .fusion import check_ladder
 
     q = check_ladder(n, q)
-    t = exact_fraction(t)
-    dyadic.check_bits(bits)
+    t = dyadic.read_rational(t)
+    dyadic.check_count(bits, "bits", 1, MAX_BITS)
     if not t or q == 1:
         return [(Enclosure((1, 0), (1, 0), bits), Enclosure((0, 0), (0, 0), bits))] * (n + 1)
     p, r = q.as_integer_ratio()
@@ -210,12 +210,10 @@ class JacobiOperator(Record):
         return tuple(math.sqrt(entry) for entry in self.squares)
 
 
-def build_jacobi(size: int, q: Fraction | int | float | str) -> JacobiOperator:
-    """Compression of the real part of the weighted shift to M basis vectors.
-
-    `q` is read exactly; a float as the binary rational it denotes.
-    """
-    q = Fraction(q)
+def build_jacobi(size: int, q: int | str | Fraction) -> JacobiOperator:
+    """Compression of the real part of the weighted shift to M basis vectors;
+    `q` is read by :func:`dyadic.read_rational`."""
+    q = dyadic.read_rational(q)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
     squares, power = [], Fraction(1)
@@ -367,10 +365,12 @@ def matrix_commutant_dim(size: int, squares: Sequence[Fraction]) -> int:
     is `size` exactly when the spectrum is simple.  That is certified by
     :func:`_isolate`; a spectrum it cannot certify simple raises
     :class:`BudgetError`, so a multiple eigenvalue is never reported as `size`.
+    Each square is read by :func:`dyadic.read_rational`.
     """
+    squares = tuple(map(dyadic.read_rational, squares))
     if size < 2 or len(squares) != size - 1 or any(entry < 0 for entry in squares):
         raise DomainError("need size >= 2 and size - 1 nonnegative squares")
-    _isolate(tuple(squares))
+    _isolate(squares)
     return size
 
 
@@ -387,14 +387,14 @@ def min_eigenvalue_gap(op: JacobiOperator) -> float:
     return min(_float_bounds(Fraction(lo) - Fraction(hi))[0] for lo, hi in zip(lows[1:], highs))
 
 
-def suq2_relation_residuals(size: int, q: Fraction | int | float | str,
-                            phase: Fraction | int | str = 0) -> float:
+def suq2_relation_residuals(size: int, q: int | str | Fraction,
+                            phase: int | str | Fraction = 0) -> float:
     """Certified upper bound on the interior residuals of the deformed-unitary
     generator relations.
 
     The truncated shift ``a phi_k = sqrt(1 - q^(2k)) phi_(k-1)`` and diagonal
-    ``g phi_k = e^(i phase) q^k phi_k`` (`q` and the angle `phase` read
-    exactly) enter
+    ``g phi_k = e^(i phase) q^k phi_k`` (`q` and the angle `phase` read by
+    :func:`dyadic.read_rational`) enter
 
         a* a + g* g - 1,   a a* + q^2 g g* - 1,   g g* - g* g,
         a g - q g a,       a g* - q g* a
@@ -410,12 +410,12 @@ def suq2_relation_residuals(size: int, q: Fraction | int | float | str,
     """
     if size < 4:
         raise DomainError(f"need size >= 4 to have an interior block, got {size}")
-    q = Fraction(q)
+    q, phase = dyadic.read_rational(q), dyadic.read_rational(phase)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
     p = DEFAULT_BITS
     one = 1 << p
-    unit = [dyadic.fixed_abs(part) for part in dyadic.fixed_cos_sin(Fraction(phase), p)]
+    unit = [dyadic.fixed_abs(part) for part in dyadic.fixed_cos_sin(phase, p)]
     modulus_sq = tuple(map(sum, zip(*(dyadic.fixed_mul(part, part, p) for part in unit))))
     base = dyadic.to_fixed(q, p)
     powers = [(one, one)]

@@ -562,7 +562,7 @@ def test_threshold_past_max_bits_fails_fast_with_a_short_message(threshold):
     # dyadic ratio of some 650 digits
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="undecided") as info:
-        threshold("1e-310")
+        threshold(Fraction(1, 10**310))
     assert time.perf_counter() - start < 1
     assert len(str(info.value)) < 200
 

@@ -653,3 +653,37 @@ def test_fixed_abs_examples():
     assert dyadic.fixed_abs((-3, 5)) == (0, 5)
     assert dyadic.fixed_abs((-5, -3)) == (3, 5)
     assert dyadic.fixed_abs((3, 5)) == (3, 5)
+
+
+# ---------------------------------------------------------------------------
+# the one reader of the package's inputs
+
+
+def test_the_reader_takes_ints_fractions_text_and_an_enclosure_where_a_hull_is_wanted():
+    # the kinds of input the CLI and the benchmark's library calls pass
+    assert dyadic.read_rational(3) == 3 and dyadic.read_rational(10**100) == 10**100
+    assert dyadic.read_rational(Fraction(-1, 3)) == Fraction(-1, 3)
+    assert dyadic.read_rational(" -2.5e-3 ") == Fraction(-1, 400)
+    assert dyadic.read_rational("1e-23") == Fraction(1, 10**23)  # 24 digits: the budget
+    assert dyadic.read_rational("1/" + "7" * 23) == Fraction(1, int("7" * 23))
+    enclosure = dyadic.rational_enclosure(Fraction(1, 3), Fraction(1, 2), 64)
+    assert dyadic.read_hull(enclosure) == dyadic.exact_endpoints(enclosure)
+    assert dyadic.read_hull("1/3") == (Fraction(1, 3), Fraction(1, 3))
+    with pytest.raises(DomainError, match="need a finite rational"):
+        dyadic.read_rational(enclosure)
+    with pytest.raises(DomainError, match="need a finite rational"):
+        dyadic.read_rational(None)
+    with pytest.raises(DomainError, match="must be in 1..24 digits"):
+        dyadic.read_rational("1e24")
+
+
+def test_the_count_check_names_the_count_and_its_range():
+    dyadic.check_count(0, "n", 0)
+    dyadic.check_count(7, "n", 1, 7)
+    for value, message in ((True, "n must be an int, got True"),
+                           (2.0, "n must be an int, got 2.0"),
+                           (-1, "n must be >= 0, got -1")):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            dyadic.check_count(value, "n", 0)
+    with pytest.raises(DomainError, match="^bits must lie in 1..1024, got 1025$"):
+        dyadic.check_count(1025, "bits", 1, 1024)

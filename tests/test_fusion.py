@@ -57,6 +57,19 @@ def test_family_rejects_floats():
         su2_ladder(2, q=0.3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: su2_ladder(3.0),
+    lambda: free_unitary(2.5),
+    lambda: free_unitary(2.5, q="1/10"),
+    lambda: so3_ladder(True),
+], ids=["su2 float", "free non-integer", "free non-integer deformed", "so3 bool"])
+def test_family_refuses_a_classical_dimension_that_is_no_int(build):
+    # su2_ladder(3.0) printed float dimensions and "not a MASA"; free_unitary(2.5)
+    # gave a classical dimension of 5/2 and, with q, a quasi-split verdict
+    with pytest.raises(DomainError, match="fundamental dimension must be an int"):
+        build()
+
+
 def test_kac_flag():
     assert su2_ladder(2).is_kac
     assert su2_ladder(2, q=1).is_kac

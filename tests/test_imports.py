@@ -146,6 +146,22 @@ def test_bare_cli_import_loads_no_json_and_none_of_the_lean_modules():
     assert loaded.split() == []
 
 
+def test_bare_cli_import_loads_only_the_budgets_and_errors_of_the_package():
+    # the rational flags' reader lives in dyadic, imported when a flag is read
+    loaded = _python("import json, sys, qclassfun.cli\n"
+                     "print(json.dumps([m for m in sys.modules if m.startswith('qclassfun.')]))")
+    assert sorted(loaded) == ["qclassfun.budgets", "qclassfun.cli", "qclassfun.errors"]
+
+
+def test_bicrossed_loads_no_fusion():
+    loaded = _python("import contextlib, io, json, sys\n"
+                     "from qclassfun.cli import main\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    code = main(['bicrossed', '--q', '1/3', '--mode', 'irrational'])\n"
+                     "print(json.dumps([code, 'qclassfun.fusion' in sys.modules]))")
+    assert loaded == [0, False]
+
+
 def test_bare_package_import_loads_no_working_module():
     loaded = _python("import json, sys, qclassfun\n"
                      "print(json.dumps([m for m in sys.modules if m.startswith('qclassfun.')]))")

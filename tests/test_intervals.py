@@ -3,6 +3,7 @@
 import ast
 import inspect
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from mpmath import iv
 from mpmath.ctx_iv import ivmpf
 
 import qclassfun
-from qclassfun import criteria, dyadic, fusion, intervals, scalars, spectral
+from qclassfun import bicrossed, criteria, dyadic, fusion, intervals, scalars, spectral
 from qclassfun.errors import DomainError, Record
 from interval_oracle import to_enclosure
 
@@ -193,7 +194,6 @@ _BLOCK = criteria.block_sum_S(1, Fraction(1, 10), Fraction(1, 1000))
 #: One small valid call of each public function of the four modules, except
 #: ``LaurentScalar.evaluate``, the one method that returns an mpmath interval.
 BOUNDARY_CALLS = {
-    "fusion.exact_fraction": lambda: fusion.exact_fraction("1/3"),
     "fusion.su2_ladder": lambda: fusion.su2_ladder(3, q=Fraction(1, 5)),
     "fusion.so3_ladder": lambda: fusion.so3_ladder(4, dim_q_fund=5),
     "fusion.free_unitary": lambda: fusion.free_unitary(2, q=Fraction(1, 10)),
@@ -283,3 +283,157 @@ def test_the_boundary_calls_cover_every_public_function():
 def test_no_public_function_returns_an_mpmath_interval(name):
     result = BOUNDARY_CALLS[name]()
     assert not any(isinstance(value, ivmpf) for value in _held(result))
+
+
+# ---------------------------------------------------------------------------
+# the one reader: every rational and every count from a caller
+
+
+_THIRD = Fraction(1, 3)
+_HALF_IRRATIONAL = bicrossed.BicrossedParams(Fraction(1, 2), bicrossed.RatioIrrational())
+_MINUS_HALF_IRRATIONAL = bicrossed.BicrossedParams(Fraction(-1, 2), bicrossed.RatioIrrational())
+
+#: Each public function that reads a rational, once per rational argument:
+#: `x` in that argument and valid values in the others.
+RATIONAL_CALLS = {
+    "fusion.su2_ladder q": lambda x: fusion.su2_ladder(3, q=x),
+    "fusion.su2_ladder dim_q_fund": lambda x: fusion.su2_ladder(3, dim_q_fund=x),
+    "fusion.so3_ladder dim_q_fund": lambda x: fusion.so3_ladder(4, dim_q_fund=x),
+    "fusion.free_unitary q": lambda x: fusion.free_unitary(2, q=x),
+    "fusion.free_unitary dim_q_fund": lambda x: fusion.free_unitary(2, dim_q_fund=x),
+    "fusion.check_ladder q": lambda x: fusion.check_ladder(2, x),
+    "fusion.rho_spectrum q": lambda x: list(fusion.rho_spectrum(2, x)),
+    "spectral.trace_balanced q": lambda x: spectral.trace_balanced(2, x),
+    "spectral.modular_norm_sq q": lambda x: spectral.modular_norm_sq(2, x, _THIRD),
+    "spectral.modular_norm_sq b": lambda x: spectral.modular_norm_sq(2, _THIRD, x),
+    "spectral.modular_eigencoefficients q":
+        lambda x: spectral.modular_eigencoefficients(2, x, _THIRD),
+    "spectral.modular_eigencoefficients t":
+        lambda x: spectral.modular_eigencoefficients(2, _THIRD, x),
+    "spectral.build_jacobi q": lambda x: spectral.build_jacobi(4, x),
+    "spectral.matrix_commutant_dim squares":
+        lambda x: spectral.matrix_commutant_dim(3, [Fraction(1, 2), x]),
+    "spectral.suq2_relation_residuals q": lambda x: spectral.suq2_relation_residuals(4, x),
+    "spectral.suq2_relation_residuals phase":
+        lambda x: spectral.suq2_relation_residuals(4, Fraction(1, 2), x),
+    "criteria.quasi_split_sum_ladder tol": lambda x: criteria.quasi_split_sum_ladder(_FAMILY, x),
+    "criteria.block_sum_S q_c": lambda x: criteria.block_sum_S(x, Fraction(1, 10), _THIRD),
+    "criteria.block_sum_S q_q": lambda x: criteria.block_sum_S(1, x, _THIRD),
+    "criteria.block_sum_S tol": lambda x: criteria.block_sum_S(1, Fraction(1, 10), x),
+    "criteria.bound_S_dim2 q": lambda x: criteria.bound_S_dim2(x),
+    "criteria.bound_S_dimge3 q_c": lambda x: criteria.bound_S_dimge3(x, Fraction(1, 10)),
+    "criteria.bound_S_dimge3 q_q": lambda x: criteria.bound_S_dimge3(Fraction(1, 2), x),
+    "criteria.threshold_dim2 tol": lambda x: criteria.threshold_dim2(x),
+    "criteria.threshold_remark tol": lambda x: criteria.threshold_remark(x),
+    "criteria.masa_verdict ladder tol": lambda x: criteria.masa_verdict(_FAMILY, x, n_max=5),
+    "criteria.masa_verdict free tol": lambda x: criteria.masa_verdict(_FREE, x, n_max=5),
+    "scalars.solve_fundamental_q d": lambda x: scalars.solve_fundamental_q(x),
+    "bicrossed.RatioRational ratio": lambda x: bicrossed.RatioRational(x),
+    "bicrossed.BicrossedParams q":
+        lambda x: bicrossed.BicrossedParams(x, bicrossed.RatioIrrational()),
+    "bicrossed.ScalingTime r": lambda x: bicrossed.ScalingTime(x, 0),
+    "bicrossed.ScalingTime s": lambda x: bicrossed.ScalingTime(0, x),
+    "bicrossed.iso_necessary nu_ratio":
+        lambda x: bicrossed.iso_necessary(_HALF_IRRATIONAL, _MINUS_HALF_IRRATIONAL, x),
+}
+
+#: Text that is no finite rational, and text past the 24-digit budget: 25
+#: digits, and an exponent that ``Fraction`` would expand to 3 million digits.
+MALFORMED_TEXT = ["abc", "1/0", "nan", "inf"]
+OVER_BUDGET_TEXT = ["1/" + "1" * 24, "1e-3000000"]
+
+
+def test_the_rational_calls_take_valid_values():
+    for name, call in RATIONAL_CALLS.items():
+        call(5 if name.endswith((" dim_q_fund", " d")) else Fraction(1, 7))
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_CALLS))
+def test_every_rational_argument_is_read_by_the_one_reader(name):
+    call = RATIONAL_CALLS[name]
+    for value in (0.5, 1.0, float("nan"), True, False):
+        with pytest.raises(TypeError, match="for exactness"):
+            call(value)
+    for values, message in ((MALFORMED_TEXT, "need a finite rational"),
+                            (OVER_BUDGET_TEXT, "must be in 1..24 digits")):
+        for value in values:
+            start = time.process_time()
+            with pytest.raises(DomainError, match=message):
+                call(value)
+            assert time.process_time() - start < 1, value
+
+
+_KAC = fusion.su2_ladder(3)
+_FREE_KAC = fusion.free_unitary(2)
+
+#: Each public function that takes a count, once per count argument and per
+#: early exit (a Kac family's series ends before it is summed).
+COUNT_CALLS = {
+    "fusion.su2_ladder dim_fund": lambda k: fusion.su2_ladder(k),
+    "fusion.so3_ladder dim_fund": lambda k: fusion.so3_ladder(k),
+    "fusion.free_unitary dim_fund": lambda k: fusion.free_unitary(k, q=Fraction(1, 10)),
+    "fusion.check_ladder n": lambda k: fusion.check_ladder(k, _THIRD),
+    "fusion.rho_spectrum n": lambda k: list(fusion.rho_spectrum(k, _THIRD)),
+    "spectral.trace_balanced n": lambda k: spectral.trace_balanced(k, _THIRD),
+    "spectral.modular_norm_sq n": lambda k: spectral.modular_norm_sq(k, _THIRD, _THIRD),
+    "spectral.modular_norm_sq bits": lambda k: spectral.modular_norm_sq(2, _THIRD, _THIRD, k),
+    "spectral.modular_eigencoefficients n":
+        lambda k: spectral.modular_eigencoefficients(k, _THIRD, _THIRD),
+    "spectral.modular_eigencoefficients bits":
+        lambda k: spectral.modular_eigencoefficients(2, _THIRD, _THIRD, k),
+    "criteria.verify_decay n_max": lambda k: criteria.verify_decay(_FAMILY, k),
+    "criteria.kac_part n_max": lambda k: criteria.kac_part(_FAMILY, k),
+    "criteria.quasi_split_sum_ladder bits":
+        lambda k: criteria.quasi_split_sum_ladder(_FAMILY, _THIRD, bits=k),
+    "criteria.quasi_split_sum_ladder Kac bits":
+        lambda k: criteria.quasi_split_sum_ladder(_KAC, _THIRD, bits=k),
+    "criteria.quasi_split_sum_ladder max_terms":
+        lambda k: criteria.quasi_split_sum_ladder(_FAMILY, _THIRD, max_terms=k),
+    "criteria.quasi_split_sum_ladder Kac max_terms":
+        lambda k: criteria.quasi_split_sum_ladder(_KAC, _THIRD, max_terms=k),
+    "criteria.block_sum_S bits": lambda k: criteria.block_sum_S(1, Fraction(1, 10), _THIRD, k),
+    "criteria.block_sum_S Kac bits": lambda k: criteria.block_sum_S(1, 1, _THIRD, k),
+    "criteria.block_sum_S max_terms":
+        lambda k: criteria.block_sum_S(1, Fraction(1, 10), _THIRD, max_terms=k),
+    "criteria.bound_S_dim2 bits": lambda k: criteria.bound_S_dim2(Fraction(1, 10), k),
+    "criteria.bound_S_dimge3 bits":
+        lambda k: criteria.bound_S_dimge3(Fraction(1, 2), Fraction(1, 10), k),
+    "criteria.threshold_dim2 bits": lambda k: criteria.threshold_dim2(_THIRD, k),
+    "criteria.threshold_remark bits": lambda k: criteria.threshold_remark(_THIRD, k),
+    "criteria.threshold_ratio_dimge3 bits": lambda k: criteria.threshold_ratio_dimge3(k),
+    "criteria.masa_verdict n_max": lambda k: criteria.masa_verdict(_FAMILY, n_max=k),
+    "criteria.masa_verdict free n_max": lambda k: criteria.masa_verdict(_FREE, n_max=k),
+    "criteria.masa_verdict bits": lambda k: criteria.masa_verdict(_FAMILY, n_max=5, bits=k),
+    "criteria.masa_verdict free Kac bits":
+        lambda k: criteria.masa_verdict(_FREE_KAC, n_max=5, bits=k),
+    "criteria.masa_verdict max_terms":
+        lambda k: criteria.masa_verdict(_FAMILY, n_max=5, max_terms=k),
+    "criteria.masa_verdict free Kac max_terms":
+        lambda k: criteria.masa_verdict(_FREE_KAC, n_max=5, max_terms=k),
+    "scalars.solve_fundamental_q bits": lambda k: scalars.solve_fundamental_q(3, k),
+}
+
+
+def test_the_count_calls_cover_every_bits_n_max_and_max_terms_argument():
+    counts = {"bits", "n_max", "max_terms"}
+    takers = {f"{module.__name__.rsplit('.', 1)[1]}.{name} {arg}"
+              for module in (fusion, spectral, criteria, scalars)
+              for name, value in vars(module).items()
+              if inspect.isfunction(value) and value.__module__ == module.__name__
+              and not name.startswith("_")
+              for arg in inspect.signature(value).parameters if arg in counts}
+    assert takers <= set(COUNT_CALLS)
+
+
+def test_the_count_calls_take_valid_values():
+    for name, call in COUNT_CALLS.items():
+        call(3 if "dim_fund" in name else 64 if "bits" in name else 2)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_every_count_refuses_a_bool_a_non_int_and_a_negative_value(name):
+    # bits=True passed, bits=64.0 died in a shift, and a negative
+    # n_max answered silently: [] from kac_part, True from verify_decay
+    for value in (True, 64.0, "64", -1):
+        with pytest.raises(DomainError):
+            COUNT_CALLS[name](value)

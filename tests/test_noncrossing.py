@@ -154,6 +154,15 @@ def test_ab_matchings_examples():
         count_ab_matchings("AX")
 
 
+@pytest.mark.parametrize("count", [catalan, count_noncrossing_matchings,
+                                   count_nosingleton_noncrossing])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_a_negative_number_of_points_is_a_value_error(count, n):
+    # count_noncrossing_matchings(-2) raised IndexError, and (-1) returned 0
+    with pytest.raises(ValueError, match="must be >= 0"):
+        count(n)
+
+
 def test_set_partitions_counts_are_bell_numbers():
     bell = [1, 1, 2, 5, 15, 52, 203]
     for n, expected in enumerate(bell):

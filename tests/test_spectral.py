@@ -32,7 +32,7 @@ from qclassfun.spectral import (
 )
 from interval_oracle import to_enclosure
 
-GRID_Q = (0.1, 0.3, 0.5, 0.7, 0.9)
+GRID_Q = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
 GRID_M = (2, 4, 8, 16)
 
 #: Above this size the Kronecker SVD oracle (O(M^6), 44 s of CPU at M = 64)
@@ -346,10 +346,10 @@ def oracle_gap(matrix: np.ndarray) -> float:
 
 
 def test_build_jacobi_entries():
-    op = build_jacobi(2, 0.5)
+    op = build_jacobi(2, Fraction(1, 2))
     assert op.off_diagonal == (pytest.approx(math.sqrt(0.75)),)
     assert op.squares == (Fraction(3, 4),)
-    op3 = build_jacobi(3, 0.5)
+    op3 = build_jacobi(3, Fraction(1, 2))
     assert op3.off_diagonal == (
         pytest.approx(math.sqrt(0.75)),
         pytest.approx(math.sqrt(1 - 0.5**4)),
@@ -357,15 +357,15 @@ def test_build_jacobi_entries():
 
 
 def test_build_jacobi_free_shift_limit():
-    op = build_jacobi(6, 1e-9)
+    op = build_jacobi(6, Fraction(1, 10**9))
     assert all(abs(entry - 1.0) < 1e-12 for entry in op.off_diagonal)
 
 
 def test_build_jacobi_domain():
     with pytest.raises(DomainError):
-        build_jacobi(1, 0.5)
+        build_jacobi(1, Fraction(1, 2))
     with pytest.raises(DomainError):
-        build_jacobi(4, 1.0)
+        build_jacobi(4, 1)
     with pytest.raises(DomainError):
         JacobiOperator(3, (0.5, 0.0))
 
@@ -378,12 +378,12 @@ def test_build_jacobi_reads_q_exactly():
 
 
 def test_krylov_rank_small():
-    assert krylov_rank(build_jacobi(2, 0.5)) == 2
-    assert krylov_rank(build_jacobi(8, 0.5)) == 8
-    assert krylov_rank(build_jacobi(12, 0.9)) == 12
+    assert krylov_rank(build_jacobi(2, Fraction(1, 2))) == 2
+    assert krylov_rank(build_jacobi(8, Fraction(1, 2))) == 8
+    assert krylov_rank(build_jacobi(12, Fraction(9, 10))) == 12
 
 
-@pytest.mark.parametrize("size, q", [(32, 0.3), (32, 0.7), (64, 0.5), (16, 0.999)])
+@pytest.mark.parametrize("size, q", [(32, "0.3"), (32, "0.7"), (64, "0.5"), (16, "0.999")])
 def test_krylov_rank_full_where_the_monomial_basis_lost_it(size, q):
     # the SVD rank of [e0, T e0, ...] gave 14, 16, 10 and 8 here
     assert krylov_rank(build_jacobi(size, q)) == size
@@ -400,14 +400,14 @@ def test_krylov_rank_non_cyclic_control():
     assert krylov_rank(JacobiOperator(4, (Fraction(1), Fraction(2), Fraction(3)))) == 4
 
 def test_commutant_dim_small():
-    assert commutant_dim(build_jacobi(2, 0.5)) == 2
-    assert commutant_dim(build_jacobi(10, 0.5)) == 10
+    assert commutant_dim(build_jacobi(2, Fraction(1, 2))) == 2
+    assert commutant_dim(build_jacobi(10, Fraction(1, 2))) == 10
 
 
 def test_rank_and_commutant_on_grid():
     # the certified model against the float oracles, and the gap printed as
     # a lower bound within 1e-6 of the float gap
-    grid = [(size, Fraction(q)) for size in GRID_M for q in GRID_Q]
+    grid = [(size, q) for size in GRID_M for q in GRID_Q]
     for size, q in grid + [(64, Fraction(999, 1000)),
                            (32, Fraction(123456789012, 123456789013))]:
         op = build_jacobi(size, q)
@@ -491,7 +491,7 @@ def test_exact_count_at_vanishing_minors():
 
 
 def test_relation_residuals_interior():
-    assert suq2_relation_residuals(16, 0.5) <= 1e-12
+    assert suq2_relation_residuals(16, Fraction(1, 2)) <= 1e-12
     assert suq2_relation_residuals(16, Fraction(1, 2), Fraction(37, 100)) <= 1e-12
     # the bound is a rounding width at 128 bits
     assert suq2_relation_residuals(16, Fraction(1, 2), Fraction(37, 100)) <= 1e-30
@@ -537,7 +537,7 @@ def test_relation_residuals_boundary_is_large():
 
 def test_relation_residuals_domain():
     with pytest.raises(DomainError):
-        suq2_relation_residuals(3, 0.5)
+        suq2_relation_residuals(3, Fraction(1, 2))
     with pytest.raises(DomainError):
         suq2_relation_residuals(8, 1)
     with pytest.raises(DomainError):

@@ -330,8 +330,8 @@ def test_bound_dimge3_outside_its_domain_is_a_domain_error(q_c, q_q):
 
 @pytest.mark.parametrize("call", [
     lambda: criteria.bound_S_dim2("abc"),
-    lambda: criteria.bound_S_dim2(float("nan")),
-    lambda: criteria.bound_S_dim2(float("inf")),
+    lambda: criteria.bound_S_dim2("nan"),
+    lambda: criteria.bound_S_dim2("inf"),
     lambda: criteria.bound_S_dimge3("0.3", "nan"),
     lambda: criteria.block_sum_S("abc", "0.1", Fraction(1, 10**6)),
 ], ids=["dim2 text", "dim2 nan", "dim2 inf", "dimge3 nan", "block sum text"])
