@@ -131,15 +131,20 @@ def criterion_4_modular_norms(bits: int = DEFAULT_BITS) -> dict:
     }
 
 
-def _scaled_dims(family: fusion.FusionFamily, which: str, labels) -> tuple[int, dict]:
-    """Dimensions of `labels`, read as one table by :func:`fusion.scaled_dims`,
-    as exact integer numerators over the one common denominator ``scale``,
-    the largest ``b^length``, so that the additivity checks add and compare
-    ints."""
+def _scaled_dims(family: fusion.FusionFamily, labels) -> dict[str, tuple[int, dict]]:
+    """Classical and quantum dimensions of `labels`, read as one table by
+    :func:`fusion.scaled_dims`: for each kind of dimension, exact integer
+    numerators over one common denominator ``scale`` (1 for the classical
+    ones, the largest ``b^length`` for the quantum ones), so that the
+    additivity checks add and compare ints."""
     labels = list(labels)
-    dims = dict(zip(labels, fusion.scaled_dims(labels, family, which)))
-    scale = max(denominator for _, denominator in dims.values())
-    return scale, {label: d * (scale // denominator) for label, (d, denominator) in dims.items()}
+    table = fusion.scaled_dims(labels, family)
+    scale = max(denominator for *_, denominator in table)
+    return {
+        "classical": (1, {label: d for label, (d, _, _) in zip(labels, table)}),
+        "quantum": (scale, {label: d * (scale // denominator)
+                            for label, (_, d, denominator) in zip(labels, table)}),
+    }
 
 
 def _ladder_evolutions(family: fusion.FusionFamily, n_max: int, m_max: int) -> list:
@@ -166,8 +171,7 @@ def _additivity_ladder(family: fusion.FusionFamily, evolutions: list) -> list:
     """Check d(1)^m d(n) = sum of multiplicities times dimensions, exactly."""
     m_max = len(evolutions[0])
     failures = []
-    for which in ("classical", "quantum"):
-        scale, dims = _scaled_dims(family, which, range(len(evolutions) + m_max))
+    for which, (scale, dims) in _scaled_dims(family, range(len(evolutions) + m_max)).items():
         for n, states in enumerate(evolutions):
             power, expected = 1, dims[n]
             for m, state in enumerate(states, start=1):
@@ -184,8 +188,7 @@ def _additivity_free(family: fusion.FusionFamily, max_len: int, products: list) 
     """Check d(x) d(y) = sum of multiplicities times dimensions, exactly, for
     each ``(x, y, x (x) y)`` in `products`; words are at most `max_len` long."""
     failures = []
-    for which in ("classical", "quantum"):
-        scale, dims = _scaled_dims(family, which, fusion.all_words(2 * max_len))
+    for which, (scale, dims) in _scaled_dims(family, fusion.all_words(2 * max_len)).items():
         for x, y, parts in products:
             total = sum(mult * dims[product] for product, mult in parts.items())
             if total * scale != dims[x] * dims[y]:  # both sides times scale**2

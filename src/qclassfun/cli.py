@@ -327,9 +327,7 @@ def cmd_dims(args: argparse.Namespace) -> report.Report:
         "dim": dim_c,
         "dim_q": report.rational_payload(dim_q, scale, args.bits),
         "ratio": report.rational_payload(dim_c * scale, dim_q, args.bits),
-    } for label, (dim_c, _), (dim_q, scale) in zip(
-        labels, fusion.scaled_dims(labels, family, "classical"),
-        fusion.scaled_dims(labels, family, "quantum"))]
+    } for label, (dim_c, dim_q, scale) in zip(labels, fusion.scaled_dims(labels, family))]
     return report.Report("dims", inputs, {"table": rows}, _meta(args))
 
 

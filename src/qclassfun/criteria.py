@@ -125,8 +125,7 @@ def _read_tol(tol, bits: int, max_terms: int = 1) -> Fraction:
 
 def ratio_exact(label: Label, family: FusionFamily) -> Fraction:
     """Exact classical/quantum dimension ratio of a label (<= 1 always)."""
-    classical, _ = fusion.scaled_dim(label, family, "classical")
-    quantum, scale = fusion.scaled_dim(label, family, "quantum")
+    classical, quantum, scale = fusion.scaled_dims((label,), family)[0]
     return Fraction(classical * scale, quantum)
 
 
@@ -136,19 +135,19 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
 
     This is the exact reproduction of the lemma; the certified sums below
     use the sharper majorant of the deformed-integer closed form instead.
+    The rates ``A_n`` of labels 1..n_max are read from one table of
+    :func:`fusion.scaled_dims`.
     """
     dyadic.check_count(n_max, "n_max", 0)
     if not family.is_ladder:
         raise FamilyError("decay verification applies to ladder families")
-    def rate(n: int) -> Fraction:
-        return fusion.dim(n, family, "quantum") / fusion.dim(n, family, "classical")
-
-    previous = rate(1)  # A_1
+    rates = [Fraction(dim_q, dim_c * scale)
+             for dim_c, dim_q, scale in fusion.scaled_dims(range(1, max(n_max, 1) + 1), family)]
+    previous = rates[0]  # A_1
     if previous <= 1:
         raise KacTypeError("Kac-type family has no decay rate")
     c = 1 + (previous - 1) / LADDER_SUP_C
-    for n in range(2, n_max + 1):
-        current = rate(n)
+    for current in rates[1:]:
         if current < c * previous:
             return False
         previous = current
@@ -740,16 +739,13 @@ def kac_part(family: FusionFamily, n_max: int) -> list[int]:
     """Ladder labels up to `n_max` whose intertwiner is certified trivial,
     i.e. whose quantum dimension equals the classical one exactly.
 
-    Non-Kac families yield exactly the trivial label.  The two dimension
-    tables of :func:`fusion.scaled_dims` are compared as scaled ints, and no
-    ``Fraction`` is built."""
+    Non-Kac families yield exactly the trivial label.  The two dimensions
+    of each entry of the one table of :func:`fusion.scaled_dims` are
+    compared as scaled ints, and no ``Fraction`` is built."""
     dyadic.check_count(n_max, "n_max", 0)
     if not family.is_ladder:
         raise FamilyError("kac_part applies to ladder families")
-    labels = range(n_max + 1)
-    classical = fusion.scaled_dims(labels, family, "classical")
-    quantum = fusion.scaled_dims(labels, family, "quantum")
-    return [n for n, ((dim_c, _), (dim_q, scale)) in enumerate(zip(classical, quantum))
+    return [n for n, (dim_c, dim_q, scale) in enumerate(fusion.scaled_dims(range(n_max + 1), family))
             if dim_q == dim_c * scale]
 
 

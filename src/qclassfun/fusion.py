@@ -284,53 +284,45 @@ def _ladder_value(kind: FamilyKind, a: int, b: int, n: int) -> int:
 
 def dim(label: Label, family: FusionFamily, which: str = "classical") -> int | Fraction:
     """Exact classical (an int) or quantum (a Fraction) dimension of a
-    label: the pair of :func:`scaled_dim` as one number."""
-    numerator, denominator = scaled_dim(label, family, which)
-    return numerator if which == "classical" else Fraction(numerator, denominator)
+    label: one entry of the one-label table of :func:`scaled_dims`."""
+    if which not in ("classical", "quantum"):
+        raise DomainError(f"which must be 'classical' or 'quantum', got {which!r}")
+    classical, quantum, scale = scaled_dims((label,), family)[0]
+    return classical if which == "classical" else Fraction(quantum, scale)
 
 
-def scaled_dim(label: Label, family: FusionFamily, which: str) -> tuple[int, int]:
-    """Exact classical or quantum dimension of one label: the one-label
-    table of :func:`scaled_dims`."""
-    return scaled_dims((label,), family, which)[0]
-
-
-def scaled_dims(labels: Iterable[Label], family: FusionFamily,
-                which: str) -> list[tuple[int, int]]:
-    """Exact classical or quantum dimensions of `labels`, in their order, each
-    as the unreduced pair ``(D, b^length)`` of ints for the fundamental
-    dimension ``a/b``; no gcd is taken.
+def scaled_dims(labels: Iterable[Label], family: FusionFamily) -> list[tuple[int, int, int]]:
+    """Exact dimensions of `labels`, in their order, each as the triple
+    ``(d, D, b^length)`` of ints for the quantum fundamental dimension
+    ``a/b``: ``d`` is the classical dimension and ``D/b^length`` the quantum
+    one, an unreduced quotient; no gcd is taken.
 
     Ladder dimensions follow the linear recursion of the family; a free word
     contributes the product over its alternating blocks, where a block of
     length n carries the order-(n+1) deformed integer of the fundamental
     dimension.  Both run on the scaled ints of :func:`_ladder_values`, so
-    ``D`` is congruent to ``a^length`` mod b and the pair is in lowest
-    terms already; a classical dimension is ``(D, 1)``.  `which` is checked
-    once and each label once, the recursion is stepped once up to the
-    longest label or block, and each word is split once; a ladder label is
+    ``D`` is congruent to ``a^length`` mod b and the quotient is in lowest
+    terms already; the classical dimension is the case ``b = 1``.  Each
+    label is checked once, both recursions are stepped once up to the
+    longest label or word, and each word is split once; a ladder label is
     read through :func:`_ladder_value`.
     """
-    if which not in ("classical", "quantum"):
-        raise DomainError(f"which must be 'classical' or 'quantum', got {which!r}")
     labels = [check_label(label, family) for label in labels]
-    a, b = (family.dim_c_fund, 1) if which == "classical" else family.dim_q_fund.as_integer_ratio()
+    c = family.dim_c_fund
+    a, b = family.dim_q_fund.as_integer_ratio()
     if family.is_ladder:
         kind = family.kind
-        _ladder_values(kind, a, b, max(labels, default=0))
-        return [(_ladder_value(kind, a, b, n), b ** n) for n in labels]
-    lengths = [_block_lengths(word) for word in labels]
-    ladder = _ladder_values(FamilyKind.SU2_LADDER, a, b,
-                            max((n for blocks in lengths for n in blocks), default=0))
-    return [(math.prod(map(ladder.__getitem__, blocks)), b ** len(word))
-            for word, blocks in zip(labels, lengths)]
-
-
-@lru_cache(maxsize=LADDER_CACHE_SIZE)
-def _block_lengths(word: str) -> tuple[int, ...]:
-    """Lengths of the blocks of :func:`factorize`, none for the empty word;
-    kept for the tables of every family that reads the same words."""
-    return tuple(map(len, factorize(word))) if word else ()
+        return [(_ladder_value(kind, c, 1, n), _ladder_value(kind, a, b, n), b ** n)
+                for n in labels]
+    top = max(map(len, labels), default=0)
+    classical = _ladder_values(FamilyKind.SU2_LADDER, c, 1, top)
+    quantum = _ladder_values(FamilyKind.SU2_LADDER, a, b, top)
+    table = []
+    for word in labels:
+        blocks = [len(block) for block in factorize(word)] if word else []
+        table.append((math.prod(classical[n] for n in blocks),
+                      math.prod(quantum[n] for n in blocks), b ** len(word)))
+    return table
 
 
 def check_ladder(n: int, q: int | str | Fraction) -> Fraction:

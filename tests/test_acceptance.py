@@ -48,19 +48,19 @@ def test_criterion_05_reads_each_dimension_once_and_flags_a_wrong_one(monkeypatc
     tables, reads = Counter(), Counter()
     exact = fusion.scaled_dims
 
-    def off_by_a_little(labels, family, which):
+    def off_by_a_little(labels, family):
         labels = list(labels)
-        tables[family, which] += 1
-        reads.update((label, family, which) for label in labels)
-        dims = exact(labels, family, which)
-        return [(numerator + 1, denominator)  # one part in b^length too large
-                if which == "quantum" and label in (7, "ABBA") else (numerator, denominator)
-                for label, (numerator, denominator) in zip(labels, dims)]
+        tables[family] += 1
+        reads.update((label, family) for label in labels)
+        dims = exact(labels, family)
+        return [(classical, numerator + 1, denominator)  # one part in b^length too large
+                if label in (7, "ABBA") else (classical, numerator, denominator)
+                for label, (classical, numerator, denominator) in zip(labels, dims)]
 
     monkeypatch.setattr(fusion, "scaled_dims", off_by_a_little)
     outcome = acceptance.criterion_5_dimension_additivity()
-    # one table per family and kind of dimension, each label read once
-    assert len(tables) == 10 and max(tables.values()) == 1
+    # one table per family, each label read once
+    assert len(tables) == 5 and max(tables.values()) == 1
     assert max(reads.values()) == 1
     assert not outcome["passed"]
     failures = outcome["details"]["ladder_failures"] + outcome["details"]["free_failures"]
@@ -78,11 +78,15 @@ def test_criterion_05_flags_one_wrong_dimension_in_a_shared_table(
         monkeypatch, family, which, label, table):
     exact = fusion.scaled_dims
 
-    def one_off(labels_, family_, which_):
+    def one_off(labels_, family_):
         labels_ = list(labels_)
-        return [(numerator + denominator, denominator)  # the dimension plus 1
-                if (label_, family_, which_) == (label, family, which) else (numerator, denominator)
-                for label_, (numerator, denominator) in zip(labels_, exact(labels_, family_, which_))]
+        dims = exact(labels_, family_)
+        if family_ == family:  # the dimension plus 1
+            classical, numerator, denominator = dims[labels_.index(label)]
+            dims[labels_.index(label)] = ((classical + 1, numerator, denominator)
+                                          if which == "classical"
+                                          else (classical, numerator + denominator, denominator))
+        return dims
 
     monkeypatch.setattr(fusion, "scaled_dims", one_off)
     outcome = acceptance.criterion_5_dimension_additivity()

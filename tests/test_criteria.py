@@ -91,6 +91,24 @@ def test_verify_decay_examples():
         verify_decay(free_unitary(2, q=Fraction(1, 10)), 10)
 
 
+def test_verify_decay_reads_one_table(monkeypatch):
+    tables = []
+    exact = fusion.scaled_dims
+
+    def recorded(labels, family):
+        tables.append(list(labels))
+        return exact(tables[-1], family)
+
+    monkeypatch.setattr(fusion, "scaled_dims", recorded)
+    assert verify_decay(su2_ladder(3, q=Fraction(1, 5)), 30)
+    assert tables == [list(range(1, 31))]
+    # n_max = 0 still reads A_1, which decides the Kac case
+    tables.clear()
+    with pytest.raises(KacTypeError):
+        verify_decay(su2_ladder(2), 0)
+    assert tables == [[1]]
+
+
 # ---------------------------------------------------------------------------
 # ladder summation
 

@@ -1,5 +1,6 @@
 """Labels, tensor decompositions, dimensions and spectra."""
 
+import collections
 import functools
 import math
 import threading
@@ -305,28 +306,28 @@ def _dim_by_blocks(word: str, family, which: str):
     free_unitary(3, q=Fraction(13, 97)),
 ], ids=["kac", "q=1/10", "dim_q=5/2", "q=13/97"])
 def test_word_dim_matches_the_per_block_fraction_product(family):
-    for which in ("classical", "quantum"):
-        for word in all_words(11):
-            expected = _dim_by_blocks(word, family, which)
-            value = dim(word, family, which)
-            assert value == expected, (word, which)
-            assert type(value) is type(expected), (word, which)
-            # the unreduced pair over b^length that dims and criterion 5 read
-            numerator, denominator = fusion.scaled_dim(word, family, which)
-            b = 1 if which == "classical" else family.dim_q_fund.denominator
-            assert denominator == b ** len(word) and Fraction(numerator, denominator) == expected
+    words = list(all_words(11))
+    b = family.dim_q_fund.denominator
+    # the unreduced triples over b^length that dims and criterion 5 read
+    for word, (classical, numerator, denominator) in zip(words, fusion.scaled_dims(words, family)):
+        expected = {which: _dim_by_blocks(word, family, which) for which in ("classical", "quantum")}
+        for which, value in expected.items():
+            assert dim(word, family, which) == value, (word, which)
+            assert type(dim(word, family, which)) is type(value), (word, which)
+        assert type(classical) is int and classical == expected["classical"], word
+        assert denominator == b ** len(word), word
+        assert Fraction(numerator, denominator) == expected["quantum"], word
 
 
 @pytest.mark.parametrize("family", [
     su2_ladder(3, q=Fraction(15, 97)), so3_ladder(5, dim_q_fund=Fraction(71, 10)), so3_ladder(4),
 ], ids=["o-plus q=15/97", "so3 dim_q=71/10", "so3 kac"])
-def test_ladder_scaled_dim_is_the_dimension_over_b_to_the_label(family):
-    for which in ("classical", "quantum"):
-        b = 1 if which == "classical" else family.dim_q_fund.denominator
-        for n in range(40):
-            numerator, denominator = fusion.scaled_dim(n, family, which)
-            assert denominator == b**n
-            assert Fraction(numerator, denominator) == dim(n, family, which)
+def test_ladder_scaled_dims_are_the_dimensions_over_b_to_the_label(family):
+    b = family.dim_q_fund.denominator
+    for n, (classical, numerator, denominator) in enumerate(fusion.scaled_dims(range(40), family)):
+        assert classical == dim(n, family, "classical")
+        assert denominator == b**n
+        assert Fraction(numerator, denominator) == dim(n, family, "quantum")
 
 
 def test_kac_degeneration_matches_classical():
@@ -353,23 +354,38 @@ def test_dim_rejects_wrong_labels():
     (so3_ladder(5, dim_q_fund=Fraction(71, 10)), list(range(30, -1, -3))),
     (free_unitary(3, q=Fraction(13, 97)), ["ABBA", "", "B", "AAAB", "ABBA", *all_words(4)]),
 ], ids=["o-plus", "so3", "u-plus"])
-def test_scaled_dims_is_the_table_of_scaled_dim(family, labels):
-    for which in ("classical", "quantum"):
-        assert fusion.scaled_dims(iter(labels), family, which) == [
-            fusion.scaled_dim(label, family, which) for label in labels]
-        assert fusion.scaled_dims([], family, which) == []
+def test_scaled_dims_is_the_table_of_its_one_label_tables(family, labels):
+    assert fusion.scaled_dims(iter(labels), family) == [
+        fusion.scaled_dims([label], family)[0] for label in labels]
+    assert fusion.scaled_dims([], family) == []
 
 
-def test_scaled_dims_checks_which_and_every_label():
+def test_scaled_dims_checks_every_label_and_dim_checks_which():
     family = free_unitary(2)
-    with pytest.raises(DomainError):
-        fusion.scaled_dims(["A"], family, "both")
+    with pytest.raises(DomainError, match="which must be"):
+        dim("A", family, "both")
     with pytest.raises(FamilyError):
-        fusion.scaled_dims(["AB", "AXB"], family, "classical")
+        fusion.scaled_dims(["AB", "AXB"], family)
     with pytest.raises(FamilyError):
-        fusion.scaled_dims([1, -1], su2_ladder(2), "quantum")
+        fusion.scaled_dims([1, -1], su2_ladder(2))
     with pytest.raises(FamilyError):
-        fusion.scaled_dims([1, True], su2_ladder(2), "quantum")
+        fusion.scaled_dims([1, True], su2_ladder(2))
+
+
+def test_a_word_table_splits_each_word_once(monkeypatch, capsys):
+    # 8,190 words of 1..12 letters, each split by one call of factorize
+    splits = collections.Counter()
+    split = fusion.factorize
+
+    def counted(word):
+        splits[word] += 1
+        return split(word)
+
+    monkeypatch.setattr(fusion, "factorize", counted)
+    assert main(["dims", "--family", "u-plus", "--dim", "2", "--qq", "0.1",
+                 "--word-len", "12"]) == 0
+    capsys.readouterr()
+    assert len(splits) == 2**13 - 2 and set(splits.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

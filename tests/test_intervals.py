@@ -207,8 +207,7 @@ BOUNDARY_CALLS = {
     "fusion.tensor_reduce": lambda: fusion.tensor_reduce([1, 1], _FAMILY),
     "fusion.invariant_multiplicity": lambda: fusion.invariant_multiplicity([1, 1], _FAMILY),
     "fusion.dim": lambda: fusion.dim(2, _FAMILY, "quantum"),
-    "fusion.scaled_dim": lambda: fusion.scaled_dim("AB", _FREE, "quantum"),
-    "fusion.scaled_dims": lambda: fusion.scaled_dims(["", "AB"], _FREE, "quantum"),
+    "fusion.scaled_dims": lambda: fusion.scaled_dims(["", "AB"], _FREE),
     "fusion.check_ladder": lambda: fusion.check_ladder(2, Fraction(1, 3)),
     "fusion.rho_spectrum": lambda: list(fusion.rho_spectrum(2, Fraction(1, 3))),
     "spectral.trace_balanced": lambda: spectral.trace_balanced(2, Fraction(1, 3)),
