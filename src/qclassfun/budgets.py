@@ -30,3 +30,18 @@ MAX_COMMUTANT_SIZE = 768
 #: int past Python's default int -> str limit (4300 digits) cannot be
 #: printed.  A lower limit in force (``PYTHONINTMAXSTRDIGITS``) lowers it.
 MAX_DIM_DIGITS = 4300
+
+#: Budget of `spectral`: the root sum of squares of the bits of the norm's
+#: power, about ``|4b+1| n log2(1/q)``, and of the n+1 exact eigenvalues
+#: ``q^(n-2k) = r^(n-2k)/p^(n-2k)`` for ``q = p/r``, ``|n-2k| log2(r)`` bits
+#: each, which are stepped, rounded and printed.  On a 2-vCPU VM the runs at
+#: the budget take at most about 2.1 s of CPU, the slowest with `--t` and a
+#: non-integer `4b` at `--bits 1024`, where a cosine and a sine are summed
+#: for each of the 2,501 angles; `--rho-ladder 5000 --q 1/5 --b=1/4` takes
+#: 0.45 s.
+MAX_POWER_BITS = 2**19
+
+#: Budget of the `series` scan of a ladder family: its largest exact dimension
+#: has about ``n_max * log10(a)`` digits for ``dim_q = a/b`` (``a >= N``).  On a
+#: 2-vCPU VM 200,000 digits took 0.9 s and 105 MB, 1,000,000 digits 11 s.
+MAX_SCAN_DIGITS = 200_000

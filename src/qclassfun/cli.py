@@ -25,7 +25,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .budgets import DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS, MAX_COMMUTANT_SIZE, MAX_DIM_DIGITS
+from .budgets import (DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS, MAX_COMMUTANT_SIZE,
+                      MAX_DIM_DIGITS, MAX_POWER_BITS, MAX_SCAN_DIGITS)
 from .errors import BudgetError, DomainError
 
 TYPE_CHECKING = False
@@ -52,22 +53,6 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # flag types: argparse checks every value once, so handlers convert safely
-
-
-#: Budget of `spectral`: the root sum of squares of the bits of the norm's
-#: power, about ``|4b+1| n log2(1/q)``, and of the n+1 exact eigenvalues
-#: ``q^(n-2k) = r^(n-2k)/p^(n-2k)`` for ``q = p/r``, ``|n-2k| log2(r)`` bits
-#: each, which are stepped, rounded and printed.  On a 2-vCPU VM the runs at
-#: the budget take at most about 2.1 s of CPU, the slowest with `--t` and a
-#: non-integer `4b` at `--bits 1024`, where a cosine and a sine are summed
-#: for each of the 2,501 angles; `--rho-ladder 5000 --q 1/5 --b=1/4` takes
-#: 0.45 s.
-MAX_POWER_BITS = 2**19
-
-#: Budget of the `series` scan of a ladder family: its largest exact dimension
-#: has about ``n_max * log10(a)`` digits for ``dim_q = a/b`` (``a >= N``).  On a
-#: 2-vCPU VM 200,000 digits took 0.9 s and 105 MB, 1,000,000 digits 11 s.
-MAX_SCAN_DIGITS = 200_000
 
 
 def _rational(raw: str) -> str:

@@ -34,7 +34,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Mapping
 
-    from .intervals import Interval, IntervalLike
+    from .intervals import Interval
 
 
 class LaurentScalar:
@@ -46,15 +46,16 @@ class LaurentScalar:
     def __init__(self, coeffs: Mapping[int, int]):
         self.coeffs: dict[int, int] = {int(e): int(c) for e, c in coeffs.items() if c != 0}
 
-    def evaluate(self, q: IntervalLike) -> Interval:
-        """Certified enclosure of the value at `q`.
+    def evaluate(self, q: int | str | Fraction | Interval) -> Interval:
+        """Certified enclosure of the value at `q`: an mpmath interval, or a
+        rational read by :func:`dyadic.read_rational`.
 
         Negative exponents are evaluated through the reciprocal of the
         enclosure, so `q` must not enclose zero when such terms are present.
         """
         from . import intervals
 
-        point = intervals.make(q)
+        point = intervals.make(q if isinstance(q, intervals.Interval) else dyadic.read_rational(q))
         if self.coeffs and min(self.coeffs) < 0 and point.a <= 0 <= point.b:
             raise DomainError("negative exponents at an enclosure of zero")
         total = intervals.make(0, point.ctx)

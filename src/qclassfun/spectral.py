@@ -24,8 +24,9 @@ squared off-diagonals ``1 - q^(2k)``, and every answer is certified: the
 Krylov rank is read from the exact squares, a simple spectrum and a lower
 bound on the eigenvalue gap come from Sturm counts on outward-rounded float
 pivots (an exact integer count where those cannot decide), and the relation
-residuals are bounded in integer fixed point and read back exactly.  No
-numpy is needed.
+residuals are bounded in integer fixed point and read back exactly.  The
+size M is a count of at most ``MAX_COMMUTANT_SIZE``, checked before anything
+of that size is allocated.  No numpy is needed.
 """
 
 from __future__ import annotations
@@ -210,9 +211,20 @@ class JacobiOperator(Record):
         return tuple(math.sqrt(entry) for entry in self.squares)
 
 
+def _check_size(size: int, low: int = 2) -> None:
+    """The check of a matrix size: a count of at least `low`, and at most
+    ``MAX_COMMUTANT_SIZE``, the cap of the Sturm-count model, checked before
+    anything of that size is allocated."""
+    dyadic.check_count(size, "size", low)
+    if size > MAX_COMMUTANT_SIZE:
+        raise BudgetError(f"Sturm-count model capped at size {MAX_COMMUTANT_SIZE}")
+
+
 def build_jacobi(size: int, q: int | str | Fraction) -> JacobiOperator:
     """Compression of the real part of the weighted shift to M basis vectors;
-    `q` is read by :func:`dyadic.read_rational`."""
+    `size` is checked by :func:`_check_size` and `q` read by
+    :func:`dyadic.read_rational`."""
+    _check_size(size)
     q = dyadic.read_rational(q)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
@@ -312,8 +324,7 @@ def _isolate(squares: tuple[Fraction, ...]) -> tuple[tuple[float, ...], tuple[fl
     eigenvalue, raises :class:`BudgetError`.
     """
     size = len(squares) + 1
-    if size > MAX_COMMUTANT_SIZE:
-        raise BudgetError(f"Sturm-count model capped at size {MAX_COMMUTANT_SIZE}")
+    _check_size(size)
     bounds = [_float_bounds(Fraction(entry)) for entry in squares]
     # Gershgorin: every |lambda| is at most 2 max b_k, below this power of two.
     radius = math.ldexp(1.0, math.frexp(2 * math.sqrt(max(hi for _, hi in bounds)))[1] + 1)
@@ -365,10 +376,12 @@ def matrix_commutant_dim(size: int, squares: Sequence[Fraction]) -> int:
     is `size` exactly when the spectrum is simple.  That is certified by
     :func:`_isolate`; a spectrum it cannot certify simple raises
     :class:`BudgetError`, so a multiple eigenvalue is never reported as `size`.
-    Each square is read by :func:`dyadic.read_rational`.
+    `size` is checked by :func:`_check_size` and each square read by
+    :func:`dyadic.read_rational`.
     """
+    _check_size(size)
     squares = tuple(map(dyadic.read_rational, squares))
-    if size < 2 or len(squares) != size - 1 or any(entry < 0 for entry in squares):
+    if len(squares) != size - 1 or any(entry < 0 for entry in squares):
         raise DomainError("need size >= 2 and size - 1 nonnegative squares")
     _isolate(squares)
     return size
@@ -406,10 +419,10 @@ def suq2_relation_residuals(size: int, q: int | str | Fraction,
     ``sqrt(1 - q^(2k))`` from :func:`dyadic.fixed_sqrt` and ``cos`` and
     ``sin`` of the phase from :func:`dyadic.fixed_cos_sin`.  Compression
     breaks the relations only in the last row and column, so every interior
-    entry encloses 0.
+    entry encloses 0.  `size` is checked by :func:`_check_size`; it must be
+    at least 4 to have an interior block.
     """
-    if size < 4:
-        raise DomainError(f"need size >= 4 to have an interior block, got {size}")
+    _check_size(size, 4)
     q, phase = dyadic.read_rational(q), dyadic.read_rational(phase)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")

@@ -230,6 +230,21 @@ def test_budgets_are_re_exported_by_their_enforcing_modules():
     assert spectral.MAX_COMMUTANT_SIZE == budgets.MAX_COMMUTANT_SIZE
 
 
+def test_every_budget_is_defined_in_budgets():
+    # a module-level MAX_* or DEFAULT_* assignment anywhere else is a second home
+    defined = {path.stem: {target.id for node in ast.parse(path.read_text()).body
+                           if isinstance(node, (ast.Assign, ast.AnnAssign))
+                           for target in (node.targets if isinstance(node, ast.Assign)
+                                          else [node.target])
+                           if isinstance(target, ast.Name)
+                           and target.id.startswith(("MAX_", "DEFAULT_"))}
+               for path in PACKAGE.glob("*.py")}
+    assert {name: names for name, names in defined.items() if names} == {
+        "budgets": {"DEFAULT_BITS", "MAX_BITS", "MAX_RATIONAL_DIGITS", "DEFAULT_MAX_TERMS",
+                    "MAX_COMMUTANT_SIZE", "MAX_DIM_DIGITS", "MAX_POWER_BITS",
+                    "MAX_SCAN_DIGITS"}}
+
+
 # ---------------------------------------------------------------------------
 # package exports
 

@@ -327,6 +327,7 @@ RATIONAL_CALLS = {
     "criteria.masa_verdict ladder tol": lambda x: criteria.masa_verdict(_FAMILY, x, n_max=5),
     "criteria.masa_verdict free tol": lambda x: criteria.masa_verdict(_FREE, x, n_max=5),
     "scalars.solve_fundamental_q d": lambda x: scalars.solve_fundamental_q(x),
+    "scalars.LaurentScalar.evaluate q": lambda x: scalars.q_number(2).evaluate(x),
     "bicrossed.RatioRational ratio": lambda x: bicrossed.RatioRational(x),
     "bicrossed.BicrossedParams q":
         lambda x: bicrossed.BicrossedParams(x, bicrossed.RatioIrrational()),
@@ -380,6 +381,11 @@ COUNT_CALLS = {
         lambda k: spectral.modular_eigencoefficients(k, _THIRD, _THIRD),
     "spectral.modular_eigencoefficients bits":
         lambda k: spectral.modular_eigencoefficients(2, _THIRD, _THIRD, k),
+    "spectral.build_jacobi size": lambda k: spectral.build_jacobi(k, _THIRD),
+    "spectral.matrix_commutant_dim size":
+        lambda k: spectral.matrix_commutant_dim(k, [Fraction(1, 2)] * 3),
+    "spectral.suq2_relation_residuals size":
+        lambda k: spectral.suq2_relation_residuals(k, _THIRD),
     "criteria.verify_decay n_max": lambda k: criteria.verify_decay(_FAMILY, k),
     "criteria.kac_part n_max": lambda k: criteria.kac_part(_FAMILY, k),
     "criteria.quasi_split_sum_ladder bits":
@@ -413,8 +419,8 @@ COUNT_CALLS = {
 }
 
 
-def test_the_count_calls_cover_every_bits_n_max_and_max_terms_argument():
-    counts = {"bits", "n_max", "max_terms"}
+def test_the_count_calls_cover_every_bits_n_max_max_terms_and_size_argument():
+    counts = {"bits", "n_max", "max_terms", "size"}
     takers = {f"{module.__name__.rsplit('.', 1)[1]}.{name} {arg}"
               for module in (fusion, spectral, criteria, scalars)
               for name, value in vars(module).items()
@@ -426,7 +432,7 @@ def test_the_count_calls_cover_every_bits_n_max_and_max_terms_argument():
 
 def test_the_count_calls_take_valid_values():
     for name, call in COUNT_CALLS.items():
-        call(3 if "dim_fund" in name else 64 if "bits" in name else 2)
+        call(3 if "dim_fund" in name else 64 if "bits" in name else 4 if "size" in name else 2)
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_CALLS))

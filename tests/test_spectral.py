@@ -1,7 +1,11 @@
 """Modular character norms and the finite weighted-shift model."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -444,6 +448,35 @@ def test_commutant_budget():
         matrix_commutant_dim(size, (1,) * (size - 1))
     with pytest.raises(BudgetError):
         min_eigenvalue_gap(JacobiOperator(size, (Fraction(1, 2),) * (size - 1)))
+
+
+#: The child's address-space limit: far below the about M^2 bits that the
+#: exact squares ``1 - 4^-k`` of a size-10^6 compression would take.
+SIZE_PROBE_MEMORY = 1 << 30
+
+_SIZE_PROBE = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (%d, %d))
+resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+from qclassfun import spectral
+from qclassfun.errors import BudgetError
+start = time.process_time()
+try:
+    spectral.build_jacobi(10**6, "1/2")
+except BudgetError as exc:
+    print("capped" in str(exc), time.process_time() - start)
+""" % (SIZE_PROBE_MEMORY, SIZE_PROBE_MEMORY)
+
+
+def test_a_huge_matrix_size_is_refused_before_anything_is_allocated():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _SIZE_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    capped, seconds = done.stdout.split()
+    assert capped == "True" and float(seconds) < 1
 
 
 def test_float_bounds_bracket_the_value():
