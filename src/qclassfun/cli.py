@@ -350,11 +350,12 @@ def cmd_threshold(args: argparse.Namespace) -> report.Report:
         enclosure = criteria.threshold_remark(args.tol, bits=args.bits)
     else:
         enclosure = criteria.threshold_ratio_dimge3(bits=args.bits)
+    meta = _meta(args)
     results = {
         "enclosure": report.enclosure_payload(enclosure),
-        "width": str(float(dyadic.to_fraction(dyadic.width(enclosure)))),
+        "width": dyadic.to_text(*dyadic.width(enclosure), meta["digits"], "ceiling"),
     }
-    return report.Report("threshold", inputs, results, _meta(args))
+    return report.Report("threshold", inputs, results, meta)
 
 
 def cmd_moments(args: argparse.Namespace) -> report.Report:

@@ -6,12 +6,13 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qclassfun import fusion
+from qclassfun import criteria, dyadic, fusion
 from qclassfun.cli import build_parser, main
 from qclassfun.errors import DomainError
 
@@ -311,6 +312,30 @@ def test_precision_precedence_flag_config_env_default(
         path.write_text(json.dumps(config), encoding="utf-8")
         argv += ("--config", str(path))
     assert run_json(capsys, *argv)["meta"]["bits"] == expected
+
+
+@pytest.mark.parametrize("argv, enclose", [
+    (("--which", "dim2", "--tol", "1e-4"), lambda: criteria.threshold_dim2("1e-4")),
+    (("--which", "dim2", "--tol", "1e-18", "--bits", "32"),
+     lambda: criteria.threshold_dim2("1e-18", bits=32)),
+    (("--which", "remark", "--tol", "1e-4", "--bits", "256"),
+     lambda: criteria.threshold_remark("1e-4", bits=256)),
+    (("--which", "ratio3"), lambda: criteria.threshold_ratio_dimge3()),
+], ids=["dim2", "dim2 bits32", "remark bits256", "ratio3"])
+def test_threshold_width_is_an_upper_bound_within_one_unit_of_its_last_digit(
+        capsys, monkeypatch, argv, enclose):
+    monkeypatch.delenv("QCLASSFUN_BITS", raising=False)
+    payload = run_json(capsys, "threshold", *argv)
+    printed = Decimal(payload["results"]["width"])
+    unit = Fraction(Decimal(1).scaleb(printed.as_tuple().exponent))
+    enclosure = enclose()
+    lo, hi = dyadic.exact_endpoints(enclosure)
+    width = dyadic.to_fraction(dyadic.width(enclosure))
+    assert hi - lo <= width <= Fraction(printed) < width + unit
+    # exact where it fits, else rounded up at all of meta.digits
+    digits = len(printed.as_tuple().digits)
+    assert Fraction(printed) == width and digits <= payload["meta"]["digits"] \
+        or digits == payload["meta"]["digits"]
 
 
 def test_domain_error_exits_3(capsys):
