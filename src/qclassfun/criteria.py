@@ -745,8 +745,8 @@ def kac_part(family: FusionFamily, n_max: int) -> list[int]:
     dyadic.check_count(n_max, "n_max", 0)
     if not family.is_ladder:
         raise FamilyError("kac_part applies to ladder families")
-    return [n for n, (dim_c, dim_q, scale) in enumerate(fusion.scaled_dims(range(n_max + 1), family))
-            if dim_q == dim_c * scale]
+    table = fusion.scaled_dims(range(n_max + 1), family)
+    return [n for n, (dim_c, dim_q, scale) in enumerate(table) if dim_q == dim_c * scale]
 
 
 class MasaVerdict(Record):

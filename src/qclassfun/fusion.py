@@ -9,10 +9,11 @@ Three fusion families are modeled:
 
 Ladder labels are plain nonnegative ints (0 is trivial); free labels are
 strings over ``A``/``B`` (the empty string is trivial).  All dimensions are
-computed exactly: classical dimensions are ints, quantum dimensions are
-:class:`~fractions.Fraction` values read from the same integer recursions,
-and :func:`rho_spectrum` steps the intertwiner's spectrum as exact int
-pairs.
+computed exactly, the classical and the quantum one of each label in one
+table of :func:`scaled_dims`: classical dimensions are ints, quantum
+dimensions unreduced quotients of ints read from the same integer
+recursions, and :func:`rho_spectrum` steps the intertwiner's spectrum as
+exact int pairs.
 """
 
 from __future__ import annotations

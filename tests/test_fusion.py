@@ -310,7 +310,8 @@ def test_word_dim_matches_the_per_block_fraction_product(family):
     b = family.dim_q_fund.denominator
     # the unreduced triples over b^length that dims and criterion 5 read
     for word, (classical, numerator, denominator) in zip(words, fusion.scaled_dims(words, family)):
-        expected = {which: _dim_by_blocks(word, family, which) for which in ("classical", "quantum")}
+        expected = {which: _dim_by_blocks(word, family, which)
+                    for which in ("classical", "quantum")}
         for which, value in expected.items():
             assert dim(word, family, which) == value, (word, which)
             assert type(dim(word, family, which)) is type(value), (word, which)

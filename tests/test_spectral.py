@@ -450,13 +450,12 @@ def test_commutant_budget():
         min_eigenvalue_gap(JacobiOperator(size, (Fraction(1, 2),) * (size - 1)))
 
 
-#: The child's address-space limit: far below the about M^2 bits that the
-#: exact squares ``1 - 4^-k`` of a size-10^6 compression would take.
-SIZE_PROBE_MEMORY = 1 << 30
-
+#: build_jacobi(10**6, "1/2") in a child held to 1 GiB of address space and
+#: 10 s of CPU: the exact squares ``1 - 4^-k`` of that size would take about
+#: M^2 bits, so only a refusal made before allocating finishes in time.
 _SIZE_PROBE = """
 import resource, time
-resource.setrlimit(resource.RLIMIT_AS, (%d, %d))
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
 from qclassfun import spectral
 from qclassfun.errors import BudgetError
@@ -465,7 +464,7 @@ try:
     spectral.build_jacobi(10**6, "1/2")
 except BudgetError as exc:
     print("capped" in str(exc), time.process_time() - start)
-""" % (SIZE_PROBE_MEMORY, SIZE_PROBE_MEMORY)
+"""
 
 
 def test_a_huge_matrix_size_is_refused_before_anything_is_allocated():
