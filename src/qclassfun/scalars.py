@@ -8,17 +8,15 @@ a Laurent polynomial with integer coefficients.  The sum form is preferred
 over the quotient ``(q^-n - q^n)/(q^-1 - q)`` because it stays well defined
 at ``q = 1``, where it degenerates to the ordinary integer ``n``.
 
-:class:`LaurentScalar` holds the coefficients and evaluates them to a
-certified enclosure through :mod:`qclassfun.intervals`; it has no ring
-operations, and its ``evaluate`` is the one public method of the package
-that returns an mpmath interval.  No module of the package calls it or
-:func:`q_number` any more: the series kernel and the threshold functions in
-:mod:`qclassfun.criteria` use the closed forms of ``[m]_q``.  Both stay
-public because the benchmark's trace harness binds them by name.  The one
-solver of ``x + 1/x = d``, :func:`fixed_fundamental_q`, runs in fixed point
-and :func:`solve_fundamental_q` rounds its root to an ``Enclosure``.  So
-``LaurentScalar.evaluate`` is the one function of the package that imports
-:mod:`qclassfun.intervals`, when called, and with it mpmath.
+:class:`LaurentScalar` holds the coefficients and evaluates them at a
+rational to the tightest :class:`~qclassfun.dyadic.Enclosure`, rounded once
+from one exact integer sum; it has no ring operations.  No module of the
+package calls it or :func:`q_number` any more: the series kernel and the
+threshold functions in :mod:`qclassfun.criteria` use the closed forms of
+``[m]_q``.  Both stay public because the benchmark's trace harness binds
+them by name.  The one solver of ``x + 1/x = d``,
+:func:`fixed_fundamental_q`, runs in fixed point and
+:func:`solve_fundamental_q` rounds its root to an ``Enclosure``.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Mapping
 
-    from .intervals import Interval
-
 
 class LaurentScalar:
     """Integer-coefficient Laurent polynomial in one formal variable, kept
@@ -46,22 +42,22 @@ class LaurentScalar:
     def __init__(self, coeffs: Mapping[int, int]):
         self.coeffs: dict[int, int] = {int(e): int(c) for e, c in coeffs.items() if c != 0}
 
-    def evaluate(self, q: int | str | Fraction | Interval) -> Interval:
-        """Certified enclosure of the value at `q`: an mpmath interval, or a
-        rational read by :func:`dyadic.read_rational`.
-
-        Negative exponents are evaluated through the reciprocal of the
-        enclosure, so `q` must not enclose zero when such terms are present.
-        """
-        from . import intervals
-
-        point = intervals.make(q if isinstance(q, intervals.Interval) else dyadic.read_rational(q))
-        if self.coeffs and min(self.coeffs) < 0 and point.a <= 0 <= point.b:
-            raise DomainError("negative exponents at an enclosure of zero")
-        total = intervals.make(0, point.ctx)
-        for e, c in sorted(self.coeffs.items()):
-            total += c * point**e
-        return total
+    def evaluate(self, q: int | str | Fraction, bits: int = DEFAULT_BITS) -> dyadic.Enclosure:
+        """The tightest `bits`-bit enclosure of the value at the rational `q`,
+        read by :func:`dyadic.read_rational`: the terms ``c p^(e-l) r^(h-e)``
+        for ``q = p/r``, ``l <= 0 <= h`` the exponent range, are summed
+        exactly over ``p^-l r^h`` and rounded once.  Negative exponents need
+        ``q != 0``."""
+        dyadic.check_count(bits, "bits", 1, MAX_BITS)
+        p, r = dyadic.read_rational(q).as_integer_ratio()
+        low, high = min([0, *self.coeffs]), max([0, *self.coeffs])
+        if p == 0 and low < 0:
+            raise DomainError("negative exponents at q = 0")
+        total = sum(c * p ** (e - low) * r ** (high - e) for e, c in self.coeffs.items())
+        scale = p ** -low * r ** high
+        if scale < 0:
+            total, scale = -total, -scale
+        return dyadic.Enclosure(*dyadic.round_quotient(total, scale, bits), bits)
 
 
 def q_number(n: int) -> LaurentScalar:

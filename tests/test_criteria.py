@@ -7,7 +7,8 @@ import mpmath
 import pytest
 from mpmath.libmp import from_man_exp
 
-from qclassfun import criteria, dyadic, fusion, intervals
+from qclassfun import criteria, dyadic, fusion
+from qclassfun.budgets import DEFAULT_BITS
 from qclassfun.criteria import (
     Verdict,
     VERDICT_NO_CONCLUSION,
@@ -28,8 +29,8 @@ from qclassfun.criteria import (
 )
 from qclassfun.errors import BudgetError, DomainError, FamilyError, KacTypeError
 from qclassfun.fusion import free_unitary, so3_ladder, su2_ladder
-from qclassfun.scalars import q_number, solve_fundamental_q
-from interval_oracle import to_enclosure
+from qclassfun.scalars import solve_fundamental_q
+from interval_oracle import context, make, to_enclosure
 
 TOL = Fraction(1, 10**6)
 
@@ -136,12 +137,12 @@ def test_quasi_split_sum_diverges_for_kac():
 def test_quasi_split_sum_partial_matches_fusion_ratios():
     fam = su2_ladder(3, q=Fraction(1, 5))
     result = quasi_split_sum_ladder(fam, TOL)
-    with intervals.precision(160) as ctx:
-        independent = sum(
-            (ctx.sqrt(intervals.make(ratio_exact(n, fam), ctx))
-             for n in range(result.terms_used)),
-            intervals.make(0, ctx),
-        )
+    ctx = context(160)
+    independent = sum(
+        (ctx.sqrt(make(ratio_exact(n, fam), ctx))
+         for n in range(result.terms_used)),
+        make(0, ctx),
+    )
     assert _overlap(result.partial_sum, to_enclosure(independent))
 
 
@@ -206,7 +207,7 @@ def test_ladder_near_kac_stays_undetermined():
     assert result.terms_used == criteria.DEFAULT_MAX_TERMS + 1
     # the majorant certainly exceeds tol after the budget, so the kernel
     # stops at the starting precision instead of escalating
-    assert result.partial_sum.bits == intervals.DEFAULT_BITS
+    assert result.partial_sum.bits == DEFAULT_BITS
 
 
 @pytest.mark.parametrize("bits", [-5, 0, criteria.MAX_BITS + 1, 2048])
@@ -292,9 +293,9 @@ def _kernel_case(kind: str, below_one: bool, qq: Fraction, bits: int):
 # Cases at the default precision keep the plain id `kind-below_one`.
 @pytest.mark.parametrize("kind, below_one, bits", [
     pytest.param(kind, below_one, bits, id=f"{kind}-{below_one}"
-                 + ("" if bits == intervals.DEFAULT_BITS else f"-{bits}"))
+                 + ("" if bits == DEFAULT_BITS else f"-{bits}"))
     for kind in ("o-plus", "so3", "u-plus") for below_one in (False, True)
-    for bits in (16, 32, intervals.DEFAULT_BITS)
+    for bits in (16, 32, DEFAULT_BITS)
 ])
 def test_kernel_encloses_closed_form_oracle(kind, below_one, bits):
     for qq in KERNEL_GRID:
@@ -383,9 +384,9 @@ def test_block_sum_domain_errors():
 
 
 def test_series_and_bounds_refuse_an_mpmath_interval():
-    # an input is exact or an Enclosure; intervals.to_enclosure converts an interval
-    with intervals.precision(64) as ctx:
-        fifth = intervals.make(Fraction(1, 5), ctx)
+    # an input is exact or an Enclosure; the oracle's to_enclosure converts an interval
+    ctx = context(64)
+    fifth = make(Fraction(1, 5), ctx)
     calls = [
         lambda: block_sum_S(1, fifth, TOL),
         lambda: block_sum_S(fifth, Fraction(1, 10), TOL),
@@ -415,14 +416,14 @@ def test_block_sum_increasing_in_deformation():
 def test_block_sum_matches_family_dimensions():
     # independent route: terms from the exact family dimension recursion
     fam = free_unitary(3, dim_q_fund=5)
-    with intervals.precision(192) as ctx:
-        q_c = solve_fundamental_q(3, bits=ctx.prec)
-        q_q = solve_fundamental_q(5, bits=ctx.prec)
-        result = block_sum_S(q_c, q_q, TOL)
-        independent = intervals.make(0, ctx)
-        for n in range(1, result.terms_used + 1):
-            word = fusion.alternating_word(n)
-            independent += ctx.sqrt(intervals.make(ratio_exact(word, fam), ctx))
+    ctx = context(192)
+    q_c = solve_fundamental_q(3, bits=ctx.prec)
+    q_q = solve_fundamental_q(5, bits=ctx.prec)
+    result = block_sum_S(q_c, q_q, TOL)
+    independent = make(0, ctx)
+    for n in range(1, result.terms_used + 1):
+        word = fusion.alternating_word(n)
+        independent += ctx.sqrt(make(ratio_exact(word, fam), ctx))
     assert _overlap(result.partial_sum, to_enclosure(independent))
 
 
@@ -520,14 +521,15 @@ def test_threshold_remark_encloses_published_value():
 
 
 def test_remark_two_term_bound_brackets():
-    with intervals.precision(128) as ctx:
-        def two_term(q):
-            point = intervals.make(q, ctx)
-            return ctx.sqrt(2 / q_number(2).evaluate(point)) \
-                + ctx.sqrt(3 / q_number(3).evaluate(point))
+    ctx = context(128)
 
-        assert two_term(Fraction(1, 4)).a > 1
-        assert two_term(Fraction(1, 10)).b < 1
+    def two_term(q):
+        # the sum forms of [2]_q and [3]_q in the oracle's own arithmetic
+        point = make(q, ctx)
+        return ctx.sqrt(2 / (point**-1 + point)) + ctx.sqrt(3 / (point**-2 + 1 + point**2))
+
+    assert two_term(Fraction(1, 4)).a > 1
+    assert two_term(Fraction(1, 10)).b < 1
 
 
 @pytest.mark.parametrize("tol", [Fraction(1, 10**18), Fraction(3, 10**20)])

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
-from qclassfun import criteria, dyadic, fusion, intervals, report
+from qclassfun import criteria, dyadic, fusion, report
 from qclassfun.cli import main
 from qclassfun.errors import BudgetError, DomainError
-from interval_oracle import to_enclosure
+from interval_oracle import context, make, to_enclosure
 
 ROUNDINGS = {"floor": decimal.ROUND_FLOOR, "ceiling": decimal.ROUND_CEILING,
              "half-even": decimal.ROUND_HALF_EVEN}
@@ -85,8 +85,7 @@ def _assert_tightest(pair, value: Fraction, bits: int) -> None:
 
 def _mpmath_endpoints(p: int, q: int, bits: int):
     """Oracle: the endpoints of ``ctx.mpf(p) / ctx.mpf(q)`` as ``(m, e)``."""
-    ctx = MPIntervalContext()
-    ctx.prec = bits
+    ctx = context(bits)
     return tuple((-man if sign else man, exp)
                  for sign, man, exp, _ in (ctx.mpf(p) / ctx.mpf(q))._mpi_)
 
@@ -171,11 +170,11 @@ def test_round_quotient_is_the_grid_floor_and_ceiling_on_chosen_values(bits, p, 
 @pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 3), Fraction(-22, 7), Fraction(5),
                                    Fraction(2**1200 + 1, 3**500), Fraction(-1, 10**400)])
 def test_make_of_a_fraction_is_its_tightest_enclosure(bits, value):
-    with intervals.precision(bits) as ctx:
-        made = intervals.make(value, ctx)
-        assert made.ctx is ctx
-        enclosure = to_enclosure(made)
-        _assert_tightest((enclosure.lo, enclosure.hi), value, bits)
+    ctx = context(bits)
+    made = make(value, ctx)
+    assert made.ctx is ctx
+    enclosure = to_enclosure(made)
+    _assert_tightest((enclosure.lo, enclosure.hi), value, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +217,17 @@ def test_rational_payload_prints_the_tightest_enclosure(bits, value):
 
 @pytest.mark.parametrize("bits", [1, 53, 128, 1024])
 def test_interval_text_matches_the_decimal_printer(bits):
-    with intervals.precision(bits) as ctx:
-        for interval in (ctx.mpf([-3, 5]) / 7, ctx.sqrt(ctx.mpf(2)) * 2**-40,
-                         ctx.exp(ctx.mpf(300)),
-                         _hull(Fraction(-1, 3), Fraction(1, 10**9), ctx)):
-            expected = _oracle_payload(interval)
-            enclosure = to_enclosure(interval)
-            assert dyadic.to_decimal_pair(enclosure) == (expected["lo"], expected["hi"])
-            assert report.enclosure_payload(enclosure) == expected
-        for unbounded in (ctx.mpf([1, "inf"]), ctx.mpf(["-inf", 1])):
-            with pytest.raises(ValueError, match="no infinite or NaN end"):
-                to_enclosure(unbounded)
+    ctx = context(bits)
+    for interval in (ctx.mpf([-3, 5]) / 7, ctx.sqrt(ctx.mpf(2)) * 2**-40,
+                     ctx.exp(ctx.mpf(300)),
+                     _hull(Fraction(-1, 3), Fraction(1, 10**9), ctx)):
+        expected = _oracle_payload(interval)
+        enclosure = to_enclosure(interval)
+        assert dyadic.to_decimal_pair(enclosure) == (expected["lo"], expected["hi"])
+        assert report.enclosure_payload(enclosure) == expected
+    for unbounded in (ctx.mpf([1, "inf"]), ctx.mpf(["-inf", 1])):
+        with pytest.raises(ValueError, match="no infinite or NaN end"):
+            to_enclosure(unbounded)
 
 
 def test_dims_prints_endpoints_longer_than_the_int_to_str_limit(capsys, monkeypatch):
@@ -309,12 +308,6 @@ ENCLOSURE_BITS = [1, 2, 7, 53, 64, 96, 128, 256, 1024]
 wide_ints = st.one_of(st.integers(-(2**70), 2**70), st.integers(-(2**2100), 2**2100))
 
 
-def _context(bits: int) -> MPIntervalContext:
-    ctx = MPIntervalContext()
-    ctx.prec = bits
-    return ctx
-
-
 def _raw_dyadic(raw) -> tuple[int, int]:
     sign, man, exp, _ = raw
     return (-man if sign else man), exp
@@ -333,7 +326,7 @@ def _interval(x: dyadic.Enclosure, ctx: MPIntervalContext):
 def _hull(lo: Fraction, hi: Fraction, ctx: MPIntervalContext):
     """The mpmath interval in `ctx` from the lower end of the enclosure of
     `lo` to the upper end of that of `hi`."""
-    return ctx.mpf([intervals.make(lo, ctx).a, intervals.make(hi, ctx).b])
+    return ctx.mpf([make(lo, ctx).a, make(hi, ctx).b])
 
 
 def _fixed_input(draw_lo: int, draw_hi: int, p: int, bits: int) -> dyadic.Enclosure:
@@ -358,7 +351,7 @@ def test_fixed_enclosure_is_mpmaths_from_man_exp(bits, lo, hi, p):
 def test_sum_enclosure_is_mpmaths_partial_plus_tail(bits, a, b, c, d, p):
     partial, tail = _fixed_input(a, b, p, bits), _fixed_input(c, d, p, bits)
     result = criteria.SeriesResult(criteria.Verdict.CONVERGES, partial, tail, 1)
-    ctx = _context(bits)
+    ctx = context(bits)
     partial_interval = _interval(partial, ctx)
     total = partial_interval + _interval(tail, ctx)
     expected = ctx.mpf([partial_interval.a, total.b])
@@ -395,7 +388,7 @@ def test_total_sum_free_is_the_tightest_enclosure_of_one_plus_geometric(bits, a,
     assert hi == _grid_ceil((1 + s_hi) / (1 - s_hi), bits)
     assert total.partial_sum.bits == bits
     assert _is_normal(total.partial_sum.lo) and _is_normal(total.partial_sum.hi)
-    interval = _interval(s, _context(bits))  # inside mpmath's left-to-right operators
+    interval = _interval(s, context(bits))  # inside mpmath's left-to-right operators
     total = 1 + 2 * interval / (1 - interval)
     mp_lo, mp_hi = dyadic.exact_endpoints(_mpmath_enclosure(total, bits))
     assert mp_lo <= lo and hi <= mp_hi
@@ -409,7 +402,7 @@ def test_threshold_bracket_rounding_is_the_grid_hull(bits, lo, span):
     enclosure = dyadic.rational_enclosure(lo, lo + span, bits)
     assert dyadic.exact_endpoints(enclosure) == (_grid_floor(lo, bits),
                                                  _grid_ceil(lo + span, bits))
-    expected = _hull(lo, lo + span, _context(bits))
+    expected = _hull(lo, lo + span, context(bits))
     assert enclosure == _mpmath_enclosure(expected, bits)
 
 
@@ -418,7 +411,7 @@ def test_threshold_bracket_rounding_is_the_grid_hull(bits, lo, span):
 @given(wide_ints, wide_ints, st.integers(0, 2200))
 def test_width_is_the_upper_end_of_mpmaths_delta(bits, lo, hi, p):
     x = _fixed_input(lo, hi, p, bits)
-    interval = _interval(x, _context(bits))
+    interval = _interval(x, context(bits))
     width = dyadic.width(x)
     assert width == _raw_dyadic(interval.delta._mpi_[1])
     if dyadic.to_fraction(width) < 1:  # as `threshold` prints it: its widths are below 1
@@ -431,7 +424,7 @@ def test_width_is_the_upper_end_of_mpmaths_delta(bits, lo, hi, p):
 @given(st.integers(-(2**150), 2**150), st.integers(-(2**150), 2**150), st.integers(0, 160))
 def test_to_enclosure_reads_back_the_interval_of_an_enclosure(bits, lo, hi, p):
     x = _fixed_input(lo, hi, p, bits)
-    interval = _interval(x, _context(bits))
+    interval = _interval(x, context(bits))
     assert to_enclosure(interval) == x
     expected = _oracle_cell(*dyadic.exact_endpoints(x), bits)
     assert dyadic.to_decimal_pair(x) == (expected["lo"], expected["hi"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qclassfun import dyadic, fusion, intervals
+from qclassfun import dyadic, fusion
 from qclassfun.cli import main
 from qclassfun.errors import DomainError, FamilyError
 from qclassfun.fusion import (
@@ -29,7 +29,7 @@ from qclassfun.fusion import (
     tensor_reduce,
 )
 from qclassfun.scalars import q_number, solve_fundamental_q
-from interval_oracle import to_enclosure
+from interval_oracle import context, make, to_enclosure
 
 words = st.text(alphabet="AB", max_size=8)
 
@@ -237,16 +237,19 @@ def test_word_dim_examples():
 
 
 def test_word_quantum_dim_is_deformed_integer_at_fundamental_root():
-    # dual route: the exact block recursion against interval evaluation of
-    # the deformed integer at the root of x + 1/x = dim_q.
+    # dual route: the exact block recursion against the oracle's evaluation of
+    # the deformed integer's sum form at the root of x + 1/x = dim_q.
     fam = free_unitary(2, dim_q_fund=Fraction(7, 2))
     root_lo, root_hi = dyadic.exact_endpoints(solve_fundamental_q(Fraction(7, 2), bits=128))
-    with intervals.precision(128) as ctx:
-        root = ctx.mpf([intervals.make(root_lo, ctx).a, intervals.make(root_hi, ctx).b])
-        for n in range(1, 8):
-            word = fusion.alternating_word(n)
-            lo, hi = dyadic.exact_endpoints(to_enclosure(q_number(n + 1).evaluate(root)))
-            assert lo <= Fraction(dim(word, fam, "quantum")) <= hi
+    ctx = context(128)
+    root = ctx.mpf([make(root_lo, ctx).a, make(root_hi, ctx).b])
+    for n in range(1, 8):
+        word = fusion.alternating_word(n)
+        value = make(0, ctx)
+        for e, c in sorted(q_number(n + 1).coeffs.items()):
+            value += c * root**e
+        lo, hi = dyadic.exact_endpoints(to_enclosure(value))
+        assert lo <= Fraction(dim(word, fam, "quantum")) <= hi
 
 
 def test_dim_additivity_spot_checks():

@@ -2,8 +2,8 @@
 a CLI process imports only the modules its subcommand runs.
 
 Every CLI call runs in a fresh process, so start-up is part of each
-command's cost.  These tests pin that no subcommand loads mpmath, that
-only ``LaurentScalar.evaluate`` reaches it, and that a command loads none
+command's cost.  These tests pin that no module of the package imports
+mpmath, which only the tests use as their oracle, and that a command loads none
 of the stdlib modules that the package's records, annotations, locks and
 writers once pulled in: ``dataclasses`` (with ``inspect``, ``ast``, ``dis``
 and ``tokenize``), ``typing``, ``threading``, ``csv`` and ``json``.
@@ -196,25 +196,33 @@ def _module_level_imports(path: Path, everywhere: bool = False) -> set[str]:
 GRAPH = {path.stem: _module_level_imports(path) for path in PACKAGE.glob("*.py")}
 
 
-def test_only_intervals_imports_mpmath_at_module_level():
-    assert sorted(name for name, imports in GRAPH.items() if "mpmath" in imports) == ["intervals"]
+def test_no_module_imports_mpmath_even_inside_a_function():
+    importers = sorted(path.stem for path in PACKAGE.glob("*.py")
+                       if "mpmath" in _module_level_imports(path, everywhere=True))
+    assert importers == []
 
 
-def test_only_scalars_imports_intervals_even_inside_a_function():
-    # LaurentScalar.evaluate, the one method that returns an mpmath interval
+def test_no_module_imports_intervals_even_inside_a_function():
+    # intervals keeps only the names the benchmark harness binds
     importers = sorted(path.stem for path in PACKAGE.glob("*.py")
                        if "intervals" in _module_level_imports(path, everywhere=True))
-    assert importers == ["scalars"]
+    assert importers == []
 
 
-def test_modules_that_load_mpmath_on_import():
+def test_no_module_reaches_mpmath_on_import():
     def reaches_mpmath(name: str, seen: set[str]) -> bool:
         seen.add(name)
         return "mpmath" in GRAPH[name] or any(
             reaches_mpmath(dep, seen) for dep in GRAPH[name] & GRAPH.keys() - seen)
 
-    heavy = sorted(name for name in GRAPH if reaches_mpmath(name, set()))
-    assert heavy == ["intervals"]
+    assert sorted(name for name in GRAPH if reaches_mpmath(name, set())) == []
+
+
+def test_importing_every_submodule_loads_no_mpmath():
+    # in a fresh process, where nothing has loaded mpmath yet
+    loaded = _python(f"import json, sys\nfrom qclassfun import {', '.join(SUBMODULES)}\n"
+                     f"print(json.dumps('mpmath' in sys.modules))")
+    assert loaded is False
 
 
 def test_budgets_module_imports_nothing():

@@ -1,4 +1,5 @@
-"""Outward-rounded interval helpers and their per-call precision."""
+"""The tests' interval oracle, the harness's precision shim, and the
+enclosure boundary: exact values or Enclosures in, Enclosures out."""
 
 import ast
 import inspect
@@ -17,7 +18,7 @@ from mpmath.ctx_iv import ivmpf
 import qclassfun
 from qclassfun import bicrossed, criteria, dyadic, fusion, intervals, scalars, spectral
 from qclassfun.errors import DomainError, Record
-from interval_oracle import to_enclosure
+from interval_oracle import context, make, to_enclosure
 
 fractions = st.fractions(min_value=Fraction(-100), max_value=Fraction(100))
 
@@ -32,36 +33,39 @@ def _width(x) -> Fraction:
     return hi - lo
 
 
-def test_precision_yields_one_context_per_bit_count():
+def test_the_oracle_keeps_one_context_per_bit_count():
     before = iv.prec
-    with intervals.precision(37) as ctx, intervals.precision(37) as again:
-        assert ctx is again and ctx.prec == 37
-        third = intervals.make(Fraction(1, 3), ctx)
-        assert third.ctx is ctx and (1 - third * third).ctx is ctx
-        default_third = intervals.make(Fraction(1, 3))
-        assert default_third.ctx.prec == intervals.DEFAULT_BITS
-        assert _width(default_third) < _width(third)
+    ctx = context(37)
+    assert context(37) is ctx and ctx.prec == 37
+    third = make(Fraction(1, 3), ctx)
+    assert third.ctx is ctx and (1 - third * third).ctx is ctx
+    default_third = make(Fraction(1, 3), context(intervals.DEFAULT_BITS))
+    assert _width(default_third) < _width(third)
     assert iv.prec == before
 
 
 def test_mixed_context_guard_rejects_arithmetic_across_contexts():
     # conftest's autouse guard; within one context, and with exact operands,
     # arithmetic is untouched
-    with intervals.precision(64) as low, intervals.precision(128) as high:
-        a, b = intervals.make(Fraction(1, 3), low), intervals.make(Fraction(1, 3), high)
-        assert (2 * a + 1 - a / 3).ctx is low and (b**2).ctx is high
-        for mixed in (lambda: a + b, lambda: b * a, lambda: a / b, lambda: b - a, lambda: a**b):
-            with pytest.raises(AssertionError, match="mixes interval contexts at"):
-                mixed()
+    low, high = context(64), context(128)
+    a, b = make(Fraction(1, 3), low), make(Fraction(1, 3), high)
+    assert (2 * a + 1 - a / 3).ctx is low and (b**2).ctx is high
+    for mixed in (lambda: a + b, lambda: b * a, lambda: a / b, lambda: b - a, lambda: a**b):
+        with pytest.raises(AssertionError, match="mixes interval contexts at"):
+            mixed()
 
 
-@pytest.mark.parametrize("bits", [0, -5, intervals.MAX_BITS + 1, 200000])
-def test_precision_rejects_bits_outside_range_without_caching(bits):
-    cached = intervals._context.cache_info().currsize
+@pytest.mark.parametrize("bits", [0, -5, intervals.MAX_BITS + 1, 200000, True, 64.0])
+def test_precision_rejects_bits_outside_range(bits):
     with pytest.raises(DomainError):
         with intervals.precision(bits):
             pass
-    assert intervals._context.cache_info().currsize == cached
+
+
+def test_precision_checks_its_bits_and_yields_nothing():
+    # kept only for the benchmark harness, which counts the scopes it enters
+    with intervals.precision(intervals.MAX_BITS) as value:
+        assert value is None
 
 
 def test_library_calls_ignore_mpmath_ambient_precision():
@@ -128,40 +132,30 @@ def _prec_writes(tree: ast.AST) -> list[int]:
     return targets
 
 
-def test_only_the_context_factory_touches_interval_precision():
-    """Precision lives in the interval contexts of `intervals`: no other
-    module uses mpmath's interval API or reads an interval's raw endpoints
-    (so the fixed-point crossings stay in `intervals`), and only
-    `intervals._context` sets a `.prec`."""
+def test_no_module_touches_interval_precision():
+    """No module of the package uses mpmath's interval API, reads an
+    interval's raw endpoints or sets a `.prec`: the interval contexts live
+    in the tests' oracle."""
     package = Path(qclassfun.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path.name == "intervals.py":
-            factory = next(node for node in tree.body
-                           if isinstance(node, ast.FunctionDef) and node.name == "_context")
-            allowed = set(_prec_writes(factory))
-            assert allowed and set(_prec_writes(tree)) == allowed
-        else:
-            assert not any(_interval_api_uses(node) for node in ast.walk(tree)), path.name
-            assert not _prec_writes(tree), path.name
+        assert not any(_interval_api_uses(node) for node in ast.walk(tree)), path.name
+        assert not _prec_writes(tree), path.name
 
 
 @given(fractions)
 def test_make_encloses_fractions(f):
-    with intervals.precision(64) as ctx:
-        lo, hi = _endpoints(intervals.make(f, ctx))
+    lo, hi = _endpoints(make(f, context(64)))
     assert lo <= f <= hi
 
 
 def test_make_encloses_decimal_strings():
-    with intervals.precision(64) as ctx:
-        lo, hi = _endpoints(intervals.make("0.3", ctx))
+    lo, hi = _endpoints(make("0.3", context(64)))
     assert lo < Fraction(3, 10) < hi  # 0.3 is not binary-exact
 
 
 def test_endpoints_are_exact_beyond_double_precision():
-    with intervals.precision(128) as ctx:
-        lo, hi = _endpoints(intervals.make(Fraction(1, 3), ctx))
+    lo, hi = _endpoints(make(Fraction(1, 3), context(128)))
     assert lo < Fraction(1, 3) < hi
     # 1e-30 away: inside one double's rounding, far outside 128 bits
     assert Fraction(1, 3) - Fraction(1, 10**30) < lo and hi < Fraction(1, 3) + Fraction(1, 10**30)
@@ -169,8 +163,7 @@ def test_endpoints_are_exact_beyond_double_precision():
 
 @given(fractions)
 def test_decimal_pair_brackets_the_value(f):
-    with intervals.precision(64) as ctx:
-        x = to_enclosure(intervals.make(f, ctx))
+    x = to_enclosure(make(f, context(64)))
     lo, hi = dyadic.to_decimal_pair(x, digits=12)
     assert Fraction(lo) <= f <= Fraction(hi)
 
@@ -178,9 +171,8 @@ def test_decimal_pair_brackets_the_value(f):
 def test_decimal_pair_is_dyadics_and_an_unbounded_interval_has_no_enclosure():
     # an Enclosure is bounded, so the oracle's reading refuses an infinite end
     assert intervals.to_decimal_pair is dyadic.to_decimal_pair
-    with intervals.precision(64) as ctx:
-        with pytest.raises(ValueError, match="no infinite or NaN end"):
-            to_enclosure(ctx.mpf([1, "inf"]))
+    with pytest.raises(ValueError, match="no infinite or NaN end"):
+        to_enclosure(context(64).mpf([1, "inf"]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +183,8 @@ _FREE = fusion.free_unitary(2, q=Fraction(1, 10))
 _OP = spectral.build_jacobi(4, Fraction(1, 2))
 _BLOCK = criteria.block_sum_S(1, Fraction(1, 10), Fraction(1, 1000))
 
-#: One small valid call of each public function of the four modules, except
-#: ``LaurentScalar.evaluate``, the one method that returns an mpmath interval.
+#: One small valid call of each public function of the four modules, and of
+#: ``LaurentScalar.evaluate``, the one public method among them.
 BOUNDARY_CALLS = {
     "fusion.su2_ladder": lambda: fusion.su2_ladder(3, q=Fraction(1, 5)),
     "fusion.so3_ladder": lambda: fusion.so3_ladder(4, dim_q_fund=5),
@@ -238,6 +230,7 @@ BOUNDARY_CALLS = {
     "scalars.q_number": lambda: scalars.q_number(3),
     "scalars.fixed_fundamental_q": lambda: scalars.fixed_fundamental_q((3 << 64, 3 << 64), 64),
     "scalars.solve_fundamental_q": lambda: scalars.solve_fundamental_q(3),
+    "scalars.LaurentScalar.evaluate": lambda: scalars.q_number(3).evaluate(Fraction(1, 3)),
 }
 
 
@@ -275,7 +268,7 @@ def test_the_walker_reaches_the_enclosures_inside_a_record():
 
 
 def test_the_boundary_calls_cover_every_public_function():
-    assert set(BOUNDARY_CALLS) == _public_functions()
+    assert set(BOUNDARY_CALLS) == _public_functions() | {"scalars.LaurentScalar.evaluate"}
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_CALLS))
@@ -416,6 +409,7 @@ COUNT_CALLS = {
     "criteria.masa_verdict free Kac max_terms":
         lambda k: criteria.masa_verdict(_FREE_KAC, n_max=5, max_terms=k),
     "scalars.solve_fundamental_q bits": lambda k: scalars.solve_fundamental_q(3, k),
+    "scalars.LaurentScalar.evaluate bits": lambda k: scalars.q_number(2).evaluate(_THIRD, k),
 }
 
 

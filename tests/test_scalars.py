@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qclassfun import criteria, dyadic, intervals
+from qclassfun import criteria, dyadic
 from qclassfun.errors import DomainError
 from qclassfun.fusion import free_unitary, so3_ladder, su2_ladder
 from qclassfun.scalars import LaurentScalar, fixed_fundamental_q, q_number, solve_fundamental_q
-from interval_oracle import to_enclosure
+from interval_oracle import context, make, to_enclosure
 
 small_ints = st.integers(min_value=-6, max_value=6)
 coeff_maps = st.dictionaries(small_ints, st.integers(min_value=-9, max_value=9), max_size=6)
@@ -40,16 +40,10 @@ def _width(enclosure: dyadic.Enclosure) -> Fraction:
     return hi - lo
 
 
-def _evaluate(p: LaurentScalar, q) -> dyadic.Enclosure:
-    """`p` evaluated at the mpmath interval or exact value `q`, read back as
-    an Enclosure."""
-    return to_enclosure(p.evaluate(q))
-
-
 def _hull(lo: Fraction, hi: Fraction, ctx):
     """The mpmath interval in `ctx` from the lower end of the enclosure of
     `lo` to the upper end of that of `hi`."""
-    return ctx.mpf([intervals.make(lo, ctx).a, intervals.make(hi, ctx).b])
+    return ctx.mpf([make(lo, ctx).a, make(hi, ctx).b])
 
 
 def test_q_number_zero_is_empty_sum():
@@ -82,59 +76,54 @@ def test_q_number_recursion(n, q):
     # [2][n] = [n-1] + [n+1] holds for the oracle, and evaluation encloses it
     assert deformed_integer(2, q) * deformed_integer(n, q) == \
         deformed_integer(n - 1, q) + deformed_integer(n + 1, q)
-    with intervals.precision(128) as ctx:
-        for m in (n - 1, n, n + 1):
-            enclosed = _evaluate(q_number(m), intervals.make(q, ctx))
-            exact = deformed_integer(m, q)
-            assert _holds(enclosed, exact)
-            assert _width(enclosed) <= exact / 10**20
+    for m in (n - 1, n, n + 1):
+        enclosed = q_number(m).evaluate(q)
+        exact = deformed_integer(m, q)
+        assert _holds(enclosed, exact)
+        assert _width(enclosed) <= exact / 10**20
 
 
 def test_eval_q_number_examples():
-    with intervals.precision(128) as ctx:
-        half = intervals.make(Fraction(1, 2), ctx)
-        assert _holds(_evaluate(q_number(2), half), Fraction(5, 2))
-        assert _holds(_evaluate(q_number(3), intervals.make(1, ctx)), 3)
-        # direct evaluation of the sum form at 0.3
-        expected = deformed_integer(5, Fraction(3, 10))
-        assert expected == Fraction(3, 10) ** -4 + Fraction(3, 10) ** -2 + 1 \
-            + Fraction(3, 10) ** 2 + Fraction(3, 10) ** 4
-        enclosed = _evaluate(q_number(5), intervals.make(Fraction(3, 10), ctx))
-        assert _holds(enclosed, expected)
-        assert _width(enclosed) <= Fraction(1, 10**20)
+    assert _holds(q_number(2).evaluate(Fraction(1, 2)), Fraction(5, 2))
+    assert _holds(q_number(3).evaluate(1), 3)
+    # direct evaluation of the sum form at 0.3
+    expected = deformed_integer(5, Fraction(3, 10))
+    assert expected == Fraction(3, 10) ** -4 + Fraction(3, 10) ** -2 + 1 \
+        + Fraction(3, 10) ** 2 + Fraction(3, 10) ** 4
+    enclosed = q_number(5).evaluate("0.3")
+    assert _holds(enclosed, expected)
+    assert _width(enclosed) <= Fraction(1, 10**20)
 
 
 def test_eval_at_one_encloses_n():
-    with intervals.precision(128) as ctx:
-        for n in range(65):
-            assert _holds(_evaluate(q_number(n), intervals.make(1, ctx)), n)
+    for n in range(65):
+        assert _holds(q_number(n).evaluate(1), n)
 
 
-def test_eval_rejects_zero_enclosure_with_negative_exponents():
-    with intervals.precision(64) as ctx:
-        spanning_zero = _hull(Fraction(-1, 10), Fraction(1, 10), ctx)
-        with pytest.raises(DomainError):
-            q_number(2).evaluate(spanning_zero)
-        # pure nonnegative exponents are fine at zero
-        assert _holds(_evaluate(LaurentScalar({0: 7}), spanning_zero), 7)
+def test_eval_at_zero_refuses_negative_exponents():
+    with pytest.raises(DomainError, match="negative exponents at q = 0"):
+        q_number(2).evaluate(0)
+    # pure nonnegative exponents are fine at zero
+    assert _holds(LaurentScalar({0: 7, 3: -2}).evaluate(0), 7)
 
 
-@given(coeff_maps, rational_q)
-@example({0: 1, 4: 1}, Fraction(500671, 23704600))  # needs exact containment
-def test_eval_encloses_exact_rational_value(coeffs, q):
-    p = LaurentScalar(coeffs)
-    with intervals.precision(96) as ctx:
-        assert _holds(_evaluate(p, intervals.make(q, ctx)), laurent_value(coeffs, q))
+@pytest.mark.parametrize("bits", [1, 2, 53, 128, 1024])
+@given(coeff_maps, st.fractions(min_value=-4, max_value=4).filter(bool))
+@example({0: 1, 4: 1}, Fraction(500671, 23704600))
+@example({-3: -2, 0: 5, 2: 7}, Fraction(-1, 3))
+def test_eval_is_the_tightest_enclosure_of_the_exact_value(bits, coeffs, q):
+    # signed coefficients and a negative q: the exact Fraction sum rounded once
+    exact = laurent_value(coeffs, q)
+    enclosure = LaurentScalar(coeffs).evaluate(q, bits)
+    assert enclosure == dyadic.Enclosure(
+        *dyadic.round_quotient(exact.numerator, exact.denominator, bits), bits)
 
 
-@given(coeff_maps, rational_q, rational_q, st.integers(min_value=0, max_value=4))
-def test_eval_encloses_every_sample_inside_a_wide_enclosure(coeffs, q1, q2, pick):
-    p = LaurentScalar(coeffs)
-    lo, hi = min(q1, q2), max(q1, q2)
-    sample = lo + (hi - lo) * Fraction(pick, 4)
-    with intervals.precision(96) as ctx:
-        box = _hull(lo, hi, ctx)
-        assert _holds(_evaluate(p, box), laurent_value(coeffs, sample))
+def test_eval_refuses_a_float_and_an_mpmath_interval():
+    with pytest.raises(TypeError, match="for exactness"):
+        q_number(2).evaluate(0.5)
+    with pytest.raises(DomainError, match="need a finite rational"):
+        q_number(2).evaluate(make(Fraction(1, 2), context(64)))
 
 
 def test_canonical_form_drops_zero_coefficients():
@@ -154,9 +143,8 @@ def test_solve_fundamental_q_examples():
 def test_solve_fundamental_q_inverts(d):
     lo, hi = dyadic.exact_endpoints(solve_fundamental_q(d, bits=128))
     assert 0 < lo and hi <= 1
-    with intervals.precision(128) as ctx:
-        q = _hull(lo, hi, ctx)
-        assert _holds(to_enclosure(q + 1 / q), d)
+    q = _hull(lo, hi, context(128))
+    assert _holds(to_enclosure(q + 1 / q), d)
 
 
 def test_solve_fundamental_q_tiny_root_keeps_its_sign():
@@ -209,9 +197,9 @@ def test_fixed_fundamental_q_encloses_the_root(seed, frac_bits):
 def _mpmath_root(d: Fraction, bits: int):
     """The root as mpmath's interval arithmetic encloses ``2/(d + sqrt(d^2 - 4))``
     at `bits`, or None where `d` enclosed at `bits` reaches below 2."""
-    with intervals.precision(bits) as ctx:
-        x = intervals.make(d, ctx)
-        return None if x.a < 2 else 2 / (x + ctx.sqrt(x * x - 4))
+    ctx = context(bits)
+    x = make(d, ctx)
+    return None if x.a < 2 else 2 / (x + ctx.sqrt(x * x - 4))
 
 
 @pytest.mark.parametrize("bits", [1, 8, 64, 128, 512, 1024])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
-from qclassfun import dyadic, intervals
+from qclassfun import dyadic
 from qclassfun.dyadic import Enclosure
 from qclassfun.errors import BudgetError, DomainError
 from qclassfun.spectral import (
@@ -34,7 +34,7 @@ from qclassfun.spectral import (
     suq2_relation_residuals,
     trace_balanced,
 )
-from interval_oracle import to_enclosure
+from interval_oracle import context, to_enclosure
 
 GRID_Q = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
 GRID_M = (2, 4, 8, 16)
@@ -109,12 +109,6 @@ ORACLE_LADDERS = ((0, Fraction(1, 3)), (3, Fraction(1, 3)), (5, Fraction(1)),
                   (2, Fraction(10**23 - 1, 10**23)))
 
 
-def _oracle_context(prec: int) -> MPIntervalContext:
-    ctx = MPIntervalContext()
-    ctx.prec = prec
-    return ctx
-
-
 def _ladder_oracle(ctx: MPIntervalContext, n: int, q: Fraction) -> list:
     return [ctx.mpf(lam.numerator) / lam.denominator for lam in rho_spectrum_exact(n, q)]
 
@@ -133,7 +127,7 @@ def test_integer_exponent_norm_is_tight_around_mpmaths_value(bits, b):
         assert norm.bits == bits
         exponent = int(-4 * Fraction(b) - 1)
         # a power of e multiplies the relative error of its base by e
-        ctx = _oracle_context(3 * bits + 16 + exponent.bit_length())
+        ctx = context(3 * bits + 16 + exponent.bit_length())
         lams = _ladder_oracle(ctx, n, q)
         oracle = to_enclosure(sum(lam**exponent for lam in lams) / sum(lams))
         with mpmath.workprec(ctx.prec):
@@ -153,7 +147,7 @@ def test_non_integer_exponent_norm_is_tight_around_mpmaths_value(bits, b):
         norm = modular_norm_sq(n, q, b, bits)
         assert norm.bits == bits
         exponent = -4 * b - 1
-        ctx = _oracle_context(3 * bits + 16 + math.ceil(abs(exponent) * n).bit_length())
+        ctx = context(3 * bits + 16 + math.ceil(abs(exponent) * n).bit_length())
         e = ctx.mpf(exponent.numerator) / exponent.denominator
         lams = _ladder_oracle(ctx, n, q)
         oracle = to_enclosure(sum(lam**e for lam in lams) / sum(lams))
@@ -176,7 +170,7 @@ def test_eigencoefficients_are_tight_around_mpmaths_values(bits, t):
     for n, q in ORACLE_LADDERS:
         cells = modular_eigencoefficients(n, q, t, bits)
         assert len(cells) == n + 1
-        ctx = _oracle_context(3 * bits + 256)
+        ctx = context(3 * bits + 256)
         twice_t = 2 * ctx.mpf(Fraction(t).numerator) / Fraction(t).denominator
         for (re, im), lam in zip(cells, _ladder_oracle(ctx, n, q), strict=True):
             angle = twice_t * ctx.log(lam)
@@ -265,8 +259,8 @@ def test_eigencoefficients_half_turn():
     # at t = pi/(2 ln 2) both eigenvalues 2 and 1/2 land on -1; t is the
     # lower end of a 256-bit enclosure of it, about 2^-250 away, which moves
     # the coefficients far less than their 128-bit enclosures are wide
-    with intervals.precision(256) as ctx:
-        t = dyadic.exact_endpoints(to_enclosure(ctx.pi / (2 * ctx.log(2))))[0]
+    ctx = context(256)
+    t = dyadic.exact_endpoints(to_enclosure(ctx.pi / (2 * ctx.log(2))))[0]
     for re, im in modular_eigencoefficients(1, Fraction(1, 2), t, 128):
         assert _holds(re, -1)
         assert _holds(im, 0)

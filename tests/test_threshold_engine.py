@@ -19,8 +19,8 @@ import mpmath
 import pytest
 from mpmath.libmp import from_man_exp
 
-from qclassfun import criteria, dyadic, intervals
-from interval_oracle import to_enclosure
+from qclassfun import criteria, dyadic
+from interval_oracle import context, make, to_enclosure
 
 FRAC_BITS = [8, 16, 64, 128, 512]
 LO, HI = Fraction(1, 100), Fraction(1, 2)
@@ -214,9 +214,9 @@ def _ratio_value() -> mpmath.mpf:
 
 def _mpmath_ratio(bits: int):
     """``threshold_ratio_dimge3`` as mpmath's interval arithmetic computed it."""
-    with intervals.precision(bits) as ctx:
-        u = ctx.sqrt((3 * ctx.sqrt(intervals.make(5, ctx)) + 5) / 10)
-        return (1 + u) ** -2
+    ctx = context(bits)
+    u = ctx.sqrt((3 * ctx.sqrt(make(5, ctx)) + 5) / 10)
+    return (1 + u) ** -2
 
 
 def _dimge3_value(q_c: Fraction, q_q: Fraction) -> mpmath.mpf:
@@ -227,12 +227,12 @@ def _dimge3_value(q_c: Fraction, q_q: Fraction) -> mpmath.mpf:
 def _mpmath_dimge3(q_c: Fraction, q_q: Fraction, bits: int):
     """``bound_S_dimge3`` as mpmath's interval arithmetic computed it, or
     None where its inputs, enclosed at `bits`, were refused."""
-    with intervals.precision(bits) as ctx:
-        qc, qq = intervals.make(q_c, ctx), intervals.make(q_q, ctx)
-        if qq.a <= 0 or qc.b >= 1 or not qq.b < qc.a:
-            return None
-        root = ctx.sqrt(qq / qc)
-        return 1 / ctx.sqrt(1 - qc * qc) * root / (1 - root)
+    ctx = context(bits)
+    qc, qq = make(q_c, ctx), make(q_q, ctx)
+    if qq.a <= 0 or qc.b >= 1 or not qq.b < qc.a:
+        return None
+    root = ctx.sqrt(qq / qc)
+    return 1 / ctx.sqrt(1 - qc * qc) * root / (1 - root)
 
 
 def _dimge3_pairs() -> list[tuple[Fraction, Fraction]]:
