@@ -25,9 +25,9 @@ loading mpmath or :mod:`decimal`, so no command loads mpmath.
   fixed-point pair into one as mpmath's ``from_man_exp`` does, and
   :func:`round_to` and :func:`width` round single operations outward as
   mpmath's interval operators do at the same precision;
-  :func:`to_decimal_pair` prints its endpoints outward.  :func:`power`,
-  :func:`divide` and :func:`exp` round one product chain, one quotient of
-  positive dyadics or one exponential toward the end they bound.
+  :func:`to_decimal_pair` prints its endpoints outward.  :func:`divide`
+  and :func:`exp` round one quotient of positive dyadics or one
+  exponential toward the end they bound.
 * Fixed point: a pair of ints ``(lo, hi)`` stands for ``[lo, hi]·2^-p``.
   :func:`to_fixed` and :func:`fixed_hull` enclose a rational and an interval,
   and :func:`fixed_mul`, :func:`fixed_div` and :func:`fixed_sqrt` round each
@@ -171,20 +171,6 @@ def midpoint(lo: Dyadic, hi: Dyadic) -> Dyadic:
     """Exact midpoint of two dyadics."""
     m, e = add(lo, hi)
     return m, e - 1
-
-
-def power(x: Dyadic, n: int, bits: int, ceiling: bool) -> Dyadic:
-    """``x^n`` for a positive `x` and ``n >= 0`` by repeated squaring, each
-    product rounded to `bits` bits toward +inf (`ceiling`) or -inf, so the
-    result bounds the exact power from that side after ``2 log2(n)`` roundings."""
-    result = 1, 0
-    while n:
-        if n & 1:
-            result = round_to(result[0] * x[0], result[1] + x[1], bits, ceiling)
-        n >>= 1
-        if n:
-            x = round_to(x[0] * x[0], 2 * x[1], bits, ceiling)
-    return result
 
 
 def divide(x: Dyadic, y: Dyadic, bits: int, ceiling: bool) -> Dyadic:

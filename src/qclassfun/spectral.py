@@ -10,8 +10,7 @@ these functions take the ladder ``(n, q)`` and the working precision
 ints of :mod:`qclassfun.dyadic`.  There a power sum is a deformed integer,
 so trace balance is the identity ``[n+1]_q = [n+1]_(1/q)``, and the norm at
 any exponent is one ladder sum (:func:`_ladder_sum`), whose powers of `q`
-come from repeated squaring at an integer exponent and from ``exp(c log
-q)`` at any other.  The unit-circle coefficients are the cosines and sines
+are ``exp(c log q)``.  The unit-circle coefficients are the cosines and sines
 of the multiples ``(2k-n) 2t log q`` of one angle.  Each function takes one
 ``log q`` at most, and none steps the spectrum.
 
@@ -49,8 +48,8 @@ if TYPE_CHECKING:
 GAP_RTOL = 2.0**-30
 
 #: Guard bits of the ladder's modular functions.  Beyond `bits` and the bits
-#: of ``|e| n``, a ladder sum encloses `q`, ``1/q``, ``log q`` and their
-#: powers and runs its Horner steps; beyond `bits` and the bits that ``log
+#: of ``|e| n``, a ladder sum encloses ``log q`` and the exponentials of its
+#: multiples and runs its Horner steps; beyond `bits` and the bits that ``log
 #: q`` lies below 1 and the largest angle above it, the coefficients
 #: enclose ``log q``, and beyond those that an angle lies below 1, sum its
 #: cosine and sine.
@@ -60,36 +59,25 @@ LADDER_GUARD_BITS = 16
 def _ladder_sum(n: int, q: Fraction, e: int | Fraction, bits: int) -> tuple[Dyadic, Dyadic]:
     """Lower and upper dyadic bound of ``sum_k q^(e(2k-n))``, ``k = 0..n``:
     ``q^(-a n) S(q^(2a))`` with ``a = |e|`` and ``S(y) = 1 + y + ... + y^n``.
-    At an int `e`, `q` and ``1/q`` are enclosed once and raised by
-    :func:`dyadic.power`; at any other `e`, ``log q`` is enclosed once by
-    :func:`dyadic.fixed_log` and both powers are ``e^(c log q)`` from
-    :func:`dyadic.exp`.  Either runs at `bits` plus guard bits plus the bits
-    of ``a n``, as a power multiplies the relative error of its base, and
-    the error of a logarithm, by its exponent.  S has positive terms and
-    increases with y, so Horner's rule ``s -> 1 + y s`` is floored from the
-    lower end of y and ceiled from the upper one in fixed point, with no
-    cancellation.  At ``e = 0`` it is exactly n + 1.
+    ``log q`` is enclosed once by :func:`dyadic.fixed_log` and both powers
+    are ``e^(c log q)`` from :func:`dyadic.exp`, at `bits` plus guard bits
+    plus the bits of ``a n``, as a power multiplies the error of a
+    logarithm by its exponent.  S has positive terms and increases with y,
+    so Horner's rule ``s -> 1 + y s`` is floored from the lower end of y and
+    ceiled from the upper one in fixed point, with no cancellation.  At
+    ``e = 0`` it is exactly n + 1.
     """
     a = abs(e)
     work = bits + LADDER_GUARD_BITS + math.ceil(a * n).bit_length()
-    if a.denominator == 1:
-        a = int(a)
-        p, r = q.as_integer_ratio()
-        base, inverse = dyadic.round_quotient(p, r, work), dyadic.round_quotient(r, p, work)
-        y = dyadic.power(base[0], 2 * a, work, False), dyadic.power(base[1], 2 * a, work, True)
-        scale = (dyadic.power(inverse[0], a * n, work, False),
-                 dyadic.power(inverse[1], a * n, work, True))
-    else:
-        log_lo, log_hi = dyadic.fixed_log(q, work)  # log q <= 0
+    log_lo, log_hi = dyadic.fixed_log(q, work)  # log q <= 0
 
-        def exp_of(c: Fraction, log: int, ceiling: bool) -> Dyadic:
-            # e^(c log q) at the end of log q that bounds it, rounded the same way
-            top, c_den = c.numerator * log, c.denominator
-            return dyadic.exp((-(-top // c_den) if ceiling else top // c_den, -work),
-                              work, ceiling)
+    def exp_of(c: Fraction, log: int, ceiling: bool) -> Dyadic:
+        # e^(c log q) at the end of log q that bounds it, rounded the same way
+        top, c_den = c.numerator * log, c.denominator
+        return dyadic.exp((-(-top // c_den) if ceiling else top // c_den, -work), work, ceiling)
 
-        y = exp_of(2 * a, log_lo, False), exp_of(2 * a, log_hi, True)
-        scale = exp_of(-a * n, log_hi, False), exp_of(-a * n, log_lo, True)
+    y = exp_of(2 * a, log_lo, False), exp_of(2 * a, log_hi, True)
+    scale = exp_of(-a * n, log_hi, False), exp_of(-a * n, log_lo, True)
     y_lo = dyadic.floor_fixed(y[0], work)
     y_hi = -dyadic.floor_fixed(dyadic.negate(y[1]), work)
     one = 1 << work
@@ -121,8 +109,8 @@ def modular_norm_sq(n: int, q: int | str | Fraction, b: int | str | Fraction,
     read by :func:`dyadic.read_rational` as `q` is.  At the exponents ±1 the
     sums are equal (trace balance) and the norm is exactly 1; at any other
     exponent both sums come from :func:`_ladder_sum` and are divided once,
-    rounded outward to `bits`.  An int exponent costs its bit length in
-    squarings, any other one ``log q`` and four exponentials.
+    rounded outward to `bits`; each sum costs one ``log q`` and two
+    exponentials.
     """
     from .fusion import check_ladder
 

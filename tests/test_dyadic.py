@@ -614,17 +614,6 @@ def test_exp_budget():
 
 
 @settings(derandomize=True, max_examples=60)
-@given(st.integers(1, 2**80), st.integers(-200, 200), st.integers(0, 70), st.integers(1, 300))
-def test_power_brackets_the_exact_power(m, e, n, bits):
-    exact = _value(m, e) ** n
-    lo, hi = dyadic.power((m, e), n, bits, False), dyadic.power((m, e), n, bits, True)
-    assert _value(*lo) <= exact <= _value(*hi)
-    assert abs(lo[0]).bit_length() <= bits and abs(hi[0]).bit_length() <= bits
-    # at most 2 log2(n) roundings, each by one part in 2^(bits-1)
-    assert _value(*hi) - _value(*lo) <= exact * 2 * n.bit_length() * Fraction(4, 2**bits)
-
-
-@settings(derandomize=True, max_examples=60)
 @given(st.integers(-2**80, 2**80), st.integers(-200, 200), st.integers(1, 2**80),
        st.integers(-200, 200), st.integers(1, 300))
 def test_divide_is_the_grid_floor_and_ceiling(m1, e1, m2, e2, bits):
