@@ -45,3 +45,14 @@ MAX_POWER_BITS = 2**19
 #: has about ``n_max * log10(a)`` digits for ``dim_q = a/b`` (``a >= N``).  On a
 #: 2-vCPU VM 200,000 digits took 0.9 s and 105 MB, 1,000,000 digits 11 s.
 MAX_SCAN_DIGITS = 200_000
+
+#: Budget of one table of exact dimensions in the library: the sum over its
+#: labels of label length times ``log10(a)`` for ``dim_q = a/b``, about the
+#: digits of its quantum dimensions.  It admits the largest table the CLI
+#: asks for, `series --n-max 1000` at the scan budget: 500,500 x 200 =
+#: 100,100,000 digits, 0.4 s of CPU and 99 MB.  On a 2-vCPU VM, at the budget
+#: `kac_part` of ``su2_ladder(3, q=1/5)`` (n = 11,947) took 1.9 s of CPU and
+#: 101 MB peak RSS, and `verify_decay` 6.7 s; where ``b^n`` and the classical
+#: dimensions hold as many digits again (c = b = 10^12, a = 10^24 + 1,
+#: n = 2,900), 6.6 s and 24 s at 123 MB.
+MAX_TABLE_DIGITS = 101_000_000

@@ -135,23 +135,22 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
 
     This is the exact reproduction of the lemma; the certified sums below
     use the sharper majorant of the deformed-integer closed form instead.
-    The rates ``A_n`` of labels 1..n_max are read from one table of
-    :func:`fusion.scaled_dims`.
+    The rates ``A_n = D_n/(d_n b^n)`` of labels 1..n_max are read from one
+    table of :func:`fusion.scaled_dims`, and each step is decided on ints,
+    as ``D_(n+1) d_n den >= num b D_n d_(n+1)`` for ``c = num/den``; no
+    ``Fraction`` of a rate is built.
     """
     dyadic.check_count(n_max, "n_max", 0)
     if not family.is_ladder:
         raise FamilyError("decay verification applies to ladder families")
-    rates = [Fraction(dim_q, dim_c * scale)
-             for dim_c, dim_q, scale in fusion.scaled_dims(range(1, max(n_max, 1) + 1), family)]
-    previous = rates[0]  # A_1
-    if previous <= 1:
+    table = fusion.scaled_dims(range(1, max(n_max, 1) + 1), family)
+    dim_c, dim_q, scale = table[0]
+    if dim_q <= dim_c * scale:  # A_1 <= 1
         raise KacTypeError("Kac-type family has no decay rate")
-    c = 1 + (previous - 1) / LADDER_SUP_C
-    for current in rates[1:]:
-        if current < c * previous:
-            return False
-        previous = current
-    return True
+    num, den = (1 + (Fraction(dim_q, dim_c * scale) - 1) / LADDER_SUP_C).as_integer_ratio()
+    b = family.dim_q_fund.denominator
+    return all(q1 * d0 * den >= num * b * q0 * d1
+               for (d0, q0, _), (d1, q1, _) in zip(table, table[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -779,11 +778,12 @@ def masa_verdict(
     bits: int = DEFAULT_BITS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> MasaVerdict:
-    """Run the summability criterion and the intertwiner scan for `family`."""
+    """Run the intertwiner scan and the summability criterion for `family`;
+    the scan first, so that a table past its budget is refused at once."""
     dyadic.check_count(n_max, "n_max", 0)
     if family.is_ladder:
-        series = quasi_split_sum_ladder(family, tol, bits=bits, max_terms=max_terms)
         all_nontrivial = kac_part(family, n_max) == [0]
+        series = quasi_split_sum_ladder(family, tol, bits=bits, max_terms=max_terms)
         block = None
     else:
         tol = _read_tol(tol, bits, max_terms)

@@ -26,8 +26,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from .budgets import MAX_TABLE_DIGITS
 from .dyadic import check_count, read_rational
-from .errors import DomainError, FamilyError, Record
+from .errors import BudgetError, DomainError, FamilyError, Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -307,10 +308,22 @@ def scaled_dims(labels: Iterable[Label], family: FusionFamily) -> list[tuple[int
     label is checked once, both recursions are stepped once up to the
     longest label or word, and each word is split once; a ladder label is
     read through :func:`_ladder_value`.
+
+    The table holds about ``log10(a)`` digits per unit of label length, so
+    the lengths are summed as the labels are checked, and a table past
+    ``MAX_TABLE_DIGITS`` is a :class:`BudgetError` before either recursion
+    steps.
     """
-    labels = [check_label(label, family) for label in labels]
     c = family.dim_c_fund
     a, b = family.dim_q_fund.as_integer_ratio()
+    most = MAX_TABLE_DIGITS / math.log10(a)  # a >= 2
+    checked, length = [], 0
+    for label in labels:
+        checked.append(check_label(label, family))
+        length += label if family.is_ladder else len(label)
+        if length > most:
+            raise BudgetError(f"the dimension table exceeds its budget of {MAX_TABLE_DIGITS} digits")
+    labels = checked
     if family.is_ladder:
         kind = family.kind
         return [(_ladder_value(kind, c, 1, n), _ladder_value(kind, a, b, n), b ** n)

@@ -1,14 +1,19 @@
 """Certified series, bounds, thresholds and verdict logic."""
 
+import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath.libmp import from_man_exp
 
 from qclassfun import criteria, dyadic, fusion
-from qclassfun.budgets import DEFAULT_BITS
+from qclassfun.budgets import DEFAULT_BITS, MAX_SCAN_DIGITS, MAX_TABLE_DIGITS
 from qclassfun.criteria import (
     Verdict,
     VERDICT_NO_CONCLUSION,
@@ -715,6 +720,87 @@ def _fraction_kac_part(family, n_max: int) -> list[int]:
 ], ids=lambda f: f"{f.kind.value} N={f.dim_c_fund} dimq={f.dim_q_fund}")
 def test_kac_part_matches_the_fraction_oracle(family):
     assert kac_part(family, 120) == _fraction_kac_part(family, 120)
+
+
+@pytest.mark.parametrize("sup_c", [1, Fraction(3, 4), Fraction(1, 2)])
+@pytest.mark.parametrize("family", [
+    su2_ladder(2, q=Fraction(1, 2)), su2_ladder(3, q=Fraction(1, 5)),
+    su2_ladder(2, dim_q_fund=Fraction(201, 100)), so3_ladder(4, dim_q_fund=5),
+    so3_ladder(3, dim_q_fund=Fraction(31, 10)),
+], ids=lambda f: f"{f.kind.value} N={f.dim_c_fund} dimq={f.dim_q_fund}")
+def test_verify_decay_matches_the_fraction_oracle(family, sup_c, monkeypatch):
+    # a smaller sup_c raises c, so the lemma's inequality can fail
+    rates = [1 / ratio_exact(n, family) for n in range(1, 41)]
+    c = 1 + (rates[0] - 1) / sup_c
+    expected = all(b >= c * a for a, b in zip(rates, rates[1:]))
+    monkeypatch.setattr(criteria, "LADDER_SUP_C", sup_c)
+    assert verify_decay(family, 40) is expected
+    if sup_c == 1:
+        assert expected
+
+
+#: Three scans of su2_ladder(3, q=1/5) in a child held to 1 GiB of address
+#: space and 10 s of CPU: at n = 20,000 a table would hold about 2.8·10^8
+#: digits (5.7 s of CPU to build), at n = 10^9 far more, so only a refusal
+#: made before the recursions step finishes in time.
+_TABLE_PROBE = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+from qclassfun import criteria, fusion
+from qclassfun.errors import BudgetError
+family = fusion.su2_ladder(3, q="1/5")
+for call in (lambda: criteria.kac_part(family, 20_000),
+             lambda: criteria.verify_decay(family, 20_000),
+             lambda: criteria.kac_part(family, 10**9)):
+    start = time.process_time()
+    try:
+        call()
+    except BudgetError as exc:
+        print("budget of" in str(exc), time.process_time() - start)
+"""
+
+
+def test_an_over_budget_table_is_refused_before_it_is_built():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _TABLE_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert len(lines) == 3
+    for refused, seconds in lines:
+        assert refused == "True" and float(seconds) < 1
+
+
+def test_the_table_budget_sums_label_lengths_times_log10_a():
+    # su2_ladder(2) is Kac with dimensions n + 1, so a table at its budget is cheap
+    family = su2_ladder(2)
+    most = MAX_TABLE_DIGITS / math.log10(2)
+    n = math.isqrt(int(2 * most))
+    while n * (n + 1) // 2 > most:
+        n -= 1
+    assert fusion.scaled_dims(range(n + 1), family)[-1] == (n + 1, n + 1, 1)
+    with pytest.raises(BudgetError, match=f"budget of {MAX_TABLE_DIGITS} digits"):
+        fusion.scaled_dims(range(n + 2), family)
+    words = fusion.free_unitary(2)
+    with pytest.raises(BudgetError):
+        fusion.scaled_dims(["A" * n] * (n + 2), words)
+
+
+def test_the_table_budget_admits_the_largest_cli_scan():
+    # `series --n-max 1000` at the scan budget: labels 0..1000, log10(a) up to 200
+    assert 1000 * 1001 // 2 * (MAX_SCAN_DIGITS // 1000) <= MAX_TABLE_DIGITS
+
+
+def test_masa_verdict_refuses_an_over_budget_scan_before_it_sums(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("summed before the scan")
+
+    monkeypatch.setattr(criteria, "quasi_split_sum_ladder", unreachable)
+    with pytest.raises(BudgetError):
+        masa_verdict(su2_ladder(3, q=Fraction(1, 5)), n_max=20_000)
 
 
 def test_masa_verdict_ladder():

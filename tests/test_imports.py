@@ -236,6 +236,7 @@ def test_budgets_are_re_exported_by_their_enforcing_modules():
     assert intervals.MAX_BITS == criteria.MAX_BITS == budgets.MAX_BITS
     assert criteria.DEFAULT_MAX_TERMS == budgets.DEFAULT_MAX_TERMS
     assert spectral.MAX_COMMUTANT_SIZE == budgets.MAX_COMMUTANT_SIZE
+    assert fusion.MAX_TABLE_DIGITS == budgets.MAX_TABLE_DIGITS
 
 
 def test_every_budget_is_defined_in_budgets():
@@ -250,7 +251,7 @@ def test_every_budget_is_defined_in_budgets():
     assert {name: names for name, names in defined.items() if names} == {
         "budgets": {"DEFAULT_BITS", "MAX_BITS", "MAX_RATIONAL_DIGITS", "DEFAULT_MAX_TERMS",
                     "MAX_COMMUTANT_SIZE", "MAX_DIM_DIGITS", "MAX_POWER_BITS",
-                    "MAX_SCAN_DIGITS"}}
+                    "MAX_SCAN_DIGITS", "MAX_TABLE_DIGITS"}}
 
 
 # ---------------------------------------------------------------------------
