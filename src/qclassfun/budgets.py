@@ -1,16 +1,16 @@
 """Precision, term and size budgets shared by the library and the CLI.
 
 This module imports nothing, so the CLI reads the budgets of its flags
-without loading the modules (and mpmath) that enforce them.  Each value is
-defined here once; ``intervals``, ``criteria`` and ``spectral`` re-export
-the ones they enforce.
+without loading the modules that enforce them.  Each value is defined here
+once; ``intervals``, ``criteria``, ``fusion`` and ``spectral`` re-export the
+ones they enforce or the benchmark harness reads.
 """
 
 #: Working precision, in bits, of a call that names none.
 DEFAULT_BITS = 128
 
-#: Largest working precision: an interval context outside ``1..MAX_BITS``
-#: is a domain error, and precision escalation stops at it.
+#: Largest working precision: a bit count outside ``1..MAX_BITS`` is a
+#: domain error, and precision escalation stops at it.
 MAX_BITS = 1024
 
 #: Budget of a rational given as text: digits in all, an exponent e-n counting
