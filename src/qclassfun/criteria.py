@@ -27,6 +27,10 @@ here returns an ``Enclosure``.  Each input is read once, on entry, by
 :mod:`dyadic`: a rational as an int, a ``Fraction`` or decimal text, or as
 the exact ends of an ``Enclosure`` where one may stand for it, and a count
 as an int in its range; a float, an mpmath interval or malformed text is refused.
+
+The kernel's term loop inlines the fixed-point operations on local ints, the
+thresholds run on int pairs, not ``Fraction``, and small caches keep the doublings
+of `bits`, the coarse estimates and the certificates that a function increases.
 """
 
 from __future__ import annotations
@@ -104,9 +108,11 @@ class SeriesResult(Record):
         return Enclosure(partial.lo, top, partial.bits)
 
 
-def _doublings(bits: int) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def _doublings(bits: int) -> tuple[int, ...]:
     """`bits`, then twice, four times ... as much while at most MAX_BITS."""
-    return [bits << k for k in range(MAX_BITS.bit_length()) if k == 0 or bits << k <= MAX_BITS]
+    return tuple(bits << k for k in range(MAX_BITS.bit_length())
+                 if k == 0 or bits << k <= MAX_BITS)
 
 
 def _read_tol(tol, bits: int, max_terms: int = 1) -> Fraction:
@@ -157,13 +163,14 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
 # certified series
 
 
-def _point_bits(bits: int, x: Fraction) -> int:
+def _point_bits(bits: int, x: Ratio) -> int:
     """Fraction bits of a fixed point that keeps `bits` bits below the
-    leading bit of the positive `x`, plus four guard bits."""
-    return bits + (x.denominator // x.numerator).bit_length() + 4
+    leading bit of the positive ``x = num/den``, plus four guard bits."""
+    return bits + (x[1] // x[0]).bit_length() + 4
 
 
 Roots = Callable[[int], tuple[Fixed, Fixed]]
+Ratio = tuple[int, int]  # a positive rational num/den, not necessarily in lowest terms
 
 
 def _fixed_power(a: Fixed, n: int, frac_bits: int) -> Fixed:
@@ -199,7 +206,8 @@ def _deformed_ratio_sum(
     `max_terms` roundings.  Every quantity stays nonnegative, so each
     operation is one floor and one ceiling of an int product, quotient or
     square root; partial sum and tail leave once, rounded outward to an
-    Enclosure at `bits`.
+    Enclosure at `bits`.  The term loop inlines the ``fixed_*`` operations on
+    local ints, in the same order, and takes the majorant's lower end at its end.
 
     Each term with ``m >= 2`` is at most ``C z^(m-1)``, where
     ``C = ((1 - x^2)(1 + y^2))^(-1/2)``, because ``1 - x^(2m) <= 1`` and
@@ -215,10 +223,11 @@ def _deformed_ratio_sum(
     `bits` and doubling up to MAX_BITS while a budget-exhausted majorant
     still reaches down to `tol`.
     """
-    mul, div, sqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt
+    mul, div, sqrt, isqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt, math.isqrt
+    limit = (min(tol, y_low) if y_low > 0 else tol).as_integer_ratio()
     partial = None
     for bits in _doublings(bits):
-        p = _point_bits(bits, min(tol, y_low) if y_low > 0 else tol) + max_terms.bit_length()
+        p = _point_bits(bits, limit) + max_terms.bit_length()
         stop = dyadic.floor_fixed(dyadic.round_quotient(tol.numerator, tol.denominator, bits)[0], p)
         one = 1 << p
         xf, yf = roots(p)
@@ -226,52 +235,62 @@ def _deformed_ratio_sum(
         if not (yf[1] < one and (unit or 0 < xf[0] and xf[1] < one)):
             continue  # y and x are not separated at this precision
         z = sqrt(yf if unit else div(yf, xf, p), p)
-        w = _fixed_power(z, step, p)
-        if w[1] >= one:
+        w_lo, w_hi = w = _fixed_power(z, step, p)
+        if w_hi >= one:
             continue
-        x2, y2 = mul(xf, xf, p), mul(yf, yf, p)
-        x_step, y_step = _fixed_power(x2, step, p), _fixed_power(y2, step, p)
-        xm, ym = _fixed_power(x2, first, p), _fixed_power(y2, first, p)
-        zm = _fixed_power(z, first - 1, p)
+        y2 = mul(yf, yf, p)
+        (ys_lo, ys_hi), (ym_lo, ym_hi) = _fixed_power(y2, step, p), _fixed_power(y2, first, p)
+        zm_lo, zm_hi = _fixed_power(z, first - 1, p)
         one_minus_y2 = (one - y2[1], one - y2[0])
         one_minus_w = (one - w[1], one - w[0])
         geometric = div(w, one_minus_w, p)
         if unit:
-            poly = div(geometric, one_minus_w, p)
-            poly = (step * poly[0], step * poly[1])
+            (geo_lo, geo_hi), poly = geometric, div(geometric, one_minus_w, p)
+            poly_lo, poly_hi = step * poly[0], step * poly[1]
+            num_lo, num_hi = one_minus_y2[0] << p, one_minus_y2[1] << p  # (1 - y^2)·2^p
         else:
+            x2 = mul(xf, xf, p)
+            (xs_lo, xs_hi), (xm_lo, xm_hi) = _fixed_power(x2, step, p), _fixed_power(x2, first, p)
             one_minus_x2 = (one - x2[1], one - x2[0])
-            ratio_scale = div(one_minus_y2, one_minus_x2, p)
+            ratio_lo, ratio_hi = div(one_minus_y2, one_minus_x2, p)
             scale = div((one, one), sqrt(mul(one_minus_x2, (one + y2[0], one + y2[1]), p), p), p)
-            tail_factor = mul(scale, geometric, p)
+            factor_lo, factor_hi = mul(scale, geometric, p)
         partial_lo = partial_hi = 0
         m = first
         for terms in range(1, max_terms + 1):
-            one_minus_ym = (one - ym[1], one - ym[0])
+            den_lo, den_hi = one - ym_hi, one - ym_lo  # 1 - y^(2m)
             if unit:
-                root = sqrt(div((m * one_minus_y2[0], m * one_minus_y2[1]), one_minus_ym, p), p)
+                quotient_lo, quotient_hi = m * num_lo // den_hi, -(-m * num_hi // den_lo)
+                factor_hi = m * geo_hi + poly_hi
             else:
-                a_m = mul((one - xm[1], one - xm[0]), ratio_scale, p)
-                root = sqrt(div(a_m, one_minus_ym, p), p)
+                a_lo = (one - xm_hi) * ratio_lo >> p
+                a_hi = -(-(one - xm_lo) * ratio_hi >> p)
+                quotient_lo, quotient_hi = (a_lo << p) // den_hi, -((-a_hi << p) // den_lo)
+            root_lo = isqrt(quotient_lo << p)
+            top = quotient_hi << p
+            root_hi = isqrt(top)
+            root_hi += root_hi * root_hi < top
             # the term over z^(m-1) against its bound: C, or m at x = 1
-            if root[0] > (m << p if unit else scale[1]):
+            if root_lo > (m << p if unit else scale[1]):
                 raise AssertionError(f"term {m} exceeds its majorant; kernel bug")
-            term = mul(zm, root, p)
-            partial_lo += term[0]
-            partial_hi += term[1]
-            factor = ((m * geometric[0] + poly[0], m * geometric[1] + poly[1]) if unit
-                      else tail_factor)
-            majorant = mul(zm, factor, p)
-            if majorant[1] <= stop:
+            partial_lo += zm_lo * root_lo >> p
+            partial_hi -= -zm_hi * root_hi >> p
+            majorant_hi = -(-zm_hi * factor_hi >> p)
+            if majorant_hi <= stop:
                 partial = dyadic.fixed_enclosure(partial_lo, partial_hi, p, bits)
-                tail = dyadic.fixed_enclosure(0, majorant[1], p, bits)
+                tail = dyadic.fixed_enclosure(0, majorant_hi, p, bits)
                 return SeriesResult(Verdict.CONVERGES, partial, tail, terms)
+            if terms == max_terms:
+                break
             m += step
-            xm = mul(xm, x_step, p)
-            ym = mul(ym, y_step, p)
-            zm = mul(zm, w, p)
+            if not unit:
+                xm_lo, xm_hi = xm_lo * xs_lo >> p, -(-xm_hi * xs_hi >> p)
+            ym_lo, ym_hi = ym_lo * ys_lo >> p, -(-ym_hi * ys_hi >> p)
+            zm_lo, zm_hi = zm_lo * w_lo >> p, -(-zm_hi * w_hi >> p)
         partial = dyadic.fixed_enclosure(partial_lo, partial_hi, p, bits)
-        if majorant[0] * tol.denominator > tol.numerator << p:
+        if unit:
+            factor_lo = m * geo_lo + poly_lo
+        if (zm_lo * factor_lo >> p) * tol.denominator > tol.numerator << p:
             break  # the tail genuinely exceeds tol; more bits cannot help
     return SeriesResult(Verdict.UNDETERMINED, partial, None,
                         0 if partial is None else max_terms)
@@ -440,7 +459,7 @@ def bound_S_dim2(q: Exact, bits: int = DEFAULT_BITS) -> Enclosure:
     lo, hi = dyadic.read_hull(q)
     value = None
     if 0 < lo and hi < 1:
-        p = _point_bits(bits, lo)
+        p = _point_bits(bits, lo.as_integer_ratio())
         value = _dim2_bound(dyadic.fixed_hull(lo, hi, p), p)
     if value is None:
         raise DomainError(f"q must lie strictly inside (0, 1), got {q}")
@@ -477,7 +496,7 @@ def bound_S_dimge3(q_c: Exact, q_q: Exact, bits: int = DEFAULT_BITS) -> Enclosur
     (qc_lo, qc_hi), (qq_lo, qq_hi) = dyadic.read_hull(q_c), dyadic.read_hull(q_q)
     value = None
     if 0 < qq_lo and qq_hi < qc_lo and qc_hi < 1:
-        p = _point_bits(bits, qq_lo)
+        p = _point_bits(bits, qq_lo.as_integer_ratio())
         value = _dimge3_bound(dyadic.fixed_hull(qc_lo, qc_hi, p),
                               dyadic.fixed_hull(qq_lo, qq_hi, p), p)
     if value is None:
@@ -489,35 +508,36 @@ def bound_S_dimge3(q_c: Exact, q_q: Exact, bits: int = DEFAULT_BITS) -> Enclosur
 _SEARCH_LO, _SEARCH_HI = Fraction(1, 100), Fraction(1, 2)
 
 
-def _below_one(f: FixedFunction, x: Fraction, bits: int) -> bool:
+def _below_one(f: FixedFunction, x: Ratio, bits: int) -> bool:
     """Certified side of 1 that ``f(x)`` lies on: True below, False above.
-    `f` runs on `x` rounded outward to the fixed point of
+    `f` runs on ``x = num/den`` rounded outward to the fixed point of
     :func:`_point_bits`.  While its enclosure straddles 1 or is undecided,
     it is recomputed at the next doubling of `bits`; undecided at MAX_BITS
     is a budget error."""
     for eval_bits in _doublings(bits):
         p = _point_bits(eval_bits, x)
-        value = f(dyadic.to_fixed(x, p), p)
+        value = f(((x[0] << p) // x[1], -((-x[0] << p) // x[1])), p)
         if value is None:
             continue
         if value[1] < 1 << p:
             return True
         if value[0] > 1 << p:
             return False
-    shown = dyadic.to_text(*dyadic.round_quotient(x.numerator, x.denominator, 80)[0], 20,
-                           "half-even")
+    shown = dyadic.to_text(*dyadic.round_quotient(*x, 80)[0], 20, "half-even")
     raise BudgetError(f"sign of f(x) - 1 undecided at {MAX_BITS} bits for x = {shown} "
                       "(to 20 digits)")
 
 
+@functools.lru_cache(maxsize=16)
 def _certify_increasing(slopes: FixedSlopes, lo: Fraction, hi: Fraction, bits: int) -> None:
     """Certify that f increases on [lo, hi] from one enclosure of
     ``slopes(x)`` over the whole interval: each quantity must be certainly
     positive, and their positivity is what makes f increasing (a derivative
     sign, after Moore's interval analysis).  An enclosure that is too wide
-    or undecided is recomputed at the next doubling of `bits`."""
+    or undecided is recomputed at the next doubling of `bits`.  Certified
+    once per arguments: the cache keeps no failure, which raises."""
     for eval_bits in _doublings(bits):
-        p = _point_bits(eval_bits, lo)
+        p = _point_bits(eval_bits, lo.as_integer_ratio())
         values = slopes(dyadic.fixed_hull(lo, hi, p), p)
         if values is not None and all(v[0] > 0 for v in values):
             return
@@ -526,46 +546,57 @@ def _certify_increasing(slopes: FixedSlopes, lo: Fraction, hi: Fraction, bits: i
 
 def _secant(
     f: FixedFunction,
-    x0: Fraction,
-    x1: Fraction,
+    x0: Ratio,
+    x1: Ratio,
     bits: int,
     steps: int,
-    stop: Fraction,
-) -> tuple[Fraction, Fraction]:
+    stop: Ratio,
+) -> tuple[Ratio, Ratio]:
     """Up to `steps` secant steps towards ``f = 1`` from `x0` and `x1`, on
-    the midpoints of f's enclosures at `bits`; each iterate is rounded to a
-    multiple of ``2^-(bits+8)`` and clipped to the search interval.  Stops
-    after a step of at most `stop`, or when a step would change nothing.
-    Returns the last two iterates, which differ.  Nothing here is
-    certified: the result is an estimate only."""
+    the midpoints of f's enclosures at `bits`; each iterate is rounded
+    half-even to a multiple of ``2^-(bits+8)`` and clipped to the search
+    interval.  Stops after a step of at most `stop`, or when a step would
+    change nothing.  Returns the last two iterates, which differ.  All are
+    int pairs, and nothing here is certified: it is an estimate only."""
     scale = 1 << (bits + 8)
+    (lo_n, lo_d), (hi_n, hi_d) = _SEARCH_LO.as_integer_ratio(), _SEARCH_HI.as_integer_ratio()
 
-    def offset(x: Fraction) -> Fraction:
+    def offset(x: Ratio) -> tuple[int, int]:
         p = _point_bits(bits, x)
-        lo, hi = f(dyadic.to_fixed(x, p), p)
-        return Fraction(lo + hi, 2 << p) - 1
+        lo, hi = f(((x[0] << p) // x[1], -((-x[0] << p) // x[1])), p)
+        return lo + hi - (2 << p), p + 1  # f(x) - 1 at the midpoint, as a·2^-e
 
-    v0 = offset(x0)
+    (n0, d0), (n1, d1) = x0, x1
+    a0, e0 = offset(x0)
     for _ in range(steps):
-        v1 = offset(x1)
+        a1, e1 = offset((n1, d1))
+        v0, v1 = a0 << e1, a1 << e0  # both over 2^(e0 + e1)
         if v1 == v0:
             break
-        x2 = x1 - v1 * (x1 - x0) / (v1 - v0)
-        x2 = min(max(Fraction(round(x2 * scale), scale), _SEARCH_LO), _SEARCH_HI)
-        if x2 == x1:
+        # x2 = (x0 v1 - x1 v0)/(v1 - v0), times the scale
+        num, den = (n0 * d1 * v1 - n1 * d0 * v0) * scale, d0 * d1 * (v1 - v0)
+        if den < 0:
+            num, den = -num, -den
+        n2, remainder = divmod(num, den)
+        if 2 * remainder > den or 2 * remainder == den and n2 & 1:
+            n2 += 1
+        n2, d2 = ((lo_n, lo_d) if n2 * lo_d < lo_n * scale else
+                  (hi_n, hi_d) if n2 * hi_d > hi_n * scale else (n2, scale))
+        if n2 * d1 == n1 * d2:
             break
-        x0, v0, x1 = x1, v1, x2
-        if abs(x1 - x0) <= stop:
+        n0, d0, a0, e0, n1, d1 = n1, d1, a1, e1, n2, d2
+        if abs(n1 * d0 - n0 * d1) * stop[1] <= stop[0] * d0 * d1:
             break
-    return x0, x1
+    return (n0, d0), (n1, d1)
 
 
 @functools.cache
-def _coarse_estimate(which: str) -> tuple[Fraction, Fraction]:
+def _coarse_estimate(which: str) -> tuple[Ratio, Ratio]:
     """The last two secant iterates at 64 bits from the ends of the search
     interval: a pure function of the threshold's name, computed once per
     process whatever the tolerance."""
-    return _secant(_CROSSINGS[which][0], _SEARCH_LO, _SEARCH_HI, 64, 64, Fraction(1, 1 << 64))
+    return _secant(_CROSSINGS[which][0], _SEARCH_LO.as_integer_ratio(),
+                   _SEARCH_HI.as_integer_ratio(), 64, 64, (1, 1 << 64))
 
 
 def _estimate(which: str, tol: Fraction) -> Fraction:
@@ -578,8 +609,9 @@ def _estimate(which: str, tol: Fraction) -> Fraction:
     needed = (tol.denominator // tol.numerator).bit_length()
     if needed > 40:
         bits = min(2 * needed + 64, MAX_BITS)
-        x0, x1 = _secant(_CROSSINGS[which][0], x0, x1, bits, 6, tol / 16)
-    return x1
+        x0, x1 = _secant(_CROSSINGS[which][0], x0, x1, bits, 6,
+                         (tol.numerator, 16 * tol.denominator))
+    return Fraction(*x1)
 
 
 def _unit_crossing(
@@ -594,48 +626,53 @@ def _unit_crossing(
     """Enclose the unique solution of ``f = 1`` in [lo, hi] to width `tol`.
 
     Certified: that f increases on [lo, hi], so a crossing is unique
-    (:func:`_certify_increasing` on `slopes`), and the sign of ``f - 1`` at
-    every point the bracket ends on (:func:`_below_one`).  Not certified:
-    `estimate`, which only chooses where to look.  It is verified as in
-    Rump's verification methods: ``estimate -+ tol/4``, rounded outward to
-    multiples of a power of two at most ``tol/8`` and clipped to [lo, hi],
-    are the candidate ends, and when f is certified below 1 at the lower and
-    above 1 at the upper one they are the bracket, at most ``3 tol/4`` wide.
-    Otherwise the certified signs narrow [lo, hi] as far as they go, the
-    ends not yet checked are certified, and bisection finishes the bracket,
-    so a wrong estimate costs time, never correctness.  The final bracket
-    is narrower than `tol` and is enclosed
-    (:func:`dyadic.rational_enclosure`) at the first doubling of `bits`
-    whose outward rounding keeps it within `tol`.
+    (:func:`_certify_increasing` on `slopes`, cached), and the sign of
+    ``f - 1`` at every point the bracket ends on (:func:`_below_one`).  Not
+    certified: `estimate`, which only chooses where to look.  It is verified
+    as in Rump's verification methods: ``estimate -+ tol/4``, rounded
+    outward to multiples of a power of two at most ``tol/8`` and clipped to
+    [lo, hi], are the candidate ends, and when f is certified below 1 at the
+    lower and above 1 at the upper one they are the bracket, at most
+    ``3 tol/4`` wide.  Otherwise the certified signs narrow [lo, hi] as far
+    as they go, the ends not yet checked are certified, and bisection
+    finishes the bracket, so a wrong estimate costs time, never
+    correctness.  The bracket's ends are ints over one denominator, doubled
+    at each halving; once narrower than `tol`, they are rounded outward at
+    the first doubling of `bits` whose dyadic ends lie within `tol`.
     """
     _certify_increasing(slopes, lo, hi, bits)
-    unit = 1 << (8 * tol.denominator // tol.numerator).bit_length()  # 1/unit <= tol/8
-    candidates = {
-        min(max(Fraction(math.floor((estimate - tol / 4) * unit), unit), lo), hi),
-        min(max(Fraction(math.ceil((estimate + tol / 4) * unit), unit), lo), hi),
-    }
+    (lo_n, lo_d), (hi_n, hi_d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    (est_n, est_d), (tol_n, tol_d) = estimate.as_integer_ratio(), tol.as_integer_ratio()
+    k = (8 * tol_d // tol_n).bit_length()  # 2^-k <= tol/8
+    # estimate -+ tol/4 = (centre -+ radius)/scale; the bracket is ints over den
+    centre, radius, scale = 4 * est_n * tol_d, tol_n * est_d, 4 * est_d * tol_d
+    grid, den = lo_d * hi_d, lo_d * hi_d << k
+    low, high = lo_n * hi_d << k, hi_n * lo_d << k
+    candidates = {min(max((centre - radius << k) // scale * grid, low), high),
+                  min(max(-((-(centre + radius) << k) // scale) * grid, low), high)}
     lo_known = hi_known = False
     for point in sorted(candidates):
-        if _below_one(f, point, bits):
-            lo, lo_known = point, True
+        if _below_one(f, (point, den), bits):
+            low, lo_known = point, True
         else:
-            hi, hi_known = point, True
+            high, hi_known = point, True
             break
-    if not lo_known and not _below_one(f, lo, bits):
-        raise DomainError(f"no sign change: f({lo}) not certified below 1")
-    if not hi_known and _below_one(f, hi, bits):
-        raise DomainError(f"no sign change: f({hi}) not certified above 1")
-    while hi - lo >= tol:
-        mid = (lo + hi) / 2
-        if _below_one(f, mid, bits):
-            lo = mid
+    if not lo_known and not _below_one(f, (low, den), bits):
+        raise DomainError(f"no sign change: f({Fraction(low, den)}) not certified below 1")
+    if not hi_known and _below_one(f, (high, den), bits):
+        raise DomainError(f"no sign change: f({Fraction(high, den)}) not certified above 1")
+    while (high - low) * tol_d >= tol_n * den:
+        mid, low, high, den = low + high, 2 * low, 2 * high, 2 * den
+        if _below_one(f, (mid, den), bits):
+            low = mid
         else:
-            hi = mid
+            high = mid
     for enclosure_bits in _doublings(bits):
-        enclosure = dyadic.rational_enclosure(lo, hi, enclosure_bits)
-        low, high = dyadic.exact_endpoints(enclosure)
-        if high - low <= tol:
-            return enclosure
+        lower = dyadic.round_quotient(low, den, enclosure_bits)[0]
+        upper = dyadic.round_quotient(high, den, enclosure_bits)[1]
+        width, exponent = dyadic.add(upper, dyadic.negate(lower))
+        if width * tol_d << max(exponent, 0) <= tol_n << max(-exponent, 0):
+            return Enclosure(lower, upper, enclosure_bits)
     raise BudgetError(f"no enclosure of width {tol} at {MAX_BITS} bits")
 
 

@@ -73,6 +73,8 @@ def read_rational(value: int | str | Fraction) -> Fraction:
     digits, checked before ``Fraction`` expands its exponent.  A float or a
     bool raises ``TypeError``, as its binary value is not what it prints, and
     anything else that is no finite rational :class:`DomainError`."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (bool, float)):
         raise TypeError(f"pass an int, Fraction or decimal string for exactness, got {value!r}")
     if isinstance(value, str):

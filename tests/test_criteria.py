@@ -616,7 +616,7 @@ def test_threshold_without_a_sign_change_is_a_domain_error():
 @pytest.mark.parametrize("which", ["dim2", "remark"])
 def test_threshold_increase_is_certified_over_the_whole_search_interval(which):
     _, slopes = criteria._CROSSINGS[which]
-    p = criteria._point_bits(16, Fraction(1, 100))
+    p = criteria._point_bits(16, (1, 100))
     whole = (dyadic.to_fixed(Fraction(1, 100), p)[0], dyadic.to_fixed(Fraction(1, 2), p)[1])
     assert all(lo > 0 for lo, _ in slopes(whole, p))
 

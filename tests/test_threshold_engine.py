@@ -125,7 +125,7 @@ def test_the_sign_check_agrees_with_a_high_precision_oracle(which):
     f = criteria._CROSSINGS[which][0]
     start, stop = Fraction(2, 100), Fraction(40, 100)
     points = [start + (stop - start) * Fraction(k, 379) for k in range(380)]
-    verdicts = [criteria._below_one(f, x, 128) for x in points]
+    verdicts = [criteria._below_one(f, x.as_integer_ratio(), 128) for x in points]
     with mpmath.workdps(60):
         oracle = [FUNCTIONS[which](_mp(x)) < 1 for x in points]
     assert verdicts == oracle

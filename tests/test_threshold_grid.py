@@ -139,7 +139,8 @@ def test_same_arguments_give_the_same_bytes_after_other_tolerances():
 
 def test_same_arguments_give_the_same_bytes_from_threads_at_different_bits():
     # four threads switching every 10 us, each at its own starting bits,
-    # while the cached estimate is filled for the first time
+    # while the cached estimate, certificates and doublings are filled for
+    # the first time
     bits = (16, 32, 128, 256)
 
     def run(bits):
@@ -147,7 +148,8 @@ def test_same_arguments_give_the_same_bytes_from_threads_at_different_bits():
                 for tol in ("1e-6", "1e-18", "1e-30")]
 
     expected = [run(b) for b in bits]
-    criteria._coarse_estimate.cache_clear()
+    for cache in (criteria._coarse_estimate, criteria._certify_increasing, criteria._doublings):
+        cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
