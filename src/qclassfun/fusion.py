@@ -305,9 +305,9 @@ def scaled_dims(labels: Iterable[Label], family: FusionFamily) -> list[tuple[int
     dimension.  Both run on the scaled ints of :func:`_ladder_values`, so
     ``D`` is congruent to ``a^length`` mod b and the quotient is in lowest
     terms already; the classical dimension is the case ``b = 1``.  Each
-    label is checked once, both recursions are stepped once up to the
-    longest label or word, and each word is split once; a ladder label is
-    read through :func:`_ladder_value`.
+    label is checked once, both recursions and the powers ``b^length`` are
+    stepped once up to the longest label or word, and each word is split
+    once; a ladder label is read through :func:`_ladder_value`.
 
     The table holds about ``log10(a)`` digits per unit of label length, so
     the lengths are summed as the labels are checked, and a table past
@@ -324,18 +324,19 @@ def scaled_dims(labels: Iterable[Label], family: FusionFamily) -> list[tuple[int
         if length > most:
             raise BudgetError(f"the dimension table exceeds its budget of {MAX_TABLE_DIGITS} digits")
     labels = checked
+    top = max(labels if family.is_ladder else map(len, labels), default=0)
+    powers = list(itertools.accumulate(itertools.repeat(b, top), int.__mul__, initial=1))
     if family.is_ladder:
         kind = family.kind
-        return [(_ladder_value(kind, c, 1, n), _ladder_value(kind, a, b, n), b ** n)
+        return [(_ladder_value(kind, c, 1, n), _ladder_value(kind, a, b, n), powers[n])
                 for n in labels]
-    top = max(map(len, labels), default=0)
     classical = _ladder_values(FamilyKind.SU2_LADDER, c, 1, top)
     quantum = _ladder_values(FamilyKind.SU2_LADDER, a, b, top)
     table = []
     for word in labels:
         blocks = [len(block) for block in factorize(word)] if word else []
         table.append((math.prod(classical[n] for n in blocks),
-                      math.prod(quantum[n] for n in blocks), b ** len(word)))
+                      math.prod(quantum[n] for n in blocks), powers[len(word)]))
     return table
 
 
