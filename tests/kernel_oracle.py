@@ -130,7 +130,8 @@ def secant(f, x0: Fraction, x1: Fraction, bits: int, steps: int, stop: Fraction,
     return x0, x1
 
 
-def candidate_ends(estimate: Fraction, tol: Fraction, lo: Fraction, hi: Fraction) -> list[Fraction]:
+def candidate_ends(estimate: Fraction, tol: Fraction, lo: Fraction,
+                   hi: Fraction) -> list[Fraction]:
     """``estimate -+ tol/4`` rounded outward to multiples of a power of two
     at most ``tol/8`` and clipped to [lo, hi], distinct and in order."""
     unit = 1 << (8 * tol.denominator // tol.numerator).bit_length()
