@@ -28,7 +28,8 @@ here returns an ``Enclosure``.  Each input is read once, on entry, by
 the exact ends of an ``Enclosure`` where one may stand for it, and a count
 as an int in its range; a float, an mpmath interval or malformed text is refused.
 
-The kernel's term loop inlines the fixed-point operations on local ints, the
+The kernel's term loop inlines the fixed-point operations on local ints and
+stops computing a term's roots once the powers they read stop moving, the
 thresholds run on int pairs, not ``Fraction``, and small caches keep the doublings
 of `bits`, the coarse estimates and the certificates that a function increases.
 """
@@ -209,6 +210,13 @@ def _deformed_ratio_sum(
     Enclosure at `bits`.  The term loop inlines the ``fixed_*`` operations on
     local ints, in the same order, and takes the majorant's lower end at its end.
 
+    The powers' floors and ceilings decrease to fixed points, ``x^(2m)`` and
+    ``y^(2m)`` within some dozens of terms.  Once a step leaves all four ends
+    unchanged, every later step does, and for ``x < 1`` a term's quotient and
+    roots are functions of those ends alone, so from then on (the steady
+    phase) the loop reuses its last roots and steps only ``z^(m-1)``: the
+    same ints in the same order.  At ``x = 1`` the quotient carries ``m``.
+
     Each term with ``m >= 2`` is at most ``C z^(m-1)``, where
     ``C = ((1 - x^2)(1 + y^2))^(-1/2)``, because ``1 - x^(2m) <= 1`` and
     ``(1 - y^2)/(1 - y^(2m)) <= 1/(1 + y^2)``; at ``x = 1`` it is at most
@@ -256,23 +264,24 @@ def _deformed_ratio_sum(
             scale = div((one, one), sqrt(mul(one_minus_x2, (one + y2[0], one + y2[1]), p), p), p)
             factor_lo, factor_hi = mul(scale, geometric, p)
         partial_lo = partial_hi = 0
-        m = first
+        m, steady = first, False
         for terms in range(1, max_terms + 1):
-            den_lo, den_hi = one - ym_hi, one - ym_lo  # 1 - y^(2m)
-            if unit:
-                quotient_lo, quotient_hi = m * num_lo // den_hi, -(-m * num_hi // den_lo)
-                factor_hi = m * geo_hi + poly_hi
-            else:
-                a_lo = (one - xm_hi) * ratio_lo >> p
-                a_hi = -(-(one - xm_lo) * ratio_hi >> p)
-                quotient_lo, quotient_hi = (a_lo << p) // den_hi, -((-a_hi << p) // den_lo)
-            root_lo = isqrt(quotient_lo << p)
-            top = quotient_hi << p
-            root_hi = isqrt(top)
-            root_hi += root_hi * root_hi < top
-            # the term over z^(m-1) against its bound: C, or m at x = 1
-            if root_lo > (m << p if unit else scale[1]):
-                raise AssertionError(f"term {m} exceeds its majorant; kernel bug")
+            if not steady:
+                den_lo, den_hi = one - ym_hi, one - ym_lo  # 1 - y^(2m)
+                if unit:
+                    quotient_lo, quotient_hi = m * num_lo // den_hi, -(-m * num_hi // den_lo)
+                    factor_hi = m * geo_hi + poly_hi
+                else:
+                    a_lo = (one - xm_hi) * ratio_lo >> p
+                    a_hi = -(-(one - xm_lo) * ratio_hi >> p)
+                    quotient_lo, quotient_hi = (a_lo << p) // den_hi, -((-a_hi << p) // den_lo)
+                root_lo = isqrt(quotient_lo << p)
+                top = quotient_hi << p
+                root_hi = isqrt(top)
+                root_hi += root_hi * root_hi < top
+                # the term over z^(m-1) against its bound: C, or m at x = 1
+                if root_lo > (m << p if unit else scale[1]):
+                    raise AssertionError(f"term {m} exceeds its majorant; kernel bug")
             partial_lo += zm_lo * root_lo >> p
             partial_hi -= -zm_hi * root_hi >> p
             majorant_hi = -(-zm_hi * factor_hi >> p)
@@ -283,9 +292,13 @@ def _deformed_ratio_sum(
             if terms == max_terms:
                 break
             m += step
-            if not unit:
-                xm_lo, xm_hi = xm_lo * xs_lo >> p, -(-xm_hi * xs_hi >> p)
-            ym_lo, ym_hi = ym_lo * ys_lo >> p, -(-ym_hi * ys_hi >> p)
+            if unit:
+                ym_lo, ym_hi = ym_lo * ys_lo >> p, -(-ym_hi * ys_hi >> p)
+            elif not steady:
+                powers = (xm_lo * xs_lo >> p, -(-xm_hi * xs_hi >> p),
+                          ym_lo * ys_lo >> p, -(-ym_hi * ys_hi >> p))
+                steady = powers == (xm_lo, xm_hi, ym_lo, ym_hi)
+                xm_lo, xm_hi, ym_lo, ym_hi = powers
             zm_lo, zm_hi = zm_lo * w_lo >> p, -(-zm_hi * w_hi >> p)
         partial = dyadic.fixed_enclosure(partial_lo, partial_hi, p, bits)
         if unit:

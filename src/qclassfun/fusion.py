@@ -237,7 +237,7 @@ def invariant_multiplicity(labels: Sequence[Label], family: FusionFamily) -> int
 
 #: Most ladder dimensions :func:`_ladder_value` keeps, and most
 #: ``(kind, a, b)`` prefixes :func:`_ladder_values` extends; the least
-#: recently used go first.
+#: recently used go first.  Only ``perfbench/traced.py`` reads the first.
 LADDER_CACHE_SIZE = 4096
 LADDER_PREFIXES = 32
 
@@ -280,7 +280,8 @@ def _ladder_values(kind: FamilyKind, a: int, b: int, n: int) -> list[int]:
 
 @lru_cache(maxsize=LADDER_CACHE_SIZE)
 def _ladder_value(kind: FamilyKind, a: int, b: int, n: int) -> int:
-    """``D(n)`` of :func:`_ladder_values`, read from the stored prefix."""
+    """``D(n)`` of :func:`_ladder_values`, read from the stored prefix.  No
+    table reads it: it is kept for ``perfbench/traced.py``'s cache counters."""
     return _ladder_values(kind, a, b, n)[n]
 
 
@@ -307,7 +308,7 @@ def scaled_dims(labels: Iterable[Label], family: FusionFamily) -> list[tuple[int
     terms already; the classical dimension is the case ``b = 1``.  Each
     label is checked once, both recursions and the powers ``b^length`` are
     stepped once up to the longest label or word, and each word is split
-    once; a ladder label is read through :func:`_ladder_value`.
+    once; a ladder label indexes the two lists.
 
     The table holds about ``log10(a)`` digits per unit of label length, so
     the lengths are summed as the labels are checked, and a table past
@@ -326,12 +327,10 @@ def scaled_dims(labels: Iterable[Label], family: FusionFamily) -> list[tuple[int
     labels = checked
     top = max(labels if family.is_ladder else map(len, labels), default=0)
     powers = list(itertools.accumulate(itertools.repeat(b, top), int.__mul__, initial=1))
+    kind = family.kind if family.is_ladder else FamilyKind.SU2_LADDER
+    classical, quantum = _ladder_values(kind, c, 1, top), _ladder_values(kind, a, b, top)
     if family.is_ladder:
-        kind = family.kind
-        return [(_ladder_value(kind, c, 1, n), _ladder_value(kind, a, b, n), powers[n])
-                for n in labels]
-    classical = _ladder_values(FamilyKind.SU2_LADDER, c, 1, top)
-    quantum = _ladder_values(FamilyKind.SU2_LADDER, a, b, top)
+        return [(classical[n], quantum[n], powers[n]) for n in labels]
     table = []
     for word in labels:
         blocks = [len(block) for block in factorize(word)] if word else []

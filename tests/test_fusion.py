@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qclassfun import dyadic, fusion
+from qclassfun import criteria, dyadic, fusion
 from qclassfun.cli import main
 from qclassfun.errors import DomainError, FamilyError
 from qclassfun.fusion import (
+    FusionFamily,
     all_words,
     check_ladder,
     dim,
@@ -510,6 +511,39 @@ def test_ladder_caches_stay_bounded(fresh_ladder_caches):
     a, b = d1_values[-1]
     d1 = Fraction(a, b)
     assert d1**3 - 2 * d1 == Fraction(fusion._ladder_value(kind, a, b, 3), b**3)
+
+
+@pytest.mark.parametrize("family", [
+    su2_ladder(3, q=Fraction(15, 97)), so3_ladder(5, dim_q_fund=Fraction(71, 10)),
+], ids=["o-plus", "so3"])
+def test_a_ladder_table_indexes_its_two_prefixes(family, fresh_ladder_caches):
+    kind, c = family.kind, family.dim_c_fund
+    a, b = family.dim_q_fund.as_integer_ratio()
+    labels = [7, 0, 40, 7, 3, 40, 1, 12, 0]
+    expected = [(_reference(kind, c, 1, n), _reference(kind, a, b, n), b**n) for n in labels]
+    assert fusion.scaled_dims(labels, family) == expected
+    assert fusion._ladder_prefix.cache_info().misses == 2
+    # More other tables than there are prefixes, none sharing a prefix with
+    # this family, evict both of its prefixes; the table is stepped again.
+    for k in range(fusion.LADDER_PREFIXES + 1):
+        other = FusionFamily(kind, c + 1, Fraction(10 * (c + 2) + k, 10))
+        fusion.scaled_dims([5, 2, 9], other)
+    misses = fusion._ladder_prefix.cache_info().misses
+    assert fusion.scaled_dims(labels, family) == expected
+    assert fusion._ladder_prefix.cache_info().misses == misses + 2
+    assert fusion._ladder_value.cache_info().currsize == 0
+
+
+def test_tables_and_verdicts_leave_the_value_cache_empty(fresh_ladder_caches):
+    for family in (su2_ladder(5, q="0.19"), so3_ladder(4, dim_q_fund="17/2"), su2_ladder(3)):
+        criteria.masa_verdict(family)
+        criteria.kac_part(family, 300)
+        if not family.is_kac:
+            criteria.verify_decay(family, 60)
+        fusion.scaled_dims(range(200, -1, -7), family)
+    fusion.scaled_dims(all_words(6), free_unitary(2, q="3/20"))
+    assert fusion._ladder_prefix.cache_info().currsize > 0
+    assert fusion._ladder_value.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ Over seeded grids, :func:`criteria._deformed_ratio_sum` must return the
 same :class:`SeriesResult` as the reference, verdict, both enclosures and
 ``terms_used``, and hand the same unrounded fixed-point sums to
 ``dyadic.fixed_enclosure``: a floor where a ceiling belongs moves those
-sums by an ulp even where rounding to `bits` hides it.  The thresholds'
-secant steps and candidate bracket ends must equal their ``Fraction`` forms.
+sums by an ulp even where rounding to `bits` hides it.  A second grid
+holds the sweep's long sums, whose powers ``x^(2m)`` and ``y^(2m)`` stop
+moving at the working precision long before the last term: there the
+kernel stops computing roots (its steady phase), and the reference does
+not.  The thresholds' secant steps and candidate bracket ends must equal
+their ``Fraction`` forms.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 import kernel_oracle
-from qclassfun import criteria, dyadic, fusion
+from qclassfun import criteria, dyadic, fusion, scalars
 from qclassfun.criteria import Verdict
 from qclassfun.errors import DomainError
 
@@ -116,6 +120,88 @@ def test_the_kernel_matches_its_reference_on_a_seeded_grid(monkeypatch):
             seen.add("escalated")
     # the grid reaches every exit of the kernel
     assert seen == {Verdict.CONVERGES, Verdict.UNDETERMINED, "escalated"}
+
+
+def _steady_cases() -> list[tuple]:
+    """Seeded cases of the sweep's long sums, in the form of :func:`_kernel_cases`."""
+    rng = random.Random(35)
+    cases = []
+
+    def ladder(name, family, tol, bits, max_terms, first=1):
+        roots, y_low = criteria._fundamental_roots(family)
+        step = 2 if family.kind is fusion.FamilyKind.SO3_LADDER else 1
+        cases.append((name, roots, y_low, step, first, tol, bits, max_terms))
+
+    verdict_tol, terms = Fraction(1, 10**6), criteria.DEFAULT_MAX_TERMS + 1
+    for i in range(6):  # about 600 terms each
+        q = Fraction(rng.randint(170, 200), 1000)
+        ladder(f"o-plus-5-{q}", fusion.su2_ladder(5, q=q), verdict_tol, 128, terms, 1 + i % 2)
+    for n_fund in (4, 5, 6):
+        for _ in range(2):
+            dim_q = Fraction(rng.randint(1000 * n_fund + 250, 1000 * n_fund + 350), 1000)
+            ladder(f"so3-{n_fund}-{dim_q}", fusion.so3_ladder(n_fund, dim_q_fund=dim_q),
+                   verdict_tol, rng.choice((64, 128)), terms, rng.choice((1, 2)))
+    for n_fund, low, high in ((3, 300, 370), (4, 200, 260)):  # q_c near 0.382 and 0.268
+        q_c = dyadic.exact_endpoints(scalars.solve_fundamental_q(n_fund))
+        for _ in range(3):
+            q_q = Fraction(rng.randint(low, high), 1000)
+            cases.append((f"fund:{n_fund}-{q_q}", _hull_roots(q_c, (q_q, q_q)), q_q, 1, 2,
+                          Fraction(1, 10**9), 128, criteria.DEFAULT_MAX_TERMS))
+    # x^(2m) steps by about 0.15 and y^(2m) by about 0.14: their ceilings stall at 1 early,
+    # and a budget-capped sum runs out of terms in the steady phase
+    near = fusion.su2_ladder(3, dim_q_fund="3007/1000")
+    ladder("o-plus-3-3007/1000", near, Fraction(1, 10**6), 128, 1501)
+    ladder("o-plus-3-3007/1000-step-2", near, Fraction(1, 10**9), 64, 3000, 2)
+    # roots nearer 1, where the ceiling of x^(2m) stalls several ulps above 0
+    for x in (Fraction(9, 10), Fraction(4, 5)):
+        y = x * Fraction(19, 20)
+        cases.append((f"hull-{x}", _hull_roots((x, x), (y, y)), y, 1, 1, Fraction(1, 10**12),
+                      64, 2000))
+    # tol is the lower end of the majorant's enclosure at term 200 at the first
+    # precision (p = 143): the sum runs out of terms in the steady phase with
+    # that majorant not certainly above tol, so it is summed again at 256 bits.
+    gap = Fraction(7456196971809983553957862677036417789218236, 1 << 143)
+    ladder("escalates-after-max-terms", fusion.su2_ladder(5, q="1/5"), gap, 128, 200)
+    return cases
+
+
+STEADY_CASES = _steady_cases()
+
+
+def _steady_term(case) -> int | None:
+    """The term from which the powers ``x^(2m)`` and ``y^(2m)`` stop moving at
+    the kernel's first precision, stepped as the reference steps them."""
+    _, roots, y_low, step, first, tol, bits, max_terms = case
+    limit = min(tol, y_low) if y_low > 0 else tol
+    p = criteria._point_bits(bits, limit.as_integer_ratio()) + max_terms.bit_length()
+    x, y = roots(p)
+    x2, y2 = dyadic.fixed_mul(x, x, p), dyadic.fixed_mul(y, y, p)
+    xs, ys = kernel_oracle.fixed_power(x2, step, p), kernel_oracle.fixed_power(y2, step, p)
+    xm, ym = kernel_oracle.fixed_power(x2, first, p), kernel_oracle.fixed_power(y2, first, p)
+    for term in range(1, max_terms):
+        powers = dyadic.fixed_mul(xm, xs, p), dyadic.fixed_mul(ym, ys, p)
+        if powers == (xm, ym):
+            return term
+        xm, ym = powers
+    return None
+
+
+def test_the_steady_phase_matches_the_reference(monkeypatch):
+    escalated = 0
+    for case in STEADY_CASES:
+        steady = _steady_term(case)
+        expected, expected_sums = _run(kernel_oracle.deformed_ratio_sum, case, monkeypatch)
+        got, got_sums = _run(criteria._deformed_ratio_sum, case, monkeypatch)
+        assert _fields(got) == _fields(expected), case[0]
+        assert got_sums == expected_sums, case[0]
+        # each case sums well past the term where its powers stop moving
+        assert steady is not None and expected_sums[0][3] == case[6], case[0]
+        assert steady < expected.terms_used - 20 or expected.terms_used == 0, case[0]
+        if expected.verdict is Verdict.UNDETERMINED and expected.partial_sum.bits > case[6]:
+            escalated += 1
+    assert escalated >= 1
+    assert {case[3] for case in STEADY_CASES} == {1, 2}
+    assert {case[4] for case in STEADY_CASES} == {1, 2}
 
 
 def test_the_grid_has_unseparated_roots_and_both_root_kinds():
