@@ -210,10 +210,11 @@ def _deformed_ratio_sum(
     Enclosure at `bits`.  The term loop inlines the ``fixed_*`` operations on
     local ints, in the same order, and takes the majorant's lower end at its end.
 
-    The powers' floors and ceilings decrease to fixed points, ``x^(2m)`` and
-    ``y^(2m)`` within some dozens of terms.  Once a step leaves all four ends
-    unchanged, every later step does, and for ``x < 1`` a term's quotient and
-    roots are functions of those ends alone, so from then on (the steady
+    The floors and ceilings of ``x^(2m)`` and ``y^(2m)`` never increase, so
+    they stop moving, unless ``x`` is near 1 within a few dozen terms.  Each
+    step is a function of the end it steps, so once a step leaves all four
+    ends unchanged every later step does, and for ``x < 1`` a term's quotient
+    and roots are functions of those ends alone.  From then on (the steady
     phase) the loop reuses its last roots and steps only ``z^(m-1)``: the
     same ints in the same order.  At ``x = 1`` the quotient carries ``m``.
 
