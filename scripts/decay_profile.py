@@ -32,17 +32,20 @@ def main() -> None:
     else:
         family = fusion.so3_ladder(args.N, dim_q_fund=Fraction(args.dimq or 5))
 
-    a1 = Fraction(fusion.dim(1, family, "quantum")) / fusion.dim(1, family)
+    # One table of labels 0..n_max, and label 1 for A_1: rows (d, D, scale), A_n = D/(d scale).
+    table = fusion.scaled_dims(range(max(args.n_max, 1) + 1), family)
+    a1 = Fraction(table[1][1], table[1][0] * table[1][2])
     c = 1 + (a1 - 1)
     print(f"# family={args.kind} N={args.N} A_1={a1} c={c}")
     print("n,dim,A_n,floor,term")
     floor = Fraction(1)
     for n in range(args.n_max + 1):
-        a_n = Fraction(fusion.dim(n, family, "quantum")) / fusion.dim(n, family)
+        classical, quantum, scale = table[n]
+        a_n = Fraction(quantum, classical * scale)
         if n >= 1:
             floor = a1 * c ** (n - 1)
         term = float(a_n) ** -0.5
-        print(f"{n},{fusion.dim(n, family)},{float(a_n):.6g},{float(floor):.6g},{term:.6g}")
+        print(f"{n},{classical},{float(a_n):.6g},{float(floor):.6g},{term:.6g}")
 
     result = criteria.quasi_split_sum_ladder(family, args.tol)
     if result.verdict is criteria.Verdict.CONVERGES:

@@ -115,10 +115,10 @@ def criterion_4_modular_norms(bits: int = DEFAULT_BITS) -> dict:
     failures = []
     for q_str in ("0.3", "0.5", "0.8"):
         q = Fraction(q_str)
-        family = fusion.su2_ladder(2, q=q)
-        for n in range(21):
+        table = fusion.scaled_dims(range(21), fusion.su2_ladder(2, q=q))
+        for n, (classical, quantum, scale) in enumerate(table):
             ok = True
-            for b, expected in ((0, 1), (Fraction(-1, 4), criteria.ratio_exact(n, family))):
+            for b, expected in ((0, 1), (Fraction(-1, 4), Fraction(classical * scale, quantum))):
                 lo, hi = dyadic.exact_endpoints(spectral.modular_norm_sq(n, q, b, bits))
                 ok = ok and lo <= expected <= hi and hi - lo <= width_cap
             if not ok:
@@ -245,22 +245,19 @@ def criterion_6_word_calculus(bits: int = DEFAULT_BITS) -> dict:
         return memo[word]
 
     failures = []
+    words = list(fusion.all_words(6, min_len=1))
     for fundamental_dim in (2, 3):
-        family = fusion.free_unitary(fundamental_dim)
+        table = fusion.scaled_dims(words, fusion.free_unitary(fundamental_dim))
         d1 = Fraction(fundamental_dim)
         memo: dict[str, Fraction] = {"": Fraction(1)}
-        for word in fusion.all_words(6, min_len=1):
-            via_blocks = Fraction(fusion.dim(word, family, "classical"))
-            via_tensor = recursive_dim(word, d1, memo)
-            if via_blocks != via_tensor:
+        for word, (classical, _, _) in zip(words, table):
+            if classical != recursive_dim(word, d1, memo):
                 failures.append({"dim": fundamental_dim, "word": word})
     # Same agreement for a non-integer dimension function.
-    family = fusion.free_unitary(2, dim_q_fund=Fraction(5, 2))
+    table = fusion.scaled_dims(words, fusion.free_unitary(2, dim_q_fund=Fraction(5, 2)))
     memo = {"": Fraction(1)}
-    for word in fusion.all_words(6, min_len=1):
-        if Fraction(fusion.dim(word, family, "quantum")) != recursive_dim(
-            word, Fraction(5, 2), memo
-        ):
+    for word, (_, quantum, scale) in zip(words, table):
+        if Fraction(quantum, scale) != recursive_dim(word, Fraction(5, 2), memo):
             failures.append({"dim": "5/2", "word": word})
     return {
         "id": 6,
@@ -448,7 +445,8 @@ def criterion_11_kac_degeneration(bits: int = DEFAULT_BITS) -> dict:
             list(range(9)) if family.is_ladder
             else list(fusion.all_words(3))
         )
-        if any(criteria.ratio_exact(label, family) != 1 for label in labels):
+        if any(classical * scale != quantum
+               for classical, quantum, scale in fusion.scaled_dims(labels, family)):
             failures.append({"family": name, "check": "ratios"})
         verdict = criteria.masa_verdict(family, n_max=12, bits=bits)
         if verdict.series.verdict is not Verdict.DIVERGES:

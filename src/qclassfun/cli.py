@@ -524,8 +524,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, BudgetError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 3
+    except BudgetError as exc:
+        print(f"budget error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -46,7 +46,7 @@ from . import dyadic, fusion
 from .budgets import DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS
 from .dyadic import Enclosure, Fixed
 from .errors import BudgetError, DomainError, FamilyError, KacTypeError, Record
-from .fusion import FusionFamily, Label
+from .fusion import FusionFamily
 from .scalars import fixed_fundamental_q
 
 #: An input of a series or a bound: a rational (int, Fraction or decimal
@@ -128,12 +128,6 @@ def _read_tol(tol, bits: int, max_terms: int = 1) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # ratios and exponential decay
-
-
-def ratio_exact(label: Label, family: FusionFamily) -> Fraction:
-    """Exact classical/quantum dimension ratio of a label (<= 1 always)."""
-    classical, quantum, scale = fusion.scaled_dims((label,), family)[0]
-    return Fraction(classical * scale, quantum)
 
 
 def verify_decay(family: FusionFamily, n_max: int) -> bool:

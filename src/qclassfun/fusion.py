@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from _thread import allocate_lock
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -235,23 +234,9 @@ def invariant_multiplicity(labels: Sequence[Label], family: FusionFamily) -> int
 # dimensions
 
 
-#: Most ladder dimensions :func:`_ladder_value` keeps, and most
-#: ``(kind, a, b)`` prefixes :func:`_ladder_values` extends; the least
-#: recently used go first.  Only ``perfbench/traced.py`` reads the first.
+#: Most ladder dimensions :func:`_ladder_value` keeps, the least recently
+#: used going first.  Only ``perfbench/traced.py`` reads it.
 LADDER_CACHE_SIZE = 4096
-LADDER_PREFIXES = 32
-
-
-#: Guards the shared prefixes: two threads must not extend one list.
-_LADDER_LOCK = allocate_lock()
-
-
-@lru_cache(maxsize=LADDER_PREFIXES)
-def _ladder_prefix(kind: FamilyKind, a: int, b: int) -> list[int]:
-    """The scaled terms ``D(0), D(1), ...`` of :func:`_ladder_values`
-    computed so far; shared by every caller, which appends in place while
-    holding ``_LADDER_LOCK``."""
-    return [1, a]
 
 
 def _ladder_values(kind: FamilyKind, a: int, b: int, n: int) -> list[int]:
@@ -265,23 +250,21 @@ def _ladder_values(kind: FamilyKind, a: int, b: int, n: int) -> list[int]:
     two-term ``d(k)`` is the deformed integer of order k+1 at the root of
     ``x + 1/x = d1``.  ``D(k)`` is congruent to ``a^k`` mod b, so
     ``D(k)/b^k`` is in lowest terms.  This is the only place either
-    recursion is written.  The stored prefix is extended only as far as
-    `n`, so a table of labels 0..n costs n+1 steps; entries are only
-    appended, so the first n+1 stay valid after the lock is released.
+    recursion is written.  Each call steps a fresh list from ``[1, a]``, so
+    a table of labels 0..n costs n+1 steps and nothing outlives its caller.
     """
     step = a - b if kind is FamilyKind.SO3_LADDER else a
     scale = b * b
-    with _LADDER_LOCK:
-        values = _ladder_prefix(kind, a, b)
-        while len(values) <= n:
-            values.append(step * values[-1] - scale * values[-2])
+    values = [1, a]
+    while len(values) <= n:
+        values.append(step * values[-1] - scale * values[-2])
     return values
 
 
 @lru_cache(maxsize=LADDER_CACHE_SIZE)
 def _ladder_value(kind: FamilyKind, a: int, b: int, n: int) -> int:
-    """``D(n)`` of :func:`_ladder_values`, read from the stored prefix.  No
-    table reads it: it is kept for ``perfbench/traced.py``'s cache counters."""
+    """``D(n)`` of :func:`_ladder_values`.  No table reads it: it is kept
+    for ``perfbench/traced.py``'s cache counters."""
     return _ladder_values(kind, a, b, n)[n]
 
 

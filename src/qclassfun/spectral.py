@@ -299,6 +299,33 @@ def _count_below(bounds: Sequence[tuple[float, float]], x: float) -> int | None:
     return None
 
 
+def _split(squares: tuple[Fraction, ...], bounds: list[tuple[float, float]],
+           brackets: tuple[list, list, list, list], i: int) -> bool:
+    """Bisect bracket i of ``brackets = (lows, highs, low_counts,
+    high_counts)`` in place, or return False at float resolution; the count
+    also tightens the brackets after it.  Where the float count is not
+    certified at the midpoint (a leading minor vanishes near it), two other
+    inner points are tried before the exact count."""
+    lows, highs, low_counts, high_counts = brackets
+    lo, hi = lows[i], highs[i]
+    mid = (lo + hi) / 2
+    if not lo < mid < hi:
+        return False
+    for point in (mid, (5 * lo + 3 * hi) / 8, (3 * lo + 5 * hi) / 8):
+        count = _count_below(bounds, point) if lo < point < hi else None
+        if count is not None:
+            break
+    else:
+        point, count = mid, _exact_count(squares, mid)
+    for j in range(i, count):
+        if point < highs[j]:
+            highs[j], high_counts[j] = point, count
+    for j in range(max(i, count), len(lows)):
+        if point > lows[j]:
+            lows[j], low_counts[j] = point, count
+    return True
+
+
 @lru_cache(maxsize=8)
 def _isolate(squares: tuple[Fraction, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Certified brackets ``lows[i] <= lambda_i < highs[i]`` of the
@@ -306,54 +333,22 @@ def _isolate(squares: tuple[Fraction, ...]) -> tuple[tuple[float, ...], tuple[fl
 
     Bracket i ends with exactly i eigenvalues below ``lows[i]`` and i + 1
     below ``highs[i]``, so it holds one eigenvalue and the spectrum is simple.
-    The two brackets around the smallest spacing are then narrowed to
-    ``GAP_RTOL`` times that spacing, or to float resolution.  Reaching float
-    resolution before a bracket holds one eigenvalue, as at a multiple
-    eigenvalue, raises :class:`BudgetError`.
+    Reaching float resolution before a bracket holds one eigenvalue, as at a
+    multiple eigenvalue, raises :class:`BudgetError`.
     """
     size = len(squares) + 1
     _check_size(size)
     bounds = [_float_bounds(Fraction(entry)) for entry in squares]
     # Gershgorin: every |lambda| is at most 2 max b_k, below this power of two.
     radius = math.ldexp(1.0, math.frexp(2 * math.sqrt(max(hi for _, hi in bounds)))[1] + 1)
-    lows, highs = [-radius] * size, [radius] * size
-    low_counts, high_counts = [0] * size, [size] * size
-
-    def split(i: int) -> bool:
-        # Bisect bracket i, or return False at float resolution; the count
-        # also tightens the brackets after it.  Where the float count is not
-        # certified at the midpoint (a leading minor vanishes near it), two
-        # other inner points are tried before the exact count.
-        lo, hi = lows[i], highs[i]
-        mid = (lo + hi) / 2
-        if not lo < mid < hi:
-            return False
-        for point in (mid, (5 * lo + 3 * hi) / 8, (3 * lo + 5 * hi) / 8):
-            count = _count_below(bounds, point) if lo < point < hi else None
-            if count is not None:
-                break
-        else:
-            point, count = mid, _exact_count(squares, mid)
-        for j in range(i, count):
-            if point < highs[j]:
-                highs[j], high_counts[j] = point, count
-        for j in range(max(i, count), size):
-            if point > lows[j]:
-                lows[j], low_counts[j] = point, count
-        return True
-
+    brackets = lows, highs, low_counts, high_counts = (
+        [-radius] * size, [radius] * size, [0] * size, [size] * size)
     for i in range(size):
         while low_counts[i] != i or high_counts[i] != i + 1:
-            if not split(i):
+            if not _split(squares, bounds, brackets, i):
                 raise BudgetError("eigenvalue brackets reached float resolution: "
                                   "the spectrum is not certified simple")
-    while True:
-        spacings = [low - high for low, high in zip(lows[1:], highs)]
-        spacing = min(spacings)
-        j = spacings.index(spacing)
-        wide = [k for k in (j, j + 1) if highs[k] - lows[k] > GAP_RTOL * spacing]
-        if not any([split(k) for k in wide]):
-            return tuple(lows), tuple(highs)
+    return tuple(lows), tuple(highs)
 
 
 def matrix_commutant_dim(size: int, squares: Sequence[Fraction]) -> int:
@@ -383,8 +378,23 @@ def commutant_dim(op: JacobiOperator) -> int:
 
 def min_eigenvalue_gap(op: JacobiOperator) -> float:
     """Certified lower bound on the smallest spacing between consecutive
-    eigenvalues, within a relative ``2 * GAP_RTOL`` of it."""
-    lows, highs = _isolate(op.squares)
+    eigenvalues, within a relative ``2 * GAP_RTOL`` of it.
+
+    The two brackets of :func:`_isolate` around the smallest spacing are
+    narrowed, on a copy, to ``GAP_RTOL`` times that spacing, or to float
+    resolution; each still holds one eigenvalue."""
+    squares = op.squares
+    lows, highs = map(list, _isolate(squares))
+    size = len(lows)
+    bounds = [_float_bounds(Fraction(entry)) for entry in squares]
+    brackets = lows, highs, list(range(size)), list(range(1, size + 1))
+    while True:
+        spacings = [low - high for low, high in zip(lows[1:], highs)]
+        spacing = min(spacings)
+        j = spacings.index(spacing)
+        wide = [k for k in (j, j + 1) if highs[k] - lows[k] > GAP_RTOL * spacing]
+        if not any([_split(squares, bounds, brackets, k) for k in wide]):
+            break
     return min(_float_bounds(Fraction(lo) - Fraction(hi))[0] for lo, hi in zip(lows[1:], highs))
 
 

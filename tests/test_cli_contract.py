@@ -200,6 +200,7 @@ def test_dims_past_the_int_to_str_limit_is_a_budget_error(argv):
     assert code == 3
     assert out.getvalue() == ""
     assert err.getvalue().count("\n") == 1 and "budget of 4300" in err.getvalue()
+    assert err.getvalue().startswith("budget error: ")
 
 
 @pytest.mark.parametrize("argv", [

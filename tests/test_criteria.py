@@ -25,7 +25,6 @@ from qclassfun.criteria import (
     kac_part,
     masa_verdict,
     quasi_split_sum_ladder,
-    ratio_exact,
     threshold_dim2,
     threshold_ratio_dimge3,
     threshold_remark,
@@ -64,6 +63,13 @@ def _within(enclosure: dyadic.Enclosure, lo: str, hi: str) -> bool:
     return Fraction(lo) <= _lo(enclosure) and _hi(enclosure) <= Fraction(hi)
 
 
+def ratios(labels, family) -> list[Fraction]:
+    """Exact classical/quantum dimension ratios of `labels`, read from one
+    table of :func:`fusion.scaled_dims`."""
+    return [Fraction(classical * scale, quantum)
+            for classical, quantum, scale in fusion.scaled_dims(labels, family)]
+
+
 def _holds_mpf(enclosure: dyadic.Enclosure, value: mpmath.mpf) -> bool:
     """`enclosure` holds the mpmath real `value`, its endpoints read exactly."""
     lo, hi = (mpmath.mp.make_mpf(from_man_exp(*end)) for end in (enclosure.lo, enclosure.hi))
@@ -76,16 +82,13 @@ def _holds_mpf(enclosure: dyadic.Enclosure, value: mpmath.mpf) -> bool:
 
 def test_ratio_examples():
     fam = su2_ladder(2, dim_q_fund=Fraction(5, 2))
-    assert ratio_exact(0, fam) == 1
-    assert ratio_exact(1, fam) == Fraction(4, 5)
-    kac = su2_ladder(3)
-    for n in range(6):
-        assert ratio_exact(n, kac) == 1
+    assert ratios([0, 1], fam) == [1, Fraction(4, 5)]
+    assert ratios(range(6), su2_ladder(3)) == [1] * 6
 
 
 def test_ratio_never_exceeds_one():
     fam = so3_ladder(4, dim_q_fund=5)
-    assert all(ratio_exact(n, fam) <= 1 for n in range(25))
+    assert all(ratio <= 1 for ratio in ratios(range(25), fam))
 
 
 def test_verify_decay_examples():
@@ -144,8 +147,7 @@ def test_quasi_split_sum_partial_matches_fusion_ratios():
     result = quasi_split_sum_ladder(fam, TOL)
     ctx = context(160)
     independent = sum(
-        (ctx.sqrt(make(ratio_exact(n, fam), ctx))
-         for n in range(result.terms_used)),
+        (ctx.sqrt(make(ratio, ctx)) for ratio in ratios(range(result.terms_used), fam)),
         make(0, ctx),
     )
     assert _overlap(result.partial_sum, to_enclosure(independent))
@@ -174,7 +176,7 @@ def test_ladder_majorant_below_the_papers_at_the_stopping_index():
         n = result.terms_used - 1
         # the paper's lemma A_(k+1) >= c A_k, exactly, up to the stopping label
         assert verify_decay(family, n)
-        a1 = 1 / ratio_exact(1, family)
+        a1 = 1 / ratios([1], family)[0]
         with mpmath.workdps(50):
             y = 1 / mpmath.sqrt(mpmath.mpf(a1.numerator) / a1.denominator)
             paper = y * y**n / (1 - y)
@@ -426,9 +428,9 @@ def test_block_sum_matches_family_dimensions():
     q_q = solve_fundamental_q(5, bits=ctx.prec)
     result = block_sum_S(q_c, q_q, TOL)
     independent = make(0, ctx)
-    for n in range(1, result.terms_used + 1):
-        word = fusion.alternating_word(n)
-        independent += ctx.sqrt(make(ratio_exact(word, fam), ctx))
+    words = [fusion.alternating_word(n) for n in range(1, result.terms_used + 1)]
+    for ratio in ratios(words, fam):
+        independent += ctx.sqrt(make(ratio, ctx))
     assert _overlap(result.partial_sum, to_enclosure(independent))
 
 
@@ -679,9 +681,8 @@ def test_quasi_split_sum_against_plain_summation_oracle():
     result = quasi_split_sum_ladder(fam, Fraction(1, 10**10))
     with mpmath.workdps(60):
         direct = mpmath.fsum(
-            mpmath.sqrt(mpmath.mpf(ratio_exact(n, fam).numerator)
-                        / ratio_exact(n, fam).denominator)
-            for n in range(400)
+            mpmath.sqrt(mpmath.mpf(ratio.numerator) / ratio.denominator)
+            for ratio in ratios(range(400), fam)
         )
     enclosure = result.sum_enclosure()
     assert _holds_mpf(enclosure, direct)
@@ -730,7 +731,7 @@ def test_kac_part_matches_the_fraction_oracle(family):
 ], ids=lambda f: f"{f.kind.value} N={f.dim_c_fund} dimq={f.dim_q_fund}")
 def test_verify_decay_matches_the_fraction_oracle(family, sup_c, monkeypatch):
     # a smaller sup_c raises c, so the lemma's inequality can fail
-    rates = [1 / ratio_exact(n, family) for n in range(1, 41)]
+    rates = [1 / ratio for ratio in ratios(range(1, 41), family)]
     c = 1 + (rates[0] - 1) / sup_c
     expected = all(b >= c * a for a, b in zip(rates, rates[1:]))
     monkeypatch.setattr(criteria, "LADDER_SUP_C", sup_c)

@@ -1,10 +1,8 @@
 """Labels, tensor decompositions, dimensions and spectra."""
 
 import collections
-import functools
 import math
-import threading
-import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -397,16 +395,11 @@ def test_a_word_table_splits_each_word_once(monkeypatch, capsys):
 # ladder dimension caches
 
 
-def _clear_ladder_caches():
-    fusion._ladder_value.cache_clear()
-    fusion._ladder_prefix.cache_clear()
-
-
 @pytest.fixture
 def fresh_ladder_caches():
-    _clear_ladder_caches()
+    fusion._ladder_value.cache_clear()
     yield
-    _clear_ladder_caches()
+    fusion._ladder_value.cache_clear()
 
 
 def _reference(kind, a, b, n):
@@ -422,18 +415,15 @@ LADDER_CALL = st.tuples(st.sampled_from(LADDER_KINDS), st.sampled_from(LADDER_D1
                         st.integers(0, 60)).map(lambda call: (call[0], *call[1], call[2]))
 
 
-@given(st.lists(st.one_of(LADDER_CALL, st.just("evict prefixes")), max_size=30))
+@given(st.lists(LADDER_CALL, max_size=30))
 def test_ladder_values_do_not_depend_on_the_call_order(calls):
-    # Labels going down, families interleaved, and prefixes dropped while
-    # values computed from them stay cached: every value is the recursion's term.
-    _clear_ladder_caches()
+    # Labels going down and families interleaved, cached or not: every value
+    # is the recursion's term.
+    fusion._ladder_value.cache_clear()
     for call in calls:
-        if call == "evict prefixes":
-            fusion._ladder_prefix.cache_clear()
-            continue
         assert fusion._ladder_value.__wrapped__(*call) == _reference(*call)
         assert fusion._ladder_value(*call) == _reference(*call)
-    _clear_ladder_caches()
+    fusion._ladder_value.cache_clear()
 
 
 @given(st.sampled_from(LADDER_KINDS), st.integers(1, 10**6), st.integers(1, 10**6),
@@ -452,59 +442,33 @@ def test_scaled_ladder_values_are_in_lowest_terms(kind, a, b, n):
      fusion.FamilyKind.SO3_LADDER, Fraction(71, 10)),
 ], ids=["o-plus", "so3"])
 def test_a_dims_table_advances_each_recursion_once_per_label(
-        argv, kind, d1, capsys, fresh_ladder_caches):
+        argv, kind, d1, capsys, monkeypatch, fresh_ladder_caches):
+    calls = []
+    ladder_values = fusion._ladder_values
+
+    def counted(*call):
+        values = ladder_values(*call)
+        calls.append((call, len(values)))
+        return values
+
+    monkeypatch.setattr(fusion, "_ladder_values", counted)
     assert main(argv) == 0
     capsys.readouterr()
-    # Two prefixes (classical and quantum), each made once and never evicted,
-    # and extended only by appending: 401 terms are 401 steps.
-    assert fusion._ladder_prefix.cache_info().misses == 2
+    # One list per recursion (classical and quantum), each stepped to label
+    # 400 once: 401 terms are 401 steps.
     n_fund = int(argv[4])
-    assert len(fusion._ladder_prefix(kind, n_fund, 1)) == 401
-    assert len(fusion._ladder_prefix(kind, *d1.as_integer_ratio())) == 401
-    assert fusion._ladder_prefix.cache_info().misses == 2
-
-
-class _SlowList(list):
-    def append(self, value):
-        time.sleep(0.0001)  # let another thread run between computing and storing a term
-        super().append(value)
-
-
-def test_ladder_values_are_right_when_threads_share_a_prefix(monkeypatch, fresh_ladder_caches):
-    kind, a, b = fusion.FamilyKind.SO3_LADDER, 71, 10
-    errors = []
-    first_terms = fusion._ladder_prefix.__wrapped__
-    prefix = functools.lru_cache(maxsize=fusion.LADDER_PREFIXES)(
-        lambda kind, a, b: _SlowList(first_terms(kind, a, b)))
-    monkeypatch.setattr(fusion, "_ladder_prefix", prefix)
-
-    def read(labels):
-        try:
-            for n in labels:
-                assert fusion._ladder_value.__wrapped__(kind, a, b, n) == _reference(kind, a, b, n)
-        except Exception as exc:  # noqa: BLE001 - reported by the main thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=read, args=(range(start, 200, 4),)) for start in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-    assert errors == []
-    assert len(prefix(kind, a, b)) == 200
+    assert calls == [((kind, n_fund, 1, 400), 401),
+                     ((kind, *d1.as_integer_ratio(), 400), 401)]
 
 
 def test_ladder_caches_stay_bounded(fresh_ladder_caches):
     kind = fusion.FamilyKind.SU2_LADDER
     assert fusion._ladder_value.cache_info().maxsize == fusion.LADDER_CACHE_SIZE
-    assert fusion._ladder_prefix.cache_info().maxsize == fusion.LADDER_PREFIXES
     d1_values = [(2 + Fraction(k, 10_007)).as_integer_ratio() for k in range(10_000)]
     for a, b in d1_values:
         fusion._ladder_value(kind, a, b, 3)
     assert fusion._ladder_value.cache_info().currsize <= fusion.LADDER_CACHE_SIZE
-    assert fusion._ladder_prefix.cache_info().currsize <= fusion.LADDER_PREFIXES
-    # The first values were evicted from both caches and come back correct.
+    # The first values were evicted and come back correct.
     for a, b in d1_values[:5] + d1_values[-5:]:
         for n in (5, 2, 0):
             assert fusion._ladder_value(kind, a, b, n) == _reference(kind, a, b, n)
@@ -522,15 +486,11 @@ def test_a_ladder_table_indexes_its_two_prefixes(family, fresh_ladder_caches):
     labels = [7, 0, 40, 7, 3, 40, 1, 12, 0]
     expected = [(_reference(kind, c, 1, n), _reference(kind, a, b, n), b**n) for n in labels]
     assert fusion.scaled_dims(labels, family) == expected
-    assert fusion._ladder_prefix.cache_info().misses == 2
-    # More other tables than there are prefixes, none sharing a prefix with
-    # this family, evict both of its prefixes; the table is stepped again.
-    for k in range(fusion.LADDER_PREFIXES + 1):
+    # Tables of other families in between leave this one as it was.
+    for k in range(4):
         other = FusionFamily(kind, c + 1, Fraction(10 * (c + 2) + k, 10))
         fusion.scaled_dims([5, 2, 9], other)
-    misses = fusion._ladder_prefix.cache_info().misses
     assert fusion.scaled_dims(labels, family) == expected
-    assert fusion._ladder_prefix.cache_info().misses == misses + 2
     assert fusion._ladder_value.cache_info().currsize == 0
 
 
@@ -542,8 +502,22 @@ def test_tables_and_verdicts_leave_the_value_cache_empty(fresh_ladder_caches):
             criteria.verify_decay(family, 60)
         fusion.scaled_dims(range(200, -1, -7), family)
     fusion.scaled_dims(all_words(6), free_unitary(2, q="3/20"))
-    assert fusion._ladder_prefix.cache_info().currsize > 0
     assert fusion._ladder_value.cache_info().currsize == 0
+
+
+def test_a_dropped_table_leaves_no_dimensions_behind(fresh_ladder_caches):
+    # Labels 0..3000 of o-plus N=3 at q = 1/5: the two recursions' lists
+    # alone hold about 3.8 MiB of ints, and none of it may outlive the table.
+    family = su2_ladder(3, q="1/5")
+    tracemalloc.start()
+    try:
+        table = fusion.scaled_dims(range(3001), family)
+        assert len(table) == 3001
+        del table
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 512 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,6 @@ BOUNDARY_CALLS = {
     "spectral.min_eigenvalue_gap": lambda: spectral.min_eigenvalue_gap(_OP),
     "spectral.suq2_relation_residuals":
         lambda: spectral.suq2_relation_residuals(4, Fraction(1, 2), Fraction(1, 3)),
-    "criteria.ratio_exact": lambda: criteria.ratio_exact(2, _FAMILY),
     "criteria.verify_decay": lambda: criteria.verify_decay(_FAMILY, 5),
     "criteria.quasi_split_sum_ladder":
         lambda: criteria.quasi_split_sum_ladder(_FAMILY, Fraction(1, 1000)),

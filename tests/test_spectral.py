@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
-from qclassfun import dyadic
+from qclassfun import dyadic, spectral
 from qclassfun.dyadic import Enclosure
 from qclassfun.errors import BudgetError, DomainError
 from qclassfun.spectral import (
@@ -400,6 +400,29 @@ def test_krylov_rank_non_cyclic_control():
 def test_commutant_dim_small():
     assert commutant_dim(build_jacobi(2, Fraction(1, 2))) == 2
     assert commutant_dim(build_jacobi(10, Fraction(1, 2))) == 10
+
+
+@pytest.mark.parametrize("size, q, most, gap", [
+    (16, "1/2", 25, 0.10923968126007821),
+    (32, "4/10", 41, 0.027790561616711784),
+    (8, "9/10", 15, 0.40735396556556225),
+])
+def test_commutant_dim_isolates_without_narrowing_the_gap(size, q, most, gap, monkeypatch):
+    # Isolating M eigenvalues takes about one Sturm count each; narrowing the
+    # brackets around the smallest spacing, which only the gap reads, takes
+    # well over a hundred more, and commutant_dim makes none of them.
+    counts = []
+
+    def counted(bounds, x):
+        counts.append(x)
+        return _count_below(bounds, x)
+
+    monkeypatch.setattr(spectral, "_count_below", counted)
+    spectral._isolate.cache_clear()
+    op = build_jacobi(size, q)
+    assert commutant_dim(op) == size
+    assert len(counts) <= most
+    assert min_eigenvalue_gap(op) == gap
 
 
 def test_rank_and_commutant_on_grid():
