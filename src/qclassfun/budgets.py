@@ -22,8 +22,9 @@ MAX_RATIONAL_DIGITS = 24
 DEFAULT_MAX_TERMS = 10_000
 
 #: Largest matrix size accepted by the Sturm-count model.  On a 2-vCPU VM
-#: `jacobi --M 768` takes at most 1.6 s of CPU over the q scanned, the
-#: slowest near ``q = 1 - 0.64/M``; 832 took 1.9 s and 896 took 2.2 s.
+#: `jacobi --M 768` takes 1.1 s of CPU at `--q 0.99999999999999999999999
+#: --phase 12345678901234567890123` and 1.5-1.7 s at the slowest q scanned,
+#: `--q 0.9991667` (near ``1 - 0.64/M``); 832 took 1.9 s and 896 took 2.2 s.
 MAX_COMMUTANT_SIZE = 768
 
 #: Most decimal digits a `dims` table's classical dimensions may have: an

@@ -39,11 +39,11 @@ if TYPE_CHECKING:
 ENV_BITS = "QCLASSFUN_BITS"
 
 #: --family value -> (name of its constructor in `fusion`, flag giving the
-#: classical fundamental dimension, whether --qq applies).
+#: classical fundamental dimension, its least value, whether --qq applies).
 FAMILIES = {
-    "o-plus": ("su2_ladder", "N", True),
-    "so3": ("so3_ladder", "N", False),
-    "u-plus": ("free_unitary", "dim", True),
+    "o-plus": ("su2_ladder", "N", 2, True),
+    "so3": ("so3_ladder", "N", 3, False),
+    "u-plus": ("free_unitary", "dim", 2, True),
 }
 
 
@@ -247,15 +247,15 @@ def _build_family(args: argparse.Namespace) -> tuple[FusionFamily, dict]:
 
     if args.family is None:
         raise UsageError("--family is required")
-    constructor, size_flag, takes_qq = FAMILIES[args.family]
+    constructor, size_flag, least, takes_qq = FAMILIES[args.family]
     build = getattr(fusion, constructor)
     size = getattr(args, size_flag)
     if size is None:
         raise UsageError(f"--{size_flag} is required for --family {args.family}")
     if args.qq is not None and not takes_qq:
         raise UsageError(f"{args.family} families take --dimq (quantum dimension), not --qq")
-    if args.family == "so3" and size < 3:
-        raise UsageError(f"so3 families need --N >= 3, got {size}")
+    if size < least:
+        raise UsageError(f"{args.family} families need --{size_flag} >= {least}, got {size}")
     inputs: dict = {"family": args.family, size_flag: size}
     if args.qq is not None:
         inputs["qq"] = args.qq

@@ -20,18 +20,18 @@ finite shadows of maximal abelianness are checked: the first basis vector is
 cyclic (full Krylov rank) and the commutant of the compression is exactly the
 polynomials in it (dimension M).  The compression is held exactly, by its
 squared off-diagonals ``1 - q^(2k)``, and every answer is certified: the
-Krylov rank is read from the exact squares, a simple spectrum and a lower
-bound on the eigenvalue gap come from Sturm counts on outward-rounded float
-pivots (an exact integer count where those cannot decide), and the relation
-residuals are bounded in integer fixed point and read back exactly.  The
-size M is a count of at most ``MAX_COMMUTANT_SIZE``, checked before anything
-of that size is allocated.  No numpy is needed.
+Krylov rank and the simple spectrum follow from the exact check that every
+square is positive, a lower bound on the eigenvalue gap comes from Sturm
+counts on outward-rounded float pivots (an exact integer count where those
+cannot decide), and the relation residuals are bounded in integer fixed
+point and read back exactly.  Nothing computed outlives the call.  The size
+M is a count of at most ``MAX_COMMUTANT_SIZE``, checked before anything of
+that size is allocated.  No numpy is needed.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from fractions import Fraction
 
 from . import dyadic
@@ -326,13 +326,14 @@ def _split(squares: tuple[Fraction, ...], bounds: list[tuple[float, float]],
     return True
 
 
-@lru_cache(maxsize=8)
-def _isolate(squares: tuple[Fraction, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _isolate(squares: Sequence[Fraction]) -> tuple[list, tuple[list, list, list, list]]:
     """Certified brackets ``lows[i] <= lambda_i < highs[i]`` of the
     eigenvalues in increasing order, with ``highs[i] <= lows[i + 1]``.
 
-    Bracket i ends with exactly i eigenvalues below ``lows[i]`` and i + 1
-    below ``highs[i]``, so it holds one eigenvalue and the spectrum is simple.
+    Returns the float bounds of the squares and the brackets ``(lows, highs,
+    low_counts, high_counts)`` that :func:`_split` narrows.  Bracket i ends
+    with exactly i eigenvalues below ``lows[i]`` and i + 1 below
+    ``highs[i]``, so it holds one eigenvalue and the spectrum is simple.
     Reaching float resolution before a bracket holds one eigenvalue, as at a
     multiple eigenvalue, raises :class:`BudgetError`.
     """
@@ -348,31 +349,39 @@ def _isolate(squares: tuple[Fraction, ...]) -> tuple[tuple[float, ...], tuple[fl
             if not _split(squares, bounds, brackets, i):
                 raise BudgetError("eigenvalue brackets reached float resolution: "
                                   "the spectrum is not certified simple")
-    return tuple(lows), tuple(highs)
+    return bounds, brackets
 
 
 def matrix_commutant_dim(size: int, squares: Sequence[Fraction]) -> int:
-    """Dimension of ``{X : XT = TX}`` for the zero-diagonal tridiagonal of
+    """Dimension of ``{X : XT = TX}`` for the zero-diagonal tridiagonal T of
     order `size` with squared off-diagonals `squares`.
 
     For a symmetric matrix it is the sum of the squared multiplicities, which
-    is `size` exactly when the spectrum is simple.  That is certified by
-    :func:`_isolate`; a spectrum it cannot certify simple raises
-    :class:`BudgetError`, so a multiple eigenvalue is never reported as `size`.
-    `size` is checked by :func:`_check_size` and each square read by
-    :func:`dyadic.read_rational`.
+    is `size` exactly when the spectrum is simple.  Where every square is
+    positive it is: deleting the first row and the last column of ``T - x``
+    leaves a triangular matrix whose diagonal is the nonzero off-diagonals,
+    so ``rank(T - x) >= size - 1`` for every x, every eigenvalue is simple,
+    and the commutant is the algebra of polynomials in T, of dimension
+    `size` (Parlett, *The Symmetric Eigenvalue Problem*, 1998, ch. 7).  A
+    zero square splits T into blocks that may share an eigenvalue, so there
+    the spectrum is certified simple by :func:`_isolate`, and one it cannot
+    certify raises :class:`BudgetError`: a multiple eigenvalue is never
+    reported as `size`.  `size` is checked by :func:`_check_size` and each
+    square read by :func:`dyadic.read_rational`.
     """
     _check_size(size)
     squares = tuple(map(dyadic.read_rational, squares))
     if len(squares) != size - 1 or any(entry < 0 for entry in squares):
         raise DomainError("need size >= 2 and size - 1 nonnegative squares")
-    _isolate(squares)
+    if not all(squares):
+        _isolate(squares)
     return size
 
 
 def commutant_dim(op: JacobiOperator) -> int:
-    """Commutant dimension of the compression; M means simple spectrum
-    and commutant = polynomials in the operator."""
+    """Commutant dimension of the compression: M, as every square is
+    positive, so the spectrum is simple and the commutant is the
+    polynomials in the operator (see :func:`matrix_commutant_dim`)."""
     return matrix_commutant_dim(op.size, op.squares)
 
 
@@ -381,13 +390,11 @@ def min_eigenvalue_gap(op: JacobiOperator) -> float:
     eigenvalues, within a relative ``2 * GAP_RTOL`` of it.
 
     The two brackets of :func:`_isolate` around the smallest spacing are
-    narrowed, on a copy, to ``GAP_RTOL`` times that spacing, or to float
+    narrowed in place to ``GAP_RTOL`` times that spacing, or to float
     resolution; each still holds one eigenvalue."""
     squares = op.squares
-    lows, highs = map(list, _isolate(squares))
-    size = len(lows)
-    bounds = [_float_bounds(Fraction(entry)) for entry in squares]
-    brackets = lows, highs, list(range(size)), list(range(1, size + 1))
+    bounds, brackets = _isolate(squares)
+    lows, highs = brackets[:2]
     while True:
         spacings = [low - high for low, high in zip(lows[1:], highs)]
         spacing = min(spacings)

@@ -87,6 +87,9 @@ DIMS = ("dims", "--family", "o-plus", "--N", "3", "--qq", "0.2")
     (("jacobi", "--M", "8", "--q", "abc"), None, None),
     (("jacobi", "--M", "8", "--q", "0.5", "--phase", "nan"), None, None),
     (("jacobi", "--M", "8", "--q", "1/0"), None, None),
+    (("dims", "--family", "o-plus", "--N", "1", "--qq", "0.5"), None, None),
+    (("series", "--family", "o-plus", "--N", "0"), None, None),
+    (("dims", "--family", "u-plus", "--dim", "1"), None, None),
 ])
 def test_invalid_tol_bits_and_family_are_usage_errors(
         capsys, monkeypatch, tmp_path, argv, env_bits, config):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -402,27 +403,44 @@ def test_commutant_dim_small():
     assert commutant_dim(build_jacobi(10, Fraction(1, 2))) == 10
 
 
-@pytest.mark.parametrize("size, q, most, gap", [
-    (16, "1/2", 25, 0.10923968126007821),
-    (32, "4/10", 41, 0.027790561616711784),
-    (8, "9/10", 15, 0.40735396556556225),
+@pytest.mark.parametrize("size, q, gap", [
+    (16, "1/2", 0.10923968126007821),
+    (32, "4/10", 0.027790561616711784),
+    (8, "9/10", 0.40735396556556225),
 ])
-def test_commutant_dim_isolates_without_narrowing_the_gap(size, q, most, gap, monkeypatch):
-    # Isolating M eigenvalues takes about one Sturm count each; narrowing the
-    # brackets around the smallest spacing, which only the gap reads, takes
-    # well over a hundred more, and commutant_dim makes none of them.
+def test_commutant_dim_makes_no_sturm_count(size, q, gap, monkeypatch):
+    # Positive squares make the spectrum simple by proof, so the commutant
+    # takes no Sturm count; only the gap isolates and narrows eigenvalues.
     counts = []
 
-    def counted(bounds, x):
-        counts.append(x)
-        return _count_below(bounds, x)
+    def counted(count):
+        def spy(*args):
+            counts.append(args[-1])
+            return count(*args)
+        return spy
 
-    monkeypatch.setattr(spectral, "_count_below", counted)
-    spectral._isolate.cache_clear()
+    monkeypatch.setattr(spectral, "_count_below", counted(_count_below))
+    monkeypatch.setattr(spectral, "_exact_count", counted(_exact_count))
     op = build_jacobi(size, q)
     assert commutant_dim(op) == size
-    assert len(counts) <= most
+    assert matrix_commutant_dim(size, op.squares) == size
+    assert counts == []
     assert min_eigenvalue_gap(op) == gap
+    assert counts
+
+
+def test_a_dropped_operator_leaves_no_spectrum_behind():
+    # M = 128 at a 23-digit q: the exact squares hold about 0.3 MiB of ints,
+    # and nothing the commutant or the gap computes may outlive the operator.
+    tracemalloc.start()
+    try:
+        op = build_jacobi(128, "0.99999999999999999999999")
+        assert commutant_dim(op) == 128 and min_eigenvalue_gap(op) > 0
+        del op
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def test_rank_and_commutant_on_grid():
