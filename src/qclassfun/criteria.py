@@ -31,7 +31,9 @@ as an int in its range; a float, an mpmath interval or malformed text is refused
 The kernel's term loop inlines the fixed-point operations on local ints and
 stops computing a term's roots once the powers they read stop moving, the
 thresholds run on int pairs, not ``Fraction``, and small caches keep the doublings
-of `bits`, the coarse estimates and the certificates that a function increases.
+of `bits`, the coarse estimates and the certificates that a function increases,
+the last keyed by the interval's ends as int pairs: once its tol is read, a
+threshold call builds and hashes no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -537,19 +539,20 @@ def _below_one(f: FixedFunction, x: Ratio, bits: int) -> bool:
 
 
 @functools.lru_cache(maxsize=16)
-def _certify_increasing(slopes: FixedSlopes, lo: Fraction, hi: Fraction, bits: int) -> None:
+def _certify_increasing(slopes: FixedSlopes, lo: Ratio, hi: Ratio, bits: int) -> None:
     """Certify that f increases on [lo, hi] from one enclosure of
     ``slopes(x)`` over the whole interval: each quantity must be certainly
     positive, and their positivity is what makes f increasing (a derivative
     sign, after Moore's interval analysis).  An enclosure that is too wide
     or undecided is recomputed at the next doubling of `bits`.  Certified
-    once per arguments: the cache keeps no failure, which raises."""
+    once per arguments, the ends as int pairs, so that a lookup hashes no
+    ``Fraction``: the cache keeps no failure, which raises."""
     for eval_bits in _doublings(bits):
-        p = _point_bits(eval_bits, lo.as_integer_ratio())
-        values = slopes(dyadic.fixed_hull(lo, hi, p), p)
+        p = _point_bits(eval_bits, lo)
+        values = slopes(((lo[0] << p) // lo[1], -((-hi[0] << p) // hi[1])), p)
         if values is not None and all(v[0] > 0 for v in values):
             return
-    raise DomainError(f"f could not be certified increasing on [{lo}, {hi}]")
+    raise DomainError(f"f could not be certified increasing on [{Fraction(*lo)}, {Fraction(*hi)}]")
 
 
 def _secant(
@@ -593,9 +596,14 @@ def _secant(
         if n2 * d1 == n1 * d2:
             break
         n0, d0, a0, e0, n1, d1 = n1, d1, a1, e1, n2, d2
-        if abs(n1 * d0 - n0 * d1) * stop[1] <= stop[0] * d0 * d1:
+        if _settled((n0, d0), (n1, d1), stop):
             break
     return (n0, d0), (n1, d1)
+
+
+def _settled(x0: Ratio, x1: Ratio, stop: Ratio) -> bool:
+    """The secant's stop rule: the step from `x0` to `x1` is at most `stop`."""
+    return abs(x1[0] * x0[1] - x0[0] * x1[1]) * stop[1] <= stop[0] * x0[1] * x1[1]
 
 
 @functools.cache
@@ -607,19 +615,23 @@ def _coarse_estimate(which: str) -> tuple[Ratio, Ratio]:
                    _SEARCH_HI.as_integer_ratio(), 64, 64, (1, 1 << 64))
 
 
-def _estimate(which: str, tol: Fraction) -> Fraction:
-    """Non-rigorous estimate of the unit crossing: the cached 64-bit one,
-    refined when `tol` needs more than 40 bits by secant steps at about
-    ``2 log2(1/tol) + 64`` bits until a step is at most ``tol/16``.  Each
-    step multiplies the correct bits by about 1.6, so one to three steps
-    reach tol 1e-60, and six take the 64 bits past MAX_BITS."""
+def _estimate(which: str, tol: Fraction) -> Ratio:
+    """Non-rigorous estimate of the unit crossing, as an int pair: the
+    cached 64-bit one when its last step already meets the secant's stop
+    rule for `tol`, a step of at most ``tol/16``.  Those last steps are
+    2^-72.0 (dim2) and 2^-62.4 (remark), and against an 80-digit root the
+    estimates are off by 2^-74.2 and 2^-73.8, so a tol of at least about
+    3.4e-21 (dim2) or 2.6e-18 (remark) takes the estimate as it is.  A
+    smaller tol refines it by secant steps at about ``2 log2(1/tol) + 64``
+    bits until a step is at most ``tol/16``.  Each step multiplies the
+    correct bits by about 1.6, so one to three steps reach tol 1e-60, and
+    six take the 64 bits past MAX_BITS."""
     x0, x1 = _coarse_estimate(which)
-    needed = (tol.denominator // tol.numerator).bit_length()
-    if needed > 40:
-        bits = min(2 * needed + 64, MAX_BITS)
-        x0, x1 = _secant(_CROSSINGS[which][0], x0, x1, bits, 6,
-                         (tol.numerator, 16 * tol.denominator))
-    return Fraction(*x1)
+    stop = tol.numerator, 16 * tol.denominator
+    if not _settled(x0, x1, stop):
+        bits = min(2 * (tol.denominator // tol.numerator).bit_length() + 64, MAX_BITS)
+        x0, x1 = _secant(_CROSSINGS[which][0], x0, x1, bits, 6, stop)
+    return x1
 
 
 def _unit_crossing(
@@ -629,28 +641,29 @@ def _unit_crossing(
     hi: Fraction,
     tol: Fraction,
     bits: int,
-    estimate: Fraction,
+    estimate: Ratio | Fraction,
 ) -> Enclosure:
     """Enclose the unique solution of ``f = 1`` in [lo, hi] to width `tol`.
 
     Certified: that f increases on [lo, hi], so a crossing is unique
     (:func:`_certify_increasing` on `slopes`, cached), and the sign of
     ``f - 1`` at every point the bracket ends on (:func:`_below_one`).  Not
-    certified: `estimate`, which only chooses where to look.  It is verified
-    as in Rump's verification methods: ``estimate -+ tol/4``, rounded
-    outward to multiples of a power of two at most ``tol/8`` and clipped to
-    [lo, hi], are the candidate ends, and when f is certified below 1 at the
-    lower and above 1 at the upper one they are the bracket, at most
-    ``3 tol/4`` wide.  Otherwise the certified signs narrow [lo, hi] as far
-    as they go, the ends not yet checked are certified, and bisection
-    finishes the bracket, so a wrong estimate costs time, never
-    correctness.  The bracket's ends are ints over one denominator, doubled
+    certified: `estimate`, an int pair or a ``Fraction``, which only chooses
+    where to look.  It is verified as in Rump's verification methods:
+    ``estimate -+ tol/4``, rounded outward to multiples of a power of two at
+    most ``tol/8`` and clipped to [lo, hi], are the candidate ends, and when
+    f is certified below 1 at the lower and above 1 at the upper one they
+    are the bracket, at most ``3 tol/4`` wide.  Otherwise the certified
+    signs narrow [lo, hi] as far as they go, the ends not yet checked are
+    certified, and bisection finishes the bracket, so a wrong estimate
+    costs time, never correctness.  The bracket's ends are ints over one denominator, doubled
     at each halving; once narrower than `tol`, they are rounded outward at
     the first doubling of `bits` whose dyadic ends lie within `tol`.
     """
-    _certify_increasing(slopes, lo, hi, bits)
-    (lo_n, lo_d), (hi_n, hi_d) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    (est_n, est_d), (tol_n, tol_d) = estimate.as_integer_ratio(), tol.as_integer_ratio()
+    (lo_n, lo_d), (hi_n, hi_d) = ends = lo.as_integer_ratio(), hi.as_integer_ratio()
+    _certify_increasing(slopes, *ends, bits)
+    est_n, est_d = estimate if type(estimate) is tuple else estimate.as_integer_ratio()
+    tol_n, tol_d = tol.as_integer_ratio()
     k = (8 * tol_d // tol_n).bit_length()  # 2^-k <= tol/8
     # estimate -+ tol/4 = (centre -+ radius)/scale; the bracket is ints over den
     centre, radius, scale = 4 * est_n * tol_d, tol_n * est_d, 4 * est_d * tol_d

@@ -11,9 +11,10 @@ functions the package needs and prints endpoints in decimal, without
 loading mpmath or :mod:`decimal`, so no command loads mpmath.
 
 * :func:`round_quotient` encloses ``p/q`` between two `bits`-bit dyadics,
-  its floor and its ceiling on the `bits`-bit grid: one exact division
-  rounds each end once, the tightest enclosure at `bits` bits (Brent and
-  Zimmermann, "Modern Computer Arithmetic", 2010, section 1.4).
+  its floor and its ceiling on the `bits`-bit grid: one integer division,
+  to the bits that are kept, rounds each end once, the tightest enclosure
+  at `bits` bits (Brent and Zimmermann, "Modern Computer Arithmetic", 2010,
+  section 1.4).
 * :func:`to_text` prints a dyadic at `digits` significant digits, rounded
   toward -inf (``"floor"``), toward +inf (``"ceiling"``) or to nearest-even
   (``"half-even"``), as ``str(decimal.Context(prec=digits,
@@ -129,15 +130,23 @@ def _normal(m: int, e: int) -> Dyadic:
 def round_quotient(p: int, q: int, bits: int) -> tuple[Dyadic, Dyadic]:
     """Lower and upper endpoint, each with an odd mantissa or zero, of the
     tightest `bits`-bit enclosure of ``p/q`` for ``q > 0``: the floor and
-    the ceiling of ``p/q`` on the `bits`-bit grid, from one exact division.
-    They depend on the value alone, not on the terms of the fraction."""
+    the ceiling of ``p/q`` on the `bits`-bit grid, from one integer
+    division to the bits that are kept.  That is ``floor(p·2^-k / q)`` with
+    at least `bits` bits: `p` is shifted left when it is short, and right
+    when it is long, as ``floor(floor(p·2^-k)/q) = floor(p·2^-k / q)``; the
+    quotient is inexact when the remainder or the dropped bits of `p` are
+    nonzero.  The ends depend on the value alone, not on the terms of the
+    fraction."""
     if p < 0:
         low, high = round_quotient(-p, q, bits)
         return negate(high), negate(low)
-    shift = max(bits - p.bit_length() + q.bit_length(), 0)  # the floor has >= bits bits
-    floor, remainder = divmod(p << shift, q)
-    return (round_to(floor, -shift, bits, False),
-            round_to(floor + (remainder != 0), -shift, bits, True))
+    k = p.bit_length() - q.bit_length() - bits  # the floor has >= bits bits
+    if k > 0:
+        floor, remainder = divmod(p >> k, q)
+        remainder |= p & ((1 << k) - 1)
+    else:
+        floor, remainder = divmod(p << -k, q)
+    return round_to(floor, k, bits, False), round_to(floor + (remainder != 0), k, bits, True)
 
 
 def round_to(m: int, e: int, bits: int, ceiling: bool) -> Dyadic:

@@ -154,6 +154,37 @@ def test_round_quotient_is_the_grid_floor_and_ceiling(bits, p, q, k):
     assert dyadic.round_quotient(p * k, q * k, bits) == pair  # the value alone decides
 
 
+def _by_exact_divmod(p: int, q: int, bits: int) -> tuple:
+    """Oracle: the grid floor and ceiling of ``p/q`` from the exact quotient,
+    `p` shifted left until the floor has `bits` bits and never right."""
+    if p < 0:
+        low, high = _by_exact_divmod(-p, q, bits)
+        return dyadic.negate(high), dyadic.negate(low)
+    shift = max(bits - p.bit_length() + q.bit_length(), 0)
+    floor, remainder = divmod(p << shift, q)
+    return (dyadic.round_to(floor, -shift, bits, False),
+            dyadic.round_to(floor + (remainder != 0), -shift, bits, True))
+
+
+# (p, q) with p much longer than q, among them exact quotients and ones
+# inexact only in the low bits of p, and with p much shorter than q
+quotient_pairs = st.one_of(
+    st.builds(lambda q, m, j, d: ((q * m << j) + d, q), st.integers(1, 2**64),
+              st.integers(1, 2**1500), st.integers(0, 1500), st.integers(-2, 2)),
+    st.tuples(st.integers(2**300, 2**4000), st.integers(1, 2**200)),
+    st.tuples(st.integers(0, 2**64), st.integers(2**100, 2**3000)),
+)
+
+
+@pytest.mark.parametrize("bits", ROUNDING_BITS)
+@settings(derandomize=True, max_examples=200)
+@given(pair=quotient_pairs, negative=st.booleans())
+def test_round_quotient_matches_the_exact_divmod(bits, pair, negative):
+    p, q = pair
+    p = -p if negative else p
+    assert dyadic.round_quotient(p, q, bits) == _by_exact_divmod(p, q, bits)
+
+
 @pytest.mark.parametrize("bits", ROUNDING_BITS)
 @pytest.mark.parametrize("p,q", [(0, 1), (0, 7), (1, 1), (-1, 1), (3, 1), (-3, 4), (2**2000 + 1, 1),
                                  (-(2**2000) - 1, 3), (1, 2**1100 - 1), (2**60 - 1, 2**60 + 1),

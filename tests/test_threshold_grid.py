@@ -99,12 +99,57 @@ def test_a_wrong_estimate_falls_back_to_a_certified_bracket(monkeypatch, sign_ch
     assert len(sign_checks) > 4  # the bracket came from bisection
 
 
-@pytest.mark.parametrize("tol", ["1e-4", "1e-18", "1e-30", "1e-60"])
+@pytest.mark.parametrize("tol", ["1e-4", "1e-13", "1e-15", "1e-18", "1e-30", "1e-60"])
 @pytest.mark.parametrize("which", sorted(THRESHOLDS))
 def test_the_estimate_is_verified_by_two_sign_checks(sign_checks, which, tol):
     lo, hi = dyadic.exact_endpoints(THRESHOLDS[which](Fraction(tol)))
     assert len(sign_checks) == 2
     assert lo <= _root(which) <= hi
+
+
+@pytest.mark.parametrize("tol,refined", [("1e-4", False), ("1e-13", False), ("1e-15", False),
+                                         ("1e-30", True), ("1e-60", True)])
+@pytest.mark.parametrize("which", sorted(THRESHOLDS))
+def test_the_cached_estimate_is_refined_only_past_its_last_step(monkeypatch, which, tol,
+                                                                refined):
+    # the cached 64-bit estimate's last step is 2^-72.0 (dim2) or 2^-62.4
+    # (remark): within tol/16 down to tol 1e-15, so secant steps run only
+    # for the smaller tolerances
+    criteria._coarse_estimate(which)
+    calls = []
+    secant = criteria._secant
+
+    def counted(*args):
+        calls.append(args)
+        return secant(*args)
+
+    monkeypatch.setattr(criteria, "_secant", counted)
+    lo, hi = dyadic.exact_endpoints(THRESHOLDS[which](Fraction(tol)))
+    assert len(calls) == refined
+    assert lo <= _root(which) <= hi
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10**4), Fraction(1, 10**15), Fraction(1, 10**30)])
+@pytest.mark.parametrize("which", sorted(THRESHOLDS))
+def test_a_threshold_call_builds_and_hashes_no_fraction(monkeypatch, which, tol):
+    # the estimate, the certificate's cache key and the bracket are int pairs;
+    # the caches are filled first, and a Fraction tol is read as it is
+    THRESHOLDS[which](tol)
+    built, hashed = [], []
+    new, hash_ = Fraction.__new__, Fraction.__hash__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counted_hash(self):
+        hashed.append(self)
+        return hash_(self)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    THRESHOLDS[which](tol)
+    assert built == [] and hashed == []
 
 
 def _bytes(which: str, tol: str, bits: int) -> str:
