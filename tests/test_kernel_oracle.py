@@ -248,13 +248,15 @@ def test_the_candidate_ends_match_their_fraction_form(monkeypatch):
     for estimate in estimates:
         for _ in range(4):
             tol = Fraction(rng.randint(1, 10**6), 10 ** rng.randint(0, 40))
-            checked.clear()
-            with pytest.raises(DomainError, match="no sign change"):
-                criteria._unit_crossing(f, slopes, lo, hi, tol, 64, estimate)
-            got = [Fraction(*x) for x in checked]
-            assert got[-1] == hi
-            assert got[:-1] == kernel_oracle.candidate_ends(estimate, tol, lo, hi), (estimate, tol)
-            clamped.update(end for end in got[:-1] if end in (lo, hi))
+            # the estimate as a Fraction and as an unreduced int pair, as the secant gives it
+            for given in (estimate, (3 * estimate.numerator, 3 * estimate.denominator)):
+                checked.clear()
+                with pytest.raises(DomainError, match="no sign change"):
+                    criteria._unit_crossing(f, slopes, lo, hi, tol, 64, given)
+                got = [Fraction(*x) for x in checked]
+                assert got[-1] == hi
+                assert got[:-1] == kernel_oracle.candidate_ends(estimate, tol, lo, hi), (given, tol)
+                clamped.update(end for end in got[:-1] if end in (lo, hi))
     assert clamped == {lo, hi}
 
 
