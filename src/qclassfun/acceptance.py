@@ -448,7 +448,7 @@ def criterion_11_kac_degeneration(bits: int = DEFAULT_BITS) -> dict:
         if any(classical * scale != quantum
                for classical, quantum, scale in fusion.scaled_dims(labels, family)):
             failures.append({"family": name, "check": "ratios"})
-        verdict = criteria.masa_verdict(family, n_max=12, bits=bits)
+        verdict = criteria.masa_verdict(family, bits=bits)
         if verdict.series.verdict is not Verdict.DIVERGES:
             failures.append({"family": name, "check": "series"})
         if verdict.verdict_text != criteria.VERDICT_NO_CONCLUSION:

@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .budgets import (DEFAULT_BITS, DEFAULT_MAX_TERMS, MAX_BITS, MAX_COMMUTANT_SIZE,
-                      MAX_DIM_DIGITS, MAX_POWER_BITS, MAX_SCAN_DIGITS)
+                      MAX_DIM_DIGITS, MAX_POWER_BITS)
 from .errors import BudgetError, DomainError
 
 TYPE_CHECKING = False
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     _family_flags(series)
     series.add_argument("--tol", type=_positive_rational, default="1e-6", help="tail tolerance")
     series.add_argument("--n-max", type=_count(0, 1000), default=50,
-                        help="label range scanned for trivial intertwiners")
+                        help="ladder kac_part lists labels up to min(n-max, 20)")
     series.add_argument("--max-terms", type=_count(1, 50_000), default=DEFAULT_MAX_TERMS,
                         help="series term budget")
     _bits_flag(series)
@@ -320,13 +320,8 @@ def cmd_series(args: argparse.Namespace) -> report.Report:
     from . import criteria, report
 
     family, inputs = _build_family(args)
-    digits = args.n_max * math.log10(family.dim_q_fund.numerator) if family.is_ladder else 0
-    if digits > MAX_SCAN_DIGITS:
-        raise BudgetError(f"the intertwiner scan may reach {digits:.0f} digits, which exceeds "
-                          f"the budget of {MAX_SCAN_DIGITS}")
     inputs.update({"tol": args.tol, "n_max": args.n_max})
-    verdict = criteria.masa_verdict(family, tol=args.tol, n_max=args.n_max,
-                                    bits=args.bits, max_terms=args.max_terms)
+    verdict = criteria.masa_verdict(family, tol=args.tol, bits=args.bits, max_terms=args.max_terms)
     results: dict = {
         "series": _series_payload(verdict.series),
         "quasi_split": verdict.quasi_split.value,

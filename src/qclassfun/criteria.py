@@ -641,28 +641,28 @@ def _unit_crossing(
     hi: Fraction,
     tol: Fraction,
     bits: int,
-    estimate: Ratio | Fraction,
+    estimate: Ratio,
 ) -> Enclosure:
     """Enclose the unique solution of ``f = 1`` in [lo, hi] to width `tol`.
 
     Certified: that f increases on [lo, hi], so a crossing is unique
     (:func:`_certify_increasing` on `slopes`, cached), and the sign of
     ``f - 1`` at every point the bracket ends on (:func:`_below_one`).  Not
-    certified: `estimate`, an int pair or a ``Fraction``, which only chooses
-    where to look.  It is verified as in Rump's verification methods:
-    ``estimate -+ tol/4``, rounded outward to multiples of a power of two at
-    most ``tol/8`` and clipped to [lo, hi], are the candidate ends, and when
-    f is certified below 1 at the lower and above 1 at the upper one they
-    are the bracket, at most ``3 tol/4`` wide.  Otherwise the certified
-    signs narrow [lo, hi] as far as they go, the ends not yet checked are
-    certified, and bisection finishes the bracket, so a wrong estimate
-    costs time, never correctness.  The bracket's ends are ints over one denominator, doubled
-    at each halving; once narrower than `tol`, they are rounded outward at
-    the first doubling of `bits` whose dyadic ends lie within `tol`.
+    certified: `estimate`, an int pair, which only chooses where to look.
+    It is verified as in Rump's verification methods: ``estimate -+ tol/4``,
+    rounded outward to multiples of a power of two at most ``tol/8`` and
+    clipped to [lo, hi], are the candidate ends, and when f is certified
+    below 1 at the lower and above 1 at the upper one they are the bracket,
+    at most ``3 tol/4`` wide.  Otherwise the certified signs narrow [lo, hi]
+    as far as they go, the ends not yet checked are certified, and bisection
+    finishes the bracket, so a wrong estimate costs time, never correctness.
+    The bracket's ends are ints over one denominator, doubled at each
+    halving; once narrower than `tol`, they are rounded outward at the first
+    doubling of `bits` whose dyadic ends lie within `tol`.
     """
     (lo_n, lo_d), (hi_n, hi_d) = ends = lo.as_integer_ratio(), hi.as_integer_ratio()
     _certify_increasing(slopes, *ends, bits)
-    est_n, est_d = estimate if type(estimate) is tuple else estimate.as_integer_ratio()
+    est_n, est_d = estimate
     tol_n, tol_d = tol.as_integer_ratio()
     k = (8 * tol_d // tol_n).bit_length()  # 2^-k <= tol/8
     # estimate -+ tol/4 = (centre -+ radius)/scale; the bracket is ints over den
@@ -810,10 +810,10 @@ class MasaVerdict(Record):
     """Combined verdict for one family.
 
     `verdict_text` is a fixed enumeration: ``"not a MASA"`` requires both a
-    certified quasi-split inclusion and all nontrivial labels carrying a
-    nontrivial intertwiner; the free-unitary conclusion addresses the
-    relative commutant instead, since its class-function algebra is
-    non-abelian.
+    certified quasi-split inclusion and a non-Kac family, whose nontrivial
+    labels all carry a nontrivial intertwiner (:func:`masa_verdict`); the
+    free-unitary conclusion addresses the relative commutant instead, since
+    its class-function algebra is non-abelian.
     """
 
     __slots__ = ("quasi_split", "all_nontrivial_rho_nontrivial", "verdict_text", "series",
@@ -832,15 +832,19 @@ class MasaVerdict(Record):
 def masa_verdict(
     family: FusionFamily,
     tol=Fraction(1, 10**6),
-    n_max: int = 50,
     bits: int = DEFAULT_BITS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> MasaVerdict:
-    """Run the intertwiner scan and the summability criterion for `family`;
-    the scan first, so that a table past its budget is refused at once."""
-    dyadic.check_count(n_max, "n_max", 0)
+    """Run the summability criterion for `family`.  Every nontrivial label
+    has a nontrivial intertwiner, a quantum dimension above the classical
+    one, exactly when `family` is not Kac.  Proof: ``[m]_t``, a sum of terms
+    ``t^k + t^(-k)`` over k = m-1, m-3, ... > 0 (and 1 for odd m), strictly
+    decreases in t on (0, 1] for m >= 2.  The fundamental of an su2 ladder is
+    ``[2]_t`` and label n has ``[n+1]_t``; of an so3 ladder, ``[3]_t`` and
+    ``[2n+1]_t``; a free word has the product of ``[n+1]_t`` over its
+    alternating blocks, of lengths n.  So the quantum fundamental, the larger,
+    has the smaller t, and each nontrivial label the larger dimension."""
     if family.is_ladder:
-        all_nontrivial = kac_part(family, n_max) == [0]
         series = quasi_split_sum_ladder(family, tol, bits=bits, max_terms=max_terms)
         block = None
     else:
@@ -850,9 +854,7 @@ def masa_verdict(
         else:
             block = _deformed_ratio_sum(*_fundamental_roots(family), 1, 2, tol, bits, max_terms)
         series = total_sum_free(block)
-        # Non-Kac free-unitary families have nontrivial intertwiners on every
-        # nontrivial word; Kac ones on none.
-        all_nontrivial = not family.is_kac
+    all_nontrivial = not family.is_kac
 
     if series.verdict is Verdict.CONVERGES:
         quasi = QuasiSplit.YES

@@ -208,14 +208,19 @@ def _check_size(size: int, low: int = 2) -> None:
         raise BudgetError(f"Sturm-count model capped at size {MAX_COMMUTANT_SIZE}")
 
 
-def build_jacobi(size: int, q: int | str | Fraction) -> JacobiOperator:
-    """Compression of the real part of the weighted shift to M basis vectors;
-    `size` is checked by :func:`_check_size` and `q` read by
-    :func:`dyadic.read_rational`."""
-    _check_size(size)
+def _read_q(q: int | str | Fraction) -> Fraction:
+    """`q` read by :func:`dyadic.read_rational`; it must lie in (0, 1)."""
     q = dyadic.read_rational(q)
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0, 1), got {q}")
+    return q
+
+
+def build_jacobi(size: int, q: int | str | Fraction) -> JacobiOperator:
+    """Compression of the real part of the weighted shift to M basis vectors;
+    `size` is checked by :func:`_check_size` and `q` read by :func:`_read_q`."""
+    _check_size(size)
+    q = _read_q(q)
     squares, power = [], Fraction(1)
     for _ in range(size - 1):
         power *= q * q
@@ -411,8 +416,8 @@ def suq2_relation_residuals(size: int, q: int | str | Fraction,
     generator relations.
 
     The truncated shift ``a phi_k = sqrt(1 - q^(2k)) phi_(k-1)`` and diagonal
-    ``g phi_k = e^(i phase) q^k phi_k`` (`q` and the angle `phase` read by
-    :func:`dyadic.read_rational`) enter
+    ``g phi_k = e^(i phase) q^k phi_k`` (`q` read by :func:`_read_q`, the
+    angle `phase` by :func:`dyadic.read_rational`) enter
 
         a* a + g* g - 1,   a a* + q^2 g g* - 1,   g g* - g* g,
         a g - q g a,       a g* - q g* a
@@ -428,9 +433,7 @@ def suq2_relation_residuals(size: int, q: int | str | Fraction,
     at least 4 to have an interior block.
     """
     _check_size(size, 4)
-    q, phase = dyadic.read_rational(q), dyadic.read_rational(phase)
-    if not 0 < q < 1:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    q, phase = _read_q(q), dyadic.read_rational(phase)
     p = DEFAULT_BITS
     one = 1 << p
     unit = [dyadic.fixed_abs(part) for part in dyadic.fixed_cos_sin(phase, p)]

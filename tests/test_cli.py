@@ -439,6 +439,17 @@ def test_series_ladder_converges(capsys):
     assert float(results["series"]["tail_bound"]["hi"]) <= 1e-6
 
 
+@pytest.mark.parametrize("family", [("o-plus", "3"), ("so3", "4")])
+def test_series_of_a_kac_ladder_at_n_max_0_has_trivial_intertwiners(capsys, family):
+    # label 1's quantum dimension equals its classical one, whatever --n-max
+    # lists; a scan of label 0 alone once printed true
+    kind, n = family
+    results = run_json(capsys, "series", "--family", kind, "--N", n, "--n-max", "0")["results"]
+    assert results["all_nontrivial_rho_nontrivial"] is False
+    assert results["kac_part"] == [0]
+    assert results["masa_verdict"] == "no conclusion"
+
+
 def test_series_free_unitary_escalates_to_separate_exact_input(capsys):
     # q_q and q_c agree to about 20 digits: 64 bits cannot separate them, so
     # the kernel escalates like the ladder families instead of rejecting

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from mpmath.libmp import from_man_exp
 
 from qclassfun import criteria, dyadic, fusion
-from qclassfun.budgets import DEFAULT_BITS, MAX_SCAN_DIGITS, MAX_TABLE_DIGITS
+from qclassfun.budgets import DEFAULT_BITS, MAX_DIM_DIGITS, MAX_TABLE_DIGITS
 from qclassfun.criteria import (
     Verdict,
     VERDICT_NO_CONCLUSION,
@@ -579,7 +580,7 @@ def test_threshold_enclosure_beyond_max_bits_is_a_budget_error():
     tol = Fraction(1, 12) + Fraction(1, 2**1200)
     with pytest.raises(BudgetError):
         criteria._unit_crossing(_affine(Fraction(5, 2), 0), _constant(Fraction(5, 2)),
-                                Fraction(1, 3), Fraction(1), tol, 64, Fraction(2))
+                                Fraction(1, 3), Fraction(1), tol, 64, (2, 1))
 
 
 @pytest.mark.parametrize("threshold", [threshold_dim2, threshold_remark])
@@ -603,13 +604,13 @@ def test_threshold_needs_a_certified_increase():
 
     with pytest.raises(DomainError, match="increasing"):
         criteria._unit_crossing(_affine(Fraction(5, 2), 0), slopes,
-                                Fraction(1, 3), Fraction(1), Fraction(1, 100), 64, Fraction(2, 5))
+                                Fraction(1, 3), Fraction(1), Fraction(1, 100), 64, (2, 5))
 
 
 def test_threshold_without_a_sign_change_is_a_domain_error():
     # x + 2 stays above 1 and x/4 below it on [1/3, 1], whatever the estimate
     for f in (_affine(Fraction(1), Fraction(2)), _affine(Fraction(1, 4), 0)):
-        for estimate in (Fraction(1, 3), Fraction(1, 2), Fraction(2)):
+        for estimate in ((1, 3), (1, 2), (2, 1)):
             with pytest.raises(DomainError, match="no sign change"):
                 criteria._unit_crossing(f, _constant(Fraction(1)), Fraction(1, 3), Fraction(1),
                                         Fraction(1, 100), 64, estimate)
@@ -790,18 +791,16 @@ def test_the_table_budget_sums_label_lengths_times_log10_a():
         fusion.scaled_dims(["A" * n] * (n + 2), words)
 
 
-def test_the_table_budget_admits_the_largest_cli_scan():
-    # `series --n-max 1000` at the scan budget: labels 0..1000, log10(a) up to 200
-    assert 1000 * 1001 // 2 * (MAX_SCAN_DIGITS // 1000) <= MAX_TABLE_DIGITS
-
-
-def test_masa_verdict_refuses_an_over_budget_scan_before_it_sums(monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("summed before the scan")
-
-    monkeypatch.setattr(criteria, "quasi_split_sum_ladder", unreachable)
-    with pytest.raises(BudgetError):
-        masa_verdict(su2_ladder(3, q=Fraction(1, 5)), n_max=20_000)
+def test_the_table_budget_admits_the_largest_cli_table():
+    # (label lengths summed, digits of a) for the CLI's tables: `dims` keeps
+    # N^max (dim^word_len) within MAX_DIM_DIGITS digits, and a rational of 24
+    # digits gives dim_q = a/b with a below 10^47; `series` tables labels
+    # 0..20 of an --N of at most 4300 digits, the int parser's default limit
+    words, ladder = sum(n * 2**n for n in range(1, 13)), 400 * 401 // 2
+    tables = [(words, MAX_DIM_DIGITS // 12), (words, 47), (ladder, MAX_DIM_DIGITS // 400),
+              (ladder, 47), (20 * 21 // 2, 4300)]
+    largest = max(length * digits for length, digits in tables)
+    assert largest == 90_114 * 358 <= MAX_TABLE_DIGITS  # u-plus --word-len 12, Kac
 
 
 def test_masa_verdict_ladder():
@@ -826,7 +825,7 @@ def test_masa_verdict_free_unitary_large_deformation_is_inconclusive():
 
 def test_masa_verdict_kac_no_conclusion():
     for family in (su2_ladder(2), so3_ladder(4), free_unitary(2)):
-        verdict = masa_verdict(family, n_max=10)
+        verdict = masa_verdict(family)
         assert verdict.verdict_text == VERDICT_NO_CONCLUSION
         assert verdict.quasi_split is criteria.QuasiSplit.UNDETERMINED
 
@@ -837,6 +836,53 @@ def test_masa_verdict_never_claims_masa_failure_with_nontrivial_kac_part():
         su2_ladder(2, q=Fraction(1, 4)), so3_ladder(4, dim_q_fund=5),
     ]
     for family in families:
-        verdict = masa_verdict(family, n_max=10)
+        verdict = masa_verdict(family)
         if kac_part(family, 10) != [0]:
             assert verdict.verdict_text != VERDICT_NOT_MASA
+
+
+@pytest.mark.parametrize("family", [
+    su2_ladder(3), su2_ladder(3, q=Fraction(1, 5)), so3_ladder(4), so3_ladder(4, dim_q_fund=5),
+    free_unitary(2), free_unitary(2, q=Fraction(1, 20)),
+], ids=lambda f: f"{f.kind.value} N={f.dim_c_fund} dimq={f.dim_q_fund}")
+def test_masa_verdict_builds_no_dimension_table(family, monkeypatch):
+    calls = []
+    scaled_dims = fusion.scaled_dims
+    monkeypatch.setattr(fusion, "scaled_dims",
+                        lambda labels, fam: calls.append(fam) or scaled_dims(labels, fam))
+    verdict = masa_verdict(family)
+    assert calls == []
+    assert verdict.all_nontrivial_rho_nontrivial is not family.is_kac
+
+
+def _theorem_grid() -> list:
+    """Families of each kind at every classical dimension of the grid: Kac,
+    ``dim_q = N + 10^-20`` and two seeded rationals above N."""
+    rng = random.Random(39)
+    grid = []
+    for make, dims in ((su2_ladder, range(2, 7)), (so3_ladder, range(3, 7)),
+                       (free_unitary, range(2, 5))):
+        for n in dims:
+            above = [Fraction(1, 10**20)] + [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+                                             for _ in range(2)]
+            grid += [make(n)] + [make(n, dim_q_fund=n + x) for x in above]
+    return grid
+
+
+@pytest.mark.parametrize("family", _theorem_grid(),
+                         ids=lambda f: f"{f.kind.value} N={f.dim_c_fund} dimq={f.dim_q_fund}")
+def test_every_nontrivial_label_has_a_larger_quantum_dimension_off_kac(family):
+    # masa_verdict's proof against the exact tables: labels 1..200, or the
+    # nonempty words up to length 8, have D > d·b^length off Kac (so3 N=3 has
+    # the unit root t = 1 at its classical fundamental) and D = d·b^length in a
+    # Kac family; the verdict reads the same from the family alone
+    labels = range(1, 201) if family.is_ladder else list(fusion.all_words(8, min_len=1))
+    table = fusion.scaled_dims(labels, family)
+    if family.is_kac:
+        assert all(dim_q == dim_c * scale for dim_c, dim_q, scale in table)
+    else:
+        assert all(dim_q > dim_c * scale for dim_c, dim_q, scale in table)
+    if family.is_ladder:
+        assert kac_part(family, 200) == (list(range(201)) if family.is_kac else [0])
+    verdict = masa_verdict(family, max_terms=1)
+    assert verdict.all_nontrivial_rho_nontrivial is not family.is_kac

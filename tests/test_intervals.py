@@ -225,7 +225,7 @@ BOUNDARY_CALLS = {
     "criteria.threshold_ratio_dimge3": lambda: criteria.threshold_ratio_dimge3(),
     "criteria.threshold_remark": lambda: criteria.threshold_remark(Fraction(1, 100)),
     "criteria.kac_part": lambda: criteria.kac_part(_FAMILY, 5),
-    "criteria.masa_verdict": lambda: criteria.masa_verdict(_FREE, n_max=5),
+    "criteria.masa_verdict": lambda: criteria.masa_verdict(_FREE),
     "scalars.q_number": lambda: scalars.q_number(3),
     "scalars.fixed_fundamental_q": lambda: scalars.fixed_fundamental_q((3 << 64, 3 << 64), 64),
     "scalars.solve_fundamental_q": lambda: scalars.solve_fundamental_q(3),
@@ -316,8 +316,8 @@ RATIONAL_CALLS = {
     "criteria.bound_S_dimge3 q_q": lambda x: criteria.bound_S_dimge3(Fraction(1, 2), x),
     "criteria.threshold_dim2 tol": lambda x: criteria.threshold_dim2(x),
     "criteria.threshold_remark tol": lambda x: criteria.threshold_remark(x),
-    "criteria.masa_verdict ladder tol": lambda x: criteria.masa_verdict(_FAMILY, x, n_max=5),
-    "criteria.masa_verdict free tol": lambda x: criteria.masa_verdict(_FREE, x, n_max=5),
+    "criteria.masa_verdict ladder tol": lambda x: criteria.masa_verdict(_FAMILY, x),
+    "criteria.masa_verdict free tol": lambda x: criteria.masa_verdict(_FREE, x),
     "scalars.solve_fundamental_q d": lambda x: scalars.solve_fundamental_q(x),
     "scalars.LaurentScalar.evaluate q": lambda x: scalars.q_number(2).evaluate(x),
     "bicrossed.RatioRational ratio": lambda x: bicrossed.RatioRational(x),
@@ -398,15 +398,11 @@ COUNT_CALLS = {
     "criteria.threshold_dim2 bits": lambda k: criteria.threshold_dim2(_THIRD, k),
     "criteria.threshold_remark bits": lambda k: criteria.threshold_remark(_THIRD, k),
     "criteria.threshold_ratio_dimge3 bits": lambda k: criteria.threshold_ratio_dimge3(k),
-    "criteria.masa_verdict n_max": lambda k: criteria.masa_verdict(_FAMILY, n_max=k),
-    "criteria.masa_verdict free n_max": lambda k: criteria.masa_verdict(_FREE, n_max=k),
-    "criteria.masa_verdict bits": lambda k: criteria.masa_verdict(_FAMILY, n_max=5, bits=k),
-    "criteria.masa_verdict free Kac bits":
-        lambda k: criteria.masa_verdict(_FREE_KAC, n_max=5, bits=k),
-    "criteria.masa_verdict max_terms":
-        lambda k: criteria.masa_verdict(_FAMILY, n_max=5, max_terms=k),
+    "criteria.masa_verdict bits": lambda k: criteria.masa_verdict(_FAMILY, bits=k),
+    "criteria.masa_verdict free Kac bits": lambda k: criteria.masa_verdict(_FREE_KAC, bits=k),
+    "criteria.masa_verdict max_terms": lambda k: criteria.masa_verdict(_FAMILY, max_terms=k),
     "criteria.masa_verdict free Kac max_terms":
-        lambda k: criteria.masa_verdict(_FREE_KAC, n_max=5, max_terms=k),
+        lambda k: criteria.masa_verdict(_FREE_KAC, max_terms=k),
     "scalars.solve_fundamental_q bits": lambda k: scalars.solve_fundamental_q(3, k),
     "scalars.LaurentScalar.evaluate bits": lambda k: scalars.q_number(2).evaluate(_THIRD, k),
 }

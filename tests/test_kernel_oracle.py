@@ -248,8 +248,9 @@ def test_the_candidate_ends_match_their_fraction_form(monkeypatch):
     for estimate in estimates:
         for _ in range(4):
             tol = Fraction(rng.randint(1, 10**6), 10 ** rng.randint(0, 40))
-            # the estimate as a Fraction and as an unreduced int pair, as the secant gives it
-            for given in (estimate, (3 * estimate.numerator, 3 * estimate.denominator)):
+            # the estimate as a reduced and as an unreduced int pair, as the secant gives it
+            for given in (estimate.as_integer_ratio(),
+                          (3 * estimate.numerator, 3 * estimate.denominator)):
                 checked.clear()
                 with pytest.raises(DomainError, match="no sign change"):
                     criteria._unit_crossing(f, slopes, lo, hi, tol, 64, given)
@@ -269,14 +270,14 @@ def test_slopes_run_once_per_certificate():
         return slopes(x, p)
 
     lo, hi = criteria._SEARCH_LO, criteria._SEARCH_HI
+    estimate = (861, 10000)
     for tol in (Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**20)):
-        criteria._unit_crossing(f, counted, lo, hi, tol, 64, Fraction(861, 10000))
+        criteria._unit_crossing(f, counted, lo, hi, tol, 64, estimate)
     assert len(calls) == 1
-    criteria._unit_crossing(f, counted, lo, hi, Fraction(1, 10**6), 128, Fraction(861, 10000))
-    criteria._unit_crossing(f, counted, lo, hi, Fraction(1, 10**6), 128, Fraction(1, 10))
+    criteria._unit_crossing(f, counted, lo, hi, Fraction(1, 10**6), 128, estimate)
+    criteria._unit_crossing(f, counted, lo, hi, Fraction(1, 10**6), 128, (1, 10))
     assert len(calls) == 2
-    criteria._unit_crossing(f, counted, Fraction(1, 50), hi, Fraction(1, 10**6), 64,
-                            Fraction(861, 10000))
+    criteria._unit_crossing(f, counted, Fraction(1, 50), hi, Fraction(1, 10**6), 64, estimate)
     assert len(calls) == 3
 
 
@@ -291,6 +292,6 @@ def test_a_failing_certificate_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(DomainError, match="increasing"):
             criteria._unit_crossing(f, falling, criteria._SEARCH_LO, criteria._SEARCH_HI,
-                                    Fraction(1, 1000), 64, Fraction(861, 10000))
+                                    Fraction(1, 1000), 64, (861, 10000))
     # every doubling from 64 to MAX_BITS, again on each call
     assert len(calls) == 3 * len(criteria._doublings(64))

@@ -92,7 +92,7 @@ def sign_checks(monkeypatch) -> list:
 @pytest.mark.parametrize("which", sorted(THRESHOLDS))
 def test_a_wrong_estimate_falls_back_to_a_certified_bracket(monkeypatch, sign_checks, which,
                                                             wrong, tol):
-    monkeypatch.setattr(criteria, "_estimate", lambda which, tol: wrong)
+    monkeypatch.setattr(criteria, "_estimate", lambda which, tol: wrong.as_integer_ratio())
     lo, hi = dyadic.exact_endpoints(THRESHOLDS[which](tol))
     assert hi - lo <= tol
     assert lo <= _root(which) <= hi
