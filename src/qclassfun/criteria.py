@@ -8,11 +8,27 @@ with the absence of nontrivial labels with trivial intertwiner it yields the
 (free-unitary families, where the class-function algebra is non-abelian).
 
 Every sum is certified: terms are enclosed with outward rounding and a
-geometric majorant bounds the tail, so reported values are true enclosures,
-never point estimates.  A threshold is certified by one interval enclosure
-of a derivative-sign quantity over its whole search interval, which proves
-the function increasing and the crossing unique, and by the certified signs
-of ``f - 1`` at the two ends of its bracket.  Where those ends lie is
+geometric bound holds the tail, so reported values are true enclosures,
+never point estimates.  A sum ``sum sqrt([m]_x/[m]_y)`` whose classical root
+is exactly 1 is summed term by term, each term at most ``m z^(m-1)`` with
+``z = sqrt(y/x)``.  For ``x < 1`` it is summed by Kummer's transformation
+(Kummer 1837; Knopp, *Theory and Application of Infinite Series*, §33): the
+term is ``sqrt(L) z^(m-1) g_m`` with ``L = (1 - y^2)/(1 - x^2)`` and
+``g_m = sqrt((1 - x^(2m))/(1 - y^(2m)))``, so the sum is ``sqrt(L)`` times
+the geometric series ``G = sum z^(m-1)``, in closed form, minus
+``D = sum z^(m-1) (1 - g_m)``.  Since ``y < x``,
+``0 <= 1 - g_m <= x^(2m)``, so ``D``'s terms fall like ``(z x^2)^m``, and
+its tail after M terms is at most the geometric ``T`` of those bounds: a
+handful of terms reach `tol` even where ``z`` nears 1, the Kac point,
+which a term-by-term sum could not reach within its budget.  The closed
+form's division by ``1 - z^step`` costs about twice ``log2`` of its
+reciprocal in bits, which the fixed point carries as guard bits
+(:func:`_deformed_ratio_sum` has the proof).
+
+A threshold is certified by one interval enclosure of a derivative-sign
+quantity over its whole search interval, which proves the function
+increasing and the crossing unique, and by the certified signs of ``f - 1``
+at the two ends of its bracket.  Where those ends lie is
 chosen by a secant estimate, which is not certified; when the signs
 refute it, bisection finishes the bracket.
 
@@ -28,8 +44,7 @@ here returns an ``Enclosure``.  Each input is read once, on entry, by
 the exact ends of an ``Enclosure`` where one may stand for it, and a count
 as an int in its range; a float, an mpmath interval or malformed text is refused.
 
-The kernel's term loop inlines the fixed-point operations on local ints and
-stops computing a term's roots once the powers they read stop moving, the
+The kernel's term loops inline the fixed-point operations on local ints, the
 thresholds run on int pairs, not ``Fraction``, and small caches keep the doublings
 of `bits`, the coarse estimates and the certificates that a function increases,
 the last keyed by the interval's ends as int pairs: once its tol is read, a
@@ -81,8 +96,14 @@ class SeriesResult(Record):
     """Outcome of a certified summation.
 
     When `verdict` is CONVERGES, the true sum lies in ``partial_sum +
-    tail_bound`` where `tail_bound` encloses the omitted tail from below by 0.
-    Both are at the bits the sum ended at.
+    tail_bound``, where `tail_bound` is ``[0, bound]`` with ``bound`` at
+    most tol.  Both are at the bits the sum ended at.  For a series whose
+    classical root is 1, `partial_sum` encloses the `terms_used` terms
+    summed and ``bound`` the tail after them.  For one whose classical root
+    is below 1, summed by Kummer's transformation
+    (:func:`_deformed_ratio_sum`), `partial_sum` encloses
+    ``sqrt(L) (G - D_M - T)``, a lower bound of the sum, ``bound`` is
+    ``sqrt(L) T``, and `terms_used` is the M terms of ``D`` summed.
     """
 
     __slots__ = ("verdict", "partial_sum", "tail_bound", "terms_used")
@@ -137,7 +158,7 @@ def verify_decay(family: FusionFamily, n_max: int) -> bool:
     ``1 <= n < n_max``, with ``c = 1 + (A_1 - 1)/sup_c``.
 
     This is the exact reproduction of the lemma; the certified sums below
-    use the sharper majorant of the deformed-integer closed form instead.
+    bound their tails from the deformed-integer closed form instead.
     The rates ``A_n = D_n/(d_n b^n)`` of labels 1..n_max are read from one
     table of :func:`fusion.scaled_dims`, and each step is decided on ints,
     as ``D_(n+1) d_n den >= num b D_n d_(n+1)`` for ``c = num/den``; no
@@ -177,6 +198,19 @@ def _fixed_power(a: Fixed, n: int, frac_bits: int) -> Fixed:
     return power
 
 
+def _separated(roots: Roots, p: int, step: int) -> tuple[Fixed, Fixed, Fixed, Fixed] | None:
+    """``x``, ``y``, ``z = sqrt(y/x)`` and ``w = z^step`` at `p`, or None
+    when ``0 < y < x <= 1`` and ``w < 1`` are not certain at this precision."""
+    one = 1 << p
+    xf, yf = roots(p)
+    unit = xf == (one, one)
+    if not (yf[1] < one and (unit or 0 < xf[0] and xf[1] < one)):
+        return None
+    z = dyadic.fixed_sqrt(yf if unit else dyadic.fixed_div(yf, xf, p), p)
+    w = _fixed_power(z, step, p)
+    return None if w[1] >= one else (xf, yf, z, w)
+
+
 def _deformed_ratio_sum(
     roots: Roots,
     y_low: Fraction,
@@ -191,119 +225,168 @@ def _deformed_ratio_sum(
     ``roots(p)`` encloses ``0 < y < x <= 1`` in nonnegative pairs of ints
     ``[lo, hi]·2^-p``, `y_low` is an exact lower bound of ``y`` or 0, and
     ``[m]_t = t^(1-m) (1 - t^(2m)) / (1 - t^2)`` is the deformed integer
-    (``m`` itself when ``x`` is exactly 1).  With ``z = sqrt(y/x)`` the term
-    is ``z^(m-1) sqrt(a_m (1 - y^2) / (1 - y^(2m)))``, where
-    ``a_m = (1 - x^(2m)) / (1 - x^2)`` (``m`` at ``x = 1``).  The powers
-    ``x^(2m)``, ``y^(2m)`` and ``z^(m-1)`` are carried from term to term
-    by one multiplication each, so a term costs O(1) operations.
+    (``m`` itself when ``x`` is exactly 1).  With ``z = sqrt(y/x)`` and
+    ``w = z^step`` the term is ``z^(m-1) sqrt(a_m (1 - y^2) / (1 - y^(2m)))``,
+    where ``a_m = (1 - x^(2m)) / (1 - x^2)`` (``m`` at ``x = 1``).  The
+    powers ``x^(2m)``, ``y^(2m)`` and ``z^(m-1)`` are carried from term to
+    term by one multiplication each, so a term costs O(1) operations.
 
-    The fixed point ``p`` keeps `bits` bits below the smaller of `tol`, which
-    the majorant meets, and `y_low`, below ``y``, whose square root scales a
-    block sum's first term and which bounds ``x``, plus guard bits for
-    `max_terms` roundings.  Every quantity stays nonnegative, so each
-    operation is one floor and one ceiling of an int product, quotient or
-    square root; partial sum and tail leave once, rounded outward to an
-    Enclosure at `bits`.  The term loop inlines the ``fixed_*`` operations on
-    local ints, in the same order, and takes the majorant's lower end at its end.
+    The fixed point ``p`` keeps `bits` bits below the smaller of `tol` and
+    `y_low`, below ``y``, whose square root scales a block sum's first term
+    and which bounds ``x``, plus guard bits for `max_terms` roundings.  Every
+    quantity stays nonnegative, so each operation is one floor and one
+    ceiling of an int product, quotient or square root; partial sum and tail
+    leave once, rounded outward to an Enclosure at `bits`.  Summation stops
+    once the tail bound is at most `tol` rounded down to `bits`, so the
+    reported tail, rounded up to `bits`, is still at most `tol`.
 
-    The floors and ceilings of ``x^(2m)`` and ``y^(2m)`` never increase, so
-    they stop moving, unless ``x`` is near 1 within a few dozen terms.  Each
-    step is a function of the end it steps, so once a step leaves all four
-    ends unchanged every later step does, and for ``x < 1`` a term's quotient
-    and roots are functions of those ends alone.  From then on (the steady
-    phase) the loop reuses its last roots and steps only ``z^(m-1)``: the
-    same ints in the same order.  At ``x = 1`` the quotient carries ``m``.
+    At ``x = 1`` (:func:`_unit_terms`) the terms are summed one by one.  As
+    ``(1 - y^2)/(1 - y^(2m)) <= 1``, each is at most ``m z^(m-1)``, so the
+    tail after term ``m`` is at most ``z^(m-1) (m w/(1-w) + step w/(1-w)^2)``;
+    a term certainly above its bound is a bug and raises.
 
-    Each term with ``m >= 2`` is at most ``C z^(m-1)``, where
-    ``C = ((1 - x^2)(1 + y^2))^(-1/2)``, because ``1 - x^(2m) <= 1`` and
-    ``(1 - y^2)/(1 - y^(2m)) <= 1/(1 + y^2)``; at ``x = 1`` it is at most
-    ``m z^(m-1)``.  With ``w = z^step`` the tail after term ``m`` is then
-    at most ``C z^(m-1) w/(1-w)``, or ``z^(m-1) (m w/(1-w) + step w/(1-w)^2)``
-    at ``x = 1``, and summation stops once that majorant is at most `tol`
-    rounded down to `bits`, so the reported tail, rounded up to `bits`, is
-    still at most `tol`.  A term certainly above its own majorant is a bug
-    and raises.
+    For ``x < 1`` (:func:`_kummer_terms`) the term is ``sqrt(L) z^(m-1) g_m``
+    with ``L = (1 - y^2)/(1 - x^2)`` and ``g_m = sqrt((1 - x^(2m))/(1 - y^(2m)))``,
+    so the sum is ``sqrt(L) (G - D)`` with ``G = z^(first-1)/(1 - w)``, the
+    geometric series in closed form, and ``D = sum z^(m-1) (1 - g_m)``
+    (Kummer's transformation).  Only ``D`` is summed term by term.  Its
+    bound: with ``e = (x^(2m) - y^(2m))/(1 - y^(2m))``, ``g_m = sqrt(1 - e)``;
+    ``e >= 0`` as ``y < x``, and ``e <= x^(2m)`` because that is
+    ``y^(2m) >= x^(2m) y^(2m)``; and ``1 - sqrt(1 - e) <= e`` on [0, 1].  So
+    ``0 <= 1 - g_m <= x^(2m)``, and the tail of ``D`` after its first M terms
+    is at most ``T = z^(M'-1) x^(2M') / (1 - w x^(2 step))``, the sum of
+    ``z^(m-1) x^(2m)`` over ``m = M', M' + step, ...`` with ``M' = M + step``.
+    The sum is ``sqrt(L) (G - D_M - R)`` with ``0 <= R <= T``, so it lies in
+    ``sqrt(L) (G - D_M - T) + [0, sqrt(L) T]``: those are the partial sum and
+    the tail reported, and summation stops once ``sqrt(L) T`` is at most
+    `tol`.  ``G - D_M - T`` is at least 0, the first M terms over
+    ``sqrt(L)`` plus the tail of ``z^(m-1) (1 - x^(2m))``, so its lower end
+    is clipped there.  An enclosure of ``1 - g_m`` certainly above
+    ``x^(2m)`` is a bug and raises.
+
+    The guard bits: ``w``'s enclosure is a few units of ``2^-p`` wide, and
+    the derivative of ``G`` in ``w`` is ``G/(1 - w)``, so ``G``'s enclosure
+    is about ``2^-p/(1 - w)^2`` wide: ``2 log2(1/(1 - w))`` bits of the
+    fixed point are lost, the half of them that ``G``, about ``1/(1 - w)``,
+    carries above 1 included.  So for ``x < 1`` the kernel reads ``w`` at the
+    first ``p`` and takes the roots again at ``2 floor(log2(1/(1 - w)))``
+    more bits, which keeps ``G``'s enclosure about ``2^-p`` wide at that
+    first ``p``: near the Kac point, where ``w`` nears 1, the sum still
+    keeps `bits` significant bits.
 
     Up to `max_terms` terms are summed at each precision, starting at
-    `bits` and doubling up to MAX_BITS while a budget-exhausted majorant
+    `bits` and doubling up to MAX_BITS while a budget-exhausted tail bound
     still reaches down to `tol`.
     """
-    mul, div, sqrt, isqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt, math.isqrt
     limit = (min(tol, y_low) if y_low > 0 else tol).as_integer_ratio()
     partial = None
     for bits in _doublings(bits):
         p = _point_bits(bits, limit) + max_terms.bit_length()
-        stop = dyadic.floor_fixed(dyadic.round_quotient(tol.numerator, tol.denominator, bits)[0], p)
-        one = 1 << p
-        xf, yf = roots(p)
-        unit = xf == (one, one)
-        if not (yf[1] < one and (unit or 0 < xf[0] and xf[1] < one)):
+        found = _separated(roots, p, step)
+        if found is not None and found[0] != (1 << p, 1 << p):
+            guard = 2 * (((1 << p) // ((1 << p) - found[3][1])).bit_length() - 1)
+            if guard:
+                p += guard
+                found = _separated(roots, p, step)
+        if found is None:
             continue  # y and x are not separated at this precision
-        z = sqrt(yf if unit else div(yf, xf, p), p)
-        w_lo, w_hi = w = _fixed_power(z, step, p)
-        if w_hi >= one:
-            continue
-        y2 = mul(yf, yf, p)
-        (ys_lo, ys_hi), (ym_lo, ym_hi) = _fixed_power(y2, step, p), _fixed_power(y2, first, p)
-        zm_lo, zm_hi = _fixed_power(z, first - 1, p)
-        one_minus_y2 = (one - y2[1], one - y2[0])
-        one_minus_w = (one - w[1], one - w[0])
-        geometric = div(w, one_minus_w, p)
-        if unit:
-            (geo_lo, geo_hi), poly = geometric, div(geometric, one_minus_w, p)
-            poly_lo, poly_hi = step * poly[0], step * poly[1]
-            num_lo, num_hi = one_minus_y2[0] << p, one_minus_y2[1] << p  # (1 - y^2)·2^p
-        else:
-            x2 = mul(xf, xf, p)
-            (xs_lo, xs_hi), (xm_lo, xm_hi) = _fixed_power(x2, step, p), _fixed_power(x2, first, p)
-            one_minus_x2 = (one - x2[1], one - x2[0])
-            ratio_lo, ratio_hi = div(one_minus_y2, one_minus_x2, p)
-            scale = div((one, one), sqrt(mul(one_minus_x2, (one + y2[0], one + y2[1]), p), p), p)
-            factor_lo, factor_hi = mul(scale, geometric, p)
-        partial_lo = partial_hi = 0
-        m, steady = first, False
-        for terms in range(1, max_terms + 1):
-            if not steady:
-                den_lo, den_hi = one - ym_hi, one - ym_lo  # 1 - y^(2m)
-                if unit:
-                    quotient_lo, quotient_hi = m * num_lo // den_hi, -(-m * num_hi // den_lo)
-                    factor_hi = m * geo_hi + poly_hi
-                else:
-                    a_lo = (one - xm_hi) * ratio_lo >> p
-                    a_hi = -(-(one - xm_lo) * ratio_hi >> p)
-                    quotient_lo, quotient_hi = (a_lo << p) // den_hi, -((-a_hi << p) // den_lo)
-                root_lo = isqrt(quotient_lo << p)
-                top = quotient_hi << p
-                root_hi = isqrt(top)
-                root_hi += root_hi * root_hi < top
-                # the term over z^(m-1) against its bound: C, or m at x = 1
-                if root_lo > (m << p if unit else scale[1]):
-                    raise AssertionError(f"term {m} exceeds its majorant; kernel bug")
-            partial_lo += zm_lo * root_lo >> p
-            partial_hi -= -zm_hi * root_hi >> p
-            majorant_hi = -(-zm_hi * factor_hi >> p)
-            if majorant_hi <= stop:
-                partial = dyadic.fixed_enclosure(partial_lo, partial_hi, p, bits)
-                tail = dyadic.fixed_enclosure(0, majorant_hi, p, bits)
-                return SeriesResult(Verdict.CONVERGES, partial, tail, terms)
-            if terms == max_terms:
-                break
-            m += step
-            if unit:
-                ym_lo, ym_hi = ym_lo * ys_lo >> p, -(-ym_hi * ys_hi >> p)
-            elif not steady:
-                powers = (xm_lo * xs_lo >> p, -(-xm_hi * xs_hi >> p),
-                          ym_lo * ys_lo >> p, -(-ym_hi * ys_hi >> p))
-                steady = powers == (xm_lo, xm_hi, ym_lo, ym_hi)
-                xm_lo, xm_hi, ym_lo, ym_hi = powers
-            zm_lo, zm_hi = zm_lo * w_lo >> p, -(-zm_hi * w_hi >> p)
+        stop = dyadic.floor_fixed(dyadic.round_quotient(tol.numerator, tol.denominator, bits)[0], p)
+        kernel = _unit_terms if found[0] == (1 << p, 1 << p) else _kummer_terms
+        terms, partial_lo, partial_hi, tail_lo, tail_hi = kernel(*found, step, first, p, stop,
+                                                                  max_terms)
         partial = dyadic.fixed_enclosure(partial_lo, partial_hi, p, bits)
-        if unit:
-            factor_lo = m * geo_lo + poly_lo
-        if (zm_lo * factor_lo >> p) * tol.denominator > tol.numerator << p:
-            break  # the tail genuinely exceeds tol; more bits cannot help
+        if tail_hi <= stop:
+            tail = dyadic.fixed_enclosure(0, tail_hi, p, bits)
+            return SeriesResult(Verdict.CONVERGES, partial, tail, terms)
+        if tail_lo * tol.denominator > tol.numerator << p:
+            break  # the tail bound genuinely exceeds tol; more bits cannot help
     return SeriesResult(Verdict.UNDETERMINED, partial, None,
                         0 if partial is None else max_terms)
+
+
+def _unit_terms(_x: Fixed, yf: Fixed, z: Fixed, w: Fixed, step: int, first: int, p: int,
+                stop: int, max_terms: int) -> tuple[int, int, int, int, int]:
+    """The terms of :func:`_deformed_ratio_sum` at ``x = 1``, summed one by
+    one until the tail bound is at most `stop` or `max_terms` are summed:
+    ``(terms, partial_lo, partial_hi, tail_lo, tail_hi)`` at `p`, with
+    ``tail_lo`` only read once the budget is spent (``x``, exactly 1, is
+    not read).  The loop inlines the ``fixed_*`` operations on local ints."""
+    mul, div, isqrt = dyadic.fixed_mul, dyadic.fixed_div, math.isqrt
+    one = 1 << p
+    y2 = mul(yf, yf, p)
+    (ys_lo, ys_hi), (ym_lo, ym_hi) = _fixed_power(y2, step, p), _fixed_power(y2, first, p)
+    zm_lo, zm_hi = _fixed_power(z, first - 1, p)
+    w_lo, w_hi = w
+    one_minus_w = (one - w_hi, one - w_lo)
+    geo_lo, geo_hi = geometric = div(w, one_minus_w, p)
+    poly = div(geometric, one_minus_w, p)
+    poly_lo, poly_hi = step * poly[0], step * poly[1]
+    num_lo, num_hi = one - y2[1] << p, one - y2[0] << p  # (1 - y^2)·2^p
+    partial_lo = partial_hi = 0
+    m = first
+    for terms in range(1, max_terms + 1):
+        den_lo, den_hi = one - ym_hi, one - ym_lo  # 1 - y^(2m)
+        quotient_lo, quotient_hi = m * num_lo // den_hi, -(-m * num_hi // den_lo)
+        root_lo = isqrt(quotient_lo << p)
+        top = quotient_hi << p
+        root_hi = isqrt(top)
+        root_hi += root_hi * root_hi < top
+        if root_lo > m << p:  # the term over z^(m-1) against its bound m
+            raise AssertionError(f"term {m} exceeds its majorant; kernel bug")
+        partial_lo += zm_lo * root_lo >> p
+        partial_hi -= -zm_hi * root_hi >> p
+        tail_hi = -(-zm_hi * (m * geo_hi + poly_hi) >> p)
+        if tail_hi <= stop or terms == max_terms:
+            break
+        m += step
+        ym_lo, ym_hi = ym_lo * ys_lo >> p, -(-ym_hi * ys_hi >> p)
+        zm_lo, zm_hi = zm_lo * w_lo >> p, -(-zm_hi * w_hi >> p)
+    return terms, partial_lo, partial_hi, zm_lo * (m * geo_lo + poly_lo) >> p, tail_hi
+
+
+def _kummer_terms(xf: Fixed, yf: Fixed, z: Fixed, w: Fixed, step: int, first: int, p: int,
+                  stop: int, max_terms: int) -> tuple[int, int, int, int, int]:
+    """The sum of :func:`_deformed_ratio_sum` for ``x < 1`` as
+    ``sqrt(L) (G - D_M - T)`` with its tail ``[0, sqrt(L) T]``, summing the
+    terms of ``D`` until ``sqrt(L) T`` is at most `stop` or `max_terms` are
+    summed; returned as :func:`_unit_terms` returns its sums.  An enclosure
+    of ``1 - g_m`` certainly above ``x^(2m)`` is a bug and raises."""
+    mul, div, sqrt, isqrt = dyadic.fixed_mul, dyadic.fixed_div, dyadic.fixed_sqrt, math.isqrt
+    one = 1 << p
+    x2, y2 = mul(xf, xf, p), mul(yf, yf, p)
+    (xs_lo, xs_hi), (xm_lo, xm_hi) = _fixed_power(x2, step, p), _fixed_power(x2, first, p)
+    (ys_lo, ys_hi), (ym_lo, ym_hi) = _fixed_power(y2, step, p), _fixed_power(y2, first, p)
+    zm_lo, zm_hi = zm = _fixed_power(z, first - 1, p)
+    w_lo, w_hi = w
+    root_lo, root_hi = sqrt(div((one - y2[1], one - y2[0]), (one - x2[1], one - x2[0]), p), p)
+    geo_lo, geo_hi = div(zm, (one - w_hi, one - w_lo), p)  # G
+    # 1/(1 - w x^(2 step)), and sqrt(L) times it
+    inv_lo, inv_hi = div((one, one), (one + (-w_hi * xs_hi >> p), one - (w_lo * xs_lo >> p)), p)
+    factor_hi = -(-root_hi * inv_hi >> p)
+    d_lo = d_hi = 0
+    for terms in range(1, max_terms + 1):
+        # g_m = sqrt((1 - x^(2m))/(1 - y^(2m)))
+        quotient_lo = (one - xm_hi << p) // (one - ym_lo)
+        quotient_hi = -(-(one - xm_lo << p) // (one - ym_hi))
+        top = quotient_hi << p
+        gm_lo, gm_hi = isqrt(quotient_lo << p), isqrt(top)
+        gm_hi += gm_hi * gm_hi < top
+        if one - gm_hi > xm_hi:
+            raise AssertionError(f"term {first + (terms - 1) * step}: 1 - g_m exceeds "
+                                 "x^(2m); kernel bug")
+        d_lo += zm_lo * max(one - gm_hi, 0) >> p
+        d_hi -= -zm_hi * (one - gm_lo) >> p
+        xm_lo, xm_hi = xm_lo * xs_lo >> p, -(-xm_hi * xs_hi >> p)
+        ym_lo, ym_hi = ym_lo * ys_lo >> p, -(-ym_hi * ys_hi >> p)
+        zm_lo, zm_hi = zm_lo * w_lo >> p, -(-zm_hi * w_hi >> p)
+        lead_hi = -(-zm_hi * xm_hi >> p)  # z^(M'-1) x^(2M')
+        tail_hi = -(-lead_hi * factor_hi >> p)
+        if tail_hi <= stop or terms == max_terms:
+            break
+    t_lo, t_hi = (zm_lo * xm_lo >> p) * inv_lo >> p, -(-lead_hi * inv_hi >> p)  # T
+    inner_lo, inner_hi = max(geo_lo - d_hi - t_hi, 0), geo_hi - d_lo - t_lo
+    return (terms, root_lo * inner_lo >> p, -(-root_hi * inner_hi >> p), root_lo * t_lo >> p,
+            tail_hi)
 
 
 def quasi_split_sum_ladder(
@@ -321,11 +404,13 @@ def quasi_split_sum_ladder(
     therefore summed by :func:`_deformed_ratio_sum` over ``m = n+1``
     (resp. ``m = 2n+1``) with ``x`` the classical root and ``y`` the
     quantum one; ``x = 1`` exactly at N = 2 (resp. N = 3), where the
-    majorant is polynomial-geometric.  Summation stops once the majorant
-    ``(y/x)^((m-1)/2) / sqrt((1 - x^2)(1 + y^2))`` summed over the tail
-    drops below `tol`; it decays at a strictly faster geometric rate than
-    the paper's ``c = 1 + (A_1 - 1)`` bound, which :func:`verify_decay`
-    still checks exactly.  `terms_used` counts label 0, and the budget is
+    terms are summed one by one under a polynomial-geometric majorant.  For
+    ``x < 1`` the geometric part of the series is summed in closed form and
+    summation stops once the tail bound ``sqrt(L) T`` of Kummer's
+    transformation, which falls like ``((y/x)^(1/2) x^2)^m``, drops below
+    `tol`; both decay at a strictly faster geometric rate than the paper's
+    ``c = 1 + (A_1 - 1)`` bound, which :func:`verify_decay` still checks
+    exactly.  `terms_used` counts label 0, and the budget is
     ``max_terms + 1`` labels.  Kac families diverge (the general term is 1).
     """
     if not family.is_ladder:
@@ -365,12 +450,12 @@ def block_sum_S(
     order-(n+1) deformed integer at `q_c` (classical; exactly ``n + 1`` at
     ``q_c = 1``) and at `q_q` (quantum): the sum of
     :func:`_deformed_ratio_sum` with ``x = q_c``, ``y = q_q`` from
-    ``m = 2``.  The tail is bounded by the geometric majorant
-    ``sqrt(q_q/q_c)^m / ((1 - sqrt(q_q/q_c)) sqrt((1 - q_c^2)(1 + q_q^2)))``
-    after term ``m``, or by its polynomial-geometric form
-    ``sqrt(q_q)^m ((m+1) - m sqrt(q_q)) / (1 - sqrt(q_q))^2`` at
-    ``q_c = 1``.  Both inputs being one single point means Kac type, where
-    every term is 1 and the sum diverges.
+    ``m = 2``.  At ``q_c = 1`` the terms are summed one by one and the tail
+    after term ``m`` is at most
+    ``sqrt(q_q)^m ((m+1) - m sqrt(q_q)) / (1 - sqrt(q_q))^2``; for
+    ``q_c < 1`` the sum is taken by Kummer's transformation, whose tail
+    bound falls like ``(sqrt(q_q/q_c) q_c^2)^m``.  Both inputs being one
+    single point means Kac type, where every term is 1 and the sum diverges.
 
     Each input is read once by :func:`dyadic.read_hull`, as a rational (an
     int, ``Fraction`` or decimal string) or as the exact endpoints of an

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import kernel_oracle
 from qclassfun import criteria, dyadic, fusion
 from qclassfun.cli import build_parser, main
 from qclassfun.errors import DomainError
+from qclassfun.fusion import free_unitary, su2_ladder
 
 
 def run_cli(capsys, *argv):
@@ -362,13 +364,18 @@ def test_undetermined_is_an_answer_with_exit_0(capsys):
     assert payload["results"]["masa_verdict"] == "no conclusion"
 
 
-def test_budget_capped_series_near_kac_is_undetermined(capsys):
-    # the benchmark's capped call: its majorant still exceeds tol after the
-    # budget, so the answer is undetermined at the budget of 1500 + 1 labels
+def test_budget_capped_series_near_kac_converges(capsys):
+    # the benchmark's capped call: summed by Kummer's transformation, it needs
+    # a handful of the 1500 + 1 labels, where the term-by-term sum ran out of
+    # them (undetermined stays pinned at x = 1 by the --qq 0.9 test above)
     payload = run_json(capsys, "series", "--family", "o-plus", "--N", "3",
                        "--dimq", "3007/1000", "--max-terms", "1500")
     series = payload["results"]["series"]
-    assert (series["verdict"], series["terms_used"]) == ("undetermined", 1501)
+    assert series["verdict"] == "converges"
+    assert Fraction(series["tail_bound"]["hi"]) <= Fraction(1, 10**6)
+    family = su2_ladder(3, dim_q_fund=Fraction(3007, 1000))
+    assert kernel_oracle.holds_series(Fraction(series["sum"]["lo"]), Fraction(series["sum"]["hi"]),
+                                      kernel_oracle.family_roots(family), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +457,25 @@ def test_series_of_a_kac_ladder_at_n_max_0_has_trivial_intertwiners(capsys, fami
     assert results["masa_verdict"] == "no conclusion"
 
 
-def test_series_free_unitary_escalates_to_separate_exact_input(capsys):
-    # q_q and q_c agree to about 20 digits: 64 bits cannot separate them, so
-    # the kernel escalates like the ladder families instead of rejecting
-    # the exact input, and answers as it does at 128 bits
+def test_series_free_unitary_near_kac_keeps_its_bits(capsys):
+    # q_q and q_c agree to about 20 digits, so the block sum is near 4.5e20:
+    # at 64 bits as at the default 128 it converges, keeps its bits and holds
+    # the oracle's sum, and the total, above 1, diverges
     argv = ("series", "--family", "u-plus", "--dim", "3", "--dimq", "3.00000000000000000001")
     low = run_json(capsys, *argv, "--bits", "64")["results"]
     default = run_json(capsys, *argv)["results"]
-    assert low["block_sum"] == default["block_sum"]
-    assert low["block_sum"]["verdict"] == "undetermined"
+    roots = kernel_oracle.family_roots(free_unitary(3, dim_q_fund="3.00000000000000000001"))
+    for results, bits in ((low, 64), (default, 128)):
+        block = results["block_sum"]
+        assert block["verdict"] == "converges"
+        lo, hi = Fraction(block["sum"]["lo"]), Fraction(block["sum"]["hi"])
+        assert kernel_oracle.holds_series(lo, hi, roots, 1, 2)
+        partial_lo, partial_hi = (Fraction(block["partial_sum"][end]) for end in ("lo", "hi"))
+        assert partial_hi - partial_lo <= partial_lo / 2 ** (bits - 2)
+    low_sum, default_sum = low["block_sum"]["sum"], default["block_sum"]["sum"]
+    assert Fraction(low_sum["lo"]) <= Fraction(default_sum["hi"])
+    assert Fraction(default_sum["lo"]) <= Fraction(low_sum["hi"])
+    assert low["series"]["verdict"] == default["series"]["verdict"] == "diverges"
     assert low["masa_verdict"] == default["masa_verdict"] == "no conclusion"
 
 

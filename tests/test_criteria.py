@@ -35,6 +35,7 @@ from qclassfun.criteria import (
 from qclassfun.errors import BudgetError, DomainError, FamilyError, KacTypeError
 from qclassfun.fusion import free_unitary, so3_ladder, su2_ladder
 from qclassfun.scalars import solve_fundamental_q
+import kernel_oracle
 from interval_oracle import context, make, to_enclosure
 
 TOL = Fraction(1, 10**6)
@@ -143,15 +144,33 @@ def test_quasi_split_sum_diverges_for_kac():
     assert quasi_split_sum_ladder(su2_ladder(2), TOL).verdict is Verdict.DIVERGES
 
 
-def test_quasi_split_sum_partial_matches_fusion_ratios():
+def _fusion_ratio_sum(labels: list, family, ladder, ctx):
+    """The independent route: ``sqrt(d/D)`` of `labels` from the exact
+    dimension table, summed in `ctx`, and the paper's geometric tail after
+    the last label.  The decay lemma ``A_(n+1) >= c A_n`` with
+    ``c = 1 + (A_1 - 1)`` for `ladder`, the su2 ladder of the same
+    dimensions, is checked exactly up to the last label and bounds each
+    later term by the last one times ``c^(-1/2)`` per label."""
+    terms = [ctx.sqrt(make(ratio, ctx)) for ratio in ratios(labels, family)]
+    assert verify_decay(ladder, len(labels))
+    rate = ctx.sqrt(make(ratios([1], ladder)[0], ctx))  # c^(-1/2) = A_1^(-1/2)
+    return sum(terms, make(0, ctx)), terms[-1] * rate / (1 - rate)
+
+
+def _holds_sum(result, independent, tail) -> bool:
+    """The sum enclosure of `result` meets ``independent + [0, tail]``."""
+    total = result.sum_enclosure()
+    return (_lo(to_enclosure(independent)) <= _hi(total)
+            and _lo(total) <= _hi(to_enclosure(independent + tail)))
+
+
+def test_quasi_split_sum_matches_fusion_ratios():
     fam = su2_ladder(3, q=Fraction(1, 5))
     result = quasi_split_sum_ladder(fam, TOL)
     ctx = context(160)
-    independent = sum(
-        (ctx.sqrt(make(ratio, ctx)) for ratio in ratios(range(result.terms_used), fam)),
-        make(0, ctx),
-    )
-    assert _overlap(result.partial_sum, to_enclosure(independent))
+    independent, tail = _fusion_ratio_sum(list(range(260)), fam, fam, ctx)
+    assert _hi(to_enclosure(tail)) < Fraction(1, 10**30)
+    assert _holds_sum(result, independent, tail)
 
 
 def test_quasi_split_sum_budget_exhaustion():
@@ -209,13 +228,15 @@ def test_ladder_and_block_at_tiny_deformation_converge():
     assert 0 < hi - lo < lo / 2**120
 
 
-def test_ladder_near_kac_stays_undetermined():
-    result = quasi_split_sum_ladder(su2_ladder(3, dim_q_fund=Fraction(3001, 1000)), TOL)
-    assert result.verdict is Verdict.UNDETERMINED
-    assert result.terms_used == criteria.DEFAULT_MAX_TERMS + 1
-    # the majorant certainly exceeds tol after the budget, so the kernel
-    # stops at the starting precision instead of escalating
-    assert result.partial_sum.bits == DEFAULT_BITS
+def test_ladder_near_kac_converges():
+    # 1 - w is about 2e-4: Kummer's transformation sums the terms' fast
+    # remainder, where the term-by-term sum ran out of its budget
+    family = su2_ladder(3, dim_q_fund=Fraction(3001, 1000))
+    result = quasi_split_sum_ladder(family, TOL)
+    assert result.verdict is Verdict.CONVERGES
+    assert _hi(result.tail_bound) <= TOL
+    assert kernel_oracle.holds_series(*dyadic.exact_endpoints(result.sum_enclosure()),
+                                      kernel_oracle.family_roots(family), 1, 1)
 
 
 @pytest.mark.parametrize("bits", [-5, 0, criteria.MAX_BITS + 1, 2048])
@@ -428,11 +449,10 @@ def test_block_sum_matches_family_dimensions():
     q_c = solve_fundamental_q(3, bits=ctx.prec)
     q_q = solve_fundamental_q(5, bits=ctx.prec)
     result = block_sum_S(q_c, q_q, TOL)
-    independent = make(0, ctx)
-    words = [fusion.alternating_word(n) for n in range(1, result.terms_used + 1)]
-    for ratio in ratios(words, fam):
-        independent += ctx.sqrt(make(ratio, ctx))
-    assert _overlap(result.partial_sum, to_enclosure(independent))
+    words = [fusion.alternating_word(n) for n in range(1, 300)]
+    independent, tail = _fusion_ratio_sum(words, fam, su2_ladder(3, dim_q_fund=5), ctx)
+    assert _hi(to_enclosure(tail)) < Fraction(1, 10**30)
+    assert _holds_sum(result, independent, tail)
 
 
 def _block(lo: Fraction, hi: Fraction) -> criteria.SeriesResult:
