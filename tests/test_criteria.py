@@ -266,57 +266,27 @@ def test_series_reject_invalid_tolerance(tol):
 
 
 # ---------------------------------------------------------------------------
-# the shared series kernel against a closed-form oracle
+# the shared series kernel against the mpmath oracle of kernel_oracle.py
 
 KERNEL_TOL = Fraction(1, 10**10)
 KERNEL_GRID = [Fraction(k, 100) for k in range(5, 100, 10)]  # 0.05 .. 0.95
 
 
-def _mp(value: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(value.numerator) / value.denominator
-
-
-def _root(d) -> mpmath.mpf:
-    """Root in (0, 1] of t + 1/t = d."""
-    d = mpmath.mpf(d)
-    return 2 / (d + mpmath.sqrt(d * d - 4))
-
-
-def _deformed_integer(m: int, t: mpmath.mpf) -> mpmath.mpf:
-    return mpmath.mpf(m) if t == 1 else (t**-m - t**m) / (1 / t - t)
-
-
-def _deformed_ratio_oracle(x, y, step: int, first: int) -> mpmath.mpf:
-    """sum sqrt([m]_x / [m]_y) over m = first, first + step, ... until a
-    term drops below 1e-45."""
-    total = mpmath.mpf(0)
-    m = first
-    while True:
-        term = mpmath.sqrt(_deformed_integer(m, x) / _deformed_integer(m, y))
-        total += term
-        if term < mpmath.mpf("1e-45"):
-            return total
-        m += step
-
-
 def _kernel_case(kind: str, below_one: bool, qq: Fraction, bits: int):
-    """The certified result at `bits` and the oracle's (x, y, step, first).
+    """The certified result at `bits` and the oracle's (roots, step, first).
 
     `below_one` picks a classical root below 1; otherwise it is exactly 1
     (o-plus N=2, so3 N=3, u-plus dimension 2)."""
     s = qq * Fraction(38, 100) if below_one else qq  # below the root of 3
     if kind == "o-plus":
-        n = 3 if below_one else 2
-        result = quasi_split_sum_ladder(su2_ladder(n, q=s), KERNEL_TOL, bits=bits)
-        return result, (_root(n), _mp(s), 1, 1)
+        family = su2_ladder(3 if below_one else 2, q=s)
+        return quasi_split_sum_ladder(family, KERNEL_TOL, bits=bits), (family, 1, 1)
     if kind == "so3":
-        n = 4 if below_one else 3
-        result = quasi_split_sum_ladder(so3_ladder(n, dim_q_fund=1 + s + 1 / s), KERNEL_TOL,
-                                        bits=bits)
-        return result, (mpmath.sqrt(_root(n - 1)), mpmath.sqrt(_mp(s)), 2, 1)
+        family = so3_ladder(4 if below_one else 3, dim_q_fund=1 + s + 1 / s)
+        return quasi_split_sum_ladder(family, KERNEL_TOL, bits=bits), (family, 2, 1)
     q_c = solve_fundamental_q(3, bits=bits) if below_one else 1
-    result = block_sum_S(q_c, s, KERNEL_TOL, bits=bits)
-    return result, (_root(3) if below_one else mpmath.mpf(1), _mp(s), 1, 2)
+    family = free_unitary(3 if below_one else 2, q=s)
+    return block_sum_S(q_c, s, KERNEL_TOL, bits=bits), (family, 1, 2)
 
 
 # Cases at the default precision keep the plain id `kind-below_one`.
@@ -328,13 +298,12 @@ def _kernel_case(kind: str, below_one: bool, qq: Fraction, bits: int):
 ])
 def test_kernel_encloses_closed_form_oracle(kind, below_one, bits):
     for qq in KERNEL_GRID:
-        with mpmath.workdps(50):
-            result, oracle_args = _kernel_case(kind, below_one, qq, bits)
-            oracle = _deformed_ratio_oracle(*oracle_args)
+        result, (family, step, first) = _kernel_case(kind, below_one, qq, bits)
         assert result.verdict is Verdict.CONVERGES, (kind, qq)
         assert _width(result.tail_bound) <= KERNEL_TOL
-        enclosure = result.sum_enclosure()
-        assert _holds_mpf(enclosure, oracle), (kind, qq)
+        roots = kernel_oracle.family_roots(family)
+        assert kernel_oracle.holds_series(*dyadic.exact_endpoints(result.sum_enclosure()), roots,
+                                          step, first), (kind, qq)
 
 
 # ---------------------------------------------------------------------------
