@@ -165,6 +165,7 @@ def kummer_sum(roots, y_low: Fraction, step: int, first: int, tol: Fraction, bit
         root_l = sqrt(div(complement(y2, p), complement(x2, p), p), p)
         big_g = div(zm, complement(w, p), p)
         inv = div((one, one), complement(mul(w, x_step, p), p), p)
+        factor = mul(root_l, inv, p)
         d_lo = d_hi = 0
         for terms in range(1, max_terms + 1):
             g = sqrt(div(complement(xm, p), complement(ym, p), p), p)
@@ -174,8 +175,8 @@ def kummer_sum(roots, y_low: Fraction, step: int, first: int, tol: Fraction, bit
             term = mul(zm, (max(one_minus_g[0], 0), one_minus_g[1]), p)
             d_lo, d_hi = d_lo + term[0], d_hi + term[1]
             xm, ym, zm = mul(xm, x_step, p), mul(ym, y_step, p), mul(zm, w, p)
-            t = mul(mul(zm, xm, p), inv, p)
-            tail = mul(mul(zm, xm, p), mul(root_l, inv, p), p)
+            lead = mul(zm, xm, p)
+            t, tail = mul(lead, inv, p), mul(lead, factor, p)
             if tail[1] <= stop or terms == max_terms:
                 break
         inner = (max(big_g[0] - d_hi - t[1], 0), big_g[1] - d_lo - t[0])
